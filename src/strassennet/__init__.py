@@ -9,14 +9,15 @@ approximation guarantee, and `verification` checks both against slow,
 independent oracles.
 """
 
-from .combinators import ParallelBlock, concat, parallelize
+from .combinators import concat, parallelize
 from .core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder, Layer,
-                   MatrixShape, SparseLinearMap, identity_mnn, mnn_equal,
-                   num_layers, num_weights, quad_split, realize, realize_flat,
+                   MatrixShape, SparseLinearMap, counts_satisfied,
+                   identity_mnn, mnn_equal, quad_split, realize, realize_flat,
                    realize_many, scale_output)
 from .gadgets import (FACTORIES, GadgetFactory, GadgetSpec,
-                      build_product_relu, build_product_relu2, relu2_factory,
-                      relu_factory, relu_gadget_bounds, verify_gadget)
+                      build_product_relu, build_product_relu2,
+                      gadget_count_reference, relu2_factory, relu_factory,
+                      relu_gadget_bounds, verify_gadget)
 from .inversion import (InversionSpec, NeumannDepth, build_aux, build_dup_half,
                         build_dup_simple, build_fill, build_flip, build_in,
                         build_inv, build_mix_aux, build_neu, build_sqr,
@@ -25,10 +26,11 @@ from .inversion import (InversionSpec, NeumannDepth, build_aux, build_dup_half,
                         series_length_estimate)
 from .io import (load_matrix, load_network, network_from_dict,
                  network_to_dict, save_matrix, save_network)
-from .strassen import (RectShape, bound_counts_rect, bound_counts_square,
-                       bound_gadget_spec_rect, build_ext, build_ext_star,
-                       build_mix, build_shr, build_split, build_str_pow2,
-                       build_str_rect, build_str_square, formula_counts_pow2)
+from .strassen import (RectShape, bound_counts_rect, bound_gadget_spec_rect,
+                       build_ext, build_ext_star, build_mix, build_shr,
+                       build_split, build_str_pow2, build_str_rect,
+                       build_str_square, formula_counts_pow2,
+                       pow2_count_reference, rect_count_reference)
 from .verification import SUITES, CriterionResult, run_suite
 
 __version__ = "0.1.0"
@@ -36,19 +38,19 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIVATIONS", "ActivationMask", "CriterionResult", "EntryBuilder",
     "FACTORIES", "GadgetFactory", "GadgetSpec", "InversionSpec", "Layer",
-    "MNN", "MatrixShape", "NeumannDepth", "ParallelBlock", "RectShape",
-    "SUITES", "SparseLinearMap", "bound_counts_rect", "bound_counts_square",
-    "bound_gadget_spec_rect", "build_aux", "build_dup_half",
-    "build_dup_simple", "build_ext", "build_ext_star", "build_fill",
-    "build_flip", "build_in", "build_inv", "build_mix", "build_mix_aux",
-    "build_neu", "build_product_relu", "build_product_relu2", "build_shr",
-    "build_split", "build_sqr", "build_str_pow2", "build_str_rect",
-    "build_str_square", "compute_N", "compute_Sigma", "concat",
-    "formula_counts_pow2", "identity_mnn", "inv_count_reference",
+    "MNN", "MatrixShape", "NeumannDepth", "RectShape", "SUITES",
+    "SparseLinearMap", "bound_counts_rect", "bound_gadget_spec_rect",
+    "build_aux", "build_dup_half", "build_dup_simple", "build_ext",
+    "build_ext_star", "build_fill", "build_flip", "build_in", "build_inv",
+    "build_mix", "build_mix_aux", "build_neu", "build_product_relu",
+    "build_product_relu2", "build_shr", "build_split", "build_sqr",
+    "build_str_pow2", "build_str_rect", "build_str_square", "compute_N",
+    "compute_Sigma", "concat", "counts_satisfied", "formula_counts_pow2",
+    "gadget_count_reference", "identity_mnn", "inv_count_reference",
     "load_matrix", "load_network", "mnn_equal", "network_from_dict",
-    "network_to_dict", "neu_bound_counts", "neumann_depth", "num_layers",
-    "num_weights", "parallelize", "quad_split", "realize", "realize_flat",
-    "realize_many", "relu2_factory", "relu_factory", "relu_gadget_bounds",
-    "run_suite", "save_matrix", "save_network", "scale_output",
-    "series_length_estimate", "verify_gadget",
+    "network_to_dict", "neu_bound_counts", "neumann_depth", "parallelize",
+    "pow2_count_reference", "quad_split", "realize", "realize_flat",
+    "realize_many", "rect_count_reference", "relu2_factory", "relu_factory",
+    "relu_gadget_bounds", "run_suite", "save_matrix", "save_network",
+    "scale_output", "series_length_estimate", "verify_gadget",
 ]

@@ -21,44 +21,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import realize
-from .gadgets import FACTORIES, GadgetSpec, relu_gadget_bounds
-from .inversion import (InversionSpec, build_inv, compute_N, compute_Sigma,
-                        inv_count_reference, series_length_estimate)
+from .core import counts_satisfied, realize
+from .gadgets import FACTORIES, GadgetSpec, gadget_count_reference
+from .inversion import (InversionSpec, build_inv, inv_count_reference,
+                        neumann_depth, series_length_estimate)
 from .io import load_matrix, load_network, save_matrix, save_network
-from .strassen import (RectShape, bound_counts_rect, bound_counts_square,
-                       bound_gadget_spec_rect, build_str_pow2, build_str_rect,
-                       build_str_square, formula_counts_pow2)
-from .verification import SUITES, run_suite
-
-DEFAULT_SEED = 42
+from .strassen import (RectShape, build_str_pow2, build_str_rect,
+                       build_str_square, pow2_count_reference,
+                       rect_count_reference)
+from .verification import DEFAULT_SEED, SUITES, gadget_growth_fit, run_suite
 
 
 @dataclass
 class BoundReport:
-    """Measured counts of a built network against its reference counts.
+    """Measured counts of a built network against its count reference.
 
-    ``formula_*`` fields hold exact targets (equality expected);
-    ``bound_*`` fields hold upper bounds (measured <= bound expected).
-    Only the applicable pair is populated.
+    An exact reference is reported as ``formula_M``/``formula_L`` (equality
+    expected), a bound as ``bound_M``/``bound_L`` (measured <= bound).
     """
 
     measured_M: int
     measured_L: int
+    M_ref: float
+    L_ref: float
+    exact: bool
     satisfied: bool
-    formula_M: float = None
-    formula_L: float = None
-    bound_M: float = None
-    bound_L: float = None
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        doc = {"measured_M": self.measured_M, "measured_L": self.measured_L}
-        for name in ("formula_M", "formula_L", "bound_M", "bound_L"):
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
-        doc["satisfied"] = bool(self.satisfied)
+        kind = "formula" if self.exact else "bound"
+        doc = {"measured_M": self.measured_M, "measured_L": self.measured_L,
+               f"{kind}_M": self.M_ref, f"{kind}_L": self.L_ref,
+               "satisfied": bool(self.satisfied)}
         doc.update(self.extras)
         return doc
 
@@ -83,68 +77,55 @@ def _require_params(args, names):
         raise ValueError(f"{args.kind} requires {flags}")
 
 
+def _inv_spec(a):
+    return InversionSpec(a.n, a.alpha, a.eps, a.delta)
+
+
+#: build kind -> (required flags, builder, count reference); builder and
+#: reference both take the parsed arguments and the gadget factory
+KINDS = {
+    "strassen-pow2": (
+        ["k"],
+        lambda a, f: build_str_pow2(a.k, a.eps, a.K, f),
+        lambda a, f: pow2_count_reference(a.k, a.eps, a.K, f)),
+    "strassen-rect": (
+        ["m", "n", "p"],
+        lambda a, f: build_str_rect(RectShape(a.m, a.n, a.p), a.eps, a.K, f),
+        lambda a, f: rect_count_reference(RectShape(a.m, a.n, a.p),
+                                          a.eps, a.K, f)),
+    "strassen-square": (
+        ["n"],
+        lambda a, f: build_str_square(a.n, a.eps, a.K, f),
+        lambda a, f: rect_count_reference(RectShape(a.n, a.n, a.n),
+                                          a.eps, a.K, f)),
+    "inverse": (
+        ["n"],
+        lambda a, f: build_inv(_inv_spec(a), f),
+        lambda a, f: inv_count_reference(_inv_spec(a), f)),
+    "gadget": (
+        [],
+        lambda a, f: f.build(GadgetSpec(a.eps, a.K)),
+        lambda a, f: gadget_count_reference(GadgetSpec(a.eps, a.K), f)),
+}
+
+
 def build_network_and_report(args):
     factory = _factory(args)
-    eps, K = args.eps, args.K
-    if args.kind == "strassen-pow2":
-        _require_params(args, ["k"])
-        net = build_str_pow2(args.k, eps, K, factory)
-        leaf = factory.build(GadgetSpec(eps / 4 ** args.k, (2 ** args.k) * K))
-        fM, fL = formula_counts_pow2(args.k, leaf.num_weights, leaf.num_layers)
-        report = BoundReport(net.num_weights, net.num_layers,
-                             (net.num_weights, net.num_layers) == (fM, fL),
-                             formula_M=fM, formula_L=fL)
-    elif args.kind == "strassen-rect":
-        _require_params(args, ["m", "n", "p"])
-        shape = RectShape(args.m, args.n, args.p)
-        net = build_str_rect(shape, eps, K, factory)
-        gadget = factory.build(bound_gadget_spec_rect(shape, eps, K))
-        bM, bL = bound_counts_rect(shape, gadget.num_weights, gadget.num_layers)
-        report = BoundReport(net.num_weights, net.num_layers,
-                             net.num_weights <= bM and net.num_layers <= bL,
-                             bound_M=bM, bound_L=bL)
-    elif args.kind == "strassen-square":
-        _require_params(args, ["n"])
-        net = build_str_square(args.n, eps, K, factory)
-        shape = RectShape(args.n, args.n, args.n)
-        gadget = factory.build(bound_gadget_spec_rect(shape, eps, K))
-        bM, bL = bound_counts_square(args.n, gadget.num_weights,
-                                     gadget.num_layers)
-        report = BoundReport(net.num_weights, net.num_layers,
-                             net.num_weights <= bM and net.num_layers <= bL,
-                             bound_M=bM, bound_L=bL)
-    elif args.kind == "inverse":
-        _require_params(args, ["n"])
-        spec = InversionSpec(args.n, args.alpha, eps, args.delta)
-        net = build_inv(spec, factory)
-        rM, rL, exact = inv_count_reference(spec, factory)
+    required, builder, reference = KINDS[args.kind]
+    _require_params(args, required)
+    net = builder(args, factory)
+    ref = reference(args, factory)
+    extras = {}
+    if args.kind == "inverse":
+        depth = neumann_depth(_inv_spec(args))
         extras = {
-            "N": compute_N(eps / (2.0 * args.alpha), args.delta),
-            "Sigma": compute_Sigma(eps / args.alpha, args.delta, args.n),
+            "N": depth.N,
+            "Sigma": depth.Sigma,
             "series_length_estimate":
-                series_length_estimate(eps / args.alpha, args.delta),
+                series_length_estimate(args.eps / args.alpha, args.delta),
         }
-        if exact:
-            ok = (net.num_weights, net.num_layers) == (rM, rL)
-            report = BoundReport(net.num_weights, net.num_layers, ok,
-                                 formula_M=rM, formula_L=rL, extras=extras)
-        else:
-            ok = net.num_weights <= rM and net.num_layers <= rL
-            report = BoundReport(net.num_weights, net.num_layers, ok,
-                                 bound_M=rM, bound_L=rL, extras=extras)
-    elif args.kind == "gadget":
-        net = factory.build(GadgetSpec(eps, K))
-        if args.activation == "relu2":
-            report = BoundReport(net.num_weights, net.num_layers,
-                                 (net.num_weights, net.num_layers) == (12, 2),
-                                 formula_M=12, formula_L=2)
-        else:
-            bM, bL = relu_gadget_bounds(eps, K)
-            report = BoundReport(net.num_weights, net.num_layers,
-                                 net.num_weights <= bM and net.num_layers <= bL,
-                                 bound_M=bM, bound_L=bL)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown build kind {args.kind!r}")
+    report = BoundReport(net.num_weights, net.num_layers, *ref,
+                         counts_satisfied(net, ref), extras)
     return net, report
 
 
@@ -204,24 +185,17 @@ def _growth_rows(activation: str):
     sizes = []
     for k in range(5):
         net = build_str_pow2(k, eps, K, factory)
-        leaf = factory.build(GadgetSpec(eps / 4 ** k, (2 ** k) * K))
-        fM, _ = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
+        ref = pow2_count_reference(k, eps, K, factory)
         sizes.append(net.num_weights)
-        rows.append(["pow2", k, net.num_weights, fM, net.num_weights == fM])
+        rows.append(["pow2", k, net.num_weights, ref[0],
+                     counts_satisfied(net, ref)])
     for k in range(4):
         lhs = sizes[k + 1] + 12 * 4 ** (k + 1)
         rhs = 7 * (sizes[k] + 12 * 4 ** k)
         rows.append(["pow2-recursion", k, lhs, rhs, lhs == rhs])
-    es = np.arange(2, 17, dtype=float)
-    gms = np.array([FACTORIES["relu"].build(GadgetSpec(2.0 ** -e, 1.0)).num_weights
-                    for e in es])
-    slope, intercept = np.polyfit(es, gms, 1)
-    pred = slope * es + intercept
+    es, gms, pred, r2 = gadget_growth_fit()
     for e, gm, pv in zip(es, gms, pred):
         rows.append(["gadget", int(e), int(gm), round(float(pv), 3), ""])
-    ss_res = float(np.sum((gms - pred) ** 2))
-    ss_tot = float(np.sum((gms - gms.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
     rows.append(["gadget-fit-r2", "", round(r2, 6), 0.98, r2 >= 0.98])
     return rows
 
@@ -232,17 +206,14 @@ def _bounds_rows(args):
     for n in (2, 4, 8):
         spec = InversionSpec(n, args.alpha, args.eps, args.delta)
         net = build_inv(spec, factory)
-        rM, rL, exact = inv_count_reference(spec, factory)
-        if exact:
-            ok = (net.num_weights, net.num_layers) == (rM, rL)
-        else:
-            ok = net.num_weights <= rM and net.num_layers <= rL
+        ref = inv_count_reference(spec, factory)
         rows.append([n, args.alpha, args.eps, args.delta,
-                     compute_N(args.eps / (2.0 * args.alpha), args.delta),
+                     neumann_depth(spec).N,
                      round(series_length_estimate(args.eps / args.alpha,
                                                   args.delta), 3),
-                     net.num_weights, round(float(rM), 1),
-                     net.num_layers, round(float(rL), 1), ok])
+                     net.num_weights, round(float(ref[0]), 1),
+                     net.num_layers, round(float(ref[1]), 1),
+                     counts_satisfied(net, ref)])
     return rows
 
 
@@ -282,8 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a network and write it as JSON")
-    b.add_argument("kind", choices=["strassen-pow2", "strassen-rect",
-                                    "strassen-square", "inverse", "gadget"])
+    b.add_argument("kind", choices=list(KINDS))
     b.add_argument("--k", type=int, default=None, help="recursion depth")
     b.add_argument("--m", type=int, default=None)
     b.add_argument("--n", type=int, default=None)

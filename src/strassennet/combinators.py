@@ -8,7 +8,7 @@ narrower blocks are padded with implicit zero columns, which costs no
 weights (no entries, zero bias, identity mask).
 """
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,41 +32,6 @@ def concat(first: MNN, second: MNN) -> MNN:
             f"but first network expects {tuple(first.input_shape)}"
         )
     return MNN(second.layers + first.layers, first.activation_name)
-
-
-class ParallelBlock:
-    """An ordered collection of networks eligible for parallel stacking.
-
-    All networks must share the activation label and the layer count, and
-    agree on input and output column counts (inputs and outputs are stacked
-    row-wise).
-    """
-
-    def __init__(self, nets: Sequence[MNN]):
-        nets = tuple(nets)
-        if not nets:
-            raise ValueError("ParallelBlock needs at least one network")
-        names = {net.activation_name for net in nets}
-        if len(names) > 1:
-            raise ValueError(f"activation labels differ: {sorted(names)}")
-        depths = {net.num_layers for net in nets}
-        if len(depths) > 1:
-            raise ValueError(
-                f"layer counts differ ({sorted(depths)}); pad the shallower "
-                "networks to a common depth first (identity_mnn and build_fill "
-                "produce padding layers)"
-            )
-        if len({net.input_shape.cols for net in nets}) > 1:
-            raise ValueError("input column counts differ; cannot row-stack")
-        if len({net.output_shape.cols for net in nets}) > 1:
-            raise ValueError("output column counts differ; cannot row-stack")
-        self.nets = nets
-
-    def __iter__(self):
-        return iter(self.nets)
-
-    def __len__(self):
-        return len(self.nets)
 
 
 def _stack_layers(children: Sequence[Layer]) -> Layer:
@@ -102,16 +67,33 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     return Layer(linmap, bias, ActivationMask((out_rows, out_cols), rho))
 
 
-def parallelize(nets: Union[ParallelBlock, Iterable[MNN]]) -> MNN:
+def parallelize(nets: Iterable[MNN]) -> MNN:
     """Stack networks so they act independently on row-stacked inputs.
 
-    The result maps ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the
-    common depth, and exactly the summed weight count.
+    All networks must share the activation label and the layer count, and
+    agree on input and output column counts.  The result maps
+    ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
+    and exactly the summed weight count.
     """
-    block = nets if isinstance(nets, ParallelBlock) else ParallelBlock(tuple(nets))
-    depth = block.nets[0].num_layers
+    nets = tuple(nets)
+    if not nets:
+        raise ValueError("parallelize needs at least one network")
+    names = {net.activation_name for net in nets}
+    if len(names) > 1:
+        raise ValueError(f"activation labels differ: {sorted(names)}")
+    depths = {net.num_layers for net in nets}
+    if len(depths) > 1:
+        raise ValueError(
+            f"layer counts differ ({sorted(depths)}); pad the shallower "
+            "networks to a common depth first (identity_mnn and build_fill "
+            "produce padding layers)"
+        )
+    if len({net.input_shape.cols for net in nets}) > 1:
+        raise ValueError("input column counts differ; cannot row-stack")
+    if len({net.output_shape.cols for net in nets}) > 1:
+        raise ValueError("output column counts differ; cannot row-stack")
     stacked = [
-        _stack_layers([net.layers[level] for net in block.nets])
-        for level in range(depth)
+        _stack_layers([net.layers[level] for net in nets])
+        for level in range(nets[0].num_layers)
     ]
-    return MNN(stacked, block.nets[0].activation_name)
+    return MNN(stacked, nets[0].activation_name)

@@ -156,7 +156,10 @@ class ActivationMask:
         """Mask with rho exactly at the given 1-based (i, j) positions."""
         shape = _as_shape(shape)
         rho = np.zeros(tuple(shape), dtype=bool)
-        for i, j in positions:
+        for e, (i, j) in enumerate(positions):
+            if not (1 <= i <= shape.rows and 1 <= j <= shape.cols):
+                raise ValueError(f"entry {e} ({i}, {j}) lies outside the "
+                                 f"{shape.rows}x{shape.cols} mask")
             rho[i - 1, j - 1] = True
         return cls(shape, rho)
 
@@ -243,13 +246,15 @@ class MNN:
         return len(self.layers)
 
 
-def num_weights(net: MNN) -> int:
-    """Total nonzero tensor entries plus nonzero bias entries, all layers."""
-    return net.num_weights
+def counts_satisfied(net: MNN, reference) -> bool:
+    """Whether the net's (M, L) meet a reference ``(M_ref, L_ref, exact)``.
 
-
-def num_layers(net: MNN) -> int:
-    return net.num_layers
+    An exact reference must be matched; a bound must not be exceeded.
+    """
+    M_ref, L_ref, exact = reference
+    if exact:
+        return (net.num_weights, net.num_layers) == (M_ref, L_ref)
+    return net.num_weights <= M_ref and net.num_layers <= L_ref
 
 
 def _resolve_rho(net: MNN, rho):

@@ -161,6 +161,18 @@ def relu_gadget_bounds(epsilon: float, K: float):
             logK + 0.5 * log_inv_eps + 2.5)
 
 
+def gadget_count_reference(spec: GadgetSpec, factory: GadgetFactory):
+    """Reference counts ``(M, L, exact)`` for ``factory.build(spec)``.
+
+    The relu2 gadget is exactly (12, 2); the relu gadget sits under
+    ``relu_gadget_bounds``.
+    """
+    if factory.activation_name == "relu2":
+        return 12, 2, True
+    M, L = relu_gadget_bounds(spec.epsilon, spec.K)
+    return M, L, False
+
+
 def verify_gadget(net: MNN, rho, spec: GadgetSpec, grid_step: float) -> float:
     """Max |xy - R(net)(x, y)| over the uniform grid on [-K, K]^2."""
     if grid_step > spec.K / 50.0:

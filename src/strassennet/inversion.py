@@ -12,8 +12,9 @@ auxiliary chain that squares a running power of B/2 alongside the running
 product (rescaling by halves keeps every intermediate spectrally small; the
 lost factor ``2^(2^N - 1)`` is restored in the output layer).
 
-``compute_N`` and ``compute_Sigma`` give the stage count and the leaf
-gadget budget that make the end-to-end error at most ``epsilon``.
+``neumann_depth`` gives the stage count N that makes the end-to-end error
+at most ``epsilon``, and the leaf gadget budget Sigma that the count bound
+of ``inv_count_reference`` is evaluated at.
 """
 
 import math
@@ -83,11 +84,23 @@ def compute_N(eps: float, delta: float) -> int:
 
 
 def compute_Sigma(eps: float, delta: float, n: int) -> float:
-    """Leaf gadget budget paired with compute_N(eps, delta)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    N = compute_N(eps, delta)
-    return 2.0 ** (-(2 ** N)) * min(eps, 0.25) / (16.0 * n ** 3)
+    """Leaf gadget budget of the n x n inversion network at error eps, alpha 1."""
+    return neumann_depth(InversionSpec(n, 1.0, eps, delta)).Sigma
+
+
+def _depth_underflow(N: int, n: int, eps: float) -> ValueError:
+    return ValueError(
+        f"N = {N} doubling stages need the leaf gadget budget "
+        f"2^-(2^N) * {eps:g} / (8 * {n}^3), which underflows to 0 in "
+        "float64; use a larger epsilon or a smaller delta")
+
+
+def _leaf_budget(N: int, n: int, eps: float) -> float:
+    """Leaf gadget budget 2^-(2^N) eps / (8 n^3) of the Neumann-sum bound."""
+    sigma = 2.0 ** (-(2 ** N)) * eps / (8.0 * n ** 3)
+    if sigma == 0.0:
+        raise _depth_underflow(N, n, eps)
+    return sigma
 
 
 def build_dup_simple(n: int, activation: str = "relu") -> MNN:
@@ -225,6 +238,9 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     if not 0.0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8) when N >= 2")
     eps_inner = 2.0 ** (1 - 2 ** N) * eps
+    if eps_inner == 0.0:
+        # the squaring networks' leaf budgets are smaller still
+        raise _depth_underflow(N, n, eps)
     square = _square_once(n, eps_inner, factory)
     aux = _aux_chain(N - 1, n, square, act)
     net = concat(square, concat(build_flip(n, N - 1, act), aux))
@@ -240,12 +256,16 @@ def build_in(n: int, alpha: float, activation: str = "relu") -> MNN:
     return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))], activation)
 
 
+def _neu_budget(spec: InversionSpec) -> float:
+    """Error budget of the Neumann-sum part: min(eps / 2 alpha, 1/8)."""
+    return min(spec.epsilon / (2.0 * spec.alpha), 0.125)
+
+
 def neumann_depth(spec: InversionSpec) -> NeumannDepth:
-    """Stage count and leaf budget implied by an inversion spec."""
-    return NeumannDepth(
-        N=compute_N(spec.epsilon / (2.0 * spec.alpha), spec.delta),
-        Sigma=compute_Sigma(spec.epsilon / spec.alpha, spec.delta, spec.n),
-    )
+    """Stage count N of ``build_inv(spec)`` and the leaf budget Sigma that
+    ``inv_count_reference`` evaluates its bound at (used when N >= 2)."""
+    N = compute_N(spec.epsilon / (2.0 * spec.alpha), spec.delta)
+    return NeumannDepth(N, _leaf_budget(N, spec.n, _neu_budget(spec)))
 
 
 def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
@@ -267,37 +287,20 @@ def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
     return concat(scale_output(neu, alpha), build_in(n, alpha, factory.activation_name))
 
 
-def _proof_sigma(spec: InversionSpec) -> float:
-    """Leaf budget matching the constructed network's worst gadget.
-
-    Identical to ``compute_Sigma(eps / alpha, delta, n)`` except that the
-    stage count is the one the network actually uses,
-    ``compute_N(eps / 2 alpha, delta)``; the two agree whenever those stage
-    counts coincide.
-    """
-    N = compute_N(spec.epsilon / (2.0 * spec.alpha), spec.delta)
-    return (2.0 ** (-(2 ** N)) * min(spec.epsilon / spec.alpha, 0.25)
-            / (16.0 * spec.n ** 3))
-
-
 def inv_count_reference(spec: InversionSpec, factory: GadgetFactory):
     """Reference counts for an inversion network.
 
     Returns ``(M_ref, L_ref, exact)``: exact integer counts when a single
-    doubling stage suffices, otherwise upper bounds evaluated with the
-    measured size of a gadget built at the leaf budget and half-width 2n.
+    doubling stage suffices, otherwise the Neumann-sum bounds of
+    ``neu_bound_counts`` at ``neumann_depth(spec)`` plus the n^2 + n weights
+    of the input layer ``build_in``.
     """
     n = spec.n
-    N = compute_N(spec.epsilon / (2.0 * spec.alpha), spec.delta)
+    N = neumann_depth(spec).N
     if N == 1:
         return 2 * (n * n + n), 2, True
-    gadget = factory.build(GadgetSpec(_proof_sigma(spec), 2.0 * n))
-    Mg, Lg = gadget.num_weights, gadget.num_layers
-    M = (14.0 * n ** LOG2_7 * (N - 1) * (Mg + 12)
-         + n * n * (Lg - 14.0 * N + 20.0 + 2.0 * math.log2(n))
-         + n * (N + 1))
-    L = N * (2.0 * math.log2(n) + 5.0 + Lg)
-    return M, L, False
+    M, L = neu_bound_counts(N, n, _neu_budget(spec), factory)
+    return M + n * n + n, L, False
 
 
 def series_length_estimate(eps: float, delta: float) -> float:
@@ -318,8 +321,7 @@ def neu_bound_counts(N: int, n: int, eps: float, factory: GadgetFactory):
     """(M, L) upper bounds for the Neumann-sum network, N >= 2."""
     if N < 2:
         raise ValueError("bounds apply to N >= 2; N = 1 has exact counts")
-    gadget = factory.build(
-        GadgetSpec(2.0 ** (-(2 ** N)) * eps / (8.0 * n ** 3), 2.0 * n))
+    gadget = factory.build(GadgetSpec(_leaf_budget(N, n, eps), 2.0 * n))
     Mg, Lg = gadget.num_weights, gadget.num_layers
     M = (14.0 * n ** LOG2_7 * (N - 1) * (Mg + 12)
          + n * n * (Lg - 14.0 * N + 19.0 + 2.0 * math.log2(n))

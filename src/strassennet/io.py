@@ -98,7 +98,11 @@ def network_from_dict(doc: dict) -> MNN:
                 _require(isinstance(item, list) and len(item) == 2,
                          f"layer {pos} mask entry {e} must be [i, j]")
                 pairs.append((int(item[0]), int(item[1])))
-            mask = ActivationMask.from_positions(out_shape, pairs)
+            try:
+                mask = ActivationMask.from_positions(out_shape, pairs)
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad network file: layer {pos} mask {exc}") from None
         try:
             linmap = SparseLinearMap(out_shape, in_shape, idx, val)
         except ValueError as exc:

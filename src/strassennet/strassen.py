@@ -189,11 +189,26 @@ def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):
     return M, L
 
 
-def bound_counts_square(n: int, M_gadget: int, L_gadget: int):
-    return bound_counts_rect(RectShape(n, n, n), M_gadget, L_gadget)
-
-
 def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec:
     """The gadget spec at which the rectangular-bound formulas are evaluated."""
     gamma = shape.gamma
     return GadgetSpec(eps / (4.0 * gamma * gamma), 2.0 * gamma * K)
+
+
+def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):
+    """Reference counts ``(M, L, exact=True)`` for ``build_str_pow2(k, eps, K)``.
+
+    The closed form is evaluated with the leaf gadget at ``(eps / 4^k, 2^k K)``.
+    """
+    leaf = factory.build(GadgetSpec(eps / 4 ** k, (2 ** k) * K))
+    M, L = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
+    return M, L, True
+
+
+def rect_count_reference(shape: RectShape, eps: float, K: float,
+                         factory: GadgetFactory):
+    """Reference counts ``(M, L, exact=False)`` for ``build_str_rect`` and
+    ``build_str_square`` (the square case is ``RectShape(n, n, n)``)."""
+    gadget = factory.build(bound_gadget_spec_rect(shape, eps, K))
+    M, L = bound_counts_rect(shape, gadget.num_weights, gadget.num_layers)
+    return M, L, False

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .core import realize_many
-from .gadgets import (FACTORIES, GadgetSpec, relu2_factory, relu_factory,
-                      relu_gadget_bounds, verify_gadget)
+from .core import counts_satisfied, realize_many
+from .gadgets import (FACTORIES, GadgetSpec, gadget_count_reference,
+                      relu2_factory, relu_factory, verify_gadget)
 from .inversion import (InversionSpec, build_inv, build_neu, build_sqr,
                         compute_N, inv_count_reference)
-from .strassen import (RectShape, bound_counts_rect, bound_gadget_spec_rect,
-                       build_str_pow2, build_str_rect, formula_counts_pow2)
+from .strassen import (RectShape, build_str_pow2, build_str_rect,
+                       pow2_count_reference, rect_count_reference)
 
 DEFAULT_SEED = 42
 
@@ -63,42 +63,32 @@ def _random_with_norm(rng: np.random.Generator, n: int, bound: float):
 
 # --- strassen suite ---------------------------------------------------------
 
-def check_weight_count_formula(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Criterion 1: num_weights of the power-of-two net equals the closed form."""
+def _pow2_closed_form(name: str, index: int) -> CriterionResult:
+    """Compare one count (0: M, 1: L) of the power-of-two nets to the formula."""
     eps, K = 1e-2, 1.0
     mismatches, cases, detail = 0, 0, []
-    for name in ("relu2", "relu"):
-        factory = FACTORIES[name]
+    for act in ("relu2", "relu"):
         for k in range(5):
-            leaf = factory.build(GadgetSpec(eps / 4 ** k, (2 ** k) * K))
-            net = _pow2_net(name, k, eps, K)
-            want, _ = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
+            net = _pow2_net(act, k, eps, K)
+            got = (net.num_weights, net.num_layers)[index]
+            want = pow2_count_reference(k, eps, K, FACTORIES[act])[index]
             cases += 1
-            if net.num_weights != want:
+            if got != want:
                 mismatches += 1
-                detail.append(f"{name} k={k}: {net.num_weights} != {want}")
-    return CriterionResult("weight-count-closed-form", mismatches == 0,
-                           mismatches, "0 mismatches over k in 0..4, both gadgets",
+                detail.append(f"{act} k={k}: {got} != {want}")
+    return CriterionResult(name, mismatches == 0, mismatches,
+                           "0 mismatches over k in 0..4, both gadgets",
                            "; ".join(detail), cases)
+
+
+def check_weight_count_formula(seed: int = DEFAULT_SEED) -> CriterionResult:
+    """Criterion 1: num_weights of the power-of-two net equals the closed form."""
+    return _pow2_closed_form("weight-count-closed-form", 0)
 
 
 def check_layer_count_formula(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Criterion 2: num_layers of the power-of-two net equals the closed form."""
-    eps, K = 1e-2, 1.0
-    mismatches, cases, detail = 0, 0, []
-    for name in ("relu2", "relu"):
-        factory = FACTORIES[name]
-        for k in range(5):
-            leaf = factory.build(GadgetSpec(eps / 4 ** k, (2 ** k) * K))
-            net = _pow2_net(name, k, eps, K)
-            _, want = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
-            cases += 1
-            if net.num_layers != want:
-                mismatches += 1
-                detail.append(f"{name} k={k}: {net.num_layers} != {want}")
-    return CriterionResult("layer-count-closed-form", mismatches == 0,
-                           mismatches, "0 mismatches over k in 0..4, both gadgets",
-                           "; ".join(detail), cases)
+    return _pow2_closed_form("layer-count-closed-form", 1)
 
 
 def check_multiplication_error(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -156,12 +146,11 @@ def check_rect_square_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:
     for (m, n, p) in ((2, 3, 2), (3, 3, 3), (5, 6, 4)):
         shape = RectShape(m, n, p)
         for name, factory in FACTORIES.items():
-            gadget = factory.build(bound_gadget_spec_rect(shape, eps, K))
-            bound_M, bound_L = bound_counts_rect(
-                shape, gadget.num_weights, gadget.num_layers)
+            ref = rect_count_reference(shape, eps, K, factory)
+            bound_M, bound_L, _ = ref
             net = build_str_rect(shape, eps, K, factory)
             cases += 1
-            if not (net.num_weights <= bound_M and net.num_layers <= bound_L):
+            if not counts_satisfied(net, ref):
                 failures += 1
                 detail.append(
                     f"{name} {m}x{n}x{p}: M {net.num_weights} vs {bound_M:.1f}, "
@@ -178,15 +167,18 @@ def check_growth_properties(seed: int = DEFAULT_SEED) -> CriterionResult:
     recursion_ok = all(
         M[k + 1] + 12 * 4 ** (k + 1) == 7 * (M[k] + 12 * 4 ** k)
         for k in range(4))
-    r2 = gadget_growth_r2()
+    r2 = gadget_growth_fit()[3]
     passed = recursion_ok and r2 >= 0.98
     return CriterionResult("count-growth-properties", passed, r2,
                            "recursion exact for k in 0..3 and fit R^2 >= 0.98",
                            f"recursion_ok={recursion_ok}, R^2={r2:.4f}", 5 + 15)
 
 
-def gadget_growth_r2():
-    """R^2 of the affine fit of ReLU gadget weights against log2(1/eps)."""
+def gadget_growth_fit():
+    """Affine fit of ReLU gadget weights against log2(1/eps) at K = 1.
+
+    Returns ``(log2(1/eps) values, weights, fitted weights, R^2)``.
+    """
     es = np.arange(2, 17, dtype=float)
     sizes = np.array([
         relu_factory.build(GadgetSpec(2.0 ** -e, 1.0)).num_weights for e in es])
@@ -194,7 +186,7 @@ def gadget_growth_r2():
     pred = slope * es + intercept
     ss_res = float(np.sum((sizes - pred) ** 2))
     ss_tot = float(np.sum((sizes - sizes.mean()) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return es, sizes, pred, 1.0 - ss_res / ss_tot
 
 
 # --- gadgets suite ----------------------------------------------------------
@@ -224,10 +216,12 @@ def check_gadget_size_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:
     for K in (0.5, 1.0, 2.0, 4.0):
         for e in range(1, 13):
             eps = 2.0 ** -e
-            net = relu_factory.build(GadgetSpec(eps, K))
-            bound_M, bound_L = relu_gadget_bounds(eps, K)
+            spec = GadgetSpec(eps, K)
+            net = relu_factory.build(spec)
+            ref = gadget_count_reference(spec, relu_factory)
+            bound_M, bound_L, _ = ref
             cases += 1
-            if not (net.num_weights <= bound_M and net.num_layers <= bound_L):
+            if not counts_satisfied(net, ref):
                 failures += 1
                 detail.append(f"K={K} eps=2^-{e}: ({net.num_weights}, "
                               f"{net.num_layers}) vs ({bound_M:.1f}, {bound_L:.1f})")
@@ -238,7 +232,7 @@ def check_gadget_size_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def check_gadget_growth_fit(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Affine fit quality of gadget size against log2(1/eps)."""
-    r2 = gadget_growth_r2()
+    r2 = gadget_growth_fit()[3]
     return CriterionResult("gadget-growth-fit", r2 >= 0.98, r2, "R^2 >= 0.98",
                            "eps = 2^-2 .. 2^-16 at K=1", 15)
 
@@ -326,7 +320,7 @@ def check_neumann_sum_error(seed: int = DEFAULT_SEED) -> CriterionResult:
     count_ok = True
     for n in (2, 4):
         one = build_neu(1, n, 0.1, relu_factory)
-        if (one.num_weights, one.num_layers) != (n * n + n, 1):
+        if not counts_satisfied(one, (n * n + n, 1, True)):
             count_ok = False
             detail.append(f"N=1 n={n}: counts ({one.num_weights}, {one.num_layers})")
     for N in (2, 3):
@@ -358,8 +352,9 @@ def check_inversion(seed: int = DEFAULT_SEED) -> CriterionResult:
         spec = InversionSpec(n, 1.0, 1.2, delta)
         assert compute_N(spec.epsilon / 2.0, delta) == 1
         net = build_inv(spec, relu2_factory)
-        want_M, want_L, exact = inv_count_reference(spec, relu2_factory)
-        if not (exact and (net.num_weights, net.num_layers) == (want_M, want_L)):
+        ref = inv_count_reference(spec, relu2_factory)
+        want_M, want_L, exact = ref
+        if not (exact and counts_satisfied(net, ref)):
             counts_ok = False
             detail.append(f"one-stage n={n}: ({net.num_weights}, {net.num_layers})"
                           f" != ({want_M}, {want_L})")
@@ -368,13 +363,9 @@ def check_inversion(seed: int = DEFAULT_SEED) -> CriterionResult:
             for n in (2, 4, 8):
                 spec = InversionSpec(n, alpha, eps, delta)
                 net = build_inv(spec, relu_factory)
-                bound_M, bound_L, exact = inv_count_reference(spec, relu_factory)
-                if exact:
-                    ok = (net.num_weights, net.num_layers) == (bound_M, bound_L)
-                else:
-                    ok = (net.num_weights <= bound_M
-                          and net.num_layers <= bound_L)
-                if not ok:
+                ref = inv_count_reference(spec, relu_factory)
+                bound_M, bound_L, _ = ref
+                if not counts_satisfied(net, ref):
                     counts_ok = False
                     detail.append(
                         f"alpha={alpha} eps={eps} n={n}: "

@@ -66,6 +66,18 @@ class TestBuild:
         assert doc["Sigma"] > 0.0
         assert doc["series_length_estimate"] == pytest.approx(1.7370, abs=1e-3)
 
+    def test_inverse_reports_the_bound_depth(self, tmp_path, capsys):
+        # N = 4 stages; Sigma is the N = 4 leaf budget 2^-16 (eps/2) / (8 n^3)
+        rc = main(["build", "inverse", "--n", "4", "--eps", "0.01",
+                   "--delta", "0.5", "--activation", "relu2",
+                   "--out", str(tmp_path / "inv.json")])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["N"] == 4
+        assert doc["Sigma"] == pytest.approx(2.0 ** -16 * 0.005 / 512,
+                                             rel=1e-12)
+        assert doc["satisfied"] is True
+
     def test_missing_parameter(self, tmp_path, capsys):
         rc = main(["build", "strassen-pow2", "--out", str(tmp_path / "n.json")])
         assert rc == 1
@@ -157,6 +169,19 @@ class TestEval:
         rc = main(["eval", "--net", str(tmp_path / "nope.json"), "--input",
                    str(tmp_path / "X.csv"), "--out", str(tmp_path / "C.csv")])
         assert rc == 1
+
+    def test_mask_entry_out_of_range(self, tmp_path, capsys):
+        net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])
+        capsys.readouterr()
+        doc = json.loads(net.read_text())
+        doc["layers"][0]["mask_rho"][0] = [5, 1]
+        net.write_text(json.dumps(doc))
+        save_matrix(np.zeros((1, 2)), tmp_path / "X.csv")
+        rc = main(["eval", "--net", str(net), "--input",
+                   str(tmp_path / "X.csv"), "--out", str(tmp_path / "C.csv")])
+        assert rc == 1
+        assert ("snn: error: bad network file: layer 0 mask entry 0"
+                in capsys.readouterr().err)
 
     def test_operand_flags_are_exclusive(self, tmp_path):
         net = str(tmp_path / "net.json")

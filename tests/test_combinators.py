@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strassennet.combinators import ParallelBlock, concat, parallelize
+from strassennet.combinators import concat, parallelize
 from strassennet.core import (MNN, EntryBuilder, Layer, identity_mnn, realize,
                               scale_output)
 
@@ -108,12 +108,6 @@ class TestParallelize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             parallelize([])
-
-    def test_accepts_parallel_block(self, rng):
-        block = ParallelBlock([identity_mnn((1, 2), 1), identity_mnn((1, 2), 1)])
-        par = parallelize(block)
-        X = rng.uniform(-1, 1, (2, 2))
-        assert np.array_equal(realize(par, None, X), X)
 
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=10 ** 6))

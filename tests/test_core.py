@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder,
                               Layer, MatrixShape, SparseLinearMap,
-                              identity_mnn, mnn_equal, num_layers, num_weights,
+                              counts_satisfied, identity_mnn, mnn_equal,
                               quad_split, realize, realize_many, scale_output)
 
 
@@ -99,8 +99,13 @@ class TestLayerAndNetwork:
 
     def test_counts_and_module_helpers(self):
         net = identity_mnn((3, 2), 4)
-        assert num_weights(net) == net.num_weights == 4 * 6
-        assert num_layers(net) == net.num_layers == 4
+        assert net.num_weights == 4 * 6
+        assert net.num_layers == 4
+        # an exact reference must match, a bound must not be exceeded
+        assert counts_satisfied(net, (24, 4, True))
+        assert not counts_satisfied(net, (25, 4, True))
+        assert counts_satisfied(net, (24.5, 4.0, False))
+        assert not counts_satisfied(net, (24.0, 3.5, False))
 
     def test_realize_identity_stack(self, rng):
         net = identity_mnn((3, 3), 5)

@@ -247,6 +247,22 @@ class TestNeumannNetworks:
 
 
 class TestInversionNetworks:
+    def test_underflowing_depth_is_refused(self):
+        # N = 11 stages: 2^(1 - 2^N) underflows and 2^(2^N - 1) overflows
+        spec = InversionSpec(2, 1.0, 1e-6, 0.99)
+        assert compute_N(spec.epsilon / 2.0, spec.delta) == 11
+        for call in (build_inv, inv_count_reference):
+            with pytest.raises(ValueError, match=r"N = 11 doubling stages"):
+                call(spec, relu_factory)
+
+    def test_deepest_representable_depth_builds(self):
+        # N = 10 leaves subnormal but nonzero budgets: still built and bounded
+        spec = InversionSpec(1, 1.0, 1e-3, 0.98)
+        assert neumann_depth(spec).N == 10
+        net = build_inv(spec, relu2_factory)
+        assert (net.num_weights, net.num_layers) == (323, 51)
+        assert inv_count_reference(spec, relu2_factory) == (2917, 70, False)
+
     def test_single_stage_branch(self, rng):
         spec = InversionSpec(2, 1.0, 1.2, 0.5)
         net = build_inv(spec, relu2_factory)

@@ -150,6 +150,17 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match=r"must be \[i, j\]"):
             network_from_dict(doc)
 
+    @pytest.mark.parametrize("entry", [[0, 1], [5, 1]])
+    def test_mask_entry_out_of_range(self, entry):
+        # [0, 1] used to wrap to the last row; [5, 1] to raise IndexError
+        doc = _valid_doc()
+        pos = next(p for p, layer in enumerate(doc["layers"])
+                   if layer["mask_rho"] and layer["out_rows"] == 1)
+        doc["layers"][pos]["mask_rho"][0] = entry
+        with pytest.raises(ValueError,
+                           match=f"bad network file: layer {pos} mask entry 0"):
+            network_from_dict(doc)
+
     def test_mask_on_final_layer_rejected(self):
         doc = _valid_doc()
         doc["layers"][-1]["mask_rho"] = [[1, 1]]

@@ -9,9 +9,9 @@ from strassennet import oracles
 from strassennet.core import realize, realize_many
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.strassen import (RectShape, bound_counts_rect,
-                                  bound_counts_square, bound_gadget_spec_rect,
-                                  build_ext, build_ext_star, build_mix,
-                                  build_shr, build_split, build_str_pow2,
+                                  bound_gadget_spec_rect, build_ext,
+                                  build_ext_star, build_mix, build_shr,
+                                  build_split, build_str_pow2,
                                   build_str_rect, build_str_square,
                                   formula_counts_pow2)
 
@@ -201,7 +201,7 @@ class TestRectangularNetworks:
         n = 3
         shape = RectShape(n, n, n)
         gadget = relu_factory.build(bound_gadget_spec_rect(shape, 0.05, 1.0))
-        bM, bL = bound_counts_square(n, gadget.num_weights, gadget.num_layers)
+        bM, bL = bound_counts_rect(shape, gadget.num_weights, gadget.num_layers)
         net = build_str_square(n, 0.05, 1.0, relu_factory)
         assert net.num_weights <= bM
         assert net.num_layers <= bL
