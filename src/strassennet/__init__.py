@@ -12,7 +12,7 @@ independent oracles.
 from .combinators import concat, parallelize
 from .core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder, Layer,
                    MatrixShape, SparseLinearMap, counts_satisfied,
-                   identity_mnn, mnn_equal, quad_split, realize, realize_flat,
+                   identity_mnn, mnn_equal, realize, realize_flat,
                    realize_many, scale_output)
 from .gadgets import (FACTORIES, GadgetFactory, GadgetSpec,
                       build_product_relu, build_product_relu2,
@@ -21,7 +21,7 @@ from .gadgets import (FACTORIES, GadgetFactory, GadgetSpec,
 from .inversion import (InversionSpec, NeumannDepth, build_aux, build_dup_half,
                         build_dup_simple, build_fill, build_flip, build_in,
                         build_inv, build_mix_aux, build_neu, build_sqr,
-                        compute_N, compute_Sigma, inv_count_reference,
+                        compute_N, inv_count_reference,
                         neu_bound_counts, neumann_depth,
                         series_length_estimate)
 from .io import (load_matrix, load_network, network_from_dict,
@@ -45,11 +45,11 @@ __all__ = [
     "build_mix", "build_mix_aux", "build_neu", "build_product_relu",
     "build_product_relu2", "build_shr", "build_split", "build_sqr",
     "build_str_pow2", "build_str_rect", "build_str_square", "compute_N",
-    "compute_Sigma", "concat", "counts_satisfied", "formula_counts_pow2",
+    "concat", "counts_satisfied", "formula_counts_pow2",
     "gadget_count_reference", "identity_mnn", "inv_count_reference",
     "load_matrix", "load_network", "mnn_equal", "network_from_dict",
     "network_to_dict", "neu_bound_counts", "neumann_depth", "parallelize",
-    "pow2_count_reference", "quad_split", "realize", "realize_flat",
+    "pow2_count_reference", "realize", "realize_flat",
     "realize_many", "rect_count_reference", "relu2_factory", "relu_factory",
     "relu_gadget_bounds", "run_suite", "save_matrix", "save_network",
     "scale_output", "series_length_estimate", "verify_gadget",

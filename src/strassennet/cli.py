@@ -29,7 +29,8 @@ from .io import load_matrix, load_network, save_matrix, save_network
 from .strassen import (RectShape, build_str_pow2, build_str_rect,
                        build_str_square, pow2_count_reference,
                        rect_count_reference)
-from .verification import DEFAULT_SEED, SUITES, gadget_growth_fit, run_suite
+from .verification import (DEFAULT_SEED, SUITES, gadget_growth_fit,
+                           pow2_growth_rows, run_suite)
 
 
 @dataclass
@@ -179,20 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def _growth_rows(activation: str):
-    factory = FACTORIES[activation]
-    eps, K = 1e-2, 1.0
-    rows = []
-    sizes = []
-    for k in range(5):
-        net = build_str_pow2(k, eps, K, factory)
-        ref = pow2_count_reference(k, eps, K, factory)
-        sizes.append(net.num_weights)
-        rows.append(["pow2", k, net.num_weights, ref[0],
-                     counts_satisfied(net, ref)])
-    for k in range(4):
-        lhs = sizes[k + 1] + 12 * 4 ** (k + 1)
-        rhs = 7 * (sizes[k] + 12 * 4 ** k)
-        rows.append(["pow2-recursion", k, lhs, rhs, lhs == rhs])
+    rows = pow2_growth_rows(activation)
     es, gms, pred, r2 = gadget_growth_fit()
     for e, gm, pv in zip(es, gms, pred):
         rows.append(["gadget", int(e), int(gm), round(float(pv), 3), ""])

@@ -6,13 +6,26 @@ composition bit for bit.  ``parallelize`` runs equal-depth networks
 side-by-side on row-stacked inputs; when intermediate widths differ, the
 narrower blocks are padded with implicit zero columns, which costs no
 weights (no entries, zero bias, identity mask).
+
+Both label the result with the one activation label set among the operands
+(``None`` if all are unlabelled glue) and refuse two different labels.
 """
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import MNN, ActivationMask, Layer, SparseLinearMap
+
+
+def _shared_label(nets: Sequence[MNN],
+                  mismatch: Callable[[list], str]) -> Optional[str]:
+    """The one activation label set among ``nets``, or None; two different
+    set labels are refused with the message ``mismatch(sorted labels)``."""
+    names = sorted({net.activation_name for net in nets} - {None})
+    if len(names) > 1:
+        raise ValueError(mismatch(names))
+    return names[0] if names else None
 
 
 def concat(first: MNN, second: MNN) -> MNN:
@@ -21,17 +34,16 @@ def concat(first: MNN, second: MNN) -> MNN:
     ``second`` runs first, mirroring function composition.  Layer and weight
     counts are the sums of the operands' counts.
     """
-    if first.activation_name != second.activation_name:
-        raise ValueError(
-            f"activation mismatch: {first.activation_name!r} vs "
-            f"{second.activation_name!r}"
-        )
+    label = _shared_label(
+        (first, second),
+        lambda _: (f"activation mismatch: {first.activation_name!r} vs "
+                   f"{second.activation_name!r}"))
     if second.output_shape != first.input_shape:
         raise ValueError(
             f"cannot compose: second network outputs {tuple(second.output_shape)} "
             f"but first network expects {tuple(first.input_shape)}"
         )
-    return MNN(second.layers + first.layers, first.activation_name)
+    return MNN(second.layers + first.layers, label)
 
 
 def _stack_layers(children: Sequence[Layer]) -> Layer:
@@ -70,17 +82,16 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
 def parallelize(nets: Iterable[MNN]) -> MNN:
     """Stack networks so they act independently on row-stacked inputs.
 
-    All networks must share the activation label and the layer count, and
-    agree on input and output column counts.  The result maps
+    All networks must share the layer count and any activation label they
+    set, and agree on input and output column counts.  The result maps
     ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
     and exactly the summed weight count.
     """
     nets = tuple(nets)
     if not nets:
         raise ValueError("parallelize needs at least one network")
-    names = {net.activation_name for net in nets}
-    if len(names) > 1:
-        raise ValueError(f"activation labels differ: {sorted(names)}")
+    label = _shared_label(nets,
+                          lambda names: f"activation labels differ: {names}")
     depths = {net.num_layers for net in nets}
     if len(depths) > 1:
         raise ValueError(
@@ -96,4 +107,4 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
         _stack_layers([net.layers[level] for net in nets])
         for level in range(nets[0].num_layers)
     ]
-    return MNN(stacked, nets[0].activation_name)
+    return MNN(stacked, label)

@@ -13,7 +13,7 @@ Evaluation flattens matrices row-major and runs each layer as a CSR
 matrix-vector product, which also gives batched evaluation for free.
 """
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -46,10 +46,6 @@ def relu_squared(x):
 
 #: named activations usable as the rho of a network
 ACTIVATIONS: dict = {"relu": relu, "relu2": relu_squared}
-
-
-def resolve_activation(name: str) -> Optional[Callable]:
-    return ACTIVATIONS.get(name)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -163,10 +159,6 @@ class ActivationMask:
             rho[i - 1, j - 1] = True
         return cls(shape, rho)
 
-    def kind_at(self, i: int, j: int) -> str:
-        """Activation kind at 1-based position (i, j): 'rho' or 'identity'."""
-        return "rho" if self.rho[i - 1, j - 1] else "identity"
-
     @property
     def rho_positions(self):
         return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(self.rho))]
@@ -196,8 +188,9 @@ class Layer:
         self.bias = _freeze(bias)
         self.mask = mask
         self.weight_count = linmap.nnz + int(np.count_nonzero(bias))
-        self._bias_flat = _freeze(bias.reshape(-1).copy())
-        self._rho_flat = _freeze(mask.rho.reshape(-1).copy())
+        # read-only views of the frozen arrays, flattened for realize_flat
+        self._bias_flat = self.bias.reshape(-1)
+        self._rho_flat = mask.rho.reshape(-1)
 
     @property
     def out_shape(self) -> MatrixShape:
@@ -209,11 +202,13 @@ class Layer:
 
 
 class MNN:
-    """A matrix neural network: shape-compatible layers plus a rho label."""
+    """A matrix neural network: shape-compatible layers plus a rho label,
+    which only a network without rho entries may leave ``None``."""
 
     __slots__ = ("layers", "activation_name")
 
-    def __init__(self, layers: Sequence[Layer], activation_name: str):
+    def __init__(self, layers: Sequence[Layer],
+                 activation_name: Optional[str] = None):
         layers = tuple(layers)
         if not layers:
             raise ValueError("a network needs at least one layer")
@@ -226,8 +221,12 @@ class MNN:
                 )
         if layers[-1].mask.any_rho:
             raise ValueError("the final layer must be identity-activated")
+        if activation_name is None and any(
+                layer.mask.any_rho for layer in layers):
+            raise ValueError("a network with rho entries needs an "
+                             "activation label")
         self.layers = layers
-        self.activation_name = str(activation_name)
+        self.activation_name = activation_name
 
     @property
     def input_shape(self) -> MatrixShape:
@@ -260,7 +259,7 @@ def counts_satisfied(net: MNN, reference) -> bool:
 def _resolve_rho(net: MNN, rho):
     if rho is not None:
         return rho
-    rho = resolve_activation(net.activation_name)
+    rho = ACTIVATIONS.get(net.activation_name)
     if rho is None and any(layer.mask.any_rho for layer in net.layers):
         raise ValueError(
             f"no callable registered for activation {net.activation_name!r}"
@@ -313,16 +312,6 @@ def realize_many(net: MNN, rho, inputs) -> np.ndarray:
     cols = X.reshape(X.shape[0], -1).T
     out = realize_flat(net, rho, cols)
     return out.T.reshape(X.shape[0], *net.output_shape)
-
-
-def quad_split(A: np.ndarray):
-    """Split a 2^(k+1) x 2^(k+1) matrix into its four 2^k x 2^k quadrants."""
-    A = np.asarray(A)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n or n < 2 or n & (n - 1) != 0:
-        raise ValueError("quad_split needs a square matrix with side 2^k >= 2")
-    h = n // 2
-    return A[:h, :h], A[:h, h:], A[h:, :h], A[h:, h:]
 
 
 class EntryBuilder:
@@ -382,16 +371,8 @@ class EntryBuilder:
         return SparseLinearMap(out_shape, in_shape, idx, val)
 
 
-def identity_layer(shape, coeff=1.0) -> Layer:
-    """A single all-identity layer scaling every entry by coeff."""
-    shape = _as_shape(shape)
-    linmap = EntryBuilder().add_block(0, 0, 0, 0, shape.rows, shape.cols,
-                                      coeff).build(shape, shape)
-    return Layer(linmap)
-
-
-def identity_mnn(shape, depth: int, activation: str = "relu") -> MNN:
-    """The identity on ``shape`` realized with ``depth`` layers.
+def identity_mnn(shape, depth: int) -> MNN:
+    """The identity on ``shape`` realized with ``depth`` unlabelled layers.
 
     Useful as depth padding when parallelizing networks of unequal length;
     costs rows*cols weights per layer.
@@ -399,7 +380,9 @@ def identity_mnn(shape, depth: int, activation: str = "relu") -> MNN:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     shape = _as_shape(shape)
-    return MNN([identity_layer(shape) for _ in range(depth)], activation)
+    linmap = EntryBuilder().add_block(0, 0, 0, 0, shape.rows,
+                                      shape.cols).build(shape, shape)
+    return MNN([Layer(linmap) for _ in range(depth)])
 
 
 def scale_output(net: MNN, c: float) -> MNN:

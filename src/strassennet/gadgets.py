@@ -69,16 +69,19 @@ def _sawtooth_depth(epsilon: float, K: float) -> int:
     2^(-2m-2) of t^2 on [0, 1]; after undoing the input rescaling by 2K the
     end-to-end error is at most K^2 * 2^(-2m-1), and m is the smallest
     integer making that <= epsilon.  The m = 0 degenerate tower (|t| itself)
-    covers epsilon >= K^2/2.
+    covers epsilon >= K^2/2.  Budgets whose K^2/epsilon or stage scale 4^m
+    overflow float64 are refused.
     """
     if epsilon >= K * K / 2.0:
         return 0
-    return max(1, math.ceil(0.5 * math.log2(K * K / epsilon) - 0.5))
-
-
-def _zero_gadget(activation_name: str) -> MNN:
-    layer = Layer(EntryBuilder().build((1, 1), (1, 2)))
-    return MNN([layer], activation_name)
+    ratio = K * K / epsilon
+    m = math.ceil(0.5 * math.log2(ratio) - 0.5) if ratio < math.inf else math.inf
+    if m > 511:  # 4.0 ** m overflows
+        raise ValueError(
+            f"a relu product gadget at eps = {epsilon:g}, K = {K:g} needs "
+            "the sawtooth scale 4^m ~ K^2/eps, which overflows float64; "
+            "use a larger eps or a smaller K")
+    return max(1, m)
 
 
 def build_product_relu(spec: GadgetSpec) -> MNN:
@@ -93,7 +96,7 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     """
     eps, K = spec.epsilon, spec.K
     if eps >= K * K:
-        return _zero_gadget("relu")
+        return MNN([Layer(EntryBuilder().build((1, 1), (1, 2)))], "relu")
     m = _sawtooth_depth(eps, K)
     c = 1.0 / (2.0 * K)
     first = EntryBuilder()

@@ -83,11 +83,6 @@ def compute_N(eps: float, delta: float) -> int:
     return max(math.ceil(math.log2(ratio)), 1)
 
 
-def compute_Sigma(eps: float, delta: float, n: int) -> float:
-    """Leaf gadget budget of the n x n inversion network at error eps, alpha 1."""
-    return neumann_depth(InversionSpec(n, 1.0, eps, delta)).Sigma
-
-
 def _depth_underflow(N: int, n: int, eps: float) -> ValueError:
     return ValueError(
         f"N = {N} doubling stages need the leaf gadget budget "
@@ -103,24 +98,24 @@ def _leaf_budget(N: int, n: int, eps: float) -> float:
     return sigma
 
 
-def build_dup_simple(n: int, activation: str = "relu") -> MNN:
+def build_dup_simple(n: int) -> MNN:
     """One layer mapping A to (A | A); 2 n^2 weights."""
     builder = EntryBuilder()
     builder.add_block(0, 0, 0, 0, n, n)
     builder.add_block(0, n, 0, 0, n, n)
-    return MNN([Layer(builder.build((n, 2 * n), (n, n)))], activation)
+    return MNN([Layer(builder.build((n, 2 * n), (n, n)))])
 
 
-def build_dup_half(n: int, activation: str = "relu") -> MNN:
+def build_dup_half(n: int) -> MNN:
     """One layer mapping A to (A/2 | A/2 ; A/2 | 0); 3 n^2 weights."""
     builder = EntryBuilder()
     builder.add_block(0, 0, 0, 0, n, n, 0.5)
     builder.add_block(0, n, 0, 0, n, n, 0.5)
     builder.add_block(n, 0, 0, 0, n, n, 0.5)
-    return MNN([Layer(builder.build((2 * n, 2 * n), (n, n)))], activation)
+    return MNN([Layer(builder.build((2 * n, 2 * n), (n, n)))])
 
 
-def build_fill(n: int, L: int, activation: str = "relu") -> MNN:
+def build_fill(n: int, L: int) -> MNN:
     """L layers mapping (A | B) to A + I/2; n^2 L + n weights.
 
     The first layer selects the left operand, the remaining layers carry it
@@ -140,10 +135,10 @@ def build_fill(n: int, L: int, activation: str = "relu") -> MNN:
     else:
         carry = EntryBuilder().add_block(0, 0, 0, 0, n, n).build((n, n), (n, n))
         layers.append(Layer(carry, half_eye))
-    return MNN(layers, activation)
+    return MNN(layers)
 
 
-def build_flip(n: int, k: int, activation: str = "relu") -> MNN:
+def build_flip(n: int, k: int) -> MNN:
     """One layer mapping (A ; B) to (A + 2^(-2^k) I | B); 2 n^2 + n weights."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -152,10 +147,10 @@ def build_flip(n: int, k: int, activation: str = "relu") -> MNN:
     builder.add_block(0, n, n, 0, n, n)
     bias = np.zeros((n, 2 * n))
     bias[:n, :n] = 2.0 ** (-(2 ** k)) * np.eye(n)
-    return MNN([Layer(builder.build((n, 2 * n), (2 * n, n)), bias)], activation)
+    return MNN([Layer(builder.build((n, 2 * n), (2 * n, n)), bias)])
 
 
-def build_mix_aux(n: int, k: int, activation: str = "relu") -> MNN:
+def build_mix_aux(n: int, k: int) -> MNN:
     """One layer mapping (A ; B) to (A | A ; A + 2^(-2^k) I | B); 4 n^2 + n."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -166,7 +161,7 @@ def build_mix_aux(n: int, k: int, activation: str = "relu") -> MNN:
     builder.add_block(n, n, n, 0, n, n)
     bias = np.zeros((2 * n, 2 * n))
     bias[n:, :n] = 2.0 ** (-(2 ** k)) * np.eye(n)
-    return MNN([Layer(builder.build((2 * n, 2 * n), (2 * n, n)), bias)], activation)
+    return MNN([Layer(builder.build((2 * n, 2 * n), (2 * n, n)), bias)])
 
 
 def _square_once(n: int, eps: float, factory: GadgetFactory) -> MNN:
@@ -184,23 +179,22 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         raise ValueError("N must be >= 1")
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
-    act = factory.activation_name
-    stage = concat(_square_once(n, eps, factory), build_dup_simple(n, act))
+    stage = concat(_square_once(n, eps, factory), build_dup_simple(n))
     net = stage
     for _ in range(N - 1):
         net = concat(net, stage)
     return net
 
 
-def _aux_chain(i: int, n: int, square: MNN, activation: str) -> MNN:
+def _aux_chain(i: int, n: int, square: MNN) -> MNN:
     aux = concat(
-        parallelize([square, build_fill(n, square.num_layers, activation)]),
-        build_dup_half(n, activation),
+        parallelize([square, build_fill(n, square.num_layers)]),
+        build_dup_half(n),
     )
     for stage in range(2, i + 1):
         aux = concat(
             parallelize([square, square]),
-            concat(build_mix_aux(n, stage - 1, activation), aux),
+            concat(build_mix_aux(n, stage - 1), aux),
         )
     return aux
 
@@ -216,8 +210,7 @@ def build_aux(i: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         raise ValueError("i must be >= 1")
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
-    square = _square_once(n, eps, factory)
-    return _aux_chain(i, n, square, factory.activation_name)
+    return _aux_chain(i, n, _square_once(n, eps, factory))
 
 
 def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
@@ -230,11 +223,12 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    act = factory.activation_name
     if N == 1:
+        # labelled so that build_inv's N = 1 network keeps the factory's label
         builder = EntryBuilder()
         builder.add_block(0, 0, 0, 0, n, n)
-        return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))], act)
+        return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))],
+                   factory.activation_name)
     if not 0.0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8) when N >= 2")
     eps_inner = 2.0 ** (1 - 2 ** N) * eps
@@ -242,30 +236,32 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         # the squaring networks' leaf budgets are smaller still
         raise _depth_underflow(N, n, eps)
     square = _square_once(n, eps_inner, factory)
-    aux = _aux_chain(N - 1, n, square, act)
-    net = concat(square, concat(build_flip(n, N - 1, act), aux))
+    aux = _aux_chain(N - 1, n, square)
+    net = concat(square, concat(build_flip(n, N - 1), aux))
     return scale_output(net, 2.0 ** (2 ** N - 1))
 
 
-def build_in(n: int, alpha: float, activation: str = "relu") -> MNN:
+def build_in(n: int, alpha: float) -> MNN:
     """One layer mapping A to I - alpha A; n^2 + n weights."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     builder = EntryBuilder()
     builder.add_block(0, 0, 0, 0, n, n, -alpha)
-    return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))], activation)
+    return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))])
 
 
-def _neu_budget(spec: InversionSpec) -> float:
-    """Error budget of the Neumann-sum part: min(eps / 2 alpha, 1/8)."""
-    return min(spec.epsilon / (2.0 * spec.alpha), 0.125)
+def _neu_plan(spec: InversionSpec):
+    """Stage count N = compute_N(eps / 2 alpha, delta) of ``build_inv(spec)``
+    and the Neumann-sum error budget min(eps / 2 alpha, 1/8)."""
+    ratio = spec.epsilon / (2.0 * spec.alpha)
+    return compute_N(ratio, spec.delta), min(ratio, 0.125)
 
 
 def neumann_depth(spec: InversionSpec) -> NeumannDepth:
     """Stage count N of ``build_inv(spec)`` and the leaf budget Sigma that
     ``inv_count_reference`` evaluates its bound at (used when N >= 2)."""
-    N = compute_N(spec.epsilon / (2.0 * spec.alpha), spec.delta)
-    return NeumannDepth(N, _leaf_budget(N, spec.n, _neu_budget(spec)))
+    N, budget = _neu_plan(spec)
+    return NeumannDepth(N, _leaf_budget(N, spec.n, budget))
 
 
 def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
@@ -276,15 +272,13 @@ def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
     When one doubling stage suffices the result is exact with
     2 (n^2 + n) weights in 2 layers.
     """
-    n, alpha = spec.n, spec.alpha
-    N = compute_N(spec.epsilon / (2.0 * alpha), spec.delta)
-    eps_neu = min(spec.epsilon / (2.0 * alpha), 0.125)
+    N, eps_neu = _neu_plan(spec)
     if eps_neu == 0.125:
         # the Neumann builder requires a strictly smaller budget; one
         # representable step below is behaviorally identical
         eps_neu = float(np.nextafter(0.125, 0.0))
-    neu = build_neu(N, n, eps_neu, factory)
-    return concat(scale_output(neu, alpha), build_in(n, alpha, factory.activation_name))
+    neu = build_neu(N, spec.n, eps_neu, factory)
+    return concat(scale_output(neu, spec.alpha), build_in(spec.n, spec.alpha))
 
 
 def inv_count_reference(spec: InversionSpec, factory: GadgetFactory):
@@ -299,7 +293,7 @@ def inv_count_reference(spec: InversionSpec, factory: GadgetFactory):
     N = neumann_depth(spec).N
     if N == 1:
         return 2 * (n * n + n), 2, True
-    M, L = neu_bound_counts(N, n, _neu_budget(spec), factory)
+    M, L = neu_bound_counts(N, n, _neu_plan(spec)[1], factory)
     return M + n * n + n, L, False
 
 

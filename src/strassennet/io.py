@@ -1,11 +1,12 @@
 """On-disk formats: JSON for networks, CSV for matrices.
 
-A network file is a JSON object with an ``activation`` label and a list of
-layers.  Each layer records its output/input shapes, the nonzero linear-map
-entries as ``[i, j, k, l, value]`` with 1-based indices, the nonzero bias
-entries as ``[i, j, value]``, and the mask positions where the activation is
-applied as ``[i, j]``.  Entries are written sorted for reproducible files;
-loading validates shapes and indices and rejects anything malformed.
+A network file is a JSON object with an ``activation`` label (``null`` for a
+network without rho entries) and a list of layers.  Each layer records its
+output/input shapes, the nonzero linear-map entries as ``[i, j, k, l, value]``
+with 1-based indices, the nonzero bias entries as ``[i, j, value]``, and the
+mask positions where the activation is applied as ``[i, j]``.  Entries are
+written sorted for reproducible files; loading validates shapes and indices
+and rejects anything malformed.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 """
@@ -26,10 +27,7 @@ def network_to_dict(net: MNN) -> dict:
     layers = []
     for layer in net.layers:
         lm = layer.map
-        entries = sorted(
-            [int(i), int(j), int(k), int(l), float(v)]
-            for (i, j, k, l), v in zip(lm.idx, lm.val)
-        )
+        entries = sorted(map(list, lm.entries))
         bias = []
         if layer.bias is not None:
             for (r, c) in np.argwhere(layer.bias != 0.0):
@@ -108,7 +106,8 @@ def network_from_dict(doc: dict) -> MNN:
         except ValueError as exc:
             raise ValueError(f"bad network file: layer {pos}: {exc}") from None
         layers.append(Layer(linmap, bias, mask))
-    return MNN(layers, str(doc["activation"]))
+    label = doc["activation"]
+    return MNN(layers, None if label is None else str(label))
 
 
 def load_network(path) -> MNN:

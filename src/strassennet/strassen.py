@@ -61,7 +61,7 @@ class RectShape:
         return (self.gamma - 1).bit_length()
 
 
-def build_mix(k: int, activation: str = "relu") -> MNN:
+def build_mix(k: int) -> MNN:
     """Recombination layer: seven stacked child products -> four quadrants."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -71,10 +71,10 @@ def build_mix(k: int, activation: str = "relu") -> MNN:
         for child, sign in terms:
             builder.add_block(qr * h, qc * h, (child - 1) * h, 0, h, h, sign)
     linmap = builder.build((2 * h, 2 * h), (7 * h, h))
-    return MNN([Layer(linmap)], activation)
+    return MNN([Layer(linmap)])
 
 
-def build_split(k: int, activation: str = "relu") -> MNN:
+def build_split(k: int) -> MNN:
     """Operand-forming layer: (A | B) -> seven stacked operand pairs."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -87,7 +87,7 @@ def build_split(k: int, activation: str = "relu") -> MNN:
         for (qr, qc), sign in b_terms:
             builder.add_block(row, h, qr * h, 2 * h + qc * h, h, h, sign)
     linmap = builder.build((7 * h, 2 * h), (2 * h, 4 * h))
-    return MNN([Layer(linmap)], activation)
+    return MNN([Layer(linmap)])
 
 
 def build_str_pow2(k: int, eps: float, K: float,
@@ -110,8 +110,7 @@ def build_str_pow2(k: int, eps: float, K: float,
         return gadget
     child = build_str_pow2(k - 1, eps / 4.0, 2.0 * K, factory)
     par = parallelize([child] * 7)
-    act = factory.activation_name
-    return concat(build_mix(k, act), concat(par, build_split(k, act)))
+    return concat(build_mix(k), concat(par, build_split(k)))
 
 
 def formula_counts_pow2(k: int, M_gadget: int, L_gadget: int):
@@ -123,7 +122,7 @@ def formula_counts_pow2(k: int, M_gadget: int, L_gadget: int):
     return M, L
 
 
-def build_ext(shape: RectShape, activation: str = "relu") -> MNN:
+def build_ext(shape: RectShape) -> MNN:
     """Padding layer for rectangular operands, input (A^T | B).
 
     Reads the transposed left operand, undoes the transpose, and zero-pads
@@ -135,10 +134,10 @@ def build_ext(shape: RectShape, activation: str = "relu") -> MNN:
     builder.add_transposed_block(0, 0, 0, 0, shape.m, shape.n)
     builder.add_block(0, side, 0, shape.m, shape.n, shape.p)
     linmap = builder.build((side, 2 * side), (shape.n, shape.m + shape.p))
-    return MNN([Layer(linmap)], activation)
+    return MNN([Layer(linmap)])
 
 
-def build_ext_star(n: int, activation: str = "relu") -> MNN:
+def build_ext_star(n: int) -> MNN:
     """Padding layer for square operands, input (A | B); 2 n^2 weights."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -147,33 +146,31 @@ def build_ext_star(n: int, activation: str = "relu") -> MNN:
     builder.add_block(0, 0, 0, 0, n, n)
     builder.add_block(0, side, 0, n, n, n)
     linmap = builder.build((side, 2 * side), (n, 2 * n))
-    return MNN([Layer(linmap)], activation)
+    return MNN([Layer(linmap)])
 
 
-def build_shr(shape: RectShape, activation: str = "relu") -> MNN:
+def build_shr(shape: RectShape) -> MNN:
     """Cropping layer: keeps the top-left m x p block; m p weights."""
     side = 2 ** shape.k
     builder = EntryBuilder()
     builder.add_block(0, 0, 0, 0, shape.m, shape.p)
     linmap = builder.build((shape.m, shape.p), (side, side))
-    return MNN([Layer(linmap)], activation)
+    return MNN([Layer(linmap)])
 
 
 def build_str_rect(shape: RectShape, eps: float, K: float,
                    factory: GadgetFactory) -> MNN:
     """Multiplier for m x n by n x p operands, input (A^T | B), output m x p."""
-    act = factory.activation_name
     inner = build_str_pow2(shape.k, eps, K, factory)
-    return concat(build_shr(shape, act), concat(inner, build_ext(shape, act)))
+    return concat(build_shr(shape), concat(inner, build_ext(shape)))
 
 
 def build_str_square(n: int, eps: float, K: float,
                      factory: GadgetFactory) -> MNN:
     """Multiplier for n x n operands, input (A | B) untransposed."""
     shape = RectShape(n, n, n)
-    act = factory.activation_name
     inner = build_str_pow2(shape.k, eps, K, factory)
-    return concat(build_shr(shape, act), concat(inner, build_ext_star(n, act)))
+    return concat(build_shr(shape), concat(inner, build_ext_star(n)))
 
 
 def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):

@@ -63,15 +63,35 @@ def _random_with_norm(rng: np.random.Generator, n: int, bound: float):
 
 # --- strassen suite ---------------------------------------------------------
 
+def _pow2_cases(act: str):
+    """(k, net, count reference) of the power-of-two nets, k in 0..4."""
+    eps, K = 1e-2, 1.0
+    for k in range(5):
+        yield (k, _pow2_net(act, k, eps, K),
+               pow2_count_reference(k, eps, K, FACTORIES[act]))
+
+
+def pow2_growth_rows(act: str):
+    """``["pow2", k, M, M_ref, satisfied]`` for k in 0..4, then the 7x
+    recursion ``["pow2-recursion", k, M(k+1) + 12*4^(k+1), 7 (M(k) + 12*4^k),
+    equal]`` for k in 0..3 (``snn report growth`` and criterion 10)."""
+    rows = [["pow2", k, net.num_weights, ref[0], counts_satisfied(net, ref)]
+            for k, net, ref in _pow2_cases(act)]
+    M = [row[2] for row in rows]
+    for k in range(4):
+        lhs = M[k + 1] + 12 * 4 ** (k + 1)
+        rhs = 7 * (M[k] + 12 * 4 ** k)
+        rows.append(["pow2-recursion", k, lhs, rhs, lhs == rhs])
+    return rows
+
+
 def _pow2_closed_form(name: str, index: int) -> CriterionResult:
     """Compare one count (0: M, 1: L) of the power-of-two nets to the formula."""
-    eps, K = 1e-2, 1.0
     mismatches, cases, detail = 0, 0, []
     for act in ("relu2", "relu"):
-        for k in range(5):
-            net = _pow2_net(act, k, eps, K)
+        for k, net, ref in _pow2_cases(act):
             got = (net.num_weights, net.num_layers)[index]
-            want = pow2_count_reference(k, eps, K, FACTORIES[act])[index]
+            want = ref[index]
             cases += 1
             if got != want:
                 mismatches += 1
@@ -162,11 +182,8 @@ def check_rect_square_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def check_growth_properties(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Criterion 10: exact 7x count recursion, and affine gadget growth in log2(1/eps)."""
-    eps, K = 1e-2, 1.0
-    M = [_pow2_net("relu2", k, eps, K).num_weights for k in range(5)]
-    recursion_ok = all(
-        M[k + 1] + 12 * 4 ** (k + 1) == 7 * (M[k] + 12 * 4 ** k)
-        for k in range(4))
+    recursion_ok = all(row[4] for row in pow2_growth_rows("relu2")
+                       if row[0] == "pow2-recursion")
     r2 = gadget_growth_fit()[3]
     passed = recursion_ok and r2 >= 0.98
     return CriterionResult("count-growth-properties", passed, r2,

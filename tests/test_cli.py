@@ -83,6 +83,18 @@ class TestBuild:
         assert rc == 1
         assert "strassen-pow2 requires --k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "--n", "1", "--eps", "1e-3", "--delta", "0.98"],
+        ["gadget", "--eps", "1e-320"],
+    ])
+    def test_overflowing_gadget_budget_exits_one(self, tmp_path, capsys, argv):
+        # the inverse needs N = 10 stages and a subnormal leaf gadget budget
+        rc = main(["build", *argv, "--out", str(tmp_path / "n.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("snn: error: a relu product gadget at eps = ")
+        assert "overflows float64" in err
+
     def test_bad_delta(self, tmp_path, capsys):
         rc = main(["build", "inverse", "--n", "2", "--delta", "1.5",
                    "--out", str(tmp_path / "n.json")])

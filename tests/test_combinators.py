@@ -19,6 +19,10 @@ def _affine_net(n, coeff, bias_value, depth=1):
     return MNN(layers, "relu")
 
 
+def _labelled(net, label):
+    return MNN(net.layers, label)
+
+
 class TestConcat:
     def test_counts_add_exactly(self):
         a = identity_mnn((2, 2), 3)
@@ -41,8 +45,15 @@ class TestConcat:
 
     def test_activation_mismatch_rejected(self):
         with pytest.raises(ValueError, match="activation mismatch"):
-            concat(identity_mnn((2, 2), 1, "relu"),
-                   identity_mnn((2, 2), 1, "relu2"))
+            concat(_labelled(identity_mnn((2, 2), 1), "relu"),
+                   _labelled(identity_mnn((2, 2), 1), "relu2"))
+
+    def test_label_comes_from_the_labelled_operand(self):
+        glue = identity_mnn((2, 2), 1)
+        relu = _labelled(identity_mnn((2, 2), 1), "relu")
+        assert concat(glue, relu).activation_name == "relu"
+        assert concat(relu, glue).activation_name == "relu"
+        assert concat(glue, glue).activation_name is None
 
     @given(st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=4),
@@ -98,8 +109,14 @@ class TestParallelize:
 
     def test_activation_mismatch(self):
         with pytest.raises(ValueError, match="activation labels differ"):
-            parallelize([identity_mnn((2, 2), 1, "relu"),
-                         identity_mnn((2, 2), 1, "relu2")])
+            parallelize([_labelled(identity_mnn((2, 2), 1), "relu"),
+                         _labelled(identity_mnn((2, 2), 1), "relu2")])
+
+    def test_label_comes_from_the_labelled_operands(self):
+        glue = identity_mnn((2, 2), 1)
+        relu2 = _labelled(identity_mnn((2, 2), 1), "relu2")
+        assert parallelize([glue, relu2, glue, relu2]).activation_name == "relu2"
+        assert parallelize([glue, glue]).activation_name is None
 
     def test_column_count_mismatch(self):
         with pytest.raises(ValueError, match="column counts differ"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder,
                               Layer, MatrixShape, SparseLinearMap,
                               counts_satisfied, identity_mnn, mnn_equal,
-                              quad_split, realize, realize_many, scale_output)
+                              realize, realize_many, scale_output)
 
 
 def _ident_map(n):
@@ -70,8 +70,8 @@ class TestSparseLinearMap:
 class TestActivationMask:
     def test_from_positions_and_kind(self):
         m = ActivationMask.from_positions((2, 3), [(1, 2), (2, 3)])
-        assert m.kind_at(1, 2) == "rho"
-        assert m.kind_at(1, 1) == "identity"
+        assert m.rho[0, 1] and m.rho[1, 2]
+        assert not m.rho[0, 0]
         assert m.rho_positions == [(1, 2), (2, 3)]
 
     def test_all_variants(self):
@@ -96,6 +96,13 @@ class TestLayerAndNetwork:
         mask = ActivationMask.all_rho((2, 2))
         with pytest.raises(ValueError, match="final layer"):
             MNN([Layer(_ident_map(2), mask=mask)], "relu")
+
+    def test_label_required_only_with_rho_entries(self):
+        hidden = Layer(_ident_map(2), mask=ActivationMask.all_rho((2, 2)))
+        with pytest.raises(ValueError, match="needs an activation label"):
+            MNN([hidden, Layer(_ident_map(2))])
+        assert MNN([Layer(_ident_map(2))]).activation_name is None
+        assert identity_mnn((2, 2), 2).activation_name is None
 
     def test_counts_and_module_helpers(self):
         net = identity_mnn((3, 2), 4)
@@ -198,29 +205,6 @@ class TestEntryBuilder:
         lm = b.build((3, 2), (2, 3))
         X = rng.uniform(-1, 1, (2, 3))
         assert np.array_equal(lm.apply(X), X.T)
-
-
-class TestQuadSplit:
-    def test_known_split(self):
-        A = np.arange(16.0).reshape(4, 4)
-        q11, q12, q21, q22 = quad_split(A)
-        assert np.array_equal(q11, A[:2, :2])
-        assert np.array_equal(q22, A[2:, 2:])
-
-    def test_rejects_odd_sizes(self):
-        with pytest.raises(ValueError):
-            quad_split(np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            quad_split(np.ones((1, 1)))
-
-    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 31))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip(self, k, seed):
-        side = 2 ** k
-        A = np.random.default_rng(seed).uniform(-1, 1, (side, side))
-        q11, q12, q21, q22 = quad_split(A)
-        back = np.block([[q11, q12], [q21, q22]])
-        assert np.array_equal(back, A)
 
 
 def test_matrix_shape_size():

@@ -1,6 +1,7 @@
 """Product gadgets: exactness, error budgets, and size formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ class TestReluGadgetBranches:
             m = (net.num_layers - 2)
             assert m >= 1
             assert net.num_weights == 15 * m + 12
+
+    def test_overflowing_budget_is_refused(self):
+        # K^2/eps overflows float64 (first two), or the stage scale 4^m does
+        for eps, K in ((1e-320, 1.0), (1e-300, 1e10), (1e-308, 1.0)):
+            msg = re.escape(f"eps = {eps:g}, K = {K:g} ") + ".*overflows"
+            with pytest.raises(ValueError, match=msg):
+                relu_factory.build(GadgetSpec(eps, K))
+
+    def test_deepest_representable_budgets_build(self):
+        assert relu_factory.build(GadgetSpec(1e-300, 1.0)).num_layers == 500
+        # m = 511 stages, the largest with a finite 4^m
+        assert relu_factory.build(GadgetSpec(2.3e-308, 1.0)).num_layers == 513
 
     def test_error_within_budget(self):
         for eps in (0.3, 0.05, 0.004):

@@ -12,7 +12,7 @@ from strassennet.inversion import (InversionSpec, NeumannDepth, build_aux,
                                    build_dup_half, build_dup_simple,
                                    build_fill, build_flip, build_in, build_inv,
                                    build_mix_aux, build_neu, build_sqr,
-                                   compute_N, compute_Sigma,
+                                   compute_N,
                                    inv_count_reference, neu_bound_counts,
                                    neumann_depth, series_length_estimate)
 from strassennet.strassen import build_str_square
@@ -46,7 +46,7 @@ class TestDepthFormulas:
         with pytest.raises(ValueError):
             compute_N(-0.1, 0.5)
         with pytest.raises(ValueError):
-            compute_Sigma(0.1, 0.5, 0)
+            neumann_depth(InversionSpec(0, 1.0, 0.1, 0.5))
 
     @given(st.floats(min_value=1e-6, max_value=10.0),
            st.floats(min_value=0.01, max_value=0.99))
@@ -56,13 +56,14 @@ class TestDepthFormulas:
         assert compute_N(eps, delta) >= compute_N(2.0 * eps, delta)
 
     def test_sigma_shrinks_with_n(self):
-        s = [compute_Sigma(0.1, 0.5, n) for n in (2, 4, 8)]
+        s = [neumann_depth(InversionSpec(n, 1.0, 0.1, 0.5)).Sigma
+             for n in (2, 4, 8)]
         assert s[0] > s[1] > s[2] > 0.0
 
     def test_depth_record(self):
         d = neumann_depth(InversionSpec(4, 1.0, 0.1, 0.5))
         assert d.N == compute_N(0.05, 0.5)
-        assert d.Sigma == compute_Sigma(0.1, 0.5, 4)
+        assert d.Sigma == 2.0 ** -(2 ** d.N) * 0.05 / (8.0 * 4 ** 3)
         with pytest.raises(ValueError):
             NeumannDepth(0, 0.1)
 
@@ -318,3 +319,18 @@ class TestInversionNetworks:
         err = oracles.spectral_norm(
             oracles.exact_inverse(A) - realize(net, None, A))
         assert err <= 0.1
+
+
+def test_only_gadget_built_networks_carry_a_label():
+    for glue in (build_dup_simple(2), build_dup_half(2), build_fill(2, 3),
+                 build_flip(2, 1), build_mix_aux(2, 1), build_in(2, 1.0)):
+        assert glue.activation_name is None
+    for factory in (relu_factory, relu2_factory):
+        name = factory.activation_name
+        # N = 1: input layer and the exact A + I layer, no gadget
+        one = build_inv(InversionSpec(2, 1.0, 1.2, 0.5), factory)
+        assert one.num_layers == 2 and one.activation_name == name
+        assert build_inv(InversionSpec(2, 1.0, 0.1, 0.5),
+                         factory).activation_name == name
+        assert build_sqr(1, 2, 0.1, factory).activation_name == name
+        assert build_aux(2, 2, 0.1, factory).activation_name == name

@@ -11,7 +11,7 @@ from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_inv
 from strassennet.io import (load_matrix, load_network, network_from_dict,
                             network_to_dict, save_matrix, save_network)
-from strassennet.strassen import build_str_pow2
+from strassennet.strassen import build_split, build_str_pow2
 
 
 def _sample_networks():
@@ -50,6 +50,18 @@ class TestNetworkRoundTrip:
         second = tmp_path / "b.json"
         save_network(net, first)
         save_network(load_network(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_unlabelled_glue_round_trips(self, tmp_path):
+        net = build_split(2)
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
+        save_network(net, first)
+        assert json.loads(first.read_text())["activation"] is None
+        back = load_network(first)
+        assert back.activation_name is None
+        assert mnn_equal(net, back)
+        save_network(back, second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_document_is_plain_json(self, tmp_path):

@@ -224,3 +224,19 @@ def test_gadget_spec_for_bounds_shrinks_budget():
     spec = bound_gadget_spec_rect(RectShape(5, 6, 4), 0.08, 1.0)
     assert spec.epsilon == pytest.approx(0.08 / (4 * 36))
     assert spec.K == pytest.approx(12.0)
+
+
+def test_only_gadget_built_networks_carry_a_label():
+    shape = RectShape(2, 3, 2)
+    for glue in (build_mix(2), build_split(2), build_ext(shape),
+                 build_ext_star(3), build_shr(shape)):
+        assert glue.activation_name is None
+    for factory in (relu_factory, relu2_factory):
+        name = factory.activation_name
+        assert build_str_pow2(2, 1e-2, 1.0, factory).activation_name == name
+        assert build_str_rect(shape, 1e-2, 1.0, factory).activation_name == name
+        assert build_str_square(3, 1e-2, 1.0, factory).activation_name == name
+    # relu leaves at budget 5 >= K^2 = 4 are zero gadgets, with no rho entry
+    zero = build_str_pow2(1, 20.0, 1.0, relu_factory)
+    assert not any(layer.mask.any_rho for layer in zero.layers)
+    assert zero.activation_name == "relu"
