@@ -59,8 +59,10 @@ class SparseLinearMap:
     ``idx`` is an ``(nnz, 4)`` int64 array of 1-based quadruples
     ``(i, j, k, l)`` and ``val`` the matching coefficients; entry
     ``(i, j, k, l, v)`` sends input position ``(k, l)`` to output position
-    ``(i, j)`` with weight ``v``.  Duplicated quadruples and explicitly
-    stored zeros are rejected so that the entry count is the weight count.
+    ``(i, j)`` with weight ``v``, stored in row-major ``(i, j, k, l)`` order
+    whatever order they arrive in.  Duplicated quadruples, explicitly
+    stored zeros and non-finite coefficients are rejected so that the entry
+    count is the weight count.
     """
 
     __slots__ = ("out_shape", "in_shape", "idx", "val", "_csr")
@@ -68,48 +70,39 @@ class SparseLinearMap:
     def __init__(self, out_shape, in_shape, idx, val):
         self.out_shape = _as_shape(out_shape)
         self.in_shape = _as_shape(in_shape)
-        idx = np.ascontiguousarray(np.asarray(idx, dtype=np.int64).reshape(-1, 4))
-        val = np.ascontiguousarray(np.asarray(val, dtype=float).reshape(-1))
+        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
+        val = np.asarray(val, dtype=float).reshape(-1)
         if idx.shape[0] != val.shape[0]:
             raise ValueError("idx and val lengths disagree")
-        if val.size and not np.all(val != 0.0):
+        if not np.all(val != 0.0):
             raise ValueError("explicit zero coefficients are not storable")
-        lo = idx.min(axis=0, initial=1)
-        hi = idx.max(axis=0, initial=1)
+        if not np.all(np.isfinite(val)):
+            raise ValueError("coefficients must be finite")
         bounds = (self.out_shape.rows, self.out_shape.cols,
                   self.in_shape.rows, self.in_shape.cols)
-        if lo.min() < 1 or np.any(hi > np.array(bounds)):
+        try:
+            key = np.ravel_multi_index(tuple(idx.T - 1), bounds)
+        except ValueError:
             raise ValueError(
                 f"entry indices out of range for shapes {self.out_shape}"
                 f" <- {self.in_shape}"
-            )
-        flat = self._flat_pairs(idx)
-        key = flat[0].astype(np.int64) * (self.in_shape.size) + flat[1]
-        if np.unique(key).size != key.size:
+            ) from None
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
             raise ValueError("duplicate (i, j, k, l) quadruple")
-        self.idx = _freeze(idx)
-        self.val = _freeze(val)
+        self.idx = _freeze(idx[order])
+        self.val = _freeze(val[order])
         self._csr = None
-
-    def _flat_pairs(self, idx):
-        rows = (idx[:, 0] - 1) * self.out_shape.cols + (idx[:, 1] - 1)
-        cols = (idx[:, 2] - 1) * self.in_shape.cols + (idx[:, 3] - 1)
-        return rows, cols
 
     @property
     def nnz(self) -> int:
         return int(self.val.size)
 
-    @property
-    def entries(self):
-        """Entries as a list of (i, j, k, l, value) tuples, 1-based."""
-        return [(int(i), int(j), int(k), int(l), float(v))
-                for (i, j, k, l), v in zip(self.idx, self.val)]
-
     def matrix(self) -> sparse.csr_matrix:
         """The flattened (out.size x in.size) CSR operator, built lazily."""
         if self._csr is None:
-            rows, cols = self._flat_pairs(self.idx)
+            i, j, k, l = (self.idx - 1).T
+            rows, cols = i * self.out_shape.cols + j, k * self.in_shape.cols + l
             self._csr = sparse.csr_matrix(
                 (self.val, (rows, cols)),
                 shape=(self.out_shape.size, self.in_shape.size),
@@ -160,10 +153,6 @@ class ActivationMask:
         return cls(shape, rho)
 
     @property
-    def rho_positions(self):
-        return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(self.rho))]
-
-    @property
     def any_rho(self) -> bool:
         return bool(self.rho.any())
 
@@ -181,6 +170,8 @@ class Layer:
         bias = np.array(bias, dtype=float)
         if bias.shape != tuple(shape):
             raise ValueError(f"bias shape {bias.shape} != {tuple(shape)}")
+        if not np.all(np.isfinite(bias)):
+            raise ValueError("bias entries must be finite")
         if mask is None:
             mask = ActivationMask.all_identity(shape)
         if mask.shape != shape:
@@ -405,22 +396,13 @@ def scale_output(net: MNN, c: float) -> MNN:
 
 
 def mnn_equal(a: MNN, b: MNN) -> bool:
-    """Structural equality: shapes, sorted entries, biases, masks, label."""
+    """Structural equality: shapes, entries, biases, masks, label."""
     if a.activation_name != b.activation_name or a.num_layers != b.num_layers:
         return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.out_shape != lb.out_shape or la.in_shape != lb.in_shape:
-            return False
-        if la.map.nnz != lb.map.nnz:
-            return False
-        ka = np.lexsort(la.map.idx.T[::-1])
-        kb = np.lexsort(lb.map.idx.T[::-1])
-        if not np.array_equal(la.map.idx[ka], lb.map.idx[kb]):
-            return False
-        if not np.array_equal(la.map.val[ka], lb.map.val[kb]):
-            return False
-        if not np.array_equal(la.bias, lb.bias):
-            return False
-        if not np.array_equal(la.mask.rho, lb.mask.rho):
-            return False
-    return True
+    return all(
+        la.out_shape == lb.out_shape and la.in_shape == lb.in_shape
+        and np.array_equal(la.map.idx, lb.map.idx)
+        and np.array_equal(la.map.val, lb.map.val)
+        and np.array_equal(la.bias, lb.bias)
+        and np.array_equal(la.mask.rho, lb.mask.rho)
+        for la, lb in zip(a.layers, b.layers))

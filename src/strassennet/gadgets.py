@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder, Layer,
-                   realize_flat)
+from .core import MNN, ActivationMask, EntryBuilder, Layer, realize_flat
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,6 @@ def verify_gadget(net: MNN, rho, spec: GadgetSpec, grid_step: float) -> float:
     """Max |xy - R(net)(x, y)| over the uniform grid on [-K, K]^2."""
     if grid_step > spec.K / 50.0:
         raise ValueError("grid_step must be at most K/50")
-    if rho is None:
-        rho = ACTIVATIONS[net.activation_name]
     steps = max(1, round(2.0 * spec.K / grid_step))
     axis = np.linspace(-spec.K, spec.K, steps + 1)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")

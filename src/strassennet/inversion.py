@@ -42,8 +42,8 @@ class InversionSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.delta < 1.0:

@@ -195,6 +195,19 @@ class TestEval:
         assert ("snn: error: bad network file: layer 0 mask entry 0"
                 in capsys.readouterr().err)
 
+    def test_fractional_dimension_exits_one(self, tmp_path, capsys):
+        net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])
+        capsys.readouterr()
+        doc = json.loads(net.read_text())
+        doc["layers"][0]["out_cols"] = 2.9
+        net.write_text(json.dumps(doc))
+        save_matrix(np.zeros((1, 2)), tmp_path / "X.csv")
+        rc = main(["eval", "--net", str(net), "--input",
+                   str(tmp_path / "X.csv"), "--out", str(tmp_path / "C.csv")])
+        assert rc == 1
+        assert ("snn: error: bad network file: layer 0 out_cols must be an "
+                "integer, got 2.9" in capsys.readouterr().err)
+
     def test_operand_flags_are_exclusive(self, tmp_path):
         net = str(tmp_path / "net.json")
         x = str(tmp_path / "X.csv")

@@ -59,7 +59,39 @@ class TestSparseLinearMap:
     def test_entries_report_one_based(self):
         b = EntryBuilder().add(2, 1, 1, 3, -4.0)
         lm = b.build((2, 2), (1, 3))
-        assert lm.entries == [(2, 1, 1, 3, -4.0)]
+        assert lm.idx.tolist() == [[2, 1, 1, 3]] and lm.val.tolist() == [-4.0]
+
+    def test_rejects_non_finite_coefficients(self):
+        idx = np.array([[1, 1, 1, 1]], dtype=np.int64)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SparseLinearMap((1, 1), (1, 1), idx, np.array([bad]))
+
+    def test_stores_scrambled_entries_row_major(self, rng):
+        quads = [(i, j, k, l) for i in (1, 2) for j in (1, 2, 3)
+                 for k in (1, 2) for l in (1, 2)]
+        vals = rng.uniform(1, 2, len(quads))
+        perm = rng.permutation(len(quads))
+        lm = SparseLinearMap((2, 3), (2, 2), np.array(quads)[perm],
+                             vals[perm])
+        assert lm.idx.tolist() == [list(q) for q in quads]
+        assert lm.val.tolist() == vals.tolist()
+
+    def test_entry_order_does_not_change_equality(self, rng):
+        quads = np.array([[1, 1, 1, 1], [1, 2, 2, 1], [2, 1, 1, 2],
+                          [2, 2, 2, 2], [1, 1, 2, 2]])
+        vals = rng.uniform(1, 2, len(quads))
+
+        def net(order, v):
+            return MNN([Layer(SparseLinearMap((2, 2), (2, 2), quads[order],
+                                              v[order]))])
+
+        ordered = np.arange(len(quads))
+        scrambled = rng.permutation(len(quads))[::-1]
+        assert mnn_equal(net(ordered, vals), net(scrambled, vals))
+        nudged = vals.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        assert not mnn_equal(net(ordered, vals), net(scrambled, nudged))
 
     def test_arrays_frozen(self):
         lm = _ident_map(2)
@@ -72,7 +104,7 @@ class TestActivationMask:
         m = ActivationMask.from_positions((2, 3), [(1, 2), (2, 3)])
         assert m.rho[0, 1] and m.rho[1, 2]
         assert not m.rho[0, 0]
-        assert m.rho_positions == [(1, 2), (2, 3)]
+        assert (np.argwhere(m.rho) + 1).tolist() == [[1, 2], [2, 3]]
 
     def test_all_variants(self):
         assert not ActivationMask.all_identity((2, 2)).any_rho
@@ -85,6 +117,13 @@ class TestLayerAndNetwork:
         bias[0, 1] = 5.0
         layer = Layer(_ident_map(2), bias)
         assert layer.weight_count == 4 + 1
+
+    def test_rejects_non_finite_bias(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            bias = np.zeros((2, 2))
+            bias[1, 0] = bad
+            with pytest.raises(ValueError, match="bias entries must be finite"):
+                Layer(_ident_map(2), bias)
 
     def test_shape_chain_validated(self):
         l1 = Layer(_ident_map(2))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strassennet.core import realize
+from strassennet.core import MNN, EntryBuilder, Layer, realize
 from strassennet.gadgets import (FACTORIES, GadgetSpec, build_product_relu,
                                  build_product_relu2, relu2_factory,
                                  relu_factory, relu_gadget_bounds,
@@ -136,6 +136,14 @@ class TestGadgetSpecAndFactory:
         net = relu_factory.build(spec)
         with pytest.raises(ValueError, match="grid_step"):
             verify_gadget(net, None, spec, spec.K / 10)
+
+
+def test_verify_gadget_takes_an_unlabelled_linear_network():
+    # (x, y) -> x has no rho entries and no label; it used to raise KeyError
+    net = MNN([Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).build((1, 1), (1, 2)))])
+    assert net.activation_name is None
+    spec = GadgetSpec(0.1, 1.0)
+    assert verify_gadget(net, None, spec, spec.K / 50) == 2.0
 
 
 def test_bounds_function_branches():

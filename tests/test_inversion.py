@@ -310,6 +310,13 @@ class TestInversionNetworks:
         with pytest.raises(ValueError):
             InversionSpec(2, 1.0, 0.1, 1.5)
 
+    def test_infinite_alpha_is_refused(self):
+        # build_inv used to fail later with a misleading "eps must be positive"
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            InversionSpec(2, np.inf, 0.1, 0.5)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            build_in(2, np.inf)
+
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=10, deadline=None)
     def test_inverse_property_small(self, seed):

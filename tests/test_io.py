@@ -191,6 +191,77 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="non-positive"):
             network_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["out_rows", "out_cols", "in_rows",
+                                     "in_cols"])
+    @pytest.mark.parametrize("value", [2.9, True, "x", None, 2.0])
+    def test_dimensions_must_be_integers(self, key, value):
+        # 2.9 used to load as 2, true as 1, and "x" raised an unprefixed error
+        doc = _valid_doc()
+        doc["layers"][0][key] = value
+        with pytest.raises(ValueError, match=f"bad network file: layer 0 "
+                                             f"{key} must be an integer"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("label", [5, 1.5, True, ["relu"]])
+    def test_label_must_be_a_string_or_null(self, label):
+        # 5 used to load as the label "5"
+        doc = _valid_doc()
+        doc["activation"] = label
+        with pytest.raises(ValueError, match="bad network file: activation "
+                                             "must be a string or null"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("table, row, cell, value, reason", [
+        ("entries", 1, 0, 1.7, "non-integer index"),
+        ("entries", 2, 4, float("nan"), "non-finite value"),
+        ("entries", 0, 4, "2.5", r"must be \[i, j, k, l, value\]"),
+        ("entries", 1, 3, float("inf"), "out of range"),
+        ("bias", 0, 2, float("inf"), "non-finite value"),
+        ("bias", 0, 1, "1", r"must be \[i, j, value\]"),
+        ("mask_rho", 0, 1, 1.5, "non-integer index"),
+        ("mask_rho", 0, 0, None, r"must be \[i, j\]"),
+    ])
+    def test_bad_table_cells_name_layer_and_entry(self, table, row, cell,
+                                                  value, reason):
+        # each of these used to load: 1.7 as 1, "2.5" as 2.5, nan/inf as
+        # weights
+        doc = _valid_doc()
+        pos = next(p for p, layer in enumerate(doc["layers"])
+                   if len(layer[table]) > row)
+        doc["layers"][pos][table][row][cell] = value
+        what = {"entries": "entry", "bias": "bias entry",
+                "mask_rho": "mask entry"}[table]
+        with pytest.raises(ValueError, match=f"bad network file: layer {pos} "
+                                             f"{what} {row} .*{reason}"):
+            network_from_dict(doc)
+
+    def test_short_entry_is_named_by_position(self):
+        doc = _valid_doc()
+        pos = next(p for p, layer in enumerate(doc["layers"])
+                   if len(layer["entries"]) > 7)
+        doc["layers"][pos]["entries"][7] = [1, 1, 1, 1]
+        with pytest.raises(ValueError, match=f"bad network file: layer {pos} "
+                                             r"entry 7 must be \[i, j, k, l"):
+            network_from_dict(doc)
+
+    def test_tables_must_be_lists(self):
+        for table in ("entries", "bias", "mask_rho"):
+            doc = _valid_doc()
+            doc["layers"][0][table] = {}
+            with pytest.raises(ValueError, match=f"bad network file: layer 0 "
+                                                 f"{table} must be a list"):
+                network_from_dict(doc)
+
+    def test_entries_load_in_any_order_and_save_row_major(self):
+        doc = _valid_doc()
+        scrambled = copy.deepcopy(doc)
+        for layer in scrambled["layers"]:
+            layer["entries"].reverse()
+        assert scrambled != doc
+        net = network_from_dict(scrambled)
+        assert mnn_equal(net, network_from_dict(doc))
+        assert network_to_dict(net) == doc
+
 
 class TestMatrixFiles:
     def test_round_trip_is_exact(self, tmp_path, rng):
