@@ -29,6 +29,9 @@ class MatrixShape(NamedTuple):
 
 
 def _as_shape(shape) -> MatrixShape:
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+               for n in shape[:2]):
+        raise ValueError(f"shape must be two integers, got {tuple(shape)}")
     s = MatrixShape(int(shape[0]), int(shape[1]))
     if s.rows < 1 or s.cols < 1:
         raise ValueError(f"shape must be positive, got {tuple(shape)}")
@@ -53,6 +56,55 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _stored_rows(what: str, index, bounds, value=None):
+    """The storage rule of map entries, bias entries and mask positions:
+    rows of 1-based positions within ``bounds`` (with their values, or None)
+    come back as int64 indices (and floats) in row-major order, and the first
+    row with a non-integer or out-of-range index, a repeated position, or a
+    non-finite or zero value is refused as ``<what> <e> <row> <reason>``."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":  # cast only whole numbers that fit
+        index = np.asarray(index, dtype=float)
+        if (np.array_equal(index, np.trunc(index))
+                and np.abs(index).max(initial=0) < 2 ** 62):
+            index = index.astype(np.int64)
+    index = index.reshape(-1, len(bounds))
+    if value is not None:
+        value = np.asarray(value, dtype=float).reshape(len(index))
+    if index.dtype.kind in "iu" and (
+            value is None or np.isfinite(value).all() and value.all()):
+        try:
+            key = np.ravel_multi_index(tuple(index.T - 1), bounds)
+        except ValueError:  # an index out of range, named below
+            pass
+        else:
+            order = np.argsort(key, kind="stable")
+            if not np.any(np.diff(key[order]) == 0):
+                return index[order], None if value is None else value[order]
+    # refused: judge every row to name the first offending one.  Rows with
+    # a bad index sit at position 1, so a row they make look repeated comes
+    # after them and is never the one named.
+    whole = (index == np.trunc(index)).all(axis=1)
+    inside = whole & ((index >= 1) & (index <= bounds)).all(axis=1)
+    key = np.ravel_multi_index(
+        tuple(np.where(inside, index.T, 1).astype(np.int64) - 1), bounds)
+    fresh = np.zeros(len(index), dtype=bool)
+    fresh[np.unique(key, return_index=True)[1]] = True
+    checks = [(whole, "has a non-integer index"),
+              (inside, f"has an index out of range "
+                       f"(upper bounds {list(bounds)})"),
+              (fresh, "repeats an earlier position (duplicate)")]
+    if value is not None:
+        checks += [(np.isfinite(value), "has a non-finite value "
+                    "(coefficients must be finite)"),
+                   (value != 0.0,
+                    "stores a zero (zero coefficients are not storable)")]
+    e = int(np.argmin(np.logical_and.reduce([ok for ok, _ in checks])))
+    row = index[e].tolist() + ([] if value is None else [float(value[e])])
+    raise ValueError(f"{what} {e} {row} "
+                     + next(text for ok, text in checks if not ok[e]))
+
+
 class SparseLinearMap:
     """A 4-index linear map stored as nonzero coordinate entries.
 
@@ -60,9 +112,10 @@ class SparseLinearMap:
     ``(i, j, k, l)`` and ``val`` the matching coefficients; entry
     ``(i, j, k, l, v)`` sends input position ``(k, l)`` to output position
     ``(i, j)`` with weight ``v``, stored in row-major ``(i, j, k, l)`` order
-    whatever order they arrive in.  Duplicated quadruples, explicitly
-    stored zeros and non-finite coefficients are rejected so that the entry
-    count is the weight count.
+    whatever order they arrive in.  The rule every stored table follows,
+    built or loaded, refuses non-integer or out-of-range indices, repeated
+    quadruples, explicit zeros and non-finite coefficients, so that the
+    entry count is the weight count.
     """
 
     __slots__ = ("out_shape", "in_shape", "idx", "val", "_csr")
@@ -70,28 +123,10 @@ class SparseLinearMap:
     def __init__(self, out_shape, in_shape, idx, val):
         self.out_shape = _as_shape(out_shape)
         self.in_shape = _as_shape(in_shape)
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 4)
-        val = np.asarray(val, dtype=float).reshape(-1)
-        if idx.shape[0] != val.shape[0]:
-            raise ValueError("idx and val lengths disagree")
-        if not np.all(val != 0.0):
-            raise ValueError("explicit zero coefficients are not storable")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("coefficients must be finite")
-        bounds = (self.out_shape.rows, self.out_shape.cols,
-                  self.in_shape.rows, self.in_shape.cols)
-        try:
-            key = np.ravel_multi_index(tuple(idx.T - 1), bounds)
-        except ValueError:
-            raise ValueError(
-                f"entry indices out of range for shapes {self.out_shape}"
-                f" <- {self.in_shape}"
-            ) from None
-        order = np.argsort(key, kind="stable")
-        if np.any(np.diff(key[order]) == 0):
-            raise ValueError("duplicate (i, j, k, l) quadruple")
-        self.idx = _freeze(idx[order])
-        self.val = _freeze(val[order])
+        idx, val = _stored_rows("entry", idx, self.out_shape + self.in_shape,
+                                val)
+        self.idx = _freeze(idx)
+        self.val = _freeze(val)
         self._csr = None
 
     @property
@@ -133,23 +168,17 @@ class ActivationMask:
         self.rho = _freeze(rho)
 
     @classmethod
-    def all_identity(cls, shape) -> "ActivationMask":
-        return cls(shape)
-
-    @classmethod
     def all_rho(cls, shape) -> "ActivationMask":
         return cls(shape, np.ones(tuple(_as_shape(shape)), dtype=bool))
 
     @classmethod
     def from_positions(cls, shape, positions) -> "ActivationMask":
-        """Mask with rho exactly at the given 1-based (i, j) positions."""
+        """Mask with rho exactly at the given 1-based (i, j) positions; built
+        or loaded, they follow the rule of map entries, each listed once."""
         shape = _as_shape(shape)
         rho = np.zeros(tuple(shape), dtype=bool)
-        for e, (i, j) in enumerate(positions):
-            if not (1 <= i <= shape.rows and 1 <= j <= shape.cols):
-                raise ValueError(f"entry {e} ({i}, {j}) lies outside the "
-                                 f"{shape.rows}x{shape.cols} mask")
-            rho[i - 1, j - 1] = True
+        at, _ = _stored_rows("mask entry", positions, shape)
+        rho[tuple(at.T - 1)] = True
         return cls(shape, rho)
 
     @property
@@ -173,7 +202,7 @@ class Layer:
         if not np.all(np.isfinite(bias)):
             raise ValueError("bias entries must be finite")
         if mask is None:
-            mask = ActivationMask.all_identity(shape)
+            mask = ActivationMask(shape)
         if mask.shape != shape:
             raise ValueError("mask shape does not match the layer output")
         self.bias = _freeze(bias)
@@ -314,52 +343,37 @@ class EntryBuilder:
 
     def add(self, i, j, k, l, value):
         """Add one entry with 1-based indices."""
-        if value == 0.0:
-            raise ValueError("refusing to store an explicit zero")
-        self._idx.append(np.array([[i, j, k, l]], dtype=np.int64))
-        self._val.append(np.array([value], dtype=float))
-        return self
+        return self._add_rows(np.array([[i, j, k, l]]), value)
 
     def add_block(self, out_row, out_col, in_row, in_col, rows, cols, coeff=1.0):
         """Map an input block to an output block entrywise, scaled by coeff.
 
         Offsets are 0-based; the block spans ``rows x cols`` positions.
         """
-        if coeff == 0.0:
-            raise ValueError("refusing to store an explicit zero block")
-        r, c = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        r, c = r.reshape(-1), c.reshape(-1)
-        quad = np.stack(
-            [out_row + r + 1, out_col + c + 1, in_row + r + 1, in_col + c + 1],
-            axis=1,
-        )
-        self._idx.append(quad.astype(np.int64))
-        self._val.append(np.full(r.size, float(coeff)))
-        return self
+        r, c = np.indices((rows, cols)).reshape(2, -1) + 1
+        return self._add_rows(np.stack(
+            [out_row + r, out_col + c, in_row + r, in_col + c], axis=1), coeff)
 
     def add_transposed_block(self, out_row, out_col, in_row, in_col,
                              rows, cols, coeff=1.0):
         """Like add_block, but reads the input block transposed."""
+        r, c = np.indices((rows, cols)).reshape(2, -1) + 1
+        return self._add_rows(np.stack(
+            [out_row + r, out_col + c, in_row + c, in_col + r], axis=1), coeff)
+
+    def _add_rows(self, quads, coeff):
+        """Add 1-based (i, j, k, l) rows, all with value coeff."""
         if coeff == 0.0:
-            raise ValueError("refusing to store an explicit zero block")
-        r, c = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        r, c = r.reshape(-1), c.reshape(-1)
-        quad = np.stack(
-            [out_row + r + 1, out_col + c + 1, in_row + c + 1, in_col + r + 1],
-            axis=1,
-        )
-        self._idx.append(quad.astype(np.int64))
-        self._val.append(np.full(r.size, float(coeff)))
+            raise ValueError("refusing to store an explicit zero")
+        self._idx.append(quads)
+        self._val.append(np.full(len(quads), float(coeff)))
         return self
 
     def build(self, out_shape, in_shape) -> SparseLinearMap:
-        if self._idx:
-            idx = np.concatenate(self._idx, axis=0)
-            val = np.concatenate(self._val)
-        else:
-            idx = np.empty((0, 4), dtype=np.int64)
-            val = np.empty(0)
-        return SparseLinearMap(out_shape, in_shape, idx, val)
+        if not self._idx:
+            return SparseLinearMap(out_shape, in_shape, (), ())
+        return SparseLinearMap(out_shape, in_shape, np.concatenate(self._idx),
+                               np.concatenate(self._val))
 
 
 def identity_mnn(shape, depth: int) -> MNN:

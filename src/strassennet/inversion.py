@@ -124,18 +124,14 @@ def build_fill(n: int, L: int) -> MNN:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    select = EntryBuilder().add_block(0, 0, 0, 0, n, n).build((n, n), (n, 2 * n))
-    layers = [Layer(select)]
-    for _ in range(L - 2):
-        carry = EntryBuilder().add_block(0, 0, 0, 0, n, n).build((n, n), (n, n))
-        layers.append(Layer(carry))
+    block = EntryBuilder().add_block(0, 0, 0, 0, n, n)
+    select = block.build((n, n), (n, 2 * n))
     half_eye = np.eye(n) / 2.0
     if L == 1:
-        layers = [Layer(select, half_eye)]
-    else:
-        carry = EntryBuilder().add_block(0, 0, 0, 0, n, n).build((n, n), (n, n))
-        layers.append(Layer(carry, half_eye))
-    return MNN(layers)
+        return MNN([Layer(select, half_eye)])
+    carry = block.build((n, n), (n, n))
+    return MNN([Layer(select)] + [Layer(carry) for _ in range(L - 2)]
+               + [Layer(carry, half_eye)])
 
 
 def build_flip(n: int, k: int) -> MNN:

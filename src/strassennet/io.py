@@ -8,8 +8,9 @@ layer records its output/input shapes, the nonzero linear-map entries as
 as ``[i, j]``, each table in the row-major order ``SparseLinearMap`` keeps.
 Loading refuses, naming the layer and the first offending entry, shapes
 that are not integers >= 1, rows of the wrong length or holding
-non-numbers, non-integer or out-of-range indices, and zero or non-finite
-values.
+non-numbers, and whatever the one storage rule of built networks refuses:
+non-integer or out-of-range indices, positions repeated in the entries,
+bias or mask table, and zero or non-finite values.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 """
@@ -18,7 +19,7 @@ import json
 
 import numpy as np
 
-from .core import MNN, ActivationMask, Layer, SparseLinearMap
+from .core import MNN, ActivationMask, Layer, SparseLinearMap, _stored_rows
 
 FORMAT_KEYS = ("activation", "layers")
 LAYER_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols",
@@ -65,10 +66,9 @@ def _is_number(x) -> bool:
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
 
 
-def _read_table(spec: dict, pos: int, key: str, bounds) -> tuple:
-    """Table ``key`` of layer ``pos`` as int64 1-based indices, each at most
-    its bound, and the nonzero finite values of a value column (else empty),
-    converted in one numpy call; the first bad row is refused by position."""
+def _read_table(spec: dict, pos: int, key: str) -> np.ndarray:
+    """Table ``key`` of layer ``pos`` converted in one numpy call; the first
+    row of the wrong length or holding a non-number is refused by position."""
     rows, (what, fields) = spec[key], TABLES[key]
     _require(isinstance(rows, list), f"layer {pos} {key} must be a list")
     width = fields.count(",") + 1
@@ -82,20 +82,7 @@ def _read_table(spec: dict, pos: int, key: str, bounds) -> tuple:
                          and all(map(_is_number, row))))
         _require(False, f"layer {pos} {what} {e} must be {fields}, "
                         f"got {rows[e]!r:.60}")
-    table = table.astype(float, copy=False)
-    index, value = table[:, :len(bounds)], table[:, len(bounds):]
-    checks = [(index == np.trunc(index), "has a non-integer index"),
-              ((index >= 1) & (index <= bounds),
-               f"has an index out of range (upper bounds {list(bounds)})"),
-              (np.isfinite(value), "has a non-finite value"),
-              (value != 0.0,
-               "stores a zero (zero coefficients are not storable)")]
-    good = np.all([ok.all(axis=1) for ok, _ in checks], axis=0)
-    if not good.all():
-        e = int(np.argmin(good))
-        reason = next(text for ok, text in checks if not ok[e].all())
-        _require(False, f"layer {pos} {what} {e} {rows[e]} {reason}")
-    return index.astype(np.int64), value.reshape(-1)
+    return table
 
 
 def _dimension(spec: dict, pos: int, key: str) -> int:
@@ -126,18 +113,19 @@ def network_from_dict(doc: dict) -> MNN:
                      _dimension(spec, pos, "out_cols"))
         in_shape = (_dimension(spec, pos, "in_rows"),
                     _dimension(spec, pos, "in_cols"))
-        idx, val = _read_table(spec, pos, "entries", out_shape + in_shape)
-        at, values = _read_table(spec, pos, "bias", out_shape)
+        entries, bias_rows, mask_rows = (_read_table(spec, pos, key)
+                                         for key in TABLES)
+        try:
+            linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
+                                     entries[:, 4])
+            at, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
+                                      out_shape, bias_rows[:, 2])
+            mask = ActivationMask.from_positions(out_shape, mask_rows)
+        except ValueError as exc:
+            raise ValueError(f"bad network file: layer {pos} {exc}") from None
         bias = np.zeros(out_shape)
         bias[tuple(at.T - 1)] = values
-        at, _ = _read_table(spec, pos, "mask_rho", out_shape)
-        rho = np.zeros(out_shape, dtype=bool)
-        rho[tuple(at.T - 1)] = True
-        try:
-            linmap = SparseLinearMap(out_shape, in_shape, idx, val)
-        except ValueError as exc:
-            raise ValueError(f"bad network file: layer {pos}: {exc}") from None
-        layers.append(Layer(linmap, bias, ActivationMask(out_shape, rho)))
+        layers.append(Layer(linmap, bias, mask))
     return MNN(layers, label)
 
 

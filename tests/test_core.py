@@ -50,6 +50,25 @@ class TestSparseLinearMap:
         with pytest.raises(ValueError, match="range"):
             SparseLinearMap((1, 1), (1, 1), idx, np.array([1.0]))
 
+    @pytest.mark.parametrize("idx", [[[1.7, 1, 1, 2.9]], [[1, 1, 1, np.nan]]])
+    def test_rejects_float_index(self, idx):
+        # [1.7, 1, 1, 2.9] used to be stored as [1, 1, 1, 2]
+        with pytest.raises(ValueError, match=r"entry 0 .* non-integer index"):
+            SparseLinearMap((1, 1), (1, 2), idx, [1.0])
+
+    def test_integral_float_indices_are_stored_as_int64(self):
+        lm = SparseLinearMap((1, 1), (1, 2), [[1.0, 1.0, 1.0, 2.0]], [3.0])
+        assert lm.idx.dtype == np.int64 and lm.idx.tolist() == [[1, 1, 1, 2]]
+
+    def test_refusal_names_the_first_offending_row(self):
+        idx = [[1, 1, 1, 1], [1, 1, 1, 2], [1, 1, 1, 1], [1, 3, 1, 1]]
+        with pytest.raises(ValueError, match=r"^entry 2 \[1, 1, 1, 1, 5\.0\] "
+                                             r"repeats an earlier position"):
+            SparseLinearMap((1, 2), (1, 2), idx, [1.0, 2.0, 5.0, 7.0])
+        with pytest.raises(ValueError, match=r"^entry 1 .* out of range"):
+            SparseLinearMap((1, 2), (1, 2), [idx[0], idx[3], idx[2]],
+                            [1.0, 7.0, 5.0])
+
     def test_empty_map_is_fine(self):
         lm = SparseLinearMap((2, 2), (3, 3),
                              np.zeros((0, 4), dtype=np.int64), np.zeros(0))
@@ -106,8 +125,19 @@ class TestActivationMask:
         assert not m.rho[0, 0]
         assert (np.argwhere(m.rho) + 1).tolist() == [[1, 2], [2, 3]]
 
+    @pytest.mark.parametrize("positions, reason", [
+        ([(1, 1.5)], r"mask entry 0 \[1.0, 1.5\] has a non-integer index"),
+        ([(1, 2), (2, 1), (1, 2)], r"mask entry 2 \[1, 2\] repeats an "
+                                    r"earlier position \(duplicate\)"),
+        ([(3, 1)], r"mask entry 0 \[3, 1\] has an index out of range"),
+    ], ids=["non-integer", "repeated", "out-of-range"])
+    def test_from_positions_refusals(self, positions, reason):
+        # (1, 1.5) used to raise IndexError, a repeat used to be accepted
+        with pytest.raises(ValueError, match=reason):
+            ActivationMask.from_positions((2, 2), positions)
+
     def test_all_variants(self):
-        assert not ActivationMask.all_identity((2, 2)).any_rho
+        assert not ActivationMask((2, 2)).any_rho
         assert ActivationMask.all_rho((2, 2)).any_rho
 
 
@@ -228,6 +258,12 @@ class TestEntryBuilder:
         with pytest.raises(ValueError):
             EntryBuilder().add(1, 1, 1, 1, 0.0)
 
+    def test_overlapping_blocks_are_refused_at_build(self):
+        b = EntryBuilder().add_block(0, 0, 0, 0, 2, 2)
+        b.add_transposed_block(1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match=r"entry 4 .*\(duplicate\)"):
+            b.build((2, 2), (2, 2))
+
     def test_block_offsets(self, rng):
         # place input block (rows 0-1, cols 0-1) into output rows 2-3, cols 0-1
         b = EntryBuilder()
@@ -250,6 +286,23 @@ def test_matrix_shape_size():
     s = MatrixShape(3, 5)
     assert s.size == 15
     assert tuple(s) == (3, 5)
+
+
+@pytest.mark.parametrize("shape", [(2.9, 1), (2, 1.0), (True, 1), ("2", 1)])
+def test_shapes_must_be_integers(shape):
+    # (2.9, 1) used to become (2, 1) and True to read as 1
+    with pytest.raises(ValueError, match="shape must be two integers"):
+        SparseLinearMap(shape, (1, 1), np.empty((0, 4), dtype=np.int64), [])
+    with pytest.raises(ValueError, match="shape must be two integers"):
+        ActivationMask(shape)
+
+
+def test_numpy_integer_shapes_are_accepted():
+    lm = SparseLinearMap((np.int64(2), np.int32(1)), np.array([1, 1]),
+                         [[2, 1, 1, 1]], [1.0])
+    assert lm.out_shape == (2, 1) and type(lm.out_shape.rows) is int
+    with pytest.raises(ValueError, match="shape must be positive"):
+        ActivationMask((np.int64(0), 1))
 
 
 def test_activation_registry():

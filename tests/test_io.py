@@ -131,6 +131,21 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="duplicate"):
             network_from_dict(doc)
 
+    @pytest.mark.parametrize("table, what", [("entries", "entry"),
+                                             ("bias", "bias entry"),
+                                             ("mask_rho", "mask entry")])
+    def test_repeated_row_is_refused(self, table, what):
+        # a repeated bias row used to load as one weight, a repeated mask
+        # position as one position, so re-saving dropped rows
+        doc = _valid_doc()
+        pos = next(p for p, layer in enumerate(doc["layers"])
+                   if len(layer[table]) >= 2)
+        rows = doc["layers"][pos][table]
+        rows.insert(2, copy.deepcopy(rows[0]))
+        with pytest.raises(ValueError, match=f"bad network file: layer {pos} "
+                                             f"{what} 2 .*duplicate"):
+            network_from_dict(doc)
+
     def test_zero_bias_entry_rejected(self):
         doc = _valid_doc()
         for layer in doc["layers"]:
