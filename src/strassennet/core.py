@@ -9,8 +9,13 @@ per-entry activation drawn from ``{identity, rho}``:
 The final layer is always identity-activated.  Weight counts are exact by
 construction: zero coefficients are never stored, so ``num_weights`` equals
 the number of stored tensor entries plus the number of nonzero bias entries.
-Evaluation flattens matrices row-major and runs each layer as a CSR
-matrix-vector product, which also gives batched evaluation for free.
+Evaluation flattens matrices row-major and stacks a batch of inputs as
+columns, with one extra row of ones.  Each layer is then one CSR product:
+its operator holds the map entries, the nonzero biases as a last column fed
+by that row, and a 1 that carries the row to the next layer; rho follows on
+the masked rows.  A network's error guarantee holds only on the domain its
+builder states (multipliers: operand entries in ``[-K, K]``; inverters:
+``||I - alpha A||_2 <= delta``), and evaluation does not check it.
 """
 
 from typing import NamedTuple, Optional, Sequence
@@ -29,8 +34,9 @@ class MatrixShape(NamedTuple):
 
 
 def _as_shape(shape) -> MatrixShape:
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-               for n in shape[:2]):
+    if len(shape) != 2 or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            for n in shape):
         raise ValueError(f"shape must be two integers, got {tuple(shape)}")
     s = MatrixShape(int(shape[0]), int(shape[1]))
     if s.rows < 1 or s.cols < 1:
@@ -63,6 +69,8 @@ def _stored_rows(what: str, index, bounds, value=None):
     row with a non-integer or out-of-range index, a repeated position, or a
     non-finite or zero value is refused as ``<what> <e> <row> <reason>``."""
     index = np.asarray(index)
+    if index.dtype.kind == "b":  # numpy would read True/False as 1/0
+        raise ValueError(f"{what} indices must be integers, not booleans")
     if index.dtype.kind not in "iu":  # cast only whole numbers that fit
         index = np.asarray(index, dtype=float)
         if (np.array_equal(index, np.trunc(index))
@@ -133,11 +141,18 @@ class SparseLinearMap:
     def nnz(self) -> int:
         return int(self.val.size)
 
+    def _flat_pairs(self):
+        """Row-major flat (row, col) of each entry: output position
+        ``(i, j)`` is row ``(i-1) cols + (j-1)``, in the stored order."""
+        # folding the -1s into one offset spares a copy of the whole table
+        i, j, k, l = self.idx.T
+        oc, ic = self.out_shape.cols, self.in_shape.cols
+        return i * oc + (j - oc - 1), k * ic + (l - ic - 1)
+
     def matrix(self) -> sparse.csr_matrix:
         """The flattened (out.size x in.size) CSR operator, built lazily."""
         if self._csr is None:
-            i, j, k, l = (self.idx - 1).T
-            rows, cols = i * self.out_shape.cols + j, k * self.in_shape.cols + l
+            rows, cols = self._flat_pairs()
             self._csr = sparse.csr_matrix(
                 (self.val, (rows, cols)),
                 shape=(self.out_shape.size, self.in_shape.size),
@@ -189,7 +204,7 @@ class ActivationMask:
 class Layer:
     """One network layer: sparse map, bias matrix, activation mask."""
 
-    __slots__ = ("map", "bias", "mask", "weight_count", "_bias_flat", "_rho_flat")
+    __slots__ = ("map", "bias", "mask", "weight_count", "_affine")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
         self.map = linmap
@@ -208,9 +223,40 @@ class Layer:
         self.bias = _freeze(bias)
         self.mask = mask
         self.weight_count = linmap.nnz + int(np.count_nonzero(bias))
-        # read-only views of the frozen arrays, flattened for realize_flat
-        self._bias_flat = self.bias.reshape(-1)
-        self._rho_flat = mask.rho.reshape(-1)
+        self._affine = None
+
+    def _operator(self):
+        """The layer as one affine step on states carrying a last row of
+        ones, built lazily: an ``(out.size + 1) x (in.size + 1)`` CSR
+        operator holding the map entries, each nonzero bias in the last
+        column and a 1 that carries the ones row, and the flat indices of
+        the rho rows.
+
+        The entries come row-major, which is CSR order, and each bias sits
+        after its row's entries, so the product sums a row's terms in the
+        order of :meth:`SparseLinearMap.matrix` and adds ``bias * 1.0``
+        last: the same floats as ``L @ V + bias``.
+        """
+        if self._affine is None:
+            m = self.map
+            rows, cols = m._flat_pairs()
+            # a last row, with no entries, gets the 1 that carries the ones
+            bias = np.append(self.bias.reshape(-1), 1.0)
+            at = np.flatnonzero(bias)
+            ends = np.cumsum(np.bincount(rows, minlength=bias.size))
+            # row at[e]'s bias follows its entries and the e biases before it
+            put = ends[at] + np.arange(at.size)
+            slot = np.ones(m.nnz + at.size, dtype=bool)
+            slot[put] = False
+            data = np.empty(slot.size)
+            data[slot], data[put] = m.val, bias[at]
+            indices = np.full(slot.size, m.in_shape.size, dtype=cols.dtype)
+            indices[slot] = cols
+            indptr = np.append(0, ends + np.cumsum(bias != 0))
+            op = sparse.csr_matrix((data, indices, indptr),
+                                   shape=(bias.size, m.in_shape.size + 1))
+            self._affine = op, np.flatnonzero(self.mask.rho)
+        return self._affine
 
     @property
     def out_shape(self) -> MatrixShape:
@@ -292,24 +338,37 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
 
     ``columns`` has shape ``(input_shape.size, batch)``; the result has shape
     ``(output_shape.size, batch)``.  This is the batched workhorse behind
-    :func:`realize`.
+    :func:`realize`.  The state carries a last row of ones, so each layer
+    is one CSR product with its bias as a last column, followed by rho on
+    the masked rows.
     """
+    columns = np.asarray(columns)
+    if columns.ndim != 2 or len(columns) != net.input_shape.size:
+        raise ValueError(
+            f"columns shape {columns.shape} does not match network input "
+            f"{tuple(net.input_shape)} (layer 1): expected "
+            f"({net.input_shape.size}, batch)"
+        )
     rho = _resolve_rho(net, rho)
-    V = np.asarray(columns, dtype=float)
+    V = np.ones((len(columns) + 1, columns.shape[1]))
+    V[:-1] = columns
     for layer in net.layers:
-        V = layer.map.matrix() @ V
-        V = V + layer._bias_flat[:, None]
-        sel = layer._rho_flat
-        if sel.any():
-            V[sel, :] = rho(V[sel, :])
-    return V
+        op, rows = layer._operator()
+        V = op @ V
+        if rows.size:
+            V[rows] = rho(V[rows])
+    return V[:-1]
 
 
 def realize(net: MNN, rho, input: np.ndarray) -> np.ndarray:
     """The function computed by the network, applied to one input matrix.
 
     ``rho`` may be None, in which case the activation is looked up from the
-    network's ``activation_name``.
+    network's ``activation_name``.  Each layer costs one sparse product (see
+    :func:`realize_flat`).  Only the input's shape is checked: the error
+    guarantee covers the domain the builder states (for multipliers, entries
+    of both operands in ``[-K, K]``; for inverters, ``||I - alpha A||_2 <=
+    delta``), and an input outside it is evaluated all the same.
     """
     X = np.asarray(input, dtype=float)
     if X.shape != tuple(net.input_shape):

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder,
                               Layer, MatrixShape, SparseLinearMap,
                               counts_satisfied, identity_mnn, mnn_equal,
-                              realize, realize_many, scale_output)
+                              realize, realize_flat, realize_many,
+                              scale_output)
+from strassennet.gadgets import relu2_factory, relu_factory
+from strassennet.inversion import InversionSpec, build_in, build_inv
+from strassennet.strassen import build_split, build_str_pow2
 
 
 def _ident_map(n):
@@ -130,9 +134,12 @@ class TestActivationMask:
         ([(1, 2), (2, 1), (1, 2)], r"mask entry 2 \[1, 2\] repeats an "
                                     r"earlier position \(duplicate\)"),
         ([(3, 1)], r"mask entry 0 \[3, 1\] has an index out of range"),
-    ], ids=["non-integer", "repeated", "out-of-range"])
+        ([(True, True)], r"mask entry indices must be integers, "
+                          r"not booleans"),
+    ], ids=["non-integer", "repeated", "out-of-range", "boolean"])
     def test_from_positions_refusals(self, positions, reason):
-        # (1, 1.5) used to raise IndexError, a repeat used to be accepted
+        # (1, 1.5) used to raise IndexError, a repeat used to be accepted,
+        # and (True, True) used to set rho at (1, 1)
         with pytest.raises(ValueError, match=reason):
             ActivationMask.from_positions((2, 2), positions)
 
@@ -228,6 +235,68 @@ class TestLayerAndNetwork:
         with pytest.raises(ValueError):
             realize(net, None, np.ones((3, 3)))
 
+    @pytest.mark.parametrize("columns", [np.ones(8), np.ones((7, 1)),
+                                         np.ones((9, 2)), np.ones((8, 1, 1))],
+                             ids=["1-D", "7-rows", "9-rows", "3-D"])
+    def test_realize_flat_validates_columns(self, columns):
+        # a 1-D input used to broadcast against the bias into a (4, 14) array
+        net = build_str_pow2(1, 0.1, 1.0, relu2_factory)
+        with pytest.raises(ValueError, match=r"columns shape .* does not "
+                           r"match network input \(2, 4\) \(layer 1\): "
+                           r"expected \(8, batch\)"):
+            realize_flat(net, None, columns)
+
+
+def _layer_by_layer(net, rho, columns):
+    """Reference evaluation: ``V = L V + C``, then rho on the masked rows."""
+    rho = rho or ACTIVATIONS.get(net.activation_name)
+    V = np.asarray(columns, dtype=float)
+    for layer in net.layers:
+        V = layer.map.matrix() @ V + layer.bias.reshape(-1)[:, None]
+        mask = layer.mask.rho.reshape(-1)
+        if mask.any():
+            V[mask] = rho(V[mask])
+    return V
+
+
+def _bias_off_the_map():
+    """A relu net whose first layer biases a row the map never writes."""
+    first = SparseLinearMap((2, 2), (1, 2), [[1, 1, 1, 1], [1, 2, 1, 1],
+                                             [1, 2, 1, 2]], [0.5, -1.0, 2.0])
+    bias = np.array([[0.25, 0.0], [-0.75, 3.0]])  # row (2, *) has no entries
+    hidden = Layer(first, bias, ActivationMask.from_positions(
+        (2, 2), [(1, 2), (2, 1)]))
+    out = SparseLinearMap((1, 1), (2, 2), [[1, 1, 1, 2], [1, 1, 2, 1],
+                                           [1, 1, 2, 2]], [1.0, -0.5, 0.125])
+    return MNN([hidden, Layer(out, [[-0.1]])], "relu")
+
+
+@pytest.mark.parametrize("make, rho", [
+    (lambda: build_str_pow2(0, 0.1, 1.0, relu_factory), None),
+    (lambda: build_str_pow2(1, 0.1, 1.0, relu_factory), None),
+    (lambda: build_str_pow2(2, 0.1, 1.0, relu_factory), None),
+    (lambda: build_str_pow2(0, 0.1, 1.0, relu2_factory), None),
+    (lambda: build_str_pow2(1, 0.1, 1.0, relu2_factory), None),
+    (lambda: build_str_pow2(2, 0.1, 1.0, relu2_factory), None),
+    (lambda: build_inv(InversionSpec(2, 1.0, 1e-3, 0.5), relu_factory), None),
+    (_bias_off_the_map, None),
+    (lambda: build_in(2, 0.5), None),
+    (lambda: build_split(1), None),
+    (lambda: build_str_pow2(1, 0.1, 1.0, relu_factory), np.sin),
+], ids=["relu-k0", "relu-k1", "relu-k2", "relu2-k0", "relu2-k1", "relu2-k2",
+        "inv-relu-n2", "bias-off-the-map", "glue-in", "glue-split",
+        "user-rho"])
+def test_realize_flat_is_bit_identical_to_layer_by_layer(make, rho):
+    net = make()
+    cols = np.random.default_rng(7).uniform(-1, 1, (net.input_shape.size, 5))
+    for batch in (cols[:, :1], cols, cols[:, 2:3]):  # the last: strided
+        got, want = realize_flat(net, rho, batch), _layer_by_layer(
+            net, rho, batch)
+        assert got.shape == want.shape == (net.output_shape.size,
+                                           batch.shape[1])
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signs of zero too
+
 
 class TestScaleOutput:
     def test_scales_last_layer_only(self, rng):
@@ -288,9 +357,11 @@ def test_matrix_shape_size():
     assert tuple(s) == (3, 5)
 
 
-@pytest.mark.parametrize("shape", [(2.9, 1), (2, 1.0), (True, 1), ("2", 1)])
+@pytest.mark.parametrize("shape", [(2.9, 1), (2, 1.0), (True, 1), ("2", 1),
+                                   (2, 3, 4), (2,)])
 def test_shapes_must_be_integers(shape):
-    # (2.9, 1) used to become (2, 1) and True to read as 1
+    # (2.9, 1) used to become (2, 1), True to read as 1 and (2, 3, 4) to
+    # lose its last item
     with pytest.raises(ValueError, match="shape must be two integers"):
         SparseLinearMap(shape, (1, 1), np.empty((0, 4), dtype=np.int64), [])
     with pytest.raises(ValueError, match="shape must be two integers"):
