@@ -10,25 +10,21 @@ independent oracles.
 """
 
 from .combinators import concat, parallelize
-from .core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder, Layer,
-                   MatrixShape, SparseLinearMap, counts_satisfied,
-                   identity_mnn, mnn_equal, realize, realize_flat,
-                   realize_many, scale_output)
+from .core import (ACTIVATIONS, MNN, ActivationMask, Layer, MatrixShape,
+                   SparseLinearMap, counts_satisfied, identity_mnn, mnn_equal,
+                   realize, realize_flat, realize_many, scale_output)
 from .gadgets import (FACTORIES, GadgetFactory, GadgetSpec,
                       build_product_relu, build_product_relu2,
                       gadget_count_reference, relu2_factory, relu_factory,
                       relu_gadget_bounds, verify_gadget)
-from .inversion import (InversionSpec, NeumannDepth, build_aux, build_dup_half,
-                        build_dup_simple, build_fill, build_flip, build_in,
-                        build_inv, build_mix_aux, build_neu, build_sqr,
-                        compute_N, inv_count_reference,
-                        neu_bound_counts, neumann_depth,
+from .inversion import (InversionSpec, NeumannDepth, build_fill, build_in,
+                        build_inv, build_neu, build_sqr, compute_N,
+                        inv_count_reference, neu_bound_counts, neumann_depth,
                         series_length_estimate)
 from .io import (load_matrix, load_network, network_from_dict,
                  network_to_dict, save_matrix, save_network)
 from .strassen import (RectShape, bound_counts_rect, bound_gadget_spec_rect,
-                       build_ext, build_ext_star, build_mix, build_shr,
-                       build_split, build_str_pow2, build_str_rect,
+                       build_mix, build_split, build_str_pow2, build_str_rect,
                        build_str_square, formula_counts_pow2,
                        pow2_count_reference, rect_count_reference)
 from .verification import SUITES, CriterionResult, run_suite
@@ -36,21 +32,18 @@ from .verification import SUITES, CriterionResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVATIONS", "ActivationMask", "CriterionResult", "EntryBuilder",
-    "FACTORIES", "GadgetFactory", "GadgetSpec", "InversionSpec", "Layer",
-    "MNN", "MatrixShape", "NeumannDepth", "RectShape", "SUITES",
-    "SparseLinearMap", "bound_counts_rect", "bound_gadget_spec_rect",
-    "build_aux", "build_dup_half", "build_dup_simple", "build_ext",
-    "build_ext_star", "build_fill", "build_flip", "build_in", "build_inv",
-    "build_mix", "build_mix_aux", "build_neu", "build_product_relu",
-    "build_product_relu2", "build_shr", "build_split", "build_sqr",
-    "build_str_pow2", "build_str_rect", "build_str_square", "compute_N",
-    "concat", "counts_satisfied", "formula_counts_pow2",
-    "gadget_count_reference", "identity_mnn", "inv_count_reference",
-    "load_matrix", "load_network", "mnn_equal", "network_from_dict",
-    "network_to_dict", "neu_bound_counts", "neumann_depth", "parallelize",
-    "pow2_count_reference", "realize", "realize_flat",
-    "realize_many", "rect_count_reference", "relu2_factory", "relu_factory",
-    "relu_gadget_bounds", "run_suite", "save_matrix", "save_network",
-    "scale_output", "series_length_estimate", "verify_gadget",
+    "ACTIVATIONS", "ActivationMask", "CriterionResult", "FACTORIES",
+    "GadgetFactory", "GadgetSpec", "InversionSpec", "Layer", "MNN",
+    "MatrixShape", "NeumannDepth", "RectShape", "SUITES", "SparseLinearMap",
+    "bound_counts_rect", "bound_gadget_spec_rect", "build_fill", "build_in",
+    "build_inv", "build_mix", "build_neu", "build_product_relu",
+    "build_product_relu2", "build_split", "build_sqr", "build_str_pow2",
+    "build_str_rect", "build_str_square", "compute_N", "concat",
+    "counts_satisfied", "formula_counts_pow2", "gadget_count_reference",
+    "identity_mnn", "inv_count_reference", "load_matrix", "load_network",
+    "mnn_equal", "network_from_dict", "network_to_dict", "neu_bound_counts",
+    "neumann_depth", "parallelize", "pow2_count_reference", "realize",
+    "realize_flat", "realize_many", "rect_count_reference", "relu2_factory",
+    "relu_factory", "relu_gadget_bounds", "run_suite", "save_matrix",
+    "save_network", "scale_output", "series_length_estimate", "verify_gadget",
 ]

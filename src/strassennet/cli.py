@@ -17,7 +17,6 @@ import io as _io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,42 +32,10 @@ from .verification import (DEFAULT_SEED, SUITES, gadget_growth_fit,
                            pow2_growth_rows, run_suite)
 
 
-@dataclass
-class BoundReport:
-    """Measured counts of a built network against its count reference.
-
-    An exact reference is reported as ``formula_M``/``formula_L`` (equality
-    expected), a bound as ``bound_M``/``bound_L`` (measured <= bound).
-    """
-
-    measured_M: int
-    measured_L: int
-    M_ref: float
-    L_ref: float
-    exact: bool
-    satisfied: bool
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        kind = "formula" if self.exact else "bound"
-        doc = {"measured_M": self.measured_M, "measured_L": self.measured_L,
-               f"{kind}_M": self.M_ref, f"{kind}_L": self.L_ref,
-               "satisfied": bool(self.satisfied)}
-        doc.update(self.extras)
-        return doc
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits with 2; keep 2 for verification
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _factory(args):
-    if args.activation not in FACTORIES:
-        raise ValueError(f"unknown activation {args.activation!r}; "
-                         f"choose from {sorted(FACTORIES)}")
-    return FACTORIES[args.activation]
 
 
 def _require_params(args, names):
@@ -111,29 +78,30 @@ KINDS = {
 
 
 def build_network_and_report(args):
-    factory = _factory(args)
+    """The network of ``args`` and its report: measured counts against the
+    count reference, as ``formula_M``/``formula_L`` when it is exact
+    (equality expected) or ``bound_M``/``bound_L`` (measured <= bound)."""
+    factory = FACTORIES[args.activation]
     required, builder, reference = KINDS[args.kind]
     _require_params(args, required)
     net = builder(args, factory)
-    ref = reference(args, factory)
-    extras = {}
+    M_ref, L_ref, exact = ref = reference(args, factory)
+    kind = "formula" if exact else "bound"
+    report = {"measured_M": net.num_weights, "measured_L": net.num_layers,
+              f"{kind}_M": M_ref, f"{kind}_L": L_ref,
+              "satisfied": counts_satisfied(net, ref)}
     if args.kind == "inverse":
         depth = neumann_depth(_inv_spec(args))
-        extras = {
-            "N": depth.N,
-            "Sigma": depth.Sigma,
-            "series_length_estimate":
-                series_length_estimate(args.eps / args.alpha, args.delta),
-        }
-    report = BoundReport(net.num_weights, net.num_layers, *ref,
-                         counts_satisfied(net, ref), extras)
+        report.update(N=depth.N, Sigma=depth.Sigma,
+                      series_length_estimate=series_length_estimate(
+                          args.eps / args.alpha, args.delta))
     return net, report
 
 
 def cmd_build(args) -> int:
     net, report = build_network_and_report(args)
     save_network(net, args.out)
-    doc = json.dumps(report.to_dict(), indent=1)
+    doc = json.dumps(report, indent=1)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(doc + "\n")
@@ -189,7 +157,7 @@ def _growth_rows(activation: str):
 
 
 def _bounds_rows(args):
-    factory = _factory(args)
+    factory = FACTORIES[args.activation]
     rows = []
     for n in (2, 4, 8):
         spec = InversionSpec(n, args.alpha, args.eps, args.delta)

@@ -33,10 +33,19 @@ class MatrixShape(NamedTuple):
         return self.rows * self.cols
 
 
-def _as_shape(shape) -> MatrixShape:
-    if len(shape) != 2 or not all(
-            isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-            for n in shape):
+def _as_shape(shape, keys=()) -> MatrixShape:
+    """``shape`` as two dimensions, each an integer >= 1 (numpy integers
+    count, bools do not).  A refusal quotes the shape or, given the two
+    dimensions' ``keys`` (the loader's field names), names the first
+    offending one."""
+    def whole(n):
+        return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    for key, n in zip(keys, shape):
+        if not whole(n):
+            raise ValueError(f"{key} must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"has non-positive dimensions ({key} = {n})")
+    if len(shape) != 2 or not all(map(whole, shape)):
         raise ValueError(f"shape must be two integers, got {tuple(shape)}")
     s = MatrixShape(int(shape[0]), int(shape[1]))
     if s.rows < 1 or s.cols < 1:
@@ -136,6 +145,25 @@ class SparseLinearMap:
         self.idx = _freeze(idx)
         self.val = _freeze(val)
         self._csr = None
+
+    @classmethod
+    def from_blocks(cls, out_shape, in_shape, blocks) -> "SparseLinearMap":
+        """The map copying whole blocks, each scaled by one coefficient.
+
+        A block ``(out_row, out_col, in_row, in_col, rows, cols, coeff)``
+        sends the ``rows x cols`` input block at 0-based offset
+        ``(in_row, in_col)`` to the output block at ``(out_row, out_col)``.
+        Overlapping blocks and zero coefficients are refused like any
+        repeated or zero entry.
+        """
+        idx, val = [np.empty((0, 4), dtype=np.int64)], [np.empty(0)]
+        for out_row, out_col, in_row, in_col, rows, cols, coeff in blocks:
+            r, c = np.indices((rows, cols)).reshape(2, -1) + 1
+            idx.append(np.stack([out_row + r, out_col + c,
+                                 in_row + r, in_col + c], axis=1))
+            val.append(np.full(r.size, float(coeff)))
+        return cls(out_shape, in_shape, np.concatenate(idx),
+                   np.concatenate(val))
 
     @property
     def nnz(self) -> int:
@@ -393,46 +421,11 @@ def realize_many(net: MNN, rho, inputs) -> np.ndarray:
     return out.T.reshape(X.shape[0], *net.output_shape)
 
 
-class EntryBuilder:
-    """Accumulates sparse entries for a layer; block helpers are 0-based."""
-
-    def __init__(self):
-        self._idx = []
-        self._val = []
-
-    def add(self, i, j, k, l, value):
-        """Add one entry with 1-based indices."""
-        return self._add_rows(np.array([[i, j, k, l]]), value)
-
-    def add_block(self, out_row, out_col, in_row, in_col, rows, cols, coeff=1.0):
-        """Map an input block to an output block entrywise, scaled by coeff.
-
-        Offsets are 0-based; the block spans ``rows x cols`` positions.
-        """
-        r, c = np.indices((rows, cols)).reshape(2, -1) + 1
-        return self._add_rows(np.stack(
-            [out_row + r, out_col + c, in_row + r, in_col + c], axis=1), coeff)
-
-    def add_transposed_block(self, out_row, out_col, in_row, in_col,
-                             rows, cols, coeff=1.0):
-        """Like add_block, but reads the input block transposed."""
-        r, c = np.indices((rows, cols)).reshape(2, -1) + 1
-        return self._add_rows(np.stack(
-            [out_row + r, out_col + c, in_row + c, in_col + r], axis=1), coeff)
-
-    def _add_rows(self, quads, coeff):
-        """Add 1-based (i, j, k, l) rows, all with value coeff."""
-        if coeff == 0.0:
-            raise ValueError("refusing to store an explicit zero")
-        self._idx.append(quads)
-        self._val.append(np.full(len(quads), float(coeff)))
-        return self
-
-    def build(self, out_shape, in_shape) -> SparseLinearMap:
-        if not self._idx:
-            return SparseLinearMap(out_shape, in_shape, (), ())
-        return SparseLinearMap(out_shape, in_shape, np.concatenate(self._idx),
-                               np.concatenate(self._val))
+def _glue(out_shape, in_shape, blocks, bias=None) -> MNN:
+    """A one-layer unlabelled network copying the given blocks (see
+    :meth:`SparseLinearMap.from_blocks`), plus an optional bias."""
+    linmap = SparseLinearMap.from_blocks(out_shape, in_shape, blocks)
+    return MNN([Layer(linmap, bias)])
 
 
 def identity_mnn(shape, depth: int) -> MNN:
@@ -444,8 +437,8 @@ def identity_mnn(shape, depth: int) -> MNN:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     shape = _as_shape(shape)
-    linmap = EntryBuilder().add_block(0, 0, 0, 0, shape.rows,
-                                      shape.cols).build(shape, shape)
+    linmap = SparseLinearMap.from_blocks(
+        shape, shape, [(0, 0, 0, 0, shape.rows, shape.cols, 1.0)])
     return MNN([Layer(linmap) for _ in range(depth)])
 
 

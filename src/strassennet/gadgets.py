@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MNN, ActivationMask, EntryBuilder, Layer, realize_flat
+from .core import (MNN, ActivationMask, Layer, SparseLinearMap,
+                   realize_flat)
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,16 @@ class GadgetFactory:
     build: Callable[[GadgetSpec], MNN]
 
 
+def _row_map(coeffs) -> SparseLinearMap:
+    """The map between ``1 x w`` rows whose output column j takes
+    ``coeffs[j][l]`` times input column l; zero coefficients are not stored."""
+    C = np.array(coeffs, dtype=float)
+    j, l = np.nonzero(C)
+    one = np.ones_like(j)
+    return SparseLinearMap((1, len(C)), (1, C.shape[1]),
+                           np.stack([one, j + 1, one, l + 1], axis=1), C[j, l])
+
+
 def build_product_relu2() -> MNN:
     """The exact product network over rho(t) = ReLU(t)^2.
 
@@ -50,14 +61,9 @@ def build_product_relu2() -> MNN:
     combines their squares as ((x+y)^2 - (x-y)^2) / 4 = xy.  12 weights,
     2 layers, no approximation error beyond floating-point rounding.
     """
-    first = EntryBuilder()
-    for col, (cx, cy) in enumerate([(1, 1), (-1, -1), (1, -1), (-1, 1)], start=1):
-        first.add(1, col, 1, 1, cx).add(1, col, 1, 2, cy)
-    layer1 = Layer(first.build((1, 4), (1, 2)), mask=ActivationMask.all_rho((1, 4)))
-    second = EntryBuilder()
-    for col, coeff in enumerate([0.25, 0.25, -0.25, -0.25], start=1):
-        second.add(1, 1, 1, col, coeff)
-    layer2 = Layer(second.build((1, 1), (1, 4)))
+    layer1 = Layer(_row_map([[1, 1], [-1, -1], [1, -1], [-1, 1]]),
+                   mask=ActivationMask.all_rho((1, 4)))
+    layer2 = Layer(_row_map([[0.25, 0.25, -0.25, -0.25]]))
     return MNN([layer1, layer2], "relu2")
 
 
@@ -95,20 +101,14 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     """
     eps, K = spec.epsilon, spec.K
     if eps >= K * K:
-        return MNN([Layer(EntryBuilder().build((1, 1), (1, 2)))], "relu")
+        return MNN([Layer(_row_map([[0, 0]]))], "relu")
     m = _sawtooth_depth(eps, K)
     c = 1.0 / (2.0 * K)
-    first = EntryBuilder()
-    for col, (cx, cy) in enumerate([(c, c), (-c, -c), (c, -c), (-c, c)], start=1):
-        first.add(1, col, 1, 1, cx).add(1, col, 1, 2, cy)
-    layers = [Layer(first.build((1, 4), (1, 2)),
+    K2 = K * K
+    layers = [Layer(_row_map([[c, c], [-c, -c], [c, -c], [-c, c]]),
                     mask=ActivationMask.all_rho((1, 4)))]
     if m == 0:
-        final = EntryBuilder()
-        K2 = K * K
-        for col, coeff in enumerate([K2, K2, -K2, -K2], start=1):
-            final.add(1, 1, 1, col, coeff)
-        layers.append(Layer(final.build((1, 1), (1, 4))))
+        layers.append(Layer(_row_map([[K2, K2, -K2, -K2]])))
         return MNN(layers, "relu")
 
     # state columns: (T, Q, T', Q', C); after stage s the linear combination
@@ -116,32 +116,17 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     # and C carries the telescoped partial sum of the two towers' difference.
     half_bias = np.array([[0.0, -0.5, 0.0, -0.5, 0.0]])
     stage_mask = ActivationMask.from_positions((1, 5), [(1, 2), (1, 4)])
-    stage1 = EntryBuilder()
-    for col in (1, 2):
-        stage1.add(1, col, 1, 1, 1.0).add(1, col, 1, 2, 1.0)
-    for col in (3, 4):
-        stage1.add(1, col, 1, 3, 1.0).add(1, col, 1, 4, 1.0)
-    stage1.add(1, 5, 1, 1, 1.0).add(1, 5, 1, 2, 1.0)
-    stage1.add(1, 5, 1, 3, -1.0).add(1, 5, 1, 4, -1.0)
-    layers.append(Layer(stage1.build((1, 5), (1, 4)), half_bias, stage_mask))
+    stage1 = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1],
+              [1, 1, -1, -1]]
+    layers.append(Layer(_row_map(stage1), half_bias, stage_mask))
     for s in range(2, m + 1):
         g = 4.0 ** (s - 1)
-        stage = EntryBuilder()
-        for col in (1, 2):
-            stage.add(1, col, 1, 1, 2.0).add(1, col, 1, 2, -4.0)
-        for col in (3, 4):
-            stage.add(1, col, 1, 3, 2.0).add(1, col, 1, 4, -4.0)
-        stage.add(1, 5, 1, 5, 1.0)
-        stage.add(1, 5, 1, 1, -2.0 / g).add(1, 5, 1, 2, 4.0 / g)
-        stage.add(1, 5, 1, 3, 2.0 / g).add(1, 5, 1, 4, -4.0 / g)
-        layers.append(Layer(stage.build((1, 5), (1, 5)), half_bias, stage_mask))
+        stage = [[2, -4, 0, 0, 0], [2, -4, 0, 0, 0], [0, 0, 2, -4, 0],
+                 [0, 0, 2, -4, 0], [-2 / g, 4 / g, 2 / g, -4 / g, 1]]
+        layers.append(Layer(_row_map(stage), half_bias, stage_mask))
     g = 4.0 ** m
-    K2 = K * K
-    final = (EntryBuilder()
-             .add(1, 1, 1, 5, K2)
-             .add(1, 1, 1, 1, -2.0 * K2 / g).add(1, 1, 1, 2, 4.0 * K2 / g)
-             .add(1, 1, 1, 3, 2.0 * K2 / g).add(1, 1, 1, 4, -4.0 * K2 / g))
-    layers.append(Layer(final.build((1, 1), (1, 5))))
+    final = [[-2 * K2 / g, 4 * K2 / g, 2 * K2 / g, -4 * K2 / g, K2]]
+    layers.append(Layer(_row_map(final)))
     return MNN(layers, "relu")
 
 

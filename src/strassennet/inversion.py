@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinators import concat, parallelize
-from .core import MNN, EntryBuilder, Layer, scale_output
+from .core import MNN, Layer, SparseLinearMap, _glue, scale_output
 from .gadgets import GadgetFactory, GadgetSpec
 from .strassen import build_str_square
 
@@ -98,21 +98,17 @@ def _leaf_budget(N: int, n: int, eps: float) -> float:
     return sigma
 
 
-def build_dup_simple(n: int) -> MNN:
+def _build_dup_simple(n: int) -> MNN:
     """One layer mapping A to (A | A); 2 n^2 weights."""
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, n, n)
-    builder.add_block(0, n, 0, 0, n, n)
-    return MNN([Layer(builder.build((n, 2 * n), (n, n)))])
+    return _glue((n, 2 * n), (n, n),
+                 [(0, 0, 0, 0, n, n, 1.0), (0, n, 0, 0, n, n, 1.0)])
 
 
-def build_dup_half(n: int) -> MNN:
+def _build_dup_half(n: int) -> MNN:
     """One layer mapping A to (A/2 | A/2 ; A/2 | 0); 3 n^2 weights."""
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, n, n, 0.5)
-    builder.add_block(0, n, 0, 0, n, n, 0.5)
-    builder.add_block(n, 0, 0, 0, n, n, 0.5)
-    return MNN([Layer(builder.build((2 * n, 2 * n), (n, n)))])
+    return _glue((2 * n, 2 * n), (n, n), [(0, 0, 0, 0, n, n, 0.5),
+                                          (0, n, 0, 0, n, n, 0.5),
+                                          (n, 0, 0, 0, n, n, 0.5)])
 
 
 def build_fill(n: int, L: int) -> MNN:
@@ -124,40 +120,32 @@ def build_fill(n: int, L: int) -> MNN:
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    block = EntryBuilder().add_block(0, 0, 0, 0, n, n)
-    select = block.build((n, n), (n, 2 * n))
+    block = [(0, 0, 0, 0, n, n, 1.0)]
+    select = SparseLinearMap.from_blocks((n, n), (n, 2 * n), block)
     half_eye = np.eye(n) / 2.0
     if L == 1:
         return MNN([Layer(select, half_eye)])
-    carry = block.build((n, n), (n, n))
+    carry = SparseLinearMap.from_blocks((n, n), (n, n), block)
     return MNN([Layer(select)] + [Layer(carry) for _ in range(L - 2)]
                + [Layer(carry, half_eye)])
 
 
-def build_flip(n: int, k: int) -> MNN:
+def _build_flip(n: int, k: int) -> MNN:
     """One layer mapping (A ; B) to (A + 2^(-2^k) I | B); 2 n^2 + n weights."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, n, n)
-    builder.add_block(0, n, n, 0, n, n)
     bias = np.zeros((n, 2 * n))
     bias[:n, :n] = 2.0 ** (-(2 ** k)) * np.eye(n)
-    return MNN([Layer(builder.build((n, 2 * n), (2 * n, n)), bias)])
+    return _glue((n, 2 * n), (2 * n, n),
+                 [(0, 0, 0, 0, n, n, 1.0), (0, n, n, 0, n, n, 1.0)], bias)
 
 
-def build_mix_aux(n: int, k: int) -> MNN:
+def _build_mix_aux(n: int, k: int) -> MNN:
     """One layer mapping (A ; B) to (A | A ; A + 2^(-2^k) I | B); 4 n^2 + n."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, n, n)
-    builder.add_block(0, n, 0, 0, n, n)
-    builder.add_block(n, 0, 0, 0, n, n)
-    builder.add_block(n, n, n, 0, n, n)
     bias = np.zeros((2 * n, 2 * n))
     bias[n:, :n] = 2.0 ** (-(2 ** k)) * np.eye(n)
-    return MNN([Layer(builder.build((2 * n, 2 * n), (2 * n, n)), bias)])
+    return _glue((2 * n, 2 * n), (2 * n, n), [(0, 0, 0, 0, n, n, 1.0),
+                                              (0, n, 0, 0, n, n, 1.0),
+                                              (n, 0, 0, 0, n, n, 1.0),
+                                              (n, n, n, 0, n, n, 1.0)], bias)
 
 
 def _square_once(n: int, eps: float, factory: GadgetFactory) -> MNN:
@@ -175,7 +163,7 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         raise ValueError("N must be >= 1")
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
-    stage = concat(_square_once(n, eps, factory), build_dup_simple(n))
+    stage = concat(_square_once(n, eps, factory), _build_dup_simple(n))
     net = stage
     for _ in range(N - 1):
         net = concat(net, stage)
@@ -183,30 +171,23 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
 
 
 def _aux_chain(i: int, n: int, square: MNN) -> MNN:
+    """Stage i of the power-and-product chain, output stacked 2n x n.
+
+    The top block carries the repeated square of A/2 (identical, bit for
+    bit, to ``build_sqr(i, ...)`` evaluated at A/2 when ``square`` is its
+    multiplier); the bottom block carries the running product of the
+    rescaled Neumann factors.
+    """
     aux = concat(
         parallelize([square, build_fill(n, square.num_layers)]),
-        build_dup_half(n),
+        _build_dup_half(n),
     )
     for stage in range(2, i + 1):
         aux = concat(
             parallelize([square, square]),
-            concat(build_mix_aux(n, stage - 1), aux),
+            concat(_build_mix_aux(n, stage - 1), aux),
         )
     return aux
-
-
-def build_aux(i: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
-    """Stage i of the power-and-product chain, output stacked 2n x n.
-
-    The top block carries the repeated square of A/2 (identical, bit for
-    bit, to ``build_sqr(i, ...)`` evaluated at A/2); the bottom block
-    carries the running product of the rescaled Neumann factors.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must lie in (0, 1/4)")
-    return _aux_chain(i, n, _square_once(n, eps, factory))
 
 
 def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
@@ -221,10 +202,8 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         raise ValueError("N must be >= 1")
     if N == 1:
         # labelled so that build_inv's N = 1 network keeps the factory's label
-        builder = EntryBuilder()
-        builder.add_block(0, 0, 0, 0, n, n)
-        return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))],
-                   factory.activation_name)
+        plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
+        return MNN(plus_eye.layers, factory.activation_name)
     if not 0.0 < eps < 0.125:
         raise ValueError("eps must lie in (0, 1/8) when N >= 2")
     eps_inner = 2.0 ** (1 - 2 ** N) * eps
@@ -233,7 +212,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         raise _depth_underflow(N, n, eps)
     square = _square_once(n, eps_inner, factory)
     aux = _aux_chain(N - 1, n, square)
-    net = concat(square, concat(build_flip(n, N - 1), aux))
+    net = concat(square, concat(_build_flip(n, N - 1), aux))
     return scale_output(net, 2.0 ** (2 ** N - 1))
 
 
@@ -241,9 +220,7 @@ def build_in(n: int, alpha: float) -> MNN:
     """One layer mapping A to I - alpha A; n^2 + n weights."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, n, n, -alpha)
-    return MNN([Layer(builder.build((n, n), (n, n)), np.eye(n))])
+    return _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, -alpha)], np.eye(n))
 
 
 def _neu_plan(spec: InversionSpec):

@@ -19,7 +19,8 @@ import json
 
 import numpy as np
 
-from .core import MNN, ActivationMask, Layer, SparseLinearMap, _stored_rows
+from .core import (MNN, ActivationMask, Layer, SparseLinearMap, _as_shape,
+                   _stored_rows)
 
 FORMAT_KEYS = ("activation", "layers")
 LAYER_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols",
@@ -66,11 +67,12 @@ def _is_number(x) -> bool:
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
 
 
-def _read_table(spec: dict, pos: int, key: str) -> np.ndarray:
-    """Table ``key`` of layer ``pos`` converted in one numpy call; the first
-    row of the wrong length or holding a non-number is refused by position."""
+def _read_table(spec: dict, key: str) -> np.ndarray:
+    """Table ``key`` of a layer converted in one numpy call; the first row
+    of the wrong length or holding a non-number is refused by position."""
     rows, (what, fields) = spec[key], TABLES[key]
-    _require(isinstance(rows, list), f"layer {pos} {key} must be a list")
+    if not isinstance(rows, list):
+        raise ValueError(f"{key} must be a list")
     width = fields.count(",") + 1
     try:
         table = np.array(rows) if rows else np.empty((0, width))
@@ -80,18 +82,23 @@ def _read_table(spec: dict, pos: int, key: str) -> np.ndarray:
         e = next(e for e, row in enumerate(rows)
                  if not (isinstance(row, list) and len(row) == width
                          and all(map(_is_number, row))))
-        _require(False, f"layer {pos} {what} {e} must be {fields}, "
-                        f"got {rows[e]!r:.60}")
+        raise ValueError(f"{what} {e} must be {fields}, got {rows[e]!r:.60}")
     return table
 
 
-def _dimension(spec: dict, pos: int, key: str) -> int:
-    n = spec[key]
-    _require(type(n) is int, f"layer {pos} {key} must be an integer, "
-                             f"got {n!r}")
-    _require(n >= 1, f"layer {pos} has non-positive dimensions "
-                     f"({key} = {n})")
-    return n
+def _layer(spec: dict) -> Layer:
+    """One layer from its JSON object, refused like a built one."""
+    out_keys, in_keys = LAYER_KEYS[:2], LAYER_KEYS[2:4]
+    out_shape = _as_shape([spec[key] for key in out_keys], out_keys)
+    in_shape = _as_shape([spec[key] for key in in_keys], in_keys)
+    entries, bias_rows, mask_rows = (_read_table(spec, key) for key in TABLES)
+    linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4], entries[:, 4])
+    at, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2], out_shape,
+                              bias_rows[:, 2])
+    bias = np.zeros(out_shape)
+    bias[tuple(at.T - 1)] = values
+    return Layer(linmap, bias, ActivationMask.from_positions(out_shape,
+                                                             mask_rows))
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -109,23 +116,10 @@ def network_from_dict(doc: dict) -> MNN:
         _require(isinstance(spec, dict), f"layer {pos} must be an object")
         for key in LAYER_KEYS:
             _require(key in spec, f"layer {pos} missing key {key!r}")
-        out_shape = (_dimension(spec, pos, "out_rows"),
-                     _dimension(spec, pos, "out_cols"))
-        in_shape = (_dimension(spec, pos, "in_rows"),
-                    _dimension(spec, pos, "in_cols"))
-        entries, bias_rows, mask_rows = (_read_table(spec, pos, key)
-                                         for key in TABLES)
         try:
-            linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
-                                     entries[:, 4])
-            at, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
-                                      out_shape, bias_rows[:, 2])
-            mask = ActivationMask.from_positions(out_shape, mask_rows)
+            layers.append(_layer(spec))
         except ValueError as exc:
             raise ValueError(f"bad network file: layer {pos} {exc}") from None
-        bias = np.zeros(out_shape)
-        bias[tuple(at.T - 1)] = values
-        layers.append(Layer(linmap, bias, mask))
     return MNN(layers, label)
 
 

@@ -8,15 +8,17 @@ bottom sit scalar product gadgets.  The weight and layer counts of the
 result obey closed-form expressions (``formula_counts_pow2``) exactly.
 
 Rectangular and general square operands are handled by zero-padding up to
-the next power of two (``build_ext`` / ``build_ext_star``) and cropping the
-result (``build_shr``).
+the next power of two and cropping the result (``build_str_rect`` /
+``build_str_square``).
 """
 
 import math
 from dataclasses import dataclass
 
 from .combinators import concat, parallelize
-from .core import MNN, EntryBuilder, Layer
+import numpy as np
+
+from .core import MNN, Layer, SparseLinearMap, _glue
 from .gadgets import GadgetFactory, GadgetSpec
 
 #: quadrant recombination: output quadrant -> [(child index, sign)]
@@ -66,12 +68,9 @@ def build_mix(k: int) -> MNN:
     if k < 1:
         raise ValueError("k must be >= 1")
     h = 2 ** (k - 1)
-    builder = EntryBuilder()
-    for (qr, qc), terms in _MIX_RULES.items():
-        for child, sign in terms:
-            builder.add_block(qr * h, qc * h, (child - 1) * h, 0, h, h, sign)
-    linmap = builder.build((2 * h, 2 * h), (7 * h, h))
-    return MNN([Layer(linmap)])
+    return _glue((2 * h, 2 * h), (7 * h, h), [
+        (qr * h, qc * h, (child - 1) * h, 0, h, h, sign)
+        for (qr, qc), terms in _MIX_RULES.items() for child, sign in terms])
 
 
 def build_split(k: int) -> MNN:
@@ -79,15 +78,14 @@ def build_split(k: int) -> MNN:
     if k < 1:
         raise ValueError("k must be >= 1")
     h = 2 ** (k - 1)
-    builder = EntryBuilder()
+    blocks = []
     for child, (a_terms, b_terms) in _SPLIT_RULES.items():
         row = (child - 1) * h
-        for (qr, qc), sign in a_terms:
-            builder.add_block(row, 0, qr * h, qc * h, h, h, sign)
-        for (qr, qc), sign in b_terms:
-            builder.add_block(row, h, qr * h, 2 * h + qc * h, h, h, sign)
-    linmap = builder.build((7 * h, 2 * h), (2 * h, 4 * h))
-    return MNN([Layer(linmap)])
+        blocks += [(row, 0, qr * h, qc * h, h, h, sign)
+                   for (qr, qc), sign in a_terms]
+        blocks += [(row, h, qr * h, 2 * h + qc * h, h, h, sign)
+                   for (qr, qc), sign in b_terms]
+    return _glue((7 * h, 2 * h), (2 * h, 4 * h), blocks)
 
 
 def build_str_pow2(k: int, eps: float, K: float,
@@ -122,47 +120,43 @@ def formula_counts_pow2(k: int, M_gadget: int, L_gadget: int):
     return M, L
 
 
-def build_ext(shape: RectShape) -> MNN:
+def _build_ext(shape: RectShape) -> MNN:
     """Padding layer for rectangular operands, input (A^T | B).
 
     Reads the transposed left operand, undoes the transpose, and zero-pads
     both operands to the 2^k x 2^k frame expected by the power-of-two
-    multiplier.  Costs n (m + p) weights.
+    multiplier.  Costs n (m + p) weights, one per input entry.
     """
+    m, n, p = shape.m, shape.n, shape.p
     side = 2 ** shape.k
-    builder = EntryBuilder()
-    builder.add_transposed_block(0, 0, 0, 0, shape.m, shape.n)
-    builder.add_block(0, side, 0, shape.m, shape.n, shape.p)
-    linmap = builder.build((side, 2 * side), (shape.n, shape.m + shape.p))
+    k, l = np.indices((n, m + p)).reshape(2, -1) + 1
+    left = l <= m  # input (k, l) of A^T is A's entry (l, k)
+    idx = np.stack([np.where(left, l, k), np.where(left, k, side + l - m),
+                    k, l], axis=1)
+    linmap = SparseLinearMap((side, 2 * side), (n, m + p), idx,
+                             np.ones(len(idx)))
     return MNN([Layer(linmap)])
 
 
-def build_ext_star(n: int) -> MNN:
+def _build_ext_star(n: int) -> MNN:
     """Padding layer for square operands, input (A | B); 2 n^2 weights."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     side = 2 ** RectShape(n, n, n).k
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, n, n)
-    builder.add_block(0, side, 0, n, n, n)
-    linmap = builder.build((side, 2 * side), (n, 2 * n))
-    return MNN([Layer(linmap)])
+    return _glue((side, 2 * side), (n, 2 * n),
+                 [(0, 0, 0, 0, n, n, 1.0), (0, side, 0, n, n, n, 1.0)])
 
 
-def build_shr(shape: RectShape) -> MNN:
+def _build_shr(shape: RectShape) -> MNN:
     """Cropping layer: keeps the top-left m x p block; m p weights."""
     side = 2 ** shape.k
-    builder = EntryBuilder()
-    builder.add_block(0, 0, 0, 0, shape.m, shape.p)
-    linmap = builder.build((shape.m, shape.p), (side, side))
-    return MNN([Layer(linmap)])
+    return _glue((shape.m, shape.p), (side, side),
+                 [(0, 0, 0, 0, shape.m, shape.p, 1.0)])
 
 
 def build_str_rect(shape: RectShape, eps: float, K: float,
                    factory: GadgetFactory) -> MNN:
     """Multiplier for m x n by n x p operands, input (A^T | B), output m x p."""
     inner = build_str_pow2(shape.k, eps, K, factory)
-    return concat(build_shr(shape), concat(inner, build_ext(shape)))
+    return concat(_build_shr(shape), concat(inner, _build_ext(shape)))
 
 
 def build_str_square(n: int, eps: float, K: float,
@@ -170,7 +164,7 @@ def build_str_square(n: int, eps: float, K: float,
     """Multiplier for n x n operands, input (A | B) untransposed."""
     shape = RectShape(n, n, n)
     inner = build_str_pow2(shape.k, eps, K, factory)
-    return concat(build_shr(shape), concat(inner, build_ext_star(n)))
+    return concat(_build_shr(shape), concat(inner, _build_ext_star(n)))
 
 
 def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):

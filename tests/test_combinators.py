@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strassennet.combinators import concat, parallelize
-from strassennet.core import (MNN, EntryBuilder, Layer, identity_mnn, realize,
-                              scale_output)
+from strassennet.core import (MNN, Layer, SparseLinearMap, identity_mnn,
+                              realize, scale_output)
 
 
 def _affine_net(n, coeff, bias_value, depth=1):
     layers = []
     for d in range(depth):
-        b = EntryBuilder().add_block(0, 0, 0, 0, n, n, coeff if d == 0 else 1.0)
+        lm = SparseLinearMap.from_blocks(
+            (n, n), (n, n), [(0, 0, 0, 0, n, n, coeff if d == 0 else 1.0)])
         bias = np.full((n, n), bias_value) if d == depth - 1 else None
-        layers.append(Layer(b.build((n, n), (n, n)), bias))
+        layers.append(Layer(lm, bias))
     return MNN(layers, "relu")
 
 
@@ -86,14 +87,10 @@ class TestParallelize:
     def test_ragged_intermediate_widths_are_padded(self, rng):
         # one branch widens internally, the other stays narrow; the stacked
         # network must still compute both, column-padding the narrow one
-        wide_hidden = Layer(EntryBuilder()
-                            .add_block(0, 0, 0, 0, 2, 2)
-                            .add_block(0, 2, 0, 0, 2, 2)
-                            .build((2, 4), (2, 2)))
-        wide_out = Layer(EntryBuilder()
-                         .add_block(0, 0, 0, 0, 2, 2)
-                         .add_block(0, 0, 0, 2, 2, 2)
-                         .build((2, 2), (2, 4)))
+        wide_hidden = Layer(SparseLinearMap.from_blocks((2, 4), (2, 2), [
+            (0, 0, 0, 0, 2, 2, 1.0), (0, 2, 0, 0, 2, 2, 1.0)]))
+        wide_out = Layer(SparseLinearMap.from_blocks((2, 2), (2, 4), [
+            (0, 0, 0, 0, 2, 2, 1.0), (0, 0, 0, 2, 2, 2, 1.0)]))
         wide = MNN([wide_hidden, wide_out], "relu")   # X -> 2X via a detour
         narrow = identity_mnn((2, 2), 2)
         par = parallelize([wide, narrow])

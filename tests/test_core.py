@@ -1,12 +1,12 @@
-"""Layer/network data structures, realization, and the entry builder."""
+"""Layer/network data structures, realization, and block-table maps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, EntryBuilder,
-                              Layer, MatrixShape, SparseLinearMap,
+from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, Layer,
+                              MatrixShape, SparseLinearMap,
                               counts_satisfied, identity_mnn, mnn_equal,
                               realize, realize_flat, realize_many,
                               scale_output)
@@ -15,10 +15,10 @@ from strassennet.inversion import InversionSpec, build_in, build_inv
 from strassennet.strassen import build_split, build_str_pow2
 
 
-def _ident_map(n):
-    b = EntryBuilder()
-    b.add_block(0, 0, 0, 0, n, n)
-    return b.build((n, n), (n, n))
+def _ident_map(rows, cols=None):
+    shape = (rows, cols or rows)
+    return SparseLinearMap.from_blocks(shape, shape,
+                                       [(0, 0, 0, 0, *shape, 1.0)])
 
 
 class TestSparseLinearMap:
@@ -80,8 +80,7 @@ class TestSparseLinearMap:
         assert np.array_equal(lm.apply(np.ones((3, 3))), np.zeros((2, 2)))
 
     def test_entries_report_one_based(self):
-        b = EntryBuilder().add(2, 1, 1, 3, -4.0)
-        lm = b.build((2, 2), (1, 3))
+        lm = SparseLinearMap((2, 2), (1, 3), [[2, 1, 1, 3]], [-4.0])
         assert lm.idx.tolist() == [[2, 1, 1, 3]] and lm.val.tolist() == [-4.0]
 
     def test_rejects_non_finite_coefficients(self):
@@ -164,7 +163,7 @@ class TestLayerAndNetwork:
 
     def test_shape_chain_validated(self):
         l1 = Layer(_ident_map(2))
-        l3 = Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).build((1, 1), (3, 3)))
+        l3 = Layer(SparseLinearMap((1, 1), (3, 3), [[1, 1, 1, 1]], [1.0]))
         with pytest.raises(ValueError, match="layer 2"):
             MNN([l1, l3], "relu")
 
@@ -197,28 +196,24 @@ class TestLayerAndNetwork:
 
     def test_relu_mask_applies_only_where_marked(self):
         mask = ActivationMask.from_positions((1, 2), [(1, 1)])
-        b = EntryBuilder().add(1, 1, 1, 1, 1.0).add(1, 2, 1, 2, 1.0)
-        hidden = Layer(b.build((1, 2), (1, 2)), mask=mask)
-        out = Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).add(1, 2, 1, 2, 1.0)
-                    .build((1, 2), (1, 2)))
+        hidden = Layer(_ident_map(1, 2), mask=mask)
+        out = Layer(_ident_map(1, 2))
         net = MNN([hidden, out], "relu")
         got = realize(net, None, np.array([[-2.0, -3.0]]))
         assert np.array_equal(got, [[0.0, -3.0]])
 
     def test_relu2_activation(self):
         mask = ActivationMask.all_rho((1, 1))
-        hidden = Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).build((1, 1), (1, 1)),
-                       mask=mask)
-        out = Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).build((1, 1), (1, 1)))
+        hidden = Layer(_ident_map(1), mask=mask)
+        out = Layer(_ident_map(1))
         net = MNN([hidden, out], "relu2")
         assert realize(net, None, np.array([[3.0]]))[0, 0] == 9.0
         assert realize(net, None, np.array([[-3.0]]))[0, 0] == 0.0
 
     def test_unknown_activation_rejected_when_needed(self):
         mask = ActivationMask.all_rho((1, 1))
-        hidden = Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).build((1, 1), (1, 1)),
-                       mask=mask)
-        out = Layer(EntryBuilder().add(1, 1, 1, 1, 1.0).build((1, 1), (1, 1)))
+        hidden = Layer(_ident_map(1), mask=mask)
+        out = Layer(_ident_map(1))
         net = MNN([hidden, out], "softplus")
         with pytest.raises(ValueError, match="activation"):
             realize(net, None, np.array([[1.0]]))
@@ -322,33 +317,33 @@ class TestScaleOutput:
         assert np.array_equal(got, 3.0 * bias)
 
 
-class TestEntryBuilder:
-    def test_add_rejects_zero_coefficient(self):
-        with pytest.raises(ValueError):
-            EntryBuilder().add(1, 1, 1, 1, 0.0)
+class TestFromBlocks:
+    def test_rejects_zero_coefficient(self):
+        with pytest.raises(ValueError, match=r"entry 0 .* stores a zero"):
+            SparseLinearMap.from_blocks((1, 1), (1, 1),
+                                        [(0, 0, 0, 0, 1, 1, 0.0)])
 
-    def test_overlapping_blocks_are_refused_at_build(self):
-        b = EntryBuilder().add_block(0, 0, 0, 0, 2, 2)
-        b.add_transposed_block(1, 1, 1, 1, 1, 1)
+    def test_overlapping_blocks_are_refused(self):
+        blocks = [(0, 0, 0, 0, 2, 2, 1.0), (1, 1, 1, 1, 1, 1, 1.0)]
         with pytest.raises(ValueError, match=r"entry 4 .*\(duplicate\)"):
-            b.build((2, 2), (2, 2))
+            SparseLinearMap.from_blocks((2, 2), (2, 2), blocks)
 
     def test_block_offsets(self, rng):
         # place input block (rows 0-1, cols 0-1) into output rows 2-3, cols 0-1
-        b = EntryBuilder()
-        b.add_block(2, 0, 0, 0, 2, 2, coeff=-1.0)
-        lm = b.build((4, 2), (2, 2))
+        lm = SparseLinearMap.from_blocks((4, 2), (2, 2),
+                                         [(2, 0, 0, 0, 2, 2, -1.0)])
         X = rng.uniform(-1, 1, (2, 2))
         got = lm.apply(X)
         assert np.array_equal(got[:2], np.zeros((2, 2)))
         assert np.array_equal(got[2:], -X)
 
-    def test_transposed_block(self, rng):
-        b = EntryBuilder()
-        b.add_transposed_block(0, 0, 0, 0, 3, 2)
-        lm = b.build((3, 2), (2, 3))
-        X = rng.uniform(-1, 1, (2, 3))
-        assert np.array_equal(lm.apply(X), X.T)
+    def test_entries_are_the_blocks_entrywise(self):
+        lm = SparseLinearMap.from_blocks((2, 3), (1, 2), [
+            (1, 1, 0, 0, 1, 2, 2.5), (0, 0, 0, 1, 1, 1, -1.0)])
+        assert lm.idx.tolist() == [[1, 1, 1, 2], [2, 2, 1, 1], [2, 3, 1, 2]]
+        assert lm.val.tolist() == [-1.0, 2.5, 2.5]
+        empty = SparseLinearMap.from_blocks((2, 2), (1, 1), [])
+        assert empty.nnz == 0 and empty.idx.shape == (0, 4)
 
 
 def test_matrix_shape_size():

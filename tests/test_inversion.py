@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strassennet import oracles
-from strassennet.core import realize
+from strassennet.core import counts_satisfied, realize
 from strassennet.gadgets import relu2_factory, relu_factory
-from strassennet.inversion import (InversionSpec, NeumannDepth, build_aux,
-                                   build_dup_half, build_dup_simple,
-                                   build_fill, build_flip, build_in, build_inv,
-                                   build_mix_aux, build_neu, build_sqr,
-                                   compute_N,
-                                   inv_count_reference, neu_bound_counts,
-                                   neumann_depth, series_length_estimate)
+from strassennet.inversion import (InversionSpec, NeumannDepth, _aux_chain,
+                                   _build_dup_half, _build_dup_simple,
+                                   _build_flip, _build_mix_aux, _square_once,
+                                   build_fill, build_in, build_inv, build_neu,
+                                   build_sqr, compute_N, inv_count_reference,
+                                   neu_bound_counts, neumann_depth,
+                                   series_length_estimate)
 from strassennet.strassen import build_str_square
 
 from conftest import gauss_with_norm
@@ -75,18 +75,18 @@ class TestDepthFormulas:
 class TestAuxiliaryLayers:
     def test_dup_simple(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
-        out = realize(build_dup_simple(3), None, A)
+        out = realize(_build_dup_simple(3), None, A)
         assert np.array_equal(out, np.hstack([A, A]))
-        assert build_dup_simple(3).num_weights == 18
+        assert _build_dup_simple(3).num_weights == 18
 
     def test_dup_half(self, rng):
         A = rng.uniform(-1, 1, (2, 2))
-        out = realize(build_dup_half(2), None, A)
+        out = realize(_build_dup_half(2), None, A)
         assert np.array_equal(out[:2, :2], A / 2)
         assert np.array_equal(out[:2, 2:], A / 2)
         assert np.array_equal(out[2:, :2], A / 2)
         assert np.array_equal(out[2:, 2:], np.zeros((2, 2)))
-        assert build_dup_half(2).num_weights == 12
+        assert _build_dup_half(2).num_weights == 12
 
     def test_fill_selects_and_offsets(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
@@ -101,7 +101,7 @@ class TestAuxiliaryLayers:
     def test_flip(self, rng):
         A = rng.uniform(-1, 1, (2, 2))
         B = rng.uniform(-1, 1, (2, 2))
-        net = build_flip(2, 2)
+        net = _build_flip(2, 2)
         out = realize(net, None, np.vstack([A, B]))
         assert np.allclose(out[:, :2], A + 2.0 ** -4 * np.eye(2), atol=1e-15)
         assert np.array_equal(out[:, 2:], B)
@@ -110,7 +110,7 @@ class TestAuxiliaryLayers:
     def test_mix_aux(self, rng):
         A = rng.uniform(-1, 1, (2, 2))
         B = rng.uniform(-1, 1, (2, 2))
-        net = build_mix_aux(2, 1)
+        net = _build_mix_aux(2, 1)
         out = realize(net, None, np.vstack([A, B]))
         assert np.array_equal(out[:2, :2], A)
         assert np.array_equal(out[:2, 2:], A)
@@ -162,13 +162,18 @@ class TestRepeatedSquaring:
         assert three.num_weights == 3 * one.num_weights
 
 
+def _aux(i, n, eps, factory):
+    """The power-and-product chain of stage i over the squaring network."""
+    return _aux_chain(i, n, _square_once(n, eps, factory))
+
+
 class TestAuxChain:
     def test_top_block_is_the_squaring_net_bit_for_bit(self, rng):
         # the power track of the chain must agree exactly with the plain
         # repeated-squaring network applied to A/2
         eps = 0.1
         for i in (1, 2, 3):
-            aux = build_aux(i, 2, eps, relu_factory)
+            aux = _aux(i, 2, eps, relu_factory)
             sqr = build_sqr(i, 2, eps, relu_factory)
             A = gauss_with_norm(rng, 2, 0.8)
             top = realize(aux, None, A)[:2]
@@ -177,7 +182,7 @@ class TestAuxChain:
     def test_bottom_block_tracks_the_factor_product(self, rng):
         eps = 0.01
         for i in (1, 2):
-            aux = build_aux(i, 2, eps, relu2_factory)
+            aux = _aux(i, 2, eps, relu2_factory)
             A = gauss_with_norm(rng, 2, 0.9)
             bottom = realize(aux, None, A)[2:]
             want = np.eye(2)
@@ -188,7 +193,7 @@ class TestAuxChain:
             assert np.max(np.abs(bottom - want)) <= 1e-12
 
     def test_output_is_stacked(self):
-        aux = build_aux(2, 3, 0.05, relu_factory)
+        aux = _aux(2, 3, 0.05, relu_factory)
         assert tuple(aux.input_shape) == (3, 3)
         assert tuple(aux.output_shape) == (6, 3)
 
@@ -274,15 +279,21 @@ class TestInversionNetworks:
         assert np.allclose(realize(net, None, np.eye(2)), np.eye(2), atol=1e-15)
 
     def test_error_against_gaussian_elimination(self):
-        for n in (2, 4):
-            for alpha in (1.0, 2.0):
-                spec = InversionSpec(n, alpha, 0.1, 0.5)
-                net = build_inv(spec, relu_factory)
+        # (factory, alpha, eps, delta) for n = 2, 4: the high-delta cases run
+        # N = 7 relu and N = 10 relu2 stages
+        cases = [(relu_factory, 1.0, 0.1, 0.5), (relu_factory, 2.0, 0.1, 0.5),
+                 (relu_factory, 1.0, 1e-2, 0.9), (relu_factory, 1.0, 1e-3, 0.9),
+                 (relu2_factory, 1.0, 0.1, 0.99)]
+        for factory, alpha, eps, delta in cases:
+            for n in (2, 4):
+                spec = InversionSpec(n, alpha, eps, delta)
+                net = build_inv(spec, factory)
+                assert counts_satisfied(net, inv_count_reference(spec, factory))
                 for s in range(10):
-                    A = oracles.gen_contraction(n, 0.5, alpha, 100 + s)
+                    A = oracles.gen_contraction(n, delta, alpha, 100 + s)
                     err = oracles.spectral_norm(
                         oracles.exact_inverse(A) - realize(net, None, A))
-                    assert err <= 0.1
+                    assert err <= eps
 
     def test_boundary_budget_is_accepted(self):
         # eps / (2 alpha) landing exactly on 1/8 must still build
@@ -329,8 +340,8 @@ class TestInversionNetworks:
 
 
 def test_only_gadget_built_networks_carry_a_label():
-    for glue in (build_dup_simple(2), build_dup_half(2), build_fill(2, 3),
-                 build_flip(2, 1), build_mix_aux(2, 1), build_in(2, 1.0)):
+    for glue in (_build_dup_simple(2), _build_dup_half(2), build_fill(2, 3),
+                 _build_flip(2, 1), _build_mix_aux(2, 1), build_in(2, 1.0)):
         assert glue.activation_name is None
     for factory in (relu_factory, relu2_factory):
         name = factory.activation_name
@@ -340,4 +351,4 @@ def test_only_gadget_built_networks_carry_a_label():
         assert build_inv(InversionSpec(2, 1.0, 0.1, 0.5),
                          factory).activation_name == name
         assert build_sqr(1, 2, 0.1, factory).activation_name == name
-        assert build_aux(2, 2, 0.1, factory).activation_name == name
+        assert _aux(2, 2, 0.1, factory).activation_name == name

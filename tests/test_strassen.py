@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from strassennet import oracles
 from strassennet.core import realize, realize_many
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
-from strassennet.strassen import (RectShape, bound_counts_rect,
-                                  bound_gadget_spec_rect, build_ext,
-                                  build_ext_star, build_mix, build_shr,
+from strassennet.strassen import (RectShape, _build_ext, _build_ext_star,
+                                  _build_shr, bound_counts_rect,
+                                  bound_gadget_spec_rect, build_mix,
                                   build_split, build_str_pow2,
                                   build_str_rect, build_str_square,
                                   formula_counts_pow2)
@@ -133,7 +133,9 @@ class TestPaddingLayers:
         shape = RectShape(2, 3, 2)
         A = rng.uniform(-1, 1, (2, 3))
         B = rng.uniform(-1, 1, (3, 2))
-        out = realize(build_ext(shape), None, np.hstack([A.T, B]))
+        net = _build_ext(shape)
+        out = realize(net, None, np.hstack([A.T, B]))
+        assert net.num_weights == 3 * (2 + 2)
         side = 2 ** shape.k
         assert out.shape == (side, 2 * side)
         assert np.array_equal(out[:2, :3], A)
@@ -145,7 +147,7 @@ class TestPaddingLayers:
     def test_ext_star_duplicates_layout(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 3))
-        net = build_ext_star(3)
+        net = _build_ext_star(3)
         out = realize(net, None, np.hstack([A, B]))
         assert out.shape == (4, 8)
         assert np.array_equal(out[:3, :3], A)
@@ -155,9 +157,9 @@ class TestPaddingLayers:
     def test_shr_crops(self, rng):
         shape = RectShape(2, 3, 2)
         X = rng.uniform(-1, 1, (4, 4))
-        out = realize(build_shr(shape), None, X)
+        out = realize(_build_shr(shape), None, X)
         assert np.array_equal(out, X[:2, :2])
-        assert build_shr(shape).num_weights == 4
+        assert _build_shr(shape).num_weights == 4
 
 
 class TestRectangularNetworks:
@@ -228,8 +230,8 @@ def test_gadget_spec_for_bounds_shrinks_budget():
 
 def test_only_gadget_built_networks_carry_a_label():
     shape = RectShape(2, 3, 2)
-    for glue in (build_mix(2), build_split(2), build_ext(shape),
-                 build_ext_star(3), build_shr(shape)):
+    for glue in (build_mix(2), build_split(2), _build_ext(shape),
+                 _build_ext_star(3), _build_shr(shape)):
         assert glue.activation_name is None
     for factory in (relu_factory, relu2_factory):
         name = factory.activation_name
