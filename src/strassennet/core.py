@@ -33,19 +33,21 @@ class MatrixShape(NamedTuple):
         return self.rows * self.cols
 
 
+def _whole(n) -> bool:
+    """The one integer rule: Python and numpy integers pass, bools do not."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _as_shape(shape, keys=()) -> MatrixShape:
-    """``shape`` as two dimensions, each an integer >= 1 (numpy integers
-    count, bools do not).  A refusal quotes the shape or, given the two
-    dimensions' ``keys`` (the loader's field names), names the first
-    offending one."""
-    def whole(n):
-        return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    """``shape`` as two dimensions, each an integer >= 1 (see ``_whole``).
+    A refusal quotes the shape or, given the two dimensions' ``keys`` (the
+    loader's field names), names the first offending one."""
     for key, n in zip(keys, shape):
-        if not whole(n):
+        if not _whole(n):
             raise ValueError(f"{key} must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"has non-positive dimensions ({key} = {n})")
-    if len(shape) != 2 or not all(map(whole, shape)):
+    if len(shape) != 2 or not all(map(_whole, shape)):
         raise ValueError(f"shape must be two integers, got {tuple(shape)}")
     s = MatrixShape(int(shape[0]), int(shape[1]))
     if s.rows < 1 or s.cols < 1:
@@ -416,7 +418,7 @@ def realize_many(net: MNN, rho, inputs) -> np.ndarray:
             f"batch shape {X.shape} does not match network input "
             f"{tuple(net.input_shape)}"
         )
-    cols = X.reshape(X.shape[0], -1).T
+    cols = X.reshape(X.shape[0], net.input_shape.size).T
     out = realize_flat(net, rho, cols)
     return out.T.reshape(X.shape[0], *net.output_shape)
 

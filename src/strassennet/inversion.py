@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinators import concat, parallelize
-from .core import MNN, Layer, SparseLinearMap, _glue, scale_output
+from .core import MNN, Layer, SparseLinearMap, _glue, _whole, scale_output
 from .gadgets import GadgetFactory, GadgetSpec
 from .strassen import build_str_square
 
@@ -40,6 +40,8 @@ class InversionSpec:
     delta: float
 
     def __post_init__(self):
+        if not _whole(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0.0 < self.alpha < math.inf:

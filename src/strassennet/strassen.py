@@ -3,9 +3,10 @@
 ``build_str_pow2`` assembles the multiplication network for 2^k x 2^k
 operands out of three pieces per recursion level: a split layer forming the
 seven operand pairs, seven parallel child multipliers, and a mix layer
-recombining the child products into the four output quadrants.  At the
-bottom sit scalar product gadgets.  The weight and layer counts of the
-result obey closed-form expressions (``formula_counts_pow2``) exactly.
+recombining the child products into the four output quadrants, both read
+from Strassen's coefficient tables ``_U``, ``_V``, ``_W``.  At the bottom
+sit scalar product gadgets.  The weight and layer counts of the result
+obey closed-form expressions (``formula_counts_pow2``) exactly.
 
 Rectangular and general square operands are handled by zero-padding up to
 the next power of two and cropping the result (``build_str_rect`` /
@@ -18,27 +19,18 @@ from dataclasses import dataclass
 from .combinators import concat, parallelize
 import numpy as np
 
-from .core import MNN, Layer, SparseLinearMap, _glue
+from .core import MNN, _glue, _whole
 from .gadgets import GadgetFactory, GadgetSpec
 
-#: quadrant recombination: output quadrant -> [(child index, sign)]
-_MIX_RULES = {
-    (0, 0): [(1, 1.0), (4, 1.0), (5, -1.0), (7, 1.0)],
-    (0, 1): [(3, 1.0), (5, 1.0)],
-    (1, 0): [(2, 1.0), (4, 1.0)],
-    (1, 1): [(1, 1.0), (2, -1.0), (3, 1.0), (6, 1.0)],
-}
-
-#: operand pairs: child index -> ([(A quadrant, sign)], [(B quadrant, sign)])
-_SPLIT_RULES = {
-    1: ([((0, 0), 1.0), ((1, 1), 1.0)], [((0, 0), 1.0), ((1, 1), 1.0)]),
-    2: ([((1, 0), 1.0), ((1, 1), 1.0)], [((0, 0), 1.0)]),
-    3: ([((0, 0), 1.0)], [((0, 1), 1.0), ((1, 1), -1.0)]),
-    4: ([((1, 1), 1.0)], [((1, 0), 1.0), ((0, 0), -1.0)]),
-    5: ([((0, 0), 1.0), ((0, 1), 1.0)], [((1, 1), 1.0)]),
-    6: ([((1, 0), 1.0), ((0, 0), -1.0)], [((0, 0), 1.0), ((0, 1), 1.0)]),
-    7: ([((0, 1), 1.0), ((1, 1), -1.0)], [((1, 0), 1.0), ((1, 1), 1.0)]),
-}
+#: Strassen's scheme as coefficient tables indexed [product r, quadrant q],
+#: quadrants row-major (11, 12, 21, 22): product r multiplies
+#: sum_q U[r, q] A_q by sum_q V[r, q] B_q, and C_q = sum_r W[r, q] P_r
+_U = np.array([[1, 0, 0, 1], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 1],
+               [1, 1, 0, 0], [-1, 0, 1, 0], [0, 1, 0, -1]])
+_V = np.array([[1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, -1], [-1, 0, 1, 0],
+               [0, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+_W = np.array([[1, 0, 0, 1], [0, 0, 1, -1], [0, 1, 0, 1], [1, 0, 1, 0],
+               [-1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
 
 
 @dataclass(frozen=True)
@@ -50,6 +42,9 @@ class RectShape:
     p: int
 
     def __post_init__(self):
+        for name, value in zip("mnp", (self.m, self.n, self.p)):
+            if not _whole(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.m, self.n, self.p) < 1:
             raise ValueError("matrix dimensions must be positive")
 
@@ -60,32 +55,29 @@ class RectShape:
     @property
     def k(self) -> int:
         """Padding exponent: the smallest k with 2^k >= gamma."""
-        return (self.gamma - 1).bit_length()
+        return int(self.gamma - 1).bit_length()
 
 
 def build_mix(k: int) -> MNN:
-    """Recombination layer: seven stacked child products -> four quadrants."""
+    """Recombination layer: seven stacked child products -> four quadrants,
+    one h x h block per nonzero of ``_W``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     h = 2 ** (k - 1)
-    return _glue((2 * h, 2 * h), (7 * h, h), [
-        (qr * h, qc * h, (child - 1) * h, 0, h, h, sign)
-        for (qr, qc), terms in _MIX_RULES.items() for child, sign in terms])
+    return _glue((2 * h, 2 * h), (len(_W) * h, h), [
+        (q // 2 * h, q % 2 * h, r * h, 0, h, h, _W[r, q])
+        for r, q in zip(*np.nonzero(_W))])
 
 
 def build_split(k: int) -> MNN:
-    """Operand-forming layer: (A | B) -> seven stacked operand pairs."""
+    """Operand-forming layer: (A | B) -> seven stacked operand pairs, one
+    h x h block per nonzero of ``_U`` (left) and of ``_V`` (right)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     h = 2 ** (k - 1)
-    blocks = []
-    for child, (a_terms, b_terms) in _SPLIT_RULES.items():
-        row = (child - 1) * h
-        blocks += [(row, 0, qr * h, qc * h, h, h, sign)
-                   for (qr, qc), sign in a_terms]
-        blocks += [(row, h, qr * h, 2 * h + qc * h, h, h, sign)
-                   for (qr, qc), sign in b_terms]
-    return _glue((7 * h, 2 * h), (2 * h, 4 * h), blocks)
+    return _glue((len(_W) * h, 2 * h), (2 * h, 4 * h), [
+        (r * h, b * h, q // 2 * h, (2 * b + q % 2) * h, h, h, T[r, q])
+        for b, T in enumerate((_U, _V)) for r, q in zip(*np.nonzero(T))])
 
 
 def build_str_pow2(k: int, eps: float, K: float,
@@ -93,12 +85,15 @@ def build_str_pow2(k: int, eps: float, K: float,
     """Multiplication network for 2^k x 2^k operands, input (A | B).
 
     Each recursion level hands its seven children a quarter of the error
-    budget and twice the input range; the k = 0 base case is one product
-    gadget.  For |A|, |B| entrywise at most K the output matches A B within
+    budget (a column of ``_W`` sums at most four products) and twice the
+    input range (a row of ``_U`` or ``_V`` at most two quadrants); the
+    k = 0 base case is one product gadget.  For |A|, |B| entrywise at most K the output matches A B within
     eps in the max norm.
     """
     if eps <= 0.0 or K <= 0.0:
         raise ValueError("eps and K must be positive")
+    if not _whole(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -107,7 +102,7 @@ def build_str_pow2(k: int, eps: float, K: float,
             raise ValueError("factory must produce gadgets mapping 1x2 -> 1x1")
         return gadget
     child = build_str_pow2(k - 1, eps / 4.0, 2.0 * K, factory)
-    par = parallelize([child] * 7)
+    par = parallelize([child] * len(_W))
     return concat(build_mix(k), concat(par, build_split(k)))
 
 
@@ -129,13 +124,10 @@ def _build_ext(shape: RectShape) -> MNN:
     """
     m, n, p = shape.m, shape.n, shape.p
     side = 2 ** shape.k
-    k, l = np.indices((n, m + p)).reshape(2, -1) + 1
-    left = l <= m  # input (k, l) of A^T is A's entry (l, k)
-    idx = np.stack([np.where(left, l, k), np.where(left, k, side + l - m),
-                    k, l], axis=1)
-    linmap = SparseLinearMap((side, 2 * side), (n, m + p), idx,
-                             np.ones(len(idx)))
-    return MNN([Layer(linmap)])
+    # input (k, l) of A^T is A's entry (l, k): one 1 x 1 block each
+    return _glue((side, 2 * side), (n, m + p),
+                 [(l, k, k, l, 1, 1, 1.0) for k in range(n) for l in range(m)]
+                 + [(0, side, 0, m, n, p, 1.0)])
 
 
 def _build_ext_star(n: int) -> MNN:

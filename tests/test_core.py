@@ -224,6 +224,9 @@ class TestLayerAndNetwork:
         got = realize_many(net, None, batch)
         for one, X in zip(got, batch):
             assert np.array_equal(one, realize(net, None, X))
+        # an empty batch keeps the (rows, cols) of the output
+        empty = realize_many(build_split(1), None, np.empty((0, 2, 4)))
+        assert empty.shape == (0, 7, 2)
 
     def test_input_shape_validated(self):
         net = identity_mnn((2, 2), 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strassennet import oracles
-from strassennet.core import counts_satisfied, realize
+from strassennet.core import counts_satisfied, mnn_equal, realize
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import (InversionSpec, NeumannDepth, _aux_chain,
                                    _build_dup_half, _build_dup_simple,
@@ -320,6 +320,13 @@ class TestInversionNetworks:
             InversionSpec(2, -1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
             InversionSpec(2, 1.0, 0.1, 1.5)
+        for n in (2.0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                InversionSpec(n, 1.0, 0.1, 0.5)
+        assert mnn_equal(build_inv(InversionSpec(np.int64(2), 1.0, 0.1, 0.5),
+                                   relu2_factory),
+                         build_inv(InversionSpec(2, 1.0, 0.1, 0.5),
+                                   relu2_factory))
 
     def test_infinite_alpha_is_refused(self):
         # build_inv used to fail later with a misleading "eps must be positive"

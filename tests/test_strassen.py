@@ -1,4 +1,7 @@
-"""Multiplication networks: recursion counts, layouts, padding, and errors."""
+"""Multiplication networks: the scheme's tables, recursion counts, layouts,
+padding, and errors."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,11 +10,12 @@ from hypothesis import strategies as st
 
 from strassennet import oracles
 from strassennet.core import realize, realize_many
-from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
-from strassennet.strassen import (RectShape, _build_ext, _build_ext_star,
-                                  _build_shr, bound_counts_rect,
-                                  bound_gadget_spec_rect, build_mix,
-                                  build_split, build_str_pow2,
+from strassennet.gadgets import (GadgetFactory, GadgetSpec, relu2_factory,
+                                 relu_factory)
+from strassennet.strassen import (_U, _V, _W, RectShape, _build_ext,
+                                  _build_ext_star, _build_shr,
+                                  bound_counts_rect, bound_gadget_spec_rect,
+                                  build_mix, build_split, build_str_pow2,
                                   build_str_rect, build_str_square,
                                   formula_counts_pow2)
 
@@ -27,6 +31,45 @@ class TestRectShape:
     def test_validation(self):
         with pytest.raises(ValueError):
             RectShape(0, 1, 1)
+        for bad in ((2.5, 2, 2), (True, 2, 2), (2, 2.0, 2), (2, 2, "2")):
+            with pytest.raises(ValueError, match="must be an integer"):
+                RectShape(*bad)
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            build_str_square(2.5, 0.1, 1.0, relu2_factory)
+        assert RectShape(np.int64(5), np.int32(6), 4).k == 3
+
+
+class TestScheme:
+    def test_brent_equations(self):
+        # A's quadrant (i, j) times B's quadrant (j, l) adds to C's (i, l)
+        T = np.zeros((4, 4, 4), dtype=int)
+        for i, j, l in itertools.product(range(2), repeat=3):
+            T[2 * i + j, 2 * j + l, 2 * i + l] = 1
+        assert np.array_equal(np.einsum("ra,rb,rc->abc", _U, _V, _W), T)
+
+    def test_paper_literals_follow_from_the_tables(self):
+        r = len(_W)
+        assert len(_U) == len(_V) == r == 7
+        # each level's glue holds nnz 4^(k-1) entries, so the glue of the
+        # whole recursion sums to nnz (7^k - 4^k) / (7 - 4) = 12 (7^k - 4^k)
+        nnz = sum(np.count_nonzero(T) for T in (_U, _V, _W))
+        assert nnz == 12 * (r - 4) == 36
+        for k in (1, 2, 3):
+            glue = build_split(k).num_weights + build_mix(k).num_weights
+            assert glue == nnz * 4 ** (k - 1)
+            M, _ = formula_counts_pow2(k, 0, 0)
+            assert M * (r - 4) == nnz * (r ** k - 4 ** k)
+        # an output quadrant sums at most 4 products, so each child gets
+        # eps / 4; an operand sums at most 2 quadrants, so it spans 2 K
+        terms = int(np.abs(_W).sum(axis=0).max())
+        spread = int(max(np.abs(_U).sum(axis=1).max(),
+                         np.abs(_V).sum(axis=1).max()))
+        assert (terms, spread) == (4, 2)
+        specs = set()
+        spy = GadgetFactory("relu2", lambda spec: specs.add(spec)
+                            or relu2_factory.build(spec))
+        build_str_pow2(2, 0.5, 3.0, spy)
+        assert specs == {GadgetSpec(0.5 / terms ** 2, 3.0 * spread ** 2)}
 
 
 class TestSplitAndMix:
@@ -220,6 +263,19 @@ class TestRectangularNetworks:
         B = rng.uniform(-1, 1, (n, p))
         got = realize(net, None, np.hstack([A.T, B]))
         assert np.max(np.abs(got - oracles.matmul_naive(A, B))) <= 1e-10
+
+
+@pytest.mark.parametrize("k, eps, K, match", [
+    (1.5, 0.1, 1.0, "k must be an integer, got 1.5"),
+    (2.0, 0.1, 1.0, "k must be an integer, got 2.0"),
+    (True, 0.1, 1.0, "k must be an integer, got True"),
+    (-1, 0.1, 1.0, "k must be >= 0"),
+    (1, 0.0, 1.0, "eps and K must be positive"),
+    (1, 0.1, -1.0, "eps and K must be positive"),
+])
+def test_pow2_refusals(k, eps, K, match):
+    with pytest.raises(ValueError, match=match):
+        build_str_pow2(k, eps, K, relu2_factory)
 
 
 def test_gadget_spec_for_bounds_shrinks_budget():
