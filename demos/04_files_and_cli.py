@@ -15,29 +15,6 @@ import numpy as np
 from strassennet import (build_str_square, load_network, mnn_equal, realize,
                          relu2_factory, save_matrix, save_network)
 
-workdir = Path(tempfile.mkdtemp(prefix="snn-demo-"))
-print(f"working in {workdir}\n")
-
-print("== round trip through JSON ==")
-net = build_str_square(2, 0.5, 1.0, relu2_factory)
-path = workdir / "square2.json"
-save_network(net, path)
-back = load_network(path)
-print(f"  saved {path.stat().st_size} bytes, "
-      f"equal after reload: {mnn_equal(net, back)}")
-A = np.array([[0.3, -0.7], [0.1, 0.9]])
-B = np.array([[1.0, 0.5], [-0.2, 0.4]])
-X = np.hstack([A, B])
-same = np.array_equal(realize(net, None, X), realize(back, None, X))
-print(f"  realization identical bit for bit: {same}")
-
-doc = json.loads(path.read_text())
-layer = doc["layers"][0]
-print(f"  file holds {len(doc['layers'])} layers; the first maps "
-      f"{layer['in_rows']}x{layer['in_cols']} -> "
-      f"{layer['out_rows']}x{layer['out_cols']} with "
-      f"{len(layer['entries'])} entries")
-
 
 def snn(*args):
     proc = subprocess.run([sys.executable, "-m", "strassennet.cli", *args],
@@ -45,32 +22,57 @@ def snn(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-print("\n== the same flow through the CLI ==")
-rc, out, _ = snn("build", "strassen-square", "--n", "2",
-                 "--activation", "relu2", "--out", str(workdir / "net.json"))
-print(f"  build -> exit {rc}, report: {out.strip()}")
+with tempfile.TemporaryDirectory(prefix="snn-demo-") as tmp:
+    workdir = Path(tmp)
+    print(f"working in {workdir}\n")
 
-save_matrix(A, workdir / "A.csv")
-save_matrix(B, workdir / "B.csv")
-rc, _, _ = snn("eval", "--net", str(workdir / "net.json"),
-               "--a", str(workdir / "A.csv"), "--b", str(workdir / "B.csv"),
-               "--layout", "ab", "--out", str(workdir / "C.csv"))
-C = np.loadtxt(workdir / "C.csv", delimiter=",")
-print(f"  eval -> exit {rc}, max |C - AB| = {np.max(np.abs(C - A @ B)):.2e}")
+    print("== round trip through JSON ==")
+    net = build_str_square(2, 0.5, 1.0, relu2_factory)
+    path = workdir / "square2.json"
+    save_network(net, path)
+    back = load_network(path)
+    print(f"  saved {path.stat().st_size} bytes, "
+          f"equal after reload: {mnn_equal(net, back)}")
+    A = np.array([[0.3, -0.7], [0.1, 0.9]])
+    B = np.array([[1.0, 0.5], [-0.2, 0.4]])
+    X = np.hstack([A, B])
+    same = np.array_equal(realize(net, None, X), realize(back, None, X))
+    print(f"  realization identical bit for bit: {same}")
 
-# exit code 1 flags bad inputs; 2 would flag a failed verification suite
-save_matrix(np.eye(3), workdir / "wrong.csv")
-rc, _, err = snn("eval", "--net", str(workdir / "net.json"),
-                 "--input", str(workdir / "wrong.csv"),
-                 "--out", str(workdir / "C.csv"))
-print(f"  shape mismatch -> exit {rc}: {err.strip().splitlines()[-1]}")
+    doc = json.loads(path.read_text())
+    layer = doc["layers"][0]
+    print(f"  file holds {len(doc['layers'])} layers; the first maps "
+          f"{layer['in_rows']}x{layer['in_cols']} -> "
+          f"{layer['out_rows']}x{layer['out_cols']} with "
+          f"{len(layer['entries'])} entries")
 
-rc, out, _ = snn("verify", "--suite", "gadgets", "--seed", "7")
-print(f"\n== snn verify --suite gadgets --seed 7 -> exit {rc} ==")
-for line in out.strip().splitlines():
-    print(f"  {line}")
+    print("\n== the same flow through the CLI ==")
+    net_path, C_path = str(workdir / "net.json"), str(workdir / "C.csv")
+    rc, out, _ = snn("build", "strassen-square", "--n", "2",
+                     "--activation", "relu2", "--out", net_path)
+    print(f"  build -> exit {rc}, report: {out.strip()}")
 
-rc, out, _ = snn("report", "bounds", "--eps", "0.1")
-print(f"\n== snn report bounds -> exit {rc} ==")
-for line in out.strip().splitlines():
-    print(f"  {line}")
+    save_matrix(A, workdir / "A.csv")
+    save_matrix(B, workdir / "B.csv")
+    rc, _, _ = snn("eval", "--net", net_path, "--a", str(workdir / "A.csv"),
+                   "--b", str(workdir / "B.csv"), "--layout", "ab",
+                   "--out", C_path)
+    C = np.loadtxt(C_path, delimiter=",")
+    err = np.max(np.abs(C - A @ B))
+    print(f"  eval -> exit {rc}, max |C - AB| = {err:.2e}")
+
+    # exit code 1 flags bad inputs; 2 would flag a failed verification suite
+    save_matrix(np.eye(3), workdir / "wrong.csv")
+    rc, _, err = snn("eval", "--net", net_path,
+                     "--input", str(workdir / "wrong.csv"), "--out", C_path)
+    print(f"  shape mismatch -> exit {rc}: {err.strip().splitlines()[-1]}")
+
+    rc, out, _ = snn("verify", "--suite", "gadgets", "--seed", "7")
+    print(f"\n== snn verify --suite gadgets --seed 7 -> exit {rc} ==")
+    for line in out.strip().splitlines():
+        print(f"  {line}")
+
+    rc, out, _ = snn("report", "bounds", "--eps", "0.1")
+    print(f"\n== snn report bounds -> exit {rc} ==")
+    for line in out.strip().splitlines():
+        print(f"  {line}")

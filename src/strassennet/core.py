@@ -38,6 +38,16 @@ def _whole(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _count(name: str, n, least: int = 1) -> int:
+    """The one size rule: ``n`` as an int, if it is an integer (see
+    ``_whole``) no smaller than ``least``; otherwise refused by ``name``."""
+    if not _whole(n):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return int(n)
+
+
 def _as_shape(shape, keys=()) -> MatrixShape:
     """``shape`` as two dimensions, each an integer >= 1 (see ``_whole``).
     A refusal quotes the shape or, given the two dimensions' ``keys`` (the
@@ -137,7 +147,7 @@ class SparseLinearMap:
     entry count is the weight count.
     """
 
-    __slots__ = ("out_shape", "in_shape", "idx", "val", "_csr")
+    __slots__ = ("out_shape", "in_shape", "idx", "val")
 
     def __init__(self, out_shape, in_shape, idx, val):
         self.out_shape = _as_shape(out_shape)
@@ -146,7 +156,6 @@ class SparseLinearMap:
                                 val)
         self.idx = _freeze(idx)
         self.val = _freeze(val)
-        self._csr = None
 
     @classmethod
     def from_blocks(cls, out_shape, in_shape, blocks) -> "SparseLinearMap":
@@ -180,14 +189,10 @@ class SparseLinearMap:
         return i * oc + (j - oc - 1), k * ic + (l - ic - 1)
 
     def matrix(self) -> sparse.csr_matrix:
-        """The flattened (out.size x in.size) CSR operator, built lazily."""
-        if self._csr is None:
-            rows, cols = self._flat_pairs()
-            self._csr = sparse.csr_matrix(
-                (self.val, (rows, cols)),
-                shape=(self.out_shape.size, self.in_shape.size),
-            )
-        return self._csr
+        """The flattened (out.size x in.size) CSR operator."""
+        rows, cols = self._flat_pairs()
+        return sparse.csr_matrix((self.val, (rows, cols)),
+                                 shape=(self.out_shape.size, self.in_shape.size))
 
     def apply(self, A: np.ndarray) -> np.ndarray:
         A = np.asarray(A, dtype=float)
@@ -436,8 +441,7 @@ def identity_mnn(shape, depth: int) -> MNN:
     Useful as depth padding when parallelizing networks of unequal length;
     costs rows*cols weights per layer.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _count("depth", depth)
     shape = _as_shape(shape)
     linmap = SparseLinearMap.from_blocks(
         shape, shape, [(0, 0, 0, 0, shape.rows, shape.cols, 1.0)])
@@ -448,10 +452,13 @@ def scale_output(net: MNN, c: float) -> MNN:
     """Scale the network's realization by c via its final layer.
 
     The last layer's tensor and bias are multiplied by c, so layer and weight
-    counts are unchanged.  ``c = 0`` is rejected: it would collapse the
-    weight count and the zero network should be built explicitly instead.
+    counts are unchanged.  A non-finite ``c`` is refused, and so is
+    ``c = 0``: it would collapse the weight count and the zero network
+    should be built explicitly instead.
     """
     c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if c == 0.0:
         raise ValueError("scaling the output by zero collapses the network")
     if c == 1.0:

@@ -162,9 +162,9 @@ def gadget_count_reference(spec: GadgetSpec, factory: GadgetFactory):
 
 def verify_gadget(net: MNN, rho, spec: GadgetSpec, grid_step: float) -> float:
     """Max |xy - R(net)(x, y)| over the uniform grid on [-K, K]^2."""
-    if grid_step > spec.K / 50.0:
-        raise ValueError("grid_step must be at most K/50")
-    steps = max(1, round(2.0 * spec.K / grid_step))
+    if not 0.0 < grid_step <= spec.K / 50.0:
+        raise ValueError(f"grid_step must lie in (0, K/50], got {grid_step!r}")
+    steps = round(2.0 * spec.K / grid_step)
     axis = np.linspace(-spec.K, spec.K, steps + 1)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     xs, ys = xs.reshape(-1), ys.reshape(-1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinators import concat, parallelize
-from .core import MNN, Layer, SparseLinearMap, _glue, _whole, scale_output
+from .core import MNN, Layer, SparseLinearMap, _count, _glue, scale_output
 from .gadgets import GadgetFactory, GadgetSpec
 from .strassen import build_str_square
 
@@ -40,10 +40,7 @@ class InversionSpec:
     delta: float
 
     def __post_init__(self):
-        if not _whole(self.n):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _count("n", self.n)
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         if not self.epsilon > 0.0:
@@ -60,8 +57,7 @@ class NeumannDepth:
     Sigma: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        _count("N", self.N)
         if not self.Sigma > 0.0:
             raise ValueError("Sigma must be positive")
 
@@ -120,8 +116,7 @@ def build_fill(n: int, L: int) -> MNN:
     unchanged, and the final layer adds the constant I/2.  The artificial
     depth exists so the network can be parallelized with a deeper one.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    n, L = _count("n", n), _count("L", L)
     block = [(0, 0, 0, 0, n, n, 1.0)]
     select = SparseLinearMap.from_blocks((n, n), (n, 2 * n), block)
     half_eye = np.eye(n) / 2.0
@@ -161,8 +156,7 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     Each stage duplicates its input to (A | A) and multiplies; the spectral
     error after N stages stays within eps provided eps < 1/4.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N, n = _count("N", N), _count("n", n)
     if not 0.0 < eps < 0.25:
         raise ValueError("eps must lie in (0, 1/4)")
     stage = concat(_square_once(n, eps, factory), _build_dup_simple(n))
@@ -200,8 +194,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     the final factor pair, one more multiplication network combines them,
     and the output layer restores the 2^(2^N - 1) rescaling.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N, n = _count("N", N), _count("n", n)
     if N == 1:
         # labelled so that build_inv's N = 1 network keeps the factory's label
         plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
@@ -220,6 +213,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
 
 def build_in(n: int, alpha: float) -> MNN:
     """One layer mapping A to I - alpha A; n^2 + n weights."""
+    n = _count("n", n)
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     return _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, -alpha)], np.eye(n))
@@ -265,10 +259,10 @@ def inv_count_reference(spec: InversionSpec, factory: GadgetFactory):
     of the input layer ``build_in``.
     """
     n = spec.n
-    N = neumann_depth(spec).N
+    N, budget = _neu_plan(spec)
     if N == 1:
         return 2 * (n * n + n), 2, True
-    M, L = neu_bound_counts(N, n, _neu_plan(spec)[1], factory)
+    M, L = neu_bound_counts(N, n, budget, factory)
     return M + n * n + n, L, False
 
 
@@ -288,8 +282,7 @@ def series_length_estimate(eps: float, delta: float) -> float:
 
 def neu_bound_counts(N: int, n: int, eps: float, factory: GadgetFactory):
     """(M, L) upper bounds for the Neumann-sum network, N >= 2."""
-    if N < 2:
-        raise ValueError("bounds apply to N >= 2; N = 1 has exact counts")
+    N, n = _count("N", N, least=2), _count("n", n)
     gadget = factory.build(GadgetSpec(_leaf_budget(N, n, eps), 2.0 * n))
     Mg, Lg = gadget.num_weights, gadget.num_layers
     M = (14.0 * n ** LOG2_7 * (N - 1) * (Mg + 12)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .combinators import concat, parallelize
 import numpy as np
 
-from .core import MNN, _glue, _whole
+from .core import MNN, _count, _glue
 from .gadgets import GadgetFactory, GadgetSpec
 
 #: Strassen's scheme as coefficient tables indexed [product r, quadrant q],
@@ -42,11 +42,8 @@ class RectShape:
     p: int
 
     def __post_init__(self):
-        for name, value in zip("mnp", (self.m, self.n, self.p)):
-            if not _whole(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if min(self.m, self.n, self.p) < 1:
-            raise ValueError("matrix dimensions must be positive")
+        for name in "mnp":
+            _count(name, getattr(self, name))
 
     @property
     def gamma(self) -> int:
@@ -61,9 +58,7 @@ class RectShape:
 def build_mix(k: int) -> MNN:
     """Recombination layer: seven stacked child products -> four quadrants,
     one h x h block per nonzero of ``_W``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    h = 2 ** (k - 1)
+    h = 2 ** (_count("k", k) - 1)
     return _glue((2 * h, 2 * h), (len(_W) * h, h), [
         (q // 2 * h, q % 2 * h, r * h, 0, h, h, _W[r, q])
         for r, q in zip(*np.nonzero(_W))])
@@ -72,9 +67,7 @@ def build_mix(k: int) -> MNN:
 def build_split(k: int) -> MNN:
     """Operand-forming layer: (A | B) -> seven stacked operand pairs, one
     h x h block per nonzero of ``_U`` (left) and of ``_V`` (right)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    h = 2 ** (k - 1)
+    h = 2 ** (_count("k", k) - 1)
     return _glue((len(_W) * h, 2 * h), (2 * h, 4 * h), [
         (r * h, b * h, q // 2 * h, (2 * b + q % 2) * h, h, h, T[r, q])
         for b, T in enumerate((_U, _V)) for r, q in zip(*np.nonzero(T))])
@@ -92,10 +85,7 @@ def build_str_pow2(k: int, eps: float, K: float,
     """
     if eps <= 0.0 or K <= 0.0:
         raise ValueError("eps and K must be positive")
-    if not _whole(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _count("k", k, least=0)
     if k == 0:
         gadget = factory.build(GadgetSpec(eps, K))
         if tuple(gadget.input_shape) != (1, 2) or tuple(gadget.output_shape) != (1, 1):
@@ -108,8 +98,7 @@ def build_str_pow2(k: int, eps: float, K: float,
 
 def formula_counts_pow2(k: int, M_gadget: int, L_gadget: int):
     """Exact (M, L) of the power-of-two network with the given gadget size."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _count("k", k, least=0)
     M = 7 ** k * (M_gadget + 12) - 12 * 4 ** k
     L = L_gadget + 2 * k
     return M, L
@@ -154,6 +143,7 @@ def build_str_rect(shape: RectShape, eps: float, K: float,
 def build_str_square(n: int, eps: float, K: float,
                      factory: GadgetFactory) -> MNN:
     """Multiplier for n x n operands, input (A | B) untransposed."""
+    n = _count("n", n)
     shape = RectShape(n, n, n)
     inner = build_str_pow2(shape.k, eps, K, factory)
     return concat(_build_shr(shape), concat(inner, _build_ext_star(n)))
@@ -183,6 +173,7 @@ def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):
 
     The closed form is evaluated with the leaf gadget at ``(eps / 4^k, 2^k K)``.
     """
+    k = _count("k", k, least=0)
     leaf = factory.build(GadgetSpec(eps / 4 ** k, (2 ** k) * K))
     M, L = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
     return M, L, True

@@ -8,6 +8,7 @@ Generators derived from the single suite seed, so runs reproduce exactly.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,14 +43,9 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])
 
 
-_POW2_MEMO: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _pow2_net(activation: str, k: int, eps: float, K: float):
-    key = (activation, k, eps, K)
-    if key not in _POW2_MEMO:
-        _POW2_MEMO[key] = build_str_pow2(k, eps, K, FACTORIES[activation])
-    return _POW2_MEMO[key]
+    return build_str_pow2(k, eps, K, FACTORIES[activation])
 
 
 def _random_with_norm(rng: np.random.Generator, n: int, bound: float):

@@ -313,6 +313,11 @@ class TestScaleOutput:
         with pytest.raises(ValueError, match="collapses"):
             scale_output(identity_mnn((2, 2), 1), 0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, c):
+        with pytest.raises(ValueError, match=r"^c must be finite"):
+            scale_output(identity_mnn((2, 2), 1), c)
+
     def test_bias_scaled_too(self):
         bias = np.array([[1.0, 2.0], [3.0, 4.0]])
         net = MNN([Layer(_ident_map(2), bias)], "relu")

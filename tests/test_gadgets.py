@@ -134,8 +134,9 @@ class TestGadgetSpecAndFactory:
     def test_grid_step_guard(self):
         spec = GadgetSpec(0.1, 1.0)
         net = relu_factory.build(spec)
-        with pytest.raises(ValueError, match="grid_step"):
-            verify_gadget(net, None, spec, spec.K / 10)
+        for step in (spec.K / 10, 0.0, np.nan, -0.01):
+            with pytest.raises(ValueError, match="grid_step"):
+                verify_gadget(net, None, spec, step)
 
 
 def test_verify_gadget_takes_an_unlabelled_linear_network():

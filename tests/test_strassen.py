@@ -34,7 +34,7 @@ class TestRectShape:
         for bad in ((2.5, 2, 2), (True, 2, 2), (2, 2.0, 2), (2, 2, "2")):
             with pytest.raises(ValueError, match="must be an integer"):
                 RectShape(*bad)
-        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
             build_str_square(2.5, 0.1, 1.0, relu2_factory)
         assert RectShape(np.int64(5), np.int32(6), 4).k == 3
 
