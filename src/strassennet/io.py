@@ -6,6 +6,11 @@ layer records its output/input shapes, the nonzero linear-map entries as
 ``[i, j, k, l, value]`` with 1-based indices, the nonzero bias entries as
 ``[i, j, value]``, and the mask positions where the activation is applied
 as ``[i, j]``, each table in the row-major order ``SparseLinearMap`` keeps.
+Files are written compactly, one line per layer: a header line
+``{"activation":<label>,"layers":[``, then each layer as one JSON object
+without whitespace, every one after the first led by a comma, then ``]}``.
+The loader parses any JSON layout, so indented files written by earlier
+versions still load, and re-save in the compact layout.
 Loading refuses, naming the layer and the first offending entry, shapes
 that are not integers >= 1, rows of the wrong length or holding
 non-numbers, and whatever the one storage rule of built networks refuses:
@@ -32,7 +37,10 @@ TABLES = {"entries": ("entry", "[i, j, k, l, value]"),
 
 
 def _rows(positions: np.ndarray, values: np.ndarray) -> list:
-    return [p + [v] for p, v in zip(positions.tolist(), values.tolist())]
+    rows = positions.tolist()
+    for row, value in zip(rows, values.tolist()):
+        row.append(value)
+    return rows
 
 
 def network_to_dict(net: MNN) -> dict:
@@ -52,9 +60,19 @@ def network_to_dict(net: MNN) -> dict:
 
 
 def save_network(net: MNN, path) -> None:
+    """Write ``network_to_dict(net)`` compactly, one line per layer.
+
+    Each layer is one separator-only ``json.dumps``, which CPython runs in
+    its C encoder (any ``indent`` falls back to the pure-Python one)."""
+    doc = network_to_dict(net)
     with open(path, "w") as fh:
-        json.dump(network_to_dict(net), fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{"activation":{json.dumps(doc["activation"])},"layers":[')
+        lead = "\n"
+        for layer in doc["layers"]:
+            fh.write(lead)
+            fh.write(json.dumps(layer, separators=(",", ":")))
+            lead = "\n,"
+        fh.write("\n]}\n")
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -76,8 +76,10 @@ def strassen_exact(A, B):
 def neumann_partial(A, terms):
     """Partial geometric sum I + A + ... + A^(terms-1) by iterated naive products."""
     A = np.asarray(A, dtype=float)
+    if not isinstance(terms, (int, np.integer)) or isinstance(terms, bool):
+        raise ValueError(f"terms must be an integer, got {terms!r}")
     if terms < 1:
-        raise ValueError("terms must be >= 1")
+        raise ValueError(f"terms must be >= 1, got {terms}")
     n = A.shape[0]
     total = np.eye(n)
     power = np.eye(n)

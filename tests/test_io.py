@@ -45,12 +45,28 @@ class TestNetworkRoundTrip:
                                   realize(back, None, X))
 
     def test_resave_is_byte_identical(self, tmp_path):
-        net = relu_factory.build(GadgetSpec(0.05, 2.0))
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        save_network(net, first)
-        save_network(load_network(first), second)
-        assert first.read_bytes() == second.read_bytes()
+        for pos, net in enumerate(_sample_networks()):
+            first = tmp_path / f"a{pos}.json"
+            second = tmp_path / f"b{pos}.json"
+            save_network(net, first)
+            save_network(load_network(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_indented_files_still_load(self, tmp_path):
+        # earlier versions wrote json.dump(..., indent=1); the document is
+        # the same, so they load and re-save in the compact layout
+        for pos, net in enumerate(_sample_networks()):
+            old = tmp_path / f"old{pos}.json"
+            new = tmp_path / f"new{pos}.json"
+            compact = tmp_path / f"compact{pos}.json"
+            with open(old, "w") as fh:
+                json.dump(network_to_dict(net), fh, indent=1)
+            back = load_network(old)
+            assert mnn_equal(net, back)
+            save_network(back, new)
+            save_network(net, compact)
+            assert new.read_bytes() == compact.read_bytes()
+            assert json.loads(new.read_text()) == network_to_dict(net)
 
     def test_unlabelled_glue_round_trips(self, tmp_path):
         net = build_split(2)
@@ -76,6 +92,48 @@ class TestNetworkRoundTrip:
         # entries are sorted and 1-based
         assert layer["entries"] == sorted(layer["entries"])
         assert all(min(e[:4]) >= 1 for e in layer["entries"])
+
+
+#: whole files in the compact layout: a header line, one line per layer,
+#: each after the first led by a comma, and a closing line
+SPLIT_1_FILE = (
+    '{"activation":null,"layers":[\n'
+    '{"out_rows":7,"out_cols":2,"in_rows":2,"in_cols":4,"entries":['
+    '[1,1,1,1,1.0],[1,1,2,2,1.0],[1,2,1,3,1.0],[1,2,2,4,1.0],'
+    '[2,1,2,1,1.0],[2,1,2,2,1.0],[2,2,1,3,1.0],[3,1,1,1,1.0],'
+    '[3,2,1,4,1.0],[3,2,2,4,-1.0],[4,1,2,2,1.0],[4,2,1,3,-1.0],'
+    '[4,2,2,3,1.0],[5,1,1,1,1.0],[5,1,1,2,1.0],[5,2,2,4,1.0],'
+    '[6,1,1,1,-1.0],[6,1,2,1,1.0],[6,2,1,3,1.0],[6,2,1,4,1.0],'
+    '[7,1,1,2,1.0],[7,1,2,2,-1.0],[7,2,2,3,1.0],[7,2,2,4,1.0]],'
+    '"bias":[],"mask_rho":[]}\n'
+    ']}\n')
+RELU2_GADGET_FILE = (
+    '{"activation":"relu2","layers":[\n'
+    '{"out_rows":1,"out_cols":4,"in_rows":1,"in_cols":2,"entries":['
+    '[1,1,1,1,1.0],[1,1,1,2,1.0],[1,2,1,1,-1.0],[1,2,1,2,-1.0],'
+    '[1,3,1,1,1.0],[1,3,1,2,-1.0],[1,4,1,1,-1.0],[1,4,1,2,1.0]],'
+    '"bias":[],"mask_rho":[[1,1],[1,2],[1,3],[1,4]]}\n'
+    ',{"out_rows":1,"out_cols":1,"in_rows":1,"in_cols":4,"entries":['
+    '[1,1,1,1,0.25],[1,1,1,2,0.25],[1,1,1,3,-0.25],[1,1,1,4,-0.25]],'
+    '"bias":[],"mask_rho":[]}\n'
+    ']}\n')
+
+
+class TestFileLayout:
+    @pytest.mark.parametrize("net, text", [
+        (build_split(1), SPLIT_1_FILE),
+        (relu2_factory.build(GadgetSpec(0.1, 1.0)), RELU2_GADGET_FILE)],
+        ids=["split-1", "relu2-gadget"])
+    def test_golden_bytes(self, tmp_path, net, text):
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        assert path.read_text() == text
+
+    def test_one_line_per_layer(self, tmp_path):
+        for pos, net in enumerate(_sample_networks()):
+            path = tmp_path / f"net{pos}.json"
+            save_network(net, path)
+            assert len(path.read_text().splitlines()) == net.num_layers + 2
 
 
 def _valid_doc():

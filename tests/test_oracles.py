@@ -74,6 +74,14 @@ class TestNeumannPartial:
         with pytest.raises(ValueError):
             oracles.neumann_partial(np.eye(2), 0)
 
+    @pytest.mark.parametrize("terms, reason", [
+        (1.5, "must be an integer"), (2.0, "must be an integer"),
+        (True, "must be an integer"), (0, "must be >= 1")])
+    def test_terms_refused_by_name(self, terms, reason):
+        # 1.5 and 2.0 used to raise a bare TypeError, True to count as 1 term
+        with pytest.raises(ValueError, match=f"terms {reason}, got {terms}"):
+            oracles.neumann_partial(np.eye(2), terms)
+
 
 class TestExactInverse:
     def test_diagonal(self):
