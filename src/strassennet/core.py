@@ -385,10 +385,13 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
             f"({net.input_shape.size}, batch)"
         )
     rho = _resolve_rho(net, rho)
+    # build every lazy operator before the first state: operators built
+    # between states stay above the freed states and keep the heap from
+    # shrinking, which made peak RSS depend on where earlier frees left holes
+    steps = [layer._operator() for layer in net.layers]
     V = np.ones((len(columns) + 1, columns.shape[1]))
     V[:-1] = columns
-    for layer in net.layers:
-        op, rows = layer._operator()
+    for op, rows in steps:
         V = op @ V
         if rows.size:
             V[rows] = rho(V[rows])

@@ -37,10 +37,12 @@ TABLES = {"entries": ("entry", "[i, j, k, l, value]"),
 
 
 def _rows(positions: np.ndarray, values: np.ndarray) -> list:
-    rows = positions.tolist()
-    for row, value in zip(rows, values.tolist()):
-        row.append(value)
-    return rows
+    # one object table gives rows of exactly their length; appending to
+    # ``positions.tolist()`` rows would over-allocate every one of them
+    table = np.empty((len(values), positions.shape[1] + 1), dtype=object)
+    table[:, :-1] = positions
+    table[:, -1] = values
+    return table.tolist()
 
 
 def network_to_dict(net: MNN) -> dict:
