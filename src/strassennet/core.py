@@ -10,11 +10,16 @@ The final layer is always identity-activated.  Weight counts are exact by
 construction: zero coefficients are never stored, so ``num_weights`` equals
 the number of stored tensor entries plus the number of nonzero bias entries.
 Evaluation flattens matrices row-major and stacks a batch of inputs as
-columns, with one extra row of ones.  Each layer is then one CSR product:
-its operator holds the map entries, the nonzero biases as a last column fed
-by that row, and a 1 that carries the row to the next layer; rho follows on
-the masked rows.  A network's error guarantee holds only on the domain its
-builder states (multipliers: operand entries in ``[-K, K]``; inverters:
+columns, with one extra row of ones.  A network is compiled once, on its
+first evaluation, into one CSR product per layer: its operator holds the map
+entries, the nonzero biases as a last column fed by that row, and a 1 that
+carries the row to the next layer.  Hidden states keep their rho rows first,
+so rho acts on one contiguous block; that order is internal, and inputs and
+outputs stay row-major.  A batch runs through all layers one cache-sized
+tile of columns at a time.  The floats are those of ``L X + C`` and then
+rho, layer by layer, whatever the batch; rho must act entrywise.  A
+network's error guarantee holds only on the domain its builder states
+(multipliers: operand entries in ``[-K, K]``; inverters:
 ``||I - alpha A||_2 <= delta``), and evaluation does not check it.
 """
 
@@ -183,10 +188,16 @@ class SparseLinearMap:
     def _flat_pairs(self):
         """Row-major flat (row, col) of each entry: output position
         ``(i, j)`` is row ``(i-1) cols + (j-1)``, in the stored order."""
-        # folding the -1s into one offset spares a copy of the whole table
+        # in place, with the -1s folded into one offset: no copy of the
+        # whole table and one new array per result
         i, j, k, l = self.idx.T
         oc, ic = self.out_shape.cols, self.in_shape.cols
-        return i * oc + (j - oc - 1), k * ic + (l - ic - 1)
+        rows, cols = i * oc, k * ic
+        rows += j
+        rows -= oc + 1
+        cols += l
+        cols -= ic + 1
+        return rows, cols
 
     def matrix(self) -> sparse.csr_matrix:
         """The flattened (out.size x in.size) CSR operator."""
@@ -239,7 +250,7 @@ class ActivationMask:
 class Layer:
     """One network layer: sparse map, bias matrix, activation mask."""
 
-    __slots__ = ("map", "bias", "mask", "weight_count", "_affine")
+    __slots__ = ("map", "bias", "mask", "weight_count")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
         self.map = linmap
@@ -258,40 +269,6 @@ class Layer:
         self.bias = _freeze(bias)
         self.mask = mask
         self.weight_count = linmap.nnz + int(np.count_nonzero(bias))
-        self._affine = None
-
-    def _operator(self):
-        """The layer as one affine step on states carrying a last row of
-        ones, built lazily: an ``(out.size + 1) x (in.size + 1)`` CSR
-        operator holding the map entries, each nonzero bias in the last
-        column and a 1 that carries the ones row, and the flat indices of
-        the rho rows.
-
-        The entries come row-major, which is CSR order, and each bias sits
-        after its row's entries, so the product sums a row's terms in the
-        order of :meth:`SparseLinearMap.matrix` and adds ``bias * 1.0``
-        last: the same floats as ``L @ V + bias``.
-        """
-        if self._affine is None:
-            m = self.map
-            rows, cols = m._flat_pairs()
-            # a last row, with no entries, gets the 1 that carries the ones
-            bias = np.append(self.bias.reshape(-1), 1.0)
-            at = np.flatnonzero(bias)
-            ends = np.cumsum(np.bincount(rows, minlength=bias.size))
-            # row at[e]'s bias follows its entries and the e biases before it
-            put = ends[at] + np.arange(at.size)
-            slot = np.ones(m.nnz + at.size, dtype=bool)
-            slot[put] = False
-            data = np.empty(slot.size)
-            data[slot], data[put] = m.val, bias[at]
-            indices = np.full(slot.size, m.in_shape.size, dtype=cols.dtype)
-            indices[slot] = cols
-            indptr = np.append(0, ends + np.cumsum(bias != 0))
-            op = sparse.csr_matrix((data, indices, indptr),
-                                   shape=(bias.size, m.in_shape.size + 1))
-            self._affine = op, np.flatnonzero(self.mask.rho)
-        return self._affine
 
     @property
     def out_shape(self) -> MatrixShape:
@@ -306,7 +283,7 @@ class MNN:
     """A matrix neural network: shape-compatible layers plus a rho label,
     which only a network without rho entries may leave ``None``."""
 
-    __slots__ = ("layers", "activation_name")
+    __slots__ = ("layers", "activation_name", "_steps")
 
     def __init__(self, layers: Sequence[Layer],
                  activation_name: Optional[str] = None):
@@ -328,6 +305,7 @@ class MNN:
                              "activation label")
         self.layers = layers
         self.activation_name = activation_name
+        self._steps = None  # the compiled evaluation, see _compile
 
     @property
     def input_shape(self) -> MatrixShape:
@@ -368,16 +346,109 @@ def _resolve_rho(net: MNN, rho):
     return rho
 
 
+# bytes of state one column tile should keep: the widest layer's state of a
+# tile then stays in cache from one layer's product to the next one's.  A
+# tile keeps at least 32 columns, over which each product's fixed cost is
+# spread.
+_TILE_BYTES = 2 ** 20
+
+
+def _compile(net: MNN):
+    """The network as ``(steps, tile)``: one ``(csr, n_rho)`` step per layer
+    and the column tile width, built on the first evaluation and cached.
+
+    Every state but the input and the output is held in rho-first order:
+    a layer's rho rows, then its identity rows, each in row-major order,
+    then the row of ones.  A step's rho then acts on the contiguous
+    ``V[:n_rho]``, and the next step's columns are relabelled to match.
+    The first step reads the input in row-major order with the ones row
+    last; the last step writes the output in row-major order, ones row
+    dropped.  Each row holds its map entries in stored order with its
+    nonzero bias after them, in the column of the ones row: the product
+    sums the same terms in the same order as ``L @ V + bias``, so the
+    floats are the same.  The relabelled columns are unsorted, and must
+    stay so.
+    """
+    if net._steps is not None:
+        return net._steps
+    steps, where, widest = [], None, net.input_shape.size + 1
+    mask = order = moved = None
+    for depth, layer in enumerate(net.layers, 1):
+        m = layer.map
+        rows, cols = m._flat_pairs()
+        bias = layer.bias.reshape(-1)
+        if depth < net.num_layers:  # a last row with the 1 for the ones row
+            bias = np.concatenate([bias, [1.0]])
+        # int32 when it fits, which scipy would otherwise cast to in a pass
+        index = np.int32 if m.nnz + bias.size + m.in_shape.size < 2 ** 31 \
+            else np.int64
+        per_map = np.bincount(rows, minlength=bias.size)
+        biased = bias != 0
+        indptr = np.zeros(bias.size + 1, dtype=index)
+        rho = layer.mask.rho.reshape(-1)
+        n_rho = int(np.count_nonzero(rho))
+        if n_rho and not np.array_equal(rho, mask):
+            # rho rows, identity rows, then the ones row: ``order`` lists
+            # the row-major rows so, ``moved`` gives each its new position;
+            # a run of layers with one mask shares them
+            mask = rho
+            order = np.concatenate([np.flatnonzero(rho), np.flatnonzero(~rho),
+                                    [rho.size]])
+            moved = np.empty_like(order, dtype=index)
+            moved[order] = np.arange(order.size)
+        if n_rho:
+            np.cumsum((per_map + biased)[order], out=indptr[1:])
+            start = indptr[moved]  # where each row-major row starts
+        else:
+            np.cumsum(per_map + biased, out=indptr[1:])
+            start = indptr[:-1]
+        # entry e of row r goes to start[r] + (e - the first entry of r),
+        # and the bias of row r right after its entries
+        after = start + per_map
+        put = (after - np.cumsum(per_map))[rows]
+        put += np.arange(m.nnz)
+        at = np.flatnonzero(biased)
+        put_bias = after[at]
+        data = np.empty(indptr[-1])
+        data[put], data[put_bias] = m.val, bias[at]
+        indices = np.empty(indptr[-1], dtype=index)
+        indices[put] = cols if where is None else where[cols]
+        indices[put_bias] = m.in_shape.size  # the ones row stays last
+        op = sparse.csr_matrix((data, indices, indptr),
+                               shape=(bias.size, m.in_shape.size + 1))
+        steps.append((op, n_rho))
+        where = moved if n_rho else None
+        widest = max(widest, bias.size)
+    net._steps = steps, max(32, _TILE_BYTES // (8 * widest))
+    return net._steps
+
+
+def _real(what: str, a) -> np.ndarray:
+    """``a`` as an array of integers or real floats, else refused by its
+    dtype: complex parts and strings are never read as numbers."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold integers or real floats, got "
+                         f"dtype {a.dtype}")
+    return a
+
+
 def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     """Evaluate the network on flattened inputs stacked as columns.
 
-    ``columns`` has shape ``(input_shape.size, batch)``; the result has shape
-    ``(output_shape.size, batch)``.  This is the batched workhorse behind
-    :func:`realize`.  The state carries a last row of ones, so each layer
-    is one CSR product with its bias as a last column, followed by rho on
-    the masked rows.
+    ``columns`` has shape ``(input_shape.size, batch)`` and holds integers
+    or real floats; the result is a fresh ``(output_shape.size, batch)``
+    array.  This is the batched workhorse behind :func:`realize`.  The
+    network is compiled once, on its first evaluation, into one CSR
+    product per layer on states carrying a last row of ones, with the bias
+    as a last column; hidden states keep their rho rows first (see
+    :func:`_compile`).  The batch runs through every layer one tile of
+    columns at a time, sized so that a tile's state stays in cache.  The
+    floats are those of ``L X + C`` and then rho, layer by layer, whatever
+    the batch.  ``rho`` must act entrywise: it is called on a contiguous
+    block of rows of one tile.
     """
-    columns = np.asarray(columns)
+    columns = _real("columns", columns)
     if columns.ndim != 2 or len(columns) != net.input_shape.size:
         raise ValueError(
             f"columns shape {columns.shape} does not match network input "
@@ -385,30 +456,38 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
             f"({net.input_shape.size}, batch)"
         )
     rho = _resolve_rho(net, rho)
-    # build every lazy operator before the first state: operators built
-    # between states stay above the freed states and keep the heap from
-    # shrinking, which made peak RSS depend on where earlier frees left holes
-    steps = [layer._operator() for layer in net.layers]
-    V = np.ones((len(columns) + 1, columns.shape[1]))
-    V[:-1] = columns
-    for op, rows in steps:
-        V = op @ V
-        if rows.size:
-            V[rows] = rho(V[rows])
-    return V[:-1]
+    # compile before the first state: operators built between states stay
+    # above the freed states and keep the heap from shrinking
+    steps, tile = _compile(net)
+    batch = columns.shape[1]
+    out = np.empty((net.output_shape.size, batch))
+    for first in range(0, batch, tile):
+        cut = columns[:, first:first + tile]
+        V = np.empty((len(cut) + 1, cut.shape[1]))
+        V[:-1] = cut
+        V[-1] = 1.0
+        for op, n_rho in steps:
+            V = op @ V
+            if n_rho:
+                V[:n_rho] = rho(V[:n_rho])
+        out[:, first:first + tile] = V
+    return out
 
 
 def realize(net: MNN, rho, input: np.ndarray) -> np.ndarray:
     """The function computed by the network, applied to one input matrix.
 
     ``rho`` may be None, in which case the activation is looked up from the
-    network's ``activation_name``.  Each layer costs one sparse product (see
-    :func:`realize_flat`).  Only the input's shape is checked: the error
-    guarantee covers the domain the builder states (for multipliers, entries
-    of both operands in ``[-K, K]``; for inverters, ``||I - alpha A||_2 <=
-    delta``), and an input outside it is evaluated all the same.
+    network's ``activation_name``; it must act entrywise.  Each layer costs
+    one sparse product of the network compiled on its first evaluation (see
+    :func:`realize_flat`), and the output is bit-identical to computing
+    ``L X + C`` and then rho layer by layer.  The input must hold integers
+    or real floats, and only its shape is checked: the error guarantee
+    covers the domain the builder states (for multipliers, entries of both
+    operands in ``[-K, K]``; for inverters, ``||I - alpha A||_2 <= delta``),
+    and an input outside it is evaluated all the same.
     """
-    X = np.asarray(input, dtype=float)
+    X = _real("input", input)
     if X.shape != tuple(net.input_shape):
         raise ValueError(
             f"input shape {X.shape} does not match network input "
@@ -420,7 +499,7 @@ def realize(net: MNN, rho, input: np.ndarray) -> np.ndarray:
 
 def realize_many(net: MNN, rho, inputs) -> np.ndarray:
     """Evaluate a batch of input matrices; ``inputs`` is (batch, rows, cols)."""
-    X = np.asarray(inputs, dtype=float)
+    X = _real("inputs", inputs)
     if X.ndim != 3 or X.shape[1:] != tuple(net.input_shape):
         raise ValueError(
             f"batch shape {X.shape} does not match network input "

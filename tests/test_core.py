@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strassennet import core
+from strassennet.combinators import concat, parallelize
 from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, Layer,
                               MatrixShape, SparseLinearMap,
                               counts_satisfied, identity_mnn, mnn_equal,
@@ -269,6 +271,50 @@ def _bias_off_the_map():
     return MNN([hidden, Layer(out, [[-0.1]])], "relu")
 
 
+def _random_net(shapes, rho_layers, label="relu", seed=3):
+    """A net through the given matrix shapes with random dense maps and
+    biases, and rho on every entry of the hidden layers in ``rho_layers``
+    but the second entry of the first of them, whose rho rows are then not
+    all first."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for pos, (shape_in, shape_out) in enumerate(zip(shapes, shapes[1:])):
+        quads = np.indices(shape_out + shape_in).reshape(4, -1).T + 1
+        linmap = SparseLinearMap(shape_out, shape_in, quads,
+                                 rng.uniform(0.5, 1.5, len(quads))
+                                 * rng.choice([-1, 1], len(quads)))
+        mask = None
+        if pos in rho_layers:
+            mask = ActivationMask.all_rho(shape_out)
+            if pos == min(rho_layers) and mask.rho.size > 1:
+                rho = mask.rho.copy()
+                rho.flat[1] = False
+                mask = ActivationMask(shape_out, rho)
+        layers.append(Layer(linmap, rng.uniform(-0.5, 0.5, shape_out), mask))
+    return MNN(layers, label)
+
+
+def _check_tiles(net, rho):
+    """Bit-identity with the layer-by-layer reference for batches that
+    end before, at and after the column tile boundaries."""
+    tile = core._compile(net)[1]
+    cols = np.random.default_rng(7).uniform(-1, 1, (net.input_shape.size,
+                                                    2 * tile + 3))
+    kept = cols.copy()
+    for width in (0, 1, 5, tile - 1, tile, tile + 1, 2 * tile + 3):
+        for batch in (cols[:, :width], cols[:, 2:2 + width]):
+            got, want = realize_flat(net, rho, batch), _layer_by_layer(
+                net, rho, batch)
+            assert got.shape == want.shape == (net.output_shape.size,
+                                               batch.shape[1])
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == want.tobytes()  # signs of zero too
+    assert cols.tobytes() == kept.tobytes()
+    single = cols[:, 3:4]  # a strided column
+    assert (realize_flat(net, rho, single).tobytes()
+            == _layer_by_layer(net, rho, single).tobytes())
+
+
 @pytest.mark.parametrize("make, rho", [
     (lambda: build_str_pow2(0, 0.1, 1.0, relu_factory), None),
     (lambda: build_str_pow2(1, 0.1, 1.0, relu_factory), None),
@@ -281,19 +327,65 @@ def _bias_off_the_map():
     (lambda: build_in(2, 0.5), None),
     (lambda: build_split(1), None),
     (lambda: build_str_pow2(1, 0.1, 1.0, relu_factory), np.sin),
+    (lambda: build_str_pow2(3, 0.1, 1.0, relu_factory), None),
+    (lambda: build_inv(InversionSpec(3, 1.0, 1e-3, 0.5), relu2_factory),
+     None),
+    (lambda: _random_net([(2, 2), (3, 2), (2, 3), (1, 3), (2, 1)],
+                         {0, 1, 2}), None),
+    (lambda: _random_net([(2, 2), (3, 2), (2, 3), (1, 3), (2, 1)], {1}),
+     None),
+    (lambda: _random_net([(2, 3), (1, 4), (3, 1)], {0}, "user"), np.sin),
 ], ids=["relu-k0", "relu-k1", "relu-k2", "relu2-k0", "relu2-k1", "relu2-k2",
         "inv-relu-n2", "bias-off-the-map", "glue-in", "glue-split",
-        "user-rho"])
+        "user-rho", "relu-k3", "inv-relu2-n3", "rho-hidden-layers",
+        "rho-one-layer", "user-rho-random"])
 def test_realize_flat_is_bit_identical_to_layer_by_layer(make, rho):
-    net = make()
-    cols = np.random.default_rng(7).uniform(-1, 1, (net.input_shape.size, 5))
-    for batch in (cols[:, :1], cols, cols[:, 2:3]):  # the last: strided
-        got, want = realize_flat(net, rho, batch), _layer_by_layer(
-            net, rho, batch)
-        assert got.shape == want.shape == (net.output_shape.size,
-                                           batch.shape[1])
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signs of zero too
+    _check_tiles(make(), rho)
+
+
+def test_realize_flat_compiles_each_network_once(monkeypatch):
+    child = build_str_pow2(1, 0.1, 1.0, relu_factory)
+    cols = np.random.default_rng(5).uniform(-1, 1, (child.input_shape.size,
+                                                    9))
+    first = realize_flat(child, None, cols)
+    steps, built = child._steps, []
+    csr = core.sparse.csr_matrix
+    monkeypatch.setattr(core.sparse, "csr_matrix",
+                        lambda *args, **kw: built.append(1) or csr(*args, **kw))
+    assert realize_flat(child, None, cols).tobytes() == first.tobytes()
+    assert child._steps is steps and built == []
+    monkeypatch.undo()
+    # networks sharing the child's layers compile their own steps
+    top = parallelize([child, child])
+    tail = concat(_random_net([(2, 2), (1, 3)], set()), child)
+    for net in (child, top, tail):
+        _check_tiles(net, None)
+    assert child._steps is steps
+
+
+@pytest.mark.parametrize("bad", [np.ones((8, 2)) + 1j, np.full((8, 2), "1"),
+                                 np.full((8, 2), 1.0, dtype=object),
+                                 np.ones((8, 2), dtype=bool)],
+                         ids=["complex", "string", "object", "bool"])
+def test_realize_refuses_non_real_dtypes(bad):
+    # complex inputs lost their imaginary part with a ComplexWarning, and
+    # "1" strings were read as numbers
+    net = build_str_pow2(1, 0.1, 1.0, relu2_factory)
+    name = rf"got dtype {bad.dtype}$"
+    with pytest.raises(ValueError, match=r"^columns must hold integers or "
+                       r"real floats, " + name):
+        realize_flat(net, None, bad)
+    with pytest.raises(ValueError, match=r"^input must .*" + name):
+        realize(net, None, bad.reshape(2, 4, 2)[:, :, 0])
+    with pytest.raises(ValueError, match=r"^inputs must .*" + name):
+        realize_many(net, None, bad.T.reshape(2, 2, 4))
+
+
+def test_realize_reads_integer_inputs_as_floats():
+    net = build_str_pow2(1, 0.1, 1.0, relu2_factory)
+    ints = np.arange(16).reshape(8, 2) % 3 - 1
+    assert (realize_flat(net, None, ints).tobytes()
+            == realize_flat(net, None, ints.astype(float)).tobytes())
 
 
 class TestScaleOutput:
