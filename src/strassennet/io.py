@@ -9,17 +9,27 @@ as ``[i, j]``, each table in the row-major order ``SparseLinearMap`` keeps.
 Files are written compactly, one line per layer: a header line
 ``{"activation":<label>,"layers":[``, then each layer as one JSON object
 without whitespace, every one after the first led by a comma, then ``]}``.
-The loader parses any JSON layout, so indented files written by earlier
-versions still load, and re-save in the compact layout.
+The writer formats each line straight from the layer's arrays, writing
+every distinct number once with the text ``json.dumps`` gives it, so the
+bytes are those of ``network_to_dict`` dumped layer by layer.
+The reader streams a compact file: it parses and converts one layer line
+at a time, so it never holds more than one layer's document.  Any other
+JSON layout (indented files written by earlier versions, a layer split
+over lines, text after ``]}``) goes through ``json.load`` and
+``network_from_dict`` with the same messages, and re-saves compactly.
+A compact file is judged in file order, so of several faults the first
+one is named: a bad layer before invalid JSON on a later line.
 Loading refuses, naming the layer and the first offending entry, shapes
 that are not integers >= 1, rows of the wrong length or holding
-non-numbers, and whatever the one storage rule of built networks refuses:
-non-integer or out-of-range indices, positions repeated in the entries,
-bias or mask table, and zero or non-finite values.
+non-numbers (booleans included), and whatever the one storage rule of
+built networks refuses: non-integer or out-of-range indices, positions
+repeated in the entries, bias or mask table, and zero or non-finite
+values.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -61,20 +71,49 @@ def network_to_dict(net: MNN) -> dict:
     return {"activation": net.activation_name, "layers": layers}
 
 
+#: the compact layout's first line around the JSON label, and its last line
+HEAD, HEAD_END, FOOT = '{"activation":', ',"layers":[\n', "]}\n"
+LAYER_LINE = ('{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,'
+              '"entries":[%s],"bias":[%s],"mask_rho":[%s]}')
+
+
+def _spelled(numbers: np.ndarray, spell) -> np.ndarray:
+    """``spell(x)`` for every number, as an object array of the same shape;
+    each distinct number is spelled once."""
+    distinct, at = np.unique(numbers, return_inverse=True)
+    names = np.array([spell(x) for x in distinct.tolist()], dtype=object)
+    return names[at.reshape(numbers.shape)]
+
+
+def _table(positions: np.ndarray, values=None) -> str:
+    """The text ``json.dumps`` gives a table's rows without spaces: ``str``
+    writes an int and ``repr`` a float as its encoder does.  Stored values
+    are nonzero and finite, so equal floats have one spelling."""
+    cells = _spelled(positions, str)
+    if values is not None:
+        cells = np.hstack([cells, _spelled(values[:, None], repr)])
+    row = "[" + ",".join(["%s"] * cells.shape[1]) + "]"
+    return ",".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+
+
 def save_network(net: MNN, path) -> None:
     """Write ``network_to_dict(net)`` compactly, one line per layer.
 
-    Each layer is one separator-only ``json.dumps``, which CPython runs in
-    its C encoder (any ``indent`` falls back to the pure-Python one)."""
-    doc = network_to_dict(net)
+    Each line is formatted from the layer's arrays, byte for byte what a
+    separator-only ``json.dumps`` of its document gives, without building
+    the document."""
     with open(path, "w") as fh:
-        fh.write(f'{{"activation":{json.dumps(doc["activation"])},"layers":[')
-        lead = "\n"
-        for layer in doc["layers"]:
+        fh.write(HEAD + json.dumps(net.activation_name) + HEAD_END)
+        lead = ""
+        for layer in net.layers:
+            lm, at = layer.map, np.argwhere(layer.bias)
             fh.write(lead)
-            fh.write(json.dumps(layer, separators=(",", ":")))
+            fh.write(LAYER_LINE % (
+                *lm.out_shape, *lm.in_shape, _table(lm.idx, lm.val),
+                _table(at + 1, layer.bias[tuple(at.T)]),
+                _table(np.argwhere(layer.mask.rho) + 1)))
             lead = "\n,"
-        fh.write("\n]}\n")
+        fh.write("\n" + FOOT)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -87,38 +126,53 @@ def _is_number(x) -> bool:
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
 
 
-def _read_table(spec: dict, key: str) -> np.ndarray:
+def _read_table(spec: dict, key: str, scan: bool) -> np.ndarray:
     """Table ``key`` of a layer converted in one numpy call; the first row
-    of the wrong length or holding a non-number is refused by position."""
+    of the wrong length or holding a non-number is refused by position.
+    numpy reads a boolean among numbers as 0 or 1, so a table that may hold
+    one is ``scan``ned row by row."""
     rows, (what, fields) = spec[key], TABLES[key]
     if not isinstance(rows, list):
         raise ValueError(f"{key} must be a list")
     width = fields.count(",") + 1
+
+    def fits(row) -> bool:
+        return (isinstance(row, list) and len(row) == width
+                and all(map(_is_number, row)))
+
     try:
         table = np.array(rows) if rows else np.empty((0, width))
     except ValueError:  # ragged rows
         table = np.empty(0)
-    if table.shape != (len(rows), width) or table.dtype.kind not in "iuf":
-        e = next(e for e, row in enumerate(rows)
-                 if not (isinstance(row, list) and len(row) == width
-                         and all(map(_is_number, row))))
+    if (table.shape != (len(rows), width) or table.dtype.kind not in "iuf"
+            or scan and not all(map(fits, rows))):
+        e = next(e for e, row in enumerate(rows) if not fits(row))
         raise ValueError(f"{what} {e} must be {fields}, got {rows[e]!r:.60}")
     return table
 
 
-def _layer(spec: dict) -> Layer:
-    """One layer from its JSON object, refused like a built one."""
+def _layer(pos: int, spec, scan: bool = True) -> Layer:
+    """Layer ``pos`` from its JSON object, refused like a built one;
+    ``scan=False`` when its text holds no ``true`` or ``false``."""
+    _require(isinstance(spec, dict), f"layer {pos} must be an object")
+    for key in LAYER_KEYS:
+        _require(key in spec, f"layer {pos} missing key {key!r}")
     out_keys, in_keys = LAYER_KEYS[:2], LAYER_KEYS[2:4]
-    out_shape = _as_shape([spec[key] for key in out_keys], out_keys)
-    in_shape = _as_shape([spec[key] for key in in_keys], in_keys)
-    entries, bias_rows, mask_rows = (_read_table(spec, key) for key in TABLES)
-    linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4], entries[:, 4])
-    at, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2], out_shape,
-                              bias_rows[:, 2])
-    bias = np.zeros(out_shape)
-    bias[tuple(at.T - 1)] = values
-    return Layer(linmap, bias, ActivationMask.from_positions(out_shape,
-                                                             mask_rows))
+    try:
+        out_shape = _as_shape([spec[key] for key in out_keys], out_keys)
+        in_shape = _as_shape([spec[key] for key in in_keys], in_keys)
+        entries, bias_rows, mask_rows = (_read_table(spec, key, scan)
+                                         for key in TABLES)
+        linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
+                                 entries[:, 4])
+        at, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
+                                  out_shape, bias_rows[:, 2])
+        bias = np.zeros(out_shape)
+        bias[tuple(at.T - 1)] = values
+        return Layer(linmap, bias,
+                     ActivationMask.from_positions(out_shape, mask_rows))
+    except ValueError as exc:
+        raise ValueError(f"bad network file: layer {pos} {exc}") from None
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -131,25 +185,65 @@ def network_from_dict(doc: dict) -> MNN:
              f"activation must be a string or null, got {label!r}")
     _require(isinstance(doc["layers"], list) and doc["layers"],
              "layers must be a nonempty list")
+    return MNN([_layer(pos, spec) for pos, spec in enumerate(doc["layers"])],
+               label)
+
+
+def _read_compact(fh):
+    """The network in a compact file, parsed and converted one layer line
+    at a time, or None when the file is laid out otherwise: then only
+    ``json.load`` can tell a valid document from invalid JSON."""
+    head = fh.readline()
+    if not (head.startswith(HEAD) and head.endswith(HEAD_END)):
+        return None
+    try:
+        label = json.loads(head[len(HEAD):-len(HEAD_END)])
+    except json.JSONDecodeError:
+        return None
+    if not (label is None or isinstance(label, str)):
+        return None
     layers = []
-    for pos, spec in enumerate(doc["layers"]):
-        _require(isinstance(spec, dict), f"layer {pos} must be an object")
-        for key in LAYER_KEYS:
-            _require(key in spec, f"layer {pos} missing key {key!r}")
+    for line in iter(fh.readline, ""):
+        if line == FOOT:
+            break
+        if layers and not line.startswith(","):
+            return None
         try:
-            layers.append(_layer(spec))
-        except ValueError as exc:
-            raise ValueError(f"bad network file: layer {pos} {exc}") from None
+            spec = json.loads(line[1:] if layers else line)
+        except json.JSONDecodeError:
+            return None
+        scan = "true" in line or "false" in line
+        layers.append(_layer(len(layers), spec, scan))
+    else:  # no closing line
+        return None
+    if not layers or fh.read(1):
+        return None
     return MNN(layers, label)
 
 
 def load_network(path) -> MNN:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad network file: not valid JSON ({exc})") from None
-    return network_from_dict(doc)
+    """The network in file ``path``, refused with ``bad network file: ...``.
+
+    The cyclic garbage collector is paused meanwhile: parsed tables are
+    lists of numbers, which form no cycles, and its passes over them took
+    about half of the parse time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            net = _read_compact(fh)
+            if net is not None:
+                return net
+            fh.seek(0)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"bad network file: not valid JSON ({exc})") from None
+        return network_from_dict(doc)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_matrix(A: np.ndarray, path) -> None:

@@ -1,12 +1,16 @@
 """Serialization: JSON network files and CSV matrix files."""
 
 import copy
+import gc
 import json
+from functools import partial
+from operator import setitem
 
 import numpy as np
 import pytest
 
-from strassennet.core import mnn_equal, realize
+from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
+                              mnn_equal, realize)
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_inv
 from strassennet.io import (load_matrix, load_network, network_from_dict,
@@ -134,6 +138,43 @@ class TestFileLayout:
             path = tmp_path / f"net{pos}.json"
             save_network(net, path)
             assert len(path.read_text().splitlines()) == net.num_layers + 2
+
+
+def _compact_text(doc) -> str:
+    """A document in the compact layout, one separator-only ``json.dumps``
+    per layer: the reference that ``save_network``'s bytes must match."""
+    lines = [json.dumps(layer, separators=(",", ":"))
+             for layer in doc["layers"]]
+    return (f'{{"activation":{json.dumps(doc["activation"])},"layers":[\n'
+            + "\n,".join(lines) + ("\n" if lines else "") + "]}\n")
+
+
+def _awkward_network():
+    # values whose repr is shortest-round-trip, exponent or long; indices
+    # of two digits
+    values = [5e-324, 1e16, 1e-05, 0.1 + 0.2, -1.7976931348623157e308, 2.0]
+    idx = [[10, 1, 1, 12], [10, 2, 3, 4], [11, 1, 12, 1], [1, 1, 1, 1],
+           [11, 2, 10, 2], [2, 1, 1, 2]]
+    bias = np.zeros((11, 2))
+    bias[9, 1], bias[10, 0], bias[0, 0] = 1e16, -5e-324, 0.1 + 0.2
+    first = Layer(SparseLinearMap((11, 2), (12, 12), idx, values), bias,
+                  ActivationMask.from_positions((11, 2), [[10, 1], [11, 2]]))
+    last = Layer(SparseLinearMap((1, 1), (11, 2), [[1, 1, 10, 1]], [1e-05]))
+    return MNN([first, last], "relu")
+
+
+class TestWriterReference:
+    @pytest.mark.parametrize("net", [
+        *_sample_networks(),
+        build_str_pow2(2, 1e-2, 1.0, relu_factory),
+        _awkward_network()],
+        ids=["relu-gadget", "relu2-inverter", "relu2-pow2-k1",
+             "relu-pow2-k2", "awkward-values"])
+    def test_bytes_match_dumping_the_document(self, tmp_path, net):
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert mnn_equal(load_network(path), net)
 
 
 def _valid_doc():
@@ -334,6 +375,179 @@ class TestMalformedDocuments:
         net = network_from_dict(scrambled)
         assert mnn_equal(net, network_from_dict(doc))
         assert network_to_dict(net) == doc
+
+
+def _rows_of(doc, table, least=1):
+    """Table ``table`` of the first layer holding at least ``least`` rows."""
+    return next(layer[table] for layer in doc["layers"]
+                if len(layer[table]) >= least)
+
+
+def _cell(table, row, cell, value):
+    return lambda doc: setitem(_rows_of(doc, table, row + 1)[row], cell, value)
+
+
+def _repeat_first_row(doc, table):
+    rows = _rows_of(doc, table, 2)
+    rows.insert(1, copy.deepcopy(rows[0]))
+
+
+#: every malformed document of ``TestMalformedDocuments`` that the compact
+#: layout can hold, plus booleans in tables and a layer that is no object
+COMPACT_FAULTS = {
+    "empty-layer-list": lambda doc: setitem(doc, "layers", []),
+    "layer-not-an-object": lambda doc: setitem(doc["layers"], 1, 5),
+    "missing-layer-key": lambda doc: doc["layers"][0].pop("entries"),
+    **{f"label-{label!r}":
+       lambda doc, label=label: setitem(doc, "activation", label)
+       for label in (5, 1.5, True, ["relu"])},
+    "mask-on-final-layer":
+        lambda doc: setitem(doc["layers"][-1], "mask_rho", [[1, 1]]),
+    "entry-arity":
+        lambda doc: setitem(_rows_of(doc, "entries"), 0, [1, 1, 1]),
+    "short-entry":
+        lambda doc: setitem(_rows_of(doc, "entries", 8), 7, [1, 1, 1, 1]),
+    "mask-entry-arity": lambda doc: setitem(_rows_of(doc, "mask_rho"), 0, [1]),
+    "entry-index-out-of-range": _cell("entries", 0, 0, 10 ** 6),
+    "entry-fractional-index": _cell("entries", 1, 0, 1.7),
+    "entry-infinite-index": _cell("entries", 1, 3, float("inf")),
+    "zero-coefficient": _cell("entries", 0, 4, 0.0),
+    "entry-nan": _cell("entries", 2, 4, float("nan")),
+    "entry-string": _cell("entries", 0, 4, "2.5"),
+    "entry-boolean-value": _cell("entries", 3, 4, True),
+    "zero-bias": _cell("bias", 0, 2, 0.0),
+    "bias-out-of-range": _cell("bias", 0, 0, 10 ** 3),
+    "bias-infinite": _cell("bias", 0, 2, float("inf")),
+    "bias-string-index": _cell("bias", 0, 1, "1"),
+    "bias-boolean-index": _cell("bias", 0, 1, False),
+    "mask-entry-zero": _cell("mask_rho", 0, 0, 0),
+    "mask-entry-past-the-end": _cell("mask_rho", 0, 0, 10 ** 3),
+    "mask-fractional-index": _cell("mask_rho", 0, 1, 1.5),
+    "mask-null": _cell("mask_rho", 0, 0, None),
+    **{f"repeated-{table}": partial(_repeat_first_row, table=table)
+       for table in ("entries", "bias", "mask_rho")},
+    **{f"{table}-not-a-list":
+       lambda doc, table=table: setitem(doc["layers"][0], table, {})
+       for table in ("entries", "bias", "mask_rho")},
+    **{f"{key}-{value!r}":
+       lambda doc, key=key, value=value: setitem(doc["layers"][0], key, value)
+       for key in ("out_rows", "out_cols", "in_rows", "in_cols")
+       for value in (0, 2.9, True, "x", None, 2.0)},
+}
+
+
+def _refusal(call, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestCompactReader:
+    @pytest.mark.parametrize("mutate", COMPACT_FAULTS.values(),
+                             ids=COMPACT_FAULTS.keys())
+    def test_refuses_like_network_from_dict(self, tmp_path, mutate):
+        doc = _valid_doc()
+        mutate(doc)
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc))
+        assert _refusal(load_network, path) == _refusal(network_from_dict,
+                                                        doc)
+
+    @pytest.mark.parametrize("table, what, row", [
+        ("mask_rho", "mask entry 0 must be [i, j]", [True, True]),
+        ("bias", "bias entry 0 must be [i, j, value]", [1, True, 0.5])])
+    def test_booleans_among_numbers_are_refused(self, tmp_path, table, what,
+                                                row):
+        # numpy reads a boolean among numbers as 0 or 1: [true, true] used
+        # to load as the mask position (1, 1)
+        doc = _valid_doc()
+        pos = next(p for p, layer in enumerate(doc["layers"]) if layer[table])
+        doc["layers"][pos][table][0] = row
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc))
+        message = f"bad network file: layer {pos} {what}, got {row!r}"
+        assert _refusal(network_from_dict, doc) == message
+        assert _refusal(load_network, path) == message
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:2] + [lines[2].replace("]],", "]]", 1)]
+        + lines[3:],
+        lambda lines: lines[:-2] + [lines[-2].replace('"bias"', '"bias', 1),
+                                    lines[-1]],
+        lambda lines: lines + ["[]\n"],
+        lambda lines: lines[:-1],
+        lambda lines: lines[:2] + [lines[2][1:]] + lines[3:],
+        lambda lines: lines[:2] + [" " + lines[2][1:]] + lines[3:],
+        lambda lines: lines[:1] + ["," + lines[1]] + lines[2:],
+    ], ids=["broken-later-line", "open-string", "text-after-close",
+            "no-close", "no-comma", "space-for-comma", "comma-on-first-layer"])
+    def test_invalid_json_is_named_as_json_load_names_it(self, tmp_path,
+                                                          edit):
+        lines = _compact_text(_valid_doc()).splitlines(keepends=True)
+        broken = "".join(edit(lines))
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(broken)
+        path = tmp_path / "net.json"
+        path.write_text(broken)
+        assert _refusal(load_network, path) == (
+            f"bad network file: not valid JSON ({info.value})")
+
+    def test_zero_layers_are_refused(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text('{"activation":null,"layers":[\n]}\n')
+        with pytest.raises(ValueError, match="nonempty"):
+            load_network(path)
+
+    def test_first_fault_in_file_order_is_named(self, tmp_path):
+        doc = _valid_doc()
+        doc["layers"][0]["in_rows"] = 0
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc) + "trailing")
+        assert _refusal(load_network, path) == _refusal(network_from_dict,
+                                                        doc)
+
+    @pytest.mark.parametrize("layout", [
+        lambda text: text.replace('"entries":', '\n"entries":', 1),
+        lambda text: text.replace("]}\n", "]}\n\n"),
+        lambda text: text.replace('{"activation":', '{ "activation":', 1),
+        lambda text: text.rstrip("\n"),
+    ], ids=["layer-over-two-lines", "blank-line-after", "spaced-header",
+            "no-final-newline"])
+    def test_other_layouts_load_the_same_network(self, tmp_path, layout):
+        net = relu_factory.build(GadgetSpec(0.3, 1.0))
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        text = path.read_text()
+        path.write_text(layout(text))
+        assert path.read_text() != text
+        assert mnn_equal(load_network(path), net)
+
+    def test_compact_files_are_read_without_json_load(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "net.json"
+        net = _sample_networks()[1]
+        save_network(net, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.load read a compact file")
+        monkeypatch.setattr(json, "load", refuse)
+        assert mnn_equal(load_network(path), net)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_garbage_collector_state_is_restored(self, tmp_path, enabled):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_network(_sample_networks()[0], good)
+        bad.write_text("{not json")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_network(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                load_network(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestMatrixFiles:
