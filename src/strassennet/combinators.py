@@ -59,7 +59,7 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     in_off = 0
     for layer in children:
         if layer.map.nnz:
-            shifted = layer.map.idx.copy()
+            shifted = layer.map.idx
             shifted[:, 0] += out_off
             shifted[:, 2] += in_off
             idx_parts.append(shifted)

@@ -9,6 +9,11 @@ per-entry activation drawn from ``{identity, rho}``:
 The final layer is always identity-activated.  Weight counts are exact by
 construction: zero coefficients are never stored, so ``num_weights`` equals
 the number of stored tensor entries plus the number of nonzero bias entries.
+A map stores its entries only as the CSR arrays of its flattened operator
+(row pointers, flat input positions, coefficients), in row-major
+``(i, j, k, l)`` order; its 1-based quadruples ``idx`` are derived from
+them on demand.  That order is the one in which evaluation sums each row,
+so it must stay row-major: another order would change the floats.
 Evaluation flattens matrices row-major and stacks a batch of inputs as
 columns, with one extra row of ones.  A network is compiled once, on its
 first evaluation, into one CSR product per layer: its operator holds the map
@@ -53,6 +58,16 @@ def _count(name: str, n, least: int = 1) -> int:
     return int(n)
 
 
+def _real(what: str, a) -> np.ndarray:
+    """``a`` as an array of integers or real floats, else refused by its
+    dtype: complex parts and strings are never read as numbers."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold integers or real floats, got "
+                         f"dtype {a.dtype}")
+    return a
+
+
 def _as_shape(shape, keys=()) -> MatrixShape:
     """``shape`` as two dimensions, each an integer >= 1 (see ``_whole``).
     A refusal quotes the shape or, given the two dimensions' ``keys`` (the
@@ -91,9 +106,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _stored_rows(what: str, index, bounds, value=None):
     """The storage rule of map entries, bias entries and mask positions:
     rows of 1-based positions within ``bounds`` (with their values, or None)
-    come back as int64 indices (and floats) in row-major order, and the first
+    come back as sorted int64 row-major flat keys (and floats), and the first
     row with a non-integer or out-of-range index, a repeated position, or a
-    non-finite or zero value is refused as ``<what> <e> <row> <reason>``."""
+    non-finite or zero value is refused as ``<what> <e> <row> <reason>``.
+    Values must be real numbers by dtype (see ``_real``)."""
     index = np.asarray(index)
     if index.dtype.kind == "b":  # numpy would read True/False as 1/0
         raise ValueError(f"{what} indices must be integers, not booleans")
@@ -104,7 +120,8 @@ def _stored_rows(what: str, index, bounds, value=None):
             index = index.astype(np.int64)
     index = index.reshape(-1, len(bounds))
     if value is not None:
-        value = np.asarray(value, dtype=float).reshape(len(index))
+        value = np.array(_real("values", value),  # a copy, to be frozen
+                         dtype=float).reshape(len(index))
     if index.dtype.kind in "iu" and (
             value is None or np.isfinite(value).all() and value.all()):
         try:
@@ -112,9 +129,11 @@ def _stored_rows(what: str, index, bounds, value=None):
         except ValueError:  # an index out of range, named below
             pass
         else:
-            order = np.argsort(key, kind="stable")
-            if not np.any(np.diff(key[order]) == 0):
-                return index[order], None if value is None else value[order]
+            if np.any(np.diff(key) <= 0):  # not yet in row-major order
+                perm = np.argsort(key, kind="stable")
+                key, value = key[perm], None if value is None else value[perm]
+            if not np.any(np.diff(key) == 0):
+                return key, value
     # refused: judge every row to name the first offending one.  Rows with
     # a bad index sit at position 1, so a row they make look repeated comes
     # after them and is never the one named.
@@ -140,26 +159,34 @@ def _stored_rows(what: str, index, bounds, value=None):
 
 
 class SparseLinearMap:
-    """A 4-index linear map stored as nonzero coordinate entries.
+    """A 4-index linear map stored as the CSR arrays of its flattened
+    ``(out.size x in.size)`` operator.
 
-    ``idx`` is an ``(nnz, 4)`` int64 array of 1-based quadruples
-    ``(i, j, k, l)`` and ``val`` the matching coefficients; entry
-    ``(i, j, k, l, v)`` sends input position ``(k, l)`` to output position
-    ``(i, j)`` with weight ``v``, stored in row-major ``(i, j, k, l)`` order
-    whatever order they arrive in.  The rule every stored table follows,
-    built or loaded, refuses non-integer or out-of-range indices, repeated
-    quadruples, explicit zeros and non-finite coefficients, so that the
-    entry count is the weight count.
+    It is given as ``idx``, ``(nnz, 4)`` 1-based quadruples ``(i, j, k, l)``,
+    and ``val``, the matching coefficients: entry ``(i, j, k, l, v)`` sends
+    input position ``(k, l)`` to output position ``(i, j)`` with weight
+    ``v``.  The rule every stored table follows, built or loaded, refuses
+    non-integer or out-of-range indices, repeated quadruples, explicit
+    zeros, and coefficients that are non-finite or not real numbers, so
+    that the entry count is the weight count.  The entries are kept only as
+    ``indptr`` (row-major output row ``r`` holds entries
+    ``indptr[r]:indptr[r + 1]``), ``indices`` (their row-major input
+    positions) and ``val``, in row-major ``(i, j, k, l)`` order whatever
+    order they arrive in.  That order is the order in which evaluation sums
+    each output row, so it fixes the floats: changing it changes the
+    outputs.  ``idx`` is derived from these arrays on each call.
     """
 
-    __slots__ = ("out_shape", "in_shape", "idx", "val")
+    __slots__ = ("out_shape", "in_shape", "indptr", "indices", "val")
 
     def __init__(self, out_shape, in_shape, idx, val):
         self.out_shape = _as_shape(out_shape)
         self.in_shape = _as_shape(in_shape)
-        idx, val = _stored_rows("entry", idx, self.out_shape + self.in_shape,
+        key, val = _stored_rows("entry", idx, self.out_shape + self.in_shape,
                                 val)
-        self.idx = _freeze(idx)
+        rows, indices = np.divmod(key, self.in_shape.size)
+        starts = np.bincount(rows + 1, minlength=self.out_shape.size + 1)
+        self.indptr, self.indices = _freeze(starts.cumsum()), _freeze(indices)
         self.val = _freeze(val)
 
     @classmethod
@@ -170,39 +197,37 @@ class SparseLinearMap:
         sends the ``rows x cols`` input block at 0-based offset
         ``(in_row, in_col)`` to the output block at ``(out_row, out_col)``.
         Overlapping blocks and zero coefficients are refused like any
-        repeated or zero entry.
+        repeated or zero entry, and a coefficient that is not a real number
+        by its dtype.
         """
         idx, val = [np.empty((0, 4), dtype=np.int64)], [np.empty(0)]
         for out_row, out_col, in_row, in_col, rows, cols, coeff in blocks:
             r, c = np.indices((rows, cols)).reshape(2, -1) + 1
             idx.append(np.stack([out_row + r, out_col + c,
                                  in_row + r, in_col + c], axis=1))
-            val.append(np.full(r.size, float(coeff)))
+            val.append(np.full(r.size, _real("block coefficients", coeff),
+                                dtype=float))
         return cls(out_shape, in_shape, np.concatenate(idx),
                    np.concatenate(val))
+
+    @property
+    def idx(self) -> np.ndarray:
+        """The ``(nnz, 4)`` int64 1-based quadruples, new on each call."""
+        idx = np.empty((self.nnz, 4), dtype=np.int64)
+        rows = np.arange(self.out_shape.size, dtype=np.int64).repeat(
+            self.indptr[1:] - self.indptr[:-1])
+        np.divmod(rows, self.out_shape.cols, out=(idx[:, 0], idx[:, 1]))
+        np.divmod(self.indices, self.in_shape.cols, out=(idx[:, 2], idx[:, 3]))
+        idx += 1
+        return idx
 
     @property
     def nnz(self) -> int:
         return int(self.val.size)
 
-    def _flat_pairs(self):
-        """Row-major flat (row, col) of each entry: output position
-        ``(i, j)`` is row ``(i-1) cols + (j-1)``, in the stored order."""
-        # in place, with the -1s folded into one offset: no copy of the
-        # whole table and one new array per result
-        i, j, k, l = self.idx.T
-        oc, ic = self.out_shape.cols, self.in_shape.cols
-        rows, cols = i * oc, k * ic
-        rows += j
-        rows -= oc + 1
-        cols += l
-        cols -= ic + 1
-        return rows, cols
-
     def matrix(self) -> sparse.csr_matrix:
-        """The flattened (out.size x in.size) CSR operator."""
-        rows, cols = self._flat_pairs()
-        return sparse.csr_matrix((self.val, (rows, cols)),
+        """The (out.size x in.size) CSR operator on the frozen ``val``."""
+        return sparse.csr_matrix((self.val, self.indices, self.indptr),
                                  shape=(self.out_shape.size, self.in_shape.size))
 
     def apply(self, A: np.ndarray) -> np.ndarray:
@@ -214,7 +239,8 @@ class SparseLinearMap:
 
 
 class ActivationMask:
-    """Per-entry choice between the identity and the rho activation."""
+    """Per-entry choice between the identity and the rho activation; a
+    given ``rho`` must hold booleans."""
 
     __slots__ = ("shape", "rho")
 
@@ -223,7 +249,10 @@ class ActivationMask:
         if rho is None:
             rho = np.zeros(tuple(self.shape), dtype=bool)
         else:
-            rho = np.array(rho, dtype=bool)
+            rho = np.array(rho)
+            if rho.dtype.kind != "b":  # 0.5 and "False" would read as True
+                raise ValueError(f"mask must hold booleans, got dtype "
+                                 f"{rho.dtype}")
             if rho.shape != tuple(self.shape):
                 raise ValueError("mask array does not match shape")
         self.rho = _freeze(rho)
@@ -238,8 +267,8 @@ class ActivationMask:
         or loaded, they follow the rule of map entries, each listed once."""
         shape = _as_shape(shape)
         rho = np.zeros(tuple(shape), dtype=bool)
-        at, _ = _stored_rows("mask entry", positions, shape)
-        rho[tuple(at.T - 1)] = True
+        key, _ = _stored_rows("mask entry", positions, shape)
+        rho.reshape(-1)[key] = True
         return cls(shape, rho)
 
     @property
@@ -248,7 +277,8 @@ class ActivationMask:
 
 
 class Layer:
-    """One network layer: sparse map, bias matrix, activation mask."""
+    """One network layer: sparse map, bias matrix, activation mask.  The
+    bias must hold integers or real floats, all finite."""
 
     __slots__ = ("map", "bias", "mask", "weight_count")
 
@@ -257,7 +287,7 @@ class Layer:
         shape = linmap.out_shape
         if bias is None:
             bias = np.zeros(tuple(shape))
-        bias = np.array(bias, dtype=float)
+        bias = np.array(_real("bias", bias), dtype=float)
         if bias.shape != tuple(shape):
             raise ValueError(f"bias shape {bias.shape} != {tuple(shape)}")
         if not np.all(np.isfinite(bias)):
@@ -375,14 +405,13 @@ def _compile(net: MNN):
     mask = order = moved = None
     for depth, layer in enumerate(net.layers, 1):
         m = layer.map
-        rows, cols = m._flat_pairs()
         bias = layer.bias.reshape(-1)
         if depth < net.num_layers:  # a last row with the 1 for the ones row
             bias = np.concatenate([bias, [1.0]])
         # int32 when it fits, which scipy would otherwise cast to in a pass
         index = np.int32 if m.nnz + bias.size + m.in_shape.size < 2 ** 31 \
             else np.int64
-        per_map = np.bincount(rows, minlength=bias.size)
+        per_map = np.diff(m.indptr, append=m.nnz)[:bias.size]  # ones row: 0
         biased = bias != 0
         indptr = np.zeros(bias.size + 1, dtype=index)
         rho = layer.mask.rho.reshape(-1)
@@ -402,17 +431,17 @@ def _compile(net: MNN):
         else:
             np.cumsum(per_map + biased, out=indptr[1:])
             start = indptr[:-1]
-        # entry e of row r goes to start[r] + (e - the first entry of r),
-        # and the bias of row r right after its entries
+        # entry e of row r goes to start[r] + e - m.indptr[r], and the
+        # bias of row r right after its entries
         after = start + per_map
-        put = (after - np.cumsum(per_map))[rows]
+        put = np.repeat(start - m.indptr[:bias.size], per_map)
         put += np.arange(m.nnz)
         at = np.flatnonzero(biased)
         put_bias = after[at]
         data = np.empty(indptr[-1])
         data[put], data[put_bias] = m.val, bias[at]
         indices = np.empty(indptr[-1], dtype=index)
-        indices[put] = cols if where is None else where[cols]
+        indices[put] = m.indices if where is None else where[m.indices]
         indices[put_bias] = m.in_shape.size  # the ones row stays last
         op = sparse.csr_matrix((data, indices, indptr),
                                shape=(bias.size, m.in_shape.size + 1))
@@ -421,16 +450,6 @@ def _compile(net: MNN):
         widest = max(widest, bias.size)
     net._steps = steps, max(32, _TILE_BYTES // (8 * widest))
     return net._steps
-
-
-def _real(what: str, a) -> np.ndarray:
-    """``a`` as an array of integers or real floats, else refused by its
-    dtype: complex parts and strings are never read as numbers."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must hold integers or real floats, got "
-                         f"dtype {a.dtype}")
-    return a
 
 
 def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
@@ -538,7 +557,7 @@ def scale_output(net: MNN, c: float) -> MNN:
     ``c = 0``: it would collapse the weight count and the zero network
     should be built explicitly instead.
     """
-    c = float(c)
+    c = float(_real("c", c))
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     if c == 0.0:
@@ -558,7 +577,8 @@ def mnn_equal(a: MNN, b: MNN) -> bool:
         return False
     return all(
         la.out_shape == lb.out_shape and la.in_shape == lb.in_shape
-        and np.array_equal(la.map.idx, lb.map.idx)
+        and np.array_equal(la.map.indptr, lb.map.indptr)
+        and np.array_equal(la.map.indices, lb.map.indices)
         and np.array_equal(la.map.val, lb.map.val)
         and np.array_equal(la.bias, lb.bias)
         and np.array_equal(la.mask.rho, lb.mask.rho)

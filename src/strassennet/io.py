@@ -24,7 +24,10 @@ that are not integers >= 1, rows of the wrong length or holding
 non-numbers (booleans included), and whatever the one storage rule of
 built networks refuses: non-integer or out-of-range indices, positions
 repeated in the entries, bias or mask table, and zero or non-finite
-values.
+values.  It refuses, naming the layer, what a network refuses of its
+layer chain: an input shape other than the previous layer's output shape,
+mask entries on the last layer, and mask entries under a null label.
+Layers are numbered from 0 in every message.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 """
@@ -165,14 +168,35 @@ def _layer(pos: int, spec, scan: bool = True) -> Layer:
                                          for key in TABLES)
         linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
                                  entries[:, 4])
-        at, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
-                                  out_shape, bias_rows[:, 2])
+        key, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
+                                   out_shape, bias_rows[:, 2])
         bias = np.zeros(out_shape)
-        bias[tuple(at.T - 1)] = values
+        bias.reshape(-1)[key] = values
         return Layer(linmap, bias,
                      ActivationMask.from_positions(out_shape, mask_rows))
     except ValueError as exc:
         raise ValueError(f"bad network file: layer {pos} {exc}") from None
+
+
+def _append(layers: list, layer: Layer, label) -> None:
+    """Append ``layer`` to ``layers`` unless it does not read the previous
+    layer's output or has rho entries under a null label."""
+    pos = len(layers)
+    if layers and layer.in_shape != layers[-1].out_shape:
+        raise ValueError(
+            f"bad network file: layer {pos} input shape "
+            f"{tuple(layer.in_shape)} does not match layer {pos - 1} output "
+            f"shape {tuple(layers[-1].out_shape)}")
+    _require(label is not None or not layer.mask.any_rho,
+             f"layer {pos} has rho entries but the activation is null")
+    layers.append(layer)
+
+
+def _last(layers: list) -> None:
+    """Refuse rho entries on the last of the complete ``layers``."""
+    _require(not layers[-1].mask.any_rho,
+             f"layer {len(layers) - 1} has rho entries, but the final layer "
+             "must be identity-activated")
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -185,8 +209,11 @@ def network_from_dict(doc: dict) -> MNN:
              f"activation must be a string or null, got {label!r}")
     _require(isinstance(doc["layers"], list) and doc["layers"],
              "layers must be a nonempty list")
-    return MNN([_layer(pos, spec) for pos, spec in enumerate(doc["layers"])],
-               label)
+    layers = []
+    for pos, spec in enumerate(doc["layers"]):
+        _append(layers, _layer(pos, spec), label)
+    _last(layers)
+    return MNN(layers, label)
 
 
 def _read_compact(fh):
@@ -213,10 +240,13 @@ def _read_compact(fh):
         except json.JSONDecodeError:
             return None
         scan = "true" in line or "false" in line
-        layers.append(_layer(len(layers), spec, scan))
+        _append(layers, _layer(len(layers), spec, scan), label)
     else:  # no closing line
         return None
-    if not layers or fh.read(1):
+    if not layers:
+        return None
+    _last(layers)  # the closing line ends the layers, before any more text
+    if fh.read(1):
         return None
     return MNN(layers, label)
 

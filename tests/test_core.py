@@ -1,5 +1,7 @@
 """Layer/network data structures, realization, and block-table maps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,8 +121,94 @@ class TestSparseLinearMap:
 
     def test_arrays_frozen(self):
         lm = _ident_map(2)
-        with pytest.raises(ValueError):
-            lm.val[0] = 9.0
+        for stored in (lm.val, lm.indices, lm.indptr):
+            with pytest.raises(ValueError):
+                stored[0] = 9
+
+    def test_stores_a_copy_of_values_given_in_order(self):
+        val = np.array([1.0, 2.0])
+        lm = SparseLinearMap((1, 1), (1, 2), [[1, 1, 1, 1], [1, 1, 1, 2]], val)
+        val[0] = 9.0
+        assert lm.val.tolist() == [1.0, 2.0] and val.flags.writeable
+
+    def test_idx_is_a_new_array_each_call(self):
+        lm = _ident_map(2)
+        idx = lm.idx
+        assert idx is not lm.idx and idx.flags.writeable
+        idx[0] = [2, 2, 2, 2]
+        assert lm.idx.tolist() == [[1, 1, 1, 1], [1, 2, 1, 2], [2, 1, 2, 1],
+                                   [2, 2, 2, 2]]
+
+    @given(st.tuples(*[st.integers(1, 3)] * 4), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_matches_a_dense_einsum(self, dims, density, seed):
+        # random maps, given in random entry order
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(-1, 1, dims) * (rng.random(dims) < density)
+        quads = np.argwhere(T) + 1
+        perm = rng.permutation(len(quads))
+        lm = SparseLinearMap(dims[:2], dims[2:], quads[perm],
+                             T[T != 0][perm])
+        A = lm.matrix()
+        assert A.shape == (dims[0] * dims[1], dims[2] * dims[3])
+        assert np.array_equal(A.toarray(), T.reshape(A.shape))
+        X = rng.uniform(-1, 1, dims[2:])
+        assert np.allclose(A @ X.reshape(-1),
+                           np.einsum("ijkl,kl->ij", T, X).reshape(-1),
+                           rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_str_pow2(3, 0.1, 1.0, relu_factory),
+    lambda: build_inv(InversionSpec(4, 1.0, 1e-3, 0.5), relu_factory),
+], ids=["relu-k3", "inv-relu-n4"])
+def test_maps_store_only_their_csr_arrays(make):
+    # at most 16 B per entry (a flat input position and a value) and 8 B
+    # per output position: no (nnz, 4) table of quadruples is kept
+    for layer in make().layers:
+        lm = layer.map
+        stored = [getattr(lm, name) for name in type(lm).__slots__]
+        assert (sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
+                <= 16 * lm.nnz + 8 * (lm.out_shape.size + 1))
+        again = SparseLinearMap(lm.out_shape, lm.in_shape, lm.idx, lm.val)
+        for name in type(lm).__slots__:
+            a, b = getattr(lm, name), getattr(again, name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b)
+
+
+#: scalars that are not real numbers by their dtype, though float() reads
+#: the first as 2.0 with a ComplexWarning and the others as 2.0 or 1.0
+NOT_REAL = {"complex": 2 + 1j, "string": "2", "bool": True,
+            "object": Fraction(2)}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_stored_coefficients_must_be_real_numbers(bad):
+    reason = (r" must hold integers or real floats, got dtype "
+              rf"{np.asarray(bad).dtype}$")
+    with pytest.raises(ValueError, match="^values" + reason):
+        SparseLinearMap((1, 1), (1, 2), [[1, 1, 1, 1], [1, 1, 1, 2]],
+                        np.array([bad, bad]))
+    with pytest.raises(ValueError, match="^block coefficients" + reason):
+        SparseLinearMap.from_blocks((1, 1), (1, 1),
+                                    [(0, 0, 0, 0, 1, 1, bad)])
+    with pytest.raises(ValueError, match="^bias" + reason):
+        Layer(_ident_map(1), np.array([[bad]]))
+    with pytest.raises(ValueError, match="^c" + reason):
+        scale_output(identity_mnn((1, 1), 1), bad)
+
+
+@pytest.mark.parametrize("rho", [[[0.5, 0.0]], [["False", "True"]],
+                                 [[1, 0]], np.array([[True, False]],
+                                                    dtype=object)],
+                         ids=["float", "string", "integer", "object"])
+def test_mask_must_hold_booleans(rho):
+    # 0.5 and "False" both used to become True
+    with pytest.raises(ValueError, match=r"^mask must hold booleans, got "
+                       rf"dtype {np.asarray(rho).dtype}$"):
+        ActivationMask((1, 2), rho)
 
 
 class TestActivationMask:

@@ -550,6 +550,63 @@ class TestCompactReader:
             (gc.enable if was else gc.disable)()
 
 
+#: layer-chain faults of the relu gadget's document (out/in shapes (1, 4)
+#: from (1, 2), (1, 5) from (1, 4), (1, 1) from (1, 5); rho on layers 0 and
+#: 1), each with the refusal both readers give it
+CHAIN_FAULTS = {
+    "input-shape": (lambda doc: setitem(doc["layers"][1], "in_cols", 5),
+                    "layer 1 input shape (1, 5) does not match layer 0 "
+                    "output shape (1, 4)"),
+    "output-shape": (lambda doc: setitem(doc["layers"][1], "out_cols", 6),
+                     "layer 2 input shape (1, 5) does not match layer 1 "
+                     "output shape (1, 6)"),
+    "rho-on-the-last-layer":
+        (lambda doc: setitem(doc["layers"][2], "mask_rho", [[1, 1]]),
+         "layer 2 has rho entries, but the final layer must be "
+         "identity-activated"),
+    "rho-under-null": (lambda doc: setitem(doc, "activation", None),
+                       "layer 0 has rho entries but the activation is null"),
+    "before-a-later-bad-entry":
+        (lambda doc: (setitem(doc["layers"][1], "in_cols", 5),
+                      setitem(doc["layers"][2]["entries"][0], 4, 0.0)),
+         "layer 1 input shape (1, 5) does not match layer 0 output shape "
+         "(1, 4)"),
+    "rho-under-null-before-a-later-shape":
+        (lambda doc: (setitem(doc, "activation", None),
+                      setitem(doc["layers"][1], "in_cols", 5)),
+         "layer 0 has rho entries but the activation is null"),
+}
+
+
+class TestLayerChain:
+    @pytest.mark.parametrize("mutate, reason", CHAIN_FAULTS.values(),
+                             ids=CHAIN_FAULTS.keys())
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    def test_refused_by_layer_from_0(self, tmp_path, mutate, reason, indent):
+        # these used to come from MNN unprefixed and numbered from 1, e.g.
+        # "layer 2 input shape (1, 5) does not match layer 1 output shape"
+        doc = _valid_doc()
+        mutate(doc)
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc) if indent is None
+                        else json.dumps(doc, indent=indent))
+        assert _refusal(load_network, path) == f"bad network file: {reason}"
+        assert _refusal(network_from_dict, doc) == (
+            f"bad network file: {reason}")
+
+    def test_compact_reader_names_it_before_later_invalid_json(self,
+                                                               tmp_path):
+        doc = _valid_doc()
+        doc["layers"][1]["in_cols"] = 5
+        lines = _compact_text(doc).splitlines(keepends=True)
+        lines[3] = lines[3].replace('"bias"', '"bias', 1)
+        path = tmp_path / "net.json"
+        path.write_text("".join(lines))
+        assert _refusal(load_network, path) == (
+            "bad network file: layer 1 input shape (1, 5) does not match "
+            "layer 0 output shape (1, 4)")
+
+
 class TestMatrixFiles:
     def test_round_trip_is_exact(self, tmp_path, rng):
         for shape in ((1, 1), (3, 3), (2, 5)):
