@@ -13,6 +13,7 @@ overridden by an explicit --seed.
 
 import argparse
 import csv
+import dataclasses
 import io as _io
 import json
 import os
@@ -28,7 +29,7 @@ from .io import load_matrix, load_network, save_matrix, save_network
 from .strassen import (RectShape, build_str_pow2, build_str_rect,
                        build_str_square, pow2_count_reference,
                        rect_count_reference)
-from .verification import (DEFAULT_SEED, SUITES, gadget_growth_fit,
+from .verification import (_MIN_R2, DEFAULT_SEED, SUITES, gadget_growth_fit,
                            pow2_growth_rows, run_suite)
 
 
@@ -132,6 +133,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is None:  # SNN_SEED, else the default
+        raw = os.environ.get("SNN_SEED", DEFAULT_SEED)
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise ValueError(f"SNN_SEED must be an integer, got {raw!r}") from None
     results = run_suite(args.suite, args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -139,7 +146,7 @@ def cmd_verify(args) -> int:
               f"[{res.threshold}] cases={res.cases}")
     doc = {"suite": args.suite, "seed": args.seed,
            "all_passed": all(r.passed for r in results),
-           "results": [r.to_dict() for r in results]}
+           "results": [dataclasses.asdict(r) for r in results]}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
@@ -152,21 +159,20 @@ def _growth_rows(activation: str):
     es, gms, pred, r2 = gadget_growth_fit()
     for e, gm, pv in zip(es, gms, pred):
         rows.append(["gadget", int(e), int(gm), round(float(pv), 3), ""])
-    rows.append(["gadget-fit-r2", "", round(r2, 6), 0.98, r2 >= 0.98])
+    rows.append(["gadget-fit-r2", "", round(r2, 6), _MIN_R2, r2 >= _MIN_R2])
     return rows
 
 
 def _bounds_rows(args):
+    """One row per n in (2, 4, 8), built as ``snn build inverse`` builds."""
     factory = FACTORIES[args.activation]
+    _, builder, reference = KINDS["inverse"]
     rows = []
     for n in (2, 4, 8):
-        spec = InversionSpec(n, args.alpha, args.eps, args.delta)
-        net = build_inv(spec, factory)
-        ref = inv_count_reference(spec, factory)
-        rows.append([n, args.alpha, args.eps, args.delta,
-                     neumann_depth(spec).N,
-                     round(series_length_estimate(args.eps / args.alpha,
-                                                  args.delta), 3),
+        a = argparse.Namespace(**{**vars(args), "n": n})
+        net, ref = builder(a, factory), reference(a, factory)
+        rows.append([n, a.alpha, a.eps, a.delta, neumann_depth(_inv_spec(a)).N,
+                     round(series_length_estimate(a.eps / a.alpha, a.delta), 3),
                      net.num_weights, round(float(ref[0]), 1),
                      net.num_layers, round(float(ref[1]), 1),
                      counts_satisfied(net, ref)])
@@ -191,16 +197,6 @@ def cmd_report(args) -> int:
     else:
         sys.stdout.write(buf.getvalue())
     return 0
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("SNN_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SNN_SEED must be an integer, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -259,12 +255,6 @@ def main(argv=None) -> int:
         has_pair = args.a is not None and args.b is not None
         if (args.input is None) == (not has_pair):
             parser.error("eval needs either --input or both --a and --b")
-    if args.command == "verify" and args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except ValueError as exc:
-            print(f"snn: error: {exc}", file=sys.stderr)
-            return 1
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

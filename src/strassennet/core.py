@@ -230,13 +230,6 @@ class SparseLinearMap:
         return sparse.csr_matrix((self.val, self.indices, self.indptr),
                                  shape=(self.out_shape.size, self.in_shape.size))
 
-    def apply(self, A: np.ndarray) -> np.ndarray:
-        A = np.asarray(A, dtype=float)
-        if A.shape != tuple(self.in_shape):
-            raise ValueError(f"input shape {A.shape} != {tuple(self.in_shape)}")
-        out = self.matrix() @ A.reshape(-1)
-        return out.reshape(tuple(self.out_shape))
-
 
 class ActivationMask:
     """Per-entry choice between the identity and the rho activation; a

@@ -43,8 +43,8 @@ class InversionSpec:
         _count("n", self.n)
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 

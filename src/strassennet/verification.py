@@ -4,7 +4,9 @@ Each check returns a CriterionResult holding the measured quantity and the
 threshold it was held to.  Checks are grouped into named suites for the
 CLI (``gadgets``, ``strassen``, ``inversion``, ``identities``); the test
 suite also runs them one by one.  All randomness flows through numpy
-Generators derived from the single suite seed, so runs reproduce exactly.
+Generators derived from the single suite seed (an integer >= 0, refused by
+name), so runs reproduce exactly.  A count criterion names each net that
+misses its reference as ``label: (M, L) vs (M_ref, L_ref)``, joined by "; ".
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracles
-from .core import counts_satisfied, realize_many
+from .core import _count, counts_satisfied, realize_many
 from .gadgets import (FACTORIES, GadgetSpec, gadget_count_reference,
                       relu2_factory, relu_factory, verify_gadget)
 from .inversion import (InversionSpec, build_inv, build_neu, build_sqr,
@@ -22,6 +24,7 @@ from .strassen import (RectShape, build_str_pow2, build_str_rect,
                        pow2_count_reference, rect_count_reference)
 
 DEFAULT_SEED = 42
+_MIN_R2 = 0.98  # least R^2 of the affine gadget growth fit
 
 
 @dataclass
@@ -33,11 +36,6 @@ class CriterionResult:
     detail: str = ""
     cases: int = 0
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "measured": self.measured, "threshold": self.threshold,
-                "detail": self.detail, "cases": self.cases}
-
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])
@@ -46,6 +44,27 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 @lru_cache(maxsize=None)
 def _pow2_net(activation: str, k: int, eps: float, K: float):
     return build_str_pow2(k, eps, K, FACTORIES[activation])
+
+
+def _count_criterion(cases, name="", threshold="", agree=counts_satisfied):
+    """Criterion over ``(label, net, reference)`` cases: measured is the
+    number of nets whose counts do not ``agree`` with their reference
+    ``(M_ref, L_ref, exact)``, each named in the detail."""
+    misses = [f"{label}: ({net.num_weights}, {net.num_layers}) vs "
+              f"({round(ref[0], 1)}, {round(ref[1], 1)})"
+              for label, net, ref in cases if not agree(net, ref)]
+    return CriterionResult(name, not misses, len(misses), threshold,
+                           "; ".join(misses), len(cases))
+
+
+def _max_abs(D) -> float:
+    return float(np.max(np.abs(D)))
+
+
+def _worst_error(net, inputs, wants, norm=oracles.spectral_norm) -> float:
+    """Largest ``norm(want - output)`` over one ``realize_many`` batch."""
+    outs = realize_many(net, None, inputs)
+    return max(float(norm(want - out)) for want, out in zip(wants, outs))
 
 
 def _random_with_norm(rng: np.random.Generator, n: int, bound: float):
@@ -83,18 +102,11 @@ def pow2_growth_rows(act: str):
 
 def _pow2_closed_form(name: str, index: int) -> CriterionResult:
     """Compare one count (0: M, 1: L) of the power-of-two nets to the formula."""
-    mismatches, cases, detail = 0, 0, []
-    for act in ("relu2", "relu"):
-        for k, net, ref in _pow2_cases(act):
-            got = (net.num_weights, net.num_layers)[index]
-            want = ref[index]
-            cases += 1
-            if got != want:
-                mismatches += 1
-                detail.append(f"{act} k={k}: {got} != {want}")
-    return CriterionResult(name, mismatches == 0, mismatches,
-                           "0 mismatches over k in 0..4, both gadgets",
-                           "; ".join(detail), cases)
+    return _count_criterion(
+        [(f"{act} k={k}", net, ref) for act in ("relu2", "relu")
+         for k, net, ref in _pow2_cases(act)],
+        name, "0 mismatches over k in 0..4, both gadgets",
+        lambda net, ref: (net.num_weights, net.num_layers)[index] == ref[index])
 
 
 def check_weight_count_formula(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -113,16 +125,14 @@ def check_multiplication_error(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_ratio, cases = 0.0, 0
     for e_idx, eps in enumerate((1e-1, 1e-2, 1e-3)):
         for k in (1, 2, 3):
-            net = _pow2_net("relu", k, eps, K)
             side = 2 ** k
             rng = _rng(seed, 3, e_idx, k)
             pairs = rng.uniform(-K, K, size=(100, 2, side, side))
             inputs = np.concatenate([pairs[:, 0], pairs[:, 1]], axis=2)
-            outs = realize_many(net, None, inputs)
-            for A, B, out in zip(pairs[:, 0], pairs[:, 1], outs):
-                err = float(np.max(np.abs(oracles.matmul_naive(A, B) - out)))
-                worst_ratio = max(worst_ratio, err / eps)
-                cases += 1
+            wants = [oracles.matmul_naive(A, B) for A, B in pairs]
+            err = _worst_error(_pow2_net("relu", k, eps, K), inputs, wants, _max_abs)
+            worst_ratio = max(worst_ratio, err / eps)
+            cases += len(pairs)
     return CriterionResult("multiplication-sup-error", worst_ratio <= 1.0,
                            worst_ratio, "max error / eps <= 1 over the sweep",
                            "eps in {1e-1,1e-2,1e-3} x k in {1,2,3} x 100 pairs",
@@ -141,15 +151,11 @@ def check_exact_gadget_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
             net = build_str_rect(RectShape(n, n, n), 1.0, 1.0, relu2_factory)
         rng = _rng(seed, 4, idx)
         pairs = rng.uniform(-1.0, 1.0, size=(200, 2, n, n))
-        if pow2:
-            inputs = np.concatenate([pairs[:, 0], pairs[:, 1]], axis=2)
-        else:
-            inputs = np.concatenate(
-                [pairs[:, 0].transpose(0, 2, 1), pairs[:, 1]], axis=2)
-        outs = realize_many(net, None, inputs)
-        for A, B, out in zip(pairs[:, 0], pairs[:, 1], outs):
-            worst = max(worst, float(np.max(np.abs(oracles.matmul_naive(A, B) - out))))
-            cases += 1
+        left = pairs[:, 0] if pow2 else pairs[:, 0].transpose(0, 2, 1)
+        inputs = np.concatenate([left, pairs[:, 1]], axis=2)
+        wants = [oracles.matmul_naive(A, B) for A, B in pairs]
+        worst = max(worst, _worst_error(net, inputs, wants, _max_abs))
+        cases += len(pairs)
     return CriterionResult("exact-gadget-equivalence", worst <= tol, worst,
                            f"max abs deviation <= {tol}",
                            "n in {2,4,8} as power-of-two nets, {3,6} padded", cases)
@@ -158,22 +164,14 @@ def check_exact_gadget_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
 def check_rect_square_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Criterion 5: rectangular nets respect the gamma^(log2 7) count bounds."""
     eps, K = 1e-2, 1.0
-    failures, cases, detail = 0, 0, []
-    for (m, n, p) in ((2, 3, 2), (3, 3, 3), (5, 6, 4)):
-        shape = RectShape(m, n, p)
-        for name, factory in FACTORIES.items():
-            ref = rect_count_reference(shape, eps, K, factory)
-            bound_M, bound_L, _ = ref
-            net = build_str_rect(shape, eps, K, factory)
-            cases += 1
-            if not counts_satisfied(net, ref):
-                failures += 1
-                detail.append(
-                    f"{name} {m}x{n}x{p}: M {net.num_weights} vs {bound_M:.1f}, "
-                    f"L {net.num_layers} vs {bound_L:.1f}")
-    return CriterionResult("rectangular-count-bounds", failures == 0, failures,
-                           "measured M, L within bounds for all shapes/gadgets",
-                           "; ".join(detail), cases)
+    return _count_criterion(
+        [(f"{name} {m}x{n}x{p}",
+          build_str_rect(RectShape(m, n, p), eps, K, factory),
+          rect_count_reference(RectShape(m, n, p), eps, K, factory))
+         for (m, n, p) in ((2, 3, 2), (3, 3, 3), (5, 6, 4))
+         for name, factory in FACTORIES.items()],
+        "rectangular-count-bounds",
+        "measured M, L within bounds for all shapes/gadgets")
 
 
 def check_growth_properties(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -181,10 +179,10 @@ def check_growth_properties(seed: int = DEFAULT_SEED) -> CriterionResult:
     recursion_ok = all(row[4] for row in pow2_growth_rows("relu2")
                        if row[0] == "pow2-recursion")
     r2 = gadget_growth_fit()[3]
-    passed = recursion_ok and r2 >= 0.98
-    return CriterionResult("count-growth-properties", passed, r2,
-                           "recursion exact for k in 0..3 and fit R^2 >= 0.98",
-                           f"recursion_ok={recursion_ok}, R^2={r2:.4f}", 5 + 15)
+    return CriterionResult(
+        "count-growth-properties", recursion_ok and r2 >= _MIN_R2, r2,
+        f"recursion exact for k in 0..3 and fit R^2 >= {_MIN_R2}",
+        f"recursion_ok={recursion_ok}, R^2={r2:.4f}", 5 + 15)
 
 
 def gadget_growth_fit():
@@ -225,29 +223,20 @@ def check_gadget_errors(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def check_gadget_size_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:
     """ReLU gadget sizes stay within the closed-form M and L envelopes."""
-    failures, cases, detail = 0, 0, []
-    for K in (0.5, 1.0, 2.0, 4.0):
-        for e in range(1, 13):
-            eps = 2.0 ** -e
-            spec = GadgetSpec(eps, K)
-            net = relu_factory.build(spec)
-            ref = gadget_count_reference(spec, relu_factory)
-            bound_M, bound_L, _ = ref
-            cases += 1
-            if not counts_satisfied(net, ref):
-                failures += 1
-                detail.append(f"K={K} eps=2^-{e}: ({net.num_weights}, "
-                              f"{net.num_layers}) vs ({bound_M:.1f}, {bound_L:.1f})")
-    return CriterionResult("gadget-size-envelope", failures == 0, failures,
-                           "measured (M, L) within the closed-form envelope",
-                           "; ".join(detail), cases)
+    specs = [(e, GadgetSpec(2.0 ** -e, K))
+             for K in (0.5, 1.0, 2.0, 4.0) for e in range(1, 13)]
+    return _count_criterion(
+        [(f"K={spec.K} eps=2^-{e}", relu_factory.build(spec),
+          gadget_count_reference(spec, relu_factory)) for e, spec in specs],
+        "gadget-size-envelope",
+        "measured (M, L) within the closed-form envelope")
 
 
 def check_gadget_growth_fit(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Affine fit quality of gadget size against log2(1/eps)."""
     r2 = gadget_growth_fit()[3]
-    return CriterionResult("gadget-growth-fit", r2 >= 0.98, r2, "R^2 >= 0.98",
-                           "eps = 2^-2 .. 2^-16 at K=1", 15)
+    return CriterionResult("gadget-growth-fit", r2 >= _MIN_R2, r2,
+                           f"R^2 >= {_MIN_R2}", "eps = 2^-2 .. 2^-16 at K=1", 15)
 
 
 # --- identities suite -------------------------------------------------------
@@ -310,18 +299,17 @@ def check_squaring_error(seed: int = DEFAULT_SEED) -> CriterionResult:
     for N in (1, 2, 3):
         for n in (2, 4):
             for eps in (0.2, 0.05):
-                net = build_sqr(N, n, eps, relu_factory)
                 rng = _rng(seed, 7, N, n, int(eps * 100))
                 mats = np.stack(
                     [_random_with_norm(rng, n, 0.5) for _ in range(50)])
-                outs = realize_many(net, None, mats)
-                for A, out in zip(mats, outs):
-                    P = A.copy()
+                wants = []
+                for P in mats:
                     for _ in range(N):
                         P = oracles.matmul_naive(P, P)
-                    err = oracles.spectral_norm(P - out)
-                    worst_ratio = max(worst_ratio, err / eps)
-                    cases += 1
+                    wants.append(P)
+                err = _worst_error(build_sqr(N, n, eps, relu_factory), mats, wants)
+                worst_ratio = max(worst_ratio, err / eps)
+                cases += len(mats)
     return CriterionResult("repeated-squaring-error", worst_ratio <= 1.0,
                            worst_ratio, "spectral error / eps <= 1",
                            "N in {1,2,3}, n in {2,4}, eps in {0.2,0.05}", cases)
@@ -329,74 +317,57 @@ def check_squaring_error(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def check_neumann_sum_error(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Criterion 8: truncated-sum nets track the partial Neumann sums; N=1 exact."""
-    worst_ratio, cases, detail = 0.0, 0, []
-    count_ok = True
-    for n in (2, 4):
-        one = build_neu(1, n, 0.1, relu_factory)
-        if not counts_satisfied(one, (n * n + n, 1, True)):
-            count_ok = False
-            detail.append(f"N=1 n={n}: counts ({one.num_weights}, {one.num_layers})")
+    counts = _count_criterion(
+        [(f"N=1 n={n}", build_neu(1, n, 0.1, relu_factory), (n * n + n, 1, True))
+         for n in (2, 4)])
+    worst_ratio, cases = 0.0, 0
     for N in (2, 3):
         for n in (2, 4):
             for eps in (0.1, 0.05):
-                net = build_neu(N, n, eps, relu_factory)
                 rng = _rng(seed, 8, N, n, int(eps * 100))
                 mats = np.stack(
                     [_random_with_norm(rng, n, 0.5) for _ in range(50)])
-                outs = realize_many(net, None, mats)
-                for A, out in zip(mats, outs):
-                    want = oracles.neumann_partial(A, 2 ** N)
-                    err = oracles.spectral_norm(want - out)
-                    worst_ratio = max(worst_ratio, err / eps)
-                    cases += 1
-    passed = worst_ratio <= 1.0 and count_ok
-    return CriterionResult("neumann-sum-error", passed, worst_ratio,
+                wants = [oracles.neumann_partial(A, 2 ** N) for A in mats]
+                err = _worst_error(build_neu(N, n, eps, relu_factory), mats, wants)
+                worst_ratio = max(worst_ratio, err / eps)
+                cases += len(mats)
+    return CriterionResult("neumann-sum-error",
+                           worst_ratio <= 1.0 and counts.passed, worst_ratio,
                            "spectral error / eps <= 1; N=1 counts (n^2+n, 1)",
-                           "; ".join(detail) or
+                           counts.detail or
                            "N in {2,3}, n in {2,4}, eps in {0.1,0.05}", cases)
 
 
 def check_inversion(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Criterion 9: inversion nets hit the eps target; counts respect the bounds."""
     delta = 0.5
-    worst_ratio, cases, detail = 0.0, 0, []
-    counts_ok = True
+    one_stage, swept, worst_ratio, cases = [], [], 0.0, 0
     for n in (2, 4, 8):
         spec = InversionSpec(n, 1.0, 1.2, delta)
         assert compute_N(spec.epsilon / 2.0, delta) == 1
-        net = build_inv(spec, relu2_factory)
-        ref = inv_count_reference(spec, relu2_factory)
-        want_M, want_L, exact = ref
-        if not (exact and counts_satisfied(net, ref)):
-            counts_ok = False
-            detail.append(f"one-stage n={n}: ({net.num_weights}, {net.num_layers})"
-                          f" != ({want_M}, {want_L})")
+        one_stage.append((f"one-stage n={n}", build_inv(spec, relu2_factory),
+                          inv_count_reference(spec, relu2_factory)))
     for alpha in (1.0, 2.0):
         for eps in (0.1, 0.01):
             for n in (2, 4, 8):
                 spec = InversionSpec(n, alpha, eps, delta)
                 net = build_inv(spec, relu_factory)
-                ref = inv_count_reference(spec, relu_factory)
-                bound_M, bound_L, _ = ref
-                if not counts_satisfied(net, ref):
-                    counts_ok = False
-                    detail.append(
-                        f"alpha={alpha} eps={eps} n={n}: "
-                        f"({net.num_weights}, {net.num_layers}) vs "
-                        f"({bound_M:.0f}, {bound_L:.0f})")
+                swept.append((f"alpha={alpha} eps={eps} n={n}", net,
+                              inv_count_reference(spec, relu_factory)))
                 mats = np.stack([
                     oracles.gen_contraction(n, delta, alpha,
                                             seed * 1000 + 17 * n + s)
                     for s in range(25)])
-                outs = realize_many(net, None, mats)
-                for A, out in zip(mats, outs):
-                    err = oracles.spectral_norm(oracles.exact_inverse(A) - out)
-                    worst_ratio = max(worst_ratio, err / eps)
-                    cases += 1
-    passed = worst_ratio <= 1.0 and counts_ok
+                wants = [oracles.exact_inverse(A) for A in mats]
+                worst_ratio = max(worst_ratio, _worst_error(net, mats, wants) / eps)
+                cases += len(mats)
+    counts = [_count_criterion(one_stage, agree=lambda net, ref:
+                               ref[2] and counts_satisfied(net, ref)),
+              _count_criterion(swept)]
+    passed = worst_ratio <= 1.0 and all(c.passed for c in counts)
     return CriterionResult("inversion-error-and-counts", passed, worst_ratio,
                            "spectral error / eps <= 1; counts within bounds",
-                           "; ".join(detail) or
+                           "; ".join(c.detail for c in counts if c.detail) or
                            "alpha in {1,2}, eps in {0.1,0.01}, n in {2,4,8}",
                            cases)
 
@@ -414,8 +385,10 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED):
-    """Run one named suite; returns the list of CriterionResult."""
+    """Run one named suite; returns the list of CriterionResult.  The seed
+    must be an integer >= 0."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)}")
+    seed = _count("seed", seed, least=0)
     return [fn(seed) for fn in SUITES[name]]

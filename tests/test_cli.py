@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from strassennet import oracles
-from strassennet.cli import main
+from strassennet.cli import _build_parser, build_network_and_report, main
 from strassennet.io import load_matrix, load_network, save_matrix
 from strassennet.verification import CriterionResult
 
@@ -100,6 +100,17 @@ class TestBuild:
                    "--out", str(tmp_path / "n.json")])
         assert rc == 1
         assert "delta" in capsys.readouterr().err
+
+    def test_infinite_eps_exits_one(self, tmp_path, capsys):
+        # argparse reads 1e309 as inf; the report's series length estimate
+        # was -Infinity, which is not JSON
+        out = tmp_path / "n.json"
+        rc = main(["build", "inverse", "--n", "2", "--eps", "1e309",
+                   "--out", str(out)])
+        assert rc == 1
+        assert ("snn: error: epsilon must be positive and finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestEval:
@@ -257,6 +268,20 @@ class TestVerify:
         assert "SNN_SEED must be an integer" in capsys.readouterr().err
         assert record == []
 
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None),
+                                           ([], "-2")])
+    def test_negative_seed_exits_one(self, flag, env, monkeypatch, capsys):
+        # refused by name before any check runs (numpy's own message did
+        # not name the seed)
+        if env is not None:
+            monkeypatch.setenv("SNN_SEED", env)
+        else:
+            monkeypatch.delenv("SNN_SEED", raising=False)
+        assert main(["verify", "--suite", "identities", *flag]) == 1
+        value = env or flag[1]
+        assert (f"snn: error: seed must be >= 0, got {value}"
+                in capsys.readouterr().err)
+
     def test_failure_exits_two(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr("strassennet.cli.run_suite",
                             lambda name, seed: _fake_results(True, False))
@@ -312,6 +337,29 @@ class TestReport:
             assert row[-1] == "True"
             assert float(row[6]) <= float(row[7])    # M within bound
             assert float(row[8]) <= float(row[9])    # L within bound
+
+    @pytest.mark.parametrize("activation, alpha, eps", [
+        ("relu", "1.5", "0.1"), ("relu2", "1.5", "0.1"),
+        ("relu2", "1", "1.2"),      # one stage: exact formula counts
+    ])
+    def test_bounds_rows_are_the_build_inverse_reports(self, activation, alpha,
+                                                       eps, capsys):
+        flags = ["--alpha", alpha, "--eps", eps, "--delta", "0.5",
+                 "--activation", activation]
+        assert main(["report", "bounds", *flags]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [r[0] for r in rows] == ["2", "4", "8"]
+        for row in rows:
+            args = _build_parser().parse_args(
+                ["build", "inverse", "--n", row[0], *flags, "--out", "unused"])
+            doc = build_network_and_report(args)[1]
+            kind = "formula" if "formula_M" in doc else "bound"
+            assert row[1:4] == [str(float(v)) for v in flags[1:6:2]]
+            assert row[4:] == [str(v) for v in (
+                doc["N"], round(doc["series_length_estimate"], 3),
+                doc["measured_M"], round(float(doc[f"{kind}_M"]), 1),
+                doc["measured_L"], round(float(doc[f"{kind}_L"]), 1),
+                doc["satisfied"])]
 
     def test_bad_kind_is_a_parse_error(self):
         with pytest.raises(SystemExit) as err:

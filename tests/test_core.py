@@ -19,6 +19,11 @@ from strassennet.inversion import InversionSpec, build_in, build_inv
 from strassennet.strassen import build_split, build_str_pow2
 
 
+def _apply(lm, X):
+    """The one-layer network of ``lm`` evaluated on X."""
+    return realize(MNN([Layer(lm)]), None, X)
+
+
 def _ident_map(rows, cols=None):
     shape = (rows, cols or rows)
     return SparseLinearMap.from_blocks(shape, shape,
@@ -29,7 +34,7 @@ class TestSparseLinearMap:
     def test_identity_apply(self, rng):
         lm = _ident_map(3)
         X = rng.uniform(-1, 1, (3, 3))
-        assert np.array_equal(lm.apply(X), X)
+        assert np.array_equal(_apply(lm, X), X)
 
     def test_matches_dense_tensor_contraction(self, rng):
         # random sparse tensor vs. explicit 4-index summation
@@ -41,7 +46,7 @@ class TestSparseLinearMap:
         want = np.zeros((2, 2))
         for (i, j, k, l), v in zip(idx, val):
             want[i - 1, j - 1] += v * X[k - 1, l - 1]
-        assert np.allclose(lm.apply(X), want, atol=1e-15)
+        assert np.allclose(_apply(lm, X), want, atol=1e-15)
 
     def test_rejects_explicit_zero(self):
         idx = np.array([[1, 1, 1, 1]], dtype=np.int64)
@@ -81,7 +86,7 @@ class TestSparseLinearMap:
         lm = SparseLinearMap((2, 2), (3, 3),
                              np.zeros((0, 4), dtype=np.int64), np.zeros(0))
         assert lm.nnz == 0
-        assert np.array_equal(lm.apply(np.ones((3, 3))), np.zeros((2, 2)))
+        assert np.array_equal(_apply(lm, np.ones((3, 3))), np.zeros((2, 2)))
 
     def test_entries_report_one_based(self):
         lm = SparseLinearMap((2, 2), (1, 3), [[2, 1, 1, 3]], [-4.0])
@@ -521,7 +526,7 @@ class TestFromBlocks:
         lm = SparseLinearMap.from_blocks((4, 2), (2, 2),
                                          [(2, 0, 0, 0, 2, 2, -1.0)])
         X = rng.uniform(-1, 1, (2, 2))
-        got = lm.apply(X)
+        got = _apply(lm, X)
         assert np.array_equal(got[:2], np.zeros((2, 2)))
         assert np.array_equal(got[2:], -X)
 

@@ -335,6 +335,13 @@ class TestInversionNetworks:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             build_in(2, np.inf)
 
+    def test_infinite_epsilon_is_refused(self):
+        # the budget used to pass, and series_length_estimate(inf) is -inf
+        for eps in (np.inf, float("1e309")):
+            with pytest.raises(ValueError,
+                               match="epsilon must be positive and finite"):
+                InversionSpec(2, 1.0, eps, 0.5)
+
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=10, deadline=None)
     def test_inverse_property_small(self, seed):

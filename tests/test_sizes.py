@@ -9,7 +9,7 @@ from strassennet import (InversionSpec, NeumannDepth, RectShape, build_fill,
                          build_sqr, build_str_pow2, build_str_square,
                          formula_counts_pow2, identity_mnn, mnn_equal,
                          neu_bound_counts, pow2_count_reference,
-                         relu2_factory)
+                         relu2_factory, run_suite)
 
 f = relu2_factory
 
@@ -58,6 +58,10 @@ REFUSED = [
     ("N", lambda: neu_bound_counts(1, 2, 0.05, f)),
     ("n", lambda: neu_bound_counts(2, 0, 0.05, f)),
     ("depth", lambda: identity_mnn((2, 2), 0)),
+    # refused before any check of the suite runs
+    ("seed", lambda: run_suite("identities", 1.5)),
+    ("seed", lambda: run_suite("identities", True)),
+    ("seed", lambda: run_suite("identities", -1)),
 ]
 
 
