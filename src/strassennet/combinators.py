@@ -5,7 +5,9 @@
 composition bit for bit.  ``parallelize`` runs equal-depth networks
 side-by-side on row-stacked inputs; when intermediate widths differ, the
 narrower blocks are padded with implicit zero columns, which costs no
-weights (no entries, zero bias, identity mask).
+weights (no entries, zero bias, identity mask).  Each stacked map is
+assembled from its children's CSR arrays, which are valid and in row-major
+order already, so it is not checked against the storage rule a second time.
 
 Both label the result with the one activation label set among the operands
 (``None`` if all are unlabelled glue) and refuse two different labels.
@@ -15,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import MNN, ActivationMask, Layer, SparseLinearMap
+from .core import MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap
 
 
 def _shared_label(nets: Sequence[MNN],
@@ -47,36 +49,45 @@ def concat(first: MNN, second: MNN) -> MNN:
 
 
 def _stack_layers(children: Sequence[Layer]) -> Layer:
-    out_rows = sum(layer.out_shape.rows for layer in children)
-    in_rows = sum(layer.in_shape.rows for layer in children)
-    out_cols = max(layer.out_shape.cols for layer in children)
-    in_cols = max(layer.in_shape.cols for layer in children)
-    idx_parts = []
-    val_parts = []
-    bias = np.zeros((out_rows, out_cols))
-    rho = np.zeros((out_rows, out_cols), dtype=bool)
-    out_off = 0
-    in_off = 0
+    """The children's layers stacked by rows: child ``c`` reads the input
+    rows and writes the output rows below those of the children before it,
+    and narrower children are padded with zero columns.
+
+    The map is assembled from the children's CSR arrays, not from their
+    quadruples.  Each child is a valid map in row-major order, and the
+    children's rows follow one another, so the stacked entries are in
+    range and in row-major order by construction: they are wrapped as
+    they are (``SparseLinearMap._from_csr``), without a second pass of the
+    storage rule.  The arrays equal those the constructor would store for
+    the stacked quadruples, dtypes included.
+    """
+    out_shape = MatrixShape(sum(layer.out_shape.rows for layer in children),
+                            max(layer.out_shape.cols for layer in children))
+    in_shape = MatrixShape(sum(layer.in_shape.rows for layer in children),
+                           max(layer.in_shape.cols for layer in children))
+    # entries per output position; the padding columns hold none
+    counts = np.zeros(out_shape, dtype=np.int64)
+    bias = np.zeros(out_shape)
+    rho = np.zeros(out_shape, dtype=bool)
+    indices = []
+    out_off = in_off = 0
     for layer in children:
-        if layer.map.nnz:
-            shifted = layer.map.idx
-            shifted[:, 0] += out_off
-            shifted[:, 2] += in_off
-            idx_parts.append(shifted)
-            val_parts.append(layer.map.val)
-        r, c = layer.out_shape
-        bias[out_off:out_off + r, :c] = layer.bias
-        rho[out_off:out_off + r, :c] = layer.mask.rho
+        m = layer.map
+        r, c = m.out_shape
+        at = np.s_[out_off:out_off + r, :c]
+        counts[at] = np.diff(m.indptr).reshape(r, c)
+        bias[at] = layer.bias
+        rho[at] = layer.mask.rho
+        k, l = np.divmod(m.indices, m.in_shape.cols)
+        indices.append((k + in_off) * in_shape.cols + l)
         out_off += r
-        in_off += layer.in_shape.rows
-    if idx_parts:
-        idx = np.concatenate(idx_parts, axis=0)
-        val = np.concatenate(val_parts)
-    else:
-        idx = np.empty((0, 4), dtype=np.int64)
-        val = np.empty(0)
-    linmap = SparseLinearMap((out_rows, out_cols), (in_rows, in_cols), idx, val)
-    return Layer(linmap, bias, ActivationMask((out_rows, out_cols), rho))
+        in_off += m.in_shape.rows
+    indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    linmap = SparseLinearMap._from_csr(
+        out_shape, in_shape, indptr, np.concatenate(indices),
+        np.concatenate([layer.map.val for layer in children]))
+    return Layer(linmap, bias, ActivationMask(out_shape, rho))
 
 
 def parallelize(nets: Iterable[MNN]) -> MNN:

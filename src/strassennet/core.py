@@ -9,6 +9,8 @@ per-entry activation drawn from ``{identity, rho}``:
 The final layer is always identity-activated.  Weight counts are exact by
 construction: zero coefficients are never stored, so ``num_weights`` equals
 the number of stored tensor entries plus the number of nonzero bias entries.
+Networks, layers, maps and masks are read-only once built, so a network's
+counts and its compiled evaluation always describe the same layers.
 A map stores its entries only as the CSR arrays of its flattened operator
 (row pointers, flat input positions, coefficients), in row-major
 ``(i, j, k, l)`` order; its 1-based quadruples ``idx`` are derived from
@@ -103,6 +105,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+#: sets an attribute of a read-only object: only its constructor (and
+#: ``_compile``, for ``MNN._steps``) may call it
+_set = object.__setattr__
+
+
+class _ReadOnly:
+    """Attributes set once, while the object is built: assigning or
+    deleting one later raises ``AttributeError`` naming it, so that what
+    a network computes cannot drift from what it stores and counts."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 def _stored_rows(what: str, index, bounds, value=None):
     """The storage rule of map entries, bias entries and mask positions:
     rows of 1-based positions within ``bounds`` (with their values, or None)
@@ -158,36 +179,58 @@ def _stored_rows(what: str, index, bounds, value=None):
                      + next(text for ok, text in checks if not ok[e]))
 
 
-class SparseLinearMap:
+class SparseLinearMap(_ReadOnly):
     """A 4-index linear map stored as the CSR arrays of its flattened
     ``(out.size x in.size)`` operator.
 
     It is given as ``idx``, ``(nnz, 4)`` 1-based quadruples ``(i, j, k, l)``,
     and ``val``, the matching coefficients: entry ``(i, j, k, l, v)`` sends
     input position ``(k, l)`` to output position ``(i, j)`` with weight
-    ``v``.  The rule every stored table follows, built or loaded, refuses
-    non-integer or out-of-range indices, repeated quadruples, explicit
-    zeros, and coefficients that are non-finite or not real numbers, so
-    that the entry count is the weight count.  The entries are kept only as
+    ``v``.  The storage rule, which every table given to the constructor
+    follows, built or loaded, refuses non-integer or out-of-range indices,
+    repeated quadruples, explicit zeros, and coefficients that are
+    non-finite or not real numbers, so that the entry count is the weight
+    count.  The entries are kept only as
     ``indptr`` (row-major output row ``r`` holds entries
     ``indptr[r]:indptr[r + 1]``), ``indices`` (their row-major input
     positions) and ``val``, in row-major ``(i, j, k, l)`` order whatever
     order they arrive in.  That order is the order in which evaluation sums
     each output row, so it fixes the floats: changing it changes the
-    outputs.  ``idx`` is derived from these arrays on each call.
+    outputs.  ``idx`` is derived from these arrays on each call.  The maps
+    that ``parallelize`` stacks are assembled from these arrays of maps
+    that passed the rule, so they are in range and in order by
+    construction and are not checked a second time.  The arrays are frozen
+    and the attributes read-only.
     """
 
     __slots__ = ("out_shape", "in_shape", "indptr", "indices", "val")
 
     def __init__(self, out_shape, in_shape, idx, val):
-        self.out_shape = _as_shape(out_shape)
-        self.in_shape = _as_shape(in_shape)
-        key, val = _stored_rows("entry", idx, self.out_shape + self.in_shape,
-                                val)
-        rows, indices = np.divmod(key, self.in_shape.size)
-        starts = np.bincount(rows + 1, minlength=self.out_shape.size + 1)
-        self.indptr, self.indices = _freeze(starts.cumsum()), _freeze(indices)
-        self.val = _freeze(val)
+        out_shape, in_shape = _as_shape(out_shape), _as_shape(in_shape)
+        key, val = _stored_rows("entry", idx, out_shape + in_shape, val)
+        rows, indices = np.divmod(key, in_shape.size)
+        starts = np.bincount(rows + 1, minlength=out_shape.size + 1)
+        self._store(out_shape, in_shape, starts.cumsum(), indices, val)
+
+    def _store(self, out_shape, in_shape, indptr, indices, val):
+        _set(self, "out_shape", out_shape)
+        _set(self, "in_shape", in_shape)
+        _set(self, "indptr", _freeze(indptr))
+        _set(self, "indices", _freeze(indices))
+        _set(self, "val", _freeze(val))
+
+    @classmethod
+    def _from_csr(cls, out_shape: MatrixShape, in_shape: MatrixShape,
+                  indptr, indices, val) -> "SparseLinearMap":
+        """The map on CSR arrays taken as they are, without the storage
+        rule: only for arrays assembled from valid maps so that they are
+        in range, once per position, nonzero, finite and in row-major
+        order by construction (the int64 ``indptr`` and ``indices`` and
+        the float ``val`` of ``__init__``).  The arrays are frozen, not
+        copied."""
+        linmap = cls.__new__(cls)
+        linmap._store(out_shape, in_shape, indptr, indices, val)
+        return linmap
 
     @classmethod
     def from_blocks(cls, out_shape, in_shape, blocks) -> "SparseLinearMap":
@@ -231,24 +274,25 @@ class SparseLinearMap:
                                  shape=(self.out_shape.size, self.in_shape.size))
 
 
-class ActivationMask:
+class ActivationMask(_ReadOnly):
     """Per-entry choice between the identity and the rho activation; a
     given ``rho`` must hold booleans."""
 
     __slots__ = ("shape", "rho")
 
     def __init__(self, shape, rho=None):
-        self.shape = _as_shape(shape)
+        shape = _as_shape(shape)
         if rho is None:
-            rho = np.zeros(tuple(self.shape), dtype=bool)
+            rho = np.zeros(tuple(shape), dtype=bool)
         else:
             rho = np.array(rho)
             if rho.dtype.kind != "b":  # 0.5 and "False" would read as True
                 raise ValueError(f"mask must hold booleans, got dtype "
                                  f"{rho.dtype}")
-            if rho.shape != tuple(self.shape):
+            if rho.shape != tuple(shape):
                 raise ValueError("mask array does not match shape")
-        self.rho = _freeze(rho)
+        _set(self, "shape", shape)
+        _set(self, "rho", _freeze(rho))
 
     @classmethod
     def all_rho(cls, shape) -> "ActivationMask":
@@ -269,14 +313,13 @@ class ActivationMask:
         return bool(self.rho.any())
 
 
-class Layer:
+class Layer(_ReadOnly):
     """One network layer: sparse map, bias matrix, activation mask.  The
     bias must hold integers or real floats, all finite."""
 
     __slots__ = ("map", "bias", "mask", "weight_count")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
-        self.map = linmap
         shape = linmap.out_shape
         if bias is None:
             bias = np.zeros(tuple(shape))
@@ -289,9 +332,10 @@ class Layer:
             mask = ActivationMask(shape)
         if mask.shape != shape:
             raise ValueError("mask shape does not match the layer output")
-        self.bias = _freeze(bias)
-        self.mask = mask
-        self.weight_count = linmap.nnz + int(np.count_nonzero(bias))
+        _set(self, "map", linmap)
+        _set(self, "bias", _freeze(bias))
+        _set(self, "mask", mask)
+        _set(self, "weight_count", linmap.nnz + int(np.count_nonzero(bias)))
 
     @property
     def out_shape(self) -> MatrixShape:
@@ -302,7 +346,7 @@ class Layer:
         return self.map.in_shape
 
 
-class MNN:
+class MNN(_ReadOnly):
     """A matrix neural network: shape-compatible layers plus a rho label,
     which only a network without rho entries may leave ``None``."""
 
@@ -326,9 +370,9 @@ class MNN:
                 layer.mask.any_rho for layer in layers):
             raise ValueError("a network with rho entries needs an "
                              "activation label")
-        self.layers = layers
-        self.activation_name = activation_name
-        self._steps = None  # the compiled evaluation, see _compile
+        _set(self, "layers", layers)
+        _set(self, "activation_name", activation_name)
+        _set(self, "_steps", None)  # the compiled evaluation, see _compile
 
     @property
     def input_shape(self) -> MatrixShape:
@@ -441,7 +485,7 @@ def _compile(net: MNN):
         steps.append((op, n_rho))
         where = moved if n_rho else None
         widest = max(widest, bias.size)
-    net._steps = steps, max(32, _TILE_BYTES // (8 * widest))
+    _set(net, "_steps", (steps, max(32, _TILE_BYTES // (8 * widest))))
     return net._steps
 
 
@@ -548,7 +592,10 @@ def scale_output(net: MNN, c: float) -> MNN:
     The last layer's tensor and bias are multiplied by c, so layer and weight
     counts are unchanged.  A non-finite ``c`` is refused, and so is
     ``c = 0``: it would collapse the weight count and the zero network
-    should be built explicitly instead.
+    should be built explicitly instead.  So is any ``c`` that would scale
+    a last-layer coefficient or nonzero bias entry to zero (underflow) or
+    to infinity (overflow), which would change the counts or store a
+    non-finite weight.
     """
     c = float(_real("c", c))
     if not np.isfinite(c):
@@ -558,9 +605,15 @@ def scale_output(net: MNN, c: float) -> MNN:
     if c == 1.0:
         return MNN(net.layers, net.activation_name)
     last = net.layers[-1]
+    with np.errstate(over="ignore", under="ignore"):
+        val, bias = last.map.val * c, last.bias * c
+    weights = np.concatenate([val, bias[last.bias != 0]])
+    if not (np.isfinite(weights).all() and weights.all()):
+        raise ValueError(f"c = {c} scales a last-layer coefficient or bias "
+                         "entry to zero or infinity")
     scaled_map = SparseLinearMap(last.out_shape, last.in_shape,
-                                 last.map.idx, last.map.val * c)
-    scaled = Layer(scaled_map, last.bias * c, last.mask)
+                                 last.map.idx, val)
+    scaled = Layer(scaled_map, bias, last.mask)
     return MNN(net.layers[:-1] + (scaled,), net.activation_name)
 
 

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strassennet import combinators
 from strassennet.combinators import concat, parallelize
-from strassennet.core import (MNN, Layer, SparseLinearMap, identity_mnn,
-                              realize, scale_output)
+from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
+                              identity_mnn, mnn_equal, realize, scale_output)
+from strassennet.gadgets import relu2_factory, relu_factory
+from strassennet.inversion import InversionSpec, build_inv
+from strassennet.strassen import (RectShape, build_str_pow2, build_str_rect,
+                                  build_str_square)
 
 
 def _affine_net(n, coeff, bias_value, depth=1):
@@ -145,3 +150,108 @@ def test_concat_of_parallel_keeps_realization(rng):
     up = realize(par, None, X)
     assert np.array_equal(up[:2], realize(top, None, X[:2]))
     assert np.array_equal(up[2:], realize(bottom, None, X[2:]))
+
+
+def _stack_by_quadruples(children):
+    """The stacking as the quadruple table of the children's entries,
+    shifted to their output and input rows and passed through the public
+    constructor: the reference that ``_stack_layers`` must match."""
+    out_rows = sum(layer.out_shape.rows for layer in children)
+    in_rows = sum(layer.in_shape.rows for layer in children)
+    out_cols = max(layer.out_shape.cols for layer in children)
+    in_cols = max(layer.in_shape.cols for layer in children)
+    idx_parts = []
+    val_parts = []
+    bias = np.zeros((out_rows, out_cols))
+    rho = np.zeros((out_rows, out_cols), dtype=bool)
+    out_off = 0
+    in_off = 0
+    for layer in children:
+        if layer.map.nnz:
+            shifted = layer.map.idx
+            shifted[:, 0] += out_off
+            shifted[:, 2] += in_off
+            idx_parts.append(shifted)
+            val_parts.append(layer.map.val)
+        r, c = layer.out_shape
+        bias[out_off:out_off + r, :c] = layer.bias
+        rho[out_off:out_off + r, :c] = layer.mask.rho
+        out_off += r
+        in_off += layer.in_shape.rows
+    if idx_parts:
+        idx = np.concatenate(idx_parts, axis=0)
+        val = np.concatenate(val_parts)
+    else:
+        idx = np.empty((0, 4), dtype=np.int64)
+        val = np.empty(0)
+    linmap = SparseLinearMap((out_rows, out_cols), (in_rows, in_cols), idx, val)
+    return Layer(linmap, bias, ActivationMask((out_rows, out_cols), rho))
+
+
+def _assert_same_layers(got, want):
+    """Equal layers, with the same CSR dtypes, and stacked arrays frozen."""
+    for a, b in zip(got, want):
+        for name in ("indptr", "indices", "val"):
+            x, y = getattr(a.map, name), getattr(b.map, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert not x.flags.writeable
+        assert a.out_shape == b.out_shape and a.in_shape == b.in_shape
+        assert np.array_equal(a.bias, b.bias)
+        assert np.array_equal(a.mask.rho, b.mask.rho)
+        assert a.weight_count == b.weight_count
+
+
+_BUILDS = {
+    **{f"pow2-{fac.activation_name}-k{k}":
+       lambda k=k, fac=fac: build_str_pow2(k, 1e-3, 1.0, fac)
+       for fac in (relu_factory, relu2_factory) for k in range(5)},
+    "rect-5x6x4": lambda: build_str_rect(RectShape(5, 6, 4), 1e-3, 1.0,
+                                         relu_factory),
+    **{f"square-n{n}": lambda n=n: build_str_square(n, 1e-3, 1.0,
+                                                    relu_factory)
+       for n in (3, 5)},
+    **{f"inv-{fac.activation_name}-n{n}-delta{delta}":
+       lambda n=n, delta=delta, fac=fac: build_inv(
+           InversionSpec(n, 1.0, 1e-2, delta), fac)
+       for fac in (relu_factory, relu2_factory)
+       for n in (1, 2, 3, 4, 8) for delta in (0.5, 0.9)},
+}
+
+
+@pytest.mark.parametrize("make", _BUILDS.values(), ids=_BUILDS.keys())
+def test_stacking_matches_the_quadruple_reference(make, monkeypatch):
+    net = make()
+    monkeypatch.setattr(combinators, "_stack_layers", _stack_by_quadruples)
+    want = make()
+    assert mnn_equal(net, want)
+    _assert_same_layers(net.layers, want.layers)
+
+
+def _random_layer(rng, out_shape, in_shape):
+    """A layer with random entries (possibly none), bias and mask."""
+    dims = out_shape + in_shape
+    present = rng.random(dims) < rng.choice([0.0, 0.3, 1.0])
+    idx = np.argwhere(present) + 1
+    val = rng.choice([-2.5, -1.0, 0.5, 3.0], len(idx))
+    bias = np.where(rng.random(out_shape) < 0.5, rng.normal(size=out_shape),
+                    0.0)
+    rho = rng.random(out_shape) < 0.5
+    return Layer(SparseLinearMap(out_shape, in_shape, idx, val), bias,
+                 ActivationMask(out_shape, rho))
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4),
+                          st.integers(1, 3), st.integers(1, 4)),
+                min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_stacking_random_children_matches_the_reference(shapes, seed):
+    # ragged output and input column widths, empty maps, a single child
+    rng = np.random.default_rng(seed)
+    children = [_random_layer(rng, (r, c), (ri, ci))
+                for r, c, ri, ci in shapes]
+    got = combinators._stack_layers(children)
+    _assert_same_layers([got], [_stack_by_quadruples(children)])
+    lm = got.map
+    again = SparseLinearMap(lm.out_shape, lm.in_shape, lm.idx, lm.val)
+    _assert_same_layers([Layer(again, got.bias, got.mask)], [got])

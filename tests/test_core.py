@@ -1,5 +1,6 @@
 """Layer/network data structures, realization, and block-table maps."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -509,6 +510,33 @@ class TestScaleOutput:
         got = realize(scale_output(net, 3.0), None, np.zeros((2, 2)))
         assert np.array_equal(got, 3.0 * bias)
 
+    def test_underflow_to_zero_is_refused_by_c(self):
+        # the bias 1e-200 * 1e-200 underflows to 0: one weight would vanish
+        net = MNN([Layer(_ident_map(1), [[1e-200]])])
+        assert net.num_weights == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^c = 1e-200 scales a "
+                               r"last-layer coefficient or bias entry to "
+                               r"zero or infinity$"):
+                scale_output(net, 1e-200)
+
+    def test_overflow_to_infinity_is_refused_by_c(self):
+        net = scale_output(identity_mnn((1, 1), 1), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning
+            with pytest.raises(ValueError, match=r"^c = 1e\+308 scales"):
+                scale_output(net, 1e308)
+            with pytest.raises(ValueError, match=r"^c = -1e\+308 scales"):
+                scale_output(MNN([Layer(_ident_map(1), [[-4.0]])]), -1e308)
+
+    def test_zero_bias_entries_stay_zero(self):
+        # only nonzero bias entries are weights; 0 * c stays a free 0
+        net = MNN([Layer(_ident_map(2), [[0.0, 1e-300], [0.0, 0.0]])])
+        scaled = scale_output(net, 1e-10)
+        assert scaled.num_weights == net.num_weights == 5
+        assert scaled.layers[0].bias[0, 1] == 1e-310
+
 
 class TestFromBlocks:
     def test_rejects_zero_coefficient(self):
@@ -568,6 +596,52 @@ def test_activation_registry():
     assert set(ACTIVATIONS) == {"relu", "relu2"}
     assert ACTIVATIONS["relu"](np.array(-2.0)) == 0.0
     assert ACTIVATIONS["relu2"](np.array(3.0)) == 9.0
+
+
+class TestReadOnly:
+    """What a network stores, counts and computes cannot drift apart: its
+    parts refuse assignment after construction."""
+
+    @staticmethod
+    def _refused(obj, name, value):
+        kind = type(obj).__name__
+        with pytest.raises(AttributeError, match=rf"^{kind}\.{name} is "
+                           "read-only$"):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError, match=rf"^{kind}\.{name} is "
+                           "read-only$"):
+            delattr(obj, name)
+
+    def test_mnn(self):
+        net = identity_mnn((1, 1), 1)
+        before = realize(net, None, np.ones((1, 1)))
+        five = Layer(SparseLinearMap((1, 1), (1, 1), [[1, 1, 1, 1]], [5.0]))
+        for name, value in [("layers", (five,)), ("activation_name", "relu"),
+                            ("_steps", None), ("extra", 1)]:
+            self._refused(net, name, value)
+        # the compiled steps and the counts still describe the same layers
+        assert net.num_weights == 1
+        assert np.array_equal(realize(net, None, np.ones((1, 1))), before)
+
+    def test_layer(self):
+        layer = Layer(_ident_map(1), [[2.0]])
+        for name, value in [("map", _ident_map(1)), ("bias", np.zeros((1, 1))),
+                            ("mask", ActivationMask((1, 1))),
+                            ("weight_count", 0)]:
+            self._refused(layer, name, value)
+        assert layer.weight_count == 2
+
+    def test_sparse_linear_map(self):
+        lm = _ident_map(2)
+        for name in type(lm).__slots__:
+            self._refused(lm, name, getattr(lm, name))
+        self._refused(lm, "extra", 1)
+
+    def test_activation_mask(self):
+        mask = ActivationMask.all_rho((1, 2))
+        self._refused(mask, "rho", np.zeros((1, 2), dtype=bool))
+        self._refused(mask, "shape", MatrixShape(1, 1))
+        assert mask.any_rho
 
 
 def test_mnn_equal_detects_value_change():
