@@ -197,10 +197,10 @@ class SparseLinearMap(_ReadOnly):
     order they arrive in.  That order is the order in which evaluation sums
     each output row, so it fixes the floats: changing it changes the
     outputs.  ``idx`` is derived from these arrays on each call.  The maps
-    that ``parallelize`` stacks are assembled from these arrays of maps
-    that passed the rule, so they are in range and in order by
-    construction and are not checked a second time.  The arrays are frozen
-    and the attributes read-only.
+    that ``parallelize`` stacks and that ``scale_output`` scales reuse the
+    arrays of maps that passed the rule, so they are in range and in order
+    by construction and are not checked a second time (``_from_csr``).
+    The arrays are frozen and the attributes read-only.
     """
 
     __slots__ = ("out_shape", "in_shape", "indptr", "indices", "val")
@@ -226,8 +226,9 @@ class SparseLinearMap(_ReadOnly):
         rule: only for arrays assembled from valid maps so that they are
         in range, once per position, nonzero, finite and in row-major
         order by construction (the int64 ``indptr`` and ``indices`` and
-        the float ``val`` of ``__init__``).  The arrays are frozen, not
-        copied."""
+        the float ``val`` of ``__init__``), as its two callers,
+        ``combinators._stack_layers`` and ``scale_output``, pass them.
+        The arrays are frozen, not copied."""
         linmap = cls.__new__(cls)
         linmap._store(out_shape, in_shape, indptr, indices, val)
         return linmap
@@ -424,22 +425,21 @@ def _compile(net: MNN):
     """The network as ``(steps, tile)``: one ``(csr, n_rho)`` step per layer
     and the column tile width, built on the first evaluation and cached.
 
-    Every state but the input and the output is held in rho-first order:
-    a layer's rho rows, then its identity rows, each in row-major order,
-    then the row of ones.  A step's rho then acts on the contiguous
-    ``V[:n_rho]``, and the next step's columns are relabelled to match.
-    The first step reads the input in row-major order with the ones row
-    last; the last step writes the output in row-major order, ones row
-    dropped.  Each row holds its map entries in stored order with its
-    nonzero bias after them, in the column of the ones row: the product
-    sums the same terms in the same order as ``L @ V + bias``, so the
-    floats are the same.  The relabelled columns are unsorted, and must
+    Every state is held in its layer's rho-first order: the rho rows, then
+    the identity rows, each in row-major order, then the row of ones.  A
+    step's rho then acts on the contiguous ``V[:n_rho]``, and the next
+    step's columns are relabelled to match.  Without rho, as for the input
+    and the last layer, this is the identity order; the last layer's is cut
+    before the ones row.  Each row holds its map entries in stored order
+    with its nonzero bias after them, in the column of the ones row: the
+    product sums the same terms in the same order as ``L @ V + bias``, so
+    the floats are the same.  The relabelled columns are unsorted, and must
     stay so.
     """
     if net._steps is not None:
         return net._steps
-    steps, where, widest = [], None, net.input_shape.size + 1
-    mask = order = moved = None
+    steps, widest, mask = [], net.input_shape.size + 1, None
+    where = np.arange(net.input_shape.size)  # the input in row-major order
     for depth, layer in enumerate(net.layers, 1):
         m = layer.map
         bias = layer.bias.reshape(-1)
@@ -452,8 +452,7 @@ def _compile(net: MNN):
         biased = bias != 0
         indptr = np.zeros(bias.size + 1, dtype=index)
         rho = layer.mask.rho.reshape(-1)
-        n_rho = int(np.count_nonzero(rho))
-        if n_rho and not np.array_equal(rho, mask):
+        if not np.array_equal(rho, mask):
             # rho rows, identity rows, then the ones row: ``order`` lists
             # the row-major rows so, ``moved`` gives each its new position;
             # a run of layers with one mask shares them
@@ -462,12 +461,8 @@ def _compile(net: MNN):
                                     [rho.size]])
             moved = np.empty_like(order, dtype=index)
             moved[order] = np.arange(order.size)
-        if n_rho:
-            np.cumsum((per_map + biased)[order], out=indptr[1:])
-            start = indptr[moved]  # where each row-major row starts
-        else:
-            np.cumsum(per_map + biased, out=indptr[1:])
-            start = indptr[:-1]
+        np.cumsum((per_map + biased)[order[:bias.size]], out=indptr[1:])
+        start = indptr[moved[:bias.size]]  # where each row-major row starts
         # entry e of row r goes to start[r] + e - m.indptr[r], and the
         # bias of row r right after its entries
         after = start + per_map
@@ -478,12 +473,12 @@ def _compile(net: MNN):
         data = np.empty(indptr[-1])
         data[put], data[put_bias] = m.val, bias[at]
         indices = np.empty(indptr[-1], dtype=index)
-        indices[put] = m.indices if where is None else where[m.indices]
+        indices[put] = where[m.indices]
         indices[put_bias] = m.in_shape.size  # the ones row stays last
         op = sparse.csr_matrix((data, indices, indptr),
                                shape=(bias.size, m.in_shape.size + 1))
-        steps.append((op, n_rho))
-        where = moved if n_rho else None
+        steps.append((op, int(np.count_nonzero(rho))))
+        where = moved
         widest = max(widest, bias.size)
     _set(net, "_steps", (steps, max(32, _TILE_BYTES // (8 * widest))))
     return net._steps
@@ -581,29 +576,26 @@ def identity_mnn(shape, depth: int) -> MNN:
     """
     depth = _count("depth", depth)
     shape = _as_shape(shape)
-    linmap = SparseLinearMap.from_blocks(
-        shape, shape, [(0, 0, 0, 0, shape.rows, shape.cols, 1.0)])
-    return MNN([Layer(linmap) for _ in range(depth)])
+    glue = _glue(shape, shape, [(0, 0, 0, 0, shape.rows, shape.cols, 1.0)])
+    return MNN(glue.layers * depth)  # one read-only layer, repeated
 
 
 def scale_output(net: MNN, c: float) -> MNN:
     """Scale the network's realization by c via its final layer.
 
-    The last layer's tensor and bias are multiplied by c, so layer and weight
-    counts are unchanged.  A non-finite ``c`` is refused, and so is
-    ``c = 0``: it would collapse the weight count and the zero network
-    should be built explicitly instead.  So is any ``c`` that would scale
-    a last-layer coefficient or nonzero bias entry to zero (underflow) or
-    to infinity (overflow), which would change the counts or store a
-    non-finite weight.
+    The last layer's coefficients and bias are multiplied by c, its map
+    keeping its CSR ``indptr`` and ``indices``, so layer and weight counts
+    are unchanged.  A non-finite ``c`` is refused, and so is ``c = 0``: it
+    would collapse the weight count and the zero network should be built
+    explicitly instead.  So is any ``c`` that would scale a last-layer
+    coefficient or nonzero bias entry to zero (underflow) or to infinity
+    (overflow), which would change the counts or store a non-finite weight.
     """
     c = float(_real("c", c))
     if not np.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     if c == 0.0:
         raise ValueError("scaling the output by zero collapses the network")
-    if c == 1.0:
-        return MNN(net.layers, net.activation_name)
     last = net.layers[-1]
     with np.errstate(over="ignore", under="ignore"):
         val, bias = last.map.val * c, last.bias * c
@@ -611,8 +603,8 @@ def scale_output(net: MNN, c: float) -> MNN:
     if not (np.isfinite(weights).all() and weights.all()):
         raise ValueError(f"c = {c} scales a last-layer coefficient or bias "
                          "entry to zero or infinity")
-    scaled_map = SparseLinearMap(last.out_shape, last.in_shape,
-                                 last.map.idx, val)
+    scaled_map = SparseLinearMap._from_csr(
+        last.out_shape, last.in_shape, last.map.indptr, last.map.indices, val)
     scaled = Layer(scaled_map, bias, last.mask)
     return MNN(net.layers[:-1] + (scaled,), net.activation_name)
 

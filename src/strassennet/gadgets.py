@@ -137,7 +137,9 @@ FACTORIES = {"relu2": relu2_factory, "relu": relu_factory}
 
 
 def relu_gadget_bounds(epsilon: float, K: float):
-    """Closed-form (M, L) upper bounds for the ReLU gadget, by budget branch."""
+    """Closed-form (M, L) upper bounds for the ReLU gadget, by budget branch,
+    for the budgets and half-widths that ``GadgetSpec`` accepts."""
+    GadgetSpec(epsilon, K)
     if epsilon >= K * K:
         return 0.0, 1.0
     if epsilon >= K * K / 2.0:

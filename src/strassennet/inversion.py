@@ -76,8 +76,6 @@ def compute_N(eps: float, delta: float) -> int:
     if target >= 1.0:
         return 1
     ratio = math.log2(target) / math.log2(delta)
-    if ratio <= 1.0:
-        return 1
     return max(math.ceil(math.log2(ratio)), 1)
 
 
@@ -119,12 +117,10 @@ def build_fill(n: int, L: int) -> MNN:
     n, L = _count("n", n), _count("L", L)
     block = [(0, 0, 0, 0, n, n, 1.0)]
     select = SparseLinearMap.from_blocks((n, n), (n, 2 * n), block)
-    half_eye = np.eye(n) / 2.0
-    if L == 1:
-        return MNN([Layer(select, half_eye)])
     carry = SparseLinearMap.from_blocks((n, n), (n, n), block)
-    return MNN([Layer(select)] + [Layer(carry) for _ in range(L - 2)]
-               + [Layer(carry, half_eye)])
+    maps = [select] + [carry] * (L - 1)
+    return MNN([Layer(lm) for lm in maps[:-1]]
+               + [Layer(maps[-1], np.eye(n) / 2.0)])
 
 
 def _build_flip(n: int, k: int) -> MNN:

@@ -49,26 +49,19 @@ TABLES = {"entries": ("entry", "[i, j, k, l, value]"),
           "mask_rho": ("mask entry", "[i, j]")}
 
 
-def _rows(positions: np.ndarray, values: np.ndarray) -> list:
-    # one object table gives rows of exactly their length; appending to
-    # ``positions.tolist()`` rows would over-allocate every one of them
-    table = np.empty((len(values), positions.shape[1] + 1), dtype=object)
-    table[:, :-1] = positions
-    table[:, -1] = values
-    return table.tolist()
-
-
 def network_to_dict(net: MNN) -> dict:
     """Plain-dict form of a network (the JSON document structure)."""
     layers = []
     for layer in net.layers:
         lm = layer.map
         at = np.argwhere(layer.bias)
+        bias = zip((at + 1).tolist(), layer.bias[tuple(at.T)].tolist())
         layers.append({
             "out_rows": lm.out_shape.rows, "out_cols": lm.out_shape.cols,
             "in_rows": lm.in_shape.rows, "in_cols": lm.in_shape.cols,
-            "entries": _rows(lm.idx, lm.val),
-            "bias": _rows(at + 1, layer.bias[tuple(at.T)]),
+            "entries": [[*p, v] for p, v in zip(lm.idx.tolist(),
+                                                 lm.val.tolist())],
+            "bias": [[*p, v] for p, v in bias],
             "mask_rho": (np.argwhere(layer.mask.rho) + 1).tolist(),
         })
     return {"activation": net.activation_name, "layers": layers}

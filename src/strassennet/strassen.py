@@ -1,12 +1,12 @@
 """Networks that multiply matrices by the recursive seven-product scheme.
 
-``build_str_pow2`` assembles the multiplication network for 2^k x 2^k
-operands out of three pieces per recursion level: a split layer forming the
-seven operand pairs, seven parallel child multipliers, and a mix layer
-recombining the child products into the four output quadrants, both read
-from Strassen's coefficient tables ``_U``, ``_V``, ``_W``.  At the bottom
-sit scalar product gadgets.  The weight and layer counts of the result
-obey closed-form expressions (``formula_counts_pow2``) exactly.
+``build_str_pow2`` builds the multiplier for 2^k x 2^k operands as one
+leaf, a scalar product gadget, wrapped in k levels.  A level puts a split
+layer forming the seven operand pairs, seven parallel copies of the network
+so far, and a mix layer recombining their products into the four output
+quadrants, the layers read from Strassen's tables ``_U``, ``_V``, ``_W``.
+The weight and layer counts of the result obey
+closed-form expressions (``formula_counts_pow2``) exactly.
 
 Rectangular and general square operands are handled by zero-padding up to
 the next power of two and cropping the result (``build_str_rect`` /
@@ -73,27 +73,43 @@ def build_split(k: int) -> MNN:
         for b, T in enumerate((_U, _V)) for r, q in zip(*np.nonzero(T))])
 
 
+def _leaf_spec(k: int, eps: float, K: float) -> GadgetSpec:
+    """The spec of the one leaf of ``build_str_pow2(k, eps, K)``: budget
+    eps / 4^k and half-width 2^k K, scaled by exact powers of two.  A depth
+    whose budget underflows to 0 or whose half-width overflows float64 is
+    refused by ``k``."""
+    budget = math.ldexp(eps, -2 * k)
+    try:
+        if budget != 0.0:
+            return GadgetSpec(budget, math.ldexp(K, k))
+    except OverflowError:  # 2^k K
+        pass
+    raise ValueError(
+        f"k = {k} levels need the leaf gadget budget {eps:g} / 4^{k} and "
+        f"half-width 2^{k} * {K:g}, which underflows to 0 or overflows "
+        "float64; use a smaller k")
+
+
 def build_str_pow2(k: int, eps: float, K: float,
                    factory: GadgetFactory) -> MNN:
     """Multiplication network for 2^k x 2^k operands, input (A | B).
 
-    Each recursion level hands its seven children a quarter of the error
-    budget (a column of ``_W`` sums at most four products) and twice the
-    input range (a row of ``_U`` or ``_V`` at most two quadrants); the
-    k = 0 base case is one product gadget.  For |A|, |B| entrywise at most K the output matches A B within
-    eps in the max norm.
+    One leaf gadget at ``_leaf_spec(k, eps, K)``, wrapped in k levels.  Each
+    level hands its seven copies a quarter of its error budget (a column of
+    ``_W`` sums at most four products) and twice its input range (a row of
+    ``_U`` or ``_V`` at most two quadrants).  For |A|, |B| entrywise at most
+    K the output matches A B within eps in the max norm.
     """
-    if eps <= 0.0 or K <= 0.0:
+    if not (eps > 0.0 and K > 0.0):
         raise ValueError("eps and K must be positive")
     k = _count("k", k, least=0)
-    if k == 0:
-        gadget = factory.build(GadgetSpec(eps, K))
-        if tuple(gadget.input_shape) != (1, 2) or tuple(gadget.output_shape) != (1, 1):
-            raise ValueError("factory must produce gadgets mapping 1x2 -> 1x1")
-        return gadget
-    child = build_str_pow2(k - 1, eps / 4.0, 2.0 * K, factory)
-    par = parallelize([child] * len(_W))
-    return concat(build_mix(k), concat(par, build_split(k)))
+    net = factory.build(_leaf_spec(k, eps, K))
+    if tuple(net.input_shape) != (1, 2) or tuple(net.output_shape) != (1, 1):
+        raise ValueError("factory must produce gadgets mapping 1x2 -> 1x1")
+    for level in range(1, k + 1):
+        net = concat(build_mix(level),
+                     concat(parallelize([net] * len(_W)), build_split(level)))
+    return net
 
 
 def formula_counts_pow2(k: int, M_gadget: int, L_gadget: int):
@@ -171,10 +187,10 @@ def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec
 def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):
     """Reference counts ``(M, L, exact=True)`` for ``build_str_pow2(k, eps, K)``.
 
-    The closed form is evaluated with the leaf gadget at ``(eps / 4^k, 2^k K)``.
+    The closed form is evaluated at ``_leaf_spec(k, eps, K)``, the builder's leaf.
     """
     k = _count("k", k, least=0)
-    leaf = factory.build(GadgetSpec(eps / 4 ** k, (2 ** k) * K))
+    leaf = factory.build(_leaf_spec(k, eps, K))
     M, L = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
     return M, L, True
 

@@ -155,6 +155,22 @@ def test_bounds_function_branches():
     assert bL == pytest.approx(1 + 0.5 * math.log2(100) + 2.5)
 
 
+@pytest.mark.parametrize("eps, K, match", [
+    (0.0, 1.0, "epsilon must be positive"),
+    (-0.1, 1.0, "epsilon must be positive"),
+    (math.nan, 1.0, "epsilon must be positive"),
+    (0.1, 0.0, "K must be positive"),
+    (0.1, -1.0, "K must be positive"),
+    (0.1, math.nan, "K must be positive"),
+])
+def test_bounds_refuse_what_gadget_spec_refuses(eps, K, match):
+    # (0.0, 1.0) raised ZeroDivisionError, negative inputs a math domain
+    # error, and (nan, 1.0) returned (nan, nan)
+    for call in (GadgetSpec, relu_gadget_bounds):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            call(eps, K)
+
+
 def test_relu_gadget_output_is_piecewise_scaling(rng):
     # doubling K and rescaling inputs reproduces the same relative surface:
     # gadget(K)(x, y) == K^2 * gadget(1)(x/K, y/K) for the same stage count

@@ -17,7 +17,7 @@ from strassennet.strassen import (_U, _V, _W, RectShape, _build_ext,
                                   bound_counts_rect, bound_gadget_spec_rect,
                                   build_mix, build_split, build_str_pow2,
                                   build_str_rect, build_str_square,
-                                  formula_counts_pow2)
+                                  formula_counts_pow2, pow2_count_reference)
 
 
 class TestRectShape:
@@ -276,6 +276,61 @@ class TestRectangularNetworks:
 def test_pow2_refusals(k, eps, K, match):
     with pytest.raises(ValueError, match=match):
         build_str_pow2(k, eps, K, relu2_factory)
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refusing_factory(asked: list) -> GadgetFactory:
+    """A factory that records each spec it is asked for and builds none."""
+    def build(spec):
+        asked.append(spec)
+        raise _Refused
+    return GadgetFactory("relu", build)
+
+
+@pytest.mark.parametrize("build", [build_str_pow2, pow2_count_reference])
+@pytest.mark.parametrize("k, eps, ends_in", [
+    (512, 0.1, "factory"), (600, 0.1, "k"), (1100, 0.1, "k"),
+    (2000, 0.1, "k"), (512, 1e300, "factory"), (600, 1e300, "factory"),
+    (1100, 1e300, "k"), (2000, 1e300, "k"),
+])
+def test_deep_k_ends_in_the_leaf_refusal_or_the_factory(build, k, eps,
+                                                        ends_in):
+    # never with a real factory: a leaf budget still > 0 (0.1 / 4^512 is
+    # subnormal) would start stacking 7^k leaves.  An OverflowError or a
+    # RecursionError fails the test.
+    if ends_in == "factory":
+        with pytest.raises(_Refused):
+            build(k, eps, 1.0, _refusing_factory([]))
+    else:
+        with pytest.raises(ValueError, match=rf"^k = {k} levels need the "
+                           r"leaf gadget budget .* use a smaller k$"):
+            build(k, eps, 1.0, _refusing_factory([]))
+
+
+@pytest.mark.parametrize("eps, K", [(1e-3, 1.0), (0.3, 2.5)])
+def test_builder_and_reference_ask_for_the_same_leaf(eps, K):
+    for k in range(5):
+        built, referenced = [], []
+        with pytest.raises(_Refused):
+            build_str_pow2(k, eps, K, _refusing_factory(built))
+        with pytest.raises(_Refused):
+            pow2_count_reference(k, eps, K, _refusing_factory(referenced))
+        assert built == referenced == [GadgetSpec(eps / 4 ** k, 2 ** k * K)]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("eps, K", [(np.nan, 1.0), (0.1, np.nan)])
+def test_nan_eps_or_K_is_refused_by_the_builder(k, eps, K):
+    asked = []
+    for build in (lambda: build_str_pow2(k, eps, K, _refusing_factory(asked)),
+                  lambda: build_str_rect(RectShape(2 ** k, 1, 1), eps, K,
+                                         _refusing_factory(asked))):
+        with pytest.raises(ValueError, match="^eps and K must be positive$"):
+            build()
+    assert asked == []
 
 
 def test_gadget_spec_for_bounds_shrinks_budget():
