@@ -73,6 +73,10 @@ def compute_N(eps: float, delta: float) -> int:
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     target = eps * (1.0 - delta)
+    if target == 0.0:
+        raise ValueError(
+            f"eps * (1 - delta) = {eps!r} * (1 - {delta!r}) underflows to 0 "
+            "in float64; use a larger eps or a smaller delta")
     if target >= 1.0:
         return 1
     ratio = math.log2(target) / math.log2(delta)
@@ -219,6 +223,11 @@ def _neu_plan(spec: InversionSpec):
     """Stage count N = compute_N(eps / 2 alpha, delta) of ``build_inv(spec)``
     and the Neumann-sum error budget min(eps / 2 alpha, 1/8)."""
     ratio = spec.epsilon / (2.0 * spec.alpha)
+    if ratio * (1.0 - spec.delta) == 0.0:
+        raise ValueError(
+            f"epsilon / (2 alpha) * (1 - delta) = {spec.epsilon!r} / "
+            f"(2 * {spec.alpha!r}) * (1 - {spec.delta!r}) underflows to 0 in "
+            "float64; use a larger epsilon or a smaller alpha or delta")
     return compute_N(ratio, spec.delta), min(ratio, 0.125)
 
 
@@ -273,7 +282,12 @@ def series_length_estimate(eps: float, delta: float) -> float:
         raise ValueError("delta must lie in (0, 1)")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    return math.log2(eps * (1.0 - delta) / 2.0) / math.log2(delta)
+    target = eps * (1.0 - delta) / 2.0
+    if target == 0.0:
+        raise ValueError(
+            f"eps * (1 - delta) / 2 = {eps!r} * (1 - {delta!r}) / 2 "
+            "underflows to 0 in float64; use a larger eps or a smaller delta")
+    return math.log2(target) / math.log2(delta)
 
 
 def neu_bound_counts(N: int, n: int, eps: float, factory: GadgetFactory):

@@ -9,9 +9,15 @@ as ``[i, j]``, each table in the row-major order ``SparseLinearMap`` keeps.
 Files are written compactly, one line per layer: a header line
 ``{"activation":<label>,"layers":[``, then each layer as one JSON object
 without whitespace, every one after the first led by a comma, then ``]}``.
-The writer formats each line straight from the layer's arrays, writing
-every distinct number once with the text ``json.dumps`` gives it, so the
-bytes are those of ``network_to_dict`` dumped layer by layer.
+The writer formats each line straight from the layer's arrays, so the
+bytes are those of ``network_to_dict`` dumped layer by layer.  Each table
+is one join over its cells, every cell spelled with the text
+``json.dumps`` gives its number and carrying its separators (``,[``
+before a row's first cell, ``,`` before the others, ``]`` after the last).
+Each column's distinct numbers are spelled once: an index column from a
+table of ``str(0..top)`` when its largest index ``top`` is no larger than
+the column, so that table never outgrows the cells; any other column
+through ``np.unique``.
 The reader streams a compact file: it parses and converts one layer line
 at a time, so it never holds more than one layer's document.  Any other
 JSON layout (indented files written by earlier versions, a layer split
@@ -73,23 +79,42 @@ LAYER_LINE = ('{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,'
               '"entries":[%s],"bias":[%s],"mask_rho":[%s]}')
 
 
-def _spelled(numbers: np.ndarray, spell) -> np.ndarray:
-    """``spell(x)`` for every number, as an object array of the same shape;
-    each distinct number is spelled once."""
-    distinct, at = np.unique(numbers, return_inverse=True)
-    names = np.array([spell(x) for x in distinct.tolist()], dtype=object)
-    return names[at.reshape(numbers.shape)]
+def _spelled(column: np.ndarray, spell, lead: str, tail: str) -> np.ndarray:
+    """``lead + spell(x) + tail`` for every number of a table column, as an
+    object array; each distinct number is spelled once.  An integer column
+    whose largest number ``top`` is at most its cell count indexes a table
+    of the spellings of ``0..top``; any other column, or one whose ``top``
+    is larger (a wide, nearly empty layer), is spelled over ``np.unique``,
+    so the spellings never outnumber the cells."""
+    top = column.max()
+    if column.dtype.kind in "iu" and top <= len(column):
+        distinct, at = range(top + 1), column
+    else:
+        distinct, at = np.unique(column, return_inverse=True)
+        distinct = distinct.tolist()
+    names = np.array([lead + spell(x) + tail for x in distinct], dtype=object)
+    return names[at]
 
 
 def _table(positions: np.ndarray, values=None) -> str:
     """The text ``json.dumps`` gives a table's rows without spaces: ``str``
     writes an int and ``repr`` a float as its encoder does.  Stored values
-    are nonzero and finite, so equal floats have one spelling."""
-    cells = _spelled(positions, str)
+    are nonzero and finite, so equal floats have one spelling.
+
+    Each cell carries its separators: ``,[`` before the first column, ``,``
+    before the others and ``]`` after the last.  So the rows are one join
+    over the cells in row-major order, less the leading comma."""
+    if not len(positions):
+        return ""
+    columns = [(column, str) for column in positions.T]
     if values is not None:
-        cells = np.hstack([cells, _spelled(values[:, None], repr)])
-    row = "[" + ",".join(["%s"] * cells.shape[1]) + "]"
-    return ",".join([row] * len(cells)) % tuple(cells.ravel().tolist())
+        columns.append((values, repr))
+    last = len(columns) - 1
+    cells = np.empty((len(positions), len(columns)), dtype=object)
+    for pos, (column, spell) in enumerate(columns):
+        cells[:, pos] = _spelled(column, spell, ",[" if pos == 0 else ",",
+                                 "]" if pos == last else "")
+    return "".join(cells.ravel().tolist())[1:]
 
 
 def save_network(net: MNN, path) -> None:
@@ -97,7 +122,8 @@ def save_network(net: MNN, path) -> None:
 
     Each line is formatted from the layer's arrays, byte for byte what a
     separator-only ``json.dumps`` of its document gives, without building
-    the document."""
+    the document: each table is one join over its pre-decorated cells
+    (``_table``)."""
     with open(path, "w") as fh:
         fh.write(HEAD + json.dumps(net.activation_name) + HEAD_END)
         lead = ""

@@ -1,5 +1,7 @@
 """Inversion stack: depth formulas, auxiliary layers, and the full networks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,27 @@ class TestDepthFormulas:
     def test_series_length_estimate(self):
         # at eps=0.1, delta=0.5 about 5.3 plain terms would be needed
         assert series_length_estimate(0.1, 0.5) == pytest.approx(5.3219, abs=1e-3)
+
+    @pytest.mark.parametrize("call, cause", [
+        (compute_N, "eps * (1 - delta) = 5e-324 * (1 - 0.5) underflows"),
+        (series_length_estimate,
+         "eps * (1 - delta) / 2 = 5e-324 * (1 - 0.5) / 2 underflows")])
+    def test_underflowing_target_is_refused(self, call, cause):
+        # a positive eps whose tail target eps (1 - delta) rounds to 0
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            call(5e-324, 0.5)
+
+    @pytest.mark.parametrize("alpha, eps", [(1.0, 5e-324), (1e308, 1.0)])
+    def test_underflowing_neumann_budget_names_the_spec(self, alpha, eps):
+        # epsilon / (2 alpha) rounds to 0 though epsilon is positive
+        spec = InversionSpec(1, alpha, eps, 0.5)
+        cause = re.escape(f"epsilon / (2 alpha) * (1 - delta) = {eps!r} / "
+                          f"(2 * {alpha!r}) * (1 - 0.5) underflows to 0")
+        for call in (build_inv, inv_count_reference):
+            with pytest.raises(ValueError, match=cause):
+                call(spec, relu_factory)
+        with pytest.raises(ValueError, match=cause):
+            neumann_depth(spec)
 
 
 class TestAuxiliaryLayers:

@@ -3,11 +3,14 @@
 import copy
 import gc
 import json
+import tracemalloc
 from functools import partial
 from operator import setitem
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
                               mnn_equal, realize)
@@ -175,6 +178,89 @@ class TestWriterReference:
         save_network(net, path)
         assert path.read_text() == _compact_text(network_to_dict(net))
         assert mnn_equal(load_network(path), net)
+
+
+#: ``_awkward_network``'s values and more whose repr is an exponent, a
+#: subnormal, the largest double, a shortest round trip or long; each is
+#: repeated across the cells of a table
+AWKWARD = (5e-324, -5e-324, 1e16, 1e-05, 0.1 + 0.2, -1.7976931348623157e308,
+           2.0, -1.0, 123456789.125)
+#: shape dimensions whose indices cross the 9/10 and 99/100 digit boundaries
+SIZES = (1, 2, 9, 10, 11, 99, 100, 101)
+
+
+def _stored_values(rng, n):
+    """``n`` nonzero finite values: random magnitudes, about a third of
+    them drawn from ``AWKWARD``."""
+    values = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 300, n)
+    pick = rng.random(n) < 0.35
+    values[pick] = rng.choice(AWKWARD, int(pick.sum()))
+    values[values == 0.0] = 2.0
+    return values
+
+
+@st.composite
+def _networks(draw):
+    """A chain of 1-3 random layers: entry, bias and mask tables that are
+    empty, hold one row or hold up to 400 rows, over shapes whose indices
+    cross digit boundaries; the last layer has no mask."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 3))
+    shapes = [(draw(st.sampled_from(SIZES)), draw(st.sampled_from(SIZES)))
+              for _ in range(depth + 1)]
+    label = draw(st.sampled_from(["relu", None]))
+    layers = []
+    for pos, (out_shape, in_shape) in enumerate(zip(shapes[1:], shapes)):
+        count = st.sampled_from([0, 1, 2, 30, 400])
+        flat = np.unique(rng.integers(0, np.prod(out_shape + in_shape),
+                                      draw(count)))
+        idx = np.stack(np.unravel_index(flat, out_shape + in_shape), 1) + 1
+        bias = np.zeros(out_shape)
+        at = np.unique(rng.integers(0, bias.size, draw(count)))
+        bias.reshape(-1)[at] = _stored_values(rng, len(at))
+        rho = np.zeros(out_shape, dtype=bool)
+        if label is not None and pos < depth - 1:
+            rho.reshape(-1)[rng.integers(0, rho.size, draw(count))] = True
+        layers.append(Layer(
+            SparseLinearMap(out_shape, in_shape, idx,
+                            _stored_values(rng, len(idx))),
+            bias, ActivationMask(out_shape, rho)))
+    return MNN(layers, label)
+
+
+def _wide_sparse_network():
+    # two entries on a 1 x 5000 input: the last index column's largest
+    # number, 4999, is far above its two cells
+    return MNN([Layer(SparseLinearMap((2, 1), (1, 5000),
+                                      [[1, 1, 1, 4999], [2, 1, 1, 100]],
+                                      [1e-05, 0.1 + 0.2]),
+                      np.array([[0.0], [5e-324]]))], None)
+
+
+class TestWriterOnRandomNetworks:
+    @given(net=_networks())
+    @example(net=_wide_sparse_network())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_dumping_the_document(self, tmp_path_factory, net):
+        path = tmp_path_factory.mktemp("writer") / "net.json"
+        save_network(net, path)
+        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert mnn_equal(load_network(path), net)
+
+    def test_wide_layer_is_written_in_bounded_memory(self, tmp_path):
+        # one entry at input index 2^22: spelling every index up to it
+        # would take one string per index, hundreds of MB
+        net = MNN([Layer(SparseLinearMap((1, 1), (1, 2**22),
+                                         [[1, 1, 1, 2**22]], [0.5]))])
+        path = tmp_path / "net.json"
+        tracemalloc.start()
+        try:
+            save_network(net, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert path.read_text() == _compact_text(network_to_dict(net))
 
 
 def _valid_doc():
