@@ -50,6 +50,13 @@ def _inv_spec(a):
     return InversionSpec(a.n, a.alpha, a.eps, a.delta)
 
 
+def _series_estimate(a):
+    """``series_length_estimate`` at eps / alpha, read as the largest float
+    where it overflows, as ``build_inv`` reads it."""
+    return series_length_estimate(min(a.eps / a.alpha, sys.float_info.max),
+                                  a.delta)
+
+
 #: build kind -> (required flags, builder, count reference); builder and
 #: reference both take the parsed arguments and the gadget factory
 KINDS = {
@@ -94,8 +101,7 @@ def build_network_and_report(args):
     if args.kind == "inverse":
         depth = neumann_depth(_inv_spec(args))
         report.update(N=depth.N, Sigma=depth.Sigma,
-                      series_length_estimate=series_length_estimate(
-                          args.eps / args.alpha, args.delta))
+                      series_length_estimate=_series_estimate(args))
     return net, report
 
 
@@ -172,7 +178,7 @@ def _bounds_rows(args):
         a = argparse.Namespace(**{**vars(args), "n": n})
         net, ref = builder(a, factory), reference(a, factory)
         rows.append([n, a.alpha, a.eps, a.delta, neumann_depth(_inv_spec(a)).N,
-                     round(series_length_estimate(a.eps / a.alpha, a.delta), 3),
+                     round(_series_estimate(a), 3),
                      net.num_weights, round(float(ref[0]), 1),
                      net.num_layers, round(float(ref[1]), 1),
                      counts_satisfied(net, ref)])

@@ -30,6 +30,8 @@ network's error guarantee holds only on the domain its builder states
 ``||I - alpha A||_2 <= delta``), and evaluation does not check it.
 """
 
+import math
+import numbers
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -58,6 +60,21 @@ def _count(name: str, n, least: int = 1) -> int:
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return int(n)
+
+
+def _positive(name: str, x, below: float = math.inf) -> None:
+    """The one real rule: ``x`` is refused by ``name`` unless it is a real
+    number by type (not a bool), finite as a float and in ``(0, below)``."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        ok = 0 < x < below and math.isfinite(x)
+    except OverflowError:  # an integer beyond the largest float
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be positive and finite, got {x}"
+                         if below == math.inf else
+                         f"{name} must lie in (0, {below:g}), got {x}")
 
 
 def _real(what: str, a) -> np.ndarray:

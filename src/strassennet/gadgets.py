@@ -1,7 +1,8 @@
 """Product gadgets: small networks approximating scalar multiplication.
 
 A gadget takes the 1x2 input ``(x | y)`` and returns a 1x1 approximation of
-``x*y``, accurate within ``epsilon`` whenever ``|x|, |y| <= K``.  Two
+``x*y``, accurate within ``epsilon`` whenever ``|x|, |y| <= K``, for real
+``epsilon, K > 0`` (refused by name otherwise, by ``core._positive``).  Two
 factories ship here:
 
 * ``relu2``: with rho(t) = ReLU(t)^2 the identity rho(t) + rho(-t) = t^2
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (MNN, ActivationMask, Layer, SparseLinearMap,
+from .core import (MNN, ActivationMask, Layer, SparseLinearMap, _positive,
                    realize_flat)
 
 
@@ -30,10 +31,8 @@ class GadgetSpec:
     K: float
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not self.K > 0.0:
-            raise ValueError("K must be positive")
+        _positive("epsilon", self.epsilon)
+        _positive("K", self.K)
 
 
 @dataclass(frozen=True)

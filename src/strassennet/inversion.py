@@ -15,15 +15,20 @@ lost factor ``2^(2^N - 1)`` is restored in the output layer).
 ``neumann_depth`` gives the stage count N that makes the end-to-end error
 at most ``epsilon``, and the leaf gadget budget Sigma that the count bound
 of ``inv_count_reference`` is evaluated at.
+Every budget, ``alpha`` and ``delta`` must be a finite real > 0 (``delta``
+< 1, ``build_sqr``'s budget < 1/4, ``build_neu``'s < 1/8), else it is
+refused by name (``core._positive``).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinators import concat, parallelize
-from .core import MNN, Layer, SparseLinearMap, _count, _glue, scale_output
+from .core import (MNN, Layer, SparseLinearMap, _count, _glue, _positive,
+                   scale_output)
 from .gadgets import GadgetFactory, GadgetSpec
 from .strassen import build_str_square
 
@@ -41,12 +46,9 @@ class InversionSpec:
 
     def __post_init__(self):
         _count("n", self.n)
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _positive("alpha", self.alpha)
+        _positive("epsilon", self.epsilon)
+        _positive("delta", self.delta, below=1.0)
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,7 @@ class NeumannDepth:
 
     def __post_init__(self):
         _count("N", self.N)
-        if not self.Sigma > 0.0:
-            raise ValueError("Sigma must be positive")
+        _positive("Sigma", self.Sigma)
 
 
 def compute_N(eps: float, delta: float) -> int:
@@ -68,10 +69,8 @@ def compute_N(eps: float, delta: float) -> int:
     Smallest N >= 1 with delta^(2^N) / (1 - delta) <= eps; clamps to 1 when
     eps (1 - delta) >= 1, where no tail control is needed.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    _positive("eps", eps)
+    _positive("delta", delta, below=1.0)
     target = eps * (1.0 - delta)
     if target == 0.0:
         raise ValueError(
@@ -157,8 +156,7 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     error after N stages stays within eps provided eps < 1/4.
     """
     N, n = _count("N", N), _count("n", n)
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must lie in (0, 1/4)")
+    _positive("eps", eps, below=0.25)
     stage = concat(_square_once(n, eps, factory), _build_dup_simple(n))
     net = stage
     for _ in range(N - 1):
@@ -199,8 +197,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         # labelled so that build_inv's N = 1 network keeps the factory's label
         plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
         return MNN(plus_eye.layers, factory.activation_name)
-    if not 0.0 < eps < 0.125:
-        raise ValueError("eps must lie in (0, 1/8) when N >= 2")
+    _positive("eps", eps, below=0.125)
     eps_inner = 2.0 ** (1 - 2 ** N) * eps
     if eps_inner == 0.0:
         # the squaring networks' leaf budgets are smaller still
@@ -214,15 +211,15 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
 def build_in(n: int, alpha: float) -> MNN:
     """One layer mapping A to I - alpha A; n^2 + n weights."""
     n = _count("n", n)
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _positive("alpha", alpha)
     return _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, -alpha)], np.eye(n))
 
 
 def _neu_plan(spec: InversionSpec):
     """Stage count N = compute_N(eps / 2 alpha, delta) of ``build_inv(spec)``
-    and the Neumann-sum error budget min(eps / 2 alpha, 1/8)."""
-    ratio = spec.epsilon / (2.0 * spec.alpha)
+    and the Neumann-sum error budget min(eps / 2 alpha, 1/8); a ratio that
+    overflows is clamped to the largest float, which needs one stage too."""
+    ratio = min(spec.epsilon / (2.0 * spec.alpha), sys.float_info.max)
     if ratio * (1.0 - spec.delta) == 0.0:
         raise ValueError(
             f"epsilon / (2 alpha) * (1 - delta) = {spec.epsilon!r} / "
@@ -278,10 +275,8 @@ def series_length_estimate(eps: float, delta: float) -> float:
     needs about log2(eps (1 - delta) / 2) / log2(delta) terms, against the
     2^N terms reached here with N multiplications.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    _positive("eps", eps)
+    _positive("delta", delta, below=1.0)
     target = eps * (1.0 - delta) / 2.0
     if target == 0.0:
         raise ValueError(
@@ -293,6 +288,7 @@ def series_length_estimate(eps: float, delta: float) -> float:
 def neu_bound_counts(N: int, n: int, eps: float, factory: GadgetFactory):
     """(M, L) upper bounds for the Neumann-sum network, N >= 2."""
     N, n = _count("N", N, least=2), _count("n", n)
+    _positive("eps", eps)
     gadget = factory.build(GadgetSpec(_leaf_budget(N, n, eps), 2.0 * n))
     Mg, Lg = gadget.num_weights, gadget.num_layers
     M = (14.0 * n ** LOG2_7 * (N - 1) * (Mg + 12)

@@ -24,7 +24,8 @@ JSON layout (indented files written by earlier versions, a layer split
 over lines, text after ``]}``) goes through ``json.load`` and
 ``network_from_dict`` with the same messages, and re-saves compactly.
 A compact file is judged in file order, so of several faults the first
-one is named: a bad layer before invalid JSON on a later line.
+one is named: a bad layer before invalid JSON on a later line.  Network
+files are UTF-8 text, whatever the locale; other bytes are refused.
 Loading refuses, naming the layer and the first offending entry, shapes
 that are not integers >= 1, rows of the wrong length or holding
 non-numbers (booleans included), and whatever the one storage rule of
@@ -36,15 +37,17 @@ mask entries on the last layer, and mask entries under a null label.
 Layers are numbered from 0 in every message.
 
 Matrices travel as plain CSV, one row per line, full float precision.
+Only real matrices are written, and a file with no numbers is refused.
 """
 
 import gc
 import json
+import warnings
 
 import numpy as np
 
 from .core import (MNN, ActivationMask, Layer, SparseLinearMap, _as_shape,
-                   _stored_rows)
+                   _real, _stored_rows)
 
 FORMAT_KEYS = ("activation", "layers")
 LAYER_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols",
@@ -124,7 +127,7 @@ def save_network(net: MNN, path) -> None:
     separator-only ``json.dumps`` of its document gives, without building
     the document: each table is one join over its pre-decorated cells
     (``_table``)."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEAD + json.dumps(net.activation_name) + HEAD_END)
         lead = ""
         for layer in net.layers:
@@ -279,7 +282,7 @@ def load_network(path) -> MNN:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             net = _read_compact(fh)
             if net is not None:
                 return net
@@ -290,18 +293,24 @@ def load_network(path) -> MNN:
                 raise ValueError(
                     f"bad network file: not valid JSON ({exc})") from None
         return network_from_dict(doc)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bad network file: not UTF-8 text ({exc})") from None
     finally:
         if enabled:
             gc.enable()
 
 
 def save_matrix(A: np.ndarray, path) -> None:
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(_real("matrix", A), dtype=float)
     if A.ndim != 2:
         raise ValueError("matrix files hold 2-d arrays")
     np.savetxt(path, A, delimiter=",", fmt="%.17g")
 
 
 def load_matrix(path) -> np.ndarray:
-    A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():  # an empty file is refused below
+        warnings.filterwarnings("ignore", ".*input contained no data")
+        A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    if not A.size:
+        raise ValueError(f"matrix file {path} holds no numbers")
     return A

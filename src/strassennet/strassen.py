@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .combinators import concat, parallelize
 import numpy as np
 
-from .core import MNN, _count, _glue
+from .core import MNN, _count, _glue, _positive
 from .gadgets import GadgetFactory, GadgetSpec
 
 #: Strassen's scheme as coefficient tables indexed [product r, quadrant q],
@@ -78,6 +78,8 @@ def _leaf_spec(k: int, eps: float, K: float) -> GadgetSpec:
     eps / 4^k and half-width 2^k K, scaled by exact powers of two.  A depth
     whose budget underflows to 0 or whose half-width overflows float64 is
     refused by ``k``."""
+    _positive("eps", eps)
+    _positive("K", K)
     budget = math.ldexp(eps, -2 * k)
     try:
         if budget != 0.0:
@@ -100,8 +102,6 @@ def build_str_pow2(k: int, eps: float, K: float,
     ``_U`` or ``_V`` at most two quadrants).  For |A|, |B| entrywise at most
     K the output matches A B within eps in the max norm.
     """
-    if not (eps > 0.0 and K > 0.0):
-        raise ValueError("eps and K must be positive")
     k = _count("k", k, least=0)
     net = factory.build(_leaf_spec(k, eps, K))
     if tuple(net.input_shape) != (1, 2) or tuple(net.output_shape) != (1, 1):
@@ -180,6 +180,8 @@ def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):
 
 def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec:
     """The gadget spec at which the rectangular-bound formulas are evaluated."""
+    _positive("eps", eps)
+    _positive("K", K)
     gamma = shape.gamma
     return GadgetSpec(eps / (4.0 * gamma * gamma), 2.0 * gamma * K)
 

@@ -71,8 +71,6 @@ def _random_with_norm(rng: np.random.Generator, n: int, bound: float):
     """A random matrix with spectral norm in (0.3, 1.0] times the bound."""
     A = rng.standard_normal((n, n))
     scale = bound * rng.uniform(0.3, 1.0)
-    if n == 1:
-        return A * (scale / max(abs(float(A[0, 0])), 1e-12))
     return A * (scale / np.linalg.norm(A, 2))
 
 

@@ -112,6 +112,19 @@ class TestBuild:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_eps_over_alpha_past_the_largest_float_builds(self, tmp_path,
+                                                          capsys):
+        # 1e300 / 1e-10 overflows: one stage, as build_inv reads it; the
+        # report's series length estimate was -Infinity, which is not JSON
+        rc = main(["build", "inverse", "--n", "2", "--eps", "1e300",
+                   "--alpha", "1e-10", "--out", str(tmp_path / "n.json")])
+        assert rc == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["N"] == 1 and report["satisfied"]
+
 
 class TestEval:
     def _build(self, tmp_path, argv):
@@ -205,6 +218,31 @@ class TestEval:
         assert rc == 1
         assert ("snn: error: bad network file: layer 0 mask entry 0"
                 in capsys.readouterr().err)
+
+    def test_network_file_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        # the bare "'utf-8' codec can't decode byte 0x89" used to be all
+        net = tmp_path / "net.png"
+        net.write_bytes(b"\x89PNG\r\n\x1a\n")
+        save_matrix(np.zeros((1, 2)), tmp_path / "X.csv")
+        rc = main(["eval", "--net", str(net), "--input",
+                   str(tmp_path / "X.csv"), "--out", str(tmp_path / "C.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "snn: error: bad network file: not UTF-8 text ('utf-8' codec "
+            "can't decode byte 0x89 in position 0")
+
+    def test_empty_input_file_exits_one(self, tmp_path, capsys):
+        # it used to warn "input contained no data" and report a 0x1 input
+        net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])
+        capsys.readouterr()
+        empty = tmp_path / "X.csv"
+        empty.write_text("")
+        out = tmp_path / "C.csv"
+        rc = main(["eval", "--net", str(net), "--input", str(empty),
+                   "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"snn: error: matrix file {empty} holds no numbers\n")
+        assert not out.exists()
 
     def test_fractional_dimension_exits_one(self, tmp_path, capsys):
         net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])

@@ -124,6 +124,12 @@ class TestParallelize:
         with pytest.raises(ValueError, match="column counts differ"):
             parallelize([identity_mnn((2, 2), 1), identity_mnn((2, 3), 1)])
 
+    def test_output_column_count_mismatch(self):
+        widen = MNN([Layer(SparseLinearMap((2, 3), (2, 2), [[1, 1, 1, 1]],
+                                           [1.0]))])
+        with pytest.raises(ValueError, match="^output column counts differ"):
+            parallelize([identity_mnn((2, 2), 1), widen])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             parallelize([])

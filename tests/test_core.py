@@ -644,6 +644,29 @@ class TestReadOnly:
         assert mask.any_rho
 
 
+@pytest.mark.parametrize("call, reason", [
+    (lambda: MNN([]), "a network needs at least one layer"),
+    (lambda: Layer(_ident_map(2), np.zeros((2, 3))),
+     r"bias shape \(2, 3\) != \(2, 2\)"),
+    (lambda: Layer(_ident_map(2), mask=ActivationMask((2, 3))),
+     "mask shape does not match the layer output"),
+    (lambda: ActivationMask((2, 2), np.zeros((2, 3), dtype=bool)),
+     "mask array does not match shape"),
+    (lambda: realize_many(identity_mnn((2, 2), 1), None, np.ones((5, 3, 3))),
+     r"batch shape \(5, 3, 3\) does not match network input \(2, 2\)"),
+    (lambda: realize_many(identity_mnn((2, 2), 1), None, np.ones((2, 2))),
+     r"batch shape \(2, 2\) does not match network input \(2, 2\)"),
+], ids=["no-layers", "bias-shape", "mask-shape", "rho-shape",
+        "batch-of-wrong-inputs", "batch-without-batch-axis"])
+def test_shapes_that_do_not_fit_are_refused(call, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        call()
+
+
+def test_mnn_equal_compares_depth():
+    assert not mnn_equal(identity_mnn((2, 2), 2), identity_mnn((2, 2), 3))
+
+
 def test_mnn_equal_detects_value_change():
     a = identity_mnn((2, 2), 2)
     b = scale_output(identity_mnn((2, 2), 2), 2.0)

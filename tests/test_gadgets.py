@@ -156,12 +156,18 @@ def test_bounds_function_branches():
 
 
 @pytest.mark.parametrize("eps, K, match", [
-    (0.0, 1.0, "epsilon must be positive"),
-    (-0.1, 1.0, "epsilon must be positive"),
-    (math.nan, 1.0, "epsilon must be positive"),
-    (0.1, 0.0, "K must be positive"),
-    (0.1, -1.0, "K must be positive"),
-    (0.1, math.nan, "K must be positive"),
+    pytest.param(0.0, 1.0, "epsilon must be positive and finite, got 0.0",
+                 id="0.0-1.0-epsilon must be positive"),
+    pytest.param(-0.1, 1.0, "epsilon must be positive and finite, got -0.1",
+                 id="-0.1-1.0-epsilon must be positive"),
+    pytest.param(math.nan, 1.0, "epsilon must be positive and finite, got nan",
+                 id="nan-1.0-epsilon must be positive"),
+    pytest.param(0.1, 0.0, "K must be positive and finite, got 0.0",
+                 id="0.1-0.0-K must be positive"),
+    pytest.param(0.1, -1.0, "K must be positive and finite, got -1.0",
+                 id="0.1--1.0-K must be positive"),
+    pytest.param(0.1, math.nan, "K must be positive and finite, got nan",
+                 id="0.1-nan-K must be positive"),
 ])
 def test_bounds_refuse_what_gadget_spec_refuses(eps, K, match):
     # (0.0, 1.0) raised ZeroDivisionError, negative inputs a math domain

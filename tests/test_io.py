@@ -3,6 +3,7 @@
 import copy
 import gc
 import json
+import re
 import tracemalloc
 from functools import partial
 from operator import setitem
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strassennet import io as io_module
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
                               mnn_equal, realize)
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
@@ -565,8 +567,10 @@ class TestCompactReader:
         lambda lines: lines[:2] + [lines[2][1:]] + lines[3:],
         lambda lines: lines[:2] + [" " + lines[2][1:]] + lines[3:],
         lambda lines: lines[:1] + ["," + lines[1]] + lines[2:],
+        lambda lines: [lines[0].replace(":", ":5", 1)] + lines[1:],
     ], ids=["broken-later-line", "open-string", "text-after-close",
-            "no-close", "no-comma", "space-for-comma", "comma-on-first-layer"])
+            "no-close", "no-comma", "space-for-comma", "comma-on-first-layer",
+            "label-not-json"])
     def test_invalid_json_is_named_as_json_load_names_it(self, tmp_path,
                                                           edit):
         lines = _compact_text(_valid_doc()).splitlines(keepends=True)
@@ -693,6 +697,40 @@ class TestLayerChain:
             "layer 0 output shape (1, 4)")
 
 
+class TestEncoding:
+    def test_network_files_are_opened_as_utf8(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(path, mode="r", **kwargs):
+            opened.append((mode, kwargs.get("encoding")))
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(io_module, "open", recording_open, raising=False)
+        path = tmp_path / "net.json"
+        save_network(relu2_factory.build(GadgetSpec(0.1, 1.0)), path)
+        load_network(path)
+        assert opened == [("w", "utf-8"), ("r", "utf-8")]
+
+    def test_utf8_label_loads(self, tmp_path):
+        doc = _valid_doc()
+        doc["activation"] = "\u03c1"
+        path = tmp_path / "net.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        assert load_network(path).activation_name == "\u03c1"
+
+    @pytest.mark.parametrize("data", [
+        b"\x89PNG\r\n\x1a\n\x00\x00",
+        _compact_text(_valid_doc()).replace("relu", "\xe9").encode("latin-1"),
+    ], ids=["png", "latin-1-label"])
+    def test_other_bytes_are_refused(self, tmp_path, data):
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        path = tmp_path / "net.json"
+        path.write_bytes(data)
+        assert _refusal(load_network, path) == (
+            f"bad network file: not UTF-8 text ({info.value})")
+
+
 class TestMatrixFiles:
     def test_round_trip_is_exact(self, tmp_path, rng):
         for shape in ((1, 1), (3, 3), (2, 5)):
@@ -715,3 +753,23 @@ class TestMatrixFiles:
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(ValueError, match="2-d"):
             save_matrix(np.zeros((2, 2, 2)), tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("bad", [np.eye(2) + 1j, np.eye(2, dtype=bool),
+                                     np.full((2, 2), "1")],
+                             ids=["complex", "bool", "string"])
+    def test_only_real_matrices_are_written(self, tmp_path, bad):
+        # a complex matrix used to lose its imaginary part behind a warning
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="^matrix must hold integers or "
+                           f"real floats, got dtype {bad.dtype}$"):
+            save_matrix(bad, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n"],
+                             ids=["empty", "blank-lines", "comment"])
+    def test_file_without_numbers_is_refused(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        message = f"^matrix file {re.escape(str(path))} holds no numbers$"
+        with pytest.raises(ValueError, match=message):
+            load_matrix(path)

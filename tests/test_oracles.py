@@ -182,6 +182,24 @@ class TestGenContraction:
             oracles.gen_contraction(3, 0.5, -1.0, 0)
 
 
+@pytest.mark.parametrize("call, reason", [
+    (lambda: oracles.matmul_naive(np.ones(2), np.eye(2)),
+     "matmul_naive expects two 2-d arrays"),
+    (lambda: oracles.matmul_naive(np.eye(2), np.ones((2, 2, 1))),
+     "matmul_naive expects two 2-d arrays"),
+    (lambda: oracles.exact_inverse(np.ones((2, 3))),
+     "exact_inverse expects a square matrix"),
+    (lambda: oracles.exact_inverse(np.ones(2)),
+     "exact_inverse expects a square matrix"),
+    (lambda: oracles.spectral_norm(np.ones(3)),
+     "spectral_norm expects a 2-d array"),
+], ids=["matmul-1-d", "matmul-3-d", "inverse-non-square", "inverse-1-d",
+        "norm-1-d"])
+def test_shape_refusals(call, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        call()
+
+
 def test_doubling_product_identity(rng):
     # sum_{k<2^(N+1)} A^k equals prod_{k<=N} (A^(2^k) + I)
     for N in range(3):

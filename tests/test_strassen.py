@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strassennet import oracles
-from strassennet.core import realize, realize_many
+from strassennet.core import identity_mnn, realize, realize_many
 from strassennet.gadgets import (GadgetFactory, GadgetSpec, relu2_factory,
                                  relu_factory)
 from strassennet.strassen import (_U, _V, _W, RectShape, _build_ext,
@@ -270,8 +270,10 @@ class TestRectangularNetworks:
     (2.0, 0.1, 1.0, "k must be an integer, got 2.0"),
     (True, 0.1, 1.0, "k must be an integer, got True"),
     (-1, 0.1, 1.0, "k must be >= 0"),
-    (1, 0.0, 1.0, "eps and K must be positive"),
-    (1, 0.1, -1.0, "eps and K must be positive"),
+    pytest.param(1, 0.0, 1.0, "eps must be positive and finite, got 0.0",
+                 id="1-0.0-1.0-eps and K must be positive"),
+    pytest.param(1, 0.1, -1.0, "K must be positive and finite, got -1.0",
+                 id="1-0.1--1.0-eps and K must be positive"),
 ])
 def test_pow2_refusals(k, eps, K, match):
     with pytest.raises(ValueError, match=match):
@@ -295,6 +297,7 @@ def _refusing_factory(asked: list) -> GadgetFactory:
     (512, 0.1, "factory"), (600, 0.1, "k"), (1100, 0.1, "k"),
     (2000, 0.1, "k"), (512, 1e300, "factory"), (600, 1e300, "factory"),
     (1100, 1e300, "k"), (2000, 1e300, "k"),
+    (1030, 1e300, "k"),  # a subnormal leaf budget, but 2^1030 overflows
 ])
 def test_deep_k_ends_in_the_leaf_refusal_or_the_factory(build, k, eps,
                                                         ends_in):
@@ -308,6 +311,13 @@ def test_deep_k_ends_in_the_leaf_refusal_or_the_factory(build, k, eps,
         with pytest.raises(ValueError, match=rf"^k = {k} levels need the "
                            r"leaf gadget budget .* use a smaller k$"):
             build(k, eps, 1.0, _refusing_factory([]))
+
+
+def test_factory_must_build_a_scalar_product_gadget():
+    wide = GadgetFactory("relu", lambda spec: identity_mnn((1, 2), 1))
+    with pytest.raises(ValueError, match="^factory must produce gadgets "
+                                         "mapping 1x2 -> 1x1$"):
+        build_str_pow2(1, 0.1, 1.0, wide)
 
 
 @pytest.mark.parametrize("eps, K", [(1e-3, 1.0), (0.3, 2.5)])
@@ -328,7 +338,9 @@ def test_nan_eps_or_K_is_refused_by_the_builder(k, eps, K):
     for build in (lambda: build_str_pow2(k, eps, K, _refusing_factory(asked)),
                   lambda: build_str_rect(RectShape(2 ** k, 1, 1), eps, K,
                                          _refusing_factory(asked))):
-        with pytest.raises(ValueError, match="^eps and K must be positive$"):
+        name = "eps" if np.isnan(eps) else "K"
+        with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                             "finite, got nan$"):
             build()
     assert asked == []
 

@@ -38,6 +38,11 @@ def test_tightened_bound_fails_and_names_each_miss(monkeypatch):
     assert res.detail == "; ".join(want)
 
 
+def test_unknown_suite_is_refused_by_name():
+    with pytest.raises(ValueError, match="^unknown suite 'nope'; choose "):
+        run_suite("nope")
+
+
 def test_one_count_criteria_compare_only_their_count(monkeypatch):
     real = verification.pow2_count_reference
 
