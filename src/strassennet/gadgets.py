@@ -162,8 +162,10 @@ def gadget_count_reference(spec: GadgetSpec, factory: GadgetFactory):
 
 
 def verify_gadget(net: MNN, rho, spec: GadgetSpec, grid_step: float) -> float:
-    """Max |xy - R(net)(x, y)| over the uniform grid on [-K, K]^2."""
-    if not 0.0 < grid_step <= spec.K / 50.0:
+    """Max |xy - R(net)(x, y)| over the uniform grid on [-K, K]^2, whose
+    ``grid_step`` is refused by the real rule and above K/50."""
+    _positive("grid_step", grid_step)
+    if grid_step > spec.K / 50.0:
         raise ValueError(f"grid_step must lie in (0, K/50], got {grid_step!r}")
     steps = round(2.0 * spec.K / grid_step)
     axis = np.linspace(-spec.K, spec.K, steps + 1)

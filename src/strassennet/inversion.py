@@ -144,9 +144,17 @@ def _build_mix_aux(n: int, k: int) -> MNN:
                                               (n, n, n, 0, n, n, 1.0)], bias)
 
 
-def _square_once(n: int, eps: float, factory: GadgetFactory) -> MNN:
-    """The multiplication network used by all squaring stages: budget eps/4n."""
-    return build_str_square(n, eps / (4.0 * n), 1.0, factory)
+def _square_once(n: int, eps: float, factory: GadgetFactory,
+                 spelled: str = "") -> MNN:
+    """The multiplication network used by all squaring stages: budget eps/4n.
+    A budget that underflows to 0 is refused, with ``eps`` spelled as the
+    caller's own budget makes it (``spelled``; ``eps`` by default)."""
+    budget = eps / (4.0 * n)
+    if budget == 0.0:
+        raise ValueError(
+            f"the squaring multiplier budget {spelled or repr(eps)} / "
+            f"(4 * {n}) underflows to 0 in float64; use a larger eps")
+    return build_str_square(n, budget, 1.0, factory)
 
 
 def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
@@ -202,7 +210,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     if eps_inner == 0.0:
         # the squaring networks' leaf budgets are smaller still
         raise _depth_underflow(N, n, eps)
-    square = _square_once(n, eps_inner, factory)
+    square = _square_once(n, eps_inner, factory, f"2^(1 - 2^{N}) * {eps!r}")
     aux = _aux_chain(N - 1, n, square)
     net = concat(square, concat(_build_flip(n, N - 1), aux))
     return scale_output(net, 2.0 ** (2 ** N - 1))

@@ -18,8 +18,15 @@ Each column's distinct numbers are spelled once: an index column from a
 table of ``str(0..top)`` when its largest index ``top`` is no larger than
 the column, so that table never outgrows the cells; any other column
 through ``np.unique``.
-The reader streams a compact file: it parses and converts one layer line
-at a time, so it never holds more than one layer's document.  Any other
+The reader streams a compact file, one layer line at a time.  A line
+laid out as ``LAYER_LINE`` writes it, whose tables hold only numbers
+spelled as JSON spells them (no whitespace, words or quotes, no ``+1``,
+``.5``, ``1.`` or ``01``, no integer of 19 digits or more) and whose layer
+the storage rule takes, is read by numpy's text parser (``np.loadtxt``)
+without building its document; both parsers round a number's text with
+``PyOS_string_to_double``, so the floats are the same.  That path only
+accepts: every other line, and every line holding a fault, is read by
+``json.loads`` and ``_layer``, which name every refusal.  Any other
 JSON layout (indented files written by earlier versions, a layer split
 over lines, text after ``]}``) goes through ``json.load`` and
 ``network_from_dict`` with the same messages, and re-saves compactly.
@@ -42,6 +49,7 @@ Only real matrices are written, and a file with no numbers is refused.
 
 import gc
 import json
+import re
 import warnings
 
 import numpy as np
@@ -56,6 +64,8 @@ LAYER_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols",
 TABLES = {"entries": ("entry", "[i, j, k, l, value]"),
           "bias": ("bias entry", "[i, j, value]"),
           "mask_rho": ("mask entry", "[i, j]")}
+TABLE_WIDTH = {key: fields.count(",") + 1
+               for key, (_, fields) in TABLES.items()}
 
 
 def network_to_dict(net: MNN) -> dict:
@@ -151,34 +161,24 @@ def _is_number(x) -> bool:
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
 
 
-def _read_table(spec: dict, key: str, scan: bool) -> np.ndarray:
-    """Table ``key`` of a layer converted in one numpy call; the first row
-    of the wrong length or holding a non-number is refused by position.
-    numpy reads a boolean among numbers as 0 or 1, so a table that may hold
-    one is ``scan``ned row by row."""
+def _read_table(spec: dict, key: str) -> np.ndarray:
+    """Table ``key`` of a layer converted in one numpy call, after its first
+    row of the wrong length or holding a non-number (a boolean, or an
+    integer beyond int64, which numpy would read as 0 or 1 or as a float)
+    is refused by position."""
     rows, (what, fields) = spec[key], TABLES[key]
     if not isinstance(rows, list):
         raise ValueError(f"{key} must be a list")
-    width = fields.count(",") + 1
-
-    def fits(row) -> bool:
-        return (isinstance(row, list) and len(row) == width
-                and all(map(_is_number, row)))
-
-    try:
-        table = np.array(rows) if rows else np.empty((0, width))
-    except ValueError:  # ragged rows
-        table = np.empty(0)
-    if (table.shape != (len(rows), width) or table.dtype.kind not in "iuf"
-            or scan and not all(map(fits, rows))):
-        e = next(e for e, row in enumerate(rows) if not fits(row))
-        raise ValueError(f"{what} {e} must be {fields}, got {rows[e]!r:.60}")
-    return table
+    width = TABLE_WIDTH[key]
+    for e, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == width
+                and all(map(_is_number, row))):
+            raise ValueError(f"{what} {e} must be {fields}, got {row!r:.60}")
+    return np.array(rows) if rows else np.empty((0, width))
 
 
-def _layer(pos: int, spec, scan: bool = True) -> Layer:
-    """Layer ``pos`` from its JSON object, refused like a built one;
-    ``scan=False`` when its text holds no ``true`` or ``false``."""
+def _layer(pos: int, spec) -> Layer:
+    """Layer ``pos`` from its JSON object, refused like a built one."""
     _require(isinstance(spec, dict), f"layer {pos} must be an object")
     for key in LAYER_KEYS:
         _require(key in spec, f"layer {pos} missing key {key!r}")
@@ -186,18 +186,109 @@ def _layer(pos: int, spec, scan: bool = True) -> Layer:
     try:
         out_shape = _as_shape([spec[key] for key in out_keys], out_keys)
         in_shape = _as_shape([spec[key] for key in in_keys], in_keys)
-        entries, bias_rows, mask_rows = (_read_table(spec, key, scan)
-                                         for key in TABLES)
-        linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
-                                 entries[:, 4])
-        key, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
-                                   out_shape, bias_rows[:, 2])
-        bias = np.zeros(out_shape)
-        bias.reshape(-1)[key] = values
-        return Layer(linmap, bias,
-                     ActivationMask.from_positions(out_shape, mask_rows))
+        return _built(out_shape, in_shape,
+                      *(_read_table(spec, key) for key in TABLES))
     except ValueError as exc:
         raise ValueError(f"bad network file: layer {pos} {exc}") from None
+
+
+def _built(out_shape, in_shape, entries, bias_rows, mask_rows) -> Layer:
+    """The layer of a file's shapes and three tables, refused by the one
+    storage rule of built networks; both readers of a layer end here."""
+    linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
+                             entries[:, 4])
+    key, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
+                               out_shape, bias_rows[:, 2])
+    bias = np.zeros(out_shape)
+    bias.reshape(-1)[key] = values
+    return Layer(linmap, bias,
+                 ActivationMask.from_positions(out_shape, mask_rows))
+
+
+#: a compact layer line up to its entries table, each shape spelled as
+#: ``json.dumps`` spells an integer >= 1
+LAYER_HEAD = re.compile(r'\{"out_rows":([1-9][0-9]*),"out_cols":([1-9][0-9]*),'
+                        r'"in_rows":([1-9][0-9]*),"in_cols":([1-9][0-9]*),'
+                        r'"entries":')
+#: the bytes a table of JSON numbers is written with
+TABLE_BYTES = b"0123456789,[]-+.eE"
+#: what stands right before and right after a run of digits that is a
+#: whole integer ("-" after "e" is taken too: a run then only declines)
+_INTEGER_LEAD, _INTEGER_TAIL = list(b",[-"), list(b",]")
+
+
+def _plain_numbers(a: np.ndarray) -> bool:
+    """Whether the bytes ``a`` of a table, ``[`` first and ``]`` last and
+    all in ``TABLE_BYTES``, spell its numbers only as JSON does, where
+    ``float`` would read them loosely: ``+`` only right after ``e`` or
+    ``E``, ``.`` only between digits and no leading zero before a digit;
+    and hold no integer of 19 digits or more, which ``json`` reads exactly
+    and ``_read_table`` refuses beyond int64."""
+    digit = a - ord("0") < 10  # uint8 wraps below "0"
+    at = np.flatnonzero(a == ord("+"))
+    if (a[at - 1] | 0x20 != ord("e")).any():  # "E" | 0x20 is "e"
+        return False
+    at = np.flatnonzero(a == ord("."))
+    if not (digit[at - 1] & digit[at + 1]).all():
+        return False
+    at = np.flatnonzero((a[:-1] == ord("0")) & digit[1:])  # "0" then a digit
+    sign = a[at - 1] == ord("-")
+    before = np.where(sign, a[at - 2], a[at - 1])
+    if ((before == ord(",")) | (before == ord("["))).any():
+        return False
+    run = digit  # run[i]: a run of 1, 2, 4, 8, 16, then 19 digits from i
+    for step in (1, 2, 4, 8, 3):
+        run = run[:-step] & run[step:]
+    at = np.flatnonzero(run)  # the first and last window of each long run
+    first, last = at[~digit[at - 1]], at[~digit[at + 19]]
+    return not (np.isin(a[first - 1], _INTEGER_LEAD)
+                & np.isin(a[last + 19], _INTEGER_TAIL)).any()
+
+
+def _parsed_table(text: str, width: int):
+    """The ``(rows, width)`` table of ``text`` read by numpy's text parser,
+    or None unless it is plainly rows of JSON numbers (``_plain_numbers``);
+    numpy rounds each number's text as ``json`` does."""
+    if text == "[]":  # numpy warns on no data
+        return np.empty((0, width))
+    if not (text.startswith("[[") and text.endswith("]]") and text.isascii()
+            and "[]" not in text):  # no empty row
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, TABLE_BYTES) or not _plain_numbers(
+            np.frombuffer(raw, np.uint8)):
+        return None
+    rows = text[2:-2].split("],[")  # a bracket left in a row fails to parse
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (len(rows), width) else None
+
+
+def _parsed_layer(line: str):
+    """The layer on a compact line read by numpy's text parser, without
+    the JSON document, or None: then the line is read by ``json.loads``
+    and ``_layer``, which name any fault.  Only a line laid out as
+    ``LAYER_LINE`` writes it, whose tables pass ``_parsed_table`` and whose
+    layer the storage rule takes, is read here.  Shapes below 2^53 keep
+    every index in range exact as a float, as ``json`` keeps integers."""
+    head = LAYER_HEAD.match(line)
+    if head is None or not line.endswith("}\n"):
+        return None
+    dims = [int(n) for n in head.groups()]
+    if max(dims) >= 2 ** 53:
+        return None
+    entries, rest = line[head.end():-2].partition(',"bias":')[::2]
+    bias, mask = rest.partition(',"mask_rho":')[::2]
+    tables = [_parsed_table(text, TABLE_WIDTH[key])
+              for text, key in zip((entries, bias, mask), TABLES)]
+    if any(table is None for table in tables):
+        return None
+    try:
+        return _built(_as_shape(dims[:2]), _as_shape(dims[2:]), *tables)
+    except ValueError:
+        return None
 
 
 def _append(layers: list, layer: Layer, label) -> None:
@@ -257,12 +348,15 @@ def _read_compact(fh):
             break
         if layers and not line.startswith(","):
             return None
-        try:
-            spec = json.loads(line[1:] if layers else line)
-        except json.JSONDecodeError:
-            return None
-        scan = "true" in line or "false" in line
-        _append(layers, _layer(len(layers), spec, scan), label)
+        text = line[1:] if layers else line
+        layer = _parsed_layer(text)
+        if layer is None:
+            try:
+                spec = json.loads(text)
+            except json.JSONDecodeError:
+                return None
+            layer = _layer(len(layers), spec)
+        _append(layers, layer, label)
     else:  # no closing line
         return None
     if not layers:

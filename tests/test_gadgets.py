@@ -139,6 +139,26 @@ class TestGadgetSpecAndFactory:
                 verify_gadget(net, None, spec, step)
 
 
+@pytest.mark.parametrize("step, message", [
+    ("0.1", "must be a real number, got '0.1'"),
+    (None, "must be a real number, got None"),
+    (0.1j, "must be a real number, got 0.1j"),
+    (True, "must be a real number, got True"),
+    (0.0, "must be positive and finite, got 0.0"),
+    (-0.01, "must be positive and finite, got -0.01"),
+    (math.nan, "must be positive and finite, got nan"),
+    (math.inf, "must be positive and finite, got inf"),
+    (2.5, "must lie in (0, K/50], got 2.5")])
+def test_grid_step_follows_the_real_rule(step, message):
+    # at K = 100, True used to run as a step of 1 and the others leaked a
+    # TypeError from "<"
+    spec = GadgetSpec(0.1, 100.0)
+    with pytest.raises(ValueError) as info:
+        verify_gadget(relu_factory.build(GadgetSpec(0.1, 1.0)), None, spec,
+                      step)
+    assert str(info.value) == f"grid_step {message}"
+
+
 def test_verify_gadget_takes_an_unlabelled_linear_network():
     # (x, y) -> x has no rho entries and no label; it used to raise KeyError
     net = MNN([Layer(SparseLinearMap((1, 1), (1, 2), [[1, 1, 1, 1]], [1.0]))])

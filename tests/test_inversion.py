@@ -184,6 +184,19 @@ class TestRepeatedSquaring:
         assert three.num_layers == 3 * one.num_layers
         assert three.num_weights == 3 * one.num_weights
 
+    @pytest.mark.parametrize("call, N, eps, spelled", [
+        (build_sqr, 1, 5e-324, "5e-324"),
+        (build_neu, 2, 1e-322, "2^(1 - 2^2) * 1e-322")])
+    def test_underflowing_multiplier_budget_names_the_callers_eps(
+            self, call, N, eps, spelled):
+        # eps / (4 n) rounds to 0 though eps passes the real rule; this used
+        # to be refused as "eps must be positive and finite, got 0.0"
+        with pytest.raises(ValueError) as info:
+            call(N, 2, eps, relu_factory)
+        assert str(info.value) == (
+            f"the squaring multiplier budget {spelled} / (4 * 2) underflows "
+            "to 0 in float64; use a larger eps")
+
 
 def _aux(i, n, eps, factory):
     """The power-and-product chain of stage i over the squaring network."""

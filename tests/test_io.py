@@ -5,8 +5,9 @@ import gc
 import json
 import re
 import tracemalloc
-from functools import partial
+from functools import lru_cache, partial
 from operator import setitem
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -524,6 +525,46 @@ COMPACT_FAULTS = {
 }
 
 
+#: what the edits of the text parser's mutation test write: the number
+#: alphabet, and a space, a form feed, a quote and a letter that no table
+#: holds
+EDIT_CHARS = "0123456789,[]-+.eE \f\"x"
+
+
+@lru_cache(maxsize=None)
+def _inverter_text() -> str:
+    """A small relu inverter's compact file: 37 layers, 505 weights, with
+    bias and mask rows and powers of two among its values."""
+    return _compact_text(network_to_dict(
+        build_inv(InversionSpec(1, 1.0, 0.1, 0.5), relu_factory)))
+
+
+@st.composite
+def _table_edits(draw):
+    """``_inverter_text`` with 1-4 characters inserted, deleted or replaced
+    in one of its tables."""
+    text = _inverter_text()
+    start, end = draw(st.sampled_from(
+        [m.span(1) for m in re.finditer(r":(\[[-+.eE0-9,\[\]]*\])", text)]))
+    table = list(text[start:end])
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert" or not table:
+            table.insert(draw(st.integers(0, len(table))),
+                         draw(st.sampled_from(EDIT_CHARS)))
+            continue
+        at = draw(st.integers(0, len(table) - 1))
+        if op == "delete":
+            del table[at]
+        else:
+            table[at] = draw(st.sampled_from(EDIT_CHARS))
+    return text[:start] + "".join(table) + text[end:]
+
+
+def _no_json_layer(*args):
+    raise AssertionError("a layer line went to json.loads")
+
+
 def _refusal(call, *args) -> str:
     with pytest.raises(ValueError) as info:
         call(*args)
@@ -695,6 +736,135 @@ class TestLayerChain:
         assert _refusal(load_network, path) == (
             "bad network file: layer 1 input shape (1, 5) does not match "
             "layer 0 output shape (1, 4)")
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the message of its ``ValueError``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _json_path(path):
+    """``load_network`` with the text parser declining every layer line, so
+    that each goes through ``json.loads`` and ``_layer``."""
+    with mock.patch.object(io_module, "_parsed_layer", lambda line: None):
+        return _outcome(load_network, path)
+
+
+def _json_reference(path):
+    """The network or the message that ``json.load`` and
+    ``network_from_dict`` give for the file ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        return f"bad network file: not valid JSON ({exc})"
+    return _outcome(network_from_dict, doc)
+
+
+def _assert_same_outcome(got, want):
+    """Equal messages, or networks with equal stored arrays and dtypes."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert got.activation_name == want.activation_name
+    assert len(got.layers) == len(want.layers)
+    for a, b in zip(got.layers, want.layers):
+        assert (a.out_shape, a.in_shape) == (b.out_shape, b.in_shape)
+        for x, y in [(a.map.indptr, b.map.indptr),
+                     (a.map.indices, b.map.indices), (a.map.val, b.map.val),
+                     (a.bias, b.bias), (a.mask.rho, b.mask.rho)]:
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
+
+
+#: number spellings put into one cell of a compact file: JSON's own, ones
+#: that ``float`` or numpy reads but JSON does not (numpy skips a form
+#: feed), integers at and past int64, and words; each is read as
+#: ``json.load`` and ``network_from_dict`` read it
+SPELLINGS = ["1.0", "-0.5", "1e5", "1E+05", "0.5e+3", "+1.0", ".5", "1.",
+             "01", "-01.5", "0e1", "1234567890123456789",
+             "12345678901234567890", "1e400", "1.5e", "- 1", "true", "NaN",
+             "Infinity", " 1.0", "\x0c1.0"]
+#: (table, row, cell) of the relu gadget's layer 1 that a spelling goes into
+SPELLING_CELLS = {"entry-value": ("entries", 0, 4),
+                  "entry-index": ("entries", 0, 3),
+                  "bias-value": ("bias", 0, 2),
+                  "mask-index": ("mask_rho", 0, 1)}
+#: a number that the relu gadget's file spells nowhere else
+SENTINEL = 987654321
+
+
+class TestTextParser:
+    @pytest.mark.parametrize("cell", SPELLING_CELLS.values(),
+                             ids=SPELLING_CELLS.keys())
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_spellings_read_as_json_reads_them(self, tmp_path, spelling,
+                                               cell):
+        doc = _valid_doc()
+        table, row, pos = cell
+        doc["layers"][1][table][row][pos] = SENTINEL
+        text = _compact_text(doc)
+        assert text.count(str(SENTINEL)) == 1
+        path = tmp_path / "net.json"
+        path.write_text(text.replace(str(SENTINEL), spelling))
+        _assert_same_outcome(_outcome(load_network, path),
+                             _json_reference(path))
+
+    @pytest.mark.parametrize("table", [
+        "[[]]", "[[1,1],[]]", "[[],[1,1]]", "[[1,1]],[[1,2]]", "[1,1]",
+        "[[1,1],[1,2]", "[[1,1],[1,2,]]", "[[1,1],,[1,2]]", "[[1,[1]]]",
+        "[[1,1,1],[2,1,3]]", "[[1,1],[1,2]][]"])
+    def test_table_layouts_read_as_json_reads_them(self, tmp_path, table):
+        # layer 0's mask table, [[1,1],[1,2],[1,3],[1,4]], laid out otherwise
+        doc = _valid_doc()
+        doc["layers"][0]["mask_rho"] = [[SENTINEL]]
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc).replace(f"[[{SENTINEL}]]", table))
+        _assert_same_outcome(_outcome(load_network, path),
+                             _json_reference(path))
+
+    def test_indices_past_2_to_the_53_are_read_exactly(self, tmp_path):
+        # json reads an all-integer table as int64; a float would round
+        # 2^53 + 1 to 2^53
+        path = tmp_path / "net.json"
+        path.write_text(
+            '{"activation":null,"layers":[\n{"out_rows":1,"out_cols":1,'
+            f'"in_rows":1,"in_cols":{2 ** 60},"entries":'
+            f'[[1,1,1,{2 ** 53 + 1},2]],"bias":[],"mask_rho":[]}}\n]}}\n')
+        net = load_network(path)
+        assert net.layers[0].map.indices.tolist() == [2 ** 53]
+        _assert_same_outcome(net, _json_reference(path))
+
+    @given(edit=_table_edits())
+    @settings(max_examples=150, deadline=None)
+    def test_edited_tables_read_as_the_json_path_reads_them(
+            self, tmp_path_factory, edit):
+        path = tmp_path_factory.mktemp("edited") / "net.json"
+        path.write_text(edit)
+        _assert_same_outcome(_outcome(load_network, path), _json_path(path))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_str_pow2(2, 1e-2, 1.0, relu_factory),
+        lambda: build_inv(InversionSpec(3, 1.0, 1e-2, 0.5), relu_factory),
+        _awkward_network], ids=["relu-pow2-k2", "relu-inverse-n3", "awkward"])
+    def test_every_written_line_takes_the_text_parser(self, tmp_path, build):
+        net = build()
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        with mock.patch.object(io_module, "_layer", _no_json_layer):
+            assert mnn_equal(load_network(path), net)
+
+    @given(net=_networks())
+    @settings(max_examples=30, deadline=None)
+    def test_random_networks_take_the_text_parser(self, tmp_path_factory,
+                                                  net):
+        path = tmp_path_factory.mktemp("parsed") / "net.json"
+        save_network(net, path)
+        with mock.patch.object(io_module, "_layer", _no_json_layer):
+            assert mnn_equal(load_network(path), net)
 
 
 class TestEncoding:
