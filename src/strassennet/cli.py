@@ -50,13 +50,6 @@ def _inv_spec(a):
     return InversionSpec(a.n, a.alpha, a.eps, a.delta)
 
 
-def _series_estimate(a):
-    """``series_length_estimate`` at eps / alpha, read as the largest float
-    where it overflows, as ``build_inv`` reads it."""
-    return series_length_estimate(min(a.eps / a.alpha, sys.float_info.max),
-                                  a.delta)
-
-
 #: build kind -> (required flags, builder, count reference); builder and
 #: reference both take the parsed arguments and the gadget factory
 KINDS = {
@@ -100,8 +93,12 @@ def build_network_and_report(args):
               "satisfied": counts_satisfied(net, ref)}
     if args.kind == "inverse":
         depth = neumann_depth(_inv_spec(args))
+        # at eps / alpha, read as the largest float where it overflows, as
+        # build_inv reads it
+        ratio = min(args.eps / args.alpha, sys.float_info.max)
         report.update(N=depth.N, Sigma=depth.Sigma,
-                      series_length_estimate=_series_estimate(args))
+                      series_length_estimate=series_length_estimate(
+                          ratio, args.delta))
     return net, report
 
 
@@ -170,18 +167,17 @@ def _growth_rows(activation: str):
 
 
 def _bounds_rows(args):
-    """One row per n in (2, 4, 8), built as ``snn build inverse`` builds."""
-    factory = FACTORIES[args.activation]
-    _, builder, reference = KINDS["inverse"]
+    """One row per n in (2, 4, 8): the report of ``snn build inverse``."""
     rows = []
     for n in (2, 4, 8):
-        a = argparse.Namespace(**{**vars(args), "n": n})
-        net, ref = builder(a, factory), reference(a, factory)
-        rows.append([n, a.alpha, a.eps, a.delta, neumann_depth(_inv_spec(a)).N,
-                     round(_series_estimate(a), 3),
-                     net.num_weights, round(float(ref[0]), 1),
-                     net.num_layers, round(float(ref[1]), 1),
-                     counts_satisfied(net, ref)])
+        a = argparse.Namespace(**{**vars(args), "kind": "inverse", "n": n})
+        doc = build_network_and_report(a)[1]
+        kind = "formula" if "formula_M" in doc else "bound"
+        rows.append([n, a.alpha, a.eps, a.delta, doc["N"],
+                     round(doc["series_length_estimate"], 3),
+                     doc["measured_M"], round(float(doc[f"{kind}_M"]), 1),
+                     doc["measured_L"], round(float(doc[f"{kind}_L"]), 1),
+                     doc["satisfied"]])
     return rows
 
 

@@ -6,7 +6,12 @@ per-entry activation drawn from ``{identity, rho}``:
 
     X  ->  alpha(L X + C),      (L X)_{ij} = sum_{kl} L_{ijkl} X_{kl}.
 
-The final layer is always identity-activated.  Weight counts are exact by
+This module alone decides what a valid network is, for built and loaded
+networks alike (``io`` only parses).  A label is a string, or None for a
+network without rho entries (``_label``).  Layers chain (``_chain``): each
+is a ``Layer`` that reads its predecessor's output shape, and none has rho
+entries under a None label.  The final layer is always identity-activated.
+Every message numbers layers from 0.  Weight counts are exact by
 construction: zero coefficients are never stored, so ``num_weights`` equals
 the number of stored tensor entries plus the number of nonzero bias entries.
 Networks, layers, maps and masks are read-only once built, so a network's
@@ -87,15 +92,9 @@ def _real(what: str, a) -> np.ndarray:
     return a
 
 
-def _as_shape(shape, keys=()) -> MatrixShape:
-    """``shape`` as two dimensions, each an integer >= 1 (see ``_whole``).
-    A refusal quotes the shape or, given the two dimensions' ``keys`` (the
-    loader's field names), names the first offending one."""
-    for key, n in zip(keys, shape):
-        if not _whole(n):
-            raise ValueError(f"{key} must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"has non-positive dimensions ({key} = {n})")
+def _as_shape(shape) -> MatrixShape:
+    """``shape`` as two dimensions, each an integer >= 1 (see ``_whole``),
+    or refused quoting it."""
     if len(shape) != 2 or not all(map(_whole, shape)):
         raise ValueError(f"shape must be two integers, got {tuple(shape)}")
     s = MatrixShape(int(shape[0]), int(shape[1]))
@@ -333,7 +332,8 @@ class ActivationMask(_ReadOnly):
 
 class Layer(_ReadOnly):
     """One network layer: sparse map, bias matrix, activation mask.  The
-    bias must hold integers or real floats, all finite."""
+    bias must hold integers or real floats, all finite, and a given mask
+    must be an ``ActivationMask``."""
 
     __slots__ = ("map", "bias", "mask", "weight_count")
 
@@ -348,6 +348,9 @@ class Layer(_ReadOnly):
             raise ValueError("bias entries must be finite")
         if mask is None:
             mask = ActivationMask(shape)
+        if not isinstance(mask, ActivationMask):
+            raise ValueError(f"mask must be an ActivationMask, got "
+                             f"{type(mask).__name__}")
         if mask.shape != shape:
             raise ValueError("mask shape does not match the layer output")
         _set(self, "map", linmap)
@@ -364,31 +367,49 @@ class Layer(_ReadOnly):
         return self.map.in_shape
 
 
+def _label(label) -> None:
+    """The label rule: a network's rho label is a string, or None."""
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"activation must be a string or null, got {label!r}")
+
+
+def _chain(layers: list, layer, label) -> None:
+    """The layer-chain rule: append ``layer`` to ``layers``, a chain under
+    ``label``, unless it is not a ``Layer``, does not read the last layer's
+    output shape, or has rho entries under a None label; a refusal names
+    it by its position from 0.  ``MNN`` and both file readers append here."""
+    pos = len(layers)
+    if not isinstance(layer, Layer):
+        raise ValueError(f"layer {pos} must be a Layer, got "
+                         f"{type(layer).__name__}")
+    if layers and layer.in_shape != layers[-1].out_shape:
+        raise ValueError(
+            f"layer {pos} input shape {tuple(layer.in_shape)} does not match "
+            f"layer {pos - 1} output shape {tuple(layers[-1].out_shape)}")
+    if label is None and layer.mask.any_rho:
+        raise ValueError(f"layer {pos} has rho entries but the activation "
+                         "is null")
+    layers.append(layer)
+
+
 class MNN(_ReadOnly):
-    """A matrix neural network: shape-compatible layers plus a rho label,
-    which only a network without rho entries may leave ``None``."""
+    """A matrix neural network: a nonempty chain of layers (see ``_chain``)
+    whose last layer has no rho entries, plus a rho label (see ``_label``)."""
 
     __slots__ = ("layers", "activation_name", "_steps")
 
     def __init__(self, layers: Sequence[Layer],
                  activation_name: Optional[str] = None):
-        layers = tuple(layers)
-        if not layers:
+        _label(activation_name)
+        chain = []
+        for layer in layers:
+            _chain(chain, layer, activation_name)
+        if not chain:
             raise ValueError("a network needs at least one layer")
-        for pos in range(1, len(layers)):
-            if layers[pos].in_shape != layers[pos - 1].out_shape:
-                raise ValueError(
-                    f"layer {pos + 1} input shape {tuple(layers[pos].in_shape)} "
-                    f"does not match layer {pos} output shape "
-                    f"{tuple(layers[pos - 1].out_shape)}"
-                )
-        if layers[-1].mask.any_rho:
-            raise ValueError("the final layer must be identity-activated")
-        if activation_name is None and any(
-                layer.mask.any_rho for layer in layers):
-            raise ValueError("a network with rho entries needs an "
-                             "activation label")
-        _set(self, "layers", layers)
+        if chain[-1].mask.any_rho:
+            raise ValueError(f"layer {len(chain) - 1} has rho entries, but "
+                             "the final layer must be identity-activated")
+        _set(self, "layers", tuple(chain))
         _set(self, "activation_name", activation_name)
         _set(self, "_steps", None)  # the compiled evaluation, see _compile
 
@@ -520,7 +541,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     if columns.ndim != 2 or len(columns) != net.input_shape.size:
         raise ValueError(
             f"columns shape {columns.shape} does not match network input "
-            f"{tuple(net.input_shape)} (layer 1): expected "
+            f"{tuple(net.input_shape)} (layer 0): expected "
             f"({net.input_shape.size}, batch)"
         )
     rho = _resolve_rho(net, rho)
@@ -559,7 +580,7 @@ def realize(net: MNN, rho, input: np.ndarray) -> np.ndarray:
     if X.shape != tuple(net.input_shape):
         raise ValueError(
             f"input shape {X.shape} does not match network input "
-            f"{tuple(net.input_shape)} (layer 1)"
+            f"{tuple(net.input_shape)} (layer 0)"
         )
     out = realize_flat(net, rho, X.reshape(-1, 1))
     return out.reshape(tuple(net.output_shape))

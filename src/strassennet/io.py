@@ -33,15 +33,14 @@ over lines, text after ``]}``) goes through ``json.load`` and
 A compact file is judged in file order, so of several faults the first
 one is named: a bad layer before invalid JSON on a later line.  Network
 files are UTF-8 text, whatever the locale; other bytes are refused.
-Loading refuses, naming the layer and the first offending entry, shapes
-that are not integers >= 1, rows of the wrong length or holding
-non-numbers (booleans included), and whatever the one storage rule of
-built networks refuses: non-integer or out-of-range indices, positions
-repeated in the entries, bias or mask table, and zero or non-finite
-values.  It refuses, naming the layer, what a network refuses of its
-layer chain: an input shape other than the previous layer's output shape,
-mask entries on the last layer, and mask entries under a null label.
-Layers are numbered from 0 in every message.
+Loading only parses: it refuses, naming the layer and the first offending
+entry, shape fields that are not integers >= 1 (the size rule
+``core._count``), and rows of the wrong length or holding non-numbers
+(booleans included).  Everything else is refused by the rules of
+``core``, which built networks follow too, with core's text after
+``bad network file: ``: the storage rule of a layer's tables (after
+``layer L ``), and the label, layer-chain and final-layer rules of a
+network, the chain checked as each layer arrives.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 Only real matrices are written, and a file with no numbers is refused.
@@ -54,8 +53,8 @@ import warnings
 
 import numpy as np
 
-from .core import (MNN, ActivationMask, Layer, SparseLinearMap, _as_shape,
-                   _real, _stored_rows)
+from .core import (MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap,
+                   _chain, _count, _label, _real, _stored_rows)
 
 FORMAT_KEYS = ("activation", "layers")
 LAYER_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols",
@@ -156,6 +155,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(f"bad network file: {msg}")
 
 
+def _ruled(rule, *args):
+    """``rule(*args)``, a rule of ``core``, its refusal a file fault."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ValueError(f"bad network file: {exc}") from None
+
+
 def _is_number(x) -> bool:
     """Whether numpy reads ``x`` as an int64 or a float64."""
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
@@ -182,19 +189,18 @@ def _layer(pos: int, spec) -> Layer:
     _require(isinstance(spec, dict), f"layer {pos} must be an object")
     for key in LAYER_KEYS:
         _require(key in spec, f"layer {pos} missing key {key!r}")
-    out_keys, in_keys = LAYER_KEYS[:2], LAYER_KEYS[2:4]
     try:
-        out_shape = _as_shape([spec[key] for key in out_keys], out_keys)
-        in_shape = _as_shape([spec[key] for key in in_keys], in_keys)
-        return _built(out_shape, in_shape,
-                      *(_read_table(spec, key) for key in TABLES))
+        dims = [_count(key, spec[key]) for key in LAYER_KEYS[:4]]
+        return _built(dims, *(_read_table(spec, key) for key in TABLES))
     except ValueError as exc:
         raise ValueError(f"bad network file: layer {pos} {exc}") from None
 
 
-def _built(out_shape, in_shape, entries, bias_rows, mask_rows) -> Layer:
-    """The layer of a file's shapes and three tables, refused by the one
-    storage rule of built networks; both readers of a layer end here."""
+def _built(dims, entries, bias_rows, mask_rows) -> Layer:
+    """The layer of a file's four shape fields, each an integer >= 1, and
+    three tables, refused by the one storage rule of built networks; both
+    readers of a layer end here."""
+    out_shape, in_shape = MatrixShape(*dims[:2]), MatrixShape(*dims[2:])
     linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
                              entries[:, 4])
     key, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
@@ -286,30 +292,9 @@ def _parsed_layer(line: str):
     if any(table is None for table in tables):
         return None
     try:
-        return _built(_as_shape(dims[:2]), _as_shape(dims[2:]), *tables)
+        return _built(dims, *tables)
     except ValueError:
         return None
-
-
-def _append(layers: list, layer: Layer, label) -> None:
-    """Append ``layer`` to ``layers`` unless it does not read the previous
-    layer's output or has rho entries under a null label."""
-    pos = len(layers)
-    if layers and layer.in_shape != layers[-1].out_shape:
-        raise ValueError(
-            f"bad network file: layer {pos} input shape "
-            f"{tuple(layer.in_shape)} does not match layer {pos - 1} output "
-            f"shape {tuple(layers[-1].out_shape)}")
-    _require(label is not None or not layer.mask.any_rho,
-             f"layer {pos} has rho entries but the activation is null")
-    layers.append(layer)
-
-
-def _last(layers: list) -> None:
-    """Refuse rho entries on the last of the complete ``layers``."""
-    _require(not layers[-1].mask.any_rho,
-             f"layer {len(layers) - 1} has rho entries, but the final layer "
-             "must be identity-activated")
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -318,15 +303,13 @@ def network_from_dict(doc: dict) -> MNN:
     for key in FORMAT_KEYS:
         _require(key in doc, f"missing key {key!r}")
     label = doc["activation"]
-    _require(label is None or isinstance(label, str),
-             f"activation must be a string or null, got {label!r}")
+    _ruled(_label, label)
     _require(isinstance(doc["layers"], list) and doc["layers"],
              "layers must be a nonempty list")
     layers = []
     for pos, spec in enumerate(doc["layers"]):
-        _append(layers, _layer(pos, spec), label)
-    _last(layers)
-    return MNN(layers, label)
+        _ruled(_chain, layers, _layer(pos, spec), label)
+    return _ruled(MNN, layers, label)
 
 
 def _read_compact(fh):
@@ -340,8 +323,7 @@ def _read_compact(fh):
         label = json.loads(head[len(HEAD):-len(HEAD_END)])
     except json.JSONDecodeError:
         return None
-    if not (label is None or isinstance(label, str)):
-        return None
+    _ruled(_label, label)
     layers = []
     for line in iter(fh.readline, ""):
         if line == FOOT:
@@ -356,15 +338,14 @@ def _read_compact(fh):
             except json.JSONDecodeError:
                 return None
             layer = _layer(len(layers), spec)
-        _append(layers, layer, label)
+        _ruled(_chain, layers, layer, label)
     else:  # no closing line
         return None
     if not layers:
         return None
-    _last(layers)  # the closing line ends the layers, before any more text
-    if fh.read(1):
-        return None
-    return MNN(layers, label)
+    # the closing line ends the layers, before any more text
+    net = _ruled(MNN, layers, label)
+    return None if fh.read(1) else net
 
 
 def load_network(path) -> MNN:

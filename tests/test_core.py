@@ -260,7 +260,9 @@ class TestLayerAndNetwork:
     def test_shape_chain_validated(self):
         l1 = Layer(_ident_map(2))
         l3 = Layer(SparseLinearMap((1, 1), (3, 3), [[1, 1, 1, 1]], [1.0]))
-        with pytest.raises(ValueError, match="layer 2"):
+        # numbered from 0, as files number them; it read "layer 2 ... layer 1"
+        with pytest.raises(ValueError, match=r"layer 1 input shape \(3, 3\) "
+                           r"does not match layer 0 output shape \(2, 2\)"):
             MNN([l1, l3], "relu")
 
     def test_final_layer_must_be_identity(self):
@@ -270,10 +272,26 @@ class TestLayerAndNetwork:
 
     def test_label_required_only_with_rho_entries(self):
         hidden = Layer(_ident_map(2), mask=ActivationMask.all_rho((2, 2)))
-        with pytest.raises(ValueError, match="needs an activation label"):
+        with pytest.raises(ValueError, match="layer 0 has rho entries but "
+                           "the activation is null"):
             MNN([hidden, Layer(_ident_map(2))])
         assert MNN([Layer(_ident_map(2))]).activation_name is None
         assert identity_mnn((2, 2), 2).activation_name is None
+
+    @pytest.mark.parametrize("mask", [np.ones((2, 2), dtype=bool),
+                                      [[True, True], [True, True]]],
+                             ids=["ndarray", "list"])
+    def test_mask_must_be_an_activation_mask(self, mask):
+        # an ndarray of the layer's shape used to be stored as the mask, and
+        # realize then failed with AttributeError
+        with pytest.raises(ValueError, match="mask must be an ActivationMask, "
+                           f"got {type(mask).__name__}"):
+            Layer(_ident_map(2), mask=mask)
+
+    def test_items_must_be_layers(self):
+        with pytest.raises(ValueError, match="layer 1 must be a Layer, got "
+                           "SparseLinearMap"):
+            MNN([Layer(_ident_map(2)), _ident_map(2)])
 
     def test_counts_and_module_helpers(self):
         net = identity_mnn((3, 2), 4)
@@ -336,7 +354,7 @@ class TestLayerAndNetwork:
         # a 1-D input used to broadcast against the bias into a (4, 14) array
         net = build_str_pow2(1, 0.1, 1.0, relu2_factory)
         with pytest.raises(ValueError, match=r"columns shape .* does not "
-                           r"match network input \(2, 4\) \(layer 1\): "
+                           r"match network input \(2, 4\) \(layer 0\): "
                            r"expected \(8, batch\)"):
             realize_flat(net, None, columns)
 

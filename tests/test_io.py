@@ -391,8 +391,22 @@ class TestMalformedDocuments:
     def test_non_positive_dimensions(self):
         doc = _valid_doc()
         doc["layers"][0]["in_rows"] = 0
-        with pytest.raises(ValueError, match="non-positive"):
+        # the size rule of core, by the field's name; it read "has
+        # non-positive dimensions (in_rows = 0)"
+        with pytest.raises(ValueError, match="bad network file: layer 0 "
+                                             "in_rows must be >= 1, got 0"):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["out_rows", "out_cols", "in_rows",
+                                     "in_cols"])
+    def test_zero_dimension_named_by_field(self, tmp_path, key):
+        doc = _valid_doc()
+        doc["layers"][1][key] = 0
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc))
+        reason = f"bad network file: layer 1 {key} must be >= 1, got 0"
+        assert _refusal(load_network, path) == reason
+        assert _refusal(network_from_dict, doc) == reason
 
     @pytest.mark.parametrize("key", ["out_rows", "out_cols", "in_rows",
                                      "in_cols"])
@@ -413,6 +427,33 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="bad network file: activation "
                                              "must be a string or null"):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("label", [5, ["relu"]])
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    def test_label_refused_before_any_layer(self, tmp_path, label, indent):
+        doc = _valid_doc()
+        doc["activation"] = label
+        doc["layers"][0]["entries"][0][4] = 0.0  # a later fault
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc) if indent is None
+                        else json.dumps(doc, indent=indent))
+        reason = (f"bad network file: activation must be a string or null, "
+                  f"got {label!r}")
+        assert _refusal(load_network, path) == reason
+        assert _refusal(network_from_dict, doc) == reason
+
+    @pytest.mark.parametrize("label", [5, ["relu"], b"relu"])
+    def test_bad_label_leaves_an_existing_file(self, tmp_path, label):
+        # MNN used to take b"relu", and save_network then truncated the file
+        # before failing with TypeError
+        path = tmp_path / "net.json"
+        save_network(relu_factory.build(GadgetSpec(0.3, 1.0)), path)
+        before = path.read_bytes()
+        layers = load_network(path).layers
+        with pytest.raises(ValueError, match="activation must be a string or "
+                                             "null"):
+            save_network(MNN(layers, label), path)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("table, row, cell, value, reason", [
         ("entries", 1, 0, 1.7, "non-integer index"),
@@ -724,6 +765,21 @@ class TestLayerChain:
         assert _refusal(load_network, path) == f"bad network file: {reason}"
         assert _refusal(network_from_dict, doc) == (
             f"bad network file: {reason}")
+
+    @pytest.mark.parametrize("mutate, reason", CHAIN_FAULTS.values(),
+                             ids=CHAIN_FAULTS.keys())
+    def test_built_in_memory_refused_alike(self, mutate, reason):
+        # the layers a file holds, up to the first one its tables refuse,
+        # given to MNN: the one rule gives the readers' text, unprefixed
+        doc = _valid_doc()
+        mutate(doc)
+        layers = []
+        for pos, spec in enumerate(doc["layers"]):
+            try:
+                layers.append(io_module._layer(pos, spec))
+            except ValueError:
+                break
+        assert _refusal(MNN, layers, doc["activation"]) == reason
 
     def test_compact_reader_names_it_before_later_invalid_json(self,
                                                                tmp_path):
