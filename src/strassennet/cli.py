@@ -5,6 +5,10 @@
     snn verify --suite strassen --seed 42
     snn report bounds --out bounds.csv
 
+Each build kind and each report is its own subcommand, which takes only
+the value flags it reads (``KINDS``); its flags follow the kind, and any
+other flag exits 1.
+
 Exit codes: 0 success, 1 validation failure (bad parameters, bad files,
 shape mismatches), 2 verification failure (a suite criterion did not hold).
 The default seed is 42, overridden by the SNN_SEED environment variable,
@@ -12,9 +16,9 @@ overridden by an explicit --seed.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io as _io
 import json
 import os
 import sys
@@ -39,42 +43,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _require_params(args, names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n for n in missing)
-        raise ValueError(f"{args.kind} requires {flags}")
+#: value flag -> its argparse keywords; the sizes k, m, n, p are required
+FLAGS = {"k": dict(type=int, required=True, help="recursion depth"),
+         "m": dict(type=int, required=True),
+         "n": dict(type=int, required=True),
+         "p": dict(type=int, required=True),
+         "eps": dict(type=float, default=0.5),
+         "K": dict(type=float, default=1.0),
+         "alpha": dict(type=float, default=1.0),
+         "delta": dict(type=float, default=0.5)}
 
-
-def _inv_spec(a):
-    return InversionSpec(a.n, a.alpha, a.eps, a.delta)
-
-
-#: build kind -> (required flags, builder, count reference); builder and
-#: reference both take the parsed arguments and the gadget factory
+#: build kind -> (value flags, spec, builder, count reference); spec reads
+#: the parsed flags once, and builder and reference are both called as
+#: f(*spec(args), factory)
 KINDS = {
-    "strassen-pow2": (
-        ["k"],
-        lambda a, f: build_str_pow2(a.k, a.eps, a.K, f),
-        lambda a, f: pow2_count_reference(a.k, a.eps, a.K, f)),
-    "strassen-rect": (
-        ["m", "n", "p"],
-        lambda a, f: build_str_rect(RectShape(a.m, a.n, a.p), a.eps, a.K, f),
-        lambda a, f: rect_count_reference(RectShape(a.m, a.n, a.p),
-                                          a.eps, a.K, f)),
-    "strassen-square": (
-        ["n"],
-        lambda a, f: build_str_square(a.n, a.eps, a.K, f),
-        lambda a, f: rect_count_reference(RectShape(a.n, a.n, a.n),
-                                          a.eps, a.K, f)),
-    "inverse": (
-        ["n"],
-        lambda a, f: build_inv(_inv_spec(a), f),
-        lambda a, f: inv_count_reference(_inv_spec(a), f)),
-    "gadget": (
-        [],
-        lambda a, f: f.build(GadgetSpec(a.eps, a.K)),
-        lambda a, f: gadget_count_reference(GadgetSpec(a.eps, a.K), f)),
+    "strassen-pow2": (("k", "eps", "K"), lambda a: (a.k, a.eps, a.K),
+                      build_str_pow2, pow2_count_reference),
+    "strassen-rect": (("m", "n", "p", "eps", "K"),
+                      lambda a: (RectShape(a.m, a.n, a.p), a.eps, a.K),
+                      build_str_rect, rect_count_reference),
+    "strassen-square": (("n", "eps", "K"), lambda a: (a.n, a.eps, a.K),
+                        build_str_square,
+                        lambda n, eps, K, f: rect_count_reference(
+                            RectShape(n, n, n), eps, K, f)),
+    "inverse": (("n", "alpha", "eps", "delta"),
+                lambda a: (InversionSpec(a.n, a.alpha, a.eps, a.delta),),
+                build_inv, inv_count_reference),
+    "gadget": (("eps", "K"), lambda a: (GadgetSpec(a.eps, a.K),),
+               lambda spec, f: f.build(spec), gadget_count_reference),
 }
 
 
@@ -83,34 +79,37 @@ def build_network_and_report(args):
     count reference, as ``formula_M``/``formula_L`` when it is exact
     (equality expected) or ``bound_M``/``bound_L`` (measured <= bound)."""
     factory = FACTORIES[args.activation]
-    required, builder, reference = KINDS[args.kind]
-    _require_params(args, required)
-    net = builder(args, factory)
-    M_ref, L_ref, exact = ref = reference(args, factory)
+    _, spec, builder, reference = KINDS[args.kind]
+    spec = spec(args)
+    net = builder(*spec, factory)
+    M_ref, L_ref, exact = ref = reference(*spec, factory)
     kind = "formula" if exact else "bound"
     report = {"measured_M": net.num_weights, "measured_L": net.num_layers,
               f"{kind}_M": M_ref, f"{kind}_L": L_ref,
               "satisfied": counts_satisfied(net, ref)}
     if args.kind == "inverse":
-        depth = neumann_depth(_inv_spec(args))
+        inv, = spec
+        depth = neumann_depth(inv)
         # at eps / alpha, read as the largest float where it overflows, as
         # build_inv reads it
-        ratio = min(args.eps / args.alpha, sys.float_info.max)
+        ratio = min(inv.epsilon / inv.alpha, sys.float_info.max)
         report.update(N=depth.N, Sigma=depth.Sigma,
                       series_length_estimate=series_length_estimate(
-                          ratio, args.delta))
+                          ratio, inv.delta))
     return net, report
+
+
+def _opened(path, newline=None):
+    """``path`` opened for writing, or stdout when no path is given."""
+    return (open(path, "w", newline=newline) if path
+            else contextlib.nullcontext(sys.stdout))
 
 
 def cmd_build(args) -> int:
     net, report = build_network_and_report(args)
     save_network(net, args.out)
-    doc = json.dumps(report, indent=1)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
+    with _opened(args.report) as fh:
+        print(json.dumps(report, indent=1), file=fh)
     return 0
 
 
@@ -121,11 +120,12 @@ def cmd_eval(args) -> int:
     else:
         A = load_matrix(args.a)
         B = load_matrix(args.b)
-        left = A.T if args.layout == "atb" else A
+        layout = args.layout or "ab"
+        left = A.T if layout == "atb" else A
         if left.shape[0] != B.shape[0]:
             raise ValueError(
                 f"operands do not stack: left block is {left.shape[0]} rows, "
-                f"right block is {B.shape[0]} (layout {args.layout})")
+                f"right block is {B.shape[0]} (layout {layout})")
         X = np.hstack([left, B])
     expect = (net.input_shape.rows, net.input_shape.cols)
     if X.shape != expect:
@@ -157,8 +157,9 @@ def cmd_verify(args) -> int:
     return 0 if doc["all_passed"] else 2
 
 
-def _growth_rows(activation: str):
-    rows = pow2_growth_rows(activation)
+def _growth_table(args):
+    rows = [["series", "x", "measured_M", "reference", "satisfied"],
+            *pow2_growth_rows(args.activation)]
     es, gms, pred, r2 = gadget_growth_fit()
     for e, gm, pv in zip(es, gms, pred):
         rows.append(["gadget", int(e), int(gm), round(float(pv), 3), ""])
@@ -166,9 +167,10 @@ def _growth_rows(activation: str):
     return rows
 
 
-def _bounds_rows(args):
+def _bounds_table(args):
     """One row per n in (2, 4, 8): the report of ``snn build inverse``."""
-    rows = []
+    rows = [["n", "alpha", "eps", "delta", "N", "series_length_estimate",
+             "measured_M", "bound_M", "measured_L", "bound_L", "satisfied"]]
     for n in (2, 4, 8):
         a = argparse.Namespace(**{**vars(args), "kind": "inverse", "n": n})
         doc = build_network_and_report(a)[1]
@@ -182,23 +184,17 @@ def _bounds_rows(args):
 
 
 def cmd_report(args) -> int:
-    if args.kind == "growth":
-        header = ["series", "x", "measured_M", "reference", "satisfied"]
-        rows = _growth_rows(args.activation)
-    else:
-        header = ["n", "alpha", "eps", "delta", "N", "series_length_estimate",
-                  "measured_M", "bound_M", "measured_L", "bound_L", "satisfied"]
-        rows = _bounds_rows(args)
-    buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    rows = (_growth_table if args.kind == "growth" else _bounds_table)(args)
+    with _opened(args.out, newline="") as fh:
+        csv.writer(fh).writerows(rows)
     return 0
+
+
+def _add_flags(parser, flags, activation) -> None:
+    for flag in flags:
+        parser.add_argument("--" + flag, **FLAGS[flag])
+    parser.add_argument("--activation", choices=sorted(FACTORIES),
+                        default=activation)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,19 +203,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a network and write it as JSON")
-    b.add_argument("kind", choices=list(KINDS))
-    b.add_argument("--k", type=int, default=None, help="recursion depth")
-    b.add_argument("--m", type=int, default=None)
-    b.add_argument("--n", type=int, default=None)
-    b.add_argument("--p", type=int, default=None)
-    b.add_argument("--eps", type=float, default=0.5)
-    b.add_argument("--K", type=float, default=1.0)
-    b.add_argument("--alpha", type=float, default=1.0)
-    b.add_argument("--delta", type=float, default=0.5)
-    b.add_argument("--activation", choices=sorted(FACTORIES), default="relu")
-    b.add_argument("--out", required=True, help="network JSON path")
-    b.add_argument("--report", default=None,
-                   help="report JSON path (default: stdout)")
+    kinds = b.add_subparsers(dest="kind", required=True)
+    for kind, (flags, *_) in KINDS.items():
+        k = kinds.add_parser(kind)
+        _add_flags(k, flags, "relu")
+        k.add_argument("--out", required=True, help="network JSON path")
+        k.add_argument("--report", default=None,
+                       help="report JSON path (default: stdout)")
     b.set_defaults(func=cmd_build)
 
     e = sub.add_parser("eval", help="apply a stored network to a CSV matrix")
@@ -228,8 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CSV already laid out as the network expects")
     e.add_argument("--a", default=None, help="left operand CSV")
     e.add_argument("--b", default=None, help="right operand CSV")
-    e.add_argument("--layout", choices=["ab", "atb"], default="ab",
-                   help="stack operands as (A|B) or (A^T|B)")
+    e.add_argument("--layout", choices=["ab", "atb"], default=None,
+                   help="stack --a and --b as (A|B) or (A^T|B) (default: ab)")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_eval)
 
@@ -240,12 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("report", help="emit a CSV table of counts vs targets")
-    r.add_argument("kind", choices=["growth", "bounds"])
-    r.add_argument("--activation", choices=sorted(FACTORIES), default="relu2")
-    r.add_argument("--alpha", type=float, default=1.0)
-    r.add_argument("--eps", type=float, default=0.1)
-    r.add_argument("--delta", type=float, default=0.5)
-    r.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    reports = r.add_subparsers(dest="kind", required=True)
+    for kind, flags in (("growth", ()), ("bounds", ("alpha", "eps", "delta"))):
+        rk = reports.add_parser(kind)
+        _add_flags(rk, flags, "relu2")
+        rk.add_argument("--out", default=None,
+                        help="CSV path (default: stdout)")
+    reports.choices["bounds"].set_defaults(eps=0.1)
     r.set_defaults(func=cmd_report)
     return parser
 
@@ -257,6 +248,8 @@ def main(argv=None) -> int:
         has_pair = args.a is not None and args.b is not None
         if (args.input is None) == (not has_pair):
             parser.error("eval needs either --input or both --a and --b")
+        if args.input is not None and args.layout is not None:
+            parser.error("eval reads --layout only with --a and --b")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

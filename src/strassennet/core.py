@@ -332,12 +332,15 @@ class ActivationMask(_ReadOnly):
 
 class Layer(_ReadOnly):
     """One network layer: sparse map, bias matrix, activation mask.  The
-    bias must hold integers or real floats, all finite, and a given mask
-    must be an ``ActivationMask``."""
+    map must be a ``SparseLinearMap``, the bias must hold integers or real
+    floats, all finite, and a given mask must be an ``ActivationMask``."""
 
     __slots__ = ("map", "bias", "mask", "weight_count")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
+        if not isinstance(linmap, SparseLinearMap):
+            raise ValueError(f"linmap must be a SparseLinearMap, got "
+                             f"{type(linmap).__name__}")
         shape = linmap.out_shape
         if bias is None:
             bias = np.zeros(tuple(shape))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from strassennet import oracles
-from strassennet.cli import _build_parser, build_network_and_report, main
+from strassennet.cli import (FLAGS, KINDS, _build_parser,
+                             build_network_and_report, main)
 from strassennet.io import load_matrix, load_network, save_matrix
 from strassennet.verification import CriterionResult
 
@@ -18,6 +19,14 @@ def _fake_results(*passed):
                         threshold="<= 1", cases=3)
         for pos, ok in enumerate(passed)
     ]
+
+
+#: a valid value for every value flag
+_VALUES = {"k": "1", "m": "2", "n": "2", "p": "2", "eps": "0.1", "K": "1",
+           "alpha": "1", "delta": "0.5"}
+#: (kind, value flag) pairs whose flag the kind does not read
+_UNREAD = [(kind, flag) for kind, (flags, *_) in KINDS.items()
+           for flag in FLAGS if flag not in flags]
 
 
 class TestBuild:
@@ -79,9 +88,34 @@ class TestBuild:
         assert doc["satisfied"] is True
 
     def test_missing_parameter(self, tmp_path, capsys):
-        rc = main(["build", "strassen-pow2", "--out", str(tmp_path / "n.json")])
-        assert rc == 1
-        assert "strassen-pow2 requires --k" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["build", "strassen-pow2", "--out", str(tmp_path / "n.json")])
+        assert err.value.code == 1
+        assert ("snn build strassen-pow2: error: the following arguments are "
+                "required: --k\n" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind, flag", _UNREAD)
+    def test_flag_the_kind_does_not_read_exits_one(self, kind, flag, tmp_path,
+                                                   capsys):
+        # each was accepted and ignored: strassen-pow2 --k 1 --n 9 built a
+        # 2x2 multiplier with a satisfied report
+        own = [arg for name in KINDS[kind][0]
+               for arg in (f"--{name}", _VALUES[name])]
+        value = _VALUES[flag]
+        out = tmp_path / "n.json"
+        with pytest.raises(SystemExit) as err:
+            main(["build", kind, *own, f"--{flag}", value, "--out", str(out)])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"\nsnn: error: unrecognized arguments: --{flag} {value}\n")
+        assert not out.exists()
+
+    def test_flags_follow_the_kind(self, tmp_path):
+        out = tmp_path / "n.json"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--k", "1", "strassen-pow2", "--out", str(out)])
+        assert err.value.code == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["inverse", "--n", "1", "--eps", "1e-3", "--delta", "0.98"],
@@ -198,7 +232,8 @@ class TestEval:
                    "--b", str(tmp_path / "B.csv"),
                    "--out", str(tmp_path / "C.csv")])
         assert rc == 1
-        assert "do not stack" in capsys.readouterr().err
+        assert ("do not stack: left block is 2 rows, right block is 3 "
+                "(layout ab)" in capsys.readouterr().err)
 
     def test_missing_network_file(self, tmp_path, capsys):
         save_matrix(np.eye(2), tmp_path / "X.csv")
@@ -270,6 +305,18 @@ class TestEval:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 1
+
+    def test_layout_with_premade_input_exits_one(self, tmp_path, capsys):
+        # the layout used to be ignored next to --input
+        out = tmp_path / "C.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--net", str(tmp_path / "net.json"), "--input",
+                  str(tmp_path / "X.csv"), "--layout", "atb",
+                  "--out", str(out)])
+        assert err.value.code == 1
+        assert ("snn: error: eval reads --layout only with --a and --b"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestVerify:
@@ -398,6 +445,19 @@ class TestReport:
                 doc["measured_M"], round(float(doc[f"{kind}_M"]), 1),
                 doc["measured_L"], round(float(doc[f"{kind}_L"]), 1),
                 doc["satisfied"])]
+
+    @pytest.mark.parametrize("flag, value", [("alpha", "1.5"), ("eps", "0.3"),
+                                             ("delta", "0.9")])
+    def test_growth_refuses_the_inverse_flags(self, flag, value, tmp_path,
+                                              capsys):
+        # growth tables never read them, and used to print unchanged
+        out = tmp_path / "growth.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["report", "growth", f"--{flag}", value, "--out", str(out)])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"\nsnn: error: unrecognized arguments: --{flag} {value}\n")
+        assert not out.exists()
 
     def test_bad_kind_is_a_parse_error(self):
         with pytest.raises(SystemExit) as err:

@@ -288,6 +288,14 @@ class TestLayerAndNetwork:
                            f"got {type(mask).__name__}"):
             Layer(_ident_map(2), mask=mask)
 
+    @pytest.mark.parametrize("linmap", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]],
+                                        None], ids=["ndarray", "list", "None"])
+    def test_map_must_be_a_sparse_linear_map(self, linmap):
+        # an ndarray used to fail with AttributeError on its out_shape
+        with pytest.raises(ValueError, match="linmap must be a "
+                           f"SparseLinearMap, got {type(linmap).__name__}"):
+            Layer(linmap)
+
     def test_items_must_be_layers(self):
         with pytest.raises(ValueError, match="layer 1 must be a Layer, got "
                            "SparseLinearMap"):

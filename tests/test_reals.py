@@ -14,7 +14,7 @@ from strassennet import (GadgetSpec, InversionSpec, NeumannDepth, RectShape,
                          build_str_square, neu_bound_counts,
                          pow2_count_reference, rect_count_reference,
                          relu2_factory, relu_factory)
-from strassennet.cli import KINDS, main
+from strassennet.cli import FLAGS, KINDS, main
 from strassennet.gadgets import relu_gadget_bounds
 from strassennet.inversion import compute_N, series_length_estimate
 
@@ -111,18 +111,21 @@ _CASES = [(kind, flag, name) for kind, flags in _FLAGS.items()
 
 def test_every_kind_lists_its_real_flags():
     assert set(_FLAGS) == set(KINDS)
+    for kind, (flags, *_) in KINDS.items():
+        assert set(_FLAGS[kind]) == {flag for flag in flags
+                                     if FLAGS[flag]["type"] is float}, kind
 
 
 @pytest.mark.parametrize("activation", ["relu", "relu2"])
 @pytest.mark.parametrize("kind, flag, name", _CASES)
 def test_builder_and_reference_refuse_alike(kind, flag, name, activation):
     factory = {"relu": relu_factory, "relu2": relu2_factory}[activation]
-    _, builder, reference = KINDS[kind]
+    _, spec, builder, reference = KINDS[kind]
     for x, message in _cases(name, 1.0 if flag == "delta" else inf):
         args = argparse.Namespace(**{**_ARGS, flag: x})
         for call in (builder, reference):
-            assert _refused(lambda a: call(a, factory), args) == message, \
-                (call, x)
+            assert _refused(lambda a: call(*spec(a), factory), args) \
+                == message, (call, x)
 
 
 @pytest.mark.parametrize("kind, flag, name", _CASES)
