@@ -77,11 +77,17 @@ KINDS = {
 def build_network_and_report(args):
     """The network of ``args`` and its report: measured counts against the
     count reference, as ``formula_M``/``formula_L`` when it is exact
-    (equality expected) or ``bound_M``/``bound_L`` (measured <= bound)."""
+    (equality expected) or ``bound_M``/``bound_L`` (measured <= bound), and
+    the ``leaves`` ``[epsilon, K]`` of each gadget the builder asked for."""
     factory = FACTORIES[args.activation]
     _, spec, builder, reference = KINDS[args.kind]
     spec = spec(args)
-    net = builder(*spec, factory)
+    leaves = []
+
+    def build(leaf):  # the factory's own, recording each leaf it builds
+        leaves.append([leaf.epsilon, leaf.K])
+        return factory.build(leaf)
+    net = builder(*spec, dataclasses.replace(factory, build=build))
     M_ref, L_ref, exact = ref = reference(*spec, factory)
     kind = "formula" if exact else "bound"
     report = {"measured_M": net.num_weights, "measured_L": net.num_layers,
@@ -96,6 +102,7 @@ def build_network_and_report(args):
         report.update(N=depth.N, Sigma=depth.Sigma,
                       series_length_estimate=series_length_estimate(
                           ratio, inv.delta))
+    report["leaves"] = leaves
     return net, report
 
 
@@ -243,6 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if (argv[:1] in (["build"], ["report"]) and len(argv) > 1
+            and argv[1].startswith("-") and argv[1] not in ("-h", "--help")):
+        # argparse would take the flag's value for the kind
+        parser.error(f"argument {argv[1].split('=')[0]}: flags follow the "
+                     f"kind, as in: snn {argv[0]} <kind> {argv[1]} ...")
     args = parser.parse_args(argv)
     if args.command == "eval":
         has_pair = args.a is not None and args.b is not None

@@ -82,6 +82,15 @@ def _positive(name: str, x, below: float = math.inf) -> None:
                          f"{name} must lie in (0, {below:g}), got {x}")
 
 
+def _derived(value: float, spelled: str, advice: str) -> float:
+    """The one derived-value rule: a budget or half-width ``value`` unless it
+    rounded to 0 or inf, then refused as ``spelled`` in the caller's terms."""
+    if value in (0.0, math.inf):
+        how = "underflows to 0 in" if value == 0.0 else "overflows"
+        raise ValueError(f"{spelled} {how} float64; {advice}")
+    return value
+
+
 def _real(what: str, a) -> np.ndarray:
     """``a`` as an array of integers or real floats, else refused by its
     dtype: complex parts and strings are never read as numbers."""

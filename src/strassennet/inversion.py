@@ -13,11 +13,12 @@ product (rescaling by halves keeps every intermediate spectrally small; the
 lost factor ``2^(2^N - 1)`` is restored in the output layer).
 
 ``neumann_depth`` gives the stage count N that makes the end-to-end error
-at most ``epsilon``, and the leaf gadget budget Sigma that the count bound
-of ``inv_count_reference`` is evaluated at.
+at most ``epsilon``, the Neumann-sum budget, and the leaf gadget budget
+Sigma that the count bound of ``inv_count_reference`` is evaluated at.
 Every budget, ``alpha`` and ``delta`` must be a finite real > 0 (``delta``
 < 1, ``build_sqr``'s budget < 1/4, ``build_neu``'s < 1/8), else it is
-refused by name (``core._positive``).
+refused by name (``core._positive``), and so is a budget derived from them
+that rounds to 0 (``core._derived``).
 """
 
 import math
@@ -27,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinators import concat, parallelize
-from .core import (MNN, Layer, SparseLinearMap, _count, _glue, _positive,
-                   scale_output)
+from .core import (MNN, Layer, SparseLinearMap, _count, _derived, _glue,
+                   _positive, scale_output)
 from .gadgets import GadgetFactory, GadgetSpec
 from .strassen import build_str_square
 
 LOG2_7 = math.log2(7.0)
+_BELOW_EIGHTH = math.nextafter(0.125, 0.0)  # acts as 1/8 in build_neu
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,16 @@ class InversionSpec:
 
 @dataclass(frozen=True)
 class NeumannDepth:
-    """Stage count and leaf gadget budget for one inversion problem."""
+    """Stage count, leaf and Neumann-sum budgets of one inversion problem."""
 
     N: int
     Sigma: float
+    eps_neu: float
 
     def __post_init__(self):
         _count("N", self.N)
         _positive("Sigma", self.Sigma)
+        _positive("eps_neu", self.eps_neu)
 
 
 def compute_N(eps: float, delta: float) -> int:
@@ -71,30 +75,21 @@ def compute_N(eps: float, delta: float) -> int:
     """
     _positive("eps", eps)
     _positive("delta", delta, below=1.0)
-    target = eps * (1.0 - delta)
-    if target == 0.0:
-        raise ValueError(
-            f"eps * (1 - delta) = {eps!r} * (1 - {delta!r}) underflows to 0 "
-            "in float64; use a larger eps or a smaller delta")
+    target = _derived(eps * (1.0 - delta),
+                      f"eps * (1 - delta) = {eps!r} * (1 - {delta!r})",
+                      "use a larger eps or a smaller delta")
     if target >= 1.0:
         return 1
     ratio = math.log2(target) / math.log2(delta)
     return max(math.ceil(math.log2(ratio)), 1)
 
 
-def _depth_underflow(N: int, n: int, eps: float) -> ValueError:
-    return ValueError(
-        f"N = {N} doubling stages need the leaf gadget budget "
-        f"2^-(2^N) * {eps:g} / (8 * {n}^3), which underflows to 0 in "
-        "float64; use a larger epsilon or a smaller delta")
-
-
 def _leaf_budget(N: int, n: int, eps: float) -> float:
     """Leaf gadget budget 2^-(2^N) eps / (8 n^3) of the Neumann-sum bound."""
-    sigma = 2.0 ** (-(2 ** N)) * eps / (8.0 * n ** 3)
-    if sigma == 0.0:
-        raise _depth_underflow(N, n, eps)
-    return sigma
+    return _derived(math.ldexp(eps, -(2 ** N)) / (8.0 * n ** 3),
+                    f"N = {N} doubling stages: the leaf gadget budget "
+                    f"2^-(2^N) * {eps:g} / (8 * {n}^3)",
+                    "use a larger epsilon or a smaller delta")
 
 
 def _build_dup_simple(n: int) -> MNN:
@@ -144,19 +139,6 @@ def _build_mix_aux(n: int, k: int) -> MNN:
                                               (n, n, n, 0, n, n, 1.0)], bias)
 
 
-def _square_once(n: int, eps: float, factory: GadgetFactory,
-                 spelled: str = "") -> MNN:
-    """The multiplication network used by all squaring stages: budget eps/4n.
-    A budget that underflows to 0 is refused, with ``eps`` spelled as the
-    caller's own budget makes it (``spelled``; ``eps`` by default)."""
-    budget = eps / (4.0 * n)
-    if budget == 0.0:
-        raise ValueError(
-            f"the squaring multiplier budget {spelled or repr(eps)} / "
-            f"(4 * {n}) underflows to 0 in float64; use a larger eps")
-    return build_str_square(n, budget, 1.0, factory)
-
-
 def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     """N-fold repeated squaring: approximates A^(2^N) for ||A||_2 <= 1/2.
 
@@ -165,7 +147,10 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     """
     N, n = _count("N", N), _count("n", n)
     _positive("eps", eps, below=0.25)
-    stage = concat(_square_once(n, eps, factory), _build_dup_simple(n))
+    budget = _derived(eps / (4.0 * n), f"the squaring multiplier budget "
+                      f"{eps!r} / (4 * {n})", "use a larger eps")
+    stage = concat(build_str_square(n, budget, 1.0, factory),
+                   _build_dup_simple(n))
     net = stage
     for _ in range(N - 1):
         net = concat(net, stage)
@@ -206,11 +191,10 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
         return MNN(plus_eye.layers, factory.activation_name)
     _positive("eps", eps, below=0.125)
-    eps_inner = 2.0 ** (1 - 2 ** N) * eps
-    if eps_inner == 0.0:
-        # the squaring networks' leaf budgets are smaller still
-        raise _depth_underflow(N, n, eps)
-    square = _square_once(n, eps_inner, factory, f"2^(1 - 2^{N}) * {eps!r}")
+    budget = _derived(math.ldexp(eps, 1 - 2 ** N) / (4.0 * n),
+                      f"the squaring multiplier budget 2^(1 - 2^{N}) * "
+                      f"{eps!r} / (4 * {n})", "use a larger eps")
+    square = build_str_square(n, budget, 1.0, factory)
     aux = _aux_chain(N - 1, n, square)
     net = concat(square, concat(_build_flip(n, N - 1), aux))
     return scale_output(net, 2.0 ** (2 ** N - 1))
@@ -223,24 +207,18 @@ def build_in(n: int, alpha: float) -> MNN:
     return _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, -alpha)], np.eye(n))
 
 
-def _neu_plan(spec: InversionSpec):
-    """Stage count N = compute_N(eps / 2 alpha, delta) of ``build_inv(spec)``
-    and the Neumann-sum error budget min(eps / 2 alpha, 1/8); a ratio that
-    overflows is clamped to the largest float, which needs one stage too."""
-    ratio = min(spec.epsilon / (2.0 * spec.alpha), sys.float_info.max)
-    if ratio * (1.0 - spec.delta) == 0.0:
-        raise ValueError(
-            f"epsilon / (2 alpha) * (1 - delta) = {spec.epsilon!r} / "
-            f"(2 * {spec.alpha!r}) * (1 - {spec.delta!r}) underflows to 0 in "
-            "float64; use a larger epsilon or a smaller alpha or delta")
-    return compute_N(ratio, spec.delta), min(ratio, 0.125)
-
-
 def neumann_depth(spec: InversionSpec) -> NeumannDepth:
-    """Stage count N of ``build_inv(spec)`` and the leaf budget Sigma that
-    ``inv_count_reference`` evaluates its bound at (used when N >= 2)."""
-    N, budget = _neu_plan(spec)
-    return NeumannDepth(N, _leaf_budget(N, spec.n, budget))
+    """The budgets ``build_inv(spec)``, its count reference and the build
+    report read: N = compute_N(eps / 2 alpha, delta), the bound's leaf budget
+    Sigma (used when N >= 2) and the Neumann-sum budget min(eps / 2 alpha,
+    1/8).  An overflowing eps / 2 alpha is read as the largest float."""
+    ratio = min(spec.epsilon / (2.0 * spec.alpha), sys.float_info.max)
+    _derived(ratio * (1.0 - spec.delta),
+             f"epsilon / (2 alpha) * (1 - delta) = {spec.epsilon!r} / "
+             f"(2 * {spec.alpha!r}) * (1 - {spec.delta!r})",
+             "use a larger epsilon or a smaller alpha or delta")
+    N, eps_neu = compute_N(ratio, spec.delta), min(ratio, 0.125)
+    return NeumannDepth(N, _leaf_budget(N, spec.n, eps_neu), eps_neu)
 
 
 def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
@@ -251,13 +229,15 @@ def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
     When one doubling stage suffices the result is exact with
     2 (n^2 + n) weights in 2 layers.
     """
-    N, eps_neu = _neu_plan(spec)
-    if eps_neu == 0.125:
-        # the Neumann builder requires a strictly smaller budget; one
-        # representable step below is behaviorally identical
-        eps_neu = float(np.nextafter(0.125, 0.0))
-    neu = build_neu(N, spec.n, eps_neu, factory)
-    return concat(scale_output(neu, spec.alpha), build_in(spec.n, spec.alpha))
+    depth = neumann_depth(spec)
+    neu = build_neu(depth.N, spec.n, min(depth.eps_neu, _BELOW_EIGHTH),
+                    factory)
+    try:
+        neu = scale_output(neu, spec.alpha)
+    except ValueError:  # alpha times a last-layer weight rounds to 0 or inf
+        raise ValueError(f"alpha = {spec.alpha!r} scales a last-layer weight "
+                         "to 0 or inf; use an alpha nearer 1") from None
+    return concat(neu, build_in(spec.n, spec.alpha))
 
 
 def inv_count_reference(spec: InversionSpec, factory: GadgetFactory):
@@ -268,11 +248,10 @@ def inv_count_reference(spec: InversionSpec, factory: GadgetFactory):
     ``neu_bound_counts`` at ``neumann_depth(spec)`` plus the n^2 + n weights
     of the input layer ``build_in``.
     """
-    n = spec.n
-    N, budget = _neu_plan(spec)
-    if N == 1:
+    n, depth = spec.n, neumann_depth(spec)
+    if depth.N == 1:
         return 2 * (n * n + n), 2, True
-    M, L = neu_bound_counts(N, n, budget, factory)
+    M, L = neu_bound_counts(depth.N, n, depth.eps_neu, factory)
     return M + n * n + n, L, False
 
 
@@ -285,11 +264,9 @@ def series_length_estimate(eps: float, delta: float) -> float:
     """
     _positive("eps", eps)
     _positive("delta", delta, below=1.0)
-    target = eps * (1.0 - delta) / 2.0
-    if target == 0.0:
-        raise ValueError(
-            f"eps * (1 - delta) / 2 = {eps!r} * (1 - {delta!r}) / 2 "
-            "underflows to 0 in float64; use a larger eps or a smaller delta")
+    target = _derived(eps * (1.0 - delta) / 2.0,
+                      f"eps * (1 - delta) / 2 = {eps!r} * (1 - {delta!r}) / 2",
+                      "use a larger eps or a smaller delta")
     return math.log2(target) / math.log2(delta)
 
 

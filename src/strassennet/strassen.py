@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .combinators import concat, parallelize
 import numpy as np
 
-from .core import MNN, _count, _glue, _positive
+from .core import MNN, _count, _derived, _glue, _positive
 from .gadgets import GadgetFactory, GadgetSpec
 
 #: Strassen's scheme as coefficient tables indexed [product r, quadrant q],
@@ -183,7 +183,11 @@ def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec
     _positive("eps", eps)
     _positive("K", K)
     gamma = shape.gamma
-    return GadgetSpec(eps / (4.0 * gamma * gamma), 2.0 * gamma * K)
+    return GadgetSpec(
+        _derived(eps / (4.0 * gamma * gamma), f"the bound's leaf budget "
+                 f"{eps!r} / (4 * {gamma}^2)", "use a larger eps"),
+        _derived(2.0 * gamma * K, f"the bound's leaf half-width 2 * {gamma} "
+                 f"* {K!r}", "use a smaller K"))
 
 
 def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):

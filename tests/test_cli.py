@@ -37,7 +37,8 @@ class TestBuild:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"measured_M": 12, "measured_L": 2, "formula_M": 12,
-                       "formula_L": 2, "satisfied": True}
+                       "formula_L": 2, "satisfied": True,
+                       "leaves": [[0.5, 1.0]]}
         net = load_network(net_path)
         assert (net.num_weights, net.num_layers) == (12, 2)
 
@@ -115,6 +116,45 @@ class TestBuild:
         with pytest.raises(SystemExit) as err:
             main(["build", "--k", "1", "strassen-pow2", "--out", str(out)])
         assert err.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["build", "--k", "1", "strassen-pow2"], "--k"),
+        (["report", "--eps", "0.3", "bounds"], "--eps")])
+    def test_a_flag_before_the_kind_is_named(self, argv, flag, tmp_path,
+                                             capsys):
+        # argparse read the flag's value as the kind: "argument kind:
+        # invalid choice: '1'"
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(out)])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            f"\nsnn: error: argument {flag}: flags follow the kind, as in: "
+            f"snn {argv[0]} <kind> {flag} ...\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, eps, leaves", [
+        ("4", "0.01", [[5.960464477539063e-10, 4.0]]),  # N = 4: one leaf
+        ("1", "1.2", [])])  # N = 1: exact, no gadget
+    def test_inverse_reports_the_leaves_it_built(self, n, eps, leaves,
+                                                 tmp_path, capsys):
+        rc = main(["build", "inverse", "--n", n, "--eps", eps,
+                   "--activation", "relu2", "--out", str(tmp_path / "i.json")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["leaves"] == leaves
+
+    def test_square_bound_leaf_underflow_names_its_derivation(self, tmp_path,
+                                                              capsys):
+        # the builder's one leaf is (5e-324, 1), the bound's 5e-324 / 4; this
+        # was refused as "epsilon must be positive and finite, got 0.0"
+        out = tmp_path / "s.json"
+        rc = main(["build", "strassen-square", "--n", "1", "--eps", "5e-324",
+                   "--activation", "relu2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "snn: error: the bound's leaf budget 5e-324 / (4 * 1^2) underflows "
+            "to 0 in float64; use a larger eps\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

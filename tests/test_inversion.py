@@ -12,7 +12,7 @@ from strassennet.core import counts_satisfied, mnn_equal, realize
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import (InversionSpec, NeumannDepth, _aux_chain,
                                    _build_dup_half, _build_dup_simple,
-                                   _build_flip, _build_mix_aux, _square_once,
+                                   _build_flip, _build_mix_aux,
                                    build_fill, build_in, build_inv, build_neu,
                                    build_sqr, compute_N, inv_count_reference,
                                    neu_bound_counts, neumann_depth,
@@ -67,7 +67,7 @@ class TestDepthFormulas:
         assert d.N == compute_N(0.05, 0.5)
         assert d.Sigma == 2.0 ** -(2 ** d.N) * 0.05 / (8.0 * 4 ** 3)
         with pytest.raises(ValueError):
-            NeumannDepth(0, 0.1)
+            NeumannDepth(0, 0.1, 0.1)
 
     def test_series_length_estimate(self):
         # at eps=0.1, delta=0.5 about 5.3 plain terms would be needed
@@ -200,7 +200,8 @@ class TestRepeatedSquaring:
 
 def _aux(i, n, eps, factory):
     """The power-and-product chain of stage i over the squaring network."""
-    return _aux_chain(i, n, _square_once(n, eps, factory))
+    square = build_str_square(n, eps / (4.0 * n), 1.0, factory)
+    return _aux_chain(i, n, square)
 
 
 class TestAuxChain:
@@ -297,6 +298,46 @@ class TestInversionNetworks:
         for call in (build_inv, inv_count_reference):
             with pytest.raises(ValueError, match=r"N = 11 doubling stages"):
                 call(spec, relu_factory)
+
+    def test_builder_refuses_the_leaf_budget_its_reference_refuses(self):
+        # N = 10 at n = 1: the bound's Sigma rounds to 0, the builder's own
+        # multiplier budget does not; build_inv built 323 weights in 51
+        # layers for a spec its count reference refused
+        spec = InversionSpec(1, 1.0, 3e-15, 0.931)
+        cause = ("N = 10 doubling stages: the leaf gadget budget 2^-(2^N) * "
+                 "1.5e-15 / (8 * 1^3) underflows to 0 in float64; use a "
+                 "larger epsilon or a smaller delta")
+        for call in (build_inv, inv_count_reference):
+            with pytest.raises(ValueError) as info:
+                call(spec, relu2_factory)
+            assert str(info.value) == cause
+
+    @pytest.mark.parametrize("call, cause", [
+        (build_neu, "the squaring multiplier budget 2^(1 - 2^1100) * 0.1 / "
+                    "(4 * 2) underflows to 0 in float64; use a larger eps"),
+        (neu_bound_counts, "N = 1100 doubling stages: the leaf gadget budget "
+                           "2^-(2^N) * 0.1 / (8 * 2^3) underflows to 0 in "
+                           "float64; use a larger epsilon or a smaller delta"),
+    ])
+    def test_huge_stage_count_is_refused_not_overflowed(self, call, cause):
+        # 2.0 ** -(2 ** N) raised "OverflowError: int too large to convert
+        # to float"
+        with pytest.raises(ValueError) as info:
+            call(1100, 2, 0.1, relu_factory)
+        assert str(info.value) == cause
+
+    def test_alpha_that_overflows_an_output_weight_is_named(self):
+        # N = 9: alpha times the output scale 2^511 overflows; this was
+        # refused as "c = 6.430127230157615e+292 scales ...", naming the
+        # parameter of scale_output, not of the spec
+        spec = InversionSpec(1, 6.430127230157615e292,
+                             1.7456465161279738e174, 0.5)
+        assert neumann_depth(spec).N == 9
+        with pytest.raises(ValueError) as info:
+            build_inv(spec, relu2_factory)
+        assert str(info.value) == (
+            "alpha = 6.430127230157615e+292 scales a last-layer weight to 0 "
+            "or inf; use an alpha nearer 1")
 
     def test_deepest_representable_depth_builds(self):
         # N = 10 leaves subnormal but nonzero budgets: still built and bounded

@@ -4,9 +4,12 @@ value, alike through the builder, its count reference and ``snn build``."""
 
 import argparse
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strassennet import (GadgetSpec, InversionSpec, NeumannDepth, RectShape,
                          bound_gadget_spec_rect, build_in, build_neu,
@@ -48,7 +51,7 @@ PARAMETERS = [
     ("alpha", inf, lambda x: InversionSpec(2, x, 0.1, 0.5)),
     ("epsilon", inf, lambda x: InversionSpec(2, 1.0, x, 0.5)),
     ("delta", 1.0, lambda x: InversionSpec(2, 1.0, 0.1, x)),
-    ("Sigma", inf, lambda x: NeumannDepth(2, x)),
+    ("Sigma", inf, lambda x: NeumannDepth(2, x, 0.1)),
     ("eps", inf, lambda x: compute_N(x, 0.5)),
     ("delta", 1.0, lambda x: compute_N(0.1, x)),
     ("eps", inf, lambda x: series_length_estimate(x, 0.5)),
@@ -57,6 +60,7 @@ PARAMETERS = [
     ("eps", 0.125, lambda x: build_neu(2, 2, x, f)),
     ("alpha", inf, lambda x: build_in(2, x)),
     ("eps", inf, lambda x: neu_bound_counts(2, 2, x, f)),
+    ("eps_neu", inf, lambda x: NeumannDepth(2, 0.1, x)),
 ]
 
 
@@ -145,3 +149,34 @@ def test_snn_build_refuses_by_name_and_value(kind, flag, name, tmp_path,
         message = _out_of_range(name, below, x)
         assert (rc, capsys.readouterr().err) == (1, f"snn: error: {message}\n")
         assert not out.exists()
+
+
+#: a real the real rule accepts, 5e-324 to 1.8e308: a mantissa in [1, 2)
+#: times 2^e, e uniform over every binade, or over the 16 at either end,
+#: where a derived budget or half-width rounds to 0 or inf
+_REAL = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                  st.integers(-1074, 1023) | st.integers(-1074, -1059)
+                  | st.integers(1008, 1023))
+#: every flag drawn over what its rule accepts, sizes kept small
+_DRAWN = {**dict.fromkeys("mnp", st.integers(1, 2)), "k": st.integers(0, 2),
+          "eps": _REAL, "K": _REAL, "alpha": _REAL,
+          "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_no_refusal_names_a_value_the_caller_never_passed(data):
+    # every drawn value is accepted by the real rule, so a refusal of 0.0 or
+    # inf speaks of a derived value under a parameter's name; builder and
+    # reference each return or raise ValueError, never another exception
+    kind = data.draw(st.sampled_from(sorted(KINDS)), label="kind")
+    factory = data.draw(st.sampled_from([relu_factory, relu2_factory]))
+    flags, spec, builder, reference = KINDS[kind]
+    args = argparse.Namespace(**{flag: data.draw(_DRAWN[flag], label=flag)
+                                 for flag in flags})
+    for call in (builder, reference):
+        try:
+            call(*spec(args), factory)
+        except ValueError as exc:
+            assert not re.search(r"must be positive and finite, got "
+                                 r"(0\.0|inf)$", str(exc)), (call, exc)

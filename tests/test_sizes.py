@@ -27,7 +27,7 @@ REFUSED = [
     ("k", lambda: formula_counts_pow2(1.5, 12, 2)),
     ("k", lambda: pow2_count_reference(1.5, 0.1, 1.0, f)),
     ("N", lambda: neu_bound_counts(2.5, 2, 0.05, f)),
-    ("N", lambda: NeumannDepth(1.5, 0.1)),
+    ("N", lambda: NeumannDepth(1.5, 0.1, 0.1)),
     ("n", lambda: build_str_square(2.0, 0.1, 1.0, f)),
     ("n", lambda: build_sqr(2, 2.0, 0.1, f)),
     ("n", lambda: build_neu(2, 2.0, 0.1, f)),
@@ -47,7 +47,7 @@ REFUSED = [
     ("k", lambda: pow2_count_reference(-1, 0.1, 1.0, f)),
     ("n", lambda: build_str_square(0, 0.1, 1.0, f)),
     ("n", lambda: InversionSpec(0, 1.0, 0.1, 0.5)),
-    ("N", lambda: NeumannDepth(0, 0.1)),
+    ("N", lambda: NeumannDepth(0, 0.1, 0.1)),
     ("n", lambda: build_fill(0, 2)),
     ("L", lambda: build_fill(2, 0)),
     ("N", lambda: build_sqr(0, 2, 0.1, f)),

@@ -17,7 +17,8 @@ from strassennet.strassen import (_U, _V, _W, RectShape, _build_ext,
                                   bound_counts_rect, bound_gadget_spec_rect,
                                   build_mix, build_split, build_str_pow2,
                                   build_str_rect, build_str_square,
-                                  formula_counts_pow2, pow2_count_reference)
+                                  formula_counts_pow2, pow2_count_reference,
+                                  rect_count_reference)
 
 
 class TestRectShape:
@@ -349,6 +350,23 @@ def test_gadget_spec_for_bounds_shrinks_budget():
     spec = bound_gadget_spec_rect(RectShape(5, 6, 4), 0.08, 1.0)
     assert spec.epsilon == pytest.approx(0.08 / (4 * 36))
     assert spec.K == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("shape, eps, K, cause", [
+    (RectShape(3, 3, 3), 5e-324, 1.0, "the bound's leaf budget 5e-324 / "
+     "(4 * 3^2) underflows to 0 in float64; use a larger eps"),
+    (RectShape(3, 3, 3), 1.0, 1e308, "the bound's leaf half-width 2 * 3 * "
+     "1e+308 overflows float64; use a smaller K"),
+])
+def test_bound_leaf_that_rounds_away_is_refused_as_derived(shape, eps, K,
+                                                           cause):
+    # each was refused as "epsilon must be positive and finite, got 0.0" or
+    # "K must be positive and finite, got inf", values never passed
+    for call in (bound_gadget_spec_rect,
+                 lambda *a: rect_count_reference(*a, relu2_factory)):
+        with pytest.raises(ValueError) as info:
+            call(shape, eps, K)
+        assert str(info.value) == cause
 
 
 def test_only_gadget_built_networks_carry_a_label():
