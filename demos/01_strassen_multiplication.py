@@ -22,7 +22,7 @@ for k in range(4):
     fM, fL = formula_counts_pow2(k, leaf.num_weights, leaf.num_layers)
     A = rng.uniform(-1, 1, (side, side))
     B = rng.uniform(-1, 1, (side, side))
-    out = realize(net, None, np.hstack([A, B]))
+    out = realize(net, np.hstack([A, B]))
     err = np.max(np.abs(out - A @ B))
     print(f"  {side}x{side}: M={net.num_weights} (formula {fM}), "
           f"L={net.num_layers} (formula {fL}), max error {err:.2e}")
@@ -47,7 +47,7 @@ for (m, n, p) in [(2, 3, 2), (3, 3, 3), (5, 6, 4)]:
     bM, bL = bound_counts_rect(shape, gadget.num_weights, gadget.num_layers)
     A = rng.uniform(-1, 1, (m, n))
     B = rng.uniform(-1, 1, (n, p))
-    out = realize(net, None, np.hstack([A.T, B]))
+    out = realize(net, np.hstack([A.T, B]))
     err = np.max(np.abs(out - matmul_naive(A, B)))
     print(f"  ({m}x{n})({n}x{p}): M={net.num_weights} <= {bM:.0f}, "
           f"L={net.num_layers} <= {bL:.1f}, max error {err:.2e}")
@@ -57,5 +57,5 @@ A = rng.uniform(-1, 1, (4, 4))
 B = rng.uniform(-1, 1, (4, 4))
 for eps in (1e-1, 1e-3, 1e-6):
     net = build_str_pow2(2, eps, 1.0, relu_factory)
-    err = np.max(np.abs(realize(net, None, np.hstack([A, B])) - A @ B))
+    err = np.max(np.abs(realize(net, np.hstack([A, B])) - A @ B))
     print(f"  eps={eps:g}: M={net.num_weights}, measured error {err:.2e}")

@@ -16,7 +16,7 @@ print("== relu2: exact and spec-independent ==")
 for eps, K in [(0.5, 1.0), (1e-9, 100.0)]:
     g = relu2_factory.build(GadgetSpec(eps, K))
     x, y = 0.3 * K, -0.8 * K
-    out = realize(g, None, np.array([[x, y]]))[0, 0]
+    out = realize(g, np.array([[x, y]]))[0, 0]
     print(f"  eps={eps:g} K={K:g}: M={g.num_weights} L={g.num_layers} "
           f"gadget({x:g},{y:g})={out:.6g} (true {x * y:.6g})")
 
@@ -25,11 +25,11 @@ K = 1.0
 for e in range(1, 13, 2):
     eps = 2.0 ** -e
     g = relu_factory.build(GadgetSpec(eps, K))
-    worst = verify_gadget(g, None, GadgetSpec(eps, K), grid_step=K / 64)
+    worst = verify_gadget(g, GadgetSpec(eps, K))
     bM, bL = relu_gadget_bounds(eps, K)
     print(f"  eps=2^-{e:<2d} M={g.num_weights:3d} (bound {bM:6.1f})  "
-          f"L={g.num_layers:2d} (bound {bL:4.1f})  worst grid error "
-          f"{worst:.2e}")
+          f"L={g.num_layers:2d} (bound {bL:4.1f})  worst error on the "
+          f"K/128 grid {worst:.2e}")
 
 # oversized budgets collapse the gadget: eps >= K^2 needs no weights at
 # all (zero is close enough), eps >= K^2/2 needs only the exact backbone
@@ -45,7 +45,7 @@ print("\n== the sawtooth at work ==")
 xs = np.linspace(-0.97, 0.91, 9)
 for e in (2, 6, 10):
     g = relu_factory.build(GadgetSpec(2.0 ** -e, 1.0))
-    row = [realize(g, None, np.array([[x, x]]))[0, 0] for x in xs]
+    row = [realize(g, np.array([[x, x]]))[0, 0] for x in xs]
     errs = np.abs(np.array(row) - xs * xs)
     print(f"  eps=2^-{e:<2d} max |gadget(x,x) - x^2| on grid: "
           f"{errs.max():.2e}")

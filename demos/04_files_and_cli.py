@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory(prefix="snn-demo-") as tmp:
     A = np.array([[0.3, -0.7], [0.1, 0.9]])
     B = np.array([[1.0, 0.5], [-0.2, 0.4]])
     X = np.hstack([A, B])
-    same = np.array_equal(realize(net, None, X), realize(back, None, X))
+    same = np.array_equal(realize(net, X), realize(back, X))
     print(f"  realization identical bit for bit: {same}")
 
     doc = json.loads(path.read_text())

@@ -11,8 +11,7 @@ other flag exits 1.
 
 Exit codes: 0 success, 1 validation failure (bad parameters, bad files,
 shape mismatches), 2 verification failure (a suite criterion did not hold).
-The default seed is 42, overridden by the SNN_SEED environment variable,
-overridden by an explicit --seed.
+The default seed is 42, overridden by an explicit --seed.
 """
 
 import argparse
@@ -20,7 +19,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -138,17 +136,11 @@ def cmd_eval(args) -> int:
     if X.shape != expect:
         raise ValueError(f"input is {X.shape[0]}x{X.shape[1]} but the network "
                          f"expects {expect[0]}x{expect[1]}")
-    save_matrix(realize(net, None, X), args.out)
+    save_matrix(realize(net, X), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.seed is None:  # SNN_SEED, else the default
-        raw = os.environ.get("SNN_SEED", DEFAULT_SEED)
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            raise ValueError(f"SNN_SEED must be an integer, got {raw!r}") from None
     results = run_suite(args.suite, args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -232,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run an acceptance suite")
     v.add_argument("--suite", choices=sorted(SUITES), required=True)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--out", default=None, help="report JSON path")
     v.set_defaults(func=cmd_verify)
 

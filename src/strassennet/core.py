@@ -82,9 +82,15 @@ def _positive(name: str, x, below: float = math.inf) -> None:
                          f"{name} must lie in (0, {below:g}), got {x}")
 
 
-def _derived(value: float, spelled: str, advice: str) -> float:
-    """The one derived-value rule: a budget or half-width ``value`` unless it
-    rounded to 0 or inf, then refused as ``spelled`` in the caller's terms."""
+def _derived(derive, spelled: str, advice: str) -> float:
+    """The one derived-value rule: ``derive()``, a value computed in float64
+    from the caller's parameters, unless it rounds to 0 or inf, or a size in
+    it has no float; then refused as ``spelled`` in the caller's terms."""
+    try:
+        value = derive()
+    except OverflowError:  # as in 4.0 * 10**309
+        raise ValueError(f"{spelled} has a term beyond float64; use a "
+                         "smaller size") from None
     if value in (0.0, math.inf):
         how = "underflows to 0 in" if value == 0.0 else "overflows"
         raise ValueError(f"{spelled} {how} float64; {advice}")
@@ -453,17 +459,6 @@ def counts_satisfied(net: MNN, reference) -> bool:
     return net.num_weights <= M_ref and net.num_layers <= L_ref
 
 
-def _resolve_rho(net: MNN, rho):
-    if rho is not None:
-        return rho
-    rho = ACTIVATIONS.get(net.activation_name)
-    if rho is None and any(layer.mask.any_rho for layer in net.layers):
-        raise ValueError(
-            f"no callable registered for activation {net.activation_name!r}"
-        )
-    return rho
-
-
 # bytes of state one column tile should keep: the widest layer's state of a
 # tile then stays in cache from one layer's product to the next one's.  A
 # tile keeps at least 32 columns, over which each product's fixed cost is
@@ -546,8 +541,9 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     :func:`_compile`).  The batch runs through every layer one tile of
     columns at a time, sized so that a tile's state stays in cache.  The
     floats are those of ``L X + C`` and then rho, layer by layer, whatever
-    the batch.  ``rho`` must act entrywise: it is called on a contiguous
-    block of rows of one tile.
+    the batch.  A None ``rho`` is the one ``ACTIVATIONS`` registers for the
+    network's label.  ``rho`` must act entrywise: it is called on a
+    contiguous block of rows of one tile.
     """
     columns = _real("columns", columns)
     if columns.ndim != 2 or len(columns) != net.input_shape.size:
@@ -556,7 +552,11 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
             f"{tuple(net.input_shape)} (layer 0): expected "
             f"({net.input_shape.size}, batch)"
         )
-    rho = _resolve_rho(net, rho)
+    if rho is None:
+        rho = ACTIVATIONS.get(net.activation_name)
+        if rho is None and any(layer.mask.any_rho for layer in net.layers):
+            raise ValueError(f"no callable registered for activation "
+                             f"{net.activation_name!r}")
     # compile before the first state: operators built between states stay
     # above the freed states and keep the heap from shrinking
     steps, tile = _compile(net)
@@ -575,18 +575,18 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def realize(net: MNN, rho, input: np.ndarray) -> np.ndarray:
+def realize(net: MNN, input: np.ndarray) -> np.ndarray:
     """The function computed by the network, applied to one input matrix.
 
-    ``rho`` may be None, in which case the activation is looked up from the
-    network's ``activation_name``; it must act entrywise.  Each layer costs
-    one sparse product of the network compiled on its first evaluation (see
-    :func:`realize_flat`), and the output is bit-identical to computing
-    ``L X + C`` and then rho layer by layer.  The input must hold integers
-    or real floats, and only its shape is checked: the error guarantee
-    covers the domain the builder states (for multipliers, entries of both
-    operands in ``[-K, K]``; for inverters, ``||I - alpha A||_2 <= delta``),
-    and an input outside it is evaluated all the same.
+    Each layer costs one sparse product of the network compiled on its
+    first evaluation, with rho the callable that ``ACTIVATIONS`` registers
+    for the network's label (see :func:`realize_flat`), and the output is
+    bit-identical to computing ``L X + C`` and then rho layer by layer.
+    The input must hold integers or real floats, and only its shape is
+    checked: the error guarantee covers the domain the builder states (for
+    multipliers, entries of both operands in ``[-K, K]``; for inverters,
+    ``||I - alpha A||_2 <= delta``), and an input outside it is evaluated
+    all the same.
     """
     X = _real("input", input)
     if X.shape != tuple(net.input_shape):
@@ -594,12 +594,12 @@ def realize(net: MNN, rho, input: np.ndarray) -> np.ndarray:
             f"input shape {X.shape} does not match network input "
             f"{tuple(net.input_shape)} (layer 0)"
         )
-    out = realize_flat(net, rho, X.reshape(-1, 1))
+    out = realize_flat(net, None, X.reshape(-1, 1))
     return out.reshape(tuple(net.output_shape))
 
 
-def realize_many(net: MNN, rho, inputs) -> np.ndarray:
-    """Evaluate a batch of input matrices; ``inputs`` is (batch, rows, cols)."""
+def realize_many(net: MNN, inputs) -> np.ndarray:
+    """:func:`realize` on a batch; ``inputs`` is (batch, rows, cols)."""
     X = _real("inputs", inputs)
     if X.ndim != 3 or X.shape[1:] != tuple(net.input_shape):
         raise ValueError(
@@ -607,7 +607,7 @@ def realize_many(net: MNN, rho, inputs) -> np.ndarray:
             f"{tuple(net.input_shape)}"
         )
     cols = X.reshape(X.shape[0], net.input_shape.size).T
-    out = realize_flat(net, rho, cols)
+    out = realize_flat(net, None, cols)
     return out.T.reshape(X.shape[0], *net.output_shape)
 
 

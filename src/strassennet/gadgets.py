@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (MNN, ActivationMask, Layer, SparseLinearMap, _positive,
-                   realize_flat)
+from .core import (MNN, ActivationMask, Layer, SparseLinearMap, _derived,
+                   _positive, realize_flat)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     approximated through |t| = ReLU(t) + ReLU(-t) followed by m sawtooth
     stages.  Both towers run in the same layers and share the telescoping
     accumulator, so the cost is 15m + 12 weights in m + 2 layers.  When
-    epsilon >= K^2 the constant-zero network is already within budget.
+    epsilon >= K^2 the constant-zero network is already within budget.  A
+    staged gadget whose last-layer coefficient 4 K^2 overflows is refused.
     """
     eps, K = spec.epsilon, spec.K
     if eps >= K * K:
@@ -109,6 +110,8 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     if m == 0:
         layers.append(Layer(_row_map([[K2, K2, -K2, -K2]])))
         return MNN(layers, "relu")
+    _derived(lambda: 4.0 * K2, f"the last-layer coefficient 4 K^2 of a relu "
+             f"product gadget at eps = {eps!r}, K = {K!r}", "use a smaller K")
 
     # state columns: (T, Q, T', Q', C); after stage s the linear combination
     # 2T - 4Q equals the s-th sawtooth iterate of |u| (same for the v tower)
@@ -161,15 +164,11 @@ def gadget_count_reference(spec: GadgetSpec, factory: GadgetFactory):
     return M, L, False
 
 
-def verify_gadget(net: MNN, rho, spec: GadgetSpec, grid_step: float) -> float:
-    """Max |xy - R(net)(x, y)| over the uniform grid on [-K, K]^2, whose
-    ``grid_step`` is refused by the real rule and above K/50."""
-    _positive("grid_step", grid_step)
-    if grid_step > spec.K / 50.0:
-        raise ValueError(f"grid_step must lie in (0, K/50], got {grid_step!r}")
-    steps = round(2.0 * spec.K / grid_step)
-    axis = np.linspace(-spec.K, spec.K, steps + 1)
+def verify_gadget(net: MNN, spec: GadgetSpec) -> float:
+    """Max |xy - R(net)(x, y)| over the grid of step K/128 on [-K, K]^2:
+    257 points per axis, corners included."""
+    axis = np.linspace(-spec.K, spec.K, 257)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     xs, ys = xs.reshape(-1), ys.reshape(-1)
-    out = realize_flat(net, rho, np.stack([xs, ys]))
+    out = realize_flat(net, None, np.stack([xs, ys]))
     return float(np.max(np.abs(xs * ys - out[0])))

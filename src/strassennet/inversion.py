@@ -18,7 +18,7 @@ Sigma that the count bound of ``inv_count_reference`` is evaluated at.
 Every budget, ``alpha`` and ``delta`` must be a finite real > 0 (``delta``
 < 1, ``build_sqr``'s budget < 1/4, ``build_neu``'s < 1/8), else it is
 refused by name (``core._positive``), and so is a budget derived from them
-that rounds to 0 (``core._derived``).
+that rounds to 0 or takes a size with no float64 (``core._derived``).
 """
 
 import math
@@ -75,7 +75,7 @@ def compute_N(eps: float, delta: float) -> int:
     """
     _positive("eps", eps)
     _positive("delta", delta, below=1.0)
-    target = _derived(eps * (1.0 - delta),
+    target = _derived(lambda: eps * (1.0 - delta),
                       f"eps * (1 - delta) = {eps!r} * (1 - {delta!r})",
                       "use a larger eps or a smaller delta")
     if target >= 1.0:
@@ -85,8 +85,10 @@ def compute_N(eps: float, delta: float) -> int:
 
 
 def _leaf_budget(N: int, n: int, eps: float) -> float:
-    """Leaf gadget budget 2^-(2^N) eps / (8 n^3) of the Neumann-sum bound."""
-    return _derived(math.ldexp(eps, -(2 ** N)) / (8.0 * n ** 3),
+    """Leaf gadget budget 2^-(2^N) eps / (8 n^3) of the Neumann-sum bound,
+    in floats; 0 for every eps from N = 12 on, where 2^N is not formed."""
+    return _derived(lambda: math.ldexp(eps, -2 ** min(N, 12))
+                    / (8.0 * n * n * n),
                     f"N = {N} doubling stages: the leaf gadget budget "
                     f"2^-(2^N) * {eps:g} / (8 * {n}^3)",
                     "use a larger epsilon or a smaller delta")
@@ -147,8 +149,8 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     """
     N, n = _count("N", N), _count("n", n)
     _positive("eps", eps, below=0.25)
-    budget = _derived(eps / (4.0 * n), f"the squaring multiplier budget "
-                      f"{eps!r} / (4 * {n})", "use a larger eps")
+    budget = _derived(lambda: eps / (4.0 * n), f"the squaring multiplier "
+                      f"budget {eps!r} / (4 * {n})", "use a larger eps")
     stage = concat(build_str_square(n, budget, 1.0, factory),
                    _build_dup_simple(n))
     net = stage
@@ -183,7 +185,8 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     N = 1 is the exact single layer A + I (n^2 + n weights).  For N >= 2 the
     auxiliary chain runs at an internally shrunk budget, a flip layer forms
     the final factor pair, one more multiplication network combines them,
-    and the output layer restores the 2^(2^N - 1) rescaling.
+    and the output layer restores the 2^(2^N - 1) rescaling.  The budget
+    is 0 from N = 12 on, where 2^N is not formed (see ``_leaf_budget``).
     """
     N, n = _count("N", N), _count("n", n)
     if N == 1:
@@ -191,9 +194,9 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
         plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
         return MNN(plus_eye.layers, factory.activation_name)
     _positive("eps", eps, below=0.125)
-    budget = _derived(math.ldexp(eps, 1 - 2 ** N) / (4.0 * n),
-                      f"the squaring multiplier budget 2^(1 - 2^{N}) * "
-                      f"{eps!r} / (4 * {n})", "use a larger eps")
+    budget = _derived(lambda: math.ldexp(eps, 1 - 2 ** min(N, 12))
+                      / (4.0 * n), f"the squaring multiplier budget 2^(1 - "
+                      f"2^{N}) * {eps!r} / (4 * {n})", "use a larger eps")
     square = build_str_square(n, budget, 1.0, factory)
     aux = _aux_chain(N - 1, n, square)
     net = concat(square, concat(_build_flip(n, N - 1), aux))
@@ -213,7 +216,7 @@ def neumann_depth(spec: InversionSpec) -> NeumannDepth:
     Sigma (used when N >= 2) and the Neumann-sum budget min(eps / 2 alpha,
     1/8).  An overflowing eps / 2 alpha is read as the largest float."""
     ratio = min(spec.epsilon / (2.0 * spec.alpha), sys.float_info.max)
-    _derived(ratio * (1.0 - spec.delta),
+    _derived(lambda: ratio * (1.0 - spec.delta),
              f"epsilon / (2 alpha) * (1 - delta) = {spec.epsilon!r} / "
              f"(2 * {spec.alpha!r}) * (1 - {spec.delta!r})",
              "use a larger epsilon or a smaller alpha or delta")
@@ -264,7 +267,7 @@ def series_length_estimate(eps: float, delta: float) -> float:
     """
     _positive("eps", eps)
     _positive("delta", delta, below=1.0)
-    target = _derived(eps * (1.0 - delta) / 2.0,
+    target = _derived(lambda: eps * (1.0 - delta) / 2.0,
                       f"eps * (1 - delta) / 2 = {eps!r} * (1 - {delta!r}) / 2",
                       "use a larger eps or a smaller delta")
     return math.log2(target) / math.log2(delta)

@@ -173,7 +173,10 @@ def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):
     actually used.
     """
     gamma = shape.gamma
-    M = 7.0 * gamma ** math.log2(7.0) * (M_gadget + 12) - 9.0 * gamma ** 2
+    M = _derived(lambda: 7.0 * gamma ** math.log2(7.0) * (M_gadget + 12)
+                 - 9.0 * gamma ** 2,
+                 f"the count bound 7 * {gamma}^log2(7) * ({M_gadget} + 12) "
+                 f"- 9 * {gamma}^2", "use a smaller shape")
     L = L_gadget + 2.0 * (math.log2(gamma) + 2.0)
     return M, L
 
@@ -184,10 +187,10 @@ def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec
     _positive("K", K)
     gamma = shape.gamma
     return GadgetSpec(
-        _derived(eps / (4.0 * gamma * gamma), f"the bound's leaf budget "
-                 f"{eps!r} / (4 * {gamma}^2)", "use a larger eps"),
-        _derived(2.0 * gamma * K, f"the bound's leaf half-width 2 * {gamma} "
-                 f"* {K!r}", "use a smaller K"))
+        _derived(lambda: eps / (4.0 * gamma * gamma), f"the bound's leaf "
+                 f"budget {eps!r} / (4 * {gamma}^2)", "use a larger eps"),
+        _derived(lambda: 2.0 * gamma * K, f"the bound's leaf half-width "
+                 f"2 * {gamma} * {K!r}", "use a smaller K"))
 
 
 def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):

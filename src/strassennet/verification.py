@@ -63,7 +63,7 @@ def _max_abs(D) -> float:
 
 def _worst_error(net, inputs, wants, norm=oracles.spectral_norm) -> float:
     """Largest ``norm(want - output)`` over one ``realize_many`` batch."""
-    outs = realize_many(net, None, inputs)
+    outs = realize_many(net, inputs)
     return max(float(norm(want - out)) for want, out in zip(wants, outs))
 
 
@@ -204,19 +204,18 @@ def check_gadget_errors(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Product gadgets meet their advertised sup error on [-K, K]^2."""
     worst_ratio, cases = 0.0, 0
     for K in (0.5, 1.0, 2.0):
-        grid = K / 100.0
         for eps in (2.0 * K * K, 0.7 * K * K, 0.5, 0.1, 0.01, 1e-3):
             spec = GadgetSpec(eps, K)
-            err = verify_gadget(relu_factory.build(spec), None, spec, grid)
+            err = verify_gadget(relu_factory.build(spec), spec)
             worst_ratio = max(worst_ratio, err / eps)
             cases += 1
         spec = GadgetSpec(1.0, K)
-        err = verify_gadget(relu2_factory.build(spec), None, spec, grid)
+        err = verify_gadget(relu2_factory.build(spec), spec)
         worst_ratio = max(worst_ratio, err / 1e-12)
         cases += 1
     return CriterionResult("gadget-sup-error", worst_ratio <= 1.0, worst_ratio,
                            "max grid error / eps <= 1 (1e-12 for exact gadget)",
-                           "K in {0.5,1,2}, eps down to 1e-3, grid K/100", cases)
+                           "K in {0.5,1,2}, eps down to 1e-3, grid K/128", cases)
 
 
 def check_gadget_size_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:

@@ -169,6 +169,19 @@ class TestBuild:
         assert err.startswith("snn: error: a relu product gadget at eps = ")
         assert "overflows float64" in err
 
+    def test_overflowing_relu_coefficient_names_K(self, tmp_path, capsys):
+        # 4 K^2 overflows in the gadget's last layer; this was refused as
+        # "entry 1 [1, 1, 1, 2, inf] has a non-finite value", naming no flag
+        out = tmp_path / "g.json"
+        rc = main(["build", "gadget", "--eps", "1", "--K", "9e153",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "snn: error: the last-layer coefficient 4 K^2 of a relu product "
+            "gadget at eps = 1.0, K = 9e+153 overflows float64; use a "
+            "smaller K\n")
+        assert not out.exists()
+
     def test_bad_delta(self, tmp_path, capsys):
         rc = main(["build", "inverse", "--n", "2", "--delta", "1.5",
                    "--out", str(tmp_path / "n.json")])
@@ -369,48 +382,27 @@ class TestVerify:
             return _fake_results(True)
 
         monkeypatch.setattr("strassennet.cli.run_suite", fake)
-        monkeypatch.delenv("SNN_SEED", raising=False)
         return calls
 
-    def test_explicit_seed_wins(self, record, monkeypatch, capsys):
-        monkeypatch.setenv("SNN_SEED", "123")
+    def test_explicit_seed_wins(self, record, capsys):
         assert main(["verify", "--suite", "strassen", "--seed", "7"]) == 0
         assert record == [("strassen", 7)]
         assert "PASS check-0" in capsys.readouterr().out
-
-    def test_environment_seed(self, record, monkeypatch, capsys):
-        monkeypatch.setenv("SNN_SEED", "123")
-        assert main(["verify", "--suite", "gadgets"]) == 0
-        assert record == [("gadgets", 123)]
 
     def test_default_seed(self, record, capsys):
         assert main(["verify", "--suite", "inversion"]) == 0
         assert record == [("inversion", 42)]
 
-    def test_bad_environment_seed(self, record, monkeypatch, capsys):
-        monkeypatch.setenv("SNN_SEED", "many")
-        assert main(["verify", "--suite", "gadgets"]) == 1
-        assert "SNN_SEED must be an integer" in capsys.readouterr().err
-        assert record == []
-
-    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None),
-                                           ([], "-2")])
-    def test_negative_seed_exits_one(self, flag, env, monkeypatch, capsys):
+    def test_negative_seed_exits_one(self, capsys):
         # refused by name before any check runs (numpy's own message did
         # not name the seed)
-        if env is not None:
-            monkeypatch.setenv("SNN_SEED", env)
-        else:
-            monkeypatch.delenv("SNN_SEED", raising=False)
-        assert main(["verify", "--suite", "identities", *flag]) == 1
-        value = env or flag[1]
-        assert (f"snn: error: seed must be >= 0, got {value}"
+        assert main(["verify", "--suite", "identities", "--seed", "-1"]) == 1
+        assert ("snn: error: seed must be >= 0, got -1"
                 in capsys.readouterr().err)
 
     def test_failure_exits_two(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr("strassennet.cli.run_suite",
                             lambda name, seed: _fake_results(True, False))
-        monkeypatch.delenv("SNN_SEED", raising=False)
         out = tmp_path / "report.json"
         rc = main(["verify", "--suite", "identities", "--out", str(out)])
         assert rc == 2
@@ -421,8 +413,7 @@ class TestVerify:
         assert doc["seed"] == 42
         assert [r["passed"] for r in doc["results"]] == [True, False]
 
-    def test_real_suite_passes(self, monkeypatch, capsys):
-        monkeypatch.delenv("SNN_SEED", raising=False)
+    def test_real_suite_passes(self, capsys):
         assert main(["verify", "--suite", "gadgets"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out

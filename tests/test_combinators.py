@@ -41,8 +41,8 @@ class TestConcat:
         f = _affine_net(2, 2.0, 1.0)   # X -> 2X + 1
         g = _affine_net(2, -1.0, 0.5)  # X -> -X + 0.5
         X = rng.uniform(-1, 1, (2, 2))
-        got = realize(concat(f, g), None, X)
-        want = realize(f, None, realize(g, None, X))
+        got = realize(concat(f, g), X)
+        want = realize(f, realize(g, X))
         assert np.array_equal(got, want)  # stacking is bit-exact
 
     def test_shape_mismatch_rejected(self):
@@ -78,9 +78,9 @@ class TestParallelize:
         bottom = _affine_net(2, -1.0, 2.0)
         par = parallelize([top, bottom])
         X = rng.uniform(-1, 1, (4, 2))
-        got = realize(par, None, X)
-        assert np.array_equal(got[:2], realize(top, None, X[:2]))
-        assert np.array_equal(got[2:], realize(bottom, None, X[2:]))
+        got = realize(par, X)
+        assert np.array_equal(got[:2], realize(top, X[:2]))
+        assert np.array_equal(got[2:], realize(bottom, X[2:]))
 
     def test_counts_add(self):
         nets = [identity_mnn((2, 2), 2) for _ in range(7)]
@@ -100,7 +100,7 @@ class TestParallelize:
         narrow = identity_mnn((2, 2), 2)
         par = parallelize([wide, narrow])
         X = rng.uniform(-1, 1, (4, 2))
-        got = realize(par, None, X)
+        got = realize(par, X)
         assert np.allclose(got[:2], 2.0 * X[:2], atol=1e-15)
         assert np.array_equal(got[2:], X[2:])
         assert par.num_weights == wide.num_weights + narrow.num_weights
@@ -143,7 +143,7 @@ class TestParallelize:
         nets = [scale_output(identity_mnn((1, 3), 2), s) for s in scales]
         par = parallelize(nets)
         X = rng.uniform(-1, 1, (count, 3))
-        got = realize(par, None, X)
+        got = realize(par, X)
         assert np.allclose(got, scales[:, None] * X, atol=1e-15)
 
 
@@ -153,9 +153,9 @@ def test_concat_of_parallel_keeps_realization(rng):
     bottom = _affine_net(2, 2.0, 0.0, depth=2)
     par = parallelize([top, bottom])
     X = rng.uniform(-1, 1, (4, 2))
-    up = realize(par, None, X)
-    assert np.array_equal(up[:2], realize(top, None, X[:2]))
-    assert np.array_equal(up[2:], realize(bottom, None, X[2:]))
+    up = realize(par, X)
+    assert np.array_equal(up[:2], realize(top, X[:2]))
+    assert np.array_equal(up[2:], realize(bottom, X[2:]))
 
 
 def _stack_by_quadruples(children):

@@ -22,7 +22,7 @@ from strassennet.strassen import build_split, build_str_pow2
 
 def _apply(lm, X):
     """The one-layer network of ``lm`` evaluated on X."""
-    return realize(MNN([Layer(lm)]), None, X)
+    return realize(MNN([Layer(lm)]), X)
 
 
 def _ident_map(rows, cols=None):
@@ -314,14 +314,14 @@ class TestLayerAndNetwork:
     def test_realize_identity_stack(self, rng):
         net = identity_mnn((3, 3), 5)
         X = rng.uniform(-1, 1, (3, 3))
-        assert np.array_equal(realize(net, None, X), X)
+        assert np.array_equal(realize(net, X), X)
 
     def test_relu_mask_applies_only_where_marked(self):
         mask = ActivationMask.from_positions((1, 2), [(1, 1)])
         hidden = Layer(_ident_map(1, 2), mask=mask)
         out = Layer(_ident_map(1, 2))
         net = MNN([hidden, out], "relu")
-        got = realize(net, None, np.array([[-2.0, -3.0]]))
+        got = realize(net, np.array([[-2.0, -3.0]]))
         assert np.array_equal(got, [[0.0, -3.0]])
 
     def test_relu2_activation(self):
@@ -329,8 +329,8 @@ class TestLayerAndNetwork:
         hidden = Layer(_ident_map(1), mask=mask)
         out = Layer(_ident_map(1))
         net = MNN([hidden, out], "relu2")
-        assert realize(net, None, np.array([[3.0]]))[0, 0] == 9.0
-        assert realize(net, None, np.array([[-3.0]]))[0, 0] == 0.0
+        assert realize(net, np.array([[3.0]]))[0, 0] == 9.0
+        assert realize(net, np.array([[-3.0]]))[0, 0] == 0.0
 
     def test_unknown_activation_rejected_when_needed(self):
         mask = ActivationMask.all_rho((1, 1))
@@ -338,22 +338,22 @@ class TestLayerAndNetwork:
         out = Layer(_ident_map(1))
         net = MNN([hidden, out], "softplus")
         with pytest.raises(ValueError, match="activation"):
-            realize(net, None, np.array([[1.0]]))
+            realize(net, np.array([[1.0]]))
 
     def test_realize_many_matches_loop(self, rng):
         net = identity_mnn((2, 2), 2)
         batch = rng.uniform(-1, 1, (5, 2, 2))
-        got = realize_many(net, None, batch)
+        got = realize_many(net, batch)
         for one, X in zip(got, batch):
-            assert np.array_equal(one, realize(net, None, X))
+            assert np.array_equal(one, realize(net, X))
         # an empty batch keeps the (rows, cols) of the output
-        empty = realize_many(build_split(1), None, np.empty((0, 2, 4)))
+        empty = realize_many(build_split(1), np.empty((0, 2, 4)))
         assert empty.shape == (0, 7, 2)
 
     def test_input_shape_validated(self):
         net = identity_mnn((2, 2), 1)
         with pytest.raises(ValueError):
-            realize(net, None, np.ones((3, 3)))
+            realize(net, np.ones((3, 3)))
 
     @pytest.mark.parametrize("columns", [np.ones(8), np.ones((7, 1)),
                                          np.ones((9, 2)), np.ones((8, 1, 1))],
@@ -496,9 +496,9 @@ def test_realize_refuses_non_real_dtypes(bad):
                        r"real floats, " + name):
         realize_flat(net, None, bad)
     with pytest.raises(ValueError, match=r"^input must .*" + name):
-        realize(net, None, bad.reshape(2, 4, 2)[:, :, 0])
+        realize(net, bad.reshape(2, 4, 2)[:, :, 0])
     with pytest.raises(ValueError, match=r"^inputs must .*" + name):
-        realize_many(net, None, bad.T.reshape(2, 2, 4))
+        realize_many(net, bad.T.reshape(2, 2, 4))
 
 
 def test_realize_reads_integer_inputs_as_floats():
@@ -513,7 +513,7 @@ class TestScaleOutput:
         net = identity_mnn((2, 2), 3)
         scaled = scale_output(net, -2.5)
         X = rng.uniform(-1, 1, (2, 2))
-        assert np.allclose(realize(scaled, None, X), -2.5 * X, atol=1e-15)
+        assert np.allclose(realize(scaled, X), -2.5 * X, atol=1e-15)
         assert scaled.num_weights == net.num_weights
         assert scaled.num_layers == net.num_layers
 
@@ -533,7 +533,7 @@ class TestScaleOutput:
     def test_bias_scaled_too(self):
         bias = np.array([[1.0, 2.0], [3.0, 4.0]])
         net = MNN([Layer(_ident_map(2), bias)], "relu")
-        got = realize(scale_output(net, 3.0), None, np.zeros((2, 2)))
+        got = realize(scale_output(net, 3.0), np.zeros((2, 2)))
         assert np.array_equal(got, 3.0 * bias)
 
     def test_underflow_to_zero_is_refused_by_c(self):
@@ -640,14 +640,14 @@ class TestReadOnly:
 
     def test_mnn(self):
         net = identity_mnn((1, 1), 1)
-        before = realize(net, None, np.ones((1, 1)))
+        before = realize(net, np.ones((1, 1)))
         five = Layer(SparseLinearMap((1, 1), (1, 1), [[1, 1, 1, 1]], [5.0]))
         for name, value in [("layers", (five,)), ("activation_name", "relu"),
                             ("_steps", None), ("extra", 1)]:
             self._refused(net, name, value)
         # the compiled steps and the counts still describe the same layers
         assert net.num_weights == 1
-        assert np.array_equal(realize(net, None, np.ones((1, 1))), before)
+        assert np.array_equal(realize(net, np.ones((1, 1))), before)
 
     def test_layer(self):
         layer = Layer(_ident_map(1), [[2.0]])
@@ -678,9 +678,9 @@ class TestReadOnly:
      "mask shape does not match the layer output"),
     (lambda: ActivationMask((2, 2), np.zeros((2, 3), dtype=bool)),
      "mask array does not match shape"),
-    (lambda: realize_many(identity_mnn((2, 2), 1), None, np.ones((5, 3, 3))),
+    (lambda: realize_many(identity_mnn((2, 2), 1), np.ones((5, 3, 3))),
      r"batch shape \(5, 3, 3\) does not match network input \(2, 2\)"),
-    (lambda: realize_many(identity_mnn((2, 2), 1), None, np.ones((2, 2))),
+    (lambda: realize_many(identity_mnn((2, 2), 1), np.ones((2, 2))),
      r"batch shape \(2, 2\) does not match network input \(2, 2\)"),
 ], ids=["no-layers", "bias-shape", "mask-shape", "rho-shape",
         "batch-of-wrong-inputs", "batch-without-batch-axis"])

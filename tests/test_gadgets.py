@@ -26,13 +26,13 @@ class TestRelu2Gadget:
 
     def test_exact_on_grid(self):
         spec = GadgetSpec(1e-6, 1.0)
-        err = verify_gadget(relu2_factory.build(spec), None, spec, 1.0 / 64)
+        err = verify_gadget(relu2_factory.build(spec), spec)
         assert err <= 1e-12
 
     def test_exact_at_random_points(self, rng):
         net = build_product_relu2()
         for x, y in _pairs(rng, 3.0, 100):
-            got = realize(net, None, np.array([[x, y]]))[0, 0]
+            got = realize(net, np.array([[x, y]]))[0, 0]
             assert got == pytest.approx(x * y, abs=1e-12)
 
     def test_spec_independent(self):
@@ -46,14 +46,14 @@ class TestReluGadgetBranches:
         # eps >= K^2: outputting 0 is already within budget
         net = relu_factory.build(GadgetSpec(1.5, 1.0))
         assert (net.num_weights, net.num_layers) == (0, 1)
-        assert realize(net, None, np.array([[0.9, -0.8]]))[0, 0] == 0.0
+        assert realize(net, np.array([[0.9, -0.8]]))[0, 0] == 0.0
 
     def test_flat_branch(self):
         # K^2/2 <= eps < K^2: no sawtooth stages needed
         net = relu_factory.build(GadgetSpec(0.6, 1.0))
         assert (net.num_weights, net.num_layers) == (12, 2)
         spec = GadgetSpec(0.6, 1.0)
-        assert verify_gadget(net, None, spec, 1.0 / 64) <= 0.6
+        assert verify_gadget(net, spec) <= 0.6
 
     def test_size_formula_tracks_depth(self):
         # M = 15m + 12 and L = m + 2 for the staged branch
@@ -75,12 +75,29 @@ class TestReluGadgetBranches:
         # m = 511 stages, the largest with a finite 4^m
         assert relu_factory.build(GadgetSpec(2.3e-308, 1.0)).num_layers == 513
 
+    def test_overflowing_last_layer_coefficient_is_refused_by_K(self):
+        # 4 K^2 overflows before the division by 4^m; these were refused by
+        # the storage rule as "entry 1 [1, 1, 1, 2, inf] has a non-finite
+        # value", naming no parameter
+        for eps, K in ((1.0, 9e153), (1e300, 9e153), (1.0, 6.8e153)):
+            msg = (f"the last-layer coefficient 4 K^2 of a relu product "
+                   f"gadget at eps = {eps!r}, K = {K!r} overflows float64; "
+                   "use a smaller K")
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                relu_factory.build(GadgetSpec(eps, K))
+        # the specs next to them build as before: the zero network, and
+        # the largest K whose 4 K^2 is finite
+        for eps, K, counts in ((1e308, 9e153, (0, 1)),
+                               (1.0, 6.7e153, (7677, 513))):
+            net = relu_factory.build(GadgetSpec(eps, K))
+            assert (net.num_weights, net.num_layers) == counts
+
     def test_error_within_budget(self):
         for eps in (0.3, 0.05, 0.004):
             for K in (0.5, 1.0, 2.0):
                 spec = GadgetSpec(eps, K)
                 net = relu_factory.build(spec)
-                assert verify_gadget(net, None, spec, K / 128) <= eps
+                assert verify_gadget(net, spec) <= eps
 
     def test_closed_form_bounds_hold(self):
         for e in range(1, 15):
@@ -108,7 +125,7 @@ class TestReluGadgetBranches:
         pts = _pairs(rng, K, 64)
         worst = 0.0
         for x, y in pts:
-            got = realize(net, None, np.array([[x, y]]))[0, 0]
+            got = realize(net, np.array([[x, y]]))[0, 0]
             worst = max(worst, abs(got - x * y))
         assert worst <= eps
 
@@ -131,40 +148,13 @@ class TestGadgetSpecAndFactory:
             assert tuple(net.input_shape) == (1, 2)
             assert tuple(net.output_shape) == (1, 1)
 
-    def test_grid_step_guard(self):
-        spec = GadgetSpec(0.1, 1.0)
-        net = relu_factory.build(spec)
-        for step in (spec.K / 10, 0.0, np.nan, -0.01):
-            with pytest.raises(ValueError, match="grid_step"):
-                verify_gadget(net, None, spec, step)
-
-
-@pytest.mark.parametrize("step, message", [
-    ("0.1", "must be a real number, got '0.1'"),
-    (None, "must be a real number, got None"),
-    (0.1j, "must be a real number, got 0.1j"),
-    (True, "must be a real number, got True"),
-    (0.0, "must be positive and finite, got 0.0"),
-    (-0.01, "must be positive and finite, got -0.01"),
-    (math.nan, "must be positive and finite, got nan"),
-    (math.inf, "must be positive and finite, got inf"),
-    (2.5, "must lie in (0, K/50], got 2.5")])
-def test_grid_step_follows_the_real_rule(step, message):
-    # at K = 100, True used to run as a step of 1 and the others leaked a
-    # TypeError from "<"
-    spec = GadgetSpec(0.1, 100.0)
-    with pytest.raises(ValueError) as info:
-        verify_gadget(relu_factory.build(GadgetSpec(0.1, 1.0)), None, spec,
-                      step)
-    assert str(info.value) == f"grid_step {message}"
-
 
 def test_verify_gadget_takes_an_unlabelled_linear_network():
     # (x, y) -> x has no rho entries and no label; it used to raise KeyError
     net = MNN([Layer(SparseLinearMap((1, 1), (1, 2), [[1, 1, 1, 1]], [1.0]))])
     assert net.activation_name is None
     spec = GadgetSpec(0.1, 1.0)
-    assert verify_gadget(net, None, spec, spec.K / 50) == 2.0
+    assert verify_gadget(net, spec) == 2.0
 
 
 def test_bounds_function_branches():
@@ -205,6 +195,6 @@ def test_relu_gadget_output_is_piecewise_scaling(rng):
     net_unit = build_product_relu(GadgetSpec(eps1, 1.0))
     assert net_big.num_layers == net_unit.num_layers
     for x, y in _pairs(rng, K, 50):
-        big = realize(net_big, None, np.array([[x, y]]))[0, 0]
-        unit = realize(net_unit, None, np.array([[x / K, y / K]]))[0, 0]
+        big = realize(net_big, np.array([[x, y]]))[0, 0]
+        unit = realize(net_unit, np.array([[x / K, y / K]]))[0, 0]
         assert big == pytest.approx(K * K * unit, rel=1e-12, abs=1e-12)

@@ -1,6 +1,7 @@
 """Inversion stack: depth formulas, auxiliary layers, and the full networks."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,13 +99,13 @@ class TestDepthFormulas:
 class TestAuxiliaryLayers:
     def test_dup_simple(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
-        out = realize(_build_dup_simple(3), None, A)
+        out = realize(_build_dup_simple(3), A)
         assert np.array_equal(out, np.hstack([A, A]))
         assert _build_dup_simple(3).num_weights == 18
 
     def test_dup_half(self, rng):
         A = rng.uniform(-1, 1, (2, 2))
-        out = realize(_build_dup_half(2), None, A)
+        out = realize(_build_dup_half(2), A)
         assert np.array_equal(out[:2, :2], A / 2)
         assert np.array_equal(out[:2, 2:], A / 2)
         assert np.array_equal(out[2:, :2], A / 2)
@@ -118,14 +119,14 @@ class TestAuxiliaryLayers:
             net = build_fill(3, L)
             assert net.num_layers == L
             assert net.num_weights == 9 * L + 3
-            out = realize(net, None, np.hstack([A, B]))
+            out = realize(net, np.hstack([A, B]))
             assert np.allclose(out, A + np.eye(3) / 2, atol=1e-15)
 
     def test_flip(self, rng):
         A = rng.uniform(-1, 1, (2, 2))
         B = rng.uniform(-1, 1, (2, 2))
         net = _build_flip(2, 2)
-        out = realize(net, None, np.vstack([A, B]))
+        out = realize(net, np.vstack([A, B]))
         assert np.allclose(out[:, :2], A + 2.0 ** -4 * np.eye(2), atol=1e-15)
         assert np.array_equal(out[:, 2:], B)
         assert net.num_weights == 2 * 4 + 2
@@ -134,7 +135,7 @@ class TestAuxiliaryLayers:
         A = rng.uniform(-1, 1, (2, 2))
         B = rng.uniform(-1, 1, (2, 2))
         net = _build_mix_aux(2, 1)
-        out = realize(net, None, np.vstack([A, B]))
+        out = realize(net, np.vstack([A, B]))
         assert np.array_equal(out[:2, :2], A)
         assert np.array_equal(out[:2, 2:], A)
         assert np.allclose(out[2:, :2], A + 0.25 * np.eye(2), atol=1e-15)
@@ -144,7 +145,7 @@ class TestAuxiliaryLayers:
     def test_in_layer(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
         net = build_in(3, 2.0)
-        assert np.allclose(realize(net, None, A), np.eye(3) - 2.0 * A,
+        assert np.allclose(realize(net, A), np.eye(3) - 2.0 * A,
                            atol=1e-15)
         assert net.num_weights == 9 + 3
         with pytest.raises(ValueError):
@@ -162,7 +163,7 @@ class TestRepeatedSquaring:
                     P = A.copy()
                     for _ in range(N):
                         P = oracles.matmul_naive(P, P)
-                    got = realize(net, None, A)
+                    got = realize(net, A)
                     assert oracles.spectral_norm(P - got) <= eps
 
     def test_exact_with_squared_activation(self, rng):
@@ -170,7 +171,7 @@ class TestRepeatedSquaring:
         A = gauss_with_norm(rng, 2, 0.5)
         want = oracles.matmul_naive(oracles.matmul_naive(A, A),
                                     oracles.matmul_naive(A, A))
-        assert np.max(np.abs(realize(net, None, A) - want)) <= 1e-13
+        assert np.max(np.abs(realize(net, A) - want)) <= 1e-13
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="eps"):
@@ -213,15 +214,15 @@ class TestAuxChain:
             aux = _aux(i, 2, eps, relu_factory)
             sqr = build_sqr(i, 2, eps, relu_factory)
             A = gauss_with_norm(rng, 2, 0.8)
-            top = realize(aux, None, A)[:2]
-            assert np.array_equal(top, realize(sqr, None, A / 2.0))
+            top = realize(aux, A)[:2]
+            assert np.array_equal(top, realize(sqr, A / 2.0))
 
     def test_bottom_block_tracks_the_factor_product(self, rng):
         eps = 0.01
         for i in (1, 2):
             aux = _aux(i, 2, eps, relu2_factory)
             A = gauss_with_norm(rng, 2, 0.9)
-            bottom = realize(aux, None, A)[2:]
+            bottom = realize(aux, A)[2:]
             want = np.eye(2)
             H = A / 2.0
             for k in range(i):
@@ -241,7 +242,7 @@ class TestNeumannNetworks:
             net = build_neu(1, n, 0.05, relu_factory)
             assert (net.num_weights, net.num_layers) == (n * n + n, 1)
             A = rng.uniform(-0.4, 0.4, (n, n))
-            assert np.allclose(realize(net, None, A), A + np.eye(n), atol=1e-15)
+            assert np.allclose(realize(net, A), A + np.eye(n), atol=1e-15)
 
     def test_error_within_budget(self, rng):
         for N in (2, 3):
@@ -251,7 +252,7 @@ class TestNeumannNetworks:
                 for _ in range(10):
                     A = gauss_with_norm(rng, n, 0.5)
                     want = oracles.neumann_partial(A, 2 ** N)
-                    got = realize(net, None, A)
+                    got = realize(net, A)
                     assert oracles.spectral_norm(want - got) <= eps
 
     def test_structural_count_identities(self):
@@ -326,6 +327,19 @@ class TestInversionNetworks:
             call(1100, 2, 0.1, relu_factory)
         assert str(info.value) == cause
 
+    @pytest.mark.parametrize("call", [build_neu, neu_bound_counts])
+    def test_huge_stage_count_is_refused_in_constant_memory(self, call):
+        # 2 ** N was formed exactly before the refusal: 29.9 MB at N = 2^26
+        N = 2 ** 26
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(N)):
+                call(N, 2, 0.1, relu_factory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_alpha_that_overflows_an_output_weight_is_named(self):
         # N = 9: alpha times the output scale 2^511 overflows; this was
         # refused as "c = 6.430127230157615e+292 scales ...", naming the
@@ -354,7 +368,7 @@ class TestInversionNetworks:
         M, L, exact = inv_count_reference(spec, relu2_factory)
         assert exact and (M, L) == (12, 2)
         # on I the single-stage branch is exactly the inverse
-        assert np.allclose(realize(net, None, np.eye(2)), np.eye(2), atol=1e-15)
+        assert np.allclose(realize(net, np.eye(2)), np.eye(2), atol=1e-15)
 
     def test_error_against_gaussian_elimination(self):
         # (factory, alpha, eps, delta) for n = 2, 4: the high-delta cases run
@@ -370,7 +384,7 @@ class TestInversionNetworks:
                 for s in range(10):
                     A = oracles.gen_contraction(n, delta, alpha, 100 + s)
                     err = oracles.spectral_norm(
-                        oracles.exact_inverse(A) - realize(net, None, A))
+                        oracles.exact_inverse(A) - realize(net, A))
                     assert err <= eps
 
     def test_boundary_budget_is_accepted(self):
@@ -379,7 +393,7 @@ class TestInversionNetworks:
         net = build_inv(spec, relu_factory)
         A = oracles.gen_contraction(2, 0.5, 1.0, 5)
         err = oracles.spectral_norm(
-            oracles.exact_inverse(A) - realize(net, None, A))
+            oracles.exact_inverse(A) - realize(net, A))
         assert err <= 0.25
 
     def test_counts_within_reference_bounds(self):
@@ -428,7 +442,7 @@ class TestInversionNetworks:
         spec = InversionSpec(2, 1.0, 0.1, 0.5)
         net = build_inv(spec, relu2_factory)
         err = oracles.spectral_norm(
-            oracles.exact_inverse(A) - realize(net, None, A))
+            oracles.exact_inverse(A) - realize(net, A))
         assert err <= 0.1
 
 

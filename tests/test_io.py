@@ -41,8 +41,8 @@ class TestNetworkRoundTrip:
             assert back.num_weights == net.num_weights
             assert back.num_layers == net.num_layers
             X = rng.uniform(-1, 1, tuple(net.input_shape))
-            assert np.array_equal(realize(net, None, X),
-                                  realize(back, None, X))
+            assert np.array_equal(realize(net, X),
+                                  realize(back, X))
 
     def test_file_round_trip(self, tmp_path, rng):
         for pos, net in enumerate(_sample_networks()):
@@ -51,8 +51,8 @@ class TestNetworkRoundTrip:
             back = load_network(path)
             assert mnn_equal(net, back)
             X = rng.uniform(-1, 1, tuple(net.input_shape))
-            assert np.array_equal(realize(net, None, X),
-                                  realize(back, None, X))
+            assert np.array_equal(realize(net, X),
+                                  realize(back, X))
 
     def test_resave_is_byte_identical(self, tmp_path):
         for pos, net in enumerate(_sample_networks()):

@@ -1,5 +1,7 @@
 """The package's public surface: a new or dropped export shows up here."""
 
+import inspect
+
 import strassennet
 
 PUBLIC = [
@@ -35,3 +37,14 @@ def test_internal_builders_are_not_exported():
                  "build_ext_star", "build_shr"):
         assert name not in strassennet.__all__
         assert not hasattr(strassennet, name)
+
+
+def test_evaluation_takes_rho_only_through_realize_flat():
+    # rho comes from the network's label; realize_flat alone takes a
+    # callable, for a label with none registered in ACTIVATIONS
+    def params(name):
+        return list(inspect.signature(getattr(strassennet, name)).parameters)
+    assert params("realize") == ["net", "input"]
+    assert params("realize_many") == ["net", "inputs"]
+    assert params("verify_gadget") == ["net", "spec"]
+    assert params("realize_flat") == ["net", "rho", "columns"]

@@ -4,12 +4,14 @@ than its least value, and anything else is refused by the parameter's name."""
 import numpy as np
 import pytest
 
-from strassennet import (InversionSpec, NeumannDepth, RectShape, build_fill,
-                         build_in, build_mix, build_neu, build_split,
-                         build_sqr, build_str_pow2, build_str_square,
-                         formula_counts_pow2, identity_mnn, mnn_equal,
-                         neu_bound_counts, pow2_count_reference,
-                         relu2_factory, run_suite)
+from strassennet import (InversionSpec, NeumannDepth, RectShape,
+                         bound_counts_rect, bound_gadget_spec_rect, build_fill,
+                         build_in, build_inv, build_mix, build_neu,
+                         build_split, build_sqr, build_str_pow2,
+                         build_str_square, formula_counts_pow2, identity_mnn,
+                         inv_count_reference, mnn_equal, neu_bound_counts,
+                         neumann_depth, pow2_count_reference,
+                         rect_count_reference, relu2_factory, run_suite)
 
 f = relu2_factory
 
@@ -85,3 +87,32 @@ def test_numpy_integer_sizes_build_the_same_network():
     for build, args in builds:
         numpy_args = [np.int64(a) if type(a) is int else a for a in args]
         assert mnn_equal(build(*numpy_args), build(*args)), build.__name__
+
+
+# (size in the text, call): sizes past float64's reach were an OverflowError
+# ("int too large to convert to float", or "Numerical result out of range")
+HUGE = [
+    ("10" + "0" * 102, lambda: neu_bound_counts(2, 10 ** 103, 0.1, f)),
+    ("10" + "0" * 102,
+     lambda: inv_count_reference(InversionSpec(10 ** 103, 1.0, 0.1, 0.5), f)),
+    ("10" + "0" * 102,
+     lambda: build_inv(InversionSpec(10 ** 103, 1.0, 0.1, 0.5), f)),
+    ("10" + "0" * 102,
+     lambda: neumann_depth(InversionSpec(10 ** 103, 1.0, 0.1, 0.5))),
+    ("10" + "0" * 308,
+     lambda: bound_gadget_spec_rect(RectShape(10 ** 309, 1, 1), 0.1, 1.0)),
+    ("10" + "0" * 308,
+     lambda: rect_count_reference(RectShape(10 ** 309, 1, 1), 0.1, 1.0, f)),
+    ("10" + "0" * 308, lambda: build_sqr(1, 10 ** 309, 0.1, f)),
+    ("10" + "0" * 308, lambda: build_neu(2, 10 ** 309, 0.1, f)),
+    ("10" + "0" * 199,
+     lambda: bound_counts_rect(RectShape(10 ** 200, 1, 1), 10, 3)),
+]
+
+
+@pytest.mark.parametrize("size, call", HUGE,
+                         ids=[str(i) for i in range(len(HUGE))])
+def test_size_past_float64_is_refused_by_its_derivation(size, call):
+    with pytest.raises(ValueError, match=r" float64; use a ") as info:
+        call()
+    assert size in str(info.value)

@@ -78,7 +78,7 @@ class TestSplitAndMix:
         k = 1
         A = rng.uniform(-1, 1, (2, 2))
         B = rng.uniform(-1, 1, (2, 2))
-        out = realize(build_split(k), None, np.hstack([A, B]))
+        out = realize(build_split(k), np.hstack([A, B]))
         a = {(i, j): A[i, j] for i in range(2) for j in range(2)}
         b = {(i, j): B[i, j] for i in range(2) for j in range(2)}
         want = [
@@ -110,7 +110,7 @@ class TestSplitAndMix:
             (a21 - a11) * (b11 + b12),
             (a12 - a22) * (b21 + b22),
         ]).reshape(7, 1)
-        got = realize(build_mix(1), None, P)
+        got = realize(build_mix(1), P)
         assert np.allclose(got, A @ B, atol=1e-14)
 
     def test_counts(self):
@@ -134,14 +134,14 @@ class TestPow2Networks:
     def test_k0_is_the_gadget(self, rng):
         net = build_str_pow2(0, 1.0, 1.0, relu2_factory)
         x, y = rng.uniform(-1, 1, 2)
-        assert realize(net, None, np.array([[x, y]]))[0, 0] == \
+        assert realize(net, np.array([[x, y]]))[0, 0] == \
             pytest.approx(x * y, abs=1e-14)
 
     def test_exact_multiplication_vs_both_oracles(self, rng):
         net = build_str_pow2(2, 1.0, 1.0, relu2_factory)
         A = rng.uniform(-1, 1, (4, 4))
         B = rng.uniform(-1, 1, (4, 4))
-        got = realize(net, None, np.hstack([A, B]))
+        got = realize(net, np.hstack([A, B]))
         assert np.max(np.abs(got - oracles.matmul_naive(A, B))) <= 1e-12
         assert np.max(np.abs(got - oracles.strassen_exact(A, B))) <= 1e-12
 
@@ -149,7 +149,7 @@ class TestPow2Networks:
         eps = 0.02
         net = build_str_pow2(2, eps, 1.0, relu_factory)
         batch = rng.uniform(-1, 1, (32, 4, 8))
-        outs = realize_many(net, None, batch)
+        outs = realize_many(net, batch)
         for X, out in zip(batch, outs):
             want = oracles.matmul_naive(X[:, :4], X[:, 4:])
             assert np.max(np.abs(out - want)) <= eps
@@ -168,7 +168,7 @@ class TestPow2Networks:
         side = 2 ** k
         A = rng.uniform(-1, 1, (side, side))
         B = rng.uniform(-1, 1, (side, side))
-        got = realize(net, None, np.hstack([A, B]))
+        got = realize(net, np.hstack([A, B]))
         assert np.max(np.abs(got - oracles.matmul_naive(A, B))) <= 1e-11
 
 
@@ -178,7 +178,7 @@ class TestPaddingLayers:
         A = rng.uniform(-1, 1, (2, 3))
         B = rng.uniform(-1, 1, (3, 2))
         net = _build_ext(shape)
-        out = realize(net, None, np.hstack([A.T, B]))
+        out = realize(net, np.hstack([A.T, B]))
         assert net.num_weights == 3 * (2 + 2)
         side = 2 ** shape.k
         assert out.shape == (side, 2 * side)
@@ -192,7 +192,7 @@ class TestPaddingLayers:
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 3))
         net = _build_ext_star(3)
-        out = realize(net, None, np.hstack([A, B]))
+        out = realize(net, np.hstack([A, B]))
         assert out.shape == (4, 8)
         assert np.array_equal(out[:3, :3], A)
         assert np.array_equal(out[:3, 4:7], B)
@@ -201,7 +201,7 @@ class TestPaddingLayers:
     def test_shr_crops(self, rng):
         shape = RectShape(2, 3, 2)
         X = rng.uniform(-1, 1, (4, 4))
-        out = realize(_build_shr(shape), None, X)
+        out = realize(_build_shr(shape), X)
         assert np.array_equal(out, X[:2, :2])
         assert _build_shr(shape).num_weights == 4
 
@@ -212,7 +212,7 @@ class TestRectangularNetworks:
             net = build_str_rect(RectShape(m, n, p), 1.0, 1.0, relu2_factory)
             A = rng.uniform(-1, 1, (m, n))
             B = rng.uniform(-1, 1, (n, p))
-            got = realize(net, None, np.hstack([A.T, B]))
+            got = realize(net, np.hstack([A.T, B]))
             want = oracles.matmul_naive(A, B)
             assert np.max(np.abs(got - want)) <= 1e-11
 
@@ -220,7 +220,7 @@ class TestRectangularNetworks:
         net = build_str_square(3, 1.0, 1.0, relu2_factory)
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 3))
-        got = realize(net, None, np.hstack([A, B]))
+        got = realize(net, np.hstack([A, B]))
         assert np.max(np.abs(got - oracles.matmul_naive(A, B))) <= 1e-11
 
     def test_relu_rect_error(self, rng):
@@ -229,7 +229,7 @@ class TestRectangularNetworks:
         for _ in range(20):
             A = rng.uniform(-1, 1, (2, 3))
             B = rng.uniform(-1, 1, (3, 2))
-            got = realize(net, None, np.hstack([A.T, B]))
+            got = realize(net, np.hstack([A.T, B]))
             assert np.max(np.abs(got - oracles.matmul_naive(A, B))) <= eps
 
     def test_counts_within_bounds(self):
@@ -262,7 +262,7 @@ class TestRectangularNetworks:
         net = build_str_rect(RectShape(m, n, p), 1.0, 1.0, relu2_factory)
         A = rng.uniform(-1, 1, (m, n))
         B = rng.uniform(-1, 1, (n, p))
-        got = realize(net, None, np.hstack([A.T, B]))
+        got = realize(net, np.hstack([A.T, B]))
         assert np.max(np.abs(got - oracles.matmul_naive(A, B))) <= 1e-10
 
 
