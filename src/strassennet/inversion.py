@@ -84,14 +84,14 @@ def compute_N(eps: float, delta: float) -> int:
     return max(math.ceil(math.log2(ratio)), 1)
 
 
-def _leaf_budget(N: int, n: int, eps: float) -> float:
+def _leaf_budget(N: int, n: int, eps: float, advice: str) -> float:
     """Leaf gadget budget 2^-(2^N) eps / (8 n^3) of the Neumann-sum bound,
-    in floats; 0 for every eps from N = 12 on, where 2^N is not formed."""
+    in floats; 0 for every eps from N = 12 on, where 2^N is not formed.
+    A budget that rounds to 0 is refused with the caller's ``advice``."""
     return _derived(lambda: math.ldexp(eps, -2 ** min(N, 12))
                     / (8.0 * n * n * n),
                     f"N = {N} doubling stages: the leaf gadget budget "
-                    f"2^-(2^N) * {eps:g} / (8 * {n}^3)",
-                    "use a larger epsilon or a smaller delta")
+                    f"2^-(2^N) * {eps:g} / (8 * {n}^3)", advice)
 
 
 def _build_dup_simple(n: int) -> MNN:
@@ -150,7 +150,8 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     N, n = _count("N", N), _count("n", n)
     _positive("eps", eps, below=0.25)
     budget = _derived(lambda: eps / (4.0 * n), f"the squaring multiplier "
-                      f"budget {eps!r} / (4 * {n})", "use a larger eps")
+                      f"budget {eps!r} / (4 * {n})",
+                      "use a larger eps or a smaller n")
     stage = concat(build_str_square(n, budget, 1.0, factory),
                    _build_dup_simple(n))
     net = stage
@@ -196,7 +197,8 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     _positive("eps", eps, below=0.125)
     budget = _derived(lambda: math.ldexp(eps, 1 - 2 ** min(N, 12))
                       / (4.0 * n), f"the squaring multiplier budget 2^(1 - "
-                      f"2^{N}) * {eps!r} / (4 * {n})", "use a larger eps")
+                      f"2^{N}) * {eps!r} / (4 * {n})",
+                      "use a larger eps or a smaller N or n")
     square = build_str_square(n, budget, 1.0, factory)
     aux = _aux_chain(N - 1, n, square)
     net = concat(square, concat(_build_flip(n, N - 1), aux))
@@ -221,7 +223,9 @@ def neumann_depth(spec: InversionSpec) -> NeumannDepth:
              f"(2 * {spec.alpha!r}) * (1 - {spec.delta!r})",
              "use a larger epsilon or a smaller alpha or delta")
     N, eps_neu = compute_N(ratio, spec.delta), min(ratio, 0.125)
-    return NeumannDepth(N, _leaf_budget(N, spec.n, eps_neu), eps_neu)
+    Sigma = _leaf_budget(N, spec.n, eps_neu,
+                         "use a larger epsilon or a smaller delta or n")
+    return NeumannDepth(N, Sigma, eps_neu)
 
 
 def build_inv(spec: InversionSpec, factory: GadgetFactory) -> MNN:
@@ -277,7 +281,8 @@ def neu_bound_counts(N: int, n: int, eps: float, factory: GadgetFactory):
     """(M, L) upper bounds for the Neumann-sum network, N >= 2."""
     N, n = _count("N", N, least=2), _count("n", n)
     _positive("eps", eps)
-    gadget = factory.build(GadgetSpec(_leaf_budget(N, n, eps), 2.0 * n))
+    Sigma = _leaf_budget(N, n, eps, "use a larger eps or a smaller N or n")
+    gadget = factory.build(GadgetSpec(Sigma, 2.0 * n))
     Mg, Lg = gadget.num_weights, gadget.num_layers
     M = (14.0 * n ** LOG2_7 * (N - 1) * (Mg + 12)
          + n * n * (Lg - 14.0 * N + 19.0 + 2.0 * math.log2(n))

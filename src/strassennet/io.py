@@ -18,21 +18,19 @@ Each column's distinct numbers are spelled once: an index column from a
 table of ``str(0..top)`` when its largest index ``top`` is no larger than
 the column, so that table never outgrows the cells; any other column
 through ``np.unique``.
-The reader streams a compact file, one layer line at a time.  A line
-laid out as ``LAYER_LINE`` writes it, whose tables hold only numbers
-spelled as JSON spells them (no whitespace, words or quotes, no ``+1``,
-``.5``, ``1.`` or ``01``, no integer of 19 digits or more) and whose layer
-the storage rule takes, is read by numpy's text parser (``np.loadtxt``)
-without building its document; both parsers round a number's text with
-``PyOS_string_to_double``, so the floats are the same.  That path only
-accepts: every other line, and every line holding a fault, is read by
-``json.loads`` and ``_layer``, which name every refusal.  Any other
-JSON layout (indented files written by earlier versions, a layer split
-over lines, text after ``]}``) goes through ``json.load`` and
-``network_from_dict`` with the same messages, and re-saves compactly.
-A compact file is judged in file order, so of several faults the first
-one is named: a bad layer before invalid JSON on a later line.  Network
-files are UTF-8 text, whatever the locale; other bytes are refused.
+A compact file is read by numpy's text parser (``np.loadtxt``), one
+layer line at a time, without building its document.  That reader only
+accepts: a file laid out as ``save_network`` writes it, whose tables hold
+only numbers spelled as JSON spells them (no whitespace, words or quotes,
+no ``+1``, ``.5``, ``1.`` or ``01``, no integer of 19 digits or more) and
+whose network every rule below takes.  Both parsers round a number's text
+with ``PyOS_string_to_double``, so the floats are the same.  Every other
+file (indented ones written by earlier versions, a layer split over
+lines, text after ``]}``, any fault) is read whole by ``json.load`` and
+``network_from_dict``, whose refusal is the same for every layout:
+invalid JSON (nesting too deep included) first, then the first fault in
+document order.  Network files are UTF-8 text, whatever the locale;
+other bytes are refused.
 Loading only parses: it refuses, naming the layer and the first offending
 entry, shape fields that are not integers >= 1 (the size rule
 ``core._count``), and rows of the wrong length or holding non-numbers
@@ -46,7 +44,6 @@ Matrices travel as plain CSV, one row per line, full float precision.
 Only real matrices are written, and a file with no numbers is refused.
 """
 
-import gc
 import json
 import re
 import warnings
@@ -251,50 +248,44 @@ def _plain_numbers(a: np.ndarray) -> bool:
                 & np.isin(a[last + 19], _INTEGER_TAIL)).any()
 
 
-def _parsed_table(text: str, width: int):
+def _plain(cond: bool) -> None:
+    """Decline, by a ``ValueError``, what the text parser does not take."""
+    if not cond:
+        raise ValueError("not a plain compact file")
+
+
+def _parsed_table(text: str, width: int) -> np.ndarray:
     """The ``(rows, width)`` table of ``text`` read by numpy's text parser,
-    or None unless it is plainly rows of JSON numbers (``_plain_numbers``);
+    declined unless it is plainly rows of JSON numbers (``_plain_numbers``);
     numpy rounds each number's text as ``json`` does."""
     if text == "[]":  # numpy warns on no data
         return np.empty((0, width))
-    if not (text.startswith("[[") and text.endswith("]]") and text.isascii()
-            and "[]" not in text):  # no empty row
-        return None
+    _plain(text.startswith("[[") and text.endswith("]]") and text.isascii()
+           and "[]" not in text)  # no empty row
     raw = text.encode("ascii")
-    if raw.translate(None, TABLE_BYTES) or not _plain_numbers(
-            np.frombuffer(raw, np.uint8)):
-        return None
+    _plain(not raw.translate(None, TABLE_BYTES)
+           and _plain_numbers(np.frombuffer(raw, np.uint8)))
     rows = text[2:-2].split("],[")  # a bracket left in a row fails to parse
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return table if table.shape == (len(rows), width) else None
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    _plain(table.shape == (len(rows), width))
+    return table
 
 
-def _parsed_layer(line: str):
+def _parsed_layer(line: str) -> Layer:
     """The layer on a compact line read by numpy's text parser, without
-    the JSON document, or None: then the line is read by ``json.loads``
-    and ``_layer``, which name any fault.  Only a line laid out as
-    ``LAYER_LINE`` writes it, whose tables pass ``_parsed_table`` and whose
-    layer the storage rule takes, is read here.  Shapes below 2^53 keep
-    every index in range exact as a float, as ``json`` keeps integers."""
+    the JSON document.  Only a line laid out as ``LAYER_LINE`` writes it,
+    whose tables pass ``_parsed_table`` and whose layer the storage rule
+    takes, is read here; any other raises ``ValueError``.  Shapes below
+    2^53 keep every index in range exact as a float, as ``json`` keeps
+    integers."""
     head = LAYER_HEAD.match(line)
-    if head is None or not line.endswith("}\n"):
-        return None
+    _plain(head is not None and line.endswith("}\n"))
     dims = [int(n) for n in head.groups()]
-    if max(dims) >= 2 ** 53:
-        return None
+    _plain(max(dims) < 2 ** 53)
     entries, rest = line[head.end():-2].partition(',"bias":')[::2]
     bias, mask = rest.partition(',"mask_rho":')[::2]
-    tables = [_parsed_table(text, TABLE_WIDTH[key])
-              for text, key in zip((entries, bias, mask), TABLES)]
-    if any(table is None for table in tables):
-        return None
-    try:
-        return _built(dims, *tables)
-    except ValueError:
-        return None
+    return _built(dims, *(_parsed_table(text, TABLE_WIDTH[key])
+                          for text, key in zip((entries, bias, mask), TABLES)))
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -312,67 +303,42 @@ def network_from_dict(doc: dict) -> MNN:
     return _ruled(MNN, layers, label)
 
 
-def _read_compact(fh):
-    """The network in a compact file, parsed and converted one layer line
-    at a time, or None when the file is laid out otherwise: then only
-    ``json.load`` can tell a valid document from invalid JSON."""
+def _read_compact(fh) -> MNN:
+    """The network in a compact file, read one layer line at a time by
+    numpy's text parser.  It only accepts: any other layout, and any
+    fault, raises ``ValueError`` (a decline), naming nothing."""
     head = fh.readline()
-    if not (head.startswith(HEAD) and head.endswith(HEAD_END)):
-        return None
-    try:
-        label = json.loads(head[len(HEAD):-len(HEAD_END)])
-    except json.JSONDecodeError:
-        return None
-    _ruled(_label, label)
-    layers = []
-    for line in iter(fh.readline, ""):
-        if line == FOOT:
-            break
-        if layers and not line.startswith(","):
-            return None
-        text = line[1:] if layers else line
-        layer = _parsed_layer(text)
-        if layer is None:
-            try:
-                spec = json.loads(text)
-            except json.JSONDecodeError:
-                return None
-            layer = _layer(len(layers), spec)
-        _ruled(_chain, layers, layer, label)
-    else:  # no closing line
-        return None
-    if not layers:
-        return None
-    # the closing line ends the layers, before any more text
-    net = _ruled(MNN, layers, label)
-    return None if fh.read(1) else net
+    _plain(head.startswith(HEAD) and head.endswith(HEAD_END))
+    label = json.loads(head[len(HEAD):-len(HEAD_END)])
+    layers, lead = [], ""
+    for line in iter(fh.readline, FOOT):
+        _plain(line != "" and line.startswith(lead))  # "" is the end
+        layers.append(_parsed_layer(line[len(lead):]))
+        lead = ","
+    _plain(not fh.read(1))  # the closing line ends the file
+    return MNN(layers, label)
 
 
 def load_network(path) -> MNN:
-    """The network in file ``path``, refused with ``bad network file: ...``.
-
-    The cyclic garbage collector is paused meanwhile: parsed tables are
-    lists of numbers, which form no cycles, and its passes over them took
-    about half of the parse time."""
-    enabled = gc.isenabled()
-    gc.disable()
+    """The network in file ``path``, refused with ``bad network file: ...``:
+    read by the text parser, or, wherever it declines, by ``json.load`` and
+    ``network_from_dict``, which name every refusal alike for any layout."""
     try:
         with open(path, encoding="utf-8") as fh:
-            net = _read_compact(fh)
-            if net is not None:
-                return net
-            fh.seek(0)
+            try:
+                return _read_compact(fh)
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, RecursionError):
+                fh.seek(0)
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(
                     f"bad network file: not valid JSON ({exc})") from None
         return network_from_dict(doc)
     except UnicodeDecodeError as exc:
         raise ValueError(f"bad network file: not UTF-8 text ({exc})") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def save_matrix(A: np.ndarray, path) -> None:

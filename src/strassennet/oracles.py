@@ -118,14 +118,13 @@ def exact_inverse(A):
     return work[:, n:]
 
 
-def _power_iteration(G, v):
-    """Run power iteration on symmetric PSD G from start vector v.
-
-    Returns (largest-eigenvalue estimate, converged flag).
-    """
+def _power_iteration(G, v) -> float:
+    """Largest-eigenvalue estimate of symmetric PSD G by power iteration
+    from start vector v, refused unless it converges within
+    ``_POWER_MAXIT`` steps: an unconverged estimate may be too small."""
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0:
-        return 0.0, True
+        return 0.0
     v = v / norm_v
     lam = float(v @ (G @ v))
     for _ in range(_POWER_MAXIT):
@@ -133,23 +132,24 @@ def _power_iteration(G, v):
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             # v is in the kernel; the estimate along this direction is 0
-            return 0.0, True
+            return 0.0
         v = w / norm_w
         lam_next = float(v @ (G @ v))
         if abs(lam_next - lam) <= _POWER_RTOL * max(abs(lam_next), 1e-300):
-            return lam_next, True
+            return lam_next
         lam = lam_next
-    return lam, False
+    raise ValueError(f"spectral_norm did not converge within {_POWER_MAXIT} "
+                     "power iterations")
 
 
-def spectral_norm(A, return_info=False):
+def spectral_norm(A) -> float:
     """Largest singular value of A by power iteration on A^T A.
 
     The start vector is the normalized all-ones vector; because the iteration
     can stall on an inferior eigenvector when the start happens to be exactly
     orthogonal to the dominant one, a fixed set of deterministically perturbed
-    restarts is always run and the largest estimate wins.  With
-    ``return_info=True`` the result is ``(value, converged)``.
+    restarts is always run and the largest estimate wins.  An iteration that
+    does not converge is refused, so an underestimate is never returned.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -164,16 +164,8 @@ def spectral_norm(A, return_info=False):
         ones + 0.31 * np.sin(1.0 + np.arange(n)),
         ones + 0.77 * np.cos(0.5 + 2.0 * np.arange(n)),
     ]
-    best = 0.0
-    converged = True
-    for v in starts:
-        lam, ok = _power_iteration(G, v)
-        if lam > best:
-            best, converged = lam, ok
-    value = float(np.sqrt(max(best, 0.0)))
-    if return_info:
-        return value, converged
-    return value
+    best = max(_power_iteration(G, v) for v in starts)
+    return float(np.sqrt(max(best, 0.0)))
 
 
 def gen_contraction(n, delta, alpha, seed):

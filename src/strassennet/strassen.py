@@ -73,11 +73,12 @@ def build_split(k: int) -> MNN:
         for b, T in enumerate((_U, _V)) for r, q in zip(*np.nonzero(T))])
 
 
-def _leaf_spec(k: int, eps: float, K: float) -> GadgetSpec:
+def _leaf_spec(k: int, eps: float, K: float, size=None) -> GadgetSpec:
     """The spec of the one leaf of ``build_str_pow2(k, eps, K)``: budget
     eps / 4^k and half-width 2^k K, scaled by exact powers of two.  A depth
     whose budget underflows to 0 or whose half-width overflows float64 is
-    refused by ``k``."""
+    refused by ``k``, or by ``size``, the ``(name, value)`` of the size a
+    caller pads to k levels."""
     _positive("eps", eps)
     _positive("K", K)
     budget = math.ldexp(eps, -2 * k)
@@ -86,10 +87,14 @@ def _leaf_spec(k: int, eps: float, K: float) -> GadgetSpec:
             return GadgetSpec(budget, math.ldexp(K, k))
     except OverflowError:  # 2^k K
         pass
+    name, levels = "k", f"k = {k} levels"
+    if size is not None:
+        name, value = size
+        levels = f"{name} = {value!r} pads to {levels}, which"
     raise ValueError(
-        f"k = {k} levels need the leaf gadget budget {eps:g} / 4^{k} and "
+        f"{levels} need the leaf gadget budget {eps:g} / 4^{k} and "
         f"half-width 2^{k} * {K:g}, which underflows to 0 or overflows "
-        "float64; use a smaller k")
+        f"float64; use a smaller {name}")
 
 
 def build_str_pow2(k: int, eps: float, K: float,
@@ -152,6 +157,7 @@ def _build_shr(shape: RectShape) -> MNN:
 def build_str_rect(shape: RectShape, eps: float, K: float,
                    factory: GadgetFactory) -> MNN:
     """Multiplier for m x n by n x p operands, input (A^T | B), output m x p."""
+    _leaf_spec(shape.k, eps, K, ("shape", shape))  # refused by the shape
     inner = build_str_pow2(shape.k, eps, K, factory)
     return concat(_build_shr(shape), concat(inner, _build_ext(shape)))
 
@@ -161,6 +167,7 @@ def build_str_square(n: int, eps: float, K: float,
     """Multiplier for n x n operands, input (A | B) untransposed."""
     n = _count("n", n)
     shape = RectShape(n, n, n)
+    _leaf_spec(shape.k, eps, K, ("n", n))  # refused by n
     inner = build_str_pow2(shape.k, eps, K, factory)
     return concat(_build_shr(shape), concat(inner, _build_ext_star(n)))
 
@@ -188,9 +195,10 @@ def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec
     gamma = shape.gamma
     return GadgetSpec(
         _derived(lambda: eps / (4.0 * gamma * gamma), f"the bound's leaf "
-                 f"budget {eps!r} / (4 * {gamma}^2)", "use a larger eps"),
+                 f"budget {eps!r} / (4 * {gamma}^2)",
+                 "use a larger eps or a smaller shape"),
         _derived(lambda: 2.0 * gamma * K, f"the bound's leaf half-width "
-                 f"2 * {gamma} * {K!r}", "use a smaller K"))
+                 f"2 * {gamma} * {K!r}", "use a smaller K or shape"))
 
 
 def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):

@@ -154,7 +154,7 @@ class TestBuild:
         assert rc == 1
         assert capsys.readouterr().err == (
             "snn: error: the bound's leaf budget 5e-324 / (4 * 1^2) underflows "
-            "to 0 in float64; use a larger eps\n")
+            "to 0 in float64; use a larger eps or a smaller shape\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -318,6 +318,19 @@ class TestEval:
         assert capsys.readouterr().err.startswith(
             "snn: error: bad network file: not UTF-8 text ('utf-8' codec "
             "can't decode byte 0x89 in position 0")
+
+    def test_deeply_nested_network_file_exits_one(self, tmp_path, capsys):
+        # it used to end in a RecursionError traceback
+        net = tmp_path / "net.json"
+        net.write_text('{"activation":null,"layers":%s}'
+                       % ("[" * 100000 + "]" * 100000))
+        save_matrix(np.zeros((1, 2)), tmp_path / "X.csv")
+        rc = main(["eval", "--net", str(net), "--input",
+                   str(tmp_path / "X.csv"), "--out", str(tmp_path / "C.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("snn: error: bad network file: not valid JSON (")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_empty_input_file_exits_one(self, tmp_path, capsys):
         # it used to warn "input contained no data" and report a 0x1 input

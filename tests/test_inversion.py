@@ -185,18 +185,18 @@ class TestRepeatedSquaring:
         assert three.num_layers == 3 * one.num_layers
         assert three.num_weights == 3 * one.num_weights
 
-    @pytest.mark.parametrize("call, N, eps, spelled", [
-        (build_sqr, 1, 5e-324, "5e-324"),
-        (build_neu, 2, 1e-322, "2^(1 - 2^2) * 1e-322")])
+    @pytest.mark.parametrize("call, N, eps, spelled, sizes", [
+        (build_sqr, 1, 5e-324, "5e-324", "n"),
+        (build_neu, 2, 1e-322, "2^(1 - 2^2) * 1e-322", "N or n")])
     def test_underflowing_multiplier_budget_names_the_callers_eps(
-            self, call, N, eps, spelled):
+            self, call, N, eps, spelled, sizes):
         # eps / (4 n) rounds to 0 though eps passes the real rule; this used
         # to be refused as "eps must be positive and finite, got 0.0"
         with pytest.raises(ValueError) as info:
             call(N, 2, eps, relu_factory)
         assert str(info.value) == (
             f"the squaring multiplier budget {spelled} / (4 * 2) underflows "
-            "to 0 in float64; use a larger eps")
+            f"to 0 in float64; use a larger eps or a smaller {sizes}")
 
 
 def _aux(i, n, eps, factory):
@@ -307,7 +307,7 @@ class TestInversionNetworks:
         spec = InversionSpec(1, 1.0, 3e-15, 0.931)
         cause = ("N = 10 doubling stages: the leaf gadget budget 2^-(2^N) * "
                  "1.5e-15 / (8 * 1^3) underflows to 0 in float64; use a "
-                 "larger epsilon or a smaller delta")
+                 "larger epsilon or a smaller delta or n")
         for call in (build_inv, inv_count_reference):
             with pytest.raises(ValueError) as info:
                 call(spec, relu2_factory)
@@ -315,10 +315,11 @@ class TestInversionNetworks:
 
     @pytest.mark.parametrize("call, cause", [
         (build_neu, "the squaring multiplier budget 2^(1 - 2^1100) * 0.1 / "
-                    "(4 * 2) underflows to 0 in float64; use a larger eps"),
+                    "(4 * 2) underflows to 0 in float64; use a larger eps "
+                    "or a smaller N or n"),
         (neu_bound_counts, "N = 1100 doubling stages: the leaf gadget budget "
                            "2^-(2^N) * 0.1 / (8 * 2^3) underflows to 0 in "
-                           "float64; use a larger epsilon or a smaller delta"),
+                           "float64; use a larger eps or a smaller N or n"),
     ])
     def test_huge_stage_count_is_refused_not_overflowed(self, call, cause):
         # 2.0 ** -(2 ** N) raised "OverflowError: int too large to convert
@@ -326,6 +327,21 @@ class TestInversionNetworks:
         with pytest.raises(ValueError) as info:
             call(1100, 2, 0.1, relu_factory)
         assert str(info.value) == cause
+
+    @pytest.mark.parametrize("call, advice", [
+        (lambda n: neu_bound_counts(2, n, 0.1, relu_factory),
+         "use a larger eps or a smaller N or n"),
+        (lambda n: inv_count_reference(InversionSpec(n, 1.0, 0.1, 0.5),
+                                       relu_factory),
+         "use a larger epsilon or a smaller delta or n")])
+    def test_huge_size_is_named_in_the_advice(self, call, advice):
+        # both used to end "use a larger epsilon or a smaller delta", though
+        # n = 10^103 rounds the budget to 0 and neu_bound_counts takes no
+        # epsilon or delta
+        with pytest.raises(ValueError) as info:
+            call(10 ** 103)
+        assert str(info.value).endswith(f"underflows to 0 in float64; "
+                                        f"{advice}")
 
     @pytest.mark.parametrize("call", [build_neu, neu_bound_counts])
     def test_huge_stage_count_is_refused_in_constant_memory(self, call):

@@ -129,10 +129,14 @@ class TestSpectralNorm:
             want = max(abs(half_tr + disc), abs(half_tr - disc))
             assert oracles.spectral_norm(A) == pytest.approx(want, abs=1e-10)
 
-    def test_return_info_flag(self):
-        value, converged = oracles.spectral_norm(np.eye(3), return_info=True)
-        assert value == pytest.approx(1.0)
-        assert converged is True
+    def test_unconverged_estimate_is_refused(self, monkeypatch):
+        # one step from the ones start leaves diag(1, 2, 3) at an estimate
+        # below 3; it used to be returned as the norm
+        monkeypatch.setattr(oracles, "_POWER_MAXIT", 1)
+        with pytest.raises(ValueError, match="^spectral_norm did not "
+                                             "converge within 1 power "
+                                             "iterations$"):
+            oracles.spectral_norm(np.diag([1.0, 2.0, 3.0]))
 
     def test_zero_matrix(self):
         assert oracles.spectral_norm(np.zeros((3, 3))) == 0.0

@@ -314,6 +314,23 @@ def test_deep_k_ends_in_the_leaf_refusal_or_the_factory(build, k, eps,
             build(k, eps, 1.0, _refusing_factory([]))
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda eps: build_str_square(2 ** 600, eps, 1.0, _refusing_factory([])),
+     f"n = {2 ** 600}"),
+    (lambda eps: build_str_rect(RectShape(2 ** 600, 1, 1), eps, 1.0,
+                                _refusing_factory([])),
+     f"shape = {RectShape(2 ** 600, 1, 1)!r}")], ids=["square", "rect"])
+def test_padded_depth_is_refused_by_the_callers_size(build, size):
+    # both used to say "k = 600 levels need ...; use a smaller k", naming
+    # a depth the caller never passed
+    with pytest.raises(ValueError) as info:
+        build(0.1)
+    assert str(info.value) == (
+        f"{size} pads to k = 600 levels, which need the leaf gadget budget "
+        "0.1 / 4^600 and half-width 2^600 * 1, which underflows to 0 or "
+        f"overflows float64; use a smaller {size.split(' =')[0]}")
+
+
 def test_factory_must_build_a_scalar_product_gadget():
     wide = GadgetFactory("relu", lambda spec: identity_mnn((1, 2), 1))
     with pytest.raises(ValueError, match="^factory must produce gadgets "
@@ -354,9 +371,10 @@ def test_gadget_spec_for_bounds_shrinks_budget():
 
 @pytest.mark.parametrize("shape, eps, K, cause", [
     (RectShape(3, 3, 3), 5e-324, 1.0, "the bound's leaf budget 5e-324 / "
-     "(4 * 3^2) underflows to 0 in float64; use a larger eps"),
+     "(4 * 3^2) underflows to 0 in float64; use a larger eps or a smaller "
+     "shape"),
     (RectShape(3, 3, 3), 1.0, 1e308, "the bound's leaf half-width 2 * 3 * "
-     "1e+308 overflows float64; use a smaller K"),
+     "1e+308 overflows float64; use a smaller K or shape"),
 ])
 def test_bound_leaf_that_rounds_away_is_refused_as_derived(shape, eps, K,
                                                            cause):
