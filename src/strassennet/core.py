@@ -84,13 +84,14 @@ def _positive(name: str, x, below: float = math.inf) -> None:
 
 def _derived(derive, spelled: str, advice: str) -> float:
     """The one derived-value rule: ``derive()``, a value computed in float64
-    from the caller's parameters, unless it rounds to 0 or inf, or a size in
-    it has no float; then refused as ``spelled`` in the caller's terms."""
+    from the caller's parameters, unless it rounds to 0 or inf, or a term in
+    it has no float; then refused as ``spelled`` in the caller's terms, with
+    the caller's ``advice``."""
     try:
         value = derive()
-    except OverflowError:  # as in 4.0 * 10**309
-        raise ValueError(f"{spelled} has a term beyond float64; use a "
-                         "smaller size") from None
+    except OverflowError:  # as in 4.0 * 10**309 or 4.0 ** 512
+        raise ValueError(f"{spelled} has a term beyond float64; {advice}"
+                         ) from None
     if value in (0.0, math.inf):
         how = "underflows to 0 in" if value == 0.0 else "overflows"
         raise ValueError(f"{spelled} {how} float64; {advice}")

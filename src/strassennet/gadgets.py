@@ -10,7 +10,9 @@ factories ship here:
   with 12 weights in 2 layers, for every (epsilon, K).
 * ``relu``: squaring is approximated on [0, 1] by the telescoped sawtooth
   construction; the two squares of the polarization identity share the same
-  tower depth m, chosen from a closed-form error budget.
+  tower depth m, chosen from a closed-form error budget.  A spec whose
+  derived values float64 cannot hold is refused (``_sawtooth_depth``), by
+  the builder and by ``relu_gadget_bounds`` alike.
 """
 
 import math
@@ -73,19 +75,21 @@ def _sawtooth_depth(epsilon: float, K: float) -> int:
     2^(-2m-2) of t^2 on [0, 1]; after undoing the input rescaling by 2K the
     end-to-end error is at most K^2 * 2^(-2m-1), and m is the smallest
     integer making that <= epsilon.  The m = 0 degenerate tower (|t| itself)
-    covers epsilon >= K^2/2.  Budgets whose K^2/epsilon or stage scale 4^m
-    overflow float64 are refused.
+    covers epsilon >= K^2/2.  A staged budget whose K^2/epsilon, stage scale
+    4^m or last-layer coefficient 4 K^2 float64 cannot hold is refused
+    (``core._derived``).
     """
     if epsilon >= K * K / 2.0:
         return 0
-    ratio = K * K / epsilon
-    m = math.ceil(0.5 * math.log2(ratio) - 0.5) if ratio < math.inf else math.inf
-    if m > 511:  # 4.0 ** m overflows
-        raise ValueError(
-            f"a relu product gadget at eps = {epsilon:g}, K = {K:g} needs "
-            "the sawtooth scale 4^m ~ K^2/eps, which overflows float64; "
-            "use a larger eps or a smaller K")
-    return max(1, m)
+    at = f"a relu product gadget at eps = {epsilon!r}, K = {K!r}"
+    ratio = _derived(lambda: K * K / epsilon, f"{at} needs K^2/eps, which",
+                     "use a larger eps or a smaller K")
+    m = max(1, math.ceil(0.5 * math.log2(ratio) - 0.5))
+    _derived(lambda: 4.0 ** m, f"{at} needs the sawtooth scale 4^{m}, which",
+             "use a larger eps or a smaller K")
+    _derived(lambda: 4.0 * (K * K),
+             f"the last-layer coefficient 4 K^2 of {at}", "use a smaller K")
+    return m
 
 
 def build_product_relu(spec: GadgetSpec) -> MNN:
@@ -96,8 +100,7 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     approximated through |t| = ReLU(t) + ReLU(-t) followed by m sawtooth
     stages.  Both towers run in the same layers and share the telescoping
     accumulator, so the cost is 15m + 12 weights in m + 2 layers.  When
-    epsilon >= K^2 the constant-zero network is already within budget.  A
-    staged gadget whose last-layer coefficient 4 K^2 overflows is refused.
+    epsilon >= K^2 the constant-zero network is already within budget.
     """
     eps, K = spec.epsilon, spec.K
     if eps >= K * K:
@@ -110,8 +113,6 @@ def build_product_relu(spec: GadgetSpec) -> MNN:
     if m == 0:
         layers.append(Layer(_row_map([[K2, K2, -K2, -K2]])))
         return MNN(layers, "relu")
-    _derived(lambda: 4.0 * K2, f"the last-layer coefficient 4 K^2 of a relu "
-             f"product gadget at eps = {eps!r}, K = {K!r}", "use a smaller K")
 
     # state columns: (T, Q, T', Q', C); after stage s the linear combination
     # 2T - 4Q equals the s-th sawtooth iterate of |u| (same for the v tower)
@@ -139,12 +140,12 @@ FACTORIES = {"relu2": relu2_factory, "relu": relu_factory}
 
 
 def relu_gadget_bounds(epsilon: float, K: float):
-    """Closed-form (M, L) upper bounds for the ReLU gadget, by budget branch,
-    for the budgets and half-widths that ``GadgetSpec`` accepts."""
+    """Closed-form (M, L) upper bounds for the ReLU gadget, by budget branch;
+    a spec the builder refuses is refused with its text."""
     GadgetSpec(epsilon, K)
     if epsilon >= K * K:
         return 0.0, 1.0
-    if epsilon >= K * K / 2.0:
+    if _sawtooth_depth(epsilon, K) == 0:
         return 12.0, 2.0
     logK = math.log2(K)
     log_inv_eps = math.log2(1.0 / epsilon)

@@ -183,18 +183,19 @@ def _aux_chain(i: int, n: int, square: MNN) -> MNN:
 def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     """Truncated Neumann sum: approximates sum_{k<2^N} A^k for ||A||_2 <= 1.
 
-    N = 1 is the exact single layer A + I (n^2 + n weights).  For N >= 2 the
-    auxiliary chain runs at an internally shrunk budget, a flip layer forms
-    the final factor pair, one more multiplication network combines them,
-    and the output layer restores the 2^(2^N - 1) rescaling.  The budget
-    is 0 from N = 12 on, where 2^N is not formed (see ``_leaf_budget``).
+    eps must lie in (0, 1/8) for every N.  N = 1 is the exact single layer
+    A + I (n^2 + n weights).  For N >= 2 the auxiliary chain runs at an
+    internally shrunk budget, a flip layer forms the final factor pair, one
+    more multiplication network combines them, and the output layer
+    restores the 2^(2^N - 1) rescaling.  The shrunk budget is 0 from N = 12
+    on, where 2^N is not formed (see ``_leaf_budget``).
     """
     N, n = _count("N", N), _count("n", n)
+    _positive("eps", eps, below=0.125)
     if N == 1:
         # labelled so that build_inv's N = 1 network keeps the factory's label
         plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
         return MNN(plus_eye.layers, factory.activation_name)
-    _positive("eps", eps, below=0.125)
     budget = _derived(lambda: math.ldexp(eps, 1 - 2 ** min(N, 12))
                       / (4.0 * n), f"the squaring multiplier budget 2^(1 - "
                       f"2^{N}) * {eps!r} / (4 * {n})",

@@ -147,19 +147,6 @@ def save_network(net: MNN, path) -> None:
         fh.write("\n" + FOOT)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(f"bad network file: {msg}")
-
-
-def _ruled(rule, *args):
-    """``rule(*args)``, a rule of ``core``, its refusal a file fault."""
-    try:
-        return rule(*args)
-    except ValueError as exc:
-        raise ValueError(f"bad network file: {exc}") from None
-
-
 def _is_number(x) -> bool:
     """Whether numpy reads ``x`` as an int64 or a float64."""
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
@@ -182,15 +169,18 @@ def _read_table(spec: dict, key: str) -> np.ndarray:
 
 
 def _layer(pos: int, spec) -> Layer:
-    """Layer ``pos`` from its JSON object, refused like a built one."""
-    _require(isinstance(spec, dict), f"layer {pos} must be an object")
-    for key in LAYER_KEYS:
-        _require(key in spec, f"layer {pos} missing key {key!r}")
+    """Layer ``pos`` from its JSON object, refused like a built one after
+    ``layer L ``."""
     try:
+        if not isinstance(spec, dict):
+            raise ValueError("must be an object")
+        for key in LAYER_KEYS:
+            if key not in spec:
+                raise ValueError(f"missing key {key!r}")
         dims = [_count(key, spec[key]) for key in LAYER_KEYS[:4]]
         return _built(dims, *(_read_table(spec, key) for key in TABLES))
     except ValueError as exc:
-        raise ValueError(f"bad network file: layer {pos} {exc}") from None
+        raise ValueError(f"layer {pos} {exc}") from None
 
 
 def _built(dims, entries, bias_rows, mask_rows) -> Layer:
@@ -289,18 +279,24 @@ def _parsed_layer(line: str) -> Layer:
 
 
 def network_from_dict(doc: dict) -> MNN:
-    """Rebuild a network from its JSON document structure."""
-    _require(isinstance(doc, dict), "top level must be an object")
-    for key in FORMAT_KEYS:
-        _require(key in doc, f"missing key {key!r}")
-    label = doc["activation"]
-    _ruled(_label, label)
-    _require(isinstance(doc["layers"], list) and doc["layers"],
-             "layers must be a nonempty list")
-    layers = []
-    for pos, spec in enumerate(doc["layers"]):
-        _ruled(_chain, layers, _layer(pos, spec), label)
-    return _ruled(MNN, layers, label)
+    """Rebuild a network from its JSON document structure, refused after
+    ``bad network file: ``."""
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError("top level must be an object")
+        for key in FORMAT_KEYS:
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+        label = doc["activation"]
+        _label(label)
+        if not (isinstance(doc["layers"], list) and doc["layers"]):
+            raise ValueError("layers must be a nonempty list")
+        layers = []
+        for pos, spec in enumerate(doc["layers"]):
+            _chain(layers, _layer(pos, spec), label)
+        return MNN(layers, label)
+    except ValueError as exc:
+        raise ValueError(f"bad network file: {exc}") from None
 
 
 def _read_compact(fh) -> MNN:

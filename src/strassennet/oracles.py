@@ -8,10 +8,6 @@ these functions usable as oracles in the test suite.
 
 import numpy as np
 
-# A seed is a plain 64-bit unsigned integer; the same seed always yields the
-# same matrices (all randomness goes through numpy's default_rng).
-Seed = int
-
 #: power-iteration parameters for spectral_norm
 _POWER_RTOL = 1e-12
 _POWER_MAXIT = 100_000
@@ -178,8 +174,8 @@ def gen_contraction(n, delta, alpha, seed):
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     Q = Q * np.sign(np.where(np.diag(R) == 0.0, 1.0, np.diag(R)))

@@ -5,12 +5,12 @@ leaf, a scalar product gadget, wrapped in k levels.  A level puts a split
 layer forming the seven operand pairs, seven parallel copies of the network
 so far, and a mix layer recombining their products into the four output
 quadrants, the layers read from Strassen's tables ``_U``, ``_V``, ``_W``.
-The weight and layer counts of the result obey
-closed-form expressions (``formula_counts_pow2``) exactly.
+The weight and layer counts obey ``formula_counts_pow2`` exactly.
 
-Rectangular and general square operands are handled by zero-padding up to
-the next power of two and cropping the result (``build_str_rect`` /
-``build_str_square``).
+Rectangular and general square operands are zero-padded up to the next
+power of two and the result cropped, along one path (``_padded``).  A leaf
+budget or half-width that float64 cannot hold is refused by
+``core._derived``, naming the size the caller passed.
 """
 
 import math
@@ -75,26 +75,19 @@ def build_split(k: int) -> MNN:
 
 def _leaf_spec(k: int, eps: float, K: float, size=None) -> GadgetSpec:
     """The spec of the one leaf of ``build_str_pow2(k, eps, K)``: budget
-    eps / 4^k and half-width 2^k K, scaled by exact powers of two.  A depth
-    whose budget underflows to 0 or whose half-width overflows float64 is
-    refused by ``k``, or by ``size``, the ``(name, value)`` of the size a
-    caller pads to k levels."""
+    eps / 4^k and half-width 2^k K, scaled by exact powers of two.  Where
+    float64 cannot hold one, it is refused by ``k``, or by ``size``, the
+    ``(name, value)`` of the size a caller pads to k levels."""
     _positive("eps", eps)
     _positive("K", K)
-    budget = math.ldexp(eps, -2 * k)
-    try:
-        if budget != 0.0:
-            return GadgetSpec(budget, math.ldexp(K, k))
-    except OverflowError:  # 2^k K
-        pass
     name, levels = "k", f"k = {k} levels"
     if size is not None:
-        name, value = size
-        levels = f"{name} = {value!r} pads to {levels}, which"
-    raise ValueError(
-        f"{levels} need the leaf gadget budget {eps:g} / 4^{k} and "
-        f"half-width 2^{k} * {K:g}, which underflows to 0 or overflows "
-        f"float64; use a smaller {name}")
+        name, levels = size[0], f"{size[0]} = {size[1]!r} padded to {levels}"
+    return GadgetSpec(
+        _derived(lambda: math.ldexp(eps, -2 * k), f"the leaf gadget budget "
+                 f"{eps!r} / 4^{k} of {levels}", f"use a smaller {name}"),
+        _derived(lambda: K * 2.0 ** k, f"the leaf gadget half-width 2^{k} "
+                 f"* {K!r} of {levels}", f"use a smaller {name}"))
 
 
 def build_str_pow2(k: int, eps: float, K: float,
@@ -125,26 +118,18 @@ def formula_counts_pow2(k: int, M_gadget: int, L_gadget: int):
     return M, L
 
 
-def _build_ext(shape: RectShape) -> MNN:
-    """Padding layer for rectangular operands, input (A^T | B).
-
-    Reads the transposed left operand, undoes the transpose, and zero-pads
-    both operands to the 2^k x 2^k frame expected by the power-of-two
-    multiplier.  Costs n (m + p) weights, one per input entry.
-    """
+def _build_ext(shape: RectShape, transposed: bool = True) -> MNN:
+    """Padding layer: reads the left operand as A^T, input (A^T | B), or as
+    A, input (A | B) (which needs m = n), and zero-pads both operands to the
+    2^k x 2^k frame expected by the power-of-two multiplier.  Costs n (m + p)
+    weights, one per input entry."""
     m, n, p = shape.m, shape.n, shape.p
     side = 2 ** shape.k
     # input (k, l) of A^T is A's entry (l, k): one 1 x 1 block each
+    left = ([(l, k, k, l, 1, 1, 1.0) for k in range(n) for l in range(m)]
+            if transposed else [(0, 0, 0, 0, m, n, 1.0)])
     return _glue((side, 2 * side), (n, m + p),
-                 [(l, k, k, l, 1, 1, 1.0) for k in range(n) for l in range(m)]
-                 + [(0, side, 0, m, n, p, 1.0)])
-
-
-def _build_ext_star(n: int) -> MNN:
-    """Padding layer for square operands, input (A | B); 2 n^2 weights."""
-    side = 2 ** RectShape(n, n, n).k
-    return _glue((side, 2 * side), (n, 2 * n),
-                 [(0, 0, 0, 0, n, n, 1.0), (0, side, 0, n, n, n, 1.0)])
+                 left + [(0, side, 0, m, n, p, 1.0)])
 
 
 def _build_shr(shape: RectShape) -> MNN:
@@ -154,22 +139,27 @@ def _build_shr(shape: RectShape) -> MNN:
                  [(0, 0, 0, 0, shape.m, shape.p, 1.0)])
 
 
+def _padded(shape: RectShape, eps: float, K: float, factory: GadgetFactory,
+            size, transposed: bool) -> MNN:
+    """The power-of-two multiplier between ``_build_ext(shape, transposed)``
+    and the crop to m x p, its leaf refused by ``size`` (``_leaf_spec``)."""
+    _leaf_spec(shape.k, eps, K, size)
+    inner = build_str_pow2(shape.k, eps, K, factory)
+    return concat(_build_shr(shape),
+                  concat(inner, _build_ext(shape, transposed)))
+
+
 def build_str_rect(shape: RectShape, eps: float, K: float,
                    factory: GadgetFactory) -> MNN:
     """Multiplier for m x n by n x p operands, input (A^T | B), output m x p."""
-    _leaf_spec(shape.k, eps, K, ("shape", shape))  # refused by the shape
-    inner = build_str_pow2(shape.k, eps, K, factory)
-    return concat(_build_shr(shape), concat(inner, _build_ext(shape)))
+    return _padded(shape, eps, K, factory, ("shape", shape), True)
 
 
 def build_str_square(n: int, eps: float, K: float,
                      factory: GadgetFactory) -> MNN:
     """Multiplier for n x n operands, input (A | B) untransposed."""
     n = _count("n", n)
-    shape = RectShape(n, n, n)
-    _leaf_spec(shape.k, eps, K, ("n", n))  # refused by n
-    inner = build_str_pow2(shape.k, eps, K, factory)
-    return concat(_build_shr(shape), concat(inner, _build_ext_star(n)))
+    return _padded(RectShape(n, n, n), eps, K, factory, ("n", n), False)
 
 
 def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):
@@ -183,7 +173,7 @@ def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):
     M = _derived(lambda: 7.0 * gamma ** math.log2(7.0) * (M_gadget + 12)
                  - 9.0 * gamma ** 2,
                  f"the count bound 7 * {gamma}^log2(7) * ({M_gadget} + 12) "
-                 f"- 9 * {gamma}^2", "use a smaller shape")
+                 f"- 9 * {gamma}^2", "use a smaller size")
     L = L_gadget + 2.0 * (math.log2(gamma) + 2.0)
     return M, L
 
@@ -196,9 +186,9 @@ def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec
     return GadgetSpec(
         _derived(lambda: eps / (4.0 * gamma * gamma), f"the bound's leaf "
                  f"budget {eps!r} / (4 * {gamma}^2)",
-                 "use a larger eps or a smaller shape"),
+                 "use a larger eps or a smaller size"),
         _derived(lambda: 2.0 * gamma * K, f"the bound's leaf half-width "
-                 f"2 * {gamma} * {K!r}", "use a smaller K or shape"))
+                 f"2 * {gamma} * {K!r}", "use a smaller K or size"))
 
 
 def pow2_count_reference(k: int, eps: float, K: float, factory: GadgetFactory):

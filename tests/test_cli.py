@@ -154,7 +154,7 @@ class TestBuild:
         assert rc == 1
         assert capsys.readouterr().err == (
             "snn: error: the bound's leaf budget 5e-324 / (4 * 1^2) underflows "
-            "to 0 in float64; use a larger eps or a smaller shape\n")
+            "to 0 in float64; use a larger eps or a smaller size\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

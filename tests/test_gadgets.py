@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from strassennet.core import MNN, Layer, SparseLinearMap, realize
 from strassennet.gadgets import (FACTORIES, GadgetSpec, build_product_relu,
-                                 build_product_relu2, relu2_factory,
-                                 relu_factory, relu_gadget_bounds,
-                                 verify_gadget)
+                                 build_product_relu2, gadget_count_reference,
+                                 relu2_factory, relu_factory,
+                                 relu_gadget_bounds, verify_gadget)
 
 
 def _pairs(rng, K, count=500):
@@ -64,10 +64,16 @@ class TestReluGadgetBranches:
             assert net.num_weights == 15 * m + 12
 
     def test_overflowing_budget_is_refused(self):
-        # K^2/eps overflows float64 (first two), or the stage scale 4^m does
-        for eps, K in ((1e-320, 1.0), (1e-300, 1e10), (1e-308, 1.0)):
-            msg = re.escape(f"eps = {eps:g}, K = {K:g} ") + ".*overflows"
-            with pytest.raises(ValueError, match=msg):
+        # K^2/eps overflows float64 (first two), or the stage scale 4^m does;
+        # both were one text, "... needs the sawtooth scale 4^m ~ K^2/eps"
+        for eps, K, cause in (
+                (1e-320, 1.0, "K^2/eps, which overflows"),
+                (1e-300, 1e10, "K^2/eps, which overflows"),
+                (1e-308, 1.0, "the sawtooth scale 4^512, which has a term "
+                 "beyond")):
+            msg = (f"a relu product gadget at eps = {eps!r}, K = {K!r} needs "
+                   f"{cause} float64; use a larger eps or a smaller K")
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
                 relu_factory.build(GadgetSpec(eps, K))
 
     def test_deepest_representable_budgets_build(self):
@@ -185,6 +191,22 @@ def test_bounds_refuse_what_gadget_spec_refuses(eps, K, match):
     for call in (GadgetSpec, relu_gadget_bounds):
         with pytest.raises(ValueError, match=f"^{match}$"):
             call(eps, K)
+
+
+@pytest.mark.parametrize("eps, K", [(5e-324, 1.0), (1e-300, 13000.0),
+                                    (1.0, 1e155), (1.0, 6.8e153)])
+def test_count_reference_refuses_what_the_builder_refuses(eps, K):
+    # the reference gave (inf, inf) at the first spec and finite bounds at
+    # the others, for specs the builder refuses
+    spec = GadgetSpec(eps, K)
+    with pytest.raises(ValueError) as built:
+        relu_factory.build(spec)
+    for call in (lambda: gadget_count_reference(spec, relu_factory),
+                 lambda: relu_gadget_bounds(eps, K)):
+        with pytest.raises(ValueError) as referenced:
+            call()
+        assert str(referenced.value) == str(built.value)
+    assert f"gadget at eps = {eps!r}, K = {K!r}" in str(built.value)
 
 
 def test_relu_gadget_output_is_piecewise_scaling(rng):

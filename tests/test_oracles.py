@@ -185,6 +185,14 @@ class TestGenContraction:
         with pytest.raises(ValueError):
             oracles.gen_contraction(3, 0.5, -1.0, 0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.0])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        # nan gave a NaN matrix and inf a zero one, neither meeting its
+        # ||I - alpha A||_2 <= delta
+        with pytest.raises(ValueError,
+                           match="^alpha must be positive and finite$"):
+            oracles.gen_contraction(2, 0.5, alpha, 0)
+
 
 @pytest.mark.parametrize("call, reason", [
     (lambda: oracles.matmul_naive(np.ones(2), np.eye(2)),

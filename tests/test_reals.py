@@ -61,6 +61,7 @@ PARAMETERS = [
     ("alpha", inf, lambda x: build_in(2, x)),
     ("eps", inf, lambda x: neu_bound_counts(2, 2, x, f)),
     ("eps_neu", inf, lambda x: NeumannDepth(2, 0.1, x)),
+    ("eps", 0.125, lambda x: build_neu(1, 2, x, f)),
 ]
 
 

@@ -13,8 +13,8 @@ from strassennet.core import identity_mnn, realize, realize_many
 from strassennet.gadgets import (GadgetFactory, GadgetSpec, relu2_factory,
                                  relu_factory)
 from strassennet.strassen import (_U, _V, _W, RectShape, _build_ext,
-                                  _build_ext_star, _build_shr,
-                                  bound_counts_rect, bound_gadget_spec_rect,
+                                  _build_shr, bound_counts_rect,
+                                  bound_gadget_spec_rect,
                                   build_mix, build_split, build_str_pow2,
                                   build_str_rect, build_str_square,
                                   formula_counts_pow2, pow2_count_reference,
@@ -191,7 +191,7 @@ class TestPaddingLayers:
     def test_ext_star_duplicates_layout(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 3))
-        net = _build_ext_star(3)
+        net = _build_ext(RectShape(3, 3, 3), False)
         out = realize(net, np.hstack([A, B]))
         assert out.shape == (4, 8)
         assert np.array_equal(out[:3, :3], A)
@@ -309,8 +309,9 @@ def test_deep_k_ends_in_the_leaf_refusal_or_the_factory(build, k, eps,
         with pytest.raises(_Refused):
             build(k, eps, 1.0, _refusing_factory([]))
     else:
-        with pytest.raises(ValueError, match=rf"^k = {k} levels need the "
-                           r"leaf gadget budget .* use a smaller k$"):
+        with pytest.raises(ValueError, match=rf"^the leaf gadget (budget|"
+                           rf"half-width) .* of k = {k} levels .* float64; "
+                           r"use a smaller k$"):
             build(k, eps, 1.0, _refusing_factory([]))
 
 
@@ -326,9 +327,32 @@ def test_padded_depth_is_refused_by_the_callers_size(build, size):
     with pytest.raises(ValueError) as info:
         build(0.1)
     assert str(info.value) == (
-        f"{size} pads to k = 600 levels, which need the leaf gadget budget "
-        "0.1 / 4^600 and half-width 2^600 * 1, which underflows to 0 or "
-        f"overflows float64; use a smaller {size.split(' =')[0]}")
+        f"the leaf gadget budget 0.1 / 4^600 of {size} padded to k = 600 "
+        f"levels underflows to 0 in float64; use a smaller "
+        f"{size.split(' =')[0]}")
+
+
+@pytest.mark.parametrize("build, levels, name", [
+    (build_str_pow2, "k = {k} levels", "k"),
+    (pow2_count_reference, "k = {k} levels", "k"),
+    (lambda k, *a: build_str_square(2 ** k, *a),
+     "n = {n} padded to k = {k} levels", "n"),
+    (lambda k, *a: build_str_rect(RectShape(2 ** k, 1, 1), *a),
+     "shape = RectShape(m={n}, n=1, p=1) padded to k = {k} levels",
+     "shape")], ids=["pow2", "pow2-reference", "square", "rect"])
+def test_leaf_budget_and_half_width_are_refused_apart(build, levels, name):
+    # both were "... budget ... and half-width ..., which underflows to 0
+    # or overflows float64", one text for two values
+    for k, eps, cause in (
+            (600, 0.1, "the leaf gadget budget 0.1 / 4^600 of {levels} "
+             "underflows to 0 in float64"),
+            (1030, 1e300, "the leaf gadget half-width 2^1030 * 1.0 of "
+             "{levels} has a term beyond float64")):
+        with pytest.raises(ValueError) as info:
+            build(k, eps, 1.0, _refusing_factory([]))
+        at = levels.format(k=k, n=2 ** k)
+        assert str(info.value) == (cause.format(levels=at)
+                                   + f"; use a smaller {name}")
 
 
 def test_factory_must_build_a_scalar_product_gadget():
@@ -372,9 +396,9 @@ def test_gadget_spec_for_bounds_shrinks_budget():
 @pytest.mark.parametrize("shape, eps, K, cause", [
     (RectShape(3, 3, 3), 5e-324, 1.0, "the bound's leaf budget 5e-324 / "
      "(4 * 3^2) underflows to 0 in float64; use a larger eps or a smaller "
-     "shape"),
+     "size"),
     (RectShape(3, 3, 3), 1.0, 1e308, "the bound's leaf half-width 2 * 3 * "
-     "1e+308 overflows float64; use a smaller K or shape"),
+     "1e+308 overflows float64; use a smaller K or size"),
 ])
 def test_bound_leaf_that_rounds_away_is_refused_as_derived(shape, eps, K,
                                                            cause):
@@ -390,7 +414,7 @@ def test_bound_leaf_that_rounds_away_is_refused_as_derived(shape, eps, K,
 def test_only_gadget_built_networks_carry_a_label():
     shape = RectShape(2, 3, 2)
     for glue in (build_mix(2), build_split(2), _build_ext(shape),
-                 _build_ext_star(3), _build_shr(shape)):
+                 _build_ext(RectShape(3, 3, 3), False), _build_shr(shape)):
         assert glue.activation_name is None
     for factory in (relu_factory, relu2_factory):
         name = factory.activation_name
