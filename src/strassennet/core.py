@@ -23,16 +23,20 @@ them on demand.  That order is the one in which evaluation sums each row,
 so it must stay row-major: another order would change the floats.
 Evaluation flattens matrices row-major and stacks a batch of inputs as
 columns, with one extra row of ones.  A network is compiled once, on its
-first evaluation, into one CSR product per layer: its operator holds the map
-entries, the nonzero biases as a last column fed by that row, and a 1 that
-carries the row to the next layer.  Hidden states keep their rho rows first,
-so rho acts on one contiguous block; that order is internal, and inputs and
-outputs stay row-major.  A batch runs through all layers one cache-sized
-tile of columns at a time.  The floats are those of ``L X + C`` and then
-rho, layer by layer, whatever the batch; rho must act entrywise.  A
-network's error guarantee holds only on the domain its builder states
-(multipliers: operand entries in ``[-K, K]``; inverters:
-``||I - alpha A||_2 <= delta``), and evaluation does not check it.
+first evaluation, into the CSR arrays of one operator per layer: it holds
+the map entries, the nonzero biases as a last column fed by that row, and a
+1 that carries the row to the next layer.  Hidden states keep their rho rows
+first, so rho acts on one contiguous block; that order is internal, and
+inputs and outputs stay row-major.  A batch runs through all layers one
+cache-sized tile of columns at a time, between two state buffers that each
+evaluation allocates once: each layer is one call of scipy's CSR kernel,
+the one ``@`` runs, from one buffer into the other, and then rho in place,
+called as ``rho(block, out=block)`` the way numpy's ufuncs are.  The floats
+are those of ``L X + C`` and then rho, layer by layer, whatever the batch;
+rho must act entrywise.  A network's error guarantee holds only on the
+domain its builder states (multipliers: operand entries in ``[-K, K]``;
+inverters: ``||I - alpha A||_2 <= delta``), and evaluation does not check
+it.
 """
 
 import math
@@ -41,6 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 
 class MatrixShape(NamedTuple):
@@ -119,16 +124,17 @@ def _as_shape(shape) -> MatrixShape:
     return s
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_squared(x):
-    r = np.maximum(x, 0.0)
-    return r * r
+def relu_squared(x, out=None):
+    r = np.maximum(x, 0.0, out=out)
+    return np.multiply(r, r, out=out)  # not out=r: r is a scalar for 0-d x
 
 
-#: named activations usable as the rho of a network
+#: named activations usable as the rho of a network; like numpy's ufuncs,
+#: each takes ``out=`` and returns it (see :func:`realize_flat`)
 ACTIVATIONS: dict = {"relu": relu, "relu2": relu_squared}
 
 
@@ -468,19 +474,23 @@ _TILE_BYTES = 2 ** 20
 
 
 def _compile(net: MNN):
-    """The network as ``(steps, tile)``: one ``(csr, n_rho)`` step per layer
-    and the column tile width, built on the first evaluation and cached.
+    """The network as ``(steps, tile, height)``: one step per layer, the
+    column tile width and the height of the state buffers, built on the
+    first evaluation and cached.
 
-    Every state is held in its layer's rho-first order: the rho rows, then
-    the identity rows, each in row-major order, then the row of ones.  A
-    step's rho then acts on the contiguous ``V[:n_rho]``, and the next
-    step's columns are relabelled to match.  Without rho, as for the input
-    and the last layer, this is the identity order; the last layer's is cut
-    before the ones row.  Each row holds its map entries in stored order
-    with its nonzero bias after them, in the column of the ones row: the
-    product sums the same terms in the same order as ``L @ V + bias``, so
-    the floats are the same.  The relabelled columns are unsorted, and must
-    stay so.
+    A step is ``(rows, cols, indptr, indices, data, n_rho)``, the CSR arrays
+    of its layer's ``(rows x cols)`` operator and its rho row count, as
+    scipy's CSR kernels take them.  ``height`` is the widest state, counting
+    the input and the ones row.  Every state is held in its layer's
+    rho-first order: the rho rows, then the identity rows, each in
+    row-major order, then the row of ones.  A step's rho then acts on its
+    first ``n_rho`` rows, one contiguous block, and the next step's columns
+    are relabelled to match.  Without rho, as for the input and the last
+    layer, this is the identity order; the last layer's is cut before the
+    ones row.  Each row holds its map entries in stored order with its
+    nonzero bias after them, in the column of the ones row: the product
+    sums the same terms in the same order as ``L @ V + bias``, so the floats
+    are the same.  The relabelled columns are unsorted, and must stay so.
     """
     if net._steps is not None:
         return net._steps
@@ -491,7 +501,7 @@ def _compile(net: MNN):
         bias = layer.bias.reshape(-1)
         if depth < net.num_layers:  # a last row with the 1 for the ones row
             bias = np.concatenate([bias, [1.0]])
-        # int32 when it fits, which scipy would otherwise cast to in a pass
+        # int32 when it fits: the kernel then reads half the index bytes
         index = np.int32 if m.nnz + bias.size + m.in_shape.size < 2 ** 31 \
             else np.int64
         per_map = np.diff(m.indptr, append=m.nnz)[:bias.size]  # ones row: 0
@@ -521,12 +531,11 @@ def _compile(net: MNN):
         indices = np.empty(indptr[-1], dtype=index)
         indices[put] = where[m.indices]
         indices[put_bias] = m.in_shape.size  # the ones row stays last
-        op = sparse.csr_matrix((data, indices, indptr),
-                               shape=(bias.size, m.in_shape.size + 1))
-        steps.append((op, int(np.count_nonzero(rho))))
+        steps.append((bias.size, m.in_shape.size + 1, indptr, indices, data,
+                      int(np.count_nonzero(rho))))
         where = moved
         widest = max(widest, bias.size)
-    _set(net, "_steps", (steps, max(32, _TILE_BYTES // (8 * widest))))
+    _set(net, "_steps", (steps, max(32, _TILE_BYTES // (8 * widest)), widest))
     return net._steps
 
 
@@ -537,14 +546,20 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     or real floats; the result is a fresh ``(output_shape.size, batch)``
     array.  This is the batched workhorse behind :func:`realize`.  The
     network is compiled once, on its first evaluation, into one CSR
-    product per layer on states carrying a last row of ones, with the bias
+    operator per layer on states carrying a last row of ones, with the bias
     as a last column; hidden states keep their rho rows first (see
     :func:`_compile`).  The batch runs through every layer one tile of
-    columns at a time, sized so that a tile's state stays in cache.  The
-    floats are those of ``L X + C`` and then rho, layer by layer, whatever
-    the batch.  A None ``rho`` is the one ``ACTIVATIONS`` registers for the
-    network's label.  ``rho`` must act entrywise: it is called on a
-    contiguous block of rows of one tile.
+    columns at a time, sized so that a tile's state stays in cache.  Each
+    call allocates two state buffers, as tall as the widest state; each
+    layer is one call of scipy's CSR kernel (``csr_matvec`` for one
+    column, ``csr_matvecs`` for more, the kernels that ``@`` runs) from
+    one buffer into the other, zeroed, and then rho in place.  The floats
+    are those of ``L X + C`` and then rho, layer by layer, whatever the
+    batch.  A None ``rho`` is the one ``ACTIVATIONS`` registers for the
+    network's label.  ``rho`` must act entrywise and in place, as numpy's
+    ufuncs do: it is called as ``rho(block, out=block)`` on a contiguous
+    1-D block of one tile's rows and must return that block; a result
+    other than ``block`` is refused.
     """
     columns = _real("columns", columns)
     if columns.ndim != 2 or len(columns) != net.input_shape.size:
@@ -560,29 +575,42 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
                              f"{net.activation_name!r}")
     # compile before the first state: operators built between states stay
     # above the freed states and keep the heap from shrinking
-    steps, tile = _compile(net)
-    batch = columns.shape[1]
+    steps, tile, height = _compile(net)
+    size, batch = columns.shape
     out = np.empty((net.output_shape.size, batch))
+    V, Y = np.empty((2, height * min(tile, batch)))  # reused by every tile
     for first in range(0, batch, tile):
         cut = columns[:, first:first + tile]
-        V = np.empty((len(cut) + 1, cut.shape[1]))
-        V[:-1] = cut
-        V[-1] = 1.0
-        for op, n_rho in steps:
-            V = op @ V
+        c = cut.shape[1]
+        V[:size * c].reshape(size, c)[:] = cut
+        V[size * c:(size + 1) * c] = 1.0
+        for rows, cols, indptr, indices, data, n_rho in steps:
+            Y[:rows * c] = 0.0
+            if c == 1:
+                _sparsetools.csr_matvec(rows, cols, indptr, indices, data, V,
+                                        Y)
+            else:
+                _sparsetools.csr_matvecs(rows, cols, c, indptr, indices, data,
+                                         V, Y)
             if n_rho:
-                V[:n_rho] = rho(V[:n_rho])
-        out[:, first:first + tile] = V
+                block = Y[:n_rho * c]
+                if rho(block, out=block) is not block:
+                    raise ValueError("rho must act in place: called as "
+                                     "rho(block, out=block), it must write "
+                                     "into block and return it")
+            V, Y = Y, V
+        out[:, first:first + c] = V[:rows * c].reshape(rows, c)
     return out
 
 
 def realize(net: MNN, input: np.ndarray) -> np.ndarray:
     """The function computed by the network, applied to one input matrix.
 
-    Each layer costs one sparse product of the network compiled on its
-    first evaluation, with rho the callable that ``ACTIVATIONS`` registers
-    for the network's label (see :func:`realize_flat`), and the output is
-    bit-identical to computing ``L X + C`` and then rho layer by layer.
+    Each layer costs one call of scipy's CSR kernel on the network compiled
+    on its first evaluation, then rho in place, with rho the callable that
+    ``ACTIVATIONS`` registers for the network's label (see
+    :func:`realize_flat`), and the output is bit-identical to computing
+    ``L X + C`` and then rho layer by layer.
     The input must hold integers or real floats, and only its shape is
     checked: the error guarantee covers the domain the builder states (for
     multipliers, entries of both operands in ``[-K, K]``; for inverters,

@@ -1,5 +1,6 @@
 """Layer/network data structures, realization, and block-table maps."""
 
+import threading
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from strassennet import core
 from strassennet.combinators import concat, parallelize
@@ -467,11 +470,14 @@ def test_realize_flat_compiles_each_network_once(monkeypatch):
     child = build_str_pow2(1, 0.1, 1.0, relu_factory)
     cols = np.random.default_rng(5).uniform(-1, 1, (child.input_shape.size,
                                                     9))
+    # every step's assembly takes one cumsum of its row lengths
+    built, cumsum = [], core.np.cumsum
+    monkeypatch.setattr(core.np, "cumsum",
+                        lambda *args, **kw: built.append(1) or cumsum(*args,
+                                                                      **kw))
     first = realize_flat(child, None, cols)
-    steps, built = child._steps, []
-    csr = core.sparse.csr_matrix
-    monkeypatch.setattr(core.sparse, "csr_matrix",
-                        lambda *args, **kw: built.append(1) or csr(*args, **kw))
+    assert len(built) >= child.num_layers
+    steps, built[:] = child._steps, []
     assert realize_flat(child, None, cols).tobytes() == first.tobytes()
     assert child._steps is steps and built == []
     monkeypatch.undo()
@@ -481,6 +487,83 @@ def test_realize_flat_compiles_each_network_once(monkeypatch):
     for net in (child, top, tail):
         _check_tiles(net, None)
     assert child._steps is steps
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("width", [1, 2, 37])
+def test_csr_kernels_are_the_ones_the_product_runs(index, width):
+    # realize_flat calls these kernels directly, and the reference
+    # _layer_by_layer runs ``matrix() @``: both must sum each row in stored
+    # order, with unsorted column indices, into a zeroed state
+    rng = np.random.default_rng(width)
+    rows, cols, per_row = 40, 30, 12
+    indptr = np.arange(0, rows * per_row + 1, per_row, dtype=index)
+    indices = np.concatenate([rng.permutation(cols)[:per_row]
+                              for _ in range(rows)]).astype(index)
+    data = rng.uniform(-1, 1, indptr[-1]) * 10.0 ** rng.integers(
+        -8, 9, indptr[-1])  # magnitudes far apart, so order shows
+    V = rng.uniform(-1, 1, (cols, width))
+    op = sparse.csr_matrix((data, indices, indptr), shape=(rows, cols))
+    want = op @ V
+    Y = np.zeros(rows * width)
+    if width == 1:
+        _sparsetools.csr_matvec(rows, cols, indptr, indices, data,
+                                V.reshape(-1), Y)
+    else:
+        _sparsetools.csr_matvecs(rows, cols, width, indptr, indices, data,
+                                 V.reshape(-1), Y)
+    assert Y.tobytes() == want.tobytes()
+    # the data would show a change of order
+    assert (op.sorted_indices() @ V).tobytes() != want.tobytes()
+
+
+@pytest.mark.parametrize("rho", [core.relu, core.relu_squared],
+                         ids=["relu", "relu2"])
+def test_registered_activations_write_into_out(rho):
+    values = np.array([[-2.0, -0.0, 0.0, 0.5], [3.0, -1e-300, 1e150, -7.0]])
+    # a 0-d, a 1-d and a 2-D row view of the state
+    for view in (lambda a: a[1, 0, ...], lambda a: a[1], lambda a: a[:1]):
+        want = np.asarray(rho(view(values.copy())))
+        state = values.copy()
+        out = view(state)
+        assert rho(out, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rho", [lambda x, out=None: np.maximum(x, 0.0),
+                                 lambda x, out=None: None],
+                         ids=["fresh-array", "none"])
+def test_rho_that_does_not_return_its_out_block_is_refused(rho):
+    net = build_str_pow2(1, 0.1, 1.0, relu_factory)
+    with pytest.raises(ValueError, match=r"^rho must act in place: called "
+                       r"as rho\(block, out=block\), it must write into "
+                       r"block and return it$"):
+        realize_flat(net, rho, np.ones((net.input_shape.size, 3)))
+
+
+def test_realize_flat_is_reentrant():
+    # two threads on one uncompiled network: each call owns its buffers
+    net, shared = (build_inv(InversionSpec(2, 1.0, 1e-3, 0.5), relu_factory)
+                   for _ in range(2))
+    tile = core._compile(net)[1]
+    cols = np.random.default_rng(9).uniform(-0.3, 0.3,
+                                            (net.input_shape.size, tile + 1))
+    widths = (1, 5, tile + 1)
+    want = [realize_flat(net, None, cols[:, :w]).tobytes() for w in widths]
+    start, got = threading.Barrier(2), [[], []]
+
+    def run(mine):
+        start.wait()
+        for _ in range(20):
+            mine.append([realize_flat(shared, None, cols[:, :w]).tobytes()
+                         for w in widths])
+
+    threads = [threading.Thread(target=run, args=(mine,)) for mine in got]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert all(calls == [want] * 20 for calls in got)
 
 
 @pytest.mark.parametrize("bad", [np.ones((8, 2)) + 1j, np.full((8, 2), "1"),
