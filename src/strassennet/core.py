@@ -22,23 +22,29 @@ A map stores its entries only as the CSR arrays of its flattened operator
 them on demand.  That order is the one in which evaluation sums each row,
 so it must stay row-major: another order would change the floats.
 Evaluation flattens matrices row-major and stacks a batch of inputs as
-columns, with one extra row of ones.  A network is compiled once, on its
-first evaluation, into the CSR arrays of one operator per layer: it holds
-the map entries, the nonzero biases as a last column fed by that row, and a
-1 that carries the row to the next layer.  Hidden states keep their rho rows
-first, so rho acts on one contiguous block; that order is internal, and
-inputs and outputs stay row-major.  A batch runs through all layers one
-cache-sized tile of columns at a time, between two state buffers that each
-evaluation allocates once: each layer is one call of scipy's CSR kernel,
-the one ``@`` runs, from one buffer into the other, and then rho in place,
-called as ``rho(block, out=block)`` the way numpy's ufuncs are.  The floats
-are those of ``L X + C`` and then rho, layer by layer, whatever the batch;
-rho must act entrywise.  A network's error guarantee holds only on the
+columns, with one extra row of ones.  A network is compiled into the CSR
+arrays of one operator per layer: it holds the map entries, the nonzero
+biases as a last column fed by that row, and a 1 that carries the row to
+the next layer.  Hidden states keep their rho rows first, so rho acts on
+one contiguous block; that order is internal, and inputs and outputs stay
+row-major.  There are two such programs, each compiled on the first call
+that needs it.  Calls on one column run the folded one: a run of layers
+that are each r copies of one block, as the leaves of a Strassen
+multiplier are, runs as that block alone on r vectors, one per copy.
+Wider calls run the wide one, whose operators hold every copy, one
+cache-sized tile of columns at a time; folding them would make each row r
+tiles wide.  Each evaluation allocates two state buffers once: each layer
+is one call of scipy's CSR kernel, the one ``@`` runs, from one buffer into
+the other, and then rho in place, called as ``rho(block, out=block)`` the
+way numpy's ufuncs are.  The floats are those of ``L X + C`` and then rho,
+layer by layer, whatever the batch and the program; rho must act
+entrywise.  A network's error guarantee holds only on the
 domain its builder states (multipliers: operand entries in ``[-K, K]``;
 inverters: ``||I - alpha A||_2 <= delta``), and evaluation does not check
 it.
 """
 
+import itertools
 import math
 import numbers
 from typing import NamedTuple, Optional, Sequence
@@ -144,7 +150,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 #: sets an attribute of a read-only object: only its constructor (and
-#: ``_compile``, for ``MNN._steps``) may call it
+#: ``_compile``, for ``MNN._wide`` and ``MNN._folded``) may call it
 _set = object.__setattr__
 
 
@@ -421,7 +427,7 @@ class MNN(_ReadOnly):
     """A matrix neural network: a nonempty chain of layers (see ``_chain``)
     whose last layer has no rho entries, plus a rho label (see ``_label``)."""
 
-    __slots__ = ("layers", "activation_name", "_steps")
+    __slots__ = ("layers", "activation_name", "_wide", "_folded")
 
     def __init__(self, layers: Sequence[Layer],
                  activation_name: Optional[str] = None):
@@ -436,7 +442,8 @@ class MNN(_ReadOnly):
                              "the final layer must be identity-activated")
         _set(self, "layers", tuple(chain))
         _set(self, "activation_name", activation_name)
-        _set(self, "_steps", None)  # the compiled evaluation, see _compile
+        _set(self, "_wide", None)  # the compiled programs, see _compile
+        _set(self, "_folded", None)
 
     @property
     def input_shape(self) -> MatrixShape:
@@ -472,71 +479,164 @@ def counts_satisfied(net: MNN, reference) -> bool:
 # spread.
 _TILE_BYTES = 2 ** 20
 
+_IN_PLACE = ("rho must act in place: called as rho(block, out=block), it "
+             "must write into block and return it")
 
-def _compile(net: MNN):
+
+def _divisors(n: int) -> list:
+    """The divisors of ``n`` above 1, largest first."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*low, *(n // d for d in low)} - {1}, reverse=True)
+
+
+def _copies(layer: Layer) -> int:
+    """The largest r for which the layer is ``kron(I_r, B)``, else 1: its
+    flattened operator is r copies of one block B along the diagonal, in
+    row-major order, each with B's entries in B's stored order, B's bias
+    and B's mask.  Read off the arrays alone, so loaded networks fold as
+    built ones do."""
+    m = layer.map
+    rows = np.diff(m.indptr)
+    bias, rho = layer.bias.reshape(-1), layer.mask.rho.reshape(-1)
+    for r in _divisors(math.gcd(m.out_shape.size, m.in_shape.size, m.nnz)):
+        bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
+        # each array equals itself shifted by one block, so every block
+        # equals the first, its columns moved by one input block; since
+        # the last block's columns are in range, the first reads only its
+        # own input block
+        if (np.array_equal(rows[bo:], rows[:-bo])
+                and np.array_equal(rho[bo:], rho[:-bo])
+                and np.array_equal(bias[bo:], bias[:-bo])
+                and np.array_equal(m.val[bn:], m.val[:m.nnz - bn])
+                and np.array_equal(m.indices[bn:],
+                                   m.indices[:m.nnz - bn] + bi)):
+            return r
+    return 1
+
+
+def _fold_plan(net: MNN) -> list:
+    """The number of copies each layer runs as in the one-column program.
+
+    A run of at least two consecutive layers with the same ``_copies``
+    r > 1 folds: each runs as its block, on r vectors.  The run ends
+    before the last layer, whose output is row-major, and its predecessor
+    is a layer that does not fold and has no rho rows, since it writes
+    the run's input copy-minor (see :func:`_compile`).  Every other layer
+    runs whole, as 1 copy."""
+    last = net.num_layers - 1
+    plan = [1] * net.num_layers
+    start = 1
+    for r, run in itertools.groupby(_copies(layer)
+                                    for layer in net.layers[1:last]):
+        end = start + len(list(run))
+        if (r > 1 and end - start >= 2 and plan[start - 1] == 1
+                and not net.layers[start - 1].mask.any_rho):
+            plan[start:end] = [r] * (end - start)
+        start = end
+    return plan
+
+
+def _compile(net: MNN, folded: bool):
     """The network as ``(steps, tile, height)``: one step per layer, the
-    column tile width and the height of the state buffers, built on the
-    first evaluation and cached.
+    column tile width and the height of the state buffers.  There are two
+    such programs, each built on its first use and cached: the folded one
+    (``folded``) for calls on one column, and the wide one for wider calls.
 
-    A step is ``(rows, cols, indptr, indices, data, n_rho)``, the CSR arrays
-    of its layer's ``(rows x cols)`` operator and its rho row count, as
-    scipy's CSR kernels take them.  ``height`` is the widest state, counting
-    the input and the ones row.  Every state is held in its layer's
-    rho-first order: the rho rows, then the identity rows, each in
-    row-major order, then the row of ones.  A step's rho then acts on its
-    first ``n_rho`` rows, one contiguous block, and the next step's columns
-    are relabelled to match.  Without rho, as for the input and the last
-    layer, this is the identity order; the last layer's is cut before the
-    ones row.  Each row holds its map entries in stored order with its
-    nonzero bias after them, in the column of the ones row: the product
-    sums the same terms in the same order as ``L @ V + bias``, so the floats
-    are the same.  The relabelled columns are unsorted, and must stay so.
+    A step is ``(rows, cols, vecs, indptr, indices, data, n_rho)``: the CSR
+    arrays of a ``(rows x cols)`` operator, as scipy's CSR kernels take
+    them, the number of vectors it runs on for each column of the batch,
+    and its rho row count.  ``height`` is the largest state, counting the
+    input and the ones row.  Each row holds its map entries in stored
+    order with its nonzero bias after them, in the column of a ones row:
+    the product sums the same terms in the same order as ``L @ V + bias``,
+    so the floats are the same.  The relabelled columns are unsorted, and
+    must stay so.
+
+    In the wide program every step runs on one vector, and every state is
+    held in its layer's rho-first order: the rho rows, then the identity
+    rows, each in row-major order, then the row of ones.  A step's rho
+    then acts on its first ``n_rho`` rows, one contiguous block, and the
+    next step's columns are relabelled to match.  Without rho, as for the
+    input and the last layer, this is the identity order; the last layer's
+    is cut before the ones row.
+
+    The folded program runs a layer that is r copies of one block B
+    (``kron(I_r, B)``, see :func:`_copies`) as B alone on r vectors, one
+    per copy, for the runs of layers :func:`_fold_plan` picks.  Its state
+    is copy-minor: B's rows in rho-first order, each repeated r times,
+    then the ones row repeated r times.  Each copy's row sums the same
+    terms in the same order from zero, so the floats are those of the wide
+    program.  The layer before a run writes its rows in that order, and
+    the layer after it relabels its columns from it; every layer outside
+    the runs is compiled as in the wide program.  At batch 1 a layer of
+    2401 leaf copies is then one product over B's few rows instead of
+    2401 short dot products.  Wider calls keep the wide program: there a
+    folded row spans r times the batch, which streams out of cache.
     """
-    if net._steps is not None:
-        return net._steps
-    steps, widest, mask = [], net.input_shape.size + 1, None
-    where = np.arange(net.input_shape.size)  # the input in row-major order
-    for depth, layer in enumerate(net.layers, 1):
-        m = layer.map
-        bias = layer.bias.reshape(-1)
-        if depth < net.num_layers:  # a last row with the 1 for the ones row
-            bias = np.concatenate([bias, [1.0]])
+    program = net._folded if folded else net._wide
+    if program is not None:
+        return program
+    last = net.num_layers - 1
+    plan = _fold_plan(net) if folded else [1] * net.num_layers
+    if folded and max(plan) == 1:  # nothing folds: the programs are one
+        program = _compile(net, False)
+        _set(net, "_folded", program)
+        return program
+    steps, mask = [], None
+    size = widest = net.input_shape.size + 1
+    moved = np.arange(size)  # the input in row-major order, then the ones row
+    for pos, layer in enumerate(net.layers):
+        r, m = plan[pos], layer.map
+        bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
+        rho = layer.mask.rho.reshape(-1)[:bo]
+        bias = np.append(layer.bias.reshape(-1)[:bo], 1.0)  # ones row: 1
+        # the state rows of copy 0 of B's inputs and of the ones row
+        where = moved if r == 1 else np.append(moved[:bi], moved[-1]) // r
+        # ``order`` lists B's rows in state order, B's ones row as bo, and
+        # ``row`` gives each its state row; consecutive layers held in
+        # rho-first order with one mask share them
+        rho_first = pos < last and r >= plan[pos + 1]
+        if not (rho_first and np.array_equal(rho, mask)):
+            mask = rho if rho_first else None
+            if rho_first:
+                order = np.concatenate([np.flatnonzero(rho),
+                                        np.flatnonzero(~rho), [bo]])
+            elif pos == last:
+                order = np.arange(bo)
+            else:  # copy-minor, for the run that follows
+                n = plan[pos + 1]
+                order = np.append(np.arange(bo).reshape(n, -1).T,
+                                  np.full(n, bo))
+            row = np.zeros(bo + 1, dtype=np.intp)
+            row[order] = np.arange(order.size)
+        cols = size // r
         # int32 when it fits: the kernel then reads half the index bytes
-        index = np.int32 if m.nnz + bias.size + m.in_shape.size < 2 ** 31 \
-            else np.int64
-        per_map = np.diff(m.indptr, append=m.nnz)[:bias.size]  # ones row: 0
+        index = np.int32 if bn + order.size + cols <= 2 ** 31 else np.int64
+        per_map = np.diff(m.indptr[:bo + 1], append=bn)  # ones row: 0
         biased = bias != 0
-        indptr = np.zeros(bias.size + 1, dtype=index)
-        rho = layer.mask.rho.reshape(-1)
-        if not np.array_equal(rho, mask):
-            # rho rows, identity rows, then the ones row: ``order`` lists
-            # the row-major rows so, ``moved`` gives each its new position;
-            # a run of layers with one mask shares them
-            mask = rho
-            order = np.concatenate([np.flatnonzero(rho), np.flatnonzero(~rho),
-                                    [rho.size]])
-            moved = np.empty_like(order, dtype=index)
-            moved[order] = np.arange(order.size)
-        np.cumsum((per_map + biased)[order[:bias.size]], out=indptr[1:])
-        start = indptr[moved[:bias.size]]  # where each row-major row starts
-        # entry e of row r goes to start[r] + e - m.indptr[r], and the
-        # bias of row r right after its entries
-        after = start + per_map
-        put = np.repeat(start - m.indptr[:bias.size], per_map)
-        put += np.arange(m.nnz)
-        at = np.flatnonzero(biased)
-        put_bias = after[at]
+        indptr = np.zeros(order.size + 1, dtype=index)
+        np.cumsum((per_map + biased)[order], out=indptr[1:])
+        # entry e of B's row b goes to indptr[row[b]] + e - m.indptr[b],
+        # and the bias of each state row right after its entries
+        put = np.repeat(indptr[row[:bo]] - m.indptr[:bo], per_map[:bo])
+        put += np.arange(bn)
+        at = np.flatnonzero(biased[order])
+        put_bias = indptr[at] + per_map[order[at]]
         data = np.empty(indptr[-1])
-        data[put], data[put_bias] = m.val, bias[at]
+        data[put], data[put_bias] = m.val[:bn], bias[order[at]]
         indices = np.empty(indptr[-1], dtype=index)
-        indices[put] = where[m.indices]
-        indices[put_bias] = m.in_shape.size  # the ones row stays last
-        steps.append((bias.size, m.in_shape.size + 1, indptr, indices, data,
+        indices[put] = where[m.indices[:bn]]
+        indices[put_bias] = where[bi]
+        steps.append((order.size, cols, r, indptr, indices, data,
                       int(np.count_nonzero(rho))))
-        where = moved
-        widest = max(widest, bias.size)
-    _set(net, "_steps", (steps, max(32, _TILE_BYTES // (8 * widest)), widest))
-    return net._steps
+        # copy q of B's row b sits at vector q of its state row
+        moved = row if r == 1 else np.append(
+            row[:bo] * r + np.arange(r)[:, None], row[bo] * r)
+        size = order.size * r
+        widest = max(widest, size)
+    program = (steps, max(32, _TILE_BYTES // (8 * widest)), widest)
+    _set(net, "_folded" if folded else "_wide", program)
+    return program
 
 
 def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
@@ -545,21 +645,25 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     ``columns`` has shape ``(input_shape.size, batch)`` and holds integers
     or real floats; the result is a fresh ``(output_shape.size, batch)``
     array.  This is the batched workhorse behind :func:`realize`.  The
-    network is compiled once, on its first evaluation, into one CSR
-    operator per layer on states carrying a last row of ones, with the bias
-    as a last column; hidden states keep their rho rows first (see
-    :func:`_compile`).  The batch runs through every layer one tile of
-    columns at a time, sized so that a tile's state stays in cache.  Each
-    call allocates two state buffers, as tall as the widest state; each
-    layer is one call of scipy's CSR kernel (``csr_matvec`` for one
-    column, ``csr_matvecs`` for more, the kernels that ``@`` runs) from
-    one buffer into the other, zeroed, and then rho in place.  The floats
-    are those of ``L X + C`` and then rho, layer by layer, whatever the
-    batch.  A None ``rho`` is the one ``ACTIVATIONS`` registers for the
-    network's label.  ``rho`` must act entrywise and in place, as numpy's
-    ufuncs do: it is called as ``rho(block, out=block)`` on a contiguous
-    1-D block of one tile's rows and must return that block; a result
-    other than ``block`` is refused.
+    network is compiled on its first evaluation into one CSR operator per
+    layer on states carrying a last row of ones, with the bias as a last
+    column; hidden states keep their rho rows first (see
+    :func:`_compile`).  One column runs the folded program, in which a
+    run of layers that are each r copies of one block, as Strassen's
+    leaves are, runs as that block on r vectors; wider calls run the wide
+    program, whose operators hold every copy, one tile of columns at a
+    time, sized so that a tile's state stays in cache.  Each program is
+    compiled on the first call that needs it.  Each call allocates two
+    state buffers, as tall as the largest state; each layer is one call of
+    scipy's CSR kernel (``csr_matvec`` for one vector, ``csr_matvecs`` for
+    more, the kernels that ``@`` runs) from one buffer into the other,
+    zeroed, and then rho in place.  The floats are those of ``L X + C``
+    and then rho, layer by layer, whatever the batch and the program.  A
+    None ``rho`` is the one ``ACTIVATIONS`` registers for the network's
+    label.  ``rho`` must act entrywise and in place, as numpy's ufuncs do:
+    it is called as ``rho(block, out=block)`` on a contiguous 1-D block of
+    one tile's rows and must return that block; a rho that takes no
+    ``out=`` or returns anything else is refused.
     """
     columns = _real("columns", columns)
     if columns.ndim != 2 or len(columns) != net.input_shape.size:
@@ -573,10 +677,10 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
         if rho is None and any(layer.mask.any_rho for layer in net.layers):
             raise ValueError(f"no callable registered for activation "
                              f"{net.activation_name!r}")
+    size, batch = columns.shape
     # compile before the first state: operators built between states stay
     # above the freed states and keep the heap from shrinking
-    steps, tile, height = _compile(net)
-    size, batch = columns.shape
+    steps, tile, height = _compile(net, batch == 1)
     out = np.empty((net.output_shape.size, batch))
     V, Y = np.empty((2, height * min(tile, batch)))  # reused by every tile
     for first in range(0, batch, tile):
@@ -584,20 +688,23 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
         c = cut.shape[1]
         V[:size * c].reshape(size, c)[:] = cut
         V[size * c:(size + 1) * c] = 1.0
-        for rows, cols, indptr, indices, data, n_rho in steps:
-            Y[:rows * c] = 0.0
-            if c == 1:
+        for rows, cols, vecs, indptr, indices, data, n_rho in steps:
+            n = vecs * c
+            Y[:rows * n] = 0.0
+            if n == 1:
                 _sparsetools.csr_matvec(rows, cols, indptr, indices, data, V,
                                         Y)
             else:
-                _sparsetools.csr_matvecs(rows, cols, c, indptr, indices, data,
+                _sparsetools.csr_matvecs(rows, cols, n, indptr, indices, data,
                                          V, Y)
             if n_rho:
-                block = Y[:n_rho * c]
-                if rho(block, out=block) is not block:
-                    raise ValueError("rho must act in place: called as "
-                                     "rho(block, out=block), it must write "
-                                     "into block and return it")
+                block = Y[:n_rho * n]
+                try:
+                    done = rho(block, out=block)
+                except TypeError as err:  # as for a rho without out=
+                    raise ValueError(_IN_PLACE) from err
+                if done is not block:
+                    raise ValueError(_IN_PLACE)
             V, Y = Y, V
         out[:, first:first + c] = V[:rows * c].reshape(rows, c)
     return out

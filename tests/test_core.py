@@ -20,6 +20,7 @@ from strassennet.core import (ACTIVATIONS, MNN, ActivationMask, Layer,
                               scale_output)
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_in, build_inv
+from strassennet.io import load_network, save_network
 from strassennet.strassen import build_split, build_str_pow2
 
 
@@ -417,10 +418,58 @@ def _random_net(shapes, rho_layers, label="relu", seed=3):
     return MNN(layers, label)
 
 
+def _repeated(third=None, pre_rho=False, post=True):
+    """A relu net whose layers 1 and 2 are three copies of one block, the
+    two layers of a random child, after a glue layer and before a dense
+    one.  ``third(child)`` makes the third copy; ``pre_rho`` gives the
+    glue layer rho rows and ``post=False`` leaves out the dense layer."""
+    child = _random_net([(2, 2), (3, 2), (2, 2)], {0})
+    run = parallelize([child, child, third(child) if third else child])
+    glue = _random_net([(1, 4), (6, 2), (1, 1)], {0} if pre_rho else set(),
+                       seed=4)
+    dense = _random_net([(6, 2), (2, 1)], set(), seed=5)
+    return MNN([glue.layers[0], *run.layers, *(dense.layers if post else ())],
+               "relu")
+
+
+def _one_off(what):
+    """A child changed in one coefficient, bias entry or mask entry of its
+    first layer."""
+    def change(child):
+        first = child.layers[0]
+        m, bias, rho = first.map, first.bias.copy(), first.mask.rho.copy()
+        val = m.val.copy()
+        if what == "coefficient":
+            val[4] *= 2.0
+        elif what == "bias":
+            bias[2, 1] += 0.5
+        else:
+            rho[2, 1] = not rho[2, 1]
+        first = Layer(SparseLinearMap(m.out_shape, m.in_shape, m.idx, val),
+                      bias, ActivationMask(m.out_shape, rho))
+        return MNN([first, child.layers[1]], "relu")
+    return change
+
+
+# networks with copies that are not a run the folded program may fold,
+# and the one that is
+_NEAR_REPEATS = {
+    "repeats-fold": (lambda: _repeated(), [1, 3, 3, 1]),
+    "one-coefficient-differs": (
+        lambda: _repeated(_one_off("coefficient")), [1] * 4),
+    "one-bias-differs": (lambda: _repeated(_one_off("bias")), [1] * 4),
+    "one-mask-entry-differs": (lambda: _repeated(_one_off("mask")), [1] * 4),
+    "unequal-widths": (lambda: _repeated(lambda child: _random_net(
+        [(2, 2), (3, 1), (2, 2)], {0})), [1] * 4),
+    "predecessor-has-rho": (lambda: _repeated(pre_rho=True), [1] * 4),
+    "run-reaches-last-layer": (lambda: _repeated(post=False), [1] * 3),
+}
+
+
 def _check_tiles(net, rho):
     """Bit-identity with the layer-by-layer reference for batches that
     end before, at and after the column tile boundaries."""
-    tile = core._compile(net)[1]
+    tile = core._compile(net, False)[1]
     cols = np.random.default_rng(7).uniform(-1, 1, (net.input_shape.size,
                                                     2 * tile + 3))
     kept = cols.copy()
@@ -458,12 +507,61 @@ def _check_tiles(net, rho):
     (lambda: _random_net([(2, 2), (3, 2), (2, 3), (1, 3), (2, 1)], {1}),
      None),
     (lambda: _random_net([(2, 3), (1, 4), (3, 1)], {0}, "user"), np.sin),
+    *[(make, None) for make, _ in _NEAR_REPEATS.values()],
 ], ids=["relu-k0", "relu-k1", "relu-k2", "relu2-k0", "relu2-k1", "relu2-k2",
         "inv-relu-n2", "bias-off-the-map", "glue-in", "glue-split",
         "user-rho", "relu-k3", "inv-relu2-n3", "rho-hidden-layers",
-        "rho-one-layer", "user-rho-random"])
+        "rho-one-layer", "user-rho-random", *_NEAR_REPEATS])
 def test_realize_flat_is_bit_identical_to_layer_by_layer(make, rho):
     _check_tiles(make(), rho)
+
+
+@pytest.mark.parametrize("name", list(_NEAR_REPEATS))
+def test_only_runs_of_exact_copies_fold(name):
+    make, plan = _NEAR_REPEATS[name]
+    net = make()
+    assert core._fold_plan(net) == plan
+    steps = core._compile(net, True)[0]
+    assert [vecs for _, _, vecs, *_ in steps] == plan
+
+
+_MULTIPLIER = {f"{label}-k{k}": (lambda k=k, f=f: build_str_pow2(
+    k, 1e-3, 1.0, f)) for label, f in [("relu", relu_factory),
+                                       ("relu2", relu2_factory)]
+    for k in range(5)}
+_INVERTER = {f"inv-relu-n{n}": (lambda n=n: build_inv(InversionSpec(
+    n, 1.0, 1e-3 if n == 8 else 1e-2, 0.5), relu_factory))
+    for n in (2, 3, 5, 8)}
+_INVERTER["inv-relu2-n3"] = lambda: build_inv(InversionSpec(3, 1.0, 1e-3, 0.5),
+                                              relu2_factory)
+
+
+@pytest.mark.parametrize("name", [*_MULTIPLIER, *_INVERTER])
+def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
+    # one column runs the folded program and a batch the wide one; folding
+    # reads only the arrays, so a loaded network folds as the built one
+    built = {**_MULTIPLIER, **_INVERTER}[name]()
+    save_network(built, tmp_path / "net.json")
+    loaded = load_network(tmp_path / "net.json")
+    rng = np.random.default_rng(11)
+    cols = rng.uniform(-1, 1, (built.input_shape.size, 8))
+    if name.startswith("inv"):  # A = I - B near the identity
+        n = built.input_shape.rows
+        cols = np.eye(n).reshape(-1, 1) - 0.4 / n * cols
+    for net in (built, loaded):
+        batch = realize_flat(net, None, cols)
+        for i in range(cols.shape[1]):
+            assert (realize_flat(net, None, cols[:, i:i + 1]).tobytes()
+                    == batch[:, i:i + 1].tobytes())
+        assert all(vecs == 1 for _, _, vecs, *_ in core._compile(net,
+                                                                 False)[0])
+    plan = core._fold_plan(built)
+    assert core._fold_plan(loaded) == plan
+    if name == "relu-k4":  # the benchmark's multiplier: the leaves fold
+        assert plan == [1] * 4 + [2401] * 15 + [1] * 4
+    if name == "inv-relu-n8":  # the benchmark's inverter: three products
+        assert plan == ([1] * 38 + [686] * 23 + [1] * 9 + [686] * 23
+                        + [1] * 9 + [343] * 23 + [1] * 4)
 
 
 def test_realize_flat_compiles_each_network_once(monkeypatch):
@@ -475,18 +573,27 @@ def test_realize_flat_compiles_each_network_once(monkeypatch):
     monkeypatch.setattr(core.np, "cumsum",
                         lambda *args, **kw: built.append(1) or cumsum(*args,
                                                                       **kw))
-    first = realize_flat(child, None, cols)
-    assert len(built) >= child.num_layers
-    steps, built[:] = child._steps, []
-    assert realize_flat(child, None, cols).tobytes() == first.tobytes()
-    assert child._steps is steps and built == []
+    # a batch compiles the wide program, and then one column the folded one
+    wide = realize_flat(child, None, cols)
+    assert len(built) >= child.num_layers and child._folded is None
+    program, built[:] = child._wide, []
+    single = realize_flat(child, None, cols[:, 4:5])
+    assert len(built) >= child.num_layers and child._wide is program
+    folded, built[:] = child._folded, []
+    assert any(vecs > 1 for _, _, vecs, *_ in folded[0])
+    for _ in range(2):
+        assert realize_flat(child, None, cols).tobytes() == wide.tobytes()
+        assert (realize_flat(child, None, cols[:, 4:5]).tobytes()
+                == single.tobytes())
+    assert child._wide is program and child._folded is folded
+    assert built == []
     monkeypatch.undo()
-    # networks sharing the child's layers compile their own steps
+    # networks sharing the child's layers compile their own programs
     top = parallelize([child, child])
     tail = concat(_random_net([(2, 2), (1, 3)], set()), child)
     for net in (child, top, tail):
         _check_tiles(net, None)
-    assert child._steps is steps
+    assert child._wide is program and child._folded is folded
 
 
 @pytest.mark.parametrize("index", [np.int32, np.int64])
@@ -531,21 +638,25 @@ def test_registered_activations_write_into_out(rho):
 
 
 @pytest.mark.parametrize("rho", [lambda x, out=None: np.maximum(x, 0.0),
-                                 lambda x, out=None: None],
-                         ids=["fresh-array", "none"])
+                                 lambda x, out=None: None,
+                                 lambda x: np.maximum(x, 0.0)],
+                         ids=["fresh-array", "none", "no-out"])
 def test_rho_that_does_not_return_its_out_block_is_refused(rho):
     net = build_str_pow2(1, 0.1, 1.0, relu_factory)
-    with pytest.raises(ValueError, match=r"^rho must act in place: called "
-                       r"as rho\(block, out=block\), it must write into "
-                       r"block and return it$"):
-        realize_flat(net, rho, np.ones((net.input_shape.size, 3)))
+    for width in (1, 3):  # the folded and the wide program
+        with pytest.raises(ValueError, match=r"^rho must act in place: "
+                           r"called as rho\(block, out=block\), it must "
+                           r"write into block and return it$"):
+            realize_flat(net, rho, np.ones((net.input_shape.size, width)))
 
 
 def test_realize_flat_is_reentrant():
-    # two threads on one uncompiled network: each call owns its buffers
+    # two threads on one uncompiled network: each call owns its buffers,
+    # and the two programs are compiled by whichever call needs them first
     net, shared = (build_inv(InversionSpec(2, 1.0, 1e-3, 0.5), relu_factory)
                    for _ in range(2))
-    tile = core._compile(net)[1]
+    tile = core._compile(net, False)[1]
+    assert max(core._fold_plan(net)) > 1
     cols = np.random.default_rng(9).uniform(-0.3, 0.3,
                                             (net.input_shape.size, tile + 1))
     widths = (1, 5, tile + 1)
@@ -562,7 +673,8 @@ def test_realize_flat_is_reentrant():
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     assert all(calls == [want] * 20 for calls in got)
 
 
@@ -726,9 +838,10 @@ class TestReadOnly:
         before = realize(net, np.ones((1, 1)))
         five = Layer(SparseLinearMap((1, 1), (1, 1), [[1, 1, 1, 1]], [5.0]))
         for name, value in [("layers", (five,)), ("activation_name", "relu"),
-                            ("_steps", None), ("extra", 1)]:
+                            ("_wide", None), ("_folded", None),
+                            ("extra", 1)]:
             self._refused(net, name, value)
-        # the compiled steps and the counts still describe the same layers
+        # the compiled programs and the counts still describe the same layers
         assert net.num_weights == 1
         assert np.array_equal(realize(net, np.ones((1, 1))), before)
 
