@@ -25,23 +25,27 @@ Evaluation flattens matrices row-major and stacks a batch of inputs as
 columns, with one extra row of ones.  A network is compiled into the CSR
 arrays of one operator per layer: it holds the map entries, the nonzero
 biases as a last column fed by that row, and a 1 that carries the row to
-the next layer.  Hidden states keep their rho rows first, so rho acts on
-one contiguous block; that order is internal, and inputs and outputs stay
-row-major.  There are two such programs, each compiled on the first call
-that needs it.  Calls on one column run the folded one: a run of layers
-that are each r copies of one block, as the leaves of a Strassen
-multiplier are, runs as that block alone on r vectors, one per copy.
-Wider calls run the wide one, whose operators hold every copy, one
-cache-sized tile of columns at a time; folding them would make each row r
-tiles wide.  Each evaluation allocates two state buffers once: each layer
-is one call of scipy's CSR kernel, the one ``@`` runs, from one buffer into
-the other, and then rho in place, called as ``rho(block, out=block)`` the
-way numpy's ufuncs are.  The floats are those of ``L X + C`` and then rho,
-layer by layer, whatever the batch and the program; rho must act
-entrywise.  A network's error guarantee holds only on the
-domain its builder states (multipliers: operand entries in ``[-K, K]``;
-inverters: ``||I - alpha A||_2 <= delta``), and evaluation does not check
-it.
+the next layer.  A rho row whose entries repeat those of the identity row
+before it, as the relu gadget's ``rho(T - 1/2)`` repeats ``T``, is left out
+of the operator: after the product it is that row's value plus its bias,
+one add per run of rows with one bias, which is the float the operator
+would have summed.  Hidden states keep their rho rows last, repeats
+included, so rho acts on one contiguous block; that order is internal, and
+inputs and outputs stay row-major.  There are two such programs, each
+compiled on the first call that needs it.  Calls on one column run the
+folded one: a run of layers that are each r copies of one block, as the
+leaves of a Strassen multiplier are, runs as that block alone on r vectors,
+one per copy.  Wider calls run the wide one, whose operators hold every
+copy, one cache-sized tile of columns at a time; folding them would make
+each row r tiles wide.  Each evaluation allocates two state buffers once:
+each layer is one call of scipy's CSR kernel, the one ``@`` runs, from one
+buffer into the other, the adds of its repeats, and then rho in place,
+called as ``rho(block, out=block)`` the way numpy's ufuncs are.  The floats
+are those of ``L X + C`` and then rho, layer by layer, whatever the batch
+and the program; rho must act entrywise.  A network's error guarantee holds
+only on the domain its builder states (multipliers: operand entries in
+``[-K, K]``; inverters: ``||I - alpha A||_2 <= delta``), and evaluation
+does not check it.
 """
 
 import itertools
@@ -514,6 +518,31 @@ def _copies(layer: Layer) -> int:
     return 1
 
 
+def _repeats(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
+    """Which of the first ``rho.size`` rows of ``m``, holding ``per_row``
+    entries each, repeat their identity neighbour: a rho row whose stored
+    entries, indices and values in stored order, equal those of the row
+    just before it, an identity row with zero bias and at least one entry.
+    This is the relu gadget's ``(T, rho(T - 1/2))`` pair.  Read off the
+    arrays alone, so loaded networks compile as built ones do."""
+    n = rho.size
+    rep = np.zeros(n, dtype=bool)
+    rep[1:] = rho[1:] > rho[:-1]
+    rep[1:] &= bias[:n - 1] == 0
+    rep[1:] &= per_row[1:n] == per_row[:n - 1]
+    rep &= per_row[:n] > 0
+    cand = rep.nonzero()[0]
+    lens = per_row[cand]
+    # each candidate's entries, compared with those one row back
+    owner = np.repeat(np.arange(cand.size), lens)
+    e = np.repeat(m.indptr[cand] - np.cumsum(lens) + lens, lens)
+    e += np.arange(e.size)
+    back = e - lens[owner]
+    differs = (m.indices[e] != m.indices[back]) | (m.val[e] != m.val[back])
+    rep[cand[owner[differs]]] = False
+    return rep
+
+
 def _fold_plan(net: MNN) -> list:
     """The number of copies each layer runs as in the one-column program.
 
@@ -542,36 +571,52 @@ def _compile(net: MNN, folded: bool):
     such programs, each built on its first use and cached: the folded one
     (``folded``) for calls on one column, and the wide one for wider calls.
 
-    A step is ``(rows, cols, vecs, indptr, indices, data, n_rho)``: the CSR
-    arrays of a ``(rows x cols)`` operator, as scipy's CSR kernels take
-    them, the number of vectors it runs on for each column of the batch,
-    and its rho row count.  ``height`` is the largest state, counting the
-    input and the ones row.  Each row holds its map entries in stored
-    order with its nonzero bias after them, in the column of a ones row:
-    the product sums the same terms in the same order as ``L @ V + bias``,
-    so the floats are the same.  The relabelled columns are unsorted, and
-    must stay so.
+    A step is ``(rows, cols, vecs, indptr, indices, data, adds, rho_from,
+    height)``: the CSR arrays of a ``(rows x cols)`` operator, as scipy's
+    CSR kernels take them, the number of vectors it runs on for each column
+    of the batch, the repeats it fills by adds, and the state rows
+    ``rho_from:height`` that rho acts on, ``height`` being the rows of the
+    state it writes.  The program's ``height`` is the largest state,
+    counting the input and the ones row.  Each kernel row holds its map
+    entries in stored order with its nonzero bias after them, in the column
+    of a ones row: the product sums the same terms in the same order as
+    ``L @ V + bias``, so the floats are the same.  The relabelled columns are
+    unsorted, and must stay so.
+
+    A repeat (see :func:`_repeats`) is a rho row whose entries are those of
+    its identity neighbour, the source, as in the relu gadget's
+    ``(T, rho(T - 1/2))`` pair.  The kernel leaves it out, and each run of
+    repeats with one bias b is one add ``(source, repeat, count, b)``:
+    ``count`` state rows from ``repeat`` on are as many rows from
+    ``source`` on plus b.  The kernel sums a source from +0.0 over the
+    terms the repeat would sum first, in the same order, and a repeat's
+    bias was its last term, so the add gives the repeat's float exactly,
+    whatever rho is.
 
     In the wide program every step runs on one vector, and every state is
-    held in its layer's rho-first order: the rho rows, then the identity
-    rows, each in row-major order, then the row of ones.  A step's rho
-    then acts on its first ``n_rho`` rows, one contiguous block, and the
-    next step's columns are relabelled to match.  Without rho, as for the
-    input and the last layer, this is the identity order; the last layer's
-    is cut before the ones row.
+    held in its layer's rho-last order: the identity rows that are not
+    sources, the row of ones, the sources, the rho rows that are not
+    repeats, then the repeats, each group in row-major order.  The kernel
+    writes the first ``rows`` rows, the sources one contiguous run among
+    them, the adds write the repeats after them in their sources' order,
+    and rho acts on the last ``height - rho_from`` rows, one contiguous
+    block; the next step's columns are relabelled to match.  Without rho,
+    as for the input and the last layer, this is the identity order; the
+    last layer's is cut before the ones row.
 
     The folded program runs a layer that is r copies of one block B
     (``kron(I_r, B)``, see :func:`_copies`) as B alone on r vectors, one
     per copy, for the runs of layers :func:`_fold_plan` picks.  Its state
-    is copy-minor: B's rows in rho-first order, each repeated r times,
-    then the ones row repeated r times.  Each copy's row sums the same
+    is copy-minor: B's rows and the ones row in B's rho-last order, each
+    repeated r times, so that a run of rows is still one block, r times as
+    long, for the kernel, the adds and rho.  Each copy's row sums the same
     terms in the same order from zero, so the floats are those of the wide
-    program.  The layer before a run writes its rows in that order, and
-    the layer after it relabels its columns from it; every layer outside
-    the runs is compiled as in the wide program.  At batch 1 a layer of
-    2401 leaf copies is then one product over B's few rows instead of
-    2401 short dot products.  Wider calls keep the wide program: there a
-    folded row spans r times the batch, which streams out of cache.
+    program.  The layer before a run writes its rows in that order, and the
+    layer after it relabels its columns from it; every layer outside the
+    runs is compiled as in the wide program.  At batch 1 a layer of 2401
+    leaf copies is then one product over B's few rows instead of 2401 short
+    dot products.  Wider calls keep the wide program: there a folded row
+    spans r times the batch, which streams out of cache.
     """
     program = net._folded if folded else net._wide
     if program is not None:
@@ -582,53 +627,81 @@ def _compile(net: MNN, folded: bool):
         program = _compile(net, False)
         _set(net, "_folded", program)
         return program
-    steps, mask = [], None
+    steps, roles = [], None
     size = widest = net.input_shape.size + 1
     moved = np.arange(size)  # the input in row-major order, then the ones row
     for pos, layer in enumerate(net.layers):
         r, m = plan[pos], layer.map
         bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
         rho = layer.mask.rho.reshape(-1)[:bo]
+        n_rho = int(np.count_nonzero(rho))
         bias = np.append(layer.bias.reshape(-1)[:bo], 1.0)  # ones row: 1
+        per_map = np.append(m.indptr[1:bo + 1] - m.indptr[:bo], 0)  # ones: 0
         # the state rows of copy 0 of B's inputs and of the ones row
         where = moved if r == 1 else np.append(moved[:bi], moved[-1]) // r
         # ``order`` lists B's rows in state order, B's ones row as bo, and
-        # ``row`` gives each its state row; consecutive layers held in
-        # rho-first order with one mask share them
-        rho_first = pos < last and r >= plan[pos + 1]
-        if not (rho_first and np.array_equal(rho, mask)):
-            mask = rho if rho_first else None
-            if rho_first:
-                order = np.concatenate([np.flatnonzero(rho),
-                                        np.flatnonzero(~rho), [bo]])
+        # ``row`` gives each its state row; the first ``rows`` are the
+        # kernel's.  Consecutive rho-last layers with one role per row
+        # share them
+        rho_last = pos < last and r >= plan[pos + 1]
+        role = None
+        if rho_last:  # 0 identity, 1 source, 2 rho, 3 repeat
+            role = rho.astype(np.int8) * 2
+            if n_rho:
+                rep = _repeats(m, per_map, bias, rho)
+                role[rep] += 1
+                role[:-1] += rep[1:]
+        if not (rho_last and np.array_equal(role, roles)):
+            roles, n_rep = role, 0
+            if rho_last:
+                reps = (role == 3).nonzero()[0]
+                n_rep, ident = reps.size, (role == 0).nonzero()[0]
+                src = ident.size + 1  # the state row of the first source
+                order = np.concatenate([ident, [bo], reps - 1,
+                                        (role == 2).nonzero()[0], reps])
             elif pos == last:
                 order = np.arange(bo)
             else:  # copy-minor, for the run that follows
                 n = plan[pos + 1]
                 order = np.append(np.arange(bo).reshape(n, -1).T,
                                   np.full(n, bo))
+            rows = order.size - n_rep
             row = np.zeros(bo + 1, dtype=np.intp)
             row[order] = np.arange(order.size)
         cols = size // r
         # int32 when it fits: the kernel then reads half the index bytes
         index = np.int32 if bn + order.size + cols <= 2 ** 31 else np.int64
-        per_map = np.diff(m.indptr[:bo + 1], append=bn)  # ones row: 0
         biased = bias != 0
-        indptr = np.zeros(order.size + 1, dtype=index)
-        np.cumsum((per_map + biased)[order], out=indptr[1:])
-        # entry e of B's row b goes to indptr[row[b]] + e - m.indptr[b],
-        # and the bias of each state row right after its entries
-        put = np.repeat(indptr[row[:bo]] - m.indptr[:bo], per_map[:bo])
+        kept = order[:rows]
+        indptr = np.zeros(rows + 1, dtype=index)
+        np.cumsum((per_map + biased)[kept], out=indptr[1:])
+        # entry e of B's row b goes to first[b] + e - m.indptr[b], and the
+        # bias of each kernel row right after its entries; a repeat's
+        # entries are left out
+        first = np.zeros(bo + 1, dtype=np.int64)
+        first[kept] = indptr[:-1]
+        put = np.repeat(first[:bo] - m.indptr[:bo], per_map[:bo])
         put += np.arange(bn)
-        at = np.flatnonzero(biased[order])
-        put_bias = indptr[at] + per_map[order[at]]
+        val, col = m.val[:bn], m.indices[:bn]
+        if n_rep:
+            keep = np.repeat(role[:bo] != 3, per_map[:bo])
+            put, val, col = put[keep], val[keep], col[keep]
+        at = biased[kept].nonzero()[0]
+        put_bias = indptr[at] + per_map[kept[at]]
         data = np.empty(indptr[-1])
-        data[put], data[put_bias] = m.val[:bn], bias[order[at]]
+        data[put], data[put_bias] = val, bias[kept[at]]
         indices = np.empty(indptr[-1], dtype=index)
-        indices[put] = where[m.indices[:bn]]
+        indices[put] = where[col]
         indices[put_bias] = where[bi]
-        steps.append((order.size, cols, r, indptr, indices, data,
-                      int(np.count_nonzero(rho))))
+        # each run of repeats with one bias is its sources plus that bias
+        adds = ()
+        if n_rep:
+            b = bias[order[rows:]]
+            cut = [0, *((b[1:] != b[:-1]).nonzero()[0] + 1), n_rep]
+            adds = tuple((src + lo, rows + lo, hi - lo, float(b[lo]))
+                         for lo, hi in zip(cut, cut[1:]))
+        steps.append((rows, cols, r, indptr, indices, data, adds,
+                      order.size - n_rho, order.size))
         # copy q of B's row b sits at vector q of its state row
         moved = row if r == 1 else np.append(
             row[:bo] * r + np.arange(r)[:, None], row[bo] * r)
@@ -647,23 +720,29 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     array.  This is the batched workhorse behind :func:`realize`.  The
     network is compiled on its first evaluation into one CSR operator per
     layer on states carrying a last row of ones, with the bias as a last
-    column; hidden states keep their rho rows first (see
-    :func:`_compile`).  One column runs the folded program, in which a
-    run of layers that are each r copies of one block, as Strassen's
-    leaves are, runs as that block on r vectors; wider calls run the wide
-    program, whose operators hold every copy, one tile of columns at a
-    time, sized so that a tile's state stays in cache.  Each program is
-    compiled on the first call that needs it.  Each call allocates two
-    state buffers, as tall as the largest state; each layer is one call of
-    scipy's CSR kernel (``csr_matvec`` for one vector, ``csr_matvecs`` for
-    more, the kernels that ``@`` runs) from one buffer into the other,
-    zeroed, and then rho in place.  The floats are those of ``L X + C``
-    and then rho, layer by layer, whatever the batch and the program.  A
-    None ``rho`` is the one ``ACTIVATIONS`` registers for the network's
-    label.  ``rho`` must act entrywise and in place, as numpy's ufuncs do:
-    it is called as ``rho(block, out=block)`` on a contiguous 1-D block of
-    one tile's rows and must return that block; a rho that takes no
-    ``out=`` or returns anything else is refused.
+    column; hidden states keep their rho rows last (see :func:`_compile`).
+    A rho row that repeats the entries of the identity row before it, as
+    the relu gadget's ``rho(T - 1/2)`` repeats ``T``, is left out of the
+    operator.  One column runs the folded program, in which a run of layers
+    that are each r copies of one block, as Strassen's leaves are, runs as
+    that block on r vectors; wider calls run the wide program, whose
+    operators hold every copy, one tile of columns at a time, sized so that
+    a tile's state stays in cache.  Each program is compiled on the first
+    call that needs it.  Each call allocates two state buffers, as tall as
+    the largest state; each layer is one call of scipy's CSR kernel
+    (``csr_matvec`` for one vector, ``csr_matvecs`` for more, the kernels
+    that ``@`` runs) from one buffer into the other, zeroed; then each run
+    of repeats with one bias b is filled by one
+    ``np.add(sources, b, out=repeats)``, before rho runs in place.  A
+    source was summed from +0.0 over the repeat's own terms in the same
+    order, and the repeat's bias was its last term, so the add gives the
+    float the kernel would have.  The floats are those of ``L X + C`` and
+    then rho, layer by layer, whatever the batch and the program.  A None
+    ``rho`` is the one ``ACTIVATIONS`` registers for the network's label.
+    ``rho`` must act entrywise and in place, as numpy's ufuncs do: it is
+    called as ``rho(block, out=block)`` on a contiguous 1-D block of one
+    tile's rows and must return that block; a rho that takes no ``out=``
+    or returns anything else is refused.
     """
     columns = _real("columns", columns)
     if columns.ndim != 2 or len(columns) != net.input_shape.size:
@@ -688,7 +767,8 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
         c = cut.shape[1]
         V[:size * c].reshape(size, c)[:] = cut
         V[size * c:(size + 1) * c] = 1.0
-        for rows, cols, vecs, indptr, indices, data, n_rho in steps:
+        for (rows, cols, vecs, indptr, indices, data, adds, rho_from,
+             height) in steps:
             n = vecs * c
             Y[:rows * n] = 0.0
             if n == 1:
@@ -697,8 +777,11 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
             else:
                 _sparsetools.csr_matvecs(rows, cols, n, indptr, indices, data,
                                          V, Y)
-            if n_rho:
-                block = Y[:n_rho * n]
+            for src, rep, count, b in adds:
+                np.add(Y[src * n:(src + count) * n], b,
+                       out=Y[rep * n:(rep + count) * n])
+            if rho_from < height:
+                block = Y[rho_from * n:height * n]
                 try:
                     done = rho(block, out=block)
                 except TypeError as err:  # as for a rho without out=
@@ -706,7 +789,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
                 if done is not block:
                     raise ValueError(_IN_PLACE)
             V, Y = Y, V
-        out[:, first:first + c] = V[:rows * c].reshape(rows, c)
+        out[:, first:first + c] = V[:height * c].reshape(height, c)
     return out
 
 

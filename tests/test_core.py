@@ -466,6 +466,66 @@ _NEAR_REPEATS = {
 }
 
 
+def _pairs(rows, second=None, label="relu"):
+    """A net of two hidden (1, n) layers and a dense last layer.  A row is
+    ``(a, b, bias, rho)``: it takes ``a`` times the first entry of its
+    input and ``b`` times the second (zeros are not stored).  ``second``
+    gives the second hidden layer's biases, by default the first's."""
+    def hidden(width, biases):
+        coeffs = np.zeros((len(rows), width))
+        coeffs[:, :2] = [(a, b) for a, b, _, _ in rows]
+        j, l = np.nonzero(coeffs)
+        linmap = SparseLinearMap((1, len(rows)), (1, width), np.stack(
+            [np.ones_like(j), j + 1, np.ones_like(j), l + 1], axis=1),
+            coeffs[j, l])
+        mask = ActivationMask((1, len(rows)), [[r for *_, r in rows]])
+        return Layer(linmap, [biases], mask)
+
+    biases = [bias for _, _, bias, _ in rows]
+    n = len(rows)
+    last = SparseLinearMap((1, 1), (1, n), [[1, 1, 1, l] for l in
+                                            range(1, n + 1)],
+                           np.linspace(1.0, -2.0, n))
+    return MNN([hidden(2, biases), hidden(n, second or biases),
+                Layer(last)], label)
+
+
+# the relu gadget's pair: an identity row T with zero bias, then a rho row
+# with T's entries, computed as T plus its bias; two pairs with unequal
+# biases, and a rho row after a rho row
+_GADGET_PAIRS = [(1.0, 2.0, 0.0, False), (1.0, 2.0, -0.5, True),
+                 (-1.0, 0.0, 0.0, False), (-1.0, 0.0, 0.25, True),
+                 (0.0, 3.0, -0.5, True), (0.0, 3.0, -0.5, True)]
+
+# networks whose hidden layers hold, or nearly hold, such pairs, the rho
+# they run with, and the rows of each hidden layer computed by an add
+_NEAR_ADDS = {
+    "pairs-add": (lambda: _pairs(_GADGET_PAIRS), None, [1, 3]),
+    "pairs-add-biases-swapped": (lambda: _pairs(
+        _GADGET_PAIRS, [0.0, 0.25, 0.0, -0.5, -0.5, -0.5]), None, [1, 3]),
+    "user-rho-pairs-add": (lambda: _pairs(_GADGET_PAIRS, label="user"),
+                           np.sin, [1, 3]),
+    "source-has-bias": (lambda: _pairs(
+        [(1.0, 2.0, 0.25, False), (1.0, 2.0, -0.5, True)]), None, []),
+    "source-is-rho": (lambda: _pairs(
+        [(1.0, 2.0, 0.0, True), (1.0, 2.0, -0.5, True)]), None, []),
+    "repeat-is-identity": (lambda: _pairs(
+        [(1.0, 2.0, 0.0, False), (1.0, 2.0, -0.5, False)]), None, []),
+    "pair-coefficient-differs": (lambda: _pairs(
+        [(1.0, 2.0, 0.0, False), (1.0, 3.0, -0.5, True)]), None, []),
+    "pair-column-differs": (lambda: _pairs(
+        [(1.0, 0.0, 0.0, False), (0.0, 1.0, -0.5, True)]), None, []),
+    "pair-entry-fewer": (lambda: _pairs(
+        [(1.0, 2.0, 0.0, False), (0.0, 2.0, -0.5, True)]), None, []),
+    "a-row-between": (lambda: _pairs(
+        [(1.0, 2.0, 0.0, False), (3.0, 0.0, 0.0, False),
+         (1.0, 2.0, -0.5, True)]), None, []),
+    "rows-empty": (lambda: _pairs(
+        [(0.0, 0.0, 0.0, False), (0.0, 0.0, -0.5, True),
+         (1.0, 1.0, 0.0, False)]), None, []),
+}
+
+
 def _check_tiles(net, rho):
     """Bit-identity with the layer-by-layer reference for batches that
     end before, at and after the column tile boundaries."""
@@ -507,11 +567,17 @@ def _check_tiles(net, rho):
     (lambda: _random_net([(2, 2), (3, 2), (2, 3), (1, 3), (2, 1)], {1}),
      None),
     (lambda: _random_net([(2, 3), (1, 4), (3, 1)], {0}, "user"), np.sin),
+    # the benchmark's networks: their programs add the gadgets' repeats
+    (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory), None),
+    (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
+     None),
     *[(make, None) for make, _ in _NEAR_REPEATS.values()],
+    *[(make, rho) for make, rho, _ in _NEAR_ADDS.values()],
 ], ids=["relu-k0", "relu-k1", "relu-k2", "relu2-k0", "relu2-k1", "relu2-k2",
         "inv-relu-n2", "bias-off-the-map", "glue-in", "glue-split",
         "user-rho", "relu-k3", "inv-relu2-n3", "rho-hidden-layers",
-        "rho-one-layer", "user-rho-random", *_NEAR_REPEATS])
+        "rho-one-layer", "user-rho-random", "relu-k4", "inv-relu-n8",
+        *_NEAR_REPEATS, *_NEAR_ADDS])
 def test_realize_flat_is_bit_identical_to_layer_by_layer(make, rho):
     _check_tiles(make(), rho)
 
@@ -523,6 +589,41 @@ def test_only_runs_of_exact_copies_fold(name):
     assert core._fold_plan(net) == plan
     steps = core._compile(net, True)[0]
     assert [vecs for _, _, vecs, *_ in steps] == plan
+
+
+def _added(steps):
+    """The rows each step fills by an add."""
+    return [sum(count for _, _, count, _ in step[6]) for step in steps]
+
+
+@pytest.mark.parametrize("name", list(_NEAR_ADDS))
+def test_only_rho_rows_repeating_an_identity_neighbour_are_added(name):
+    make, _, added = _NEAR_ADDS[name]
+    net = make()
+    for layer in net.layers[:2]:
+        m = layer.map
+        rep = core._repeats(m, np.diff(m.indptr), layer.bias.reshape(-1),
+                            layer.mask.rho.reshape(-1))
+        assert rep.nonzero()[0].tolist() == added
+    for folded in (False, True):
+        assert _added(core._compile(net, folded)[0]) == [len(added)] * 2 + [0]
+
+
+def test_repeats_follow_their_sources_after_the_kernel_rows():
+    # state order: the ones row, the sources T1, T2, the other rho rows,
+    # then the repeats Q1, Q2; the kernel writes the first five rows, each
+    # run of repeats with one bias is one add, and rho acts on the last four
+    for second, adds in (
+            (None, ((1, 5, 1, -0.5), (2, 6, 1, 0.25))),
+            ([0.0, 0.25, 0.0, -0.5, -0.5, -0.5],
+             ((1, 5, 1, 0.25), (2, 6, 1, -0.5))),
+            ([0.0, -0.5, 0.0, -0.5, -0.5, -0.5], ((1, 5, 2, -0.5),))):
+        steps = core._compile(_pairs(_GADGET_PAIRS, second), False)[0]
+        assert steps[0][6] == ((1, 5, 1, -0.5), (2, 6, 1, 0.25))
+        assert steps[1][6] == adds
+        for step in steps[:2]:
+            assert (step[0], step[7], step[8]) == (5, 3, 7)
+        _check_tiles(_pairs(_GADGET_PAIRS, second), None)
 
 
 _MULTIPLIER = {f"{label}-k{k}": (lambda k=k, f=f: build_str_pow2(
@@ -562,6 +663,19 @@ def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
     if name == "inv-relu-n8":  # the benchmark's inverter: three products
         assert plan == ([1] * 38 + [686] * 23 + [1] * 9 + [686] * 23
                         + [1] * 9 + [343] * 23 + [1] * 4)
+
+
+@pytest.mark.parametrize("name, rows, entries, added", [
+    ("relu-k4", 118_536, 335_491, 62_426),
+    ("inv-relu-n8", 182_808, 437_946, 86_436)])
+def test_benchmark_networks_add_their_gadgets_repeats(name, rows, entries,
+                                                      added):
+    # per input, the wide program's kernel rows (ones rows included) and
+    # entries, and the rows filled by an add instead
+    steps = core._compile({**_MULTIPLIER, **_INVERTER}[name](), False)[0]
+    assert sum(step[0] for step in steps) == rows
+    assert sum(int(step[3][-1]) for step in steps) == entries
+    assert sum(_added(steps)) == added
 
 
 def test_realize_flat_compiles_each_network_once(monkeypatch):
