@@ -14,20 +14,25 @@ bytes are those of ``network_to_dict`` dumped layer by layer.  Each table
 is one join over its cells, every cell spelled with the text
 ``json.dumps`` gives its number and carrying its separators (``,[``
 before a row's first cell, ``,`` before the others, ``]`` after the last).
-Each column's distinct numbers are spelled once: an index column from a
-table of ``str(0..top)`` when its largest index ``top`` is no larger than
-the column, so that table never outgrows the cells; any other column
-through ``np.unique``.
+An index column whose largest index ``top`` is no larger than the column
+reads its cells from a table of ``str(0..top)``, one per lead and tail,
+made once per file and grown as the layers need it, so that table never
+outgrows the cells of a column that used it; any other column spells its
+distinct numbers once, through ``np.unique``.
 A compact file is read by numpy's text parser (``np.loadtxt``), one
-layer line at a time, without building its document.  That reader only
+layer line at a time, without building its document: each table in one
+call, its positions as int64 and its values as float64.  That reader only
 accepts: a file laid out as ``save_network`` writes it, whose tables hold
 only numbers spelled as JSON spells them (no whitespace, words or quotes,
-no ``+1``, ``.5``, ``1.`` or ``01``, no integer of 19 digits or more) and
-whose network every rule below takes.  Both parsers round a number's text
-with ``PyOS_string_to_double``, so the floats are the same.  Every other
-file (indented ones written by earlier versions, a layer split over
-lines, text after ``]}``, any fault) is read whole by ``json.load`` and
-``network_from_dict``, whose refusal is the same for every layout:
+no ``+1``, ``.5``, ``1.`` or ``01``, no integer of 19 digits or more),
+whose positions are integers within int64 (no ``2.0`` or ``1e0``),
+whose shapes are below 2^53 and whose network every rule below takes.
+Positions are read exactly, as ``json`` reads an integer; values are
+rounded from their text by ``PyOS_string_to_double`` in both parsers, so
+the floats are the same.  Every other file (indented ones written by
+earlier versions, a layer split over lines, text after ``]}``, any
+fault) is read whole by ``json.load`` and ``network_from_dict``, whose
+refusal is the same for every layout:
 invalid JSON (nesting too deep included) first, then the first fault in
 document order.  Network files are UTF-8 text, whatever the locale;
 other bytes are refused.
@@ -62,6 +67,14 @@ TABLES = {"entries": ("entry", "[i, j, k, l, value]"),
           "mask_rho": ("mask entry", "[i, j]")}
 TABLE_WIDTH = {key: fields.count(",") + 1
                for key, (_, fields) in TABLES.items()}
+#: the tables whose last column is a value; the mask holds positions only
+VALUED = {key for key, (_, fields) in TABLES.items() if "value" in fields}
+#: the record numpy's text parser reads a row of each table into: the
+#: 1-based positions as int64 and the value, if any, as float64
+ROW_DTYPE = {key: np.dtype([("at", np.int64, (width - 1,)),
+                            ("value", np.float64)] if key in VALUED
+                           else [("at", np.int64, (width,))])
+             for key, width in TABLE_WIDTH.items()}
 
 
 def network_to_dict(net: MNN) -> dict:
@@ -88,31 +101,39 @@ LAYER_LINE = ('{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,'
               '"entries":[%s],"bias":[%s],"mask_rho":[%s]}')
 
 
-def _spelled(column: np.ndarray, spell, lead: str, tail: str) -> np.ndarray:
+def _spelled(column: np.ndarray, spell, lead: str, tail: str,
+             spellings: dict) -> np.ndarray:
     """``lead + spell(x) + tail`` for every number of a table column, as an
-    object array; each distinct number is spelled once.  An integer column
-    whose largest number ``top`` is at most its cell count indexes a table
-    of the spellings of ``0..top``; any other column, or one whose ``top``
-    is larger (a wide, nearly empty layer), is spelled over ``np.unique``,
-    so the spellings never outnumber the cells."""
+    object array.  An integer column whose largest number ``top`` is at
+    most its cell count indexes ``spellings[lead, tail]``, the spellings of
+    ``0..top`` that every such column of one file shares, grown to ``top``
+    when a column needs it; any other column, or one whose ``top`` is
+    larger (a wide, nearly empty layer), is spelled over ``np.unique``, so
+    a table of spellings never outgrows a column that used it."""
     top = column.max()
     if column.dtype.kind in "iu" and top <= len(column):
-        distinct, at = range(top + 1), column
-    else:
-        distinct, at = np.unique(column, return_inverse=True)
-        distinct = distinct.tolist()
-    names = np.array([lead + spell(x) + tail for x in distinct], dtype=object)
+        names = spellings.get((lead, tail), np.empty(0, dtype=object))
+        if top >= len(names):
+            grown = [lead + spell(x) + tail
+                     for x in range(len(names), top + 1)]
+            names = spellings[lead, tail] = np.concatenate(
+                [names, np.array(grown, dtype=object)])
+        return names[column]
+    distinct, at = np.unique(column, return_inverse=True)
+    names = np.array([lead + spell(x) + tail for x in distinct.tolist()],
+                     dtype=object)
     return names[at]
 
 
-def _table(positions: np.ndarray, values=None) -> str:
+def _table(spellings: dict, positions: np.ndarray, values=None) -> str:
     """The text ``json.dumps`` gives a table's rows without spaces: ``str``
     writes an int and ``repr`` a float as its encoder does.  Stored values
     are nonzero and finite, so equal floats have one spelling.
 
     Each cell carries its separators: ``,[`` before the first column, ``,``
     before the others and ``]`` after the last.  So the rows are one join
-    over the cells in row-major order, less the leading comma."""
+    over the cells in row-major order, less the leading comma.  An index
+    column's cells come from the file's ``spellings`` (``_spelled``)."""
     if not len(positions):
         return ""
     columns = [(column, str) for column in positions.T]
@@ -122,7 +143,7 @@ def _table(positions: np.ndarray, values=None) -> str:
     cells = np.empty((len(positions), len(columns)), dtype=object)
     for pos, (column, spell) in enumerate(columns):
         cells[:, pos] = _spelled(column, spell, ",[" if pos == 0 else ",",
-                                 "]" if pos == last else "")
+                                 "]" if pos == last else "", spellings)
     return "".join(cells.ravel().tolist())[1:]
 
 
@@ -132,7 +153,10 @@ def save_network(net: MNN, path) -> None:
     Each line is formatted from the layer's arrays, byte for byte what a
     separator-only ``json.dumps`` of its document gives, without building
     the document: each table is one join over its pre-decorated cells
-    (``_table``)."""
+    (``_table``).  The spellings of indices, with their separators, are
+    made once for the whole file and shared by every layer's tables; they
+    live only as long as this call."""
+    spellings = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEAD + json.dumps(net.activation_name) + HEAD_END)
         lead = ""
@@ -140,9 +164,10 @@ def save_network(net: MNN, path) -> None:
             lm, at = layer.map, np.argwhere(layer.bias)
             fh.write(lead)
             fh.write(LAYER_LINE % (
-                *lm.out_shape, *lm.in_shape, _table(lm.idx, lm.val),
-                _table(at + 1, layer.bias[tuple(at.T)]),
-                _table(np.argwhere(layer.mask.rho) + 1)))
+                *lm.out_shape, *lm.in_shape,
+                _table(spellings, lm.idx, lm.val),
+                _table(spellings, at + 1, layer.bias[tuple(at.T)]),
+                _table(spellings, np.argwhere(layer.mask.rho) + 1)))
             lead = "\n,"
         fh.write("\n" + FOOT)
 
@@ -152,11 +177,12 @@ def _is_number(x) -> bool:
     return type(x) is float or type(x) is int and -2**63 <= x < 2**63
 
 
-def _read_table(spec: dict, key: str) -> np.ndarray:
-    """Table ``key`` of a layer converted in one numpy call, after its first
-    row of the wrong length or holding a non-number (a boolean, or an
-    integer beyond int64, which numpy would read as 0 or 1 or as a float)
-    is refused by position."""
+def _read_table(spec: dict, key: str):
+    """The ``(positions, values)`` pair of table ``key`` of a layer (values
+    None for the mask), converted in one numpy call, after its first row
+    of the wrong length or holding a non-number (a boolean, or an integer
+    beyond int64, which numpy would read as 0 or 1 or as a float) is
+    refused by position."""
     rows, (what, fields) = spec[key], TABLES[key]
     if not isinstance(rows, list):
         raise ValueError(f"{key} must be a list")
@@ -165,7 +191,10 @@ def _read_table(spec: dict, key: str) -> np.ndarray:
         if not (isinstance(row, list) and len(row) == width
                 and all(map(_is_number, row))):
             raise ValueError(f"{what} {e} must be {fields}, got {row!r:.60}")
-    return np.array(rows) if rows else np.empty((0, width))
+    table = np.array(rows) if rows else np.empty((0, width))
+    if key not in VALUED:
+        return table, None
+    return table[:, :-1], table[:, -1]
 
 
 def _layer(pos: int, spec) -> Layer:
@@ -183,19 +212,19 @@ def _layer(pos: int, spec) -> Layer:
         raise ValueError(f"layer {pos} {exc}") from None
 
 
-def _built(dims, entries, bias_rows, mask_rows) -> Layer:
+def _built(dims, entries, bias, mask) -> Layer:
     """The layer of a file's four shape fields, each an integer >= 1, and
-    three tables, refused by the one storage rule of built networks; both
-    readers of a layer end here."""
+    three tables, each a ``(positions, values)`` pair (the mask's values
+    None), refused by the one storage rule of built networks; both readers
+    of a layer end here."""
     out_shape, in_shape = MatrixShape(*dims[:2]), MatrixShape(*dims[2:])
-    linmap = SparseLinearMap(out_shape, in_shape, entries[:, :4],
-                             entries[:, 4])
-    key, values = _stored_rows(TABLES["bias"][0], bias_rows[:, :2],
-                               out_shape, bias_rows[:, 2])
-    bias = np.zeros(out_shape)
-    bias.reshape(-1)[key] = values
-    return Layer(linmap, bias,
-                 ActivationMask.from_positions(out_shape, mask_rows))
+    linmap = SparseLinearMap(out_shape, in_shape, *entries)
+    key, values = _stored_rows(TABLES["bias"][0], bias[0], out_shape,
+                               bias[1])
+    dense = np.zeros(out_shape)
+    dense.reshape(-1)[key] = values
+    return Layer(linmap, dense,
+                 ActivationMask.from_positions(out_shape, mask[0]))
 
 
 #: a compact layer line up to its entries table, each shape spelled as
@@ -233,6 +262,8 @@ def _plain_numbers(a: np.ndarray) -> bool:
     for step in (1, 2, 4, 8, 3):
         run = run[:-step] & run[step:]
     at = np.flatnonzero(run)  # the first and last window of each long run
+    if not len(at):
+        return True
     first, last = at[~digit[at - 1]], at[~digit[at + 19]]
     return not (np.isin(a[first - 1], _INTEGER_LEAD)
                 & np.isin(a[last + 19], _INTEGER_TAIL)).any()
@@ -244,37 +275,51 @@ def _plain(cond: bool) -> None:
         raise ValueError("not a plain compact file")
 
 
-def _parsed_table(text: str, width: int) -> np.ndarray:
-    """The ``(rows, width)`` table of ``text`` read by numpy's text parser,
-    declined unless it is plainly rows of JSON numbers (``_plain_numbers``);
-    numpy rounds each number's text as ``json`` does."""
+def _parsed_table(text: str, key: str):
+    """The ``(positions, values)`` pair of table ``key`` (values None for
+    the mask) read from ``text`` by numpy's text parser in one call, into
+    ``ROW_DTYPE``: positions as exact int64, values rounded as ``json``
+    rounds them.  It declines unless the text is plainly rows of JSON
+    numbers (``_plain_numbers``) and every position cell an integer within
+    int64, as ``json`` reads it; ``2.0`` or ``1e0`` in a position declines
+    too, so ``json.load`` reads and names it."""
+    dtype = ROW_DTYPE[key]
     if text == "[]":  # numpy warns on no data
-        return np.empty((0, width))
-    _plain(text.startswith("[[") and text.endswith("]]") and text.isascii()
-           and "[]" not in text)  # no empty row
-    raw = text.encode("ascii")
-    _plain(not raw.translate(None, TABLE_BYTES)
-           and _plain_numbers(np.frombuffer(raw, np.uint8)))
-    rows = text[2:-2].split("],[")  # a bracket left in a row fails to parse
-    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    _plain(table.shape == (len(rows), width))
-    return table
+        table = np.empty(0, dtype)
+    else:
+        _plain(text.startswith("[[") and text.endswith("]]")
+               and text.isascii() and "[]" not in text)  # no empty row
+        raw = text.encode("ascii")
+        _plain(not raw.translate(None, TABLE_BYTES)
+               and _plain_numbers(np.frombuffer(raw, np.uint8)))
+        rows = text[2:-2].split("],[")  # a bracket left in a row fails
+        with warnings.catch_warnings():
+            # older releases of numpy's C reader (1.23 on) read ``2.5``
+            # into an int64 through a float, truncated, behind this
+            # warning; made an error, it is a ValueError: a decline
+            warnings.filterwarnings("error", ".*integer via a float",
+                                    DeprecationWarning)
+            table = np.loadtxt(rows, dtype, delimiter=",", comments=None,
+                               ndmin=1)
+        _plain(len(table) == len(rows))
+    return table["at"], table["value"] if key in VALUED else None
 
 
 def _parsed_layer(line: str) -> Layer:
     """The layer on a compact line read by numpy's text parser, without
     the JSON document.  Only a line laid out as ``LAYER_LINE`` writes it,
     whose tables pass ``_parsed_table`` and whose layer the storage rule
-    takes, is read here; any other raises ``ValueError``.  Shapes below
-    2^53 keep every index in range exact as a float, as ``json`` keeps
-    integers."""
+    takes, is read here; any other raises ``ValueError``.  Shapes must be
+    below 2^53: ``json`` reads a table that holds a float value as
+    float64, which rounds an index past 2^53, so only below it does every
+    index the rule takes read alike on both paths."""
     head = LAYER_HEAD.match(line)
     _plain(head is not None and line.endswith("}\n"))
     dims = [int(n) for n in head.groups()]
     _plain(max(dims) < 2 ** 53)
     entries, rest = line[head.end():-2].partition(',"bias":')[::2]
     bias, mask = rest.partition(',"mask_rho":')[::2]
-    return _built(dims, *(_parsed_table(text, TABLE_WIDTH[key])
+    return _built(dims, *(_parsed_table(text, key)
                           for text, key in zip((entries, bias, mask), TABLES)))
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strassennet import core as core_module
 from strassennet import io as io_module
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
                               mnn_equal, realize)
@@ -263,6 +264,47 @@ class TestWriterOnRandomNetworks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert path.read_text() == _compact_text(network_to_dict(net))
+
+    def test_spelling_tables_grow_only_as_far_as_their_columns(self,
+                                                               tmp_path):
+        # layer 0 is wide and nearly empty: its last index column's top,
+        # 4999, is above its two cells, so it is spelled over np.unique;
+        # layer 1 is dense, 1200 entries whose first index reaches 600
+        wide = Layer(SparseLinearMap((2, 1), (1, 5000),
+                                     [[1, 1, 1, 4999], [2, 1, 1, 100]],
+                                     [1e-05, 0.1 + 0.2]))
+        out, into = np.indices((600, 2)).reshape(2, -1) + 1
+        ones = np.ones_like(out)
+        dense = Layer(SparseLinearMap((600, 1), (2, 1),
+                                      np.stack([out, ones, into, ones], 1),
+                                      np.linspace(-1.0, 2.0, out.size)),
+                      np.full((600, 1), 0.5))
+        last = Layer(SparseLinearMap((1, 1), (600, 1),
+                                     [[1, 1, k, 1] for k in range(1, 601)],
+                                     np.full(600, 0.25)))
+        net = MNN([wide, dense, last])
+        path = tmp_path / "net.json"
+        with mock.patch.object(io_module, "_spelled",
+                               wraps=io_module._spelled) as spy:
+            save_network(net, path)
+        assert path.read_text() == _compact_text(network_to_dict(net))
+        spellings = spy.call_args_list[0].args[4]
+        tops, cells = {}, {}
+        for call in spy.call_args_list:
+            column, spell, lead, tail, seen = call.args
+            assert seen is spellings  # one set of tables for the file
+            if column.dtype.kind in "iu" and column.max() <= len(column):
+                tops[lead, tail] = max(tops.get((lead, tail), 0),
+                                       int(column.max()))
+                cells[lead, tail] = max(cells.get((lead, tail), 0),
+                                        len(column))
+        assert tops and spellings.keys() == tops.keys()
+        for key, names in spellings.items():
+            # the spellings of 0..top, and top is at most the largest cell
+            # count among the columns that used the table
+            assert len(names) == tops[key] + 1 <= cells[key] + 1
+            assert names[-1] == key[0] + str(tops[key]) + key[1]
+        assert tops[",", ""] == 600  # not the wide layer's 4999
 
 
 def _valid_doc():
@@ -843,7 +885,9 @@ def _assert_same_outcome(got, want):
 SPELLINGS = ["1.0", "-0.5", "1e5", "1E+05", "0.5e+3", "+1.0", ".5", "1.",
              "01", "-01.5", "0e1", "1234567890123456789",
              "12345678901234567890", "1e400", "1.5e", "- 1", "true", "NaN",
-             "Infinity", " 1.0", "\x0c1.0"]
+             "Infinity", " 1.0", "\x0c1.0", "2.0", "1e0", "-0",
+             "123456789012345678", "9223372036854775807",
+             "9223372036854775808"]
 #: (table, row, cell) of the relu gadget's layer 1 that a spelling goes into
 SPELLING_CELLS = {"entry-value": ("entries", 0, 4),
                   "entry-index": ("entries", 0, 3),
@@ -894,6 +938,20 @@ class TestTextParser:
         assert net.layers[0].map.indices.tolist() == [2 ** 53]
         _assert_same_outcome(net, _json_reference(path))
 
+    def test_indices_past_2_to_the_53_beside_a_float_read_as_json(
+            self, tmp_path):
+        # json reads a table that holds a float value as float64, rounding
+        # 2^53 + 1 to 2^53; the text parser reads positions as exact int64,
+        # so a shape past 2^53 must decline to json
+        path = tmp_path / "net.json"
+        path.write_text(
+            '{"activation":null,"layers":[\n{"out_rows":1,"out_cols":1,'
+            f'"in_rows":1,"in_cols":{2 ** 60},"entries":'
+            f'[[1,1,1,{2 ** 53 + 1},2.5]],"bias":[],"mask_rho":[]}}\n]}}\n')
+        net = load_network(path)
+        assert net.layers[0].map.indices.tolist() == [2 ** 53 - 1]
+        _assert_same_outcome(net, _json_reference(path))
+
     @given(edit=_table_edits())
     @settings(max_examples=150, deadline=None)
     def test_edited_tables_read_as_the_json_path_reads_them(
@@ -918,6 +976,31 @@ class TestTextParser:
         save_network(net, path)
         with mock.patch.object(json, "load", _no_json_load):
             assert mnn_equal(load_network(path), net)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory),
+        lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory)],
+        ids=["relu-pow2-k4", "relu-inverse-n8"])
+    def test_every_table_reaches_the_storage_rule_as_int64(self, tmp_path,
+                                                           build):
+        # a text parser that fell back to floats would load the same
+        # networks; only the positions' dtype shows it
+        net = build()
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        seen = []
+
+        def spy(what, index, bounds, value=None):
+            seen.append(np.asarray(index).dtype)
+            return stored_rows(what, index, bounds, value)
+
+        stored_rows = core_module._stored_rows
+        with mock.patch.object(core_module, "_stored_rows", spy), \
+                mock.patch.object(io_module, "_stored_rows", spy), \
+                mock.patch.object(json, "load", _no_json_load):
+            assert mnn_equal(load_network(path), net)
+        assert len(seen) == len(io_module.TABLES) * len(net.layers)
+        assert set(seen) == {np.dtype(np.int64)}
 
     @given(net=_networks())
     @settings(max_examples=30, deadline=None)
