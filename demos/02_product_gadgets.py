@@ -29,7 +29,7 @@ for e in range(1, 13, 2):
     bM, bL = relu_gadget_bounds(eps, K)
     print(f"  eps=2^-{e:<2d} M={g.num_weights:3d} (bound {bM:6.1f})  "
           f"L={g.num_layers:2d} (bound {bL:4.1f})  worst error on the "
-          f"K/128 grid {worst:.2e}")
+          f"grids {worst:.2e}")
 
 # oversized budgets collapse the gadget: eps >= K^2 needs no weights at
 # all (zero is close enough), eps >= K^2/2 needs only the exact backbone

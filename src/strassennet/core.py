@@ -22,28 +22,12 @@ A map stores its entries only as the CSR arrays of its flattened operator
 them on demand.  That order is the one in which evaluation sums each row,
 so it must stay row-major: another order would change the floats.
 Evaluation flattens matrices row-major and stacks a batch of inputs as
-columns, with one extra row of ones.  A network is compiled into the CSR
-arrays of one operator per layer: it holds the map entries, the nonzero
-biases as a last column fed by that row, and a 1 that carries the row to
-the next layer.  A rho row whose entries repeat those of the identity row
-before it, as the relu gadget's ``rho(T - 1/2)`` repeats ``T``, is left out
-of the operator: after the product it is that row's value plus its bias,
-one add per run of rows with one bias, which is the float the operator
-would have summed.  Hidden states keep their rho rows last, repeats
-included, so rho acts on one contiguous block; that order is internal, and
-inputs and outputs stay row-major.  There are two such programs, each
-compiled on the first call that needs it.  Calls on one column run the
-folded one: a run of layers that are each r copies of one block, as the
-leaves of a Strassen multiplier are, runs as that block alone on r vectors,
-one per copy.  Wider calls run the wide one, whose operators hold every
-copy, one cache-sized tile of columns at a time; folding them would make
-each row r tiles wide.  Each evaluation allocates two state buffers once:
-each layer is one call of scipy's CSR kernel, the one ``@`` runs, from one
-buffer into the other, the adds of its repeats, and then rho in place,
-called as ``rho(block, out=block)`` the way numpy's ufuncs are.  The floats
-are those of ``L X + C`` and then rho, layer by layer, whatever the batch
-and the program; rho must act entrywise.  A network's error guarantee holds
-only on the domain its builder states (multipliers: operand entries in
+columns.  It compiles the network, on the first call that needs it, into
+one CSR operator per layer that holds only that layer's map entries, and
+runs each layer as one call of scipy's CSR kernel (see ``_compile``).  The
+floats are those of ``L X + C`` and then rho, layer by layer, whatever the
+batch; rho must act entrywise.  A network's error guarantee holds only on
+the domain its builder states (multipliers: operand entries in
 ``[-K, K]``; inverters: ``||I - alpha A||_2 <= delta``), and evaluation
 does not check it.
 """
@@ -82,9 +66,12 @@ def _count(name: str, n, least: int = 1) -> int:
     return int(n)
 
 
-def _positive(name: str, x, below: float = math.inf) -> None:
-    """The one real rule: ``x`` is refused by ``name`` unless it is a real
-    number by type (not a bool), finite as a float and in ``(0, below)``."""
+def _positive(name: str, x, below: float = math.inf) -> float:
+    """The one real rule: ``x`` as a float64, if it is a real number by
+    type (not a bool), finite as a float and in ``(0, below)``; otherwise
+    refused by ``name``.  Callers derive budgets from the float64 it
+    returns, never from ``x``: a numpy float32 would derive them in
+    float32."""
     if not isinstance(x, numbers.Real) or isinstance(x, bool):
         raise ValueError(f"{name} must be a real number, got {x!r}")
     try:
@@ -95,6 +82,7 @@ def _positive(name: str, x, below: float = math.inf) -> None:
         raise ValueError(f"{name} must be positive and finite, got {x}"
                          if below == math.inf else
                          f"{name} must lie in (0, {below:g}), got {x}")
+    return float(x)
 
 
 def _derived(derive, spelled: str, advice: str) -> float:
@@ -154,7 +142,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 #: sets an attribute of a read-only object: only its constructor (and
-#: ``_compile``, for ``MNN._wide`` and ``MNN._folded``) may call it
+#: ``_compile``, for ``MNN._wide`` and ``MNN._folded``) may call it, or a
+#: frozen spec's ``__post_init__``, to store a parameter as its float64
 _set = object.__setattr__
 
 
@@ -570,80 +559,82 @@ def _compile(net: MNN, folded: bool):
     column tile width and the height of the state buffers.  There are two
     such programs, each built on its first use and cached: the folded one
     (``folded``) for calls on one column, and the wide one for wider calls.
+    :func:`realize_flat` runs one tile of columns at a time through two
+    state buffers: each step is one call of scipy's CSR kernel, the one
+    ``@`` runs, from one buffer into the other, zeroed; then the bias add,
+    the adds of its repeats, and rho in place.
 
-    A step is ``(rows, cols, vecs, indptr, indices, data, adds, rho_from,
-    height)``: the CSR arrays of a ``(rows x cols)`` operator, as scipy's
-    CSR kernels take them, the number of vectors it runs on for each column
-    of the batch, the repeats it fills by adds, and the state rows
+    A step is ``(rows, cols, vecs, indptr, indices, data, bias, adds,
+    rho_from, height)``: the CSR arrays of a ``(rows x cols)`` operator, as
+    scipy's CSR kernels take them; the number of vectors it runs on for
+    each column of the batch; its kernel rows' bias as a column, or None
+    where they have none; the repeats it fills by adds; and the state rows
     ``rho_from:height`` that rho acts on, ``height`` being the rows of the
     state it writes.  The program's ``height`` is the largest state,
-    counting the input and the ones row.  Each kernel row holds its map
-    entries in stored order with its nonzero bias after them, in the column
-    of a ones row: the product sums the same terms in the same order as
-    ``L @ V + bias``, so the floats are the same.  The relabelled columns are
-    unsorted, and must stay so.
+    counting the input.  A kernel row holds its map row's entries in stored
+    order and nothing else; the relabelled columns are unsorted, and must
+    stay so.  The kernel sums each row from the +0.0 of the zeroed state,
+    so never to -0.0, and the bias is then added to every kernel row by one
+    ``np.add``: +0.0 leaves a row without bias as it is, and the other rows
+    get the floats of ``L @ V + bias``.
 
     A repeat (see :func:`_repeats`) is a rho row whose entries are those of
     its identity neighbour, the source, as in the relu gadget's
     ``(T, rho(T - 1/2))`` pair.  The kernel leaves it out, and each run of
     repeats with one bias b is one add ``(source, repeat, count, b)``:
     ``count`` state rows from ``repeat`` on are as many rows from
-    ``source`` on plus b.  The kernel sums a source from +0.0 over the
-    terms the repeat would sum first, in the same order, and a repeat's
-    bias was its last term, so the add gives the repeat's float exactly,
-    whatever rho is.
+    ``source`` on plus b.  A source has no bias, and the kernel sums it
+    from +0.0 over the terms the repeat would sum, in the same order, so
+    the add gives the repeat's float exactly, whatever rho is.
 
     In the wide program every step runs on one vector, and every state is
     held in its layer's rho-last order: the identity rows that are not
-    sources, the row of ones, the sources, the rho rows that are not
-    repeats, then the repeats, each group in row-major order.  The kernel
-    writes the first ``rows`` rows, the sources one contiguous run among
-    them, the adds write the repeats after them in their sources' order,
-    and rho acts on the last ``height - rho_from`` rows, one contiguous
-    block; the next step's columns are relabelled to match.  Without rho,
-    as for the input and the last layer, this is the identity order; the
-    last layer's is cut before the ones row.
+    sources, the sources, the rho rows that are not repeats, then the
+    repeats, each group in row-major order.  The kernel writes the first
+    ``rows`` rows, the sources one contiguous run among them, the adds
+    write the repeats after them in their sources' order, and rho acts on
+    the last ``height - rho_from`` rows, one contiguous block; the next
+    step's columns are relabelled to match.  Without rho, as for the input
+    and the last layer, this is the identity order, so inputs and outputs
+    stay row-major.
 
     The folded program runs a layer that is r copies of one block B
     (``kron(I_r, B)``, see :func:`_copies`) as B alone on r vectors, one
     per copy, for the runs of layers :func:`_fold_plan` picks.  Its state
-    is copy-minor: B's rows and the ones row in B's rho-last order, each
-    repeated r times, so that a run of rows is still one block, r times as
-    long, for the kernel, the adds and rho.  Each copy's row sums the same
-    terms in the same order from zero, so the floats are those of the wide
-    program.  The layer before a run writes its rows in that order, and the
-    layer after it relabels its columns from it; every layer outside the
-    runs is compiled as in the wide program.  At batch 1 a layer of 2401
-    leaf copies is then one product over B's few rows instead of 2401 short
-    dot products.  Wider calls keep the wide program: there a folded row
-    spans r times the batch, which streams out of cache.
+    is copy-minor: B's rows in B's rho-last order, each repeated r times,
+    so that a run of rows is still one block, r times as long, for the
+    kernel, the adds and rho.  Each copy's row sums the same terms in the
+    same order from zero, so the floats are those of the wide program.  The
+    layer before a run writes its rows in that order, and the layer after
+    it relabels its columns from it; every layer outside the runs is
+    compiled as in the wide program.  At batch 1 a layer of 2401 leaf
+    copies is then one product over B's few rows instead of 2401 short dot
+    products.  Wider calls keep the wide program: there a folded row spans
+    r times the batch, which streams out of cache.
     """
     program = net._folded if folded else net._wide
     if program is not None:
         return program
-    last = net.num_layers - 1
     plan = _fold_plan(net) if folded else [1] * net.num_layers
     if folded and max(plan) == 1:  # nothing folds: the programs are one
         program = _compile(net, False)
         _set(net, "_folded", program)
         return program
     steps, roles = [], None
-    size = widest = net.input_shape.size + 1
-    moved = np.arange(size)  # the input in row-major order, then the ones row
-    for pos, layer in enumerate(net.layers):
-        r, m = plan[pos], layer.map
+    size = widest = net.input_shape.size
+    moved = np.arange(size)  # the input in row-major order
+    for layer, r, after in zip(net.layers, plan, plan[1:] + [1]):
+        m = layer.map
         bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
         rho = layer.mask.rho.reshape(-1)[:bo]
         n_rho = int(np.count_nonzero(rho))
-        bias = np.append(layer.bias.reshape(-1)[:bo], 1.0)  # ones row: 1
-        per_map = np.append(m.indptr[1:bo + 1] - m.indptr[:bo], 0)  # ones: 0
-        # the state rows of copy 0 of B's inputs and of the ones row
-        where = moved if r == 1 else np.append(moved[:bi], moved[-1]) // r
-        # ``order`` lists B's rows in state order, B's ones row as bo, and
-        # ``row`` gives each its state row; the first ``rows`` are the
-        # kernel's.  Consecutive rho-last layers with one role per row
-        # share them
-        rho_last = pos < last and r >= plan[pos + 1]
+        bias = layer.bias.reshape(-1)[:bo]
+        per_map = m.indptr[1:bo + 1] - m.indptr[:bo]
+        where = moved[:bi] // r  # the state rows of copy 0 of B's inputs
+        # ``order`` lists B's rows in state order and ``row`` gives each its
+        # state row; the first ``rows`` are the kernel's.  Consecutive
+        # rho-last layers with one role per row share them
+        rho_last = r >= after
         role = None
         if rho_last:  # 0 identity, 1 source, 2 rho, 3 repeat
             role = rho.astype(np.int8) * 2
@@ -656,43 +647,27 @@ def _compile(net: MNN, folded: bool):
             if rho_last:
                 reps = (role == 3).nonzero()[0]
                 n_rep, ident = reps.size, (role == 0).nonzero()[0]
-                src = ident.size + 1  # the state row of the first source
-                order = np.concatenate([ident, [bo], reps - 1,
+                src = ident.size  # the state row of the first source
+                order = np.concatenate([ident, reps - 1,
                                         (role == 2).nonzero()[0], reps])
-            elif pos == last:
-                order = np.arange(bo)
             else:  # copy-minor, for the run that follows
-                n = plan[pos + 1]
-                order = np.append(np.arange(bo).reshape(n, -1).T,
-                                  np.full(n, bo))
-            rows = order.size - n_rep
-            row = np.zeros(bo + 1, dtype=np.intp)
-            row[order] = np.arange(order.size)
+                order = np.arange(bo).reshape(after, -1).T.ravel()
+            rows = bo - n_rep
+            row = np.empty(bo, dtype=np.intp)
+            row[order] = np.arange(bo)
         cols = size // r
         # int32 when it fits: the kernel then reads half the index bytes
-        index = np.int32 if bn + order.size + cols <= 2 ** 31 else np.int64
-        biased = bias != 0
+        index = np.int32 if bn + cols <= 2 ** 31 else np.int64
         kept = order[:rows]
+        lens = per_map[kept]
         indptr = np.zeros(rows + 1, dtype=index)
-        np.cumsum((per_map + biased)[kept], out=indptr[1:])
-        # entry e of B's row b goes to first[b] + e - m.indptr[b], and the
-        # bias of each kernel row right after its entries; a repeat's
-        # entries are left out
-        first = np.zeros(bo + 1, dtype=np.int64)
-        first[kept] = indptr[:-1]
-        put = np.repeat(first[:bo] - m.indptr[:bo], per_map[:bo])
-        put += np.arange(bn)
-        val, col = m.val[:bn], m.indices[:bn]
-        if n_rep:
-            keep = np.repeat(role[:bo] != 3, per_map[:bo])
-            put, val, col = put[keep], val[keep], col[keep]
-        at = biased[kept].nonzero()[0]
-        put_bias = indptr[at] + per_map[kept[at]]
-        data = np.empty(indptr[-1])
-        data[put], data[put_bias] = val, bias[kept[at]]
-        indices = np.empty(indptr[-1], dtype=index)
-        indices[put] = where[col]
-        indices[put_bias] = where[bi]
+        np.cumsum(lens, out=indptr[1:])
+        # kernel row k holds B's row kept[k]'s entries, in stored order; a
+        # repeat's are left out.  Its bias is added after the product
+        take = np.repeat(m.indptr[kept] - indptr[:-1], lens)
+        take += np.arange(indptr[-1])
+        indices = where[m.indices[take]].astype(index)
+        kernel_bias = bias[kept][:, None] if bias[kept].any() else None
         # each run of repeats with one bias is its sources plus that bias
         adds = ()
         if n_rep:
@@ -700,12 +675,11 @@ def _compile(net: MNN, folded: bool):
             cut = [0, *((b[1:] != b[:-1]).nonzero()[0] + 1), n_rep]
             adds = tuple((src + lo, rows + lo, hi - lo, float(b[lo]))
                          for lo, hi in zip(cut, cut[1:]))
-        steps.append((rows, cols, r, indptr, indices, data, adds,
-                      order.size - n_rho, order.size))
+        steps.append((rows, cols, r, indptr, indices, m.val[take],
+                      kernel_bias, adds, bo - n_rho, bo))
         # copy q of B's row b sits at vector q of its state row
-        moved = row if r == 1 else np.append(
-            row[:bo] * r + np.arange(r)[:, None], row[bo] * r)
-        size = order.size * r
+        moved = (row * r + np.arange(r)[:, None]).ravel()
+        size = bo * r
         widest = max(widest, size)
     program = (steps, max(32, _TILE_BYTES // (8 * widest)), widest)
     _set(net, "_folded" if folded else "_wide", program)
@@ -718,26 +692,12 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     ``columns`` has shape ``(input_shape.size, batch)`` and holds integers
     or real floats; the result is a fresh ``(output_shape.size, batch)``
     array.  This is the batched workhorse behind :func:`realize`.  The
-    network is compiled on its first evaluation into one CSR operator per
-    layer on states carrying a last row of ones, with the bias as a last
-    column; hidden states keep their rho rows last (see :func:`_compile`).
-    A rho row that repeats the entries of the identity row before it, as
-    the relu gadget's ``rho(T - 1/2)`` repeats ``T``, is left out of the
-    operator.  One column runs the folded program, in which a run of layers
-    that are each r copies of one block, as Strassen's leaves are, runs as
-    that block on r vectors; wider calls run the wide program, whose
-    operators hold every copy, one tile of columns at a time, sized so that
-    a tile's state stays in cache.  Each program is compiled on the first
-    call that needs it.  Each call allocates two state buffers, as tall as
-    the largest state; each layer is one call of scipy's CSR kernel
-    (``csr_matvec`` for one vector, ``csr_matvecs`` for more, the kernels
-    that ``@`` runs) from one buffer into the other, zeroed; then each run
-    of repeats with one bias b is filled by one
-    ``np.add(sources, b, out=repeats)``, before rho runs in place.  A
-    source was summed from +0.0 over the repeat's own terms in the same
-    order, and the repeat's bias was its last term, so the add gives the
-    float the kernel would have.  The floats are those of ``L X + C`` and
-    then rho, layer by layer, whatever the batch and the program.  A None
+    network is compiled, on the first call that needs it, into one CSR
+    operator per layer that holds only the map's entries, and each layer
+    runs as one call of scipy's CSR kernel (``csr_matvec`` for one vector,
+    ``csr_matvecs`` for more, the kernels that ``@`` runs) and a few adds;
+    :func:`_compile` describes the program.  The floats are those of
+    ``L X + C`` and then rho, layer by layer, whatever the batch.  A None
     ``rho`` is the one ``ACTIVATIONS`` registers for the network's label.
     ``rho`` must act entrywise and in place, as numpy's ufuncs do: it is
     called as ``rho(block, out=block)`` on a contiguous 1-D block of one
@@ -766,8 +726,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
         cut = columns[:, first:first + tile]
         c = cut.shape[1]
         V[:size * c].reshape(size, c)[:] = cut
-        V[size * c:(size + 1) * c] = 1.0
-        for (rows, cols, vecs, indptr, indices, data, adds, rho_from,
+        for (rows, cols, vecs, indptr, indices, data, bias, adds, rho_from,
              height) in steps:
             n = vecs * c
             Y[:rows * n] = 0.0
@@ -777,6 +736,9 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
             else:
                 _sparsetools.csr_matvecs(rows, cols, n, indptr, indices, data,
                                          V, Y)
+            if bias is not None:
+                kernel = Y[:rows * n].reshape(rows, n)
+                np.add(kernel, bias, out=kernel)
             for src, rep, count, b in adds:
                 np.add(Y[src * n:(src + count) * n], b,
                        out=Y[rep * n:(rep + count) * n])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .combinators import concat, parallelize
 from .core import (MNN, Layer, SparseLinearMap, _count, _derived, _glue,
-                   _positive, scale_output)
+                   _positive, _set, scale_output)
 from .gadgets import GadgetFactory, GadgetSpec
 from .strassen import build_str_square
 
@@ -48,9 +48,9 @@ class InversionSpec:
 
     def __post_init__(self):
         _count("n", self.n)
-        _positive("alpha", self.alpha)
-        _positive("epsilon", self.epsilon)
-        _positive("delta", self.delta, below=1.0)
+        _set(self, "alpha", _positive("alpha", self.alpha))
+        _set(self, "epsilon", _positive("epsilon", self.epsilon))
+        _set(self, "delta", _positive("delta", self.delta, below=1.0))
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class NeumannDepth:
 
     def __post_init__(self):
         _count("N", self.N)
-        _positive("Sigma", self.Sigma)
-        _positive("eps_neu", self.eps_neu)
+        _set(self, "Sigma", _positive("Sigma", self.Sigma))
+        _set(self, "eps_neu", _positive("eps_neu", self.eps_neu))
 
 
 def compute_N(eps: float, delta: float) -> int:
@@ -73,8 +73,7 @@ def compute_N(eps: float, delta: float) -> int:
     Smallest N >= 1 with delta^(2^N) / (1 - delta) <= eps; clamps to 1 when
     eps (1 - delta) >= 1, where no tail control is needed.
     """
-    _positive("eps", eps)
-    _positive("delta", delta, below=1.0)
+    eps, delta = _positive("eps", eps), _positive("delta", delta, below=1.0)
     target = _derived(lambda: eps * (1.0 - delta),
                       f"eps * (1 - delta) = {eps!r} * (1 - {delta!r})",
                       "use a larger eps or a smaller delta")
@@ -148,7 +147,7 @@ def build_sqr(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     error after N stages stays within eps provided eps < 1/4.
     """
     N, n = _count("N", N), _count("n", n)
-    _positive("eps", eps, below=0.25)
+    eps = _positive("eps", eps, below=0.25)
     budget = _derived(lambda: eps / (4.0 * n), f"the squaring multiplier "
                       f"budget {eps!r} / (4 * {n})",
                       "use a larger eps or a smaller n")
@@ -191,7 +190,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
     on, where 2^N is not formed (see ``_leaf_budget``).
     """
     N, n = _count("N", N), _count("n", n)
-    _positive("eps", eps, below=0.125)
+    eps = _positive("eps", eps, below=0.125)
     if N == 1:
         # labelled so that build_inv's N = 1 network keeps the factory's label
         plus_eye = _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, 1.0)], np.eye(n))
@@ -209,7 +208,7 @@ def build_neu(N: int, n: int, eps: float, factory: GadgetFactory) -> MNN:
 def build_in(n: int, alpha: float) -> MNN:
     """One layer mapping A to I - alpha A; n^2 + n weights."""
     n = _count("n", n)
-    _positive("alpha", alpha)
+    alpha = _positive("alpha", alpha)
     return _glue((n, n), (n, n), [(0, 0, 0, 0, n, n, -alpha)], np.eye(n))
 
 
@@ -270,8 +269,7 @@ def series_length_estimate(eps: float, delta: float) -> float:
     needs about log2(eps (1 - delta) / 2) / log2(delta) terms, against the
     2^N terms reached here with N multiplications.
     """
-    _positive("eps", eps)
-    _positive("delta", delta, below=1.0)
+    eps, delta = _positive("eps", eps), _positive("delta", delta, below=1.0)
     target = _derived(lambda: eps * (1.0 - delta) / 2.0,
                       f"eps * (1 - delta) / 2 = {eps!r} * (1 - {delta!r}) / 2",
                       "use a larger eps or a smaller delta")
@@ -281,7 +279,7 @@ def series_length_estimate(eps: float, delta: float) -> float:
 def neu_bound_counts(N: int, n: int, eps: float, factory: GadgetFactory):
     """(M, L) upper bounds for the Neumann-sum network, N >= 2."""
     N, n = _count("N", N, least=2), _count("n", n)
-    _positive("eps", eps)
+    eps = _positive("eps", eps)
     Sigma = _leaf_budget(N, n, eps, "use a larger eps or a smaller N or n")
     gadget = factory.build(GadgetSpec(Sigma, 2.0 * n))
     Mg, Lg = gadget.num_weights, gadget.num_layers

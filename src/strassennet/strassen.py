@@ -78,8 +78,7 @@ def _leaf_spec(k: int, eps: float, K: float, size=None) -> GadgetSpec:
     eps / 4^k and half-width 2^k K, scaled by exact powers of two.  Where
     float64 cannot hold one, it is refused by ``k``, or by ``size``, the
     ``(name, value)`` of the size a caller pads to k levels."""
-    _positive("eps", eps)
-    _positive("K", K)
+    eps, K = _positive("eps", eps), _positive("K", K)
     name, levels = "k", f"k = {k} levels"
     if size is not None:
         name, levels = size[0], f"{size[0]} = {size[1]!r} padded to {levels}"
@@ -180,8 +179,7 @@ def bound_counts_rect(shape: RectShape, M_gadget: int, L_gadget: int):
 
 def bound_gadget_spec_rect(shape: RectShape, eps: float, K: float) -> GadgetSpec:
     """The gadget spec at which the rectangular-bound formulas are evaluated."""
-    _positive("eps", eps)
-    _positive("K", K)
+    eps, K = _positive("eps", eps), _positive("K", K)
     gamma = shape.gamma
     return GadgetSpec(
         _derived(lambda: eps / (4.0 * gamma * gamma), f"the bound's leaf "

@@ -215,7 +215,8 @@ def check_gadget_errors(seed: int = DEFAULT_SEED) -> CriterionResult:
         cases += 1
     return CriterionResult("gadget-sup-error", worst_ratio <= 1.0, worst_ratio,
                            "max grid error / eps <= 1 (1e-12 for exact gadget)",
-                           "K in {0.5,1,2}, eps down to 1e-3, grid K/128", cases)
+                           "K in {0.5,1,2}, eps down to 1e-3, grids K/128 "
+                           "and 256 per axis", cases)
 
 
 def check_gadget_size_bounds(seed: int = DEFAULT_SEED) -> CriterionResult:

@@ -593,7 +593,7 @@ def test_only_runs_of_exact_copies_fold(name):
 
 def _added(steps):
     """The rows each step fills by an add."""
-    return [sum(count for _, _, count, _ in step[6]) for step in steps]
+    return [sum(count for _, _, count, _ in step[7]) for step in steps]
 
 
 @pytest.mark.parametrize("name", list(_NEAR_ADDS))
@@ -610,19 +610,19 @@ def test_only_rho_rows_repeating_an_identity_neighbour_are_added(name):
 
 
 def test_repeats_follow_their_sources_after_the_kernel_rows():
-    # state order: the ones row, the sources T1, T2, the other rho rows,
-    # then the repeats Q1, Q2; the kernel writes the first five rows, each
-    # run of repeats with one bias is one add, and rho acts on the last four
+    # state order: the sources T1, T2, the other rho rows, then the repeats
+    # Q1, Q2; the kernel writes the first four rows, each run of repeats
+    # with one bias is one add, and rho acts on the last four
     for second, adds in (
-            (None, ((1, 5, 1, -0.5), (2, 6, 1, 0.25))),
+            (None, ((0, 4, 1, -0.5), (1, 5, 1, 0.25))),
             ([0.0, 0.25, 0.0, -0.5, -0.5, -0.5],
-             ((1, 5, 1, 0.25), (2, 6, 1, -0.5))),
-            ([0.0, -0.5, 0.0, -0.5, -0.5, -0.5], ((1, 5, 2, -0.5),))):
+             ((0, 4, 1, 0.25), (1, 5, 1, -0.5))),
+            ([0.0, -0.5, 0.0, -0.5, -0.5, -0.5], ((0, 4, 2, -0.5),))):
         steps = core._compile(_pairs(_GADGET_PAIRS, second), False)[0]
-        assert steps[0][6] == ((1, 5, 1, -0.5), (2, 6, 1, 0.25))
-        assert steps[1][6] == adds
+        assert steps[0][7] == ((0, 4, 1, -0.5), (1, 5, 1, 0.25))
+        assert steps[1][7] == adds
         for step in steps[:2]:
-            assert (step[0], step[7], step[8]) == (5, 3, 7)
+            assert (step[0], step[8], step[9]) == (4, 2, 6)
         _check_tiles(_pairs(_GADGET_PAIRS, second), None)
 
 
@@ -666,16 +666,40 @@ def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
 
 
 @pytest.mark.parametrize("name, rows, entries, added", [
-    ("relu-k4", 118_536, 335_491, 62_426),
-    ("inv-relu-n8", 182_808, 437_946, 86_436)])
+    ("relu-k4", 118_514, 335_469, 62_426),
+    ("inv-relu-n8", 182_680, 437_778, 86_436)],
+    ids=["relu-k4", "inv-relu-n8"])
 def test_benchmark_networks_add_their_gadgets_repeats(name, rows, entries,
                                                       added):
-    # per input, the wide program's kernel rows (ones rows included) and
-    # entries, and the rows filled by an add instead
+    # per input, the wide program's kernel rows and entries, and the rows
+    # filled by an add instead
     steps = core._compile({**_MULTIPLIER, **_INVERTER}[name](), False)[0]
     assert sum(step[0] for step in steps) == rows
     assert sum(int(step[3][-1]) for step in steps) == entries
     assert sum(_added(steps)) == added
+
+
+@pytest.mark.parametrize("make", [
+    _MULTIPLIER["relu-k4"], _INVERTER["inv-relu-n8"],
+    lambda: build_in(3, 0.5), _repeated], ids=["relu-k4", "inv-relu-n8",
+                                                "glue-in", "repeats-fold"])
+def test_operators_hold_only_their_maps_entries(make):
+    # a kernel row holds its map row's entries and no bias or carry entry,
+    # and a repeat's entries are its source's; a folded step holds its
+    # block's.  Each step reads the whole state the one before it wrote:
+    # ``cols`` rows on each of its ``vecs`` vectors
+    net = make()
+    for folded in (False, True):
+        steps = core._compile(net, folded)[0]
+        stored = [len(step[5]) + sum(int(step[3][src + count] - step[3][src])
+                                     for src, _, count, _ in step[7])
+                  for step in steps]
+        assert stored == [layer.map.nnz // step[2]
+                          for layer, step in zip(net.layers, steps)]
+        written = [(net.input_shape.size, 1)] + [(step[9], step[2])
+                                                 for step in steps[:-1]]
+        assert [step[1] * step[2] for step in steps] == [
+            height * vecs for height, vecs in written]
 
 
 def test_realize_flat_compiles_each_network_once(monkeypatch):

@@ -29,6 +29,11 @@ class TestRelu2Gadget:
         err = verify_gadget(relu2_factory.build(spec), spec)
         assert err <= 1e-12
 
+    def test_grid_error_shows_rounding(self):
+        # the relu2 gadget is exact on the dyadic K/128 grid, so only the
+        # 256-point grid sees its float64 rounding
+        assert verify_gadget(build_product_relu2(), GadgetSpec(1.0, 1.0)) > 0
+
     def test_exact_at_random_points(self, rng):
         net = build_product_relu2()
         for x, y in _pairs(rng, 3.0, 100):

@@ -5,6 +5,7 @@ value, alike through the builder, its count reference and ``snn build``."""
 import argparse
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from strassennet import (GadgetSpec, InversionSpec, NeumannDepth, RectShape,
                          bound_gadget_spec_rect, build_in, build_neu,
                          build_sqr, build_str_pow2, build_str_rect,
-                         build_str_square, neu_bound_counts,
+                         build_str_square, mnn_equal, neu_bound_counts,
                          pow2_count_reference, rect_count_reference,
                          relu2_factory, relu_factory)
 from strassennet.cli import FLAGS, KINDS, main
@@ -181,3 +182,29 @@ def test_no_refusal_names_a_value_the_caller_never_passed(data):
         except ValueError as exc:
             assert not re.search(r"must be positive and finite, got "
                                  r"(0\.0|inf)$", str(exc)), (call, exc)
+
+
+#: per real flag, values whose budgets float32 arithmetic would derive
+#: otherwise: K^2/eps overflows float32 at (eps, K) = (1e-30, 1e5), and
+#: eps / (2 alpha) is compared with the largest float64
+_FLOAT32 = {"eps": [0.1, 1e-30, 1e-2], "K": [1.0, 1e5, 3.0],
+            "alpha": [1.0, 0.7], "delta": [0.5, 0.3]}
+
+
+@pytest.mark.parametrize("activation", ["relu", "relu2"])
+@pytest.mark.parametrize("kind, flag, name", _CASES)
+def test_numpy_float32_parameters_are_read_as_their_float64(kind, flag, name,
+                                                            activation):
+    # a float32 is taken into float64 by the real rule, before any budget
+    # is derived from it, so it builds what its float64 value builds
+    factory = {"relu": relu_factory, "relu2": relu2_factory}[activation]
+    _, spec, builder, _ = KINDS[kind]
+    for x in _FLOAT32[flag]:
+        base = {**_ARGS, "k": 0, "K": 1e5 if x == 1e-30 else 1.0}
+        nets = []
+        for value in (np.float32(x), float(np.float32(x))):
+            args = argparse.Namespace(**{**base, flag: value})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                nets.append(builder(*spec(args), factory))
+        assert mnn_equal(*nets), x
