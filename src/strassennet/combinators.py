@@ -59,8 +59,26 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     range and in row-major order by construction: they are wrapped as
     they are (``SparseLinearMap._from_csr``), without a second pass of the
     storage rule.  The arrays equal those the constructor would store for
-    the stacked quadruples, dtypes included.
+    the stacked quadruples, dtypes included.  When every child is one
+    ``Layer`` object, as Strassen's seven copies are, the arrays are that
+    child's tiled, copy ``c``'s input positions moved by ``c`` input
+    blocks; otherwise they are gathered child by child.
     """
+    first = children[0]
+    if all(layer is first for layer in children):  # tiled from one child
+        m, r = first.map, len(children)
+        out_shape = MatrixShape(r * m.out_shape.rows, m.out_shape.cols)
+        in_shape = MatrixShape(r * m.in_shape.rows, m.in_shape.cols)
+        copy = np.arange(r, dtype=np.int64)[:, None]
+        indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
+        indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
+        linmap = SparseLinearMap._from_csr(
+            out_shape, in_shape, indptr,
+            (m.indices + copy * m.in_shape.size).ravel(),
+            np.concatenate([m.val] * r))
+        rho = np.concatenate([first.mask.rho] * r)
+        return Layer(linmap, np.concatenate([first.bias] * r),
+                     ActivationMask(out_shape, rho))
     out_shape = MatrixShape(sum(layer.out_shape.rows for layer in children),
                             max(layer.out_shape.cols for layer in children))
     in_shape = MatrixShape(sum(layer.in_shape.rows for layer in children),
@@ -99,7 +117,9 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
     All networks must share the layer count and any activation label they
     set, and agree on input and output column counts.  The result maps
     ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
-    and exactly the summed weight count.
+    and exactly the summed weight count.  Copies of one network, as in
+    ``parallelize([net] * 7)``, are stacked by tiling its layers' arrays
+    (see ``_stack_layers``).
     """
     nets = tuple(nets)
     if not nets:

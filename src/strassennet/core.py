@@ -487,12 +487,20 @@ def _copies(layer: Layer) -> int:
     flattened operator is r copies of one block B along the diagonal, in
     row-major order, each with B's entries in B's stored order, B's bias
     and B's mask.  Read off the arrays alone, so loaded networks fold as
-    built ones do."""
+    built ones do.  A divisor is first checked in O(1), by the entry count
+    of the first block and the first entry of the second, and only one
+    that passes is checked on the whole arrays."""
     m = layer.map
     rows = np.diff(m.indptr)
     bias, rho = layer.bias.reshape(-1), layer.mask.rho.reshape(-1)
     for r in _divisors(math.gcd(m.out_shape.size, m.in_shape.size, m.nnz)):
         bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
+        # the first block holds its share of the entries, and the second
+        # starts as the first does: cheap necessary conditions, which
+        # reject most divisors before any whole array is read
+        if m.indptr[bo] != bn or bn and (m.indices[bn] != m.indices[0] + bi
+                                         or m.val[bn] != m.val[0]):
+            continue
         # each array equals itself shifted by one block, so every block
         # equals the first, its columns moved by one input block; since
         # the last block's columns are in range, the first reads only its
@@ -540,11 +548,13 @@ def _fold_plan(net: MNN) -> list:
     before the last layer, whose output is row-major, and its predecessor
     is a layer that does not fold and has no rho rows, since it writes
     the run's input copy-minor (see :func:`_compile`).  Every other layer
-    runs whole, as 1 copy."""
+    runs whole, as 1 copy.  A layer object that the network holds more
+    than once, as built networks do, is scanned by ``_copies`` once."""
     last = net.num_layers - 1
     plan = [1] * net.num_layers
+    copies = {layer: _copies(layer) for layer in set(net.layers[1:last])}
     start = 1
-    for r, run in itertools.groupby(_copies(layer)
+    for r, run in itertools.groupby(copies[layer]
                                     for layer in net.layers[1:last]):
         end = start + len(list(run))
         if (r > 1 and end - start >= 2 and plan[start - 1] == 1
@@ -585,7 +595,9 @@ def _compile(net: MNN, folded: bool):
     ``count`` state rows from ``repeat`` on are as many rows from
     ``source`` on plus b.  A source has no bias, and the kernel sums it
     from +0.0 over the terms the repeat would sum, in the same order, so
-    the add gives the repeat's float exactly, whatever rho is.
+    the add gives the repeat's float exactly, whatever rho is.  The
+    repeats of a layer object that the network holds more than once are
+    found once for each number of copies it runs as.
 
     In the wide program every step runs on one vector, and every state is
     held in its layer's rho-last order: the identity rows that are not
@@ -621,6 +633,7 @@ def _compile(net: MNN, folded: bool):
         _set(net, "_folded", program)
         return program
     steps, roles = [], None
+    repeats = {}  # (layer, r): its block's repeats, found once per layer
     size = widest = net.input_shape.size
     moved = np.arange(size)  # the input in row-major order
     for layer, r, after in zip(net.layers, plan, plan[1:] + [1]):
@@ -639,7 +652,9 @@ def _compile(net: MNN, folded: bool):
         if rho_last:  # 0 identity, 1 source, 2 rho, 3 repeat
             role = rho.astype(np.int8) * 2
             if n_rho:
-                rep = _repeats(m, per_map, bias, rho)
+                rep = repeats.get((layer, r))
+                if rep is None:
+                    rep = repeats[layer, r] = _repeats(m, per_map, bias, rho)
                 role[rep] += 1
                 role[:-1] += rep[1:]
         if not (rho_last and np.array_equal(role, roles)):

@@ -117,9 +117,12 @@ def build_fill(n: int, L: int) -> MNN:
     block = [(0, 0, 0, 0, n, n, 1.0)]
     select = SparseLinearMap.from_blocks((n, n), (n, 2 * n), block)
     carry = SparseLinearMap.from_blocks((n, n), (n, n), block)
-    maps = [select] + [carry] * (L - 1)
-    return MNN([Layer(lm) for lm in maps[:-1]]
-               + [Layer(maps[-1], np.eye(n) / 2.0)])
+    half = np.eye(n) / 2.0
+    if L == 1:
+        return MNN([Layer(select, half)])
+    # one read-only carry layer, repeated, as in identity_mnn
+    return MNN([Layer(select)] + [Layer(carry)] * (L - 2)
+               + [Layer(carry, half)])
 
 
 def _build_flip(n: int, k: int) -> MNN:
@@ -165,17 +168,16 @@ def _aux_chain(i: int, n: int, square: MNN) -> MNN:
     The top block carries the repeated square of A/2 (identical, bit for
     bit, to ``build_sqr(i, ...)`` evaluated at A/2 when ``square`` is its
     multiplier); the bottom block carries the running product of the
-    rescaled Neumann factors.
+    rescaled Neumann factors.  Every later stage reuses one pair of
+    squares, built once: layers are read-only, so stages may share them.
     """
     aux = concat(
         parallelize([square, build_fill(n, square.num_layers)]),
         _build_dup_half(n),
     )
+    pair = parallelize([square, square]) if i >= 2 else None
     for stage in range(2, i + 1):
-        aux = concat(
-            parallelize([square, square]),
-            concat(_build_mix_aux(n, stage - 1), aux),
-        )
+        aux = concat(pair, concat(_build_mix_aux(n, stage - 1), aux))
     return aux
 
 

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from strassennet import combinators
 from strassennet.combinators import concat, parallelize
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
-                              identity_mnn, mnn_equal, realize, scale_output)
-from strassennet.gadgets import relu2_factory, relu_factory
-from strassennet.inversion import InversionSpec, build_inv
+                              identity_mnn, mnn_equal, realize, realize_flat,
+                              scale_output)
+from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
+from strassennet.inversion import (InversionSpec, _build_flip,
+                                   _build_mix_aux, build_fill, build_inv)
+from strassennet.io import network_from_dict, network_to_dict
 from strassennet.strassen import (RectShape, build_str_pow2, build_str_rect,
                                   build_str_square)
 
@@ -231,6 +234,42 @@ def test_stacking_matches_the_quadruple_reference(make, monkeypatch):
     want = make()
     assert mnn_equal(net, want)
     _assert_same_layers(net.layers, want.layers)
+
+
+def _reloaded(net):
+    """An equal network that shares no layer object with ``net``."""
+    return network_from_dict(network_to_dict(net))
+
+
+# children with rho rows and bias: gadgets, a multiplier, and glue of the
+# Neumann network (the carry layers of build_fill are one shared layer)
+_CHILDREN = {
+    "relu-gadget": lambda: relu_factory.build(GadgetSpec(1e-3, 2.0)),
+    "relu2-gadget": lambda: relu2_factory.build(GadgetSpec(1e-3, 2.0)),
+    "relu-k2": lambda: build_str_pow2(2, 1e-3, 1.0, relu_factory),
+    "relu2-k2": lambda: build_str_pow2(2, 1e-3, 1.0, relu2_factory),
+    "neu-fill": lambda: build_fill(2, 4),
+    "neu-mix-aux": lambda: _build_mix_aux(2, 1),
+    "neu-flip": lambda: _build_flip(3, 2),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 7])
+@pytest.mark.parametrize("make", _CHILDREN.values(), ids=_CHILDREN.keys())
+def test_copies_of_one_child_stack_as_distinct_children(make, r):
+    # r copies of one network are tiled from it; r equal networks with
+    # distinct layers are gathered child by child, and one child is itself
+    net = make()
+    copies = [_reloaded(net) for _ in range(r)]
+    assert not any(a is b for a, b in zip(copies[0].layers, net.layers))
+    got = parallelize([net] * r)
+    want = parallelize(copies) if r > 1 else net
+    assert mnn_equal(got, want)
+    _assert_same_layers(got.layers, want.layers)
+    cols = np.random.default_rng(r).uniform(-1, 1, (got.input_shape.size, 5))
+    for batch in (cols, cols[:, 2:3]):
+        assert (realize_flat(got, None, batch).tobytes()
+                == realize_flat(want, None, batch).tobytes())
 
 
 def _random_layer(rng, out_shape, in_shape):

@@ -1,5 +1,6 @@
 """Layer/network data structures, realization, and block-table maps."""
 
+import math
 import threading
 import warnings
 from fractions import Fraction
@@ -591,6 +592,37 @@ def test_only_runs_of_exact_copies_fold(name):
     assert [vecs for _, _, vecs, *_ in steps] == plan
 
 
+def _copies_by_blocks(layer):
+    """The largest r, over every divisor of the gcd of the sizes and the
+    entry count, for which every block of the layer's rows, entries, bias
+    and mask equals the first block, its input positions moved by whole
+    input blocks, and the first block reads only its own input block."""
+    m = layer.map
+    arrays = (np.diff(m.indptr), m.val, layer.bias.reshape(-1),
+              layer.mask.rho.reshape(-1))
+    best = 1
+    for r in range(2, math.gcd(m.out_shape.size, m.in_shape.size, m.nnz) + 1):
+        bi = m.in_shape.size // r
+        if m.out_shape.size % r or m.in_shape.size % r or m.nnz % r:
+            continue
+        cols = m.indices.reshape(r, -1) - bi * np.arange(r)[:, None]
+        if (all((a.reshape(r, -1) == a.reshape(r, -1)[0]).all()
+                for a in (*arrays, cols))
+                and (cols[0] < bi).all()):
+            best = r
+    return best
+
+
+@pytest.mark.parametrize("make", [
+    *[make for make, _ in _NEAR_REPEATS.values()],
+    lambda: build_str_pow2(2, 0.1, 1.0, relu_factory),
+    lambda: build_inv(InversionSpec(3, 1.0, 1e-3, 0.5), relu_factory)],
+    ids=[*_NEAR_REPEATS, "relu-k2", "inv-relu-n3"])
+def test_copies_match_a_block_by_block_reference(make):
+    for layer in make().layers:
+        assert core._copies(layer) == _copies_by_blocks(layer)
+
+
 def _added(steps):
     """The rows each step fills by an add."""
     return [sum(count for _, _, count, _ in step[7]) for step in steps]
@@ -637,6 +669,19 @@ _INVERTER["inv-relu2-n3"] = lambda: build_inv(InversionSpec(3, 1.0, 1e-3, 0.5),
                                               relu2_factory)
 
 
+def _assert_same_program(got, want):
+    """Equal compiled programs: in every step, the arrays with their dtypes
+    and the other fields; then the tile and the height."""
+    assert len(got[0]) == len(want[0]) and got[1:] == want[1:]
+    for step, expected in zip(got[0], want[0]):
+        for a, b in zip(step, expected):
+            assert type(a) is type(b)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            else:
+                assert a == b
+
+
 @pytest.mark.parametrize("name", [*_MULTIPLIER, *_INVERTER])
 def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
     # one column runs the folded program and a batch the wide one; folding
@@ -656,6 +701,11 @@ def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
                     == batch[:, i:i + 1].tobytes())
         assert all(vecs == 1 for _, _, vecs, *_ in core._compile(net,
                                                                  False)[0])
+    # the loaded network shares no layer objects with the built one, whose
+    # repeated layers are scanned once: both compile to the same programs
+    for folded in (False, True):
+        _assert_same_program(core._compile(loaded, folded),
+                             core._compile(built, folded))
     plan = core._fold_plan(built)
     assert core._fold_plan(loaded) == plan
     if name == "relu-k4":  # the benchmark's multiplier: the leaves fold

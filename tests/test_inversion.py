@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strassennet import oracles
+from strassennet import inversion, oracles
+from strassennet.combinators import parallelize
 from strassennet.core import counts_satisfied, mnn_equal, realize
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import (InversionSpec, NeumannDepth, _aux_chain,
@@ -115,10 +116,12 @@ class TestAuxiliaryLayers:
     def test_fill_selects_and_offsets(self, rng):
         A = rng.uniform(-1, 1, (3, 3))
         B = rng.uniform(-1, 1, (3, 3))
-        for L in (1, 2, 5):
+        for L in (1, 2, 3, 5):
             net = build_fill(3, L)
             assert net.num_layers == L
             assert net.num_weights == 9 * L + 3
+            # the layers between the first and the last are one carry layer
+            assert len({id(layer) for layer in net.layers[1:-1]}) == (L > 2)
             out = realize(net, np.hstack([A, B]))
             assert np.allclose(out, A + np.eye(3) / 2, atol=1e-15)
 
@@ -271,6 +274,28 @@ class TestNeumannNetworks:
                     want_L = N * (Ls + 1)
                     assert net.num_weights == want_M
                     assert net.num_layers == want_L
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_stages_share_one_pair_of_squares(self, N, monkeypatch):
+        # the pair (square | square) is stacked once, and each stage from
+        # the second on holds its layers, the same objects
+        calls = []
+
+        def recorded(nets):
+            nets = list(nets)
+            calls.append((nets, parallelize(nets)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(inversion, "parallelize", recorded)
+        net = build_neu(N, 2, 0.05, relu_factory)
+        square = calls[0][0][0]  # the first stage stacks it with a fill
+        pairs = [out for nets, out in calls if nets == [square, square]]
+        assert len(calls) == 2 and len(pairs) == 1
+        run = pairs[0].layers
+        starts = [i for i, layer in enumerate(net.layers) if layer is run[0]]
+        assert len(starts) == N - 2
+        for i in starts:
+            assert all(a is b for a, b in zip(net.layers[i:], run))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError,
