@@ -7,7 +7,9 @@ side-by-side on row-stacked inputs; when intermediate widths differ, the
 narrower blocks are padded with implicit zero columns, which costs no
 weights (no entries, zero bias, identity mask).  Each stacked map is
 assembled from its children's CSR arrays, which are valid and in row-major
-order already, so it is not checked against the storage rule a second time.
+order already, so it is not checked against the storage rule a second time,
+and neither are the stacked layer and its mask.  ``concat`` checks only
+where its two valid operands meet.
 
 Both label the result with the one activation label set among the operands
 (``None`` if all are unlabelled glue) and refuse two different labels.
@@ -34,7 +36,9 @@ def concat(first: MNN, second: MNN) -> MNN:
     """Sparse concatenation: the network computing ``R(first) o R(second)``.
 
     ``second`` runs first, mirroring function composition.  Layer and weight
-    counts are the sums of the operands' counts.
+    counts are the sums of the operands' counts.  Each operand is a valid
+    chain already, so only the junction and the labels are checked: the
+    result is not walked layer by layer a second time.
     """
     label = _shared_label(
         (first, second),
@@ -45,7 +49,7 @@ def concat(first: MNN, second: MNN) -> MNN:
             f"cannot compose: second network outputs {tuple(second.output_shape)} "
             f"but first network expects {tuple(first.input_shape)}"
         )
-    return MNN(second.layers + first.layers, label)
+    return MNN._from_valid(second.layers + first.layers, label)
 
 
 def _stack_layers(children: Sequence[Layer]) -> Layer:
@@ -57,12 +61,14 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     quadruples.  Each child is a valid map in row-major order, and the
     children's rows follow one another, so the stacked entries are in
     range and in row-major order by construction: they are wrapped as
-    they are (``SparseLinearMap._from_csr``), without a second pass of the
-    storage rule.  The arrays equal those the constructor would store for
-    the stacked quadruples, dtypes included.  When every child is one
-    ``Layer`` object, as Strassen's seven copies are, the arrays are that
-    child's tiled, copy ``c``'s input positions moved by ``c`` input
-    blocks; otherwise they are gathered child by child.
+    they are (``SparseLinearMap._from_valid``), without a second pass of
+    the storage rule, and so are the stacked bias and mask, which are
+    neither checked nor copied again (``Layer._from_valid``).  The arrays
+    equal those the constructor would store for the stacked quadruples,
+    dtypes included.  When every child is one ``Layer`` object, as
+    Strassen's seven copies are, the arrays are that child's tiled, copy
+    ``c``'s input positions moved by ``c`` input blocks; otherwise they
+    are gathered child by child.
     """
     first = children[0]
     if all(layer is first for layer in children):  # tiled from one child
@@ -72,13 +78,13 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
         copy = np.arange(r, dtype=np.int64)[:, None]
         indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
         indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
-        linmap = SparseLinearMap._from_csr(
+        linmap = SparseLinearMap._from_valid(
             out_shape, in_shape, indptr,
             (m.indices + copy * m.in_shape.size).ravel(),
             np.concatenate([m.val] * r))
         rho = np.concatenate([first.mask.rho] * r)
-        return Layer(linmap, np.concatenate([first.bias] * r),
-                     ActivationMask(out_shape, rho))
+        return Layer._from_valid(linmap, np.concatenate([first.bias] * r),
+                                 ActivationMask._from_valid(out_shape, rho))
     out_shape = MatrixShape(sum(layer.out_shape.rows for layer in children),
                             max(layer.out_shape.cols for layer in children))
     in_shape = MatrixShape(sum(layer.in_shape.rows for layer in children),
@@ -105,10 +111,11 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
         in_off += m.in_shape.rows
     indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    linmap = SparseLinearMap._from_csr(
+    linmap = SparseLinearMap._from_valid(
         out_shape, in_shape, indptr, np.concatenate(indices),
         np.concatenate([layer.map.val for layer in children]))
-    return Layer(linmap, bias, ActivationMask(out_shape, rho))
+    return Layer._from_valid(linmap, bias,
+                             ActivationMask._from_valid(out_shape, rho))
 
 
 def parallelize(nets: Iterable[MNN]) -> MNN:

@@ -141,9 +141,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-#: sets an attribute of a read-only object: only its constructor (and
-#: ``_compile``, for ``MNN._wide`` and ``MNN._folded``) may call it, or a
-#: frozen spec's ``__post_init__``, to store a parameter as its float64
+#: sets an attribute of a read-only object: only its ``_store`` (for its
+#: constructor or ``_from_valid``), ``_compile`` (for ``MNN._program``) or
+#: a frozen spec's ``__post_init__``, to store a parameter as its float64
 _set = object.__setattr__
 
 
@@ -159,6 +159,18 @@ class _ReadOnly:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    @classmethod
+    def _from_valid(cls, *parts):
+        """The object on ``parts`` as its ``_store`` takes them, without
+        the constructor's checks and copies: only for parts valid by
+        construction, as ``combinators._stack_layers`` (stacked maps, masks
+        and layers), ``scale_output`` and ``combinators.concat`` (two valid
+        networks, joined where it checked them) pass them.  Arrays are
+        frozen, not copied."""
+        obj = cls.__new__(cls)
+        obj._store(*parts)
+        return obj
 
 
 def _stored_rows(what: str, index, bounds, value=None):
@@ -235,9 +247,10 @@ class SparseLinearMap(_ReadOnly):
     each output row, so it fixes the floats: changing it changes the
     outputs.  ``idx`` is derived from these arrays on each call.  The maps
     that ``parallelize`` stacks and that ``scale_output`` scales reuse the
-    arrays of maps that passed the rule, so they are in range and in order
-    by construction and are not checked a second time (``_from_csr``).
-    The arrays are frozen and the attributes read-only.
+    arrays of maps that passed the rule, with ``__init__``'s dtypes, so
+    they are in range and in order by construction and are not checked a
+    second time (``_from_valid``).  The arrays are frozen and the
+    attributes read-only.
     """
 
     __slots__ = ("out_shape", "in_shape", "indptr", "indices", "val")
@@ -255,20 +268,6 @@ class SparseLinearMap(_ReadOnly):
         _set(self, "indptr", _freeze(indptr))
         _set(self, "indices", _freeze(indices))
         _set(self, "val", _freeze(val))
-
-    @classmethod
-    def _from_csr(cls, out_shape: MatrixShape, in_shape: MatrixShape,
-                  indptr, indices, val) -> "SparseLinearMap":
-        """The map on CSR arrays taken as they are, without the storage
-        rule: only for arrays assembled from valid maps so that they are
-        in range, once per position, nonzero, finite and in row-major
-        order by construction (the int64 ``indptr`` and ``indices`` and
-        the float ``val`` of ``__init__``), as its two callers,
-        ``combinators._stack_layers`` and ``scale_output``, pass them.
-        The arrays are frozen, not copied."""
-        linmap = cls.__new__(cls)
-        linmap._store(out_shape, in_shape, indptr, indices, val)
-        return linmap
 
     @classmethod
     def from_blocks(cls, out_shape, in_shape, blocks) -> "SparseLinearMap":
@@ -329,6 +328,9 @@ class ActivationMask(_ReadOnly):
                                  f"{rho.dtype}")
             if rho.shape != tuple(shape):
                 raise ValueError("mask array does not match shape")
+        self._store(shape, rho)
+
+    def _store(self, shape, rho):
         _set(self, "shape", shape)
         _set(self, "rho", _freeze(rho))
 
@@ -377,6 +379,9 @@ class Layer(_ReadOnly):
                              f"{type(mask).__name__}")
         if mask.shape != shape:
             raise ValueError("mask shape does not match the layer output")
+        self._store(linmap, bias, mask)
+
+    def _store(self, linmap, bias, mask):
         _set(self, "map", linmap)
         _set(self, "bias", _freeze(bias))
         _set(self, "mask", mask)
@@ -420,7 +425,7 @@ class MNN(_ReadOnly):
     """A matrix neural network: a nonempty chain of layers (see ``_chain``)
     whose last layer has no rho entries, plus a rho label (see ``_label``)."""
 
-    __slots__ = ("layers", "activation_name", "_wide", "_folded")
+    __slots__ = ("layers", "activation_name", "_program")
 
     def __init__(self, layers: Sequence[Layer],
                  activation_name: Optional[str] = None):
@@ -433,10 +438,12 @@ class MNN(_ReadOnly):
         if chain[-1].mask.any_rho:
             raise ValueError(f"layer {len(chain) - 1} has rho entries, but "
                              "the final layer must be identity-activated")
-        _set(self, "layers", tuple(chain))
+        self._store(tuple(chain), activation_name)
+
+    def _store(self, layers: tuple, activation_name):
+        _set(self, "layers", layers)
         _set(self, "activation_name", activation_name)
-        _set(self, "_wide", None)  # the compiled programs, see _compile
-        _set(self, "_folded", None)
+        _set(self, "_program", None)  # the compiled program, see _compile
 
     @property
     def input_shape(self) -> MatrixShape:
@@ -467,9 +474,9 @@ def counts_satisfied(net: MNN, reference) -> bool:
 
 
 # bytes of state one column tile should keep: the widest layer's state of a
-# tile then stays in cache from one layer's product to the next one's.  A
-# tile keeps at least 32 columns, over which each product's fixed cost is
-# spread.
+# tile then stays in cache from one layer's product to the next one's.  The
+# cache alone sizes the tile, down to one column: a folded layer runs r
+# vectors per column, so a tile past the cache streams r times the state.
 _TILE_BYTES = 2 ** 20
 
 _IN_PLACE = ("rho must act in place: called as rho(block, out=block), it "
@@ -541,7 +548,7 @@ def _repeats(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
 
 
 def _fold_plan(net: MNN) -> list:
-    """The number of copies each layer runs as in the one-column program.
+    """The number of copies each layer runs as in the compiled program.
 
     A run of at least two consecutive layers with the same ``_copies``
     r > 1 folds: each runs as its block, on r vectors.  The run ends
@@ -564,15 +571,14 @@ def _fold_plan(net: MNN) -> list:
     return plan
 
 
-def _compile(net: MNN, folded: bool):
+def _compile(net: MNN):
     """The network as ``(steps, tile, height)``: one step per layer, the
-    column tile width and the height of the state buffers.  There are two
-    such programs, each built on its first use and cached: the folded one
-    (``folded``) for calls on one column, and the wide one for wider calls.
-    :func:`realize_flat` runs one tile of columns at a time through two
-    state buffers: each step is one call of scipy's CSR kernel, the one
-    ``@`` runs, from one buffer into the other, zeroed; then the bias add,
-    the adds of its repeats, and rho in place.
+    column tile width and the height of the state buffers, built on the
+    first call that needs it and cached on the network.  Every batch runs
+    this one program: :func:`realize_flat` runs one tile of columns at a
+    time through two state buffers, and each step is one call of scipy's
+    CSR kernel, the one ``@`` runs, from one buffer into the other, zeroed;
+    then the bias add, the adds of its repeats, and rho in place.
 
     A step is ``(rows, cols, vecs, indptr, indices, data, bias, adds,
     rho_from, height)``: the CSR arrays of a ``(rows x cols)`` operator, as
@@ -599,39 +605,32 @@ def _compile(net: MNN, folded: bool):
     repeats of a layer object that the network holds more than once are
     found once for each number of copies it runs as.
 
-    In the wide program every step runs on one vector, and every state is
-    held in its layer's rho-last order: the identity rows that are not
-    sources, the sources, the rho rows that are not repeats, then the
-    repeats, each group in row-major order.  The kernel writes the first
-    ``rows`` rows, the sources one contiguous run among them, the adds
-    write the repeats after them in their sources' order, and rho acts on
-    the last ``height - rho_from`` rows, one contiguous block; the next
-    step's columns are relabelled to match.  Without rho, as for the input
-    and the last layer, this is the identity order, so inputs and outputs
-    stay row-major.
-
-    The folded program runs a layer that is r copies of one block B
-    (``kron(I_r, B)``, see :func:`_copies`) as B alone on r vectors, one
-    per copy, for the runs of layers :func:`_fold_plan` picks.  Its state
+    A layer that is r copies of one block B (``kron(I_r, B)``, see
+    :func:`_copies`), in the runs of layers :func:`_fold_plan` picks, runs
+    as B alone on r vectors per column, one per copy; every other layer
+    runs whole, on one vector.  A state is held in its layer's rho-last
+    order: the identity rows that are not sources, the sources, the rho
+    rows that are not repeats, then the repeats, each group in row-major
+    order.  The kernel writes the first ``rows`` rows, the sources one
+    contiguous run among them, the adds write the repeats after them in
+    their sources' order, and rho acts on the last ``height - rho_from``
+    rows, one contiguous block; the next step's columns are relabelled to
+    match.  Without rho, as for the input and the last layer, this is the
+    identity order, so inputs and outputs stay row-major.  A folded state
     is copy-minor: B's rows in B's rho-last order, each repeated r times,
     so that a run of rows is still one block, r times as long, for the
-    kernel, the adds and rho.  Each copy's row sums the same terms in the
-    same order from zero, so the floats are those of the wide program.  The
-    layer before a run writes its rows in that order, and the layer after
-    it relabels its columns from it; every layer outside the runs is
-    compiled as in the wide program.  At batch 1 a layer of 2401 leaf
-    copies is then one product over B's few rows instead of 2401 short dot
-    products.  Wider calls keep the wide program: there a folded row spans
-    r times the batch, which streams out of cache.
+    kernel, the adds and rho.  The layer before a run writes its rows in
+    that order, and the layer after it relabels its columns from it.  Each
+    copy's row sums the same terms in the same order from zero as the
+    whole layer's row would, so folding keeps the floats, and a layer of
+    2401 leaf copies is one product over B's few rows instead of 2401
+    short dot products.  The tile is sized by the cache alone (see
+    ``_TILE_BYTES``), as a folded row spans r times the tile.
     """
-    program = net._folded if folded else net._wide
+    program = net._program
     if program is not None:
         return program
-    plan = _fold_plan(net) if folded else [1] * net.num_layers
-    if folded and max(plan) == 1:  # nothing folds: the programs are one
-        program = _compile(net, False)
-        _set(net, "_folded", program)
-        return program
+    plan = _fold_plan(net)
     steps, roles = [], None
     repeats = {}  # (layer, r): its block's repeats, found once per layer
     size = widest = net.input_shape.size
@@ -696,8 +695,8 @@ def _compile(net: MNN, folded: bool):
         moved = (row * r + np.arange(r)[:, None]).ravel()
         size = bo * r
         widest = max(widest, size)
-    program = (steps, max(32, _TILE_BYTES // (8 * widest)), widest)
-    _set(net, "_folded" if folded else "_wide", program)
+    program = (steps, max(1, _TILE_BYTES // (8 * widest)), widest)
+    _set(net, "_program", program)
     return program
 
 
@@ -706,14 +705,14 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
 
     ``columns`` has shape ``(input_shape.size, batch)`` and holds integers
     or real floats; the result is a fresh ``(output_shape.size, batch)``
-    array.  This is the batched workhorse behind :func:`realize`.  The
-    network is compiled, on the first call that needs it, into one CSR
-    operator per layer that holds only the map's entries, and each layer
-    runs as one call of scipy's CSR kernel (``csr_matvec`` for one vector,
-    ``csr_matvecs`` for more, the kernels that ``@`` runs) and a few adds;
-    :func:`_compile` describes the program.  The floats are those of
-    ``L X + C`` and then rho, layer by layer, whatever the batch.  A None
-    ``rho`` is the one ``ACTIVATIONS`` registers for the network's label.
+    array.  This is the batched workhorse behind :func:`realize`.  Every
+    batch runs the one program that :func:`_compile` builds on the
+    network's first evaluation, one cache-sized tile of columns at a
+    time: each layer is one call of scipy's CSR kernel (``csr_matvec``
+    for one vector, ``csr_matvecs`` for more, the kernels that ``@``
+    runs) and a few adds.  The floats are those of ``L X + C`` and then
+    rho, layer by layer, whatever the batch and the tile.  A None ``rho``
+    is the one ``ACTIVATIONS`` registers for the network's label.
     ``rho`` must act entrywise and in place, as numpy's ufuncs do: it is
     called as ``rho(block, out=block)`` on a contiguous 1-D block of one
     tile's rows and must return that block; a rho that takes no ``out=``
@@ -734,7 +733,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
     size, batch = columns.shape
     # compile before the first state: operators built between states stay
     # above the freed states and keep the heap from shrinking
-    steps, tile, height = _compile(net, batch == 1)
+    steps, tile, height = _compile(net)
     out = np.empty((net.output_shape.size, batch))
     V, Y = np.empty((2, height * min(tile, batch)))  # reused by every tile
     for first in range(0, batch, tile):
@@ -849,10 +848,10 @@ def scale_output(net: MNN, c: float) -> MNN:
     if not (np.isfinite(weights).all() and weights.all()):
         raise ValueError(f"c = {c} scales a last-layer coefficient or bias "
                          "entry to zero or infinity")
-    scaled_map = SparseLinearMap._from_csr(
+    scaled_map = SparseLinearMap._from_valid(
         last.out_shape, last.in_shape, last.map.indptr, last.map.indices, val)
-    scaled = Layer(scaled_map, bias, last.mask)
-    return MNN(net.layers[:-1] + (scaled,), net.activation_name)
+    scaled = Layer._from_valid(scaled_map, bias, last.mask)
+    return MNN._from_valid(net.layers[:-1] + (scaled,), net.activation_name)
 
 
 def mnn_equal(a: MNN, b: MNN) -> bool:

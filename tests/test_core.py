@@ -452,7 +452,7 @@ def _one_off(what):
     return change
 
 
-# networks with copies that are not a run the folded program may fold,
+# networks with copies that are not a run the compiled program may fold,
 # and the one that is
 _NEAR_REPEATS = {
     "repeats-fold": (lambda: _repeated(), [1, 3, 3, 1]),
@@ -529,8 +529,14 @@ _NEAR_ADDS = {
 
 def _check_tiles(net, rho):
     """Bit-identity with the layer-by-layer reference for batches that
-    end before, at and after the column tile boundaries."""
-    tile = core._compile(net, False)[1]
+    end before, at and after the column tile boundaries.  The tile is as
+    wide as the cache allows: both state buffers of one tile fit in
+    ``2 * _TILE_BYTES`` and those of one more column would not, unless the
+    tile is one column."""
+    _, tile, height = core._compile(net)
+    buffers = 2 * 8 * height  # bytes of both float64 states, per column
+    assert tile == 1 or buffers * tile <= 2 * core._TILE_BYTES
+    assert buffers * (tile + 1) > 2 * core._TILE_BYTES
     cols = np.random.default_rng(7).uniform(-1, 1, (net.input_shape.size,
                                                     2 * tile + 3))
     kept = cols.copy()
@@ -568,17 +574,20 @@ def _check_tiles(net, rho):
     (lambda: _random_net([(2, 2), (3, 2), (2, 3), (1, 3), (2, 1)], {1}),
      None),
     (lambda: _random_net([(2, 3), (1, 4), (3, 1)], {0}, "user"), np.sin),
-    # the benchmark's networks: their programs add the gadgets' repeats
+    # the benchmark's networks: their programs add the gadgets' repeats,
+    # and the multiplier's folded rows span 2401 copies of a 10-column tile
     (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory), None),
     (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
      None),
+    # a state of 84035 rows: the tile is one column
+    (lambda: build_str_pow2(5, 1e-2, 1.0, relu_factory), None),
     *[(make, None) for make, _ in _NEAR_REPEATS.values()],
     *[(make, rho) for make, rho, _ in _NEAR_ADDS.values()],
 ], ids=["relu-k0", "relu-k1", "relu-k2", "relu2-k0", "relu2-k1", "relu2-k2",
         "inv-relu-n2", "bias-off-the-map", "glue-in", "glue-split",
         "user-rho", "relu-k3", "inv-relu2-n3", "rho-hidden-layers",
         "rho-one-layer", "user-rho-random", "relu-k4", "inv-relu-n8",
-        *_NEAR_REPEATS, *_NEAR_ADDS])
+        "relu-k5", *_NEAR_REPEATS, *_NEAR_ADDS])
 def test_realize_flat_is_bit_identical_to_layer_by_layer(make, rho):
     _check_tiles(make(), rho)
 
@@ -588,7 +597,7 @@ def test_only_runs_of_exact_copies_fold(name):
     make, plan = _NEAR_REPEATS[name]
     net = make()
     assert core._fold_plan(net) == plan
-    steps = core._compile(net, True)[0]
+    steps = core._compile(net)[0]
     assert [vecs for _, _, vecs, *_ in steps] == plan
 
 
@@ -637,8 +646,7 @@ def test_only_rho_rows_repeating_an_identity_neighbour_are_added(name):
         rep = core._repeats(m, np.diff(m.indptr), layer.bias.reshape(-1),
                             layer.mask.rho.reshape(-1))
         assert rep.nonzero()[0].tolist() == added
-    for folded in (False, True):
-        assert _added(core._compile(net, folded)[0]) == [len(added)] * 2 + [0]
+    assert _added(core._compile(net)[0]) == [len(added)] * 2 + [0]
 
 
 def test_repeats_follow_their_sources_after_the_kernel_rows():
@@ -650,7 +658,7 @@ def test_repeats_follow_their_sources_after_the_kernel_rows():
             ([0.0, 0.25, 0.0, -0.5, -0.5, -0.5],
              ((0, 4, 1, 0.25), (1, 5, 1, -0.5))),
             ([0.0, -0.5, 0.0, -0.5, -0.5, -0.5], ((0, 4, 2, -0.5),))):
-        steps = core._compile(_pairs(_GADGET_PAIRS, second), False)[0]
+        steps = core._compile(_pairs(_GADGET_PAIRS, second))[0]
         assert steps[0][7] == ((0, 4, 1, -0.5), (1, 5, 1, 0.25))
         assert steps[1][7] == adds
         for step in steps[:2]:
@@ -684,8 +692,8 @@ def _assert_same_program(got, want):
 
 @pytest.mark.parametrize("name", [*_MULTIPLIER, *_INVERTER])
 def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
-    # one column runs the folded program and a batch the wide one; folding
-    # reads only the arrays, so a loaded network folds as the built one
+    # one column and a batch of tiles run one program; folding reads only
+    # the arrays, so a loaded network folds as the built one
     built = {**_MULTIPLIER, **_INVERTER}[name]()
     save_network(built, tmp_path / "net.json")
     loaded = load_network(tmp_path / "net.json")
@@ -699,13 +707,9 @@ def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
         for i in range(cols.shape[1]):
             assert (realize_flat(net, None, cols[:, i:i + 1]).tobytes()
                     == batch[:, i:i + 1].tobytes())
-        assert all(vecs == 1 for _, _, vecs, *_ in core._compile(net,
-                                                                 False)[0])
     # the loaded network shares no layer objects with the built one, whose
-    # repeated layers are scanned once: both compile to the same programs
-    for folded in (False, True):
-        _assert_same_program(core._compile(loaded, folded),
-                             core._compile(built, folded))
+    # repeated layers are scanned once: both compile to the same program
+    _assert_same_program(core._compile(loaded), core._compile(built))
     plan = core._fold_plan(built)
     assert core._fold_plan(loaded) == plan
     if name == "relu-k4":  # the benchmark's multiplier: the leaves fold
@@ -715,18 +719,19 @@ def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
                         + [1] * 9 + [343] * 23 + [1] * 4)
 
 
-@pytest.mark.parametrize("name, rows, entries, added", [
-    ("relu-k4", 118_514, 335_469, 62_426),
-    ("inv-relu-n8", 182_680, 437_778, 86_436)],
+@pytest.mark.parametrize("name, rows, entries, added, tile", [
+    ("relu-k4", 118_514, 335_469, 62_426, 10),
+    ("inv-relu-n8", 182_680, 437_778, 86_436, 38)],
     ids=["relu-k4", "inv-relu-n8"])
 def test_benchmark_networks_add_their_gadgets_repeats(name, rows, entries,
-                                                      added):
-    # per input, the wide program's kernel rows and entries, and the rows
-    # filled by an add instead
-    steps = core._compile({**_MULTIPLIER, **_INVERTER}[name](), False)[0]
-    assert sum(step[0] for step in steps) == rows
-    assert sum(int(step[3][-1]) for step in steps) == entries
-    assert sum(_added(steps)) == added
+                                                      added, tile):
+    # per input, the kernel rows and entries, and the rows filled by an add
+    # instead: a folded step's own, on each of its vectors
+    steps, width, _ = core._compile({**_MULTIPLIER, **_INVERTER}[name]())
+    assert sum(step[0] * step[2] for step in steps) == rows
+    assert sum(len(step[5]) * step[2] for step in steps) == entries
+    assert sum(n * step[2] for n, step in zip(_added(steps), steps)) == added
+    assert width == tile
 
 
 @pytest.mark.parametrize("make", [
@@ -739,17 +744,16 @@ def test_operators_hold_only_their_maps_entries(make):
     # block's.  Each step reads the whole state the one before it wrote:
     # ``cols`` rows on each of its ``vecs`` vectors
     net = make()
-    for folded in (False, True):
-        steps = core._compile(net, folded)[0]
-        stored = [len(step[5]) + sum(int(step[3][src + count] - step[3][src])
-                                     for src, _, count, _ in step[7])
-                  for step in steps]
-        assert stored == [layer.map.nnz // step[2]
-                          for layer, step in zip(net.layers, steps)]
-        written = [(net.input_shape.size, 1)] + [(step[9], step[2])
-                                                 for step in steps[:-1]]
-        assert [step[1] * step[2] for step in steps] == [
-            height * vecs for height, vecs in written]
+    steps = core._compile(net)[0]
+    stored = [len(step[5]) + sum(int(step[3][src + count] - step[3][src])
+                                 for src, _, count, _ in step[7])
+              for step in steps]
+    assert stored == [layer.map.nnz // step[2]
+                      for layer, step in zip(net.layers, steps)]
+    written = [(net.input_shape.size, 1)] + [(step[9], step[2])
+                                             for step in steps[:-1]]
+    assert [step[1] * step[2] for step in steps] == [
+        height * vecs for height, vecs in written]
 
 
 def test_realize_flat_compiles_each_network_once(monkeypatch):
@@ -761,19 +765,17 @@ def test_realize_flat_compiles_each_network_once(monkeypatch):
     monkeypatch.setattr(core.np, "cumsum",
                         lambda *args, **kw: built.append(1) or cumsum(*args,
                                                                       **kw))
-    # a batch compiles the wide program, and then one column the folded one
+    # a batch compiles the one program, which then serves one column too
     wide = realize_flat(child, None, cols)
-    assert len(built) >= child.num_layers and child._folded is None
-    program, built[:] = child._wide, []
+    assert len(built) >= child.num_layers
+    program, built[:] = child._program, []
+    assert any(vecs > 1 for _, _, vecs, *_ in program[0])
     single = realize_flat(child, None, cols[:, 4:5])
-    assert len(built) >= child.num_layers and child._wide is program
-    folded, built[:] = child._folded, []
-    assert any(vecs > 1 for _, _, vecs, *_ in folded[0])
     for _ in range(2):
         assert realize_flat(child, None, cols).tobytes() == wide.tobytes()
         assert (realize_flat(child, None, cols[:, 4:5]).tobytes()
                 == single.tobytes())
-    assert child._wide is program and child._folded is folded
+    assert child._program is program
     assert built == []
     monkeypatch.undo()
     # networks sharing the child's layers compile their own programs
@@ -781,7 +783,7 @@ def test_realize_flat_compiles_each_network_once(monkeypatch):
     tail = concat(_random_net([(2, 2), (1, 3)], set()), child)
     for net in (child, top, tail):
         _check_tiles(net, None)
-    assert child._wide is program and child._folded is folded
+    assert child._program is program
 
 
 @pytest.mark.parametrize("index", [np.int32, np.int64])
@@ -831,7 +833,7 @@ def test_registered_activations_write_into_out(rho):
                          ids=["fresh-array", "none", "no-out"])
 def test_rho_that_does_not_return_its_out_block_is_refused(rho):
     net = build_str_pow2(1, 0.1, 1.0, relu_factory)
-    for width in (1, 3):  # the folded and the wide program
+    for width in (1, 3):  # one vector and a tile of three
         with pytest.raises(ValueError, match=r"^rho must act in place: "
                            r"called as rho\(block, out=block\), it must "
                            r"write into block and return it$"):
@@ -840,10 +842,10 @@ def test_rho_that_does_not_return_its_out_block_is_refused(rho):
 
 def test_realize_flat_is_reentrant():
     # two threads on one uncompiled network: each call owns its buffers,
-    # and the two programs are compiled by whichever call needs them first
+    # and the one program is compiled by whichever call needs it first
     net, shared = (build_inv(InversionSpec(2, 1.0, 1e-3, 0.5), relu_factory)
                    for _ in range(2))
-    tile = core._compile(net, False)[1]
+    tile = core._compile(net)[1]
     assert max(core._fold_plan(net)) > 1
     cols = np.random.default_rng(9).uniform(-0.3, 0.3,
                                             (net.input_shape.size, tile + 1))
@@ -1026,10 +1028,10 @@ class TestReadOnly:
         before = realize(net, np.ones((1, 1)))
         five = Layer(SparseLinearMap((1, 1), (1, 1), [[1, 1, 1, 1]], [5.0]))
         for name, value in [("layers", (five,)), ("activation_name", "relu"),
-                            ("_wide", None), ("_folded", None),
+                            ("_program", None),
                             ("extra", 1)]:
             self._refused(net, name, value)
-        # the compiled programs and the counts still describe the same layers
+        # the compiled program and the counts still describe the same layers
         assert net.num_weights == 1
         assert np.array_equal(realize(net, np.ones((1, 1))), before)
 
