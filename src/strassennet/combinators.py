@@ -8,8 +8,10 @@ narrower blocks are padded with implicit zero columns, which costs no
 weights (no entries, zero bias, identity mask).  Each stacked map is
 assembled from its children's CSR arrays, which are valid and in row-major
 order already, so it is not checked against the storage rule a second time,
-and neither are the stacked layer and its mask.  ``concat`` checks only
-where its two valid operands meet.
+and neither are the stacked layer and its mask.  Nor is the stacked
+network: the stacked layers of equal-depth valid networks chain by
+construction, so ``parallelize`` wraps them without walking the chain.
+``concat`` checks only where its two valid operands meet.
 
 Both label the result with the one activation label set among the operands
 (``None`` if all are unlabelled glue) and refuse two different labels.
@@ -126,7 +128,9 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
     ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
     and exactly the summed weight count.  Copies of one network, as in
     ``parallelize([net] * 7)``, are stacked by tiling its layers' arrays
-    (see ``_stack_layers``).
+    (see ``_stack_layers``).  Only the operands are checked: stacked
+    levels of valid chains chain by construction, so the result is wrapped
+    as it is (``MNN._from_valid``), its chain not walked a second time.
     """
     nets = tuple(nets)
     if not nets:
@@ -148,4 +152,4 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
         _stack_layers([net.layers[level] for net in nets])
         for level in range(nets[0].num_layers)
     ]
-    return MNN(stacked, label)
+    return MNN._from_valid(tuple(stacked), label)

@@ -165,9 +165,12 @@ class _ReadOnly:
         """The object on ``parts`` as its ``_store`` takes them, without
         the constructor's checks and copies: only for parts valid by
         construction, as ``combinators._stack_layers`` (stacked maps, masks
-        and layers), ``scale_output`` and ``combinators.concat`` (two valid
-        networks, joined where it checked them) pass them.  Arrays are
-        frozen, not copied."""
+        and layers), ``combinators.parallelize`` (the stacked layers),
+        ``scale_output``, ``combinators.concat`` (two valid networks,
+        joined where it checked them), ``ActivationMask.from_positions``
+        and ``io._built`` (a mask and a bias set from positions and values
+        the storage rule took) pass them.  Arrays are frozen, not
+        copied."""
         obj = cls.__new__(cls)
         obj._store(*parts)
         return obj
@@ -278,17 +281,32 @@ class SparseLinearMap(_ReadOnly):
         ``(in_row, in_col)`` to the output block at ``(out_row, out_col)``.
         Overlapping blocks and zero coefficients are refused like any
         repeated or zero entry, and a coefficient that is not a real number
-        by its dtype.
+        by its dtype.  Block sizes follow the size rule (``_count``, an
+        integer >= 0), refused by block and field, as in ``block 0 rows
+        must be an integer, got 1.5``; an offset is an index like any
+        other, so ``0.5`` is refused as a non-integer index.  The table is
+        read in one pass; the quadruples of all blocks then come from array
+        arithmetic in table order, each block row-major.
         """
-        idx, val = [np.empty((0, 4), dtype=np.int64)], [np.empty(0)]
-        for out_row, out_col, in_row, in_col, rows, cols, coeff in blocks:
-            r, c = np.indices((rows, cols)).reshape(2, -1) + 1
-            idx.append(np.stack([out_row + r, out_col + c,
-                                 in_row + r, in_col + c], axis=1))
-            val.append(np.full(r.size, _real("block coefficients", coeff),
-                                dtype=float))
-        return cls(out_shape, in_shape, np.concatenate(idx),
-                   np.concatenate(val))
+        offsets, sizes, coeffs = [], [], []
+        for b, (out_row, out_col, in_row, in_col, rows, cols,
+                coeff) in enumerate(blocks):
+            offsets.append((out_row, out_col, in_row, in_col))
+            rows = _count(f"block {b} rows", rows, 0)
+            cols = _count(f"block {b} cols", cols, 0)
+            # the entry count as a Python int: one beyond int64 is then
+            # refused by numpy below, not wrapped
+            sizes.append((rows * cols, cols))
+            coeffs.append(_real("block coefficients", coeff))
+        count, cols = np.array(sizes, dtype=np.int64).reshape(-1, 2).T
+        # each entry's block, and its row and column there, row-major
+        block = np.repeat(np.arange(count.size), count)
+        first = (count.cumsum() - count)[block]  # its block's first entry
+        r, c = np.divmod(np.arange(block.size) - first, cols[block])
+        idx = (np.reshape(offsets, (-1, 4))[block]
+               + (np.stack([r, c, r, c], axis=1) + 1))
+        return cls(out_shape, in_shape, idx,
+                   np.array(coeffs, dtype=float)[block])
 
     @property
     def idx(self) -> np.ndarray:
@@ -341,12 +359,14 @@ class ActivationMask(_ReadOnly):
     @classmethod
     def from_positions(cls, shape, positions) -> "ActivationMask":
         """Mask with rho exactly at the given 1-based (i, j) positions; built
-        or loaded, they follow the rule of map entries, each listed once."""
+        or loaded, they follow the rule of map entries, each listed once.
+        The new mask is set only at positions that rule took, so it is
+        stored as it is (``_from_valid``), not copied and checked again."""
         shape = _as_shape(shape)
         rho = np.zeros(tuple(shape), dtype=bool)
         key, _ = _stored_rows("mask entry", positions, shape)
         rho.reshape(-1)[key] = True
-        return cls(shape, rho)
+        return cls._from_valid(shape, rho)
 
     @property
     def any_rho(self) -> bool:
@@ -581,11 +601,11 @@ def _compile(net: MNN):
     then the bias add, the adds of its repeats, and rho in place.
 
     A step is ``(rows, cols, vecs, indptr, indices, data, bias, adds,
-    rho_from, height)``: the CSR arrays of a ``(rows x cols)`` operator, as
+    rho_from, rho_to)``: the CSR arrays of a ``(rows x cols)`` operator, as
     scipy's CSR kernels take them; the number of vectors it runs on for
     each column of the batch; its kernel rows' bias as a column, or None
     where they have none; the repeats it fills by adds; and the state rows
-    ``rho_from:height`` that rho acts on, ``height`` being the rows of the
+    ``rho_from:rho_to`` that rho acts on, ``rho_to`` being the rows of the
     state it writes.  The program's ``height`` is the largest state,
     counting the input.  A kernel row holds its map row's entries in stored
     order and nothing else; the relabelled columns are unsorted, and must
@@ -613,7 +633,7 @@ def _compile(net: MNN):
     rows that are not repeats, then the repeats, each group in row-major
     order.  The kernel writes the first ``rows`` rows, the sources one
     contiguous run among them, the adds write the repeats after them in
-    their sources' order, and rho acts on the last ``height - rho_from``
+    their sources' order, and rho acts on the last ``rho_to - rho_from``
     rows, one contiguous block; the next step's columns are relabelled to
     match.  Without rho, as for the input and the last layer, this is the
     identity order, so inputs and outputs stay row-major.  A folded state
@@ -741,7 +761,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
         c = cut.shape[1]
         V[:size * c].reshape(size, c)[:] = cut
         for (rows, cols, vecs, indptr, indices, data, bias, adds, rho_from,
-             height) in steps:
+             rho_to) in steps:
             n = vecs * c
             Y[:rows * n] = 0.0
             if n == 1:
@@ -756,8 +776,8 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
             for src, rep, count, b in adds:
                 np.add(Y[src * n:(src + count) * n], b,
                        out=Y[rep * n:(rep + count) * n])
-            if rho_from < height:
-                block = Y[rho_from * n:height * n]
+            if rho_from < rho_to:
+                block = Y[rho_from * n:rho_to * n]
                 try:
                     done = rho(block, out=block)
                 except TypeError as err:  # as for a rho without out=
@@ -765,7 +785,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
                 if done is not block:
                     raise ValueError(_IN_PLACE)
             V, Y = Y, V
-        out[:, first:first + c] = V[:height * c].reshape(height, c)
+        out[:, first:first + c] = V[:len(out) * c].reshape(-1, c)
     return out
 
 

@@ -216,15 +216,17 @@ def _built(dims, entries, bias, mask) -> Layer:
     """The layer of a file's four shape fields, each an integer >= 1, and
     three tables, each a ``(positions, values)`` pair (the mask's values
     None), refused by the one storage rule of built networks; both readers
-    of a layer end here."""
+    of a layer end here.  The new bias is set only at positions and to
+    values that rule took, and the mask is ``from_positions``'s, so the
+    layer is stored as it is (``Layer._from_valid``), not checked again."""
     out_shape, in_shape = MatrixShape(*dims[:2]), MatrixShape(*dims[2:])
     linmap = SparseLinearMap(out_shape, in_shape, *entries)
     key, values = _stored_rows(TABLES["bias"][0], bias[0], out_shape,
                                bias[1])
     dense = np.zeros(out_shape)
     dense.reshape(-1)[key] = values
-    return Layer(linmap, dense,
-                 ActivationMask.from_positions(out_shape, mask[0]))
+    return Layer._from_valid(linmap, dense,
+                             ActivationMask.from_positions(out_shape, mask[0]))
 
 
 #: a compact layer line up to its entries table, each shape spelled as

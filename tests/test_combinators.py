@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strassennet import combinators
+from strassennet import combinators, core
 from strassennet.combinators import concat, parallelize
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
                               identity_mnn, mnn_equal, realize, realize_flat,
@@ -136,6 +136,47 @@ class TestParallelize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             parallelize([])
+
+    @staticmethod
+    def _chain_calls(monkeypatch):
+        """The list every ``core._chain`` call appends its arguments to."""
+        calls, chain = [], core._chain
+
+        def counted(*args):
+            calls.append(args)
+            chain(*args)
+
+        monkeypatch.setattr(core, "_chain", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: [build_str_pow2(1, 1e-3, 1.0, relu_factory)] * 7,
+        lambda: [_affine_net(2, 3.0, 0.0, depth=2),
+                 _affine_net(2, -1.0, 2.0, depth=2)],
+        lambda: [build_str_square(3, 1e-3, 1.0, relu_factory),
+                 build_fill(3, build_str_square(3, 1e-3, 1.0,
+                                                relu_factory).num_layers)],
+    ], ids=["seven-copies", "two-distinct", "padded-pair"])
+    def test_walks_no_chain(self, make, monkeypatch):
+        # stacked layers of equal-depth valid networks chain by construction
+        nets = make()
+        calls = self._chain_calls(monkeypatch)
+        par = parallelize(nets)
+        assert calls == []
+        assert mnn_equal(par, MNN(list(par.layers), par.activation_name))
+        assert len(calls) == par.num_layers
+
+    @pytest.mark.parametrize("make, calls", [
+        (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
+         67),
+        (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory), 23),
+    ], ids=["inv-relu-n8", "relu-k4"])
+    def test_builds_walk_only_their_own_chains(self, make, calls,
+                                               monkeypatch):
+        # 204 and 95 when parallelize walked each stacked chain again
+        counted = self._chain_calls(monkeypatch)
+        make()
+        assert len(counted) == calls
 
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=10 ** 6))

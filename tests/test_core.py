@@ -977,6 +977,118 @@ class TestFromBlocks:
         empty = SparseLinearMap.from_blocks((2, 2), (1, 1), [])
         assert empty.nnz == 0 and empty.idx.shape == (0, 4)
 
+    @pytest.mark.parametrize("field, size, reason", [
+        (4, 1.5, "block 1 rows must be an integer, got 1.5"),
+        (5, 1.5, "block 1 cols must be an integer, got 1.5"),
+        (4, -1, "block 1 rows must be >= 0, got -1"),
+        (5, -1, "block 1 cols must be >= 0, got -1"),
+        (4, True, "block 1 rows must be an integer, got True"),
+        (5, np.float64(2.0), "block 1 cols must be an integer, got "
+                             r"np.float64\(2.0\)"),
+    ], ids=["rows-1.5", "cols-1.5", "rows-negative", "cols-negative",
+            "rows-boolean", "cols-numpy-float"])
+    def test_block_sizes_follow_the_size_rule(self, field, size, reason):
+        # 1.5 used to raise numpy's TypeError "'float' object cannot be
+        # interpreted as an integer" and -1 "negative dimensions are not
+        # allowed", neither naming the block
+        block = [0, 0, 0, 0, 1, 1, 1.0]
+        block[field] = size
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            SparseLinearMap.from_blocks(
+                (4, 4), (4, 4), [(0, 0, 0, 0, 1, 1, 1.0), tuple(block)])
+
+    @staticmethod
+    def _by_block(out_shape, in_shape, blocks):
+        """``from_blocks`` as it read its table block by block, each block's
+        quadruples made by numpy calls of its own: the reference that the
+        one-pass reading must match, map for map and refusal for refusal."""
+        idx, val = [np.empty((0, 4), dtype=np.int64)], [np.empty(0)]
+        for out_row, out_col, in_row, in_col, rows, cols, coeff in blocks:
+            r, c = np.indices((rows, cols)).reshape(2, -1) + 1
+            idx.append(np.stack([out_row + r, out_col + c,
+                                 in_row + r, in_col + c], axis=1))
+            val.append(np.full(r.size, core._real("block coefficients", coeff),
+                                dtype=float))
+        return SparseLinearMap(out_shape, in_shape, np.concatenate(idx),
+                               np.concatenate(val))
+
+    def _same_as_by_block(self, out_shape, in_shape, blocks):
+        """``from_blocks`` gives the reference's arrays, dtypes and frozen
+        flags, or refuses with its ``ValueError`` text; list and generator
+        tables alike.  Returns the map, or None when refused."""
+        try:
+            want = self._by_block(out_shape, in_shape, blocks)
+        except ValueError as err:
+            for table in (blocks, iter(blocks)):
+                with pytest.raises(ValueError) as got:
+                    SparseLinearMap.from_blocks(out_shape, in_shape, table)
+                assert str(got.value) == str(err)
+            return None
+        for table in (blocks, iter(blocks)):
+            got = SparseLinearMap.from_blocks(out_shape, in_shape, table)
+            assert (got.out_shape, got.in_shape) == (want.out_shape,
+                                                     want.in_shape)
+            for name in ("indptr", "indices", "val"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+        return got
+
+    def test_matches_the_block_by_block_reference(self):
+        # seeded tables of blocks that fit their shapes: random offsets,
+        # sizes including 0, and int, float and numpy coefficients.  Blocks
+        # that overlap are refused by both with the same text
+        taken = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            out_shape = tuple(int(d) for d in rng.integers(1, 9, 2))
+            in_shape = tuple(int(d) for d in rng.integers(1, 9, 2))
+            coeffs = [lambda: int(rng.choice([-3, 1, 2])),
+                      lambda: float(rng.normal()),
+                      lambda: np.float32(rng.normal()),
+                      lambda: np.int64(rng.choice([-4, 5])),
+                      lambda: np.float64(rng.uniform(0.5, 1.0))]
+            blocks = []
+            for _ in range(rng.integers(0, 6)):
+                size = [int(rng.integers(0, d + 1))
+                        for d in out_shape + in_shape]
+                rows, cols = min(size[0], size[2]), min(size[1], size[3])
+                ends = out_shape + in_shape
+                offsets = [int(rng.integers(0, end - n + 1))
+                           for end, n in zip(ends, (rows, cols) * 2)]
+                blocks.append((*offsets, rows, cols,
+                               coeffs[rng.integers(len(coeffs))]()))
+            taken += self._same_as_by_block(out_shape, in_shape,
+                                            blocks) is not None
+        assert taken >= 40
+
+    @pytest.mark.parametrize("blocks", [
+        [(0, 0, 0, 0, 2, 2, 1.0), (1, 1, 1, 1, 1, 1, 1.0)],
+        [(0, 0, 0, 0, 1, 1, 2.0), (1, 0, 1, 0, 1, 2, 0.0)],
+        [(0, 0, 0, 0, 1, 1, 2.0), (1, 1, 1, 1, 2, 2, 1.0)],
+        [(0.5, 0, 0, 0, 1, 1, 1.0)],
+        [(0, 0, 0, 0, 1, 1, 1.0), (0, 1, 1, 1, 0, 0, 1.0), (0, 1, 1, 1, 1, 1,
+                                                            np.nan)],
+        [(0, 0, 0, 0, 1, 1, np.float32(3.0)), (2, 0, 0, 0, 1, 1, 1.0)],
+    ], ids=["overlap", "zero", "out-of-range", "offset-0.5", "non-finite",
+            "out-of-range-row"])
+    def test_refusals_are_the_reference_texts(self, blocks):
+        assert self._same_as_by_block((2, 2), (2, 2), blocks) is None
+
+    @pytest.mark.parametrize("bad", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_coefficient_refusals_are_the_reference_texts(self, bad):
+        blocks = [(0, 0, 0, 0, 1, 1, 1.0), (1, 1, 1, 1, 1, 1, bad)]
+        assert self._same_as_by_block((2, 2), (2, 2), blocks) is None
+
+    def test_a_block_past_int64_entries_is_not_taken(self):
+        # 2^32 x 2^32 entries would wrap to 0 in int64, an empty block
+        with pytest.raises(OverflowError):
+            SparseLinearMap.from_blocks((2, 2), (2, 2),
+                                        [(0, 0, 0, 0, 2 ** 32, 2 ** 32, 1.0)])
+
+    def test_empty_table(self):
+        assert self._same_as_by_block((2, 2), (1, 1), []).nnz == 0
+
 
 def test_matrix_shape_size():
     s = MatrixShape(3, 5)
