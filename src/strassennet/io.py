@@ -18,12 +18,17 @@ An index column whose largest index ``top`` is no larger than the column
 reads its cells from a table of ``str(0..top)``, one per lead and tail,
 made once per file and grown as the layers need it, so that table never
 outgrows the cells of a column that used it; any other column spells its
-distinct numbers once, through ``np.unique``.
+distinct numbers once, through ``np.unique``.  Each distinct layer
+object is spelled once, and its line written again at each later position
+of a network that holds it more than once, as built networks do.
 A compact file is read by numpy's text parser (``np.loadtxt``), one
 layer line at a time, without building its document: each table in one
-call, its positions as int64 and its values as float64.  That reader only
-accepts: a file laid out as ``save_network`` writes it, whose tables hold
-only numbers spelled as JSON spells them (no whitespace, words or quotes,
+call, its positions as int64 and its values as float64.  Each distinct
+line is parsed once, and every later equal line gets the same ``Layer``
+object, so a loaded network shares layers exactly where its lines are
+equal; a repeat is confirmed by reading the first line again, so no
+line's text is kept.  That reader only accepts: a file laid out as
+``save_network`` writes it, whose tables hold only numbers spelled as JSON spells them (no whitespace, words or quotes,
 no ``+1``, ``.5``, ``1.`` or ``01``, no integer of 19 digits or more),
 whose positions are integers within int64 (no ``2.0`` or ``1e0``),
 whose shapes are below 2^53 and whose network every rule below takes.
@@ -52,6 +57,7 @@ Only real matrices are written, and a file with no numbers is refused.
 import json
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -147,6 +153,15 @@ def _table(spellings: dict, positions: np.ndarray, values=None) -> str:
     return "".join(cells.ravel().tolist())[1:]
 
 
+def _line(spellings: dict, layer: Layer) -> str:
+    """Layer ``layer``'s compact line, without its lead or newline."""
+    lm, at = layer.map, np.argwhere(layer.bias)
+    return LAYER_LINE % (*lm.out_shape, *lm.in_shape,
+                         _table(spellings, lm.idx, lm.val),
+                         _table(spellings, at + 1, layer.bias[tuple(at.T)]),
+                         _table(spellings, np.argwhere(layer.mask.rho) + 1))
+
+
 def save_network(net: MNN, path) -> None:
     """Write ``network_to_dict(net)`` compactly, one line per layer.
 
@@ -155,19 +170,21 @@ def save_network(net: MNN, path) -> None:
     the document: each table is one join over its pre-decorated cells
     (``_table``).  The spellings of indices, with their separators, are
     made once for the whole file and shared by every layer's tables; they
-    live only as long as this call."""
-    spellings = {}
+    live only as long as this call.  Each distinct layer object is spelled
+    once: the line of one that the network holds more than once, as built
+    networks do, is kept until its last position is written."""
+    spellings, lines = {}, {}
+    left = Counter(net.layers)  # positions still to write, by layer object
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEAD + json.dumps(net.activation_name) + HEAD_END)
         lead = ""
         for layer in net.layers:
-            lm, at = layer.map, np.argwhere(layer.bias)
+            line = lines.pop(layer, None) or _line(spellings, layer)
+            left[layer] -= 1
+            if left[layer]:
+                lines[layer] = line
             fh.write(lead)
-            fh.write(LAYER_LINE % (
-                *lm.out_shape, *lm.in_shape,
-                _table(spellings, lm.idx, lm.val),
-                _table(spellings, at + 1, layer.bias[tuple(at.T)]),
-                _table(spellings, np.argwhere(layer.mask.rho) + 1)))
+            fh.write(line)
             lead = "\n,"
         fh.write("\n" + FOOT)
 
@@ -346,26 +363,57 @@ def network_from_dict(doc: dict) -> MNN:
         raise ValueError(f"bad network file: {exc}") from None
 
 
+def _earlier(fh, candidates: list, body: str):
+    """The layer of an earlier line whose text is ``body``, or None.  Each
+    of ``candidates`` is ``(layer, at, lead)``: a layer, its line's start
+    as ``fh.tell()`` gave it and its lead's length; a candidate's line is
+    read again there and compared whole, and ``fh`` is left where it
+    was."""
+    for layer, at, lead in candidates:
+        back = fh.tell()
+        fh.seek(at)
+        same = fh.readline()[lead:] == body
+        fh.seek(back)
+        if same:
+            return layer
+    return None
+
+
 def _read_compact(fh) -> MNN:
     """The network in a compact file, read one layer line at a time by
     numpy's text parser.  It only accepts: any other layout, and any
-    fault, raises ``ValueError`` (a decline), naming nothing."""
+    fault, raises ``ValueError`` (a decline), naming nothing.
+
+    Each distinct line is parsed once, and every later equal line gets
+    the same ``Layer`` object, so the network shares layers exactly where
+    its lines are equal.  No line's text is kept: each first line is
+    indexed by ``(len, hash)`` of its text, and a later line with that key
+    is confirmed by reading the first again (``_earlier``); where none is
+    equal, as on a hash collision, it is parsed as usual."""
     head = fh.readline()
     _plain(head.startswith(HEAD) and head.endswith(HEAD_END))
     label = json.loads(head[len(HEAD):-len(HEAD_END)])
-    layers, lead = [], ""
+    layers, lead, firsts, at = [], "", {}, fh.tell()
     for line in iter(fh.readline, FOOT):
         _plain(line != "" and line.startswith(lead))  # "" is the end
-        layers.append(_parsed_layer(line[len(lead):]))
-        lead = ","
+        body = line[len(lead):]
+        candidates = firsts.setdefault((len(body), hash(body)), [])
+        layer = _earlier(fh, candidates, body)
+        if layer is None:
+            layer = _parsed_layer(body)
+            candidates.append((layer, at, len(lead)))
+        layers.append(layer)
+        lead, at = ",", fh.tell()
     _plain(not fh.read(1))  # the closing line ends the file
     return MNN(layers, label)
 
 
 def load_network(path) -> MNN:
     """The network in file ``path``, refused with ``bad network file: ...``:
-    read by the text parser, or, wherever it declines, by ``json.load`` and
-    ``network_from_dict``, which name every refusal alike for any layout."""
+    read by the text parser, which parses each distinct layer line once and
+    shares its layer among the equal lines, or, wherever it declines, by
+    ``json.load`` and ``network_from_dict``, which name every refusal alike
+    for any layout and share no layers."""
     try:
         with open(path, encoding="utf-8") as fh:
             try:

@@ -707,8 +707,9 @@ def test_one_column_equals_its_column_of_a_batch(name, tmp_path):
         for i in range(cols.shape[1]):
             assert (realize_flat(net, None, cols[:, i:i + 1]).tobytes()
                     == batch[:, i:i + 1].tobytes())
-    # the loaded network shares no layer objects with the built one, whose
-    # repeated layers are scanned once: both compile to the same program
+    # the loaded network shares no layer objects with the built one; each
+    # scans its repeated layers once, the loaded one sharing them where its
+    # lines are equal: both compile to the same program
     _assert_same_program(core._compile(loaded), core._compile(built))
     plan = core._fold_plan(built)
     assert core._fold_plan(loaded) == plan

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from strassennet import core as core_module
 from strassennet import io as io_module
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
-                              mnn_equal, realize)
+                              identity_mnn, mnn_equal, realize)
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_inv
 from strassennet.io import (load_matrix, load_network, network_from_dict,
@@ -305,6 +305,22 @@ class TestWriterOnRandomNetworks:
             assert len(names) == tops[key] + 1 <= cells[key] + 1
             assert names[-1] == key[0] + str(tops[key]) + key[1]
         assert tops[",", ""] == 600  # not the wide layer's 4999
+
+    @pytest.mark.parametrize("net, distinct", [
+        (identity_mnn((2, 3), 4), 1),
+        (build_inv(InversionSpec(3, 1.0, 1e-3, 0.5), relu_factory), 86)],
+        ids=["identity", "relu-inverse-n3"])
+    def test_each_distinct_layer_is_spelled_once(self, tmp_path, net,
+                                                 distinct):
+        # a layer object the network holds at several positions is written
+        # at each of them from the one line spelled for it
+        path = tmp_path / "net.json"
+        with mock.patch.object(io_module, "_table",
+                               wraps=io_module._table) as spy:
+            save_network(net, path)
+        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert len(set(net.layers)) == distinct < net.num_layers
+        assert spy.call_count == len(io_module.TABLES) * distinct
 
 
 def _valid_doc():
@@ -799,6 +815,134 @@ class TestLayerChain:
         assert _refusal(MNN, layers, doc["activation"]) == reason
 
 
+def _assert_shared_where_equal(net: MNN, path) -> None:
+    """Assert that ``net``, loaded from ``path``, holds one layer object
+    at two positions exactly where their lines are equal."""
+    lines = path.read_text().split("\n")[1:-2]
+    first = {}
+    for line, layer in zip(lines, net.layers, strict=True):
+        assert first.setdefault(line.removeprefix(","), layer) is layer
+    assert len(first) == len(set(net.layers))
+
+
+def _equal_length_lines() -> MNN:
+    """Three distinct layers whose lines have one length, held at six
+    positions: A B A C B A."""
+    a, b, c = (Layer(SparseLinearMap((1, 2), (1, 2),
+                                     [[1, 1, 1, 1], [1, 2, 1, 2]],
+                                     [value, -value]))
+               for value in (1.5, 2.5, 3.5))
+    return MNN([a, b, a, c, b, a])
+
+
+#: a compact layer line of shape (1, 2) from (1, 2), with rho at (1, 1)
+#: or none, and one of shape (1, 1) from (1, 2)
+_SQUARE = {"out_rows": 1, "out_cols": 2, "in_rows": 1, "in_cols": 2,
+           "entries": [[1, 1, 1, 1, 1.0], [1, 2, 1, 2, 1.0]], "bias": [],
+           "mask_rho": []}
+_RHO_SQUARE = {**_SQUARE, "mask_rho": [[1, 1]]}
+_NARROW = {**_SQUARE, "out_cols": 1, "entries": [[1, 1, 1, 1, 1.0]]}
+#: layer-chain faults on the second occurrence of a repeated line, each
+#: with the refusal both readers give it
+REPEATED_LINE_FAULTS = {
+    "input-shape": ([_SQUARE, _NARROW, _SQUARE, _NARROW],
+                    "layer 2 input shape (1, 2) does not match layer 1 "
+                    "output shape (1, 1)"),
+    "rho-on-the-last-layer": ([_RHO_SQUARE, _SQUARE, _RHO_SQUARE],
+                              "layer 2 has rho entries, but the final layer "
+                              "must be identity-activated"),
+}
+
+
+class TestSharedLines:
+    @pytest.mark.parametrize("build, distinct", [
+        (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
+         98),
+        (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory), 23),
+        (lambda: identity_mnn((2, 3), 4), 1)],
+        ids=["relu-inverse-n8", "relu-pow2-k4", "identity"])
+    def test_layers_are_shared_where_lines_are_equal(self, tmp_path, build,
+                                                     distinct):
+        net = build()
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        with mock.patch.object(json, "load", _no_json_load):
+            loaded = load_network(path)
+        assert mnn_equal(loaded, net)
+        assert len(set(loaded.layers)) == len(set(net.layers)) == distinct
+        _assert_shared_where_equal(loaded, path)
+
+    @pytest.mark.parametrize("build, distinct", [
+        (_equal_length_lines, 3),
+        (lambda: build_inv(InversionSpec(3, 1.0, 1e-3, 0.5), relu_factory),
+         86)],
+        ids=["equal-length-lines", "relu-inverse-n3"])
+    def test_hash_collisions_are_read_apart(self, tmp_path, monkeypatch,
+                                            build, distinct):
+        # with one hash for every text, each line's key is its length
+        # alone: a line is confirmed by its text, and parsed on a mismatch
+        net = build()
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        monkeypatch.setattr(io_module, "hash", lambda text: 0, raising=False)
+        with mock.patch.object(io_module, "_parsed_layer",
+                               wraps=io_module._parsed_layer) as spy, \
+                mock.patch.object(json, "load", _no_json_load):
+            loaded = load_network(path)
+        assert mnn_equal(loaded, net)
+        assert spy.call_count == len(set(loaded.layers)) == distinct
+        _assert_shared_where_equal(loaded, path)
+
+    @pytest.mark.parametrize("layers, reason", REPEATED_LINE_FAULTS.values(),
+                             ids=REPEATED_LINE_FAULTS.keys())
+    def test_chain_fault_on_a_repeated_line(self, tmp_path, layers, reason):
+        # layer 2 repeats layer 0's line, so the text parser takes it from
+        # the first; the chain rules still refuse it at its own position
+        doc = {"activation": "relu", "layers": layers}
+        path = tmp_path / "net.json"
+        path.write_text(_compact_text(doc))
+        lines = path.read_text().split("\n")
+        assert "," + lines[1] == lines[3]
+        with open(path, encoding="utf-8") as fh, \
+                mock.patch.object(io_module, "_parsed_layer",
+                                  wraps=io_module._parsed_layer) as spy, \
+                pytest.raises(ValueError):
+            io_module._read_compact(fh)
+        assert spy.call_count == 2
+        assert _refusal(load_network, path) == f"bad network file: {reason}"
+        assert _refusal(network_from_dict, doc) == (
+            f"bad network file: {reason}")
+
+    def test_lines_are_read_in_bounded_memory(self, tmp_path):
+        # 16 distinct lines of about 200 KB: no line's text is kept, so
+        # the peak above the loaded network is about that of reading one
+        # line, well below the whole text a reader keeping every line holds
+        rng = np.random.default_rng(3)
+        at = np.arange(1, 5001)
+        rows = np.stack([np.ones_like(at), at, np.ones_like(at), at], 1)
+        layers = [Layer(SparseLinearMap((1, 5000), (1, 5000), rows,
+                                        rng.uniform(1, 2, 5000) * 1e-200))
+                  for _ in range(16)]
+
+        def above(net):  # the traced peak above the loaded network
+            path = tmp_path / f"{net.num_layers}.json"
+            save_network(net, path)
+            tracemalloc.start()
+            try:
+                loaded = load_network(path)
+                now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert mnn_equal(loaded, net)
+            return peak - now, path.stat().st_size
+
+        one, _ = above(MNN(layers[:1]))
+        peak, size = above(MNN(layers))
+        line = size / 16
+        assert line > 150_000
+        assert peak < one + 3 * line < size
+
+
 #: every fault of ``COMPACT_FAULTS`` and ``CHAIN_FAULTS``, each with no
 #: text after the document, and a chain fault followed by a stray byte
 LAYOUT_FAULTS = {
@@ -977,14 +1121,16 @@ class TestTextParser:
         with mock.patch.object(json, "load", _no_json_load):
             assert mnn_equal(load_network(path), net)
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory),
-        lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory)],
+    @pytest.mark.parametrize("build, lines", [
+        (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory), 23),
+        (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
+         98)],
         ids=["relu-pow2-k4", "relu-inverse-n8"])
     def test_every_table_reaches_the_storage_rule_as_int64(self, tmp_path,
-                                                           build):
+                                                           build, lines):
         # a text parser that fell back to floats would load the same
-        # networks; only the positions' dtype shows it
+        # networks; only the positions' dtype shows it.  Each of the
+        # file's distinct lines is parsed once
         net = build()
         path = tmp_path / "net.json"
         save_network(net, path)
@@ -999,7 +1145,7 @@ class TestTextParser:
                 mock.patch.object(io_module, "_stored_rows", spy), \
                 mock.patch.object(json, "load", _no_json_load):
             assert mnn_equal(load_network(path), net)
-        assert len(seen) == len(io_module.TABLES) * len(net.layers)
+        assert len(seen) == len(io_module.TABLES) * lines
         assert set(seen) == {np.dtype(np.int64)}
 
     @given(net=_networks())
