@@ -104,11 +104,8 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
         counts[at] = np.diff(m.indptr).reshape(r, c)
         bias[at] = layer.bias
         rho[at] = layer.mask.rho
-        if m.in_shape.cols == in_shape.cols:  # the rows move as a block
-            indices.append(m.indices + in_off * in_shape.cols)
-        else:
-            k, l = np.divmod(m.indices, m.in_shape.cols)
-            indices.append((k + in_off) * in_shape.cols + l)
+        k, l = np.divmod(m.indices, m.in_shape.cols)
+        indices.append((k + in_off) * in_shape.cols + l)
         out_off += r
         in_off += m.in_shape.rows
     indptr = np.zeros(out_shape.size + 1, dtype=np.int64)

@@ -542,13 +542,19 @@ def _copies(layer: Layer) -> int:
     return 1
 
 
-def _repeats(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
-    """Which of the first ``rho.size`` rows of ``m``, holding ``per_row``
-    entries each, repeat their identity neighbour: a rho row whose stored
-    entries, indices and values in stored order, equal those of the row
-    just before it, an identity row with zero bias and at least one entry.
-    This is the relu gadget's ``(T, rho(T - 1/2))`` pair.  Read off the
-    arrays alone, so loaded networks compile as built ones do."""
+def _roles(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
+    """Each of the first ``rho.size`` rows of ``m``, holding ``per_row``
+    entries each, by its int8 role: 0 identity, 1 source, 2 rho, 3 repeat.
+    A repeat is a rho row whose stored entries, indices and values in
+    stored order, equal those of its source, the row just before it, an
+    identity row with zero bias and at least one entry: the relu gadget's
+    ``(T, rho(T - 1/2))`` pair.  Every state holds B's rows sorted stably
+    by role, over a copy-minor base before a run (see :func:`_compile`).
+    Read off the arrays alone, so loaded networks compile as built ones
+    do."""
+    role = rho.astype(np.int8) * 2
+    if not role.any():  # no rho rows, so no repeats
+        return role
     n = rho.size
     rep = np.zeros(n, dtype=bool)
     rep[1:] = rho[1:] > rho[:-1]
@@ -564,7 +570,9 @@ def _repeats(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
     back = e - lens[owner]
     differs = (m.indices[e] != m.indices[back]) | (m.val[e] != m.val[back])
     rep[cand[owner[differs]]] = False
-    return rep
+    role[rep] += 1
+    role[:-1] += rep[1:]
+    return role
 
 
 def _fold_plan(net: MNN) -> list:
@@ -614,81 +622,65 @@ def _compile(net: MNN):
     ``np.add``: +0.0 leaves a row without bias as it is, and the other rows
     get the floats of ``L @ V + bias``.
 
-    A repeat (see :func:`_repeats`) is a rho row whose entries are those of
+    A repeat (see :func:`_roles`) is a rho row whose entries are those of
     its identity neighbour, the source, as in the relu gadget's
     ``(T, rho(T - 1/2))`` pair.  The kernel leaves it out, and each run of
     repeats with one bias b is one add ``(source, repeat, count, b)``:
     ``count`` state rows from ``repeat`` on are as many rows from
     ``source`` on plus b.  A source has no bias, and the kernel sums it
     from +0.0 over the terms the repeat would sum, in the same order, so
-    the add gives the repeat's float exactly, whatever rho is.  The
-    repeats of a layer object that the network holds more than once are
-    found once for each number of copies it runs as.
+    the add gives the repeat's float exactly, whatever rho is.  The roles
+    of a layer object that the network holds more than once are found
+    once for each number of copies it runs as.
 
     A layer that is r copies of one block B (``kron(I_r, B)``, see
     :func:`_copies`), in the runs of layers :func:`_fold_plan` picks, runs
     as B alone on r vectors per column, one per copy; every other layer
-    runs whole, on one vector.  A state is held in its layer's rho-last
-    order: the identity rows that are not sources, the sources, the rho
-    rows that are not repeats, then the repeats, each group in row-major
-    order.  The kernel writes the first ``rows`` rows, the sources one
-    contiguous run among them, the adds write the repeats after them in
-    their sources' order, and rho acts on the last ``rho_to - rho_from``
-    rows, one contiguous block; the next step's columns are relabelled to
-    match.  Without rho, as for the input and the last layer, this is the
-    identity order, so inputs and outputs stay row-major.  A folded state
-    is copy-minor: B's rows in B's rho-last order, each repeated r times,
-    so that a run of rows is still one block, r times as long, for the
-    kernel, the adds and rho.  The layer before a run writes its rows in
-    that order, and the layer after it relabels its columns from it.  Each
-    copy's row sums the same terms in the same order from zero as the
-    whole layer's row would, so folding keeps the floats, and a layer of
-    2401 leaf copies is one product over B's few rows instead of 2401
-    short dot products.  The tile is sized by the cache alone (see
-    ``_TILE_BYTES``), as a folded row spans r times the tile.
+    is its own B, on one vector.  Every state follows one rule: B's rows
+    sorted stably by role (see :func:`_roles`), over a row-major base, or
+    before a run a copy-minor one (row b of every copy, then row b + 1).
+    The kernel writes the first ``rows`` rows (the identity rows, the
+    sources as one contiguous run, the other rho rows), the adds write
+    the repeats after them in their sources' order, and rho acts on the
+    last ``rho_to - rho_from`` rows, one contiguous block; the next step's
+    columns are relabelled to match.  A state without rho rows is in base
+    order: inputs and outputs stay row-major, and a run reads its input
+    copy-minor.  A folded state holds each of B's rows r times, one per
+    copy, so that a run of rows is still one block, r times as long, for
+    the kernel, the adds and rho.  Each copy's row sums the same terms in
+    the same order from zero as the whole layer's row would, so folding
+    keeps the floats, and a layer of 2401 leaf copies is one product over
+    B's few rows instead of 2401 short dot products.  The tile is sized by
+    the cache alone (see ``_TILE_BYTES``), as a folded row spans r times
+    the tile.
     """
     program = net._program
     if program is not None:
         return program
     plan = _fold_plan(net)
-    steps, roles = [], None
-    repeats = {}  # (layer, r): its block's repeats, found once per layer
+    steps, roles = [], {}  # roles: (layer, r) -> its block's, found once
     size = widest = net.input_shape.size
     moved = np.arange(size)  # the input in row-major order
     for layer, r, after in zip(net.layers, plan, plan[1:] + [1]):
         m = layer.map
         bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
-        rho = layer.mask.rho.reshape(-1)[:bo]
-        n_rho = int(np.count_nonzero(rho))
         bias = layer.bias.reshape(-1)[:bo]
         per_map = m.indptr[1:bo + 1] - m.indptr[:bo]
         where = moved[:bi] // r  # the state rows of copy 0 of B's inputs
+        role = roles.get((layer, r))
+        if role is None:
+            role = roles[layer, r] = _roles(m, per_map, bias,
+                                            layer.mask.rho.reshape(-1)[:bo])
         # ``order`` lists B's rows in state order and ``row`` gives each its
-        # state row; the first ``rows`` are the kernel's.  Consecutive
-        # rho-last layers with one role per row share them
-        rho_last = r >= after
-        role = None
-        if rho_last:  # 0 identity, 1 source, 2 rho, 3 repeat
-            role = rho.astype(np.int8) * 2
-            if n_rho:
-                rep = repeats.get((layer, r))
-                if rep is None:
-                    rep = repeats[layer, r] = _repeats(m, per_map, bias, rho)
-                role[rep] += 1
-                role[:-1] += rep[1:]
-        if not (rho_last and np.array_equal(role, roles)):
-            roles, n_rep = role, 0
-            if rho_last:
-                reps = (role == 3).nonzero()[0]
-                n_rep, ident = reps.size, (role == 0).nonzero()[0]
-                src = ident.size  # the state row of the first source
-                order = np.concatenate([ident, reps - 1,
-                                        (role == 2).nonzero()[0], reps])
-            else:  # copy-minor, for the run that follows
-                order = np.arange(bo).reshape(after, -1).T.ravel()
-            rows = bo - n_rep
-            row = np.empty(bo, dtype=np.intp)
-            row[order] = np.arange(bo)
+        # state row; the sources, the rho rows and the repeats start at
+        # ``src``, ``rho_from`` and ``rows``, the first ``rows`` the kernel's
+        base = np.arange(bo)
+        if after > r:  # copy-minor, for the run that follows
+            base = base.reshape(after, -1).T.ravel()
+        order = base[np.argsort(role[base], kind="stable")]
+        row = np.empty(bo, dtype=np.intp)
+        row[order] = np.arange(bo)
+        src, rho_from, rows = role[order].searchsorted((1, 2, 3)).tolist()
         cols = size // r
         # int32 when it fits: the kernel then reads half the index bytes
         index = np.int32 if bn + cols <= 2 ** 31 else np.int64
@@ -704,13 +696,13 @@ def _compile(net: MNN):
         kernel_bias = bias[kept][:, None] if bias[kept].any() else None
         # each run of repeats with one bias is its sources plus that bias
         adds = ()
-        if n_rep:
+        if rows < bo:
             b = bias[order[rows:]]
-            cut = [0, *((b[1:] != b[:-1]).nonzero()[0] + 1), n_rep]
+            cut = [0, *((b[1:] != b[:-1]).nonzero()[0] + 1), bo - rows]
             adds = tuple((src + lo, rows + lo, hi - lo, float(b[lo]))
                          for lo, hi in zip(cut, cut[1:]))
         steps.append((rows, cols, r, indptr, indices, m.val[take],
-                      kernel_bias, adds, bo - n_rho, bo))
+                      kernel_bias, adds, rho_from, bo))
         # copy q of B's row b sits at vector q of its state row
         moved = (row * r + np.arange(r)[:, None]).ravel()
         size = bo * r

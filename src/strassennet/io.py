@@ -246,11 +246,12 @@ def _built(dims, entries, bias, mask) -> Layer:
                              ActivationMask.from_positions(out_shape, mask[0]))
 
 
-#: a compact layer line up to its entries table, each shape spelled as
-#: ``json.dumps`` spells an integer >= 1
-LAYER_HEAD = re.compile(r'\{"out_rows":([1-9][0-9]*),"out_cols":([1-9][0-9]*),'
+#: a compact layer line after its lead: each shape spelled as
+#: ``json.dumps`` spells an integer >= 1, then the three tables' texts
+LAYER_TEXT = re.compile(r'\{"out_rows":([1-9][0-9]*),"out_cols":([1-9][0-9]*),'
                         r'"in_rows":([1-9][0-9]*),"in_cols":([1-9][0-9]*),'
-                        r'"entries":')
+                        r'"entries":([^"]*),"bias":([^"]*),"mask_rho":([^"]*)'
+                        r'\}\n')
 #: the bytes a table of JSON numbers is written with
 TABLE_BYTES = b"0123456789,[]-+.eE"
 #: what stands right before and right after a run of digits that is a
@@ -324,22 +325,22 @@ def _parsed_table(text: str, key: str):
     return table["at"], table["value"] if key in VALUED else None
 
 
-def _parsed_layer(line: str) -> Layer:
-    """The layer on a compact line read by numpy's text parser, without
-    the JSON document.  Only a line laid out as ``LAYER_LINE`` writes it,
-    whose tables pass ``_parsed_table`` and whose layer the storage rule
-    takes, is read here; any other raises ``ValueError``.  Shapes must be
-    below 2^53: ``json`` reads a table that holds a float value as
-    float64, which rounds an index past 2^53, so only below it does every
-    index the rule takes read alike on both paths."""
-    head = LAYER_HEAD.match(line)
-    _plain(head is not None and line.endswith("}\n"))
-    dims = [int(n) for n in head.groups()]
+def _parsed_layer(line: str, start: int) -> Layer:
+    """The layer on a compact line after its lead, ``start`` characters
+    long, read by numpy's text parser without the JSON document, each
+    table cut once from the line.  Only a line laid out as ``LAYER_LINE``
+    writes it, whose tables pass ``_parsed_table`` and whose layer the
+    storage rule takes, is read here; any other raises ``ValueError``.
+    Shapes must be below 2^53: ``json`` reads a table that holds a float
+    value as float64, which rounds an index past 2^53, so only below it
+    does every index the rule takes read alike on both paths."""
+    parts = LAYER_TEXT.fullmatch(line, start)
+    _plain(parts is not None)
+    *dims, entries, bias, mask = parts.groups()
+    dims = [int(n) for n in dims]
     _plain(max(dims) < 2 ** 53)
-    entries, rest = line[head.end():-2].partition(',"bias":')[::2]
-    bias, mask = rest.partition(',"mask_rho":')[::2]
-    return _built(dims, *(_parsed_table(text, key)
-                          for text, key in zip((entries, bias, mask), TABLES)))
+    return _built(dims, *(_parsed_table(text, key) for text, key
+                          in zip((entries, bias, mask), TABLES)))
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -363,22 +364,6 @@ def network_from_dict(doc: dict) -> MNN:
         raise ValueError(f"bad network file: {exc}") from None
 
 
-def _earlier(fh, candidates: list, body: str):
-    """The layer of an earlier line whose text is ``body``, or None.  Each
-    of ``candidates`` is ``(layer, at, lead)``: a layer, its line's start
-    as ``fh.tell()`` gave it and its lead's length; a candidate's line is
-    read again there and compared whole, and ``fh`` is left where it
-    was."""
-    for layer, at, lead in candidates:
-        back = fh.tell()
-        fh.seek(at)
-        same = fh.readline()[lead:] == body
-        fh.seek(back)
-        if same:
-            return layer
-    return None
-
-
 def _read_compact(fh) -> MNN:
     """The network in a compact file, read one layer line at a time by
     numpy's text parser.  It only accepts: any other layout, and any
@@ -386,24 +371,31 @@ def _read_compact(fh) -> MNN:
 
     Each distinct line is parsed once, and every later equal line gets
     the same ``Layer`` object, so the network shares layers exactly where
-    its lines are equal.  No line's text is kept: each first line is
-    indexed by ``(len, hash)`` of its text, and a later line with that key
-    is confirmed by reading the first again (``_earlier``); where none is
-    equal, as on a hash collision, it is parsed as usual."""
+    its lines are equal.  No line's text is kept, nor copied but the
+    first, once: each first line is indexed by ``(len, hash)`` of its body
+    led by a comma, as a later line is, and a later line with that key is
+    confirmed if it ends with the first, read again (their bodies are
+    equally long); where none does, as on a hash collision, it is parsed
+    as usual."""
     head = fh.readline()
     _plain(head.startswith(HEAD) and head.endswith(HEAD_END))
     label = json.loads(head[len(HEAD):-len(HEAD_END)])
-    layers, lead, firsts, at = [], "", {}, fh.tell()
+    layers, lead, firsts, start = [], "", {}, fh.tell()
     for line in iter(fh.readline, FOOT):
         _plain(line != "" and line.startswith(lead))  # "" is the end
-        body = line[len(lead):]
-        candidates = firsts.setdefault((len(body), hash(body)), [])
-        layer = _earlier(fh, candidates, body)
-        if layer is None:
-            layer = _parsed_layer(body)
-            candidates.append((layer, at, len(lead)))
+        end = fh.tell()
+        key = len(line) - len(lead), hash(line if lead else "," + line)
+        candidates = firsts.setdefault(key, [])  # (layer, its line's start)
+        for layer, at in candidates:
+            fh.seek(at)
+            if line.endswith(fh.readline()):
+                break
+        else:
+            layer = _parsed_layer(line, len(lead))
+            candidates.append((layer, start))
+        fh.seek(end)
         layers.append(layer)
-        lead, at = ",", fh.tell()
+        lead, start = ",", end
     _plain(not fh.read(1))  # the closing line ends the file
     return MNN(layers, label)
 

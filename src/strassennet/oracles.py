@@ -3,8 +3,11 @@
 Everything in this module is definitional and deliberately slow: triple-loop
 matrix products, textbook Gaussian elimination, plain power iteration.  None
 of it shares code with the network builders -- that independence is what makes
-these functions usable as oracles in the test suite.
+these functions usable as oracles in the test suite.  Each refuses, naming
+the cause, an input it would otherwise mishandle silently.
 """
+
+import numbers
 
 import numpy as np
 
@@ -15,10 +18,29 @@ _POWER_MAXIT = 100_000
 _PIVOT_RTOL = 1e-12
 
 
+def _real(name: str, A) -> np.ndarray:
+    """``A`` as float64, refused by ``name`` if it holds a complex part, a
+    string or a nan or inf, which a cast would drop, read or carry."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "biuf":
+        raise ValueError(f"{name} expects real numbers, got dtype {A.dtype}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} expects finite entries")
+    return A.astype(float)
+
+
+def _count(name: str, n) -> int:
+    """``n`` as an int, unless it is not an integer >= 1 (or is a bool)."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    return int(n)
+
+
 def matmul_naive(A, B):
     """Definitional matrix product via the triple loop, in double precision."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B = _real("matmul_naive", A), _real("matmul_naive", B)
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("matmul_naive expects two 2-d arrays")
     m, n = A.shape
@@ -42,12 +64,11 @@ def strassen_exact(A, B):
     arithmetic recursion itself, not a network; it serves as an independent
     cross-check for both ``matmul_naive`` and the built networks.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B = _real("strassen_exact", A), _real("strassen_exact", B)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("strassen_exact expects two square matrices of equal size")
     n = A.shape[0]
-    if n & (n - 1) != 0:
+    if n < 1 or n & (n - 1) != 0:
         raise ValueError(f"side {n} is not a power of two")
     if n == 1:
         return np.array([[A[0, 0] * B[0, 0]]])
@@ -71,11 +92,9 @@ def strassen_exact(A, B):
 
 def neumann_partial(A, terms):
     """Partial geometric sum I + A + ... + A^(terms-1) by iterated naive products."""
-    A = np.asarray(A, dtype=float)
-    if not isinstance(terms, (int, np.integer)) or isinstance(terms, bool):
-        raise ValueError(f"terms must be an integer, got {terms!r}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    A, terms = _real("neumann_partial", A), _count("terms", terms)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("neumann_partial expects a square matrix")
     n = A.shape[0]
     total = np.eye(n)
     power = np.eye(n)
@@ -91,10 +110,12 @@ def exact_inverse(A):
     Rejects inputs whose pivot falls below ``1e-12 * max|A|`` with a
     diagnostic naming the elimination column and the offending pivot.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
+    A = _real("exact_inverse", A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("exact_inverse expects a square matrix")
+    if not A.size:  # the pivot threshold needs an entry
+        raise ValueError("exact_inverse expects a nonempty matrix")
+    n = A.shape[0]
     threshold = _PIVOT_RTOL * np.max(np.abs(A))
     work = np.hstack([A.copy(), np.eye(n)])
     for col in range(n):
@@ -147,7 +168,7 @@ def spectral_norm(A) -> float:
     restarts is always run and the largest estimate wins.  An iteration that
     does not converge is refused, so an underestimate is never returned.
     """
-    A = np.asarray(A, dtype=float)
+    A = _real("spectral_norm", A)
     if A.ndim != 2:
         raise ValueError("spectral_norm expects a 2-d array")
     n = A.shape[1]
@@ -172,6 +193,10 @@ def gen_contraction(n, delta, alpha, seed):
     and returns A = (I - Q D Q^T) / alpha.  The construction bounds the
     spectral norm of the perturbation by delta exactly.
     """
+    n = _count("n", n)
+    for name, x in (("delta", delta), ("alpha", alpha)):
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < alpha < np.inf:

@@ -643,9 +643,9 @@ def test_only_rho_rows_repeating_an_identity_neighbour_are_added(name):
     net = make()
     for layer in net.layers[:2]:
         m = layer.map
-        rep = core._repeats(m, np.diff(m.indptr), layer.bias.reshape(-1),
-                            layer.mask.rho.reshape(-1))
-        assert rep.nonzero()[0].tolist() == added
+        role = core._roles(m, np.diff(m.indptr), layer.bias.reshape(-1),
+                           layer.mask.rho.reshape(-1))
+        assert (role == 3).nonzero()[0].tolist() == added
     assert _added(core._compile(net)[0]) == [len(added)] * 2 + [0]
 
 

@@ -4,9 +4,12 @@ Each case pins ``(num_weights, num_layers)`` and the sha256 of the bytes
 that ``save_network`` writes.  A file holds every shape, index, coefficient
 (by its ``repr``), bias entry and mask position of its network, so a
 refactor that keeps these digests builds the same networks and writes the
-same files.  Evaluated floats are left out: they can depend on the
-platform's kernels.  To add a case, take its digest from the code before
-the change that should keep it.
+same files.  A few networks, built and reloaded, also pin the sha256 of
+the program ``core._compile`` makes of them, which holds only stored
+numbers, so a refactor that keeps these digests runs the same program.
+Evaluated floats are left out: they can depend on the platform's kernels.
+To add a case, take its digest from the code before the change that
+should keep it.
 """
 
 import hashlib
@@ -14,10 +17,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from strassennet import core
 from strassennet.core import identity_mnn, scale_output
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_fill, build_inv, build_neu
-from strassennet.io import save_network
+from strassennet.io import load_network, save_network
 from strassennet.strassen import (RectShape, build_str_pow2, build_str_rect,
                                   build_str_square)
 
@@ -140,6 +144,44 @@ def test_every_case_is_pinned():
 def test_same_network_same_file(name, tmp_path):
     net = CASES[name]()
     assert _fingerprint(net, tmp_path / "net.json") == DIGESTS[name]
+
+
+#: case -> sha256 of its compiled program (see ``_program_digest``)
+PROGRAMS = {
+    "pow2-relu-k4": (
+        lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory),
+        "515efead2f50c26ee5ffbe41b866f424c0ded204bac4e3dbc1fd06c8871ea09c"),
+    "inv-relu-n8": (
+        lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
+        "0bc3980e45bcb9d6e278bbef18e45e3abd1cc6d3f89dff23995eecd15d4d0356"),
+    "pow2-relu2-k2": (
+        lambda: build_str_pow2(2, 1e-3, 1.0, relu2_factory),
+        "e6d27ce33fa94204c0f615619506a33a00fd03b37f04e267a6a085fe351fcfa7"),
+}
+
+
+def _program_digest(net) -> str:
+    """The sha256 of ``core._compile(net)``: every field of every step, an
+    array by its dtype, shape and bytes and anything else by its ``repr``,
+    then the tile and the height."""
+    steps, tile, height = core._compile(net)
+    h = hashlib.sha256()
+    for field in [*(field for step in steps for field in step), tile, height]:
+        if isinstance(field, np.ndarray):
+            h.update(f"{field.dtype}{field.shape}".encode())
+            h.update(field.tobytes())
+        else:
+            h.update(repr(field).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_same_network_same_program(name, tmp_path):
+    make, digest = PROGRAMS[name]
+    built = make()
+    save_network(built, tmp_path / "net.json")
+    loaded = load_network(tmp_path / "net.json")
+    assert _program_digest(built) == _program_digest(loaded) == digest
 
 
 @pytest.mark.parametrize("c", [1.0, -2.5])

@@ -1,5 +1,8 @@
 """The reference implementations, checked against closed forms and each other."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,38 @@ class TestGenContraction:
 def test_shape_refusals(call, reason):
     with pytest.raises(ValueError, match=f"^{reason}$"):
         call()
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: oracles.strassen_exact(np.eye(0), np.eye(0)),
+     "side 0 is not a power of two"),
+    (lambda: oracles.matmul_naive(np.eye(2), 1j * np.eye(2)),
+     "matmul_naive expects real numbers, got dtype complex128"),
+    (lambda: oracles.exact_inverse([[np.nan]]),
+     "exact_inverse expects finite entries"),
+    (lambda: oracles.exact_inverse(np.zeros((0, 0))),
+     "exact_inverse expects a nonempty matrix"),
+    (lambda: oracles.spectral_norm([[np.nan]]),
+     "spectral_norm expects finite entries"),
+    (lambda: oracles.neumann_partial(np.ones((2, 3)), 2),
+     "neumann_partial expects a square matrix"),
+    (lambda: oracles.gen_contraction(2.5, 0.5, 1.0, 0),
+     "n must be an integer, got 2.5"),
+    (lambda: oracles.gen_contraction(2, "0.5", 1.0, 0),
+     "delta must be a real number, got '0.5'"),
+    (lambda: oracles.gen_contraction(0, 0.5, 1.0, 0),
+     "n must be >= 1, got 0"),
+], ids=["strassen-empty", "matmul-complex", "inverse-nan", "inverse-empty",
+        "norm-nan", "neumann-non-square", "contraction-float-n",
+        "contraction-string-delta", "contraction-zero-n"])
+def test_mishandled_inputs_are_refused_by_cause(call, reason):
+    # these used to recurse until RecursionError, drop the imaginary part
+    # behind a ComplexWarning, return nan, run every power iteration,
+    # fail inside numpy, raise a TypeError or return a 0x0 matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            call()
 
 
 def test_doubling_product_identity(rng):
