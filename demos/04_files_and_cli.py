@@ -41,10 +41,12 @@ with tempfile.TemporaryDirectory(prefix="snn-demo-") as tmp:
 
     doc = json.loads(path.read_text())
     layer = doc["layers"][0]
+    # a layer of r copies of one block stores the block's tables once
+    copies, block = layer.get("copies", 1), layer.get("block", layer)
     print(f"  file holds {len(doc['layers'])} layers; the first maps "
           f"{layer['in_rows']}x{layer['in_cols']} -> "
           f"{layer['out_rows']}x{layer['out_cols']} with "
-          f"{len(layer['entries'])} entries")
+          f"{copies} copies of a block of {len(block['entries'])} entries")
 
     print("\n== the same flow through the CLI ==")
     net_path, C_path = str(workdir / "net.json"), str(workdir / "C.csv")

@@ -72,9 +72,10 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     ``c``'s input positions moved by ``c`` input blocks; otherwise they
     are gathered child by child.
     """
-    first = children[0]
-    if all(layer is first for layer in children):  # tiled from one child
-        m, r = first.map, len(children)
+    first, r = children[0], len(children)
+    # a Layer equals only itself, so this counts copies of that one object
+    if children.count(first) == r:  # tiled from one child
+        m = first.map
         out_shape = MatrixShape(r * m.out_shape.rows, m.out_shape.cols)
         in_shape = MatrixShape(r * m.in_shape.rows, m.in_shape.cols)
         copy = np.arange(r, dtype=np.int64)[:, None]
@@ -82,10 +83,9 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
         indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
         linmap = SparseLinearMap._from_valid(
             out_shape, in_shape, indptr,
-            (m.indices + copy * m.in_shape.size).ravel(),
-            np.concatenate([m.val] * r))
-        rho = np.concatenate([first.mask.rho] * r)
-        return Layer._from_valid(linmap, np.concatenate([first.bias] * r),
+            (m.indices + copy * m.in_shape.size).ravel(), np.tile(m.val, r))
+        rho = np.tile(first.mask.rho, (r, 1))
+        return Layer._from_valid(linmap, np.tile(first.bias, (r, 1)),
                                  ActivationMask._from_valid(out_shape, rho))
     out_shape = MatrixShape(sum(layer.out_shape.rows for layer in children),
                             max(layer.out_shape.cols for layer in children))

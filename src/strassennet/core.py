@@ -631,7 +631,9 @@ def _compile(net: MNN):
     from +0.0 over the terms the repeat would sum, in the same order, so
     the add gives the repeat's float exactly, whatever rho is.  The roles
     of a layer object that the network holds more than once are found
-    once for each number of copies it runs as.
+    once for each number of copies it runs as, and the state order of
+    equal roles over an equal base is found once: most of the inverter's
+    layers have the roles of the layer before them.
 
     A layer that is r copies of one block B (``kron(I_r, B)``, see
     :func:`_copies`), in the runs of layers :func:`_fold_plan` picks, runs
@@ -658,7 +660,9 @@ def _compile(net: MNN):
     if program is not None:
         return program
     plan = _fold_plan(net)
-    steps, roles = [], {}  # roles: (layer, r) -> its block's, found once
+    # roles: (layer, r) -> its block's, found once; orders: (the roles'
+    # bytes, the copies of a copy-minor base or 1) -> the state order
+    steps, roles, orders = [], {}, {}
     size = widest = net.input_shape.size
     moved = np.arange(size)  # the input in row-major order
     for layer, r, after in zip(net.layers, plan, plan[1:] + [1]):
@@ -673,14 +677,20 @@ def _compile(net: MNN):
                                             layer.mask.rho.reshape(-1)[:bo])
         # ``order`` lists B's rows in state order and ``row`` gives each its
         # state row; the sources, the rho rows and the repeats start at
-        # ``src``, ``rho_from`` and ``rows``, the first ``rows`` the kernel's
-        base = np.arange(bo)
-        if after > r:  # copy-minor, for the run that follows
-            base = base.reshape(after, -1).T.ravel()
-        order = base[np.argsort(role[base], kind="stable")]
-        row = np.empty(bo, dtype=np.intp)
-        row[order] = np.arange(bo)
-        src, rho_from, rows = role[order].searchsorted((1, 2, 3)).tolist()
+        # ``src``, ``rho_from`` and ``rows``, the first ``rows`` the kernel's.
+        # Layers with equal roles and base share them, found once
+        key = role.tobytes(), after if after > r else 1
+        state = orders.get(key)
+        if state is None:
+            base = np.arange(bo)
+            if after > r:  # copy-minor, for the run that follows
+                base = base.reshape(after, -1).T.ravel()
+            order = base[np.argsort(role[base], kind="stable")]
+            row = np.empty(bo, dtype=np.intp)
+            row[order] = np.arange(bo)
+            state = orders[key] = (
+                order, row, *role[order].searchsorted((1, 2, 3)).tolist())
+        order, row, src, rho_from, rows = state
         cols = size // r
         # int32 when it fits: the kernel then reads half the index bytes
         index = np.int32 if bn + cols <= 2 ** 31 else np.int64

@@ -6,6 +6,21 @@ layer records its output/input shapes, the nonzero linear-map entries as
 ``[i, j, k, l, value]`` with 1-based indices, the nonzero bias entries as
 ``[i, j, value]``, and the mask positions where the activation is applied
 as ``[i, j]``, each table in the row-major order ``SparseLinearMap`` keeps.
+A layer that is ``kron(I_r, B)``, r > 1 copies of one block B along the
+diagonal of its flattened operator, as most layers of a Strassen
+multiplier are, is a copies line: its own four shape fields, ``"copies":
+r`` and, under ``"block"``, B's three tables.  The writer takes r as the
+gcd of ``core._copies``' count and both row counts, so B has the shape
+``(out_rows / r, out_cols) <- (in_rows / r, in_cols)``.  Both readers
+check r by the size rule (an integer >= 2) and its division of both row
+counts, read B at its own shape by the one storage rule, so that an entry
+outside B's block is refused by name, and rebuild the layer by
+``combinators._stack_layers([B] * r)``'s tiling, whose arrays are those
+of the built layer.  A copies line holds no ``entries`` key of its own,
+so a reader that predates it refuses it (``missing key 'entries'``);
+unknown keys are refused too, at every level, so a later field cannot be
+ignored.  A file without copies lines, as earlier versions wrote every
+file, loads as before.
 Files are written compactly, one line per layer: a header line
 ``{"activation":<label>,"layers":[``, then each layer as one JSON object
 without whitespace, every one after the first led by a comma, then ``]}``.
@@ -42,35 +57,42 @@ invalid JSON (nesting too deep included) first, then the first fault in
 document order.  Network files are UTF-8 text, whatever the locale;
 other bytes are refused.
 Loading only parses: it refuses, naming the layer and the first offending
-entry, shape fields that are not integers >= 1 (the size rule
-``core._count``), and rows of the wrong length or holding non-numbers
-(booleans included).  Everything else is refused by the rules of
-``core``, which built networks follow too, with core's text after
-``bad network file: ``: the storage rule of a layer's tables (after
-``layer L ``), and the label, layer-chain and final-layer rules of a
-network, the chain checked as each layer arrives.
+entry, a missing or unknown key, shape fields that are not integers >= 1
+(the size rule ``core._count``), a copies count that is not an integer
+>= 2 or does not divide both row counts, and rows of the wrong length or
+holding non-numbers (booleans included).  Everything else is refused by
+the rules of ``core``, which built networks follow too, with core's text
+after ``bad network file: ``: the storage rule of a layer's tables (after
+``layer L ``, or ``layer L block `` in a copies line), and the label,
+layer-chain and final-layer rules of a network, the chain checked as each
+layer arrives.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 Only real matrices are written, and a file with no numbers is refused.
 """
 
 import json
+import math
 import re
 import warnings
 from collections import Counter
 
 import numpy as np
 
+from .combinators import _stack_layers
 from .core import (MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap,
-                   _chain, _count, _label, _real, _stored_rows)
+                   _chain, _copies, _count, _label, _real, _stored_rows)
 
 FORMAT_KEYS = ("activation", "layers")
-LAYER_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols",
-              "entries", "bias", "mask_rho")
+SHAPE_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols")
 #: what a row of each layer table is called in messages, and its layout
 TABLES = {"entries": ("entry", "[i, j, k, l, value]"),
           "bias": ("bias entry", "[i, j, value]"),
           "mask_rho": ("mask entry", "[i, j]")}
+LAYER_KEYS = (*SHAPE_KEYS, *TABLES)
+#: a copies line: the layer's shape, its copy count r and, under
+#: ``block``, the tables of its block B
+COPIES_KEYS = (*SHAPE_KEYS, "copies", "block")
 TABLE_WIDTH = {key: fields.count(",") + 1
                for key, (_, fields) in TABLES.items()}
 #: the tables whose last column is a value; the mask holds positions only
@@ -83,28 +105,67 @@ ROW_DTYPE = {key: np.dtype([("at", np.int64, (width - 1,)),
              for key, width in TABLE_WIDTH.items()}
 
 
+def _blocked(layer: Layer):
+    """``(r, B)``: the layer as ``kron(I_r, B)``, r the largest copy count
+    ``core._copies`` finds, cut to divide both row counts (its gcd with
+    them), and B its first block, of shape ``(out_rows / r, out_cols) <-
+    (in_rows / r, in_cols)``, built on views of the layer's arrays; B is
+    the layer itself where r is 1."""
+    m = layer.map
+    r = math.gcd(_copies(layer), m.out_shape.rows, m.in_shape.rows)
+    if r == 1:
+        return 1, layer
+    out_shape = MatrixShape(m.out_shape.rows // r, m.out_shape.cols)
+    in_shape = MatrixShape(m.in_shape.rows // r, m.in_shape.cols)
+    bo = out_shape.size
+    bn = m.indptr[bo]
+    linmap = SparseLinearMap._from_valid(out_shape, in_shape,
+                                         m.indptr[:bo + 1], m.indices[:bn],
+                                         m.val[:bn])
+    mask = ActivationMask._from_valid(out_shape,
+                                      layer.mask.rho[:out_shape.rows])
+    return r, Layer._from_valid(linmap, layer.bias[:out_shape.rows], mask)
+
+
+def _rows(layer: Layer):
+    """The ``(positions, values)`` pair of each of the layer's tables, in
+    the order of ``TABLES`` (the mask's values None): 1-based positions in
+    row-major order, as the readers' pairs are."""
+    lm, at = layer.map, np.argwhere(layer.bias)
+    return ((lm.idx, lm.val), (at + 1, layer.bias[tuple(at.T)]),
+            (np.argwhere(layer.mask.rho) + 1, None))
+
+
 def network_to_dict(net: MNN) -> dict:
-    """Plain-dict form of a network (the JSON document structure)."""
+    """Plain-dict form of a network (the JSON document structure).
+
+    A layer that is r > 1 copies of one block B (``_blocked``) is a
+    copies line: its four shape fields, ``"copies": r`` and, under
+    ``"block"``, B's three tables at B's shape.  Every other layer holds
+    its own tables."""
     layers = []
     for layer in net.layers:
-        lm = layer.map
-        at = np.argwhere(layer.bias)
-        bias = zip((at + 1).tolist(), layer.bias[tuple(at.T)].tolist())
-        layers.append({
-            "out_rows": lm.out_shape.rows, "out_cols": lm.out_shape.cols,
-            "in_rows": lm.in_shape.rows, "in_cols": lm.in_shape.cols,
-            "entries": [[*p, v] for p, v in zip(lm.idx.tolist(),
-                                                 lm.val.tolist())],
-            "bias": [[*p, v] for p, v in bias],
-            "mask_rho": (np.argwhere(layer.mask.rho) + 1).tolist(),
-        })
+        r, block = _blocked(layer)
+        tables = {key: positions.tolist() if values is None
+                  else [[*p, v] for p, v in zip(positions.tolist(),
+                                                values.tolist())]
+                  for key, (positions, values) in zip(TABLES, _rows(block))}
+        spec = dict(zip(SHAPE_KEYS, (*layer.out_shape, *layer.in_shape)))
+        if r > 1:
+            spec.update(copies=r, block=tables)
+        else:
+            spec.update(tables)
+        layers.append(spec)
     return {"activation": net.activation_name, "layers": layers}
 
 
 #: the compact layout's first line around the JSON label, and its last line
 HEAD, HEAD_END, FOOT = '{"activation":', ',"layers":[\n', "]}\n"
-LAYER_LINE = ('{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,'
-              '"entries":[%s],"bias":[%s],"mask_rho":[%s]}')
+#: a compact layer line: its shape fields, then its tables or a copies
+#: line's count and block
+LAYER_LINE = '{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,%s}'
+TABLES_TEXT = '"entries":[%s],"bias":[%s],"mask_rho":[%s]'
+COPIES_TEXT = '"copies":%d,"block":{%s}'
 
 
 def _spelled(column: np.ndarray, spell, lead: str, tail: str,
@@ -154,12 +215,14 @@ def _table(spellings: dict, positions: np.ndarray, values=None) -> str:
 
 
 def _line(spellings: dict, layer: Layer) -> str:
-    """Layer ``layer``'s compact line, without its lead or newline."""
-    lm, at = layer.map, np.argwhere(layer.bias)
-    return LAYER_LINE % (*lm.out_shape, *lm.in_shape,
-                         _table(spellings, lm.idx, lm.val),
-                         _table(spellings, at + 1, layer.bias[tuple(at.T)]),
-                         _table(spellings, np.argwhere(layer.mask.rho) + 1))
+    """Layer ``layer``'s compact line, without its lead or newline: a
+    copies line where it is r > 1 copies of one block (``_blocked``)."""
+    r, block = _blocked(layer)
+    tables = TABLES_TEXT % tuple(_table(spellings, *pair)
+                                 for pair in _rows(block))
+    if r > 1:
+        tables = COPIES_TEXT % (r, tables)
+    return LAYER_LINE % (*layer.out_shape, *layer.in_shape, tables)
 
 
 def save_network(net: MNN, path) -> None:
@@ -172,7 +235,9 @@ def save_network(net: MNN, path) -> None:
     made once for the whole file and shared by every layer's tables; they
     live only as long as this call.  Each distinct layer object is spelled
     once: the line of one that the network holds more than once, as built
-    networks do, is kept until its last position is written."""
+    networks do, is kept until its last position is written.  A layer of
+    r > 1 copies of one block B is a copies line, which spells only B's
+    tables (``_blocked``); there is no option to spell every copy."""
     spellings, lines = {}, {}
     left = Counter(net.layers)  # positions still to write, by layer object
     with open(path, "w", encoding="utf-8") as fh:
@@ -214,17 +279,51 @@ def _read_table(spec: dict, key: str):
     return table[:, :-1], table[:, -1]
 
 
+def _keys(spec: dict, keys) -> None:
+    """Refuse an object that lacks one of ``keys`` or holds any other key,
+    naming the first such key, so that a field a later version adds is
+    refused, not ignored."""
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"missing key {key!r}")
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+
+
+def _block_shape(dims, copies):
+    """``(B's shape fields, r)`` of a copies line with shape fields
+    ``dims``: r by the size rule, at least 2, and B's row counts the
+    layer's divided by r, each refused where r does not divide it."""
+    r = _count("copies", copies, 2)
+    for key, rows in zip(("out_rows", "in_rows"), dims[::2]):
+        if rows % r:
+            raise ValueError(f"{key} {rows} is not a multiple of copies {r}")
+    return [dims[0] // r, dims[1], dims[2] // r, dims[3]], r
+
+
 def _layer(pos: int, spec) -> Layer:
     """Layer ``pos`` from its JSON object, refused like a built one after
-    ``layer L ``."""
+    ``layer L ``; a fault in a copies line's block after ``layer L block
+    ``.  A copies line's layer is its block's, tiled r times."""
     try:
         if not isinstance(spec, dict):
             raise ValueError("must be an object")
-        for key in LAYER_KEYS:
-            if key not in spec:
-                raise ValueError(f"missing key {key!r}")
-        dims = [_count(key, spec[key]) for key in LAYER_KEYS[:4]]
-        return _built(dims, *(_read_table(spec, key) for key in TABLES))
+        copied = "copies" in spec
+        _keys(spec, COPIES_KEYS if copied else LAYER_KEYS)
+        dims = [_count(key, spec[key]) for key in SHAPE_KEYS]
+        if not copied:
+            return _built(dims, *(_read_table(spec, key) for key in TABLES))
+        dims, r = _block_shape(dims, spec["copies"])
+        try:
+            block = spec["block"]
+            if not isinstance(block, dict):
+                raise ValueError("must be an object")
+            _keys(block, TABLES)
+            block = _built(dims, *(_read_table(block, key) for key in TABLES))
+        except ValueError as exc:
+            raise ValueError(f"block {exc}") from None
+        return _stack_layers([block] * r)
     except ValueError as exc:
         raise ValueError(f"layer {pos} {exc}") from None
 
@@ -247,11 +346,13 @@ def _built(dims, entries, bias, mask) -> Layer:
 
 
 #: a compact layer line after its lead: each shape spelled as
-#: ``json.dumps`` spells an integer >= 1, then the three tables' texts
+#: ``json.dumps`` spells an integer >= 1, then the three tables' texts, or
+#: a copies line's count, spelled alike, and its block's three tables
 LAYER_TEXT = re.compile(r'\{"out_rows":([1-9][0-9]*),"out_cols":([1-9][0-9]*),'
                         r'"in_rows":([1-9][0-9]*),"in_cols":([1-9][0-9]*),'
+                        r'(?:"copies":([1-9][0-9]*),"block":\{)?'
                         r'"entries":([^"]*),"bias":([^"]*),"mask_rho":([^"]*)'
-                        r'\}\n')
+                        r'\}(?(5)\})\n')
 #: the bytes a table of JSON numbers is written with
 TABLE_BYTES = b"0123456789,[]-+.eE"
 #: what stands right before and right after a run of digits that is a
@@ -328,19 +429,23 @@ def _parsed_table(text: str, key: str):
 def _parsed_layer(line: str, start: int) -> Layer:
     """The layer on a compact line after its lead, ``start`` characters
     long, read by numpy's text parser without the JSON document, each
-    table cut once from the line.  Only a line laid out as ``LAYER_LINE``
-    writes it, whose tables pass ``_parsed_table`` and whose layer the
-    storage rule takes, is read here; any other raises ``ValueError``.
-    Shapes must be below 2^53: ``json`` reads a table that holds a float
-    value as float64, which rounds an index past 2^53, so only below it
-    does every index the rule takes read alike on both paths."""
+    table cut once from the line; a copies line's layer is its block's,
+    tiled r times.  Only a line laid out as ``LAYER_LINE`` writes it,
+    whose tables pass ``_parsed_table`` and whose layer the storage rule
+    takes, is read here; any other raises ``ValueError``.  Shapes must be
+    below 2^53: ``json`` reads a table that holds a float value as
+    float64, which rounds an index past 2^53, so only below it does every
+    index the rule takes read alike on both paths."""
     parts = LAYER_TEXT.fullmatch(line, start)
     _plain(parts is not None)
-    *dims, entries, bias, mask = parts.groups()
-    dims = [int(n) for n in dims]
+    *dims, copies, entries, bias, mask = parts.groups()
+    dims, r = [int(n) for n in dims], 1
     _plain(max(dims) < 2 ** 53)
-    return _built(dims, *(_parsed_table(text, key) for text, key
-                          in zip((entries, bias, mask), TABLES)))
+    if copies is not None:
+        dims, r = _block_shape(dims, int(copies))
+    block = _built(dims, *(_parsed_table(text, key) for text, key
+                           in zip((entries, bias, mask), TABLES)))
+    return _stack_layers([block] * r) if r > 1 else block
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -349,9 +454,7 @@ def network_from_dict(doc: dict) -> MNN:
     try:
         if not isinstance(doc, dict):
             raise ValueError("top level must be an object")
-        for key in FORMAT_KEYS:
-            if key not in doc:
-                raise ValueError(f"missing key {key!r}")
+        _keys(doc, FORMAT_KEYS)
         label = doc["activation"]
         _label(label)
         if not (isinstance(doc["layers"], list) and doc["layers"]):
@@ -376,7 +479,9 @@ def _read_compact(fh) -> MNN:
     led by a comma, as a later line is, and a later line with that key is
     confirmed if it ends with the first, read again (their bodies are
     equally long); where none does, as on a hash collision, it is parsed
-    as usual."""
+    as usual.  A copies line ``"copies": r`` is parsed as its block B,
+    at B's shape, and its layer tiled from B r times (``_parsed_layer``),
+    after r is checked as ``network_from_dict`` checks it."""
     head = fh.readline()
     _plain(head.startswith(HEAD) and head.endswith(HEAD_END))
     label = json.loads(head[len(HEAD):-len(HEAD_END)])

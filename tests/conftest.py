@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,32 @@ def gauss_with_norm(rng, n, bound):
     if n == 1:
         return A * (bound / abs(float(A[0, 0])))
     return A * (bound / np.linalg.norm(A, 2))
+
+
+def compact_text(doc) -> str:
+    """A document in the compact layout, one separator-only ``json.dumps``
+    per layer: the reference that ``save_network``'s bytes must match."""
+    lines = [json.dumps(layer, separators=(",", ":"))
+             for layer in doc["layers"]]
+    return (f'{{"activation":{json.dumps(doc["activation"])},"layers":[\n'
+            + "\n,".join(lines) + ("\n" if lines else "") + "]}\n")
+
+
+def expanded_document(net) -> dict:
+    """The document of ``net`` with every layer's own tables, and no
+    copies line: the form every file took before copies lines, whose
+    ``compact_text`` is the file those versions wrote."""
+    layers = []
+    for layer in net.layers:
+        lm = layer.map
+        at = np.argwhere(layer.bias)
+        bias = zip((at + 1).tolist(), layer.bias[tuple(at.T)].tolist())
+        layers.append({
+            "out_rows": lm.out_shape.rows, "out_cols": lm.out_shape.cols,
+            "in_rows": lm.in_shape.rows, "in_cols": lm.in_shape.cols,
+            "entries": [[*p, v] for p, v in zip(lm.idx.tolist(),
+                                                 lm.val.tolist())],
+            "bias": [[*p, v] for p, v in bias],
+            "mask_rho": (np.argwhere(layer.mask.rho) + 1).tolist(),
+        })
+    return {"activation": net.activation_name, "layers": layers}

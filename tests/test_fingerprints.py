@@ -1,10 +1,12 @@
 """Golden digests: the same builders must keep building the same networks.
 
-Each case pins ``(num_weights, num_layers)`` and the sha256 of the bytes
-that ``save_network`` writes.  A file holds every shape, index, coefficient
-(by its ``repr``), bias entry and mask position of its network, so a
-refactor that keeps these digests builds the same networks and writes the
-same files.  A few networks, built and reloaded, also pin the sha256 of
+Each case pins ``(num_weights, num_layers)``, the sha256 of its expanded
+spelling (``conftest.expanded_document``, every layer with its own tables,
+as files were written before copies lines) and the sha256 of the bytes
+that ``save_network`` writes.  Either spelling holds every shape, index,
+coefficient (by its ``repr``), bias entry and mask position of its
+network, so a refactor that keeps these digests builds the same networks
+and writes the same files.  A few networks, built and reloaded, also pin the sha256 of
 the program ``core._compile`` makes of them, which holds only stored
 numbers, so a refactor that keeps these digests runs the same program.
 Evaluated floats are left out: they can depend on the platform's kernels.
@@ -16,6 +18,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import compact_text, expanded_document
 
 from strassennet import core
 from strassennet.core import identity_mnn, scale_output
@@ -53,7 +56,7 @@ def _cases() -> dict:
 
 CASES = _cases()
 
-#: case -> (num_weights, num_layers, sha256 of the saved file)
+#: case -> (num_weights, num_layers, sha256 of the expanded spelling)
 DIGESTS = {
     "fill-3-1": (12, 1,
         "92d54221a71fff1f310f30fb76e7e93f3ce26e92580bd6b86c5cce6282203a4d"),
@@ -128,22 +131,99 @@ DIGESTS = {
 }
 
 
-def _fingerprint(net, path):
-    save_network(net, path)
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    path.unlink()
-    return net.num_weights, net.num_layers, digest
+#: case -> sha256 of the file ``save_network`` writes, in which a layer of
+#: r > 1 copies of one block is a copies line
+FILES = {
+    "fill-3-1":
+        "92d54221a71fff1f310f30fb76e7e93f3ce26e92580bd6b86c5cce6282203a4d",
+    "fill-3-4":
+        "552fc17dd5b4b4ddf91a39d1d95b7a6ee905c9343546ef0f04be9306f53563b6",
+    "identity-2x3-3":
+        "1b59290c68b1bf99ea5815bd93e60b736b4f414e2bf3439ab61425ee5b9a3b0c",
+    "inv-relu-n1-d0.5":
+        "f2cb6ad02a876cd860d1798e162c2111c75b143bff5fc419c15f161e5a3ef269",
+    "inv-relu-n1-d0.9":
+        "a1b1a38772d8153adfacde24641f47d71b4524bc02d2b8951ff5ea92e0557d82",
+    "inv-relu-n2-d0.5":
+        "91af221cb9cf602f56a052ae63a7df57763a64367520dcd02003edc6dba1c60a",
+    "inv-relu-n2-d0.9":
+        "6ed8f9b71785d084350360ed635690176f4a4fc5e0e012e8e7334c94d459644f",
+    "inv-relu-n3-d0.5":
+        "91cfb661c045666c3a9807e1e1d9594d5ef29d3cd4d196a0448409ad6b2c47d4",
+    "inv-relu-n3-d0.9":
+        "a08b3b2f6f1e53188606305e43048c5d32d92d77c81c66ef3b51d5db18909c41",
+    "inv-relu-n4-d0.5":
+        "eb29da64285646c1b8f24c09ced2fda121c079de0ac1b9a1c283f6c066edcffd",
+    "inv-relu-n4-d0.9":
+        "6ee7ef67ae759791d568b99fa2bae89b99a6ec0c336dbdfe88a6c21767fad2e2",
+    "inv-relu2-n1-d0.5":
+        "22dd5d7c4e1d797976bb18be58e025e21611b228c9d6fa86243e506a0a8e1492",
+    "inv-relu2-n1-d0.9":
+        "84e7c5fd2078fafbeed8a10923042a3621ca216550b89bf16e993d58f45b53b1",
+    "inv-relu2-n2-d0.5":
+        "5d1fc3398b674227156221d795eeeb1bc19522ee735661f8f603ca63460d111e",
+    "inv-relu2-n2-d0.9":
+        "14671039f774ac3db9690783c1c39d1a0c019ac112d5b6d0050dffaed4ef22cc",
+    "inv-relu2-n3-d0.5":
+        "14c725a7cfb80d244abdc640c88e0fbe91593d73ef80c21446d9d81d36a41c8a",
+    "inv-relu2-n3-d0.9":
+        "e21b5ddf4c2edf110d735ad1f8814d42eafafc8e26119f233d37518e5752f23a",
+    "inv-relu2-n4-d0.5":
+        "2b255e8e7bde6754773d4eac8d78e85f58e99d79b5aca983c3cfe4732225cc95",
+    "inv-relu2-n4-d0.9":
+        "f126cbccc02f0faeae5b71382da9128602d9fd85a3dcb41d0f7e8c10ea10b435",
+    "neu-relu-2-2":
+        "b46f538d1893bd4988a3dfbd3d42ba502db6d1650b5f86c4786c530b63d09aab",
+    "neu-relu2-2-2":
+        "8737640e60af3f0b748c1be646514aecb01bfa95e6a25b28aa7f45665a56a31d",
+    "pow2-relu-k0":
+        "1e65a39549f0a401e67e9149cc973fe2aa5b7882a80372571d1b858c5fe1a696",
+    "pow2-relu-k1":
+        "b8c424f0a2d696c4a5c112224962dadfc43ef78af1c2e76a8567236bd3bea317",
+    "pow2-relu-k2":
+        "55edd86d07ecec94ef1bd0b83809231305b01ff5c9bc4b6151a2726167b45c04",
+    "pow2-relu-k3":
+        "ffc9f3e7ad4b9e6734d255d6c02cfebb035bd99aaf966fe4d19d92fce1f961e7",
+    "pow2-relu2-k0":
+        "9c4804d3a5557995eb2c30a9ae14a0be5aac407c833e13817e51006544603421",
+    "pow2-relu2-k1":
+        "5651638cfe761a4041830c7aac8b53591a054bbe8e942219f6ed443b146106e2",
+    "pow2-relu2-k2":
+        "7c7abc62bdbe356df5d58261bd432a688feb28022c6c7f84ce794cae15f68522",
+    "pow2-relu2-k3":
+        "aec00171c57d7b960232294551f7a33fc38bcc23b030e53acd50762ba6dec1b8",
+    "rect-relu-5x6x4":
+        "5e7489e3891642d7e8783adef595599f903cedba68380e4ed1c51132f3f4e71f",
+    "rect-relu2-5x6x4":
+        "d7a5908e0049b3d48990fa701762358d55db5ae48af87e41a6fd00c26cb44f38",
+    "square-relu-n3":
+        "ac575a3961555fba08f849bd0392099b7a3e55d2c2f278b7a568ee710dc95e77",
+    "square-relu-n5":
+        "c26075289fc515ae0e6212645a6bdc740e0c944091233d0e39c74aecf701ece1",
+    "square-relu2-n3":
+        "8e9259ff10713b95494d6a9d1bf549152b8a72c79f805e1a21de884113b5f7e2",
+    "square-relu2-n5":
+        "588340bca17835a6d0b16a05d1c4a737831e29f6d9b5f7b1a6cc6e55f35d5a7d",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_every_case_is_pinned():
-    assert set(DIGESTS) == set(CASES)
+    assert set(DIGESTS) == set(FILES) == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_same_network_same_file(name, tmp_path):
     net = CASES[name]()
-    assert _fingerprint(net, tmp_path / "net.json") == DIGESTS[name]
+    expanded = compact_text(expanded_document(net)).encode("utf-8")
+    assert (net.num_weights, net.num_layers, _sha256(expanded)) == (
+        DIGESTS[name])
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    assert _sha256(path.read_bytes()) == FILES[name]
 
 
 #: case -> sha256 of its compiled program (see ``_program_digest``)

@@ -10,18 +10,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import compact_text, expanded_document
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strassennet import core as core_module
 from strassennet import io as io_module
+from strassennet.combinators import parallelize
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
                               identity_mnn, mnn_equal, realize)
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_inv
 from strassennet.io import (load_matrix, load_network, network_from_dict,
                             network_to_dict, save_matrix, save_network)
-from strassennet.strassen import build_split, build_str_pow2
+from strassennet.strassen import (RectShape, build_split, build_str_pow2,
+                                  build_str_rect)
 
 
 def _sample_networks():
@@ -128,6 +131,18 @@ RELU2_GADGET_FILE = (
     '"bias":[],"mask_rho":[]}\n'
     ']}\n')
 
+#: ``identity_mnn((2, 3), 2)``, one layer object held twice, whose layer
+#: is two copies of the 1 x 3 identity
+IDENTITY_COPIES_FILE = (
+    '{"activation":null,"layers":[\n'
+    '{"out_rows":2,"out_cols":3,"in_rows":2,"in_cols":3,"copies":2,'
+    '"block":{"entries":[[1,1,1,1,1.0],[1,2,1,2,1.0],[1,3,1,3,1.0]],'
+    '"bias":[],"mask_rho":[]}}\n'
+    ',{"out_rows":2,"out_cols":3,"in_rows":2,"in_cols":3,"copies":2,'
+    '"block":{"entries":[[1,1,1,1,1.0],[1,2,1,2,1.0],[1,3,1,3,1.0]],'
+    '"bias":[],"mask_rho":[]}}\n'
+    ']}\n')
+
 
 class TestFileLayout:
     @pytest.mark.parametrize("net, text", [
@@ -145,14 +160,68 @@ class TestFileLayout:
             save_network(net, path)
             assert len(path.read_text().splitlines()) == net.num_layers + 2
 
+    def test_golden_copies_bytes(self, tmp_path):
+        # each layer is kron(I_2, B), B the 1 x 3 identity: a copies line
+        # with B's tables, and no list-valued "entries" key, which a reader
+        # that predates copies lines would read as the whole layer's
+        path = tmp_path / "net.json"
+        save_network(identity_mnn((2, 3), 2), path)
+        assert path.read_text() == IDENTITY_COPIES_FILE
+        back = load_network(path)
+        assert mnn_equal(back, identity_mnn((2, 3), 2))
+        assert back.layers[0] is back.layers[1]
 
-def _compact_text(doc) -> str:
-    """A document in the compact layout, one separator-only ``json.dumps``
-    per layer: the reference that ``save_network``'s bytes must match."""
-    lines = [json.dumps(layer, separators=(",", ":"))
-             for layer in doc["layers"]]
-    return (f'{{"activation":{json.dumps(doc["activation"])},"layers":[\n'
-            + "\n,".join(lines) + ("\n" if lines else "") + "]}\n")
+
+#: networks whose files held every copy of each block before copies lines
+EXPANDED = {
+    **{f"relu-pow2-k{k}": lambda k=k: build_str_pow2(k, 1e-3, 1.0,
+                                                    relu_factory)
+       for k in range(5)},
+    "relu-rect-5x6x4": lambda: build_str_rect(RectShape(5, 6, 4), 1e-3, 1.0,
+                                              relu_factory),
+    **{f"relu-inverse-n{n}": lambda n=n: build_inv(
+        InversionSpec(n, 1.0, 1e-3, 0.5), relu_factory) for n in (2, 3, 8)},
+}
+
+
+class TestExpandedFiles:
+    @pytest.mark.parametrize("build", EXPANDED.values(), ids=EXPANDED.keys())
+    def test_load_and_resave_as_copies_lines(self, tmp_path, build):
+        # the spelling every earlier version wrote still takes the text
+        # parser, and re-saves in the copies form
+        net = build()
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(compact_text(expanded_document(net)))
+        with mock.patch.object(json, "load", _no_json_load):
+            back = load_network(old)
+        assert mnn_equal(back, net)
+        save_network(back, new)
+        assert new.read_text() == compact_text(network_to_dict(net))
+        assert mnn_equal(network_from_dict(expanded_document(net)), net)
+
+    @pytest.mark.parametrize("build, r, most", [
+        (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory),
+         [1, 7, 49, 343, *[2401] * 15, 343, 49, 7, 1], 100_000),
+        (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
+         [1] * 34 + [16, 2], 3_000_000)],
+        ids=["relu-pow2-k4", "relu-inverse-n8"])
+    def test_benchmark_networks_are_written_as_blocks(self, tmp_path, build,
+                                                      r, most):
+        # layer 34 of the inverter is 256 copies of one block on 16 rows:
+        # its line takes r = 16, the gcd of the copy count and the rows.
+        # Spelling every copy took 11,732,895 and 15,203,073 bytes
+        net = build()
+        doc = network_to_dict(net)
+        got = [layer.get("copies", 1) for layer in doc["layers"]]
+        assert got[:len(r)] == r
+        for layer in doc["layers"]:
+            if "copies" in layer:
+                assert "entries" not in layer
+                assert layer["out_rows"] % layer["copies"] == 0
+                assert layer["in_rows"] % layer["copies"] == 0
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        assert path.stat().st_size < most
 
 
 def _awkward_network():
@@ -179,7 +248,7 @@ class TestWriterReference:
     def test_bytes_match_dumping_the_document(self, tmp_path, net):
         path = tmp_path / "net.json"
         save_network(net, path)
-        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert path.read_text() == compact_text(network_to_dict(net))
         assert mnn_equal(load_network(path), net)
 
 
@@ -247,7 +316,7 @@ class TestWriterOnRandomNetworks:
     def test_bytes_match_dumping_the_document(self, tmp_path_factory, net):
         path = tmp_path_factory.mktemp("writer") / "net.json"
         save_network(net, path)
-        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert path.read_text() == compact_text(network_to_dict(net))
         assert mnn_equal(load_network(path), net)
 
     def test_wide_layer_is_written_in_bounded_memory(self, tmp_path):
@@ -263,7 +332,7 @@ class TestWriterOnRandomNetworks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert path.read_text() == compact_text(network_to_dict(net))
 
     def test_spelling_tables_grow_only_as_far_as_their_columns(self,
                                                                tmp_path):
@@ -287,7 +356,7 @@ class TestWriterOnRandomNetworks:
         with mock.patch.object(io_module, "_spelled",
                                wraps=io_module._spelled) as spy:
             save_network(net, path)
-        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert path.read_text() == compact_text(network_to_dict(net))
         spellings = spy.call_args_list[0].args[4]
         tops, cells = {}, {}
         for call in spy.call_args_list:
@@ -318,7 +387,7 @@ class TestWriterOnRandomNetworks:
         with mock.patch.object(io_module, "_table",
                                wraps=io_module._table) as spy:
             save_network(net, path)
-        assert path.read_text() == _compact_text(network_to_dict(net))
+        assert path.read_text() == compact_text(network_to_dict(net))
         assert len(set(net.layers)) == distinct < net.num_layers
         assert spy.call_count == len(io_module.TABLES) * distinct
 
@@ -460,7 +529,7 @@ class TestMalformedDocuments:
         doc = _valid_doc()
         doc["layers"][1][key] = 0
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc))
+        path.write_text(compact_text(doc))
         reason = f"bad network file: layer 1 {key} must be >= 1, got 0"
         assert _refusal(load_network, path) == reason
         assert _refusal(network_from_dict, doc) == reason
@@ -492,7 +561,7 @@ class TestMalformedDocuments:
         doc["activation"] = label
         doc["layers"][0]["entries"][0][4] = 0.0  # a later fault
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc) if indent is None
+        path.write_text(compact_text(doc) if indent is None
                         else json.dumps(doc, indent=indent))
         reason = (f"bad network file: activation must be a string or null, "
                   f"got {label!r}")
@@ -579,9 +648,99 @@ def _repeat_first_row(doc, table):
     rows.insert(1, copy.deepcopy(rows[0]))
 
 
+def _two_copies(doc):
+    """Make ``doc`` the document of two copies of its network side by
+    side, as ``save_network`` writes it: each layer a copies line of r = 2
+    whose block holds the layer's own tables."""
+    for layer in doc["layers"]:
+        tables = {key: layer.pop(key) for key in io_module.TABLES}
+        layer["out_rows"] *= 2
+        layer["in_rows"] *= 2
+        layer.update(copies=2, block=tables)
+
+
+def _in_copies(pos, edit):
+    """A mutation: ``_two_copies``, then ``edit`` of layer ``pos``."""
+    def mutate(doc):
+        _two_copies(doc)
+        edit(doc["layers"][pos])
+    return mutate
+
+
+#: faults of copies lines in two copies of the relu gadget (layer 0: B of
+#: shape (1, 4) from (1, 2) with four mask entries; layer 1: B of (1, 5)
+#: from (1, 4) with two bias entries), each with its refusal
+COPIES_FAULTS = {
+    **{f"copies-{value!r}": (
+        _in_copies(0, lambda layer, value=value: setitem(layer, "copies",
+                                                         value)),
+        f"layer 0 copies must be an integer, got {value!r}")
+       for value in (2.0, True, "2", None)},
+    **{f"copies-{value}": (
+        _in_copies(0, lambda layer, value=value: setitem(layer, "copies",
+                                                         value)),
+        f"layer 0 copies must be >= 2, got {value}")
+       for value in (1, 0, -2)},
+    "copies-not-dividing-out-rows": (
+        _in_copies(0, lambda layer: setitem(layer, "copies", 3)),
+        "layer 0 out_rows 2 is not a multiple of copies 3"),
+    "copies-not-dividing-in-rows": (
+        _in_copies(1, lambda layer: layer.update(in_rows=3)),
+        "layer 1 in_rows 3 is not a multiple of copies 2"),
+    "entry-outside-the-block": (
+        _in_copies(0, lambda layer: setitem(layer["block"]["entries"][0], 2,
+                                            2)),
+        "layer 0 block entry 0 [1, 1, 2, 1, 0.5] has an index out of range "
+        "(upper bounds [1, 4, 1, 2])"),
+    "bias-outside-the-block": (
+        _in_copies(1, lambda layer: setitem(layer["block"]["bias"][1], 0, 2)),
+        "layer 1 block bias entry 1 [2, 4, -0.5] has an index out of range "
+        "(upper bounds [1, 5])"),
+    "mask-outside-the-block": (
+        _in_copies(0, lambda layer: setitem(layer["block"]["mask_rho"][2], 0,
+                                            2)),
+        "layer 0 block mask entry 2 [2, 3] has an index out of range "
+        "(upper bounds [1, 4])"),
+    "block-zero-coefficient": (
+        _in_copies(0, lambda layer: setitem(layer["block"]["entries"][0], 4,
+                                            0.0)),
+        "layer 0 block entry 0 [1, 1, 1, 1, 0.0] stores a zero (zero "
+        "coefficients are not storable)"),
+    "block-short-entry": (
+        _in_copies(1, lambda layer: setitem(layer["block"]["entries"], 3,
+                                            [1, 1, 1])),
+        "layer 1 block entry 3 must be [i, j, k, l, value], got [1, 1, 1]"),
+    "block-table-not-a-list": (
+        _in_copies(0, lambda layer: setitem(layer["block"], "bias", {})),
+        "layer 0 block bias must be a list"),
+    "block-missing-a-table": (
+        _in_copies(1, lambda layer: layer["block"].pop("mask_rho")),
+        "layer 1 block missing key 'mask_rho'"),
+    "block-unknown-key": (
+        _in_copies(0, lambda layer: setitem(layer["block"], "copies", 2)),
+        "layer 0 block unknown key 'copies'"),
+    "block-not-an-object": (
+        _in_copies(2, lambda layer: setitem(layer, "block", [])),
+        "layer 2 block must be an object"),
+    "no-block": (_in_copies(0, lambda layer: layer.pop("block")),
+                 "layer 0 missing key 'block'"),
+    "entries-beside-copies": (
+        _in_copies(0, lambda layer: setitem(layer, "entries", [])),
+        "layer 0 unknown key 'entries'"),
+    "chain-after-copies": (
+        _in_copies(1, lambda layer: setitem(layer, "in_cols", 5)),
+        "layer 1 input shape (2, 5) does not match layer 0 output shape "
+        "(2, 4)"),
+}
+
+
 #: every malformed document of ``TestMalformedDocuments`` that the compact
-#: layout can hold, plus booleans in tables and a layer that is no object
+#: layout can hold, plus booleans in tables, a layer that is no object or
+#: holds an unknown key, and every fault of ``COPIES_FAULTS``
 COMPACT_FAULTS = {
+    "unknown-layer-key": lambda doc: setitem(doc["layers"][1], "meta", 1),
+    **{f"copies-line-{name}": mutate
+       for name, (mutate, _) in COPIES_FAULTS.items()},
     "empty-layer-list": lambda doc: setitem(doc, "layers", []),
     "layer-not-an-object": lambda doc: setitem(doc["layers"], 1, 5),
     "missing-layer-key": lambda doc: doc["layers"][0].pop("entries"),
@@ -633,7 +792,7 @@ EDIT_CHARS = "0123456789,[]-+.eE \f\"x"
 def _inverter_text() -> str:
     """A small relu inverter's compact file: 37 layers, 505 weights, with
     bias and mask rows and powers of two among its values."""
-    return _compact_text(network_to_dict(
+    return compact_text(network_to_dict(
         build_inv(InversionSpec(1, 1.0, 0.1, 0.5), relu_factory)))
 
 
@@ -676,7 +835,7 @@ class TestCompactReader:
         doc = _valid_doc()
         mutate(doc)
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc))
+        path.write_text(compact_text(doc))
         assert _refusal(load_network, path) == _refusal(network_from_dict,
                                                         doc)
 
@@ -691,7 +850,7 @@ class TestCompactReader:
         pos = next(p for p, layer in enumerate(doc["layers"]) if layer[table])
         doc["layers"][pos][table][0] = row
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc))
+        path.write_text(compact_text(doc))
         message = f"bad network file: layer {pos} {what}, got {row!r}"
         assert _refusal(network_from_dict, doc) == message
         assert _refusal(load_network, path) == message
@@ -712,7 +871,7 @@ class TestCompactReader:
             "label-not-json"])
     def test_invalid_json_is_named_as_json_load_names_it(self, tmp_path,
                                                           edit):
-        lines = _compact_text(_valid_doc()).splitlines(keepends=True)
+        lines = compact_text(_valid_doc()).splitlines(keepends=True)
         broken = "".join(edit(lines))
         with pytest.raises(json.JSONDecodeError) as info:
             json.loads(broken)
@@ -755,6 +914,47 @@ class TestCompactReader:
         assert mnn_equal(load_network(path), net)
 
 
+class TestCopiesLines:
+    def test_two_copies_are_the_writers_document(self, tmp_path):
+        net = relu_factory.build(GadgetSpec(0.3, 1.0))
+        doc = _valid_doc()
+        _two_copies(doc)
+        assert doc == network_to_dict(parallelize([net, net]))
+        path = tmp_path / "net.json"
+        path.write_text(compact_text(doc))
+        with mock.patch.object(json, "load", _no_json_load):
+            assert mnn_equal(load_network(path), parallelize([net, net]))
+
+    @pytest.mark.parametrize("mutate, reason", COPIES_FAULTS.values(),
+                             ids=COPIES_FAULTS.keys())
+    def test_faults_are_named(self, mutate, reason):
+        # each is also refused alike by the text parser and in every
+        # layout (COMPACT_FAULTS, LAYOUT_FAULTS)
+        doc = _valid_doc()
+        mutate(doc)
+        assert _refusal(network_from_dict, doc) == (
+            f"bad network file: {reason}")
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (lambda doc: setitem(doc, "meta", 1), "unknown key 'meta'"),
+        (lambda doc: setitem(doc["layers"][1], "meta", 1),
+         "layer 1 unknown key 'meta'")],
+        ids=["top-level", "layer"])
+    @pytest.mark.parametrize("indent", [None, 1], ids=["one-line", "indented"])
+    def test_unknown_keys_are_refused_by_name(self, tmp_path, mutate, reason,
+                                              indent):
+        # a field that a later version adds is refused, not ignored: a
+        # reader that ignored "copies" would load a copies line's block as
+        # its whole layer
+        doc = _valid_doc()
+        mutate(doc)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc, indent=indent))
+        assert _refusal(load_network, path) == f"bad network file: {reason}"
+        assert _refusal(network_from_dict, doc) == (
+            f"bad network file: {reason}")
+
+
 #: layer-chain faults of the relu gadget's document (out/in shapes (1, 4)
 #: from (1, 2), (1, 5) from (1, 4), (1, 1) from (1, 5); rho on layers 0 and
 #: 1), each with the refusal both readers give it
@@ -793,7 +993,7 @@ class TestLayerChain:
         doc = _valid_doc()
         mutate(doc)
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc) if indent is None
+        path.write_text(compact_text(doc) if indent is None
                         else json.dumps(doc, indent=indent))
         assert _refusal(load_network, path) == f"bad network file: {reason}"
         assert _refusal(network_from_dict, doc) == (
@@ -900,7 +1100,7 @@ class TestSharedLines:
         # the first; the chain rules still refuse it at its own position
         doc = {"activation": "relu", "layers": layers}
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc))
+        path.write_text(compact_text(doc))
         lines = path.read_text().split("\n")
         assert "," + lines[1] == lines[3]
         with open(path, encoding="utf-8") as fh, \
@@ -966,7 +1166,7 @@ class TestEveryLayout:
         doc = _valid_doc()
         mutate(doc)
         compact, indented = tmp_path / "compact.json", tmp_path / "ind.json"
-        compact.write_text(_compact_text(doc) + tail)
+        compact.write_text(compact_text(doc) + tail)
         indented.write_text(json.dumps(doc, indent=1) + tail)
         want = ("bad network file: not valid JSON (Extra data)" if tail
                 else _refusal(network_from_dict, doc))
@@ -1051,7 +1251,7 @@ class TestTextParser:
         doc = _valid_doc()
         table, row, pos = cell
         doc["layers"][1][table][row][pos] = SENTINEL
-        text = _compact_text(doc)
+        text = compact_text(doc)
         assert text.count(str(SENTINEL)) == 1
         path = tmp_path / "net.json"
         path.write_text(text.replace(str(SENTINEL), spelling))
@@ -1067,7 +1267,7 @@ class TestTextParser:
         doc = _valid_doc()
         doc["layers"][0]["mask_rho"] = [[SENTINEL]]
         path = tmp_path / "net.json"
-        path.write_text(_compact_text(doc).replace(f"[[{SENTINEL}]]", table))
+        path.write_text(compact_text(doc).replace(f"[[{SENTINEL}]]", table))
         _assert_same_outcome(_outcome(load_network, path),
                              _json_reference(path))
 
@@ -1182,7 +1382,7 @@ class TestEncoding:
 
     @pytest.mark.parametrize("data", [
         b"\x89PNG\r\n\x1a\n\x00\x00",
-        _compact_text(_valid_doc()).replace("relu", "\xe9").encode("latin-1"),
+        compact_text(_valid_doc()).replace("relu", "\xe9").encode("latin-1"),
     ], ids=["png", "latin-1-label"])
     def test_other_bytes_are_refused(self, tmp_path, data):
         with pytest.raises(UnicodeDecodeError) as info:
