@@ -39,14 +39,27 @@ with tempfile.TemporaryDirectory(prefix="snn-demo-") as tmp:
     same = np.array_equal(realize(net, X), realize(back, X))
     print(f"  realization identical bit for bit: {same}")
 
-    doc = json.loads(path.read_text())
-    layer = doc["layers"][0]
-    # a layer of r copies of one block stores the block's tables once
-    copies, block = layer.get("copies", 1), layer.get("block", layer)
-    print(f"  file holds {len(doc['layers'])} layers; the first maps "
-          f"{layer['in_rows']}x{layer['in_cols']} -> "
-          f"{layer['out_rows']}x{layer['out_cols']} with "
-          f"{copies} copies of a block of {len(block['entries'])} entries")
+    def describe(doc):
+        # a layer of copied blocks stores each distinct block's tables
+        # once, under "block": "copies" is r copies of one block, or the
+        # runs [r, rows, input rows] of blocks stacked by rows
+        layer = doc["layers"][0]
+        copies, block = layer.get("copies", 1), layer.get("block", layer)
+        if not isinstance(copies, list):
+            copies = [[copies, layer["out_rows"] // copies,
+                       layer["in_rows"] // copies]]
+        runs = " beside ".join(f"{r} x a {o}-row block" for r, o, _ in copies)
+        print(f"  file holds {len(doc['layers'])} layers; the first maps "
+              f"{layer['in_rows']}x{layer['in_cols']} -> "
+              f"{layer['out_rows']}x{layer['out_cols']} as {runs}; its "
+              f"block stores {len(block['entries'])} entries")
+
+    describe(json.loads(path.read_text()))
+    odd = workdir / "square3.json"
+    save_network(build_str_square(3, 0.5, 1.0, relu2_factory), odd)
+    print(f"  a 3x3 square, padded to 4x4, saved in {odd.stat().st_size} "
+          "bytes:")
+    describe(json.loads(odd.read_text()))
 
     print("\n== the same flow through the CLI ==")
     net_path, C_path = str(workdir / "net.json"), str(workdir / "C.csv")

@@ -167,10 +167,11 @@ class _ReadOnly:
         construction, as ``combinators._stack_layers`` (stacked maps, masks
         and layers), ``combinators.parallelize`` (the stacked layers),
         ``scale_output``, ``combinators.concat`` (two valid networks,
-        joined where it checked them), ``ActivationMask.from_positions``
-        and ``io._built`` (a mask and a bias set from positions and values
-        the storage rule took) pass them.  Arrays are frozen, not
-        copied."""
+        joined where it checked them), ``ActivationMask.from_positions``,
+        ``io._built`` (a mask and a bias set from positions and values
+        the storage rule took) and ``io._blocked``, ``io._runs`` and
+        ``io._tiled`` (blocks cut or gathered from a valid layer's arrays)
+        pass them.  Arrays are frozen, not copied."""
         obj = cls.__new__(cls)
         obj._store(*parts)
         return obj

@@ -11,16 +11,33 @@ diagonal of its flattened operator, as most layers of a Strassen
 multiplier are, is a copies line: its own four shape fields, ``"copies":
 r`` and, under ``"block"``, B's three tables.  The writer takes r as the
 gcd of ``core._copies``' count and both row counts, so B has the shape
-``(out_rows / r, out_cols) <- (in_rows / r, in_cols)``.  Both readers
-check r by the size rule (an integer >= 2) and its division of both row
-counts, read B at its own shape by the one storage rule, so that an entry
-outside B's block is refused by name, and rebuild the layer by
-``combinators._stack_layers([B] * r)``'s tiling, whose arrays are those
-of the built layer.  A copies line holds no ``entries`` key of its own,
-so a reader that predates it refuses it (``missing key 'entries'``);
-unknown keys are refused too, at every level, so a later field cannot be
-ignored.  A file without copies lines, as earlier versions wrote every
-file, loads as before.
+``(out_rows / r, out_cols) <- (in_rows / r, in_cols)``.  A layer that is
+not, but is a row stack of runs, run p being r_p copies of a block B_p of
+o_p matrix rows that reads only its own band of i_p input rows, as an
+inverter's square beside its carry of A is, is a run line: ``"copies"``
+lists the runs' ``[r_p, o_p, i_p]`` and ``"block"`` holds one table set,
+that of the row stack of the distinct B_p, of shape ``(sum of o_p,
+out_cols) <- (sum of i_p, in_cols)``; each B_p keeps the layer's column
+counts, so a narrower child's padding columns are empty positions.  The
+writer cuts a layer with r = 1 where every earlier matrix row reads only
+input rows below every later row's, runs equal consecutive pieces
+together, and writes the run form only where it holds fewer table rows
+than the plain line (``_runs``).  A copies line of count r is the run
+line ``[[r, out_rows / r, in_rows / r]]``; both are read by one rule.
+Both readers check r by the size rule (an integer >= 2) and its division
+of both row counts, or each run's three fields by the size rule (integers
+>= 1) and that the runs hold ``out_rows`` and ``in_rows`` rows; read the
+block at its own shape by the one storage rule, so that an entry outside
+it is refused by name, and, where there are several runs, refuse by name
+an entry that reads outside its own run's input band; and rebuild the
+layer by ``combinators._stack_layers``: each B_p, cut from the block,
+tiled r_p times and the runs stacked, whose arrays are those of the built
+layer.  A copies line holds no ``entries`` key of its own, so a reader
+that predates it refuses it (``missing key 'entries'``), and a reader
+that predates run lines refuses a list of runs (``copies must be an
+integer, got [[...``); unknown keys are refused too, at every level, so a
+later field cannot be ignored.  A file without copies lines, as earlier
+versions wrote every file, loads as before.
 Files are written compactly, one line per layer: a header line
 ``{"activation":<label>,"layers":[``, then each layer as one JSON object
 without whitespace, every one after the first led by a comma, then ``]}``.
@@ -59,13 +76,17 @@ other bytes are refused.
 Loading only parses: it refuses, naming the layer and the first offending
 entry, a missing or unknown key, shape fields that are not integers >= 1
 (the size rule ``core._count``), a copies count that is not an integer
->= 2 or does not divide both row counts, and rows of the wrong length or
-holding non-numbers (booleans included).  Everything else is refused by
-the rules of ``core``, which built networks follow too, with core's text
-after ``bad network file: ``: the storage rule of a layer's tables (after
-``layer L ``, or ``layer L block `` in a copies line), and the label,
-layer-chain and final-layer rules of a network, the chain checked as each
-layer arrives.
+>= 2 or does not divide both row counts, a run that is not three integers
+>= 1, runs that do not hold the layer's rows, an entry of a run line's
+block outside its run's input band, rows of the wrong length or holding
+non-numbers (booleans included), and shapes whose arrays do not fit in
+memory (``layer L of shape (o, c) <- (i, d) does not fit in memory``, or
+``layer L block ...``), which a file of a few bytes can declare.
+Everything else is refused by the rules of ``core``, which built networks
+follow too, with core's text after ``bad network file: ``: the storage
+rule of a layer's tables (after ``layer L ``, or ``layer L block `` in a
+copies line), and the label, layer-chain and final-layer rules of a
+network, the chain checked as each layer arrives.
 
 Matrices travel as plain CSV, one row per line, full float precision.
 Only real matrices are written, and a file with no numbers is refused.
@@ -106,15 +127,18 @@ ROW_DTYPE = {key: np.dtype([("at", np.int64, (width - 1,)),
 
 
 def _blocked(layer: Layer):
-    """``(r, B)``: the layer as ``kron(I_r, B)``, r the largest copy count
-    ``core._copies`` finds, cut to divide both row counts (its gcd with
-    them), and B its first block, of shape ``(out_rows / r, out_cols) <-
-    (in_rows / r, in_cols)``, built on views of the layer's arrays; B is
-    the layer itself where r is 1."""
+    """``(copies, B)``: how the layer's line holds it.  Where it is
+    ``kron(I_r, B)``, copies is r, the largest copy count ``core._copies``
+    finds, cut to divide both row counts (its gcd with them), and B its
+    first block, of shape ``(out_rows / r, out_cols) <- (in_rows / r,
+    in_cols)``, built on views of the layer's arrays.  Otherwise, where it
+    is a row stack of runs that its block holds in fewer table rows
+    (``_runs``), copies is the list of runs' ``[r_p, o_p, i_p]`` and B the
+    row stack of their blocks; else copies is None and B the layer."""
     m = layer.map
     r = math.gcd(_copies(layer), m.out_shape.rows, m.in_shape.rows)
     if r == 1:
-        return 1, layer
+        return _runs(layer) or (None, layer)
     out_shape = MatrixShape(m.out_shape.rows // r, m.out_shape.cols)
     in_shape = MatrixShape(m.in_shape.rows // r, m.in_shape.cols)
     bo = out_shape.size
@@ -125,6 +149,87 @@ def _blocked(layer: Layer):
     mask = ActivationMask._from_valid(out_shape,
                                       layer.mask.rho[:out_shape.rows])
     return r, Layer._from_valid(linmap, layer.bias[:out_shape.rows], mask)
+
+
+def _runs(layer: Layer):
+    """``(runs, B)`` where the layer is a row stack of runs, run p being
+    r_p copies of a block B_p of o_p matrix rows reading i_p input rows,
+    and B, the row stack of the distinct B_p, holds fewer table rows than
+    the layer; else None.  ``runs`` lists the ``[r_p, o_p, i_p]``.
+
+    The layer is cut after each matrix row t where every row up to t reads
+    only input rows below ``cut``, the one after the last they read, and
+    every later row reads only rows from ``cut`` on (prefix max < suffix
+    min).  Where rows that read nothing leave several cuts with one input
+    cut, the last is taken, so each such row joins the unit before it.
+    Consecutive equal units form a run: each unit is compared with the
+    next by arrays shifted by its own size, as ``core._copies`` compares
+    blocks, so no Python loop runs per unit.  Every B_p keeps the layer's
+    column counts: a narrower child's padding columns are empty
+    positions."""
+    m = layer.map
+    (rows, oc), (in_rows, ic) = m.out_shape, m.in_shape
+    starts = m.indptr[::oc]  # each matrix row's first entry, then the end
+    k = m.indices // ic  # the input row each entry reads
+    lo, hi = np.full(rows, in_rows), np.full(rows, -1)
+    read = np.flatnonzero(starts[1:] > starts[:-1])
+    if len(read):
+        lo[read] = np.minimum.reduceat(k, starts[read])
+        hi[read] = np.maximum.reduceat(k, starts[read])
+    cut = np.maximum.accumulate(hi)[:-1] + 1
+    after = np.minimum.accumulate(lo[::-1])[::-1][1:]
+    t = np.flatnonzero((cut <= after) & (cut >= 1) & (cut < in_rows))
+    if not len(t):
+        return None
+    t = t[np.append(cut[t][1:] != cut[t][:-1], True)]
+    out_edges = np.concatenate([[0], t + 1, [rows]])
+    in_edges = np.concatenate([[0], cut[t], [in_rows]])
+    o, i = np.diff(out_edges), np.diff(in_edges)
+    # positions: entry count, bias and rho; entries: input position from
+    # the unit's first input row, and value.  ``bad`` counts, per unit,
+    # the places where it differs from the same place one unit on
+    size, at = o * oc, m.indptr[out_edges * oc]
+    n_unit = np.diff(at)
+    unit = np.repeat(np.arange(len(o)), n_unit)  # each entry's unit
+    rel = m.indices - (in_edges[:-1] * ic)[unit]
+    bad = np.zeros(len(o), dtype=np.int64)
+    for arrays, width, edges in (
+            ((np.diff(m.indptr), layer.bias.reshape(-1),
+              layer.mask.rho.reshape(-1)), size, out_edges * oc),
+            ((rel, m.val), n_unit, at)):
+        n = len(arrays[0])
+        there = np.arange(n) + np.repeat(width, width)
+        inside = there < n
+        there = np.where(inside, there, 0)
+        differ = np.zeros(n, dtype=bool)
+        for a in arrays:
+            differ |= a != a[there]
+        seen = np.concatenate([[0], np.cumsum(differ & inside)])
+        bad += seen[edges[1:]] - seen[edges[:-1]]
+    first = np.ones(len(o), dtype=bool)
+    first[1:] = (o[1:] != o[:-1]) | (i[1:] != i[:-1]) | (bad[:-1] > 0)
+    # table rows of each unit: entries, bias entries, mask entries
+    held = np.concatenate([[0], np.cumsum(
+        (layer.bias != 0).sum(1) + layer.mask.rho.sum(1))])[out_edges]
+    held = n_unit + np.diff(held)
+    if held[first].sum() >= held.sum():
+        return None
+    r = np.diff(np.append(np.flatnonzero(first), len(o)))
+    lead = np.zeros(len(o), dtype=np.int64)
+    lead[first] = np.cumsum(i[first]) - i[first]
+    keep = first[unit]
+    out_shape = MatrixShape(int(o[first].sum()), oc)
+    in_shape = MatrixShape(int(i[first].sum()), ic)
+    indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(m.indptr)[np.repeat(first, size)], out=indptr[1:])
+    linmap = SparseLinearMap._from_valid(
+        out_shape, in_shape, indptr, rel[keep] + (lead * ic)[unit[keep]],
+        m.val[keep])
+    kept = np.repeat(first, o)
+    block = Layer._from_valid(linmap, layer.bias[kept],
+                              ActivationMask._from_valid(
+                                  out_shape, layer.mask.rho[kept]))
+    return np.stack([r, o[first], i[first]], 1).tolist(), block
 
 
 def _rows(layer: Layer):
@@ -139,22 +244,23 @@ def _rows(layer: Layer):
 def network_to_dict(net: MNN) -> dict:
     """Plain-dict form of a network (the JSON document structure).
 
-    A layer that is r > 1 copies of one block B (``_blocked``) is a
-    copies line: its four shape fields, ``"copies": r`` and, under
-    ``"block"``, B's three tables at B's shape.  Every other layer holds
-    its own tables."""
+    A layer that is r > 1 copies of one block B, or a row stack of runs
+    of copied blocks (``_blocked``), is a copies line: its four shape
+    fields, ``"copies"`` (r, or the runs' ``[r_p, o_p, i_p]``) and, under
+    ``"block"``, the tables of B or of the runs' stacked blocks.  Every
+    other layer holds its own tables."""
     layers = []
     for layer in net.layers:
-        r, block = _blocked(layer)
+        copies, block = _blocked(layer)
         tables = {key: positions.tolist() if values is None
                   else [[*p, v] for p, v in zip(positions.tolist(),
                                                 values.tolist())]
                   for key, (positions, values) in zip(TABLES, _rows(block))}
         spec = dict(zip(SHAPE_KEYS, (*layer.out_shape, *layer.in_shape)))
-        if r > 1:
-            spec.update(copies=r, block=tables)
-        else:
+        if copies is None:
             spec.update(tables)
+        else:
+            spec.update(copies=copies, block=tables)
         layers.append(spec)
     return {"activation": net.activation_name, "layers": layers}
 
@@ -162,10 +268,10 @@ def network_to_dict(net: MNN) -> dict:
 #: the compact layout's first line around the JSON label, and its last line
 HEAD, HEAD_END, FOOT = '{"activation":', ',"layers":[\n', "]}\n"
 #: a compact layer line: its shape fields, then its tables or a copies
-#: line's count and block
+#: line's copies and block
 LAYER_LINE = '{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,%s}'
 TABLES_TEXT = '"entries":[%s],"bias":[%s],"mask_rho":[%s]'
-COPIES_TEXT = '"copies":%d,"block":{%s}'
+COPIES_TEXT = '"copies":%s,"block":{%s}'
 
 
 def _spelled(column: np.ndarray, spell, lead: str, tail: str,
@@ -216,12 +322,13 @@ def _table(spellings: dict, positions: np.ndarray, values=None) -> str:
 
 def _line(spellings: dict, layer: Layer) -> str:
     """Layer ``layer``'s compact line, without its lead or newline: a
-    copies line where it is r > 1 copies of one block (``_blocked``)."""
-    r, block = _blocked(layer)
+    copies line where it is r > 1 copies of one block or a row stack of
+    runs (``_blocked``)."""
+    copies, block = _blocked(layer)
     tables = TABLES_TEXT % tuple(_table(spellings, *pair)
                                  for pair in _rows(block))
-    if r > 1:
-        tables = COPIES_TEXT % (r, tables)
+    if copies is not None:  # an int, or a list of lists of ints
+        tables = COPIES_TEXT % (str(copies).replace(" ", ""), tables)
     return LAYER_LINE % (*layer.out_shape, *layer.in_shape, tables)
 
 
@@ -237,7 +344,10 @@ def save_network(net: MNN, path) -> None:
     once: the line of one that the network holds more than once, as built
     networks do, is kept until its last position is written.  A layer of
     r > 1 copies of one block B is a copies line, which spells only B's
-    tables (``_blocked``); there is no option to spell every copy."""
+    tables, and a row stack of runs of copied blocks a run line, which
+    spells one table set for the stacked distinct blocks, where that holds
+    fewer table rows (``_blocked``); there is no option to spell every
+    copy."""
     spellings, lines = {}, {}
     left = Counter(net.layers)  # positions still to write, by layer object
     with open(path, "w", encoding="utf-8") as fh:
@@ -292,20 +402,43 @@ def _keys(spec: dict, keys) -> None:
 
 
 def _block_shape(dims, copies):
-    """``(B's shape fields, r)`` of a copies line with shape fields
-    ``dims``: r by the size rule, at least 2, and B's row counts the
-    layer's divided by r, each refused where r does not divide it."""
-    r = _count("copies", copies, 2)
-    for key, rows in zip(("out_rows", "in_rows"), dims[::2]):
-        if rows % r:
-            raise ValueError(f"{key} {rows} is not a multiple of copies {r}")
-    return [dims[0] // r, dims[1], dims[2] // r, dims[3]], r
+    """``(B's shape fields, runs)`` of a copies line with shape fields
+    ``dims``, runs listing each run's ``[r_p, o_p, i_p]``.  A count r is
+    taken by the size rule, at least 2, as one run of r blocks of the
+    layer's row counts divided by r, each refused where r does not divide
+    it; a list holds the runs, each three integers >= 1, whose rows must
+    sum to the layer's.  B, the row stack of the runs' blocks, has shape
+    ``(sum of o_p, out_cols) <- (sum of i_p, in_cols)``."""
+    if not isinstance(copies, list):
+        r = _count("copies", copies, 2)
+        for key, rows in zip(("out_rows", "in_rows"), dims[::2]):
+            if rows % r:
+                raise ValueError(
+                    f"{key} {rows} is not a multiple of copies {r}")
+        block = [dims[0] // r, dims[1], dims[2] // r, dims[3]]
+        return block, [[r, block[0], block[2]]]
+    if not copies:
+        raise ValueError("copies must not be an empty list")
+    runs = []
+    for p, run in enumerate(copies):
+        if not (isinstance(run, list) and len(run) == 3):
+            raise ValueError(f"copies {p} must be [r, out_rows, in_rows], "
+                             f"got {run!r:.60}")
+        runs.append([_count(f"copies {p} {name}", n)
+                     for name, n in zip(("r", "out_rows", "in_rows"), run)])
+    for key, rows, at in zip(("out_rows", "in_rows"), dims[::2], (1, 2)):
+        held = sum(run[0] * run[at] for run in runs)
+        if held != rows:
+            raise ValueError(
+                f"{key} {rows} is not the {held} rows the copies hold")
+    return [sum(run[1] for run in runs), dims[1],
+            sum(run[2] for run in runs), dims[3]], runs
 
 
 def _layer(pos: int, spec) -> Layer:
     """Layer ``pos`` from its JSON object, refused like a built one after
     ``layer L ``; a fault in a copies line's block after ``layer L block
-    ``.  A copies line's layer is its block's, tiled r times."""
+    ``.  A copies line's layer is tiled from its block (``_tiled``)."""
     try:
         if not isinstance(spec, dict):
             raise ValueError("must be an object")
@@ -314,18 +447,28 @@ def _layer(pos: int, spec) -> Layer:
         dims = [_count(key, spec[key]) for key in SHAPE_KEYS]
         if not copied:
             return _built(dims, *(_read_table(spec, key) for key in TABLES))
-        dims, r = _block_shape(dims, spec["copies"])
+        block_dims, runs = _block_shape(dims, spec["copies"])
         try:
             block = spec["block"]
             if not isinstance(block, dict):
                 raise ValueError("must be an object")
             _keys(block, TABLES)
-            block = _built(dims, *(_read_table(block, key) for key in TABLES))
+            block = _stacked(block_dims, runs,
+                             *(_read_table(block, key) for key in TABLES))
         except ValueError as exc:
             raise ValueError(f"block {exc}") from None
-        return _stack_layers([block] * r)
+        return _tiled(dims, block, runs)
     except ValueError as exc:
         raise ValueError(f"layer {pos} {exc}") from None
+
+
+def _too_large(dims) -> ValueError:
+    """The refusal of a ``MemoryError`` (or an ``OverflowError``, for a
+    count past what an index holds) raised while building shape ``dims``:
+    a file of a few bytes can declare shapes whose arrays no memory
+    holds."""
+    return ValueError(f"of shape ({dims[0]}, {dims[1]}) <- ({dims[2]}, "
+                      f"{dims[3]}) does not fit in memory")
 
 
 def _built(dims, entries, bias, mask) -> Layer:
@@ -336,23 +479,84 @@ def _built(dims, entries, bias, mask) -> Layer:
     values that rule took, and the mask is ``from_positions``'s, so the
     layer is stored as it is (``Layer._from_valid``), not checked again."""
     out_shape, in_shape = MatrixShape(*dims[:2]), MatrixShape(*dims[2:])
-    linmap = SparseLinearMap(out_shape, in_shape, *entries)
-    key, values = _stored_rows(TABLES["bias"][0], bias[0], out_shape,
-                               bias[1])
-    dense = np.zeros(out_shape)
-    dense.reshape(-1)[key] = values
-    return Layer._from_valid(linmap, dense,
-                             ActivationMask.from_positions(out_shape, mask[0]))
+    try:
+        linmap = SparseLinearMap(out_shape, in_shape, *entries)
+        key, values = _stored_rows(TABLES["bias"][0], bias[0], out_shape,
+                                   bias[1])
+        dense = np.zeros(out_shape)
+        dense.reshape(-1)[key] = values
+        mask = ActivationMask.from_positions(out_shape, mask[0])
+    except (MemoryError, OverflowError):
+        raise _too_large(dims) from None
+    return Layer._from_valid(linmap, dense, mask)
+
+
+def _stacked(dims, runs, entries, bias, mask) -> Layer:
+    """B, the row stack of a copies line's blocks, of shape fields
+    ``dims``, from its three tables (``_built``).  Where there are several
+    runs, the first entry, in table order, that reads an input row
+    outside its own run's band of input rows is refused by position."""
+    block = _built(dims, entries, bias, mask)
+    if len(runs) > 1:
+        o, i = np.array([run[1:] for run in runs], dtype=np.int64).T
+        out_end, in_end = np.cumsum(o), np.cumsum(i)
+        # whole and in range: the storage rule took them
+        at = np.asarray(entries[0]).astype(np.int64)
+        run = np.searchsorted(out_end, at[:, 0], side="left")
+        ok = (at[:, 2] <= in_end[run]) & (at[:, 2] > (in_end - i)[run])
+        if not ok.all():
+            e = int(np.argmin(ok))
+            p = int(run[e])
+            raise ValueError(
+                f"entry {e} {at[e].tolist() + [float(entries[1][e])]} "
+                f"reads outside run {p}'s input rows "
+                f"{in_end[p] - i[p] + 1} to {in_end[p]}")
+    return block
+
+
+def _tiled(dims, block: Layer, runs) -> Layer:
+    """The layer of shape fields ``dims`` whose copies line holds ``runs``
+    and block ``block``: each run's B_p, cut from the block (its values,
+    bias and mask views of the block's), tiled r_p times by
+    ``combinators._stack_layers``, and the runs stacked by it, so the
+    arrays are those of the built layer."""
+    parts = [block]
+    if len(runs) > 1:
+        m = block.map
+        oc, ic = m.out_shape.cols, m.in_shape.cols
+        parts, out_start, in_start = [], 0, 0
+        for _, o, i in runs:
+            at = np.s_[out_start * oc:(out_start + o) * oc + 1]
+            first, end = m.indptr[at][[0, -1]]
+            out_shape = MatrixShape(o, oc)
+            linmap = SparseLinearMap._from_valid(
+                out_shape, MatrixShape(i, ic), m.indptr[at] - first,
+                m.indices[first:end] - in_start * ic, m.val[first:end])
+            rows = np.s_[out_start:out_start + o]
+            parts.append(Layer._from_valid(
+                linmap, block.bias[rows],
+                ActivationMask._from_valid(out_shape, block.mask.rho[rows])))
+            out_start, in_start = out_start + o, in_start + i
+    try:
+        tiled = [part if r == 1 else _stack_layers([part] * r)
+                 for part, (r, _, _) in zip(parts, runs)]
+        return tiled[0] if len(tiled) == 1 else _stack_layers(tiled)
+    except (MemoryError, OverflowError):
+        raise _too_large(dims) from None
 
 
 #: a compact layer line after its lead: each shape spelled as
 #: ``json.dumps`` spells an integer >= 1, then the three tables' texts, or
-#: a copies line's count, spelled alike, and its block's three tables
-LAYER_TEXT = re.compile(r'\{"out_rows":([1-9][0-9]*),"out_cols":([1-9][0-9]*),'
-                        r'"in_rows":([1-9][0-9]*),"in_cols":([1-9][0-9]*),'
-                        r'(?:"copies":([1-9][0-9]*),"block":\{)?'
-                        r'"entries":([^"]*),"bias":([^"]*),"mask_rho":([^"]*)'
-                        r'\}(?(5)\})\n')
+#: a copies line's copies, a count or a list of runs spelled alike, and
+#: its block's three tables
+_COUNT = r"[1-9][0-9]*"
+_RUN = rf"\[{_COUNT},{_COUNT},{_COUNT}\]"
+LAYER_TEXT = re.compile(
+    rf'\{{"out_rows":({_COUNT}),"out_cols":({_COUNT}),'
+    rf'"in_rows":({_COUNT}),"in_cols":({_COUNT}),'
+    rf'(?:"copies":({_COUNT}|\[{_RUN}(?:,{_RUN})*\]),"block":\{{)?'
+    r'"entries":([^"]*),"bias":([^"]*),"mask_rho":([^"]*)'
+    r'\}(?(5)\})\n')
 #: the bytes a table of JSON numbers is written with
 TABLE_BYTES = b"0123456789,[]-+.eE"
 #: what stands right before and right after a run of digits that is a
@@ -429,8 +633,8 @@ def _parsed_table(text: str, key: str):
 def _parsed_layer(line: str, start: int) -> Layer:
     """The layer on a compact line after its lead, ``start`` characters
     long, read by numpy's text parser without the JSON document, each
-    table cut once from the line; a copies line's layer is its block's,
-    tiled r times.  Only a line laid out as ``LAYER_LINE`` writes it,
+    table cut once from the line; a copies line's layer is tiled from its
+    block (``_tiled``).  Only a line laid out as ``LAYER_LINE`` writes it,
     whose tables pass ``_parsed_table`` and whose layer the storage rule
     takes, is read here; any other raises ``ValueError``.  Shapes must be
     below 2^53: ``json`` reads a table that holds a float value as
@@ -439,13 +643,15 @@ def _parsed_layer(line: str, start: int) -> Layer:
     parts = LAYER_TEXT.fullmatch(line, start)
     _plain(parts is not None)
     *dims, copies, entries, bias, mask = parts.groups()
-    dims, r = [int(n) for n in dims], 1
+    dims = [int(n) for n in dims]
     _plain(max(dims) < 2 ** 53)
-    if copies is not None:
-        dims, r = _block_shape(dims, int(copies))
-    block = _built(dims, *(_parsed_table(text, key) for text, key
-                           in zip((entries, bias, mask), TABLES)))
-    return _stack_layers([block] * r) if r > 1 else block
+    tables = [_parsed_table(text, key)
+              for text, key in zip((entries, bias, mask), TABLES)]
+    if copies is None:
+        return _built(dims, *tables)
+    block_dims, runs = _block_shape(
+        dims, json.loads(copies) if copies[0] == "[" else int(copies))
+    return _tiled(dims, _stacked(block_dims, runs, *tables), runs)
 
 
 def network_from_dict(doc: dict) -> MNN:
@@ -479,9 +685,11 @@ def _read_compact(fh) -> MNN:
     led by a comma, as a later line is, and a later line with that key is
     confirmed if it ends with the first, read again (their bodies are
     equally long); where none does, as on a hash collision, it is parsed
-    as usual.  A copies line ``"copies": r`` is parsed as its block B,
-    at B's shape, and its layer tiled from B r times (``_parsed_layer``),
-    after r is checked as ``network_from_dict`` checks it."""
+    as usual.  A copies line is parsed as its block, at the block's
+    shape, after its count r or its list of runs is checked as
+    ``network_from_dict`` checks it, and its layer is tiled from the
+    block (``_parsed_layer``, ``_tiled``): B r times, or each run's B_p,
+    cut from the stacked block, r_p times, the runs stacked."""
     head = fh.readline()
     _plain(head.startswith(HEAD) and head.endswith(HEAD_END))
     label = json.loads(head[len(HEAD):-len(HEAD_END)])

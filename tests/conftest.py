@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+
+from strassennet import core
 
 
 @pytest.fixture
@@ -44,3 +47,18 @@ def expanded_document(net) -> dict:
             "mask_rho": (np.argwhere(layer.mask.rho) + 1).tolist(),
         })
     return {"activation": net.activation_name, "layers": layers}
+
+
+def program_digest(net) -> str:
+    """The sha256 of ``core._compile(net)``: every field of every step, an
+    array by its dtype, shape and bytes and anything else by its ``repr``,
+    then the tile and the height."""
+    steps, tile, height = core._compile(net)
+    h = hashlib.sha256()
+    for field in [*(field for step in steps for field in step), tile, height]:
+        if isinstance(field, np.ndarray):
+            h.update(f"{field.dtype}{field.shape}".encode())
+            h.update(field.tobytes())
+        else:
+            h.update(repr(field).encode())
+    return h.hexdigest()

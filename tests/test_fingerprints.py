@@ -16,11 +16,9 @@ should keep it.
 
 import hashlib
 
-import numpy as np
 import pytest
-from conftest import compact_text, expanded_document
+from conftest import compact_text, expanded_document, program_digest
 
-from strassennet import core
 from strassennet.core import identity_mnn, scale_output
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_fill, build_inv, build_neu
@@ -132,7 +130,8 @@ DIGESTS = {
 
 
 #: case -> sha256 of the file ``save_network`` writes, in which a layer of
-#: r > 1 copies of one block is a copies line
+#: r > 1 copies of one block is a copies line, and a row stack of runs of
+#: copied blocks, where that is shorter, a run line
 FILES = {
     "fill-3-1":
         "92d54221a71fff1f310f30fb76e7e93f3ce26e92580bd6b86c5cce6282203a4d",
@@ -145,37 +144,37 @@ FILES = {
     "inv-relu-n1-d0.9":
         "a1b1a38772d8153adfacde24641f47d71b4524bc02d2b8951ff5ea92e0557d82",
     "inv-relu-n2-d0.5":
-        "91af221cb9cf602f56a052ae63a7df57763a64367520dcd02003edc6dba1c60a",
+        "3412e6368ee2422b584e1bd1df1a9a83e6de321adcb9af40929787ec73f9cd4e",
     "inv-relu-n2-d0.9":
-        "6ed8f9b71785d084350360ed635690176f4a4fc5e0e012e8e7334c94d459644f",
+        "eac2f5b74b8e881180c5c780dbfc49d6d0ed47a73fe7a467839ad69f49174199",
     "inv-relu-n3-d0.5":
-        "91cfb661c045666c3a9807e1e1d9594d5ef29d3cd4d196a0448409ad6b2c47d4",
+        "e06d8d4f77d2ed94ca0f7774fb3082af899a15bb040d2b894da6ebf68b8ac593",
     "inv-relu-n3-d0.9":
-        "a08b3b2f6f1e53188606305e43048c5d32d92d77c81c66ef3b51d5db18909c41",
+        "6574f1b0a8ae08236ebfdee4e76823376c6ec2b072937fc29cd78915127f3c6a",
     "inv-relu-n4-d0.5":
-        "eb29da64285646c1b8f24c09ced2fda121c079de0ac1b9a1c283f6c066edcffd",
+        "0e094e14ac4c94760aee3391d848c4a6d2df9816b9c0bb850cdfc4acb2d119f2",
     "inv-relu-n4-d0.9":
-        "6ee7ef67ae759791d568b99fa2bae89b99a6ec0c336dbdfe88a6c21767fad2e2",
+        "5cef06a667753d26b5261e990549fd61f4fc40ef7b44697b4cba71ef106d57dc",
     "inv-relu2-n1-d0.5":
         "22dd5d7c4e1d797976bb18be58e025e21611b228c9d6fa86243e506a0a8e1492",
     "inv-relu2-n1-d0.9":
         "84e7c5fd2078fafbeed8a10923042a3621ca216550b89bf16e993d58f45b53b1",
     "inv-relu2-n2-d0.5":
-        "5d1fc3398b674227156221d795eeeb1bc19522ee735661f8f603ca63460d111e",
+        "0c79c1c8bd37fb7dce783cf744e422056fc4ffb91ea74232101d5c39bc931132",
     "inv-relu2-n2-d0.9":
-        "14671039f774ac3db9690783c1c39d1a0c019ac112d5b6d0050dffaed4ef22cc",
+        "0a5f710af1128f76f88f58c6f9cfc49ac37bf8df82fcebd8511705f0c6b18bf5",
     "inv-relu2-n3-d0.5":
-        "14c725a7cfb80d244abdc640c88e0fbe91593d73ef80c21446d9d81d36a41c8a",
+        "e5bc54b5db0dd3117beff1cbb509f59fa23a5525fe9cfb30510bd828a12dbc03",
     "inv-relu2-n3-d0.9":
-        "e21b5ddf4c2edf110d735ad1f8814d42eafafc8e26119f233d37518e5752f23a",
+        "b77830cdb773a6fbb024aa59e9b52789efbdcc3c73e02af0ec6502652d65fb02",
     "inv-relu2-n4-d0.5":
-        "2b255e8e7bde6754773d4eac8d78e85f58e99d79b5aca983c3cfe4732225cc95",
+        "7537b55a383d4f52bf99fe2284bb58de203ba44cb5f14f0f5e31862d736beca2",
     "inv-relu2-n4-d0.9":
-        "f126cbccc02f0faeae5b71382da9128602d9fd85a3dcb41d0f7e8c10ea10b435",
+        "3b5871fcac7b2b273d15e92eb1a61bbc51e6c7434f9f7d10e7cb36e8bd409002",
     "neu-relu-2-2":
-        "b46f538d1893bd4988a3dfbd3d42ba502db6d1650b5f86c4786c530b63d09aab",
+        "0b2d56645a59d9b32d1aa1c6e888baf41c2607ebfed9c77e1280e7d4cb0032ee",
     "neu-relu2-2-2":
-        "8737640e60af3f0b748c1be646514aecb01bfa95e6a25b28aa7f45665a56a31d",
+        "c7650e7b4c51599b9e99e01b19aafbbc920fb52a8bf50337a978479a78163a21",
     "pow2-relu-k0":
         "1e65a39549f0a401e67e9149cc973fe2aa5b7882a80372571d1b858c5fe1a696",
     "pow2-relu-k1":
@@ -193,17 +192,17 @@ FILES = {
     "pow2-relu2-k3":
         "aec00171c57d7b960232294551f7a33fc38bcc23b030e53acd50762ba6dec1b8",
     "rect-relu-5x6x4":
-        "5e7489e3891642d7e8783adef595599f903cedba68380e4ed1c51132f3f4e71f",
+        "046786b30e08a176823075c1ad423606573b9d5706d2898e8db5228ac74ac45c",
     "rect-relu2-5x6x4":
-        "d7a5908e0049b3d48990fa701762358d55db5ae48af87e41a6fd00c26cb44f38",
+        "55c3454c95395ef2552f84ce3c9339c5315341c7db5461536b16f9cd15fdeb76",
     "square-relu-n3":
-        "ac575a3961555fba08f849bd0392099b7a3e55d2c2f278b7a568ee710dc95e77",
+        "5eb49bd1390f4ad7319db63df23ca99f6704a0d4b98c01efc080207d702fc2af",
     "square-relu-n5":
-        "c26075289fc515ae0e6212645a6bdc740e0c944091233d0e39c74aecf701ece1",
+        "3c458f66386fc35a9554fd683cf27bd43ad45510b58109ce1f8e0367fe0b5441",
     "square-relu2-n3":
-        "8e9259ff10713b95494d6a9d1bf549152b8a72c79f805e1a21de884113b5f7e2",
+        "6c8487a324ac4596cf10a8654aed8b610d1038b38a240200281486bcd689b144",
     "square-relu2-n5":
-        "588340bca17835a6d0b16a05d1c4a737831e29f6d9b5f7b1a6cc6e55f35d5a7d",
+        "3a10d2e49ad5b2f5130260f5262050701f1f443d8eb5737e2e0ed26e867e25d3",
 }
 
 
@@ -226,7 +225,7 @@ def test_same_network_same_file(name, tmp_path):
     assert _sha256(path.read_bytes()) == FILES[name]
 
 
-#: case -> sha256 of its compiled program (see ``_program_digest``)
+#: case -> sha256 of its compiled program (see ``conftest.program_digest``)
 PROGRAMS = {
     "pow2-relu-k4": (
         lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory),
@@ -240,28 +239,13 @@ PROGRAMS = {
 }
 
 
-def _program_digest(net) -> str:
-    """The sha256 of ``core._compile(net)``: every field of every step, an
-    array by its dtype, shape and bytes and anything else by its ``repr``,
-    then the tile and the height."""
-    steps, tile, height = core._compile(net)
-    h = hashlib.sha256()
-    for field in [*(field for step in steps for field in step), tile, height]:
-        if isinstance(field, np.ndarray):
-            h.update(f"{field.dtype}{field.shape}".encode())
-            h.update(field.tobytes())
-        else:
-            h.update(repr(field).encode())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_same_network_same_program(name, tmp_path):
     make, digest = PROGRAMS[name]
     built = make()
     save_network(built, tmp_path / "net.json")
     loaded = load_network(tmp_path / "net.json")
-    assert _program_digest(built) == _program_digest(loaded) == digest
+    assert program_digest(built) == program_digest(loaded) == digest
 
 
 @pytest.mark.parametrize("c", [1.0, -2.5])

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import compact_text, expanded_document
+from conftest import compact_text, expanded_document, program_digest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +144,27 @@ IDENTITY_COPIES_FILE = (
     ']}\n')
 
 
+#: two copies of the 1 x 2 identity beside a one-row swap with a bias
+#: entry: its one layer is a run line of two runs, whose block holds the
+#: identity once and the swap
+RUNS_FILE = (
+    '{"activation":null,"layers":[\n'
+    '{"out_rows":3,"out_cols":2,"in_rows":3,"in_cols":2,'
+    '"copies":[[2,1,1],[1,1,1]],"block":{"entries":[[1,1,1,1,1.0],'
+    '[1,2,1,2,1.0],[2,1,2,2,1.0],[2,2,2,1,-1.0]],"bias":[[2,2,0.5]],'
+    '"mask_rho":[]}}\n'
+    ']}\n')
+
+
+def _runs_network() -> MNN:
+    """The network of ``RUNS_FILE``."""
+    swap = MNN([Layer(SparseLinearMap((1, 2), (1, 2), [[1, 1, 1, 2],
+                                                       [1, 2, 1, 1]],
+                                      [1.0, -1.0]), [[0.0, 0.5]])])
+    two = identity_mnn((1, 2), 1)
+    return parallelize([two, two, swap])
+
+
 class TestFileLayout:
     @pytest.mark.parametrize("net, text", [
         (build_split(1), SPLIT_1_FILE),
@@ -170,6 +191,17 @@ class TestFileLayout:
         back = load_network(path)
         assert mnn_equal(back, identity_mnn((2, 3), 2))
         assert back.layers[0] is back.layers[1]
+
+    def test_golden_runs_bytes(self, tmp_path):
+        # the layer is no kron(I_r, B), but a row stack of two runs: its
+        # block holds each distinct block once, and "copies" lists the
+        # runs, which a reader that predates run lines refuses
+        path = tmp_path / "net.json"
+        save_network(_runs_network(), path)
+        assert path.read_text() == RUNS_FILE
+        with mock.patch.object(json, "load", _no_json_load):
+            back = load_network(path)
+        _assert_same_outcome(back, _runs_network())
 
 
 #: networks whose files held every copy of each block before copies lines
@@ -199,26 +231,37 @@ class TestExpandedFiles:
         assert new.read_text() == compact_text(network_to_dict(net))
         assert mnn_equal(network_from_dict(expanded_document(net)), net)
 
-    @pytest.mark.parametrize("build, r, most", [
+    @pytest.mark.parametrize("build, copies, most", [
         (lambda: build_str_pow2(4, 1e-3, 1.0, relu_factory),
          [1, 7, 49, 343, *[2401] * 15, 343, 49, 7, 1], 100_000),
         (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
-         [1] * 34 + [16, 2], 3_000_000)],
+         [1, 1, [[8, 1, 1], [8, 1, 1]], [[1, 28, 8], [8, 1, 1]],
+          [[7, 14, 4], [8, 1, 1]], [[49, 7, 2], [8, 1, 1]],
+          *[[[343, 1, 1], [8, 1, 1]]] * 23, [[49, 2, 7], [8, 1, 1]],
+          [[7, 4, 14], [8, 1, 1]], [[1, 8, 28], [8, 1, 1]],
+          [[8, 1, 1], *[[1, 1, 1]] * 8], 1, 16, 2], 150_000)],
         ids=["relu-pow2-k4", "relu-inverse-n8"])
     def test_benchmark_networks_are_written_as_blocks(self, tmp_path, build,
-                                                      r, most):
+                                                      copies, most):
         # layer 34 of the inverter is 256 copies of one block on 16 rows:
         # its line takes r = 16, the gcd of the copy count and the rows.
-        # Spelling every copy took 11,732,895 and 15,203,073 bytes
+        # Its layers 2-32 are run lines: the square's 343 one-row leaf
+        # blocks (or 7 or 49 split or mix blocks) over the 8-row carry of
+        # A.  Spelling every copy took 11,732,895 and 15,203,073 bytes;
+        # copies lines alone wrote the inverter in 2,614,155
         net = build()
         doc = network_to_dict(net)
         got = [layer.get("copies", 1) for layer in doc["layers"]]
-        assert got[:len(r)] == r
+        assert got[:len(copies)] == copies
         for layer in doc["layers"]:
             if "copies" in layer:
                 assert "entries" not in layer
-                assert layer["out_rows"] % layer["copies"] == 0
-                assert layer["in_rows"] % layer["copies"] == 0
+                runs = layer["copies"]
+                if not isinstance(runs, list):
+                    r = runs
+                    runs = [[r, layer["out_rows"] // r, layer["in_rows"] // r]]
+                assert sum(r * o for r, o, _ in runs) == layer["out_rows"]
+                assert sum(r * i for r, _, i in runs) == layer["in_rows"]
         path = tmp_path / "net.json"
         save_network(net, path)
         assert path.stat().st_size < most
@@ -734,13 +777,115 @@ COPIES_FAULTS = {
 }
 
 
+
+def _beside(doc):
+    """Make ``doc`` the document of its network twice beside a copy of it
+    whose entries are doubled, as ``save_network`` writes it: each layer
+    a run line of runs ``[2, 1, 1]`` and ``[1, 1, 1]`` whose block holds
+    the layer's tables on row 1 and the copy's on row 2."""
+    for layer in doc["layers"]:
+        tables = {key: layer.pop(key) for key in io_module.TABLES}
+        tables["entries"] += [[2, j, 2, l, 2 * v]
+                              for _, j, _, l, v in tables["entries"]]
+        tables["bias"] += [[2, j, v] for _, j, v in tables["bias"]]
+        tables["mask_rho"] += [[2, j] for _, j in tables["mask_rho"]]
+        layer["out_rows"] *= 3
+        layer["in_rows"] *= 3
+        layer.update(copies=[[2, 1, 1], [1, 1, 1]], block=tables)
+
+
+def _in_runs(pos, edit):
+    """A mutation: ``_beside``, then ``edit`` of layer ``pos``."""
+    def mutate(doc):
+        _beside(doc)
+        edit(doc["layers"][pos])
+    return mutate
+
+
+def _run_field(run, field, value):
+    return _in_runs(0, lambda layer: setitem(layer["copies"][run], field,
+                                             value))
+
+
+#: faults of run lines in ``_beside`` the relu gadget (layer 0: a block of
+#: shape (2, 4) from (2, 2), eight entries a row, four mask entries a row;
+#: layer 1: (2, 5) from (2, 4) with two bias entries a row), each with its
+#: refusal
+RUNS_FAULTS = {
+    "run-not-a-list": (
+        _in_runs(0, lambda layer: setitem(layer["copies"], 1, 1)),
+        "layer 0 copies 1 must be [r, out_rows, in_rows], got 1"),
+    "run-of-two": (
+        _in_runs(1, lambda layer: setitem(layer["copies"], 0, [2, 1])),
+        "layer 1 copies 0 must be [r, out_rows, in_rows], got [2, 1]"),
+    "run-of-four": (
+        _in_runs(0, lambda layer: layer["copies"][1].append(1)),
+        "layer 0 copies 1 must be [r, out_rows, in_rows], got [1, 1, 1, 1]"),
+    "no-runs": (_in_runs(0, lambda layer: setitem(layer, "copies", [])),
+                "layer 0 copies must not be an empty list"),
+    **{f"run-{name}-{value!r}": (
+        _run_field(1, field, value),
+        f"layer 0 copies 1 {name} must be an integer, got {value!r}")
+       for field, name in enumerate(("r", "out_rows", "in_rows"))
+       for value in (1.0, True, "1", None)},
+    **{f"run-{name}-{value}": (
+        _run_field(0, field, value),
+        f"layer 0 copies 0 {name} must be >= 1, got {value}")
+       for field, name in enumerate(("r", "out_rows", "in_rows"))
+       for value in (0, -1)},
+    "runs-miss-out-rows": (
+        _run_field(0, 0, 3),
+        "layer 0 out_rows 3 is not the 4 rows the copies hold"),
+    "runs-miss-in-rows": (
+        _run_field(1, 2, 2),
+        "layer 0 in_rows 3 is not the 4 rows the copies hold"),
+    "runs-miss-both": (
+        _in_runs(1, lambda layer: layer["copies"].append([1, 1, 1])),
+        "layer 1 out_rows 3 is not the 4 rows the copies hold"),
+    "entry-outside-its-run": (
+        _in_runs(0, lambda layer: setitem(layer["block"]["entries"][8], 2,
+                                          1)),
+        "layer 0 block entry 8 [2, 1, 1, 1, 1.0] reads outside run 1's "
+        "input rows 2 to 2"),
+    "entry-outside-the-first-run": (
+        _in_runs(1, lambda layer: setitem(layer["block"]["entries"][11], 2,
+                                          2)),
+        "layer 1 block entry 11 [1, 5, 2, 4, -1.0] reads outside run 0's "
+        "input rows 1 to 1"),
+    "entry-outside-the-stacked-block": (
+        _in_runs(0, lambda layer: setitem(layer["block"]["entries"][8], 2,
+                                          3)),
+        "layer 0 block entry 8 [2, 1, 3, 1, 1.0] has an index out of range "
+        "(upper bounds [2, 4, 2, 2])"),
+    "bias-outside-the-stacked-block": (
+        _in_runs(1, lambda layer: setitem(layer["block"]["bias"][3], 0, 3)),
+        "layer 1 block bias entry 3 [3, 4, -0.5] has an index out of range "
+        "(upper bounds [2, 5])"),
+    "unknown-key-in-the-block": (
+        _in_runs(0, lambda layer: setitem(layer["block"], "runs", [])),
+        "layer 0 block unknown key 'runs'"),
+    "unknown-key-beside-the-runs": (
+        _in_runs(1, lambda layer: setitem(layer, "runs", [])),
+        "layer 1 unknown key 'runs'"),
+    "entries-beside-the-runs": (
+        _in_runs(2, lambda layer: setitem(layer, "entries", [])),
+        "layer 2 unknown key 'entries'"),
+    "chain-after-runs": (
+        _in_runs(1, lambda layer: setitem(layer, "in_cols", 5)),
+        "layer 1 input shape (3, 5) does not match layer 0 output shape "
+        "(3, 4)"),
+}
+
 #: every malformed document of ``TestMalformedDocuments`` that the compact
 #: layout can hold, plus booleans in tables, a layer that is no object or
-#: holds an unknown key, and every fault of ``COPIES_FAULTS``
+#: holds an unknown key, and every fault of ``COPIES_FAULTS`` and
+#: ``RUNS_FAULTS``
 COMPACT_FAULTS = {
     "unknown-layer-key": lambda doc: setitem(doc["layers"][1], "meta", 1),
     **{f"copies-line-{name}": mutate
        for name, (mutate, _) in COPIES_FAULTS.items()},
+    **{f"run-line-{name}": mutate
+       for name, (mutate, _) in RUNS_FAULTS.items()},
     "empty-layer-list": lambda doc: setitem(doc, "layers", []),
     "layer-not-an-object": lambda doc: setitem(doc["layers"], 1, 5),
     "missing-layer-key": lambda doc: doc["layers"][0].pop("entries"),
@@ -954,6 +1099,141 @@ class TestCopiesLines:
         assert _refusal(network_from_dict, doc) == (
             f"bad network file: {reason}")
 
+
+#: coefficients of generated layers: few, so that blocks drawn apart can
+#: still be equal
+COEFFS = (1.0, -1.0, 0.5, 2.0, -0.25)
+
+
+def _random_chain(rng, rows, cols, label) -> MNN:
+    """A chain of random layers, layer t of shape ``(rows[t + 1], cols[t +
+    1]) <- (rows[t], cols[t])``: a sparse map whose density may leave
+    rows empty or fill them, bias entries at random positions and, under
+    a label and before the last layer, rho at random positions."""
+    layers = []
+    for t in range(len(rows) - 1):
+        out_shape, in_shape = (rows[t + 1], cols[t + 1]), (rows[t], cols[t])
+        density = rng.choice([0.0, 0.15, 0.5, 1.0])
+        flat = np.flatnonzero(rng.random(np.prod(out_shape + in_shape))
+                              < density)
+        idx = np.stack(np.unravel_index(flat, out_shape + in_shape), 1) + 1
+        bias = np.where(rng.random(out_shape) < 0.3,
+                        rng.choice(COEFFS, out_shape), 0.0)
+        rho = (rng.random(out_shape) < 0.4 if label and t < len(rows) - 2
+               else np.zeros(out_shape, dtype=bool))
+        layers.append(Layer(SparseLinearMap(out_shape, in_shape, idx,
+                                            rng.choice(COEFFS, len(idx))),
+                            bias, ActivationMask(out_shape, rho)))
+    return MNN(layers, label)
+
+
+@st.composite
+def _stacked_networks(draw):
+    """``parallelize`` of 1-3 unequal children, each repeated 1-4 times:
+    chains of 1-3 random layers (``_random_chain``) of 1-3 rows, that
+    share the input and output column counts but not the ones between,
+    so narrower children are padded; a child is itself ``parallelize``
+    of 2 or 3 copies of such a chain in half of the draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 3))
+    label = draw(st.sampled_from(["relu", None]))
+    ends = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    children = []
+    for _ in range(draw(st.integers(1, 3))):
+        cols = [ends[0], *(draw(st.integers(1, 4))
+                           for _ in range(depth - 1)), ends[1]]
+        rows = [draw(st.integers(1, 3)) for _ in range(depth + 1)]
+        child = _random_chain(rng, rows, cols, label)
+        copies = draw(st.sampled_from([1, 1, 2, 3]))
+        if copies > 1:
+            child = parallelize([child] * copies)
+        children += [child] * draw(st.integers(1, 4))
+    return parallelize(children)
+
+
+#: one empty layer whose arrays no memory holds, declared in a few bytes,
+#: as a plain line, a run line whose block is too large and a copies
+#: line whose tiling is, each with its refusal
+HUGE_LAYERS = {
+    "plain": ({"out_rows": 2**50, "out_cols": 1, "in_rows": 1,
+               "in_cols": 1, "entries": [], "bias": [], "mask_rho": []},
+              "layer 0 of shape (1125899906842624, 1) <- (1, 1) does not "
+              "fit in memory"),
+    "block": ({"out_rows": 2**50 + 1, "out_cols": 1, "in_rows": 2,
+               "in_cols": 1, "copies": [[1, 2**50, 1], [1, 1, 1]],
+               "block": {"entries": [], "bias": [], "mask_rho": []}},
+              "layer 0 block of shape (1125899906842625, 1) <- (2, 1) does "
+              "not fit in memory"),
+    "copies": ({"out_rows": 2**50, "out_cols": 1, "in_rows": 2**50,
+                "in_cols": 1, "copies": 2**50,
+                "block": {"entries": [], "bias": [], "mask_rho": []}},
+               "layer 0 of shape (1125899906842624, 1) <- "
+               "(1125899906842624, 1) does not fit in memory"),
+}
+
+
+class TestRunLines:
+    def test_beside_is_the_writers_document(self, tmp_path):
+        net = relu_factory.build(GadgetSpec(0.3, 1.0))
+        doubled = _valid_doc()
+        for layer in doubled["layers"]:
+            for entry in layer["entries"]:
+                entry[4] *= 2
+        built = parallelize([net, net, network_from_dict(doubled)])
+        doc = _valid_doc()
+        _beside(doc)
+        assert doc == network_to_dict(built)
+        path = tmp_path / "net.json"
+        path.write_text(compact_text(doc))
+        with mock.patch.object(json, "load", _no_json_load):
+            _assert_same_outcome(load_network(path), built)
+
+    @pytest.mark.parametrize("mutate, reason", RUNS_FAULTS.values(),
+                             ids=RUNS_FAULTS.keys())
+    def test_faults_are_named(self, mutate, reason):
+        # each is also refused alike by the text parser and in every
+        # layout (COMPACT_FAULTS, LAYOUT_FAULTS)
+        doc = _valid_doc()
+        mutate(doc)
+        assert _refusal(network_from_dict, doc) == (
+            f"bad network file: {reason}")
+
+    @pytest.mark.parametrize("layer, reason", HUGE_LAYERS.values(),
+                             ids=HUGE_LAYERS.keys())
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    def test_shapes_no_memory_holds_are_refused(self, tmp_path, layer,
+                                                reason, indent):
+        # the plain file, 137 bytes, used to raise numpy's MemoryError
+        # ("Unable to allocate 8.00 PiB"); each request fails at once, so
+        # no memory is touched
+        doc = {"activation": None, "layers": [layer]}
+        path = tmp_path / "net.json"
+        path.write_text(compact_text(doc) if indent is None
+                        else json.dumps(doc, indent=indent))
+        assert _refusal(load_network, path) == f"bad network file: {reason}"
+
+    @given(net=_stacked_networks())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_of_unequal_children(self, tmp_path_factory, net):
+        # the file holds what the writer's document says, loads through
+        # the text parser to the built arrays, shares every layer the
+        # built network shares, re-saves byte for byte, reads alike by
+        # json.load and compiles to the built network's program
+        path = tmp_path_factory.mktemp("runs") / "net.json"
+        save_network(net, path)
+        assert path.read_text() == compact_text(network_to_dict(net))
+        with mock.patch.object(json, "load", _no_json_load):
+            back = load_network(path)
+        _assert_same_outcome(back, net)
+        _assert_shared_where_equal(back, path)
+        for built, loaded in zip(net.layers, back.layers):
+            assert back.layers[net.layers.index(built)] is loaded
+        again = path.with_name("again.json")
+        save_network(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        with open(path, encoding="utf-8") as fh:
+            _assert_same_outcome(network_from_dict(json.load(fh)), back)
+        assert program_digest(back) == program_digest(net)
 
 #: layer-chain faults of the relu gadget's document (out/in shapes (1, 4)
 #: from (1, 2), (1, 5) from (1, 4), (1, 1) from (1, 5); rho on layers 0 and
