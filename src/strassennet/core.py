@@ -427,7 +427,8 @@ def _chain(layers: list, layer, label) -> None:
     """The layer-chain rule: append ``layer`` to ``layers``, a chain under
     ``label``, unless it is not a ``Layer``, does not read the last layer's
     output shape, or has rho entries under a None label; a refusal names
-    it by its position from 0.  ``MNN`` and both file readers append here."""
+    it by its position from 0.  ``MNN`` and ``io.network_from_dict`` append
+    here."""
     pos = len(layers)
     if not isinstance(layer, Layer):
         raise ValueError(f"layer {pos} must be a Layer, got "

@@ -9,67 +9,42 @@ as ``[i, j]``, each table in the row-major order ``SparseLinearMap`` keeps.
 A layer that is ``kron(I_r, B)``, r > 1 copies of one block B along the
 diagonal of its flattened operator, as most layers of a Strassen
 multiplier are, is a copies line: its own four shape fields, ``"copies":
-r`` and, under ``"block"``, B's three tables.  The writer takes r as the
-gcd of ``core._copies``' count and both row counts, so B has the shape
-``(out_rows / r, out_cols) <- (in_rows / r, in_cols)``.  A layer that is
-not, but is a row stack of runs, run p being r_p copies of a block B_p of
-o_p matrix rows that reads only its own band of i_p input rows, as an
-inverter's square beside its carry of A is, is a run line: ``"copies"``
-lists the runs' ``[r_p, o_p, i_p]`` and ``"block"`` holds one table set,
-that of the row stack of the distinct B_p, of shape ``(sum of o_p,
-out_cols) <- (sum of i_p, in_cols)``; each B_p keeps the layer's column
-counts, so a narrower child's padding columns are empty positions.  The
-writer cuts a layer with r = 1 where every earlier matrix row reads only
-input rows below every later row's, runs equal consecutive pieces
-together, and writes the run form only where it holds fewer table rows
-than the plain line (``_runs``).  A copies line of count r is the run
-line ``[[r, out_rows / r, in_rows / r]]``; both are read by one rule.
-Both readers check r by the size rule (an integer >= 2) and its division
-of both row counts, or each run's three fields by the size rule (integers
->= 1) and that the runs hold ``out_rows`` and ``in_rows`` rows; read the
-block at its own shape by the one storage rule, so that an entry outside
-it is refused by name, and, where there are several runs, refuse by name
-an entry that reads outside its own run's input band; and rebuild the
-layer by ``combinators._stack_layers``: each B_p, cut from the block,
-tiled r_p times and the runs stacked, whose arrays are those of the built
-layer.  A copies line holds no ``entries`` key of its own, so a reader
-that predates it refuses it (``missing key 'entries'``), and a reader
-that predates run lines refuses a list of runs (``copies must be an
-integer, got [[...``); unknown keys are refused too, at every level, so a
-later field cannot be ignored.  A file without copies lines, as earlier
+r`` and, under ``"block"``, B's three tables, B of shape ``(out_rows / r,
+out_cols) <- (in_rows / r, in_cols)``; the writer takes r as the gcd of
+``core._copies``' count and both row counts.  A layer that is a row stack
+of runs, run p being r_p copies of a block B_p of o_p matrix rows that
+reads only its own band of i_p input rows, as an inverter's square beside
+its carry of A is, is a run line where that holds fewer table rows
+(``_runs``): ``"copies"`` lists the runs' ``[r_p, o_p, i_p]`` and
+``"block"`` holds the tables of the row stack of the distinct B_p, each
+keeping the layer's column counts.  A copies line of count r is the run
+line ``[[r, out_rows / r, in_rows / r]]``, and both are read by one rule
+(``_block_shape``, ``_stacked``, ``_tiled``): the fields by the size rule,
+the block at its own shape by the storage rule, an entry outside its
+run's input band refused by name, and the layer tiled from the block by
+``combinators._stack_layers``, whose arrays are those of the built layer.
+A copies line holds no ``entries`` key of its own, so a reader that
+predates it refuses it (``missing key 'entries'``), and a reader that
+predates run lines refuses a list of runs (``copies must be an integer,
+got [[...``); unknown keys are refused too, at every level, so a later
+field cannot be ignored.  A file without copies lines, as earlier
 versions wrote every file, loads as before.
 Files are written compactly, one line per layer: a header line
 ``{"activation":<label>,"layers":[``, then each layer as one JSON object
 without whitespace, every one after the first led by a comma, then ``]}``.
-The writer formats each line straight from the layer's arrays, so the
-bytes are those of ``network_to_dict`` dumped layer by layer.  Each table
-is one join over its cells, every cell spelled with the text
-``json.dumps`` gives its number and carrying its separators (``,[``
-before a row's first cell, ``,`` before the others, ``]`` after the last).
-An index column whose largest index ``top`` is no larger than the column
-reads its cells from a table of ``str(0..top)``, one per lead and tail,
-made once per file and grown as the layers need it, so that table never
-outgrows the cells of a column that used it; any other column spells its
-distinct numbers once, through ``np.unique``.  Each distinct layer
-object is spelled once, and its line written again at each later position
-of a network that holds it more than once, as built networks do.
-A compact file is read by numpy's text parser (``np.loadtxt``), one
-layer line at a time, without building its document: each table in one
-call, its positions as int64 and its values as float64.  Each distinct
-line is parsed once, and every later equal line gets the same ``Layer``
-object, so a loaded network shares layers exactly where its lines are
-equal; a repeat is confirmed by reading the first line again, so no
-line's text is kept.  That reader only accepts: a file laid out as
-``save_network`` writes it, whose tables hold only numbers spelled as JSON spells them (no whitespace, words or quotes,
-no ``+1``, ``.5``, ``1.`` or ``01``, no integer of 19 digits or more),
-whose positions are integers within int64 (no ``2.0`` or ``1e0``),
-whose shapes are below 2^53 and whose network every rule below takes.
-Positions are read exactly, as ``json`` reads an integer; values are
-rounded from their text by ``PyOS_string_to_double`` in both parsers, so
-the floats are the same.  Every other file (indented ones written by
-earlier versions, a layer split over lines, text after ``]}``, any
-fault) is read whole by ``json.load`` and ``network_from_dict``, whose
-refusal is the same for every layout:
+The writer formats each line straight from the layer's arrays
+(``_table``), so the bytes are those of ``network_to_dict`` dumped layer
+by layer, and spells each distinct layer object once.
+Every file is parsed by ``json`` and each layer read from its object by
+one reader, ``_layer``.  A file laid out as ``save_network`` writes it is
+read a line at a time (``_read_compact``): each distinct layer line is
+parsed once by ``json.loads``, and every later equal line gets the same
+``Layer`` object, so a loaded network shares layers exactly where its
+lines are equal; a repeat is confirmed by reading the first line again,
+so no line's text is kept.  Any other layout (indented files written by
+earlier versions, a layer split over lines, text after ``]}``) and any
+fault send the file to ``json.load`` and ``network_from_dict``, which
+read it whole, so that a file's refusal is the same for every layout:
 invalid JSON (nesting too deep included) first, then the first fault in
 document order.  Network files are UTF-8 text, whatever the locale;
 other bytes are refused.
@@ -80,8 +55,9 @@ entry, a missing or unknown key, shape fields that are not integers >= 1
 >= 1, runs that do not hold the layer's rows, an entry of a run line's
 block outside its run's input band, rows of the wrong length or holding
 non-numbers (booleans included), and shapes whose arrays do not fit in
-memory (``layer L of shape (o, c) <- (i, d) does not fit in memory``, or
-``layer L block ...``), which a file of a few bytes can declare.
+memory or pass what numpy can index (``layer L of shape (o, c) <- (i, d)
+does not fit in memory``, or ``layer L block ...``), which a file of a
+few bytes can declare.
 Everything else is refused by the rules of ``core``, which built networks
 follow too, with core's text after ``bad network file: ``: the storage
 rule of a layer's tables (after ``layer L ``, or ``layer L block `` in a
@@ -94,9 +70,10 @@ Only real matrices are written, and a file with no numbers is refused.
 
 import json
 import math
-import re
 import warnings
 from collections import Counter
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -118,13 +95,6 @@ TABLE_WIDTH = {key: fields.count(",") + 1
                for key, (_, fields) in TABLES.items()}
 #: the tables whose last column is a value; the mask holds positions only
 VALUED = {key for key, (_, fields) in TABLES.items() if "value" in fields}
-#: the record numpy's text parser reads a row of each table into: the
-#: 1-based positions as int64 and the value, if any, as float64
-ROW_DTYPE = {key: np.dtype([("at", np.int64, (width - 1,)),
-                            ("value", np.float64)] if key in VALUED
-                           else [("at", np.int64, (width,))])
-             for key, width in TABLE_WIDTH.items()}
-
 
 def _blocked(layer: Layer):
     """``(copies, B)``: how the layer's line holds it.  Where it is
@@ -235,7 +205,7 @@ def _runs(layer: Layer):
 def _rows(layer: Layer):
     """The ``(positions, values)`` pair of each of the layer's tables, in
     the order of ``TABLES`` (the mask's values None): 1-based positions in
-    row-major order, as the readers' pairs are."""
+    row-major order, as ``_read_table``'s pairs are."""
     lm, at = layer.map, np.argwhere(layer.bias)
     return ((lm.idx, lm.val), (at + 1, layer.bias[tuple(at.T)]),
             (np.argwhere(layer.mask.rho) + 1, None))
@@ -371,19 +341,32 @@ def _is_number(x) -> bool:
 
 def _read_table(spec: dict, key: str):
     """The ``(positions, values)`` pair of table ``key`` of a layer (values
-    None for the mask), converted in one numpy call, after its first row
-    of the wrong length or holding a non-number (a boolean, or an integer
-    beyond int64, which numpy would read as 0 or 1 or as a float) is
-    refused by position."""
+    None for the mask), in the dtype ``np.array`` gives its rows: int64
+    where every cell is an int, else float64.  C-level passes take rows
+    that are lists of the right length holding ints and floats below 2^63
+    in magnitude; only where one fails are the rows judged one by one, so
+    that the first of the wrong length or holding a non-number (a boolean,
+    or an integer beyond int64, which numpy would read as 0 or 1 or as a
+    float) is refused by position."""
     rows, (what, fields) = spec[key], TABLES[key]
     if not isinstance(rows, list):
         raise ValueError(f"{key} must be a list")
-    width = TABLE_WIDTH[key]
-    for e, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) == width
-                and all(map(_is_number, row))):
-            raise ValueError(f"{what} {e} must be {fields}, got {row!r:.60}")
-    table = np.array(rows) if rows else np.empty((0, width))
+    width, table = TABLE_WIDTH[key], None
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= {int, float}:
+            with suppress(OverflowError):  # an int past int64
+                table = np.fromiter(
+                    chain.from_iterable(rows),
+                    np.int64 if kinds == {int} else np.float64,
+                    count=len(rows) * width).reshape(-1, width)
+    if table is None or not np.abs(table).max() < 2**63:
+        for e, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == width
+                    and all(map(_is_number, row))):
+                raise ValueError(
+                    f"{what} {e} must be {fields}, got {row!r:.60}")
+        table = np.array(rows) if rows else np.empty((0, width))
     if key not in VALUED:
         return table, None
     return table[:, :-1], table[:, -1]
@@ -471,13 +454,24 @@ def _too_large(dims) -> ValueError:
                       f"{dims[3]}) does not fit in memory")
 
 
+def _fits(dims) -> None:
+    """Refuse, as ``_too_large``, shape fields that numpy could not even
+    describe, before anything is allocated: an output whose per-position
+    arrays (``indptr``'s one int64 more) pass the largest array numpy
+    allows, or an input whose positions pass int64."""
+    most = np.iinfo(np.intp).max
+    if (dims[0] * dims[1] + 1) * 8 > most or dims[2] * dims[3] > most:
+        raise _too_large(dims)
+
+
 def _built(dims, entries, bias, mask) -> Layer:
     """The layer of a file's four shape fields, each an integer >= 1, and
     three tables, each a ``(positions, values)`` pair (the mask's values
-    None), refused by the one storage rule of built networks; both readers
-    of a layer end here.  The new bias is set only at positions and to
-    values that rule took, and the mask is ``from_positions``'s, so the
+    None), refused by the one storage rule of built networks; every table
+    set a file holds ends here.  The new bias is set only at positions and
+    to values that rule took, and the mask is ``from_positions``'s, so the
     layer is stored as it is (``Layer._from_valid``), not checked again."""
+    _fits(dims)
     out_shape, in_shape = MatrixShape(*dims[:2]), MatrixShape(*dims[2:])
     try:
         linmap = SparseLinearMap(out_shape, in_shape, *entries)
@@ -520,6 +514,7 @@ def _tiled(dims, block: Layer, runs) -> Layer:
     bias and mask views of the block's), tiled r_p times by
     ``combinators._stack_layers``, and the runs stacked by it, so the
     arrays are those of the built layer."""
+    _fits(dims)
     parts = [block]
     if len(runs) > 1:
         m = block.map
@@ -545,115 +540,6 @@ def _tiled(dims, block: Layer, runs) -> Layer:
         raise _too_large(dims) from None
 
 
-#: a compact layer line after its lead: each shape spelled as
-#: ``json.dumps`` spells an integer >= 1, then the three tables' texts, or
-#: a copies line's copies, a count or a list of runs spelled alike, and
-#: its block's three tables
-_COUNT = r"[1-9][0-9]*"
-_RUN = rf"\[{_COUNT},{_COUNT},{_COUNT}\]"
-LAYER_TEXT = re.compile(
-    rf'\{{"out_rows":({_COUNT}),"out_cols":({_COUNT}),'
-    rf'"in_rows":({_COUNT}),"in_cols":({_COUNT}),'
-    rf'(?:"copies":({_COUNT}|\[{_RUN}(?:,{_RUN})*\]),"block":\{{)?'
-    r'"entries":([^"]*),"bias":([^"]*),"mask_rho":([^"]*)'
-    r'\}(?(5)\})\n')
-#: the bytes a table of JSON numbers is written with
-TABLE_BYTES = b"0123456789,[]-+.eE"
-#: what stands right before and right after a run of digits that is a
-#: whole integer ("-" after "e" is taken too: a run then only declines)
-_INTEGER_LEAD, _INTEGER_TAIL = list(b",[-"), list(b",]")
-
-
-def _plain_numbers(a: np.ndarray) -> bool:
-    """Whether the bytes ``a`` of a table, ``[`` first and ``]`` last and
-    all in ``TABLE_BYTES``, spell its numbers only as JSON does, where
-    ``float`` would read them loosely: ``+`` only right after ``e`` or
-    ``E``, ``.`` only between digits and no leading zero before a digit;
-    and hold no integer of 19 digits or more, which ``json`` reads exactly
-    and ``_read_table`` refuses beyond int64."""
-    digit = a - ord("0") < 10  # uint8 wraps below "0"
-    at = np.flatnonzero(a == ord("+"))
-    if (a[at - 1] | 0x20 != ord("e")).any():  # "E" | 0x20 is "e"
-        return False
-    at = np.flatnonzero(a == ord("."))
-    if not (digit[at - 1] & digit[at + 1]).all():
-        return False
-    at = np.flatnonzero((a[:-1] == ord("0")) & digit[1:])  # "0" then a digit
-    sign = a[at - 1] == ord("-")
-    before = np.where(sign, a[at - 2], a[at - 1])
-    if ((before == ord(",")) | (before == ord("["))).any():
-        return False
-    run = digit  # run[i]: a run of 1, 2, 4, 8, 16, then 19 digits from i
-    for step in (1, 2, 4, 8, 3):
-        run = run[:-step] & run[step:]
-    at = np.flatnonzero(run)  # the first and last window of each long run
-    if not len(at):
-        return True
-    first, last = at[~digit[at - 1]], at[~digit[at + 19]]
-    return not (np.isin(a[first - 1], _INTEGER_LEAD)
-                & np.isin(a[last + 19], _INTEGER_TAIL)).any()
-
-
-def _plain(cond: bool) -> None:
-    """Decline, by a ``ValueError``, what the text parser does not take."""
-    if not cond:
-        raise ValueError("not a plain compact file")
-
-
-def _parsed_table(text: str, key: str):
-    """The ``(positions, values)`` pair of table ``key`` (values None for
-    the mask) read from ``text`` by numpy's text parser in one call, into
-    ``ROW_DTYPE``: positions as exact int64, values rounded as ``json``
-    rounds them.  It declines unless the text is plainly rows of JSON
-    numbers (``_plain_numbers``) and every position cell an integer within
-    int64, as ``json`` reads it; ``2.0`` or ``1e0`` in a position declines
-    too, so ``json.load`` reads and names it."""
-    dtype = ROW_DTYPE[key]
-    if text == "[]":  # numpy warns on no data
-        table = np.empty(0, dtype)
-    else:
-        _plain(text.startswith("[[") and text.endswith("]]")
-               and text.isascii() and "[]" not in text)  # no empty row
-        raw = text.encode("ascii")
-        _plain(not raw.translate(None, TABLE_BYTES)
-               and _plain_numbers(np.frombuffer(raw, np.uint8)))
-        rows = text[2:-2].split("],[")  # a bracket left in a row fails
-        with warnings.catch_warnings():
-            # older releases of numpy's C reader (1.23 on) read ``2.5``
-            # into an int64 through a float, truncated, behind this
-            # warning; made an error, it is a ValueError: a decline
-            warnings.filterwarnings("error", ".*integer via a float",
-                                    DeprecationWarning)
-            table = np.loadtxt(rows, dtype, delimiter=",", comments=None,
-                               ndmin=1)
-        _plain(len(table) == len(rows))
-    return table["at"], table["value"] if key in VALUED else None
-
-
-def _parsed_layer(line: str, start: int) -> Layer:
-    """The layer on a compact line after its lead, ``start`` characters
-    long, read by numpy's text parser without the JSON document, each
-    table cut once from the line; a copies line's layer is tiled from its
-    block (``_tiled``).  Only a line laid out as ``LAYER_LINE`` writes it,
-    whose tables pass ``_parsed_table`` and whose layer the storage rule
-    takes, is read here; any other raises ``ValueError``.  Shapes must be
-    below 2^53: ``json`` reads a table that holds a float value as
-    float64, which rounds an index past 2^53, so only below it does every
-    index the rule takes read alike on both paths."""
-    parts = LAYER_TEXT.fullmatch(line, start)
-    _plain(parts is not None)
-    *dims, copies, entries, bias, mask = parts.groups()
-    dims = [int(n) for n in dims]
-    _plain(max(dims) < 2 ** 53)
-    tables = [_parsed_table(text, key)
-              for text, key in zip((entries, bias, mask), TABLES)]
-    if copies is None:
-        return _built(dims, *tables)
-    block_dims, runs = _block_shape(
-        dims, json.loads(copies) if copies[0] == "[" else int(copies))
-    return _tiled(dims, _stacked(block_dims, runs, *tables), runs)
-
-
 def network_from_dict(doc: dict) -> MNN:
     """Rebuild a network from its JSON document structure, refused after
     ``bad network file: ``."""
@@ -673,10 +559,19 @@ def network_from_dict(doc: dict) -> MNN:
         raise ValueError(f"bad network file: {exc}") from None
 
 
+def _plain(cond: bool) -> None:
+    """Decline, by a ``ValueError``, what the compact reader does not
+    take."""
+    if not cond:
+        raise ValueError("not a plain compact file")
+
+
 def _read_compact(fh) -> MNN:
-    """The network in a compact file, read one layer line at a time by
-    numpy's text parser.  It only accepts: any other layout, and any
-    fault, raises ``ValueError`` (a decline), naming nothing.
+    """The network in a file laid out as ``save_network`` writes it, read
+    one layer line at a time: each distinct line by ``json.loads`` and
+    ``_layer``, as ``network_from_dict`` reads a layer.  It only accepts:
+    any other layout, and any fault, raises ``ValueError`` (a decline),
+    naming nothing, so that ``load_network`` reads the file whole.
 
     Each distinct line is parsed once, and every later equal line gets
     the same ``Layer`` object, so the network shares layers exactly where
@@ -685,11 +580,7 @@ def _read_compact(fh) -> MNN:
     led by a comma, as a later line is, and a later line with that key is
     confirmed if it ends with the first, read again (their bodies are
     equally long); where none does, as on a hash collision, it is parsed
-    as usual.  A copies line is parsed as its block, at the block's
-    shape, after its count r or its list of runs is checked as
-    ``network_from_dict`` checks it, and its layer is tiled from the
-    block (``_parsed_layer``, ``_tiled``): B r times, or each run's B_p,
-    cut from the stacked block, r_p times, the runs stacked."""
+    as usual."""
     head = fh.readline()
     _plain(head.startswith(HEAD) and head.endswith(HEAD_END))
     label = json.loads(head[len(HEAD):-len(HEAD_END)])
@@ -704,7 +595,7 @@ def _read_compact(fh) -> MNN:
             if line.endswith(fh.readline()):
                 break
         else:
-            layer = _parsed_layer(line, len(lead))
+            layer = _layer(len(layers), json.loads(line[len(lead):]))
             candidates.append((layer, start))
         fh.seek(end)
         layers.append(layer)
@@ -715,10 +606,10 @@ def _read_compact(fh) -> MNN:
 
 def load_network(path) -> MNN:
     """The network in file ``path``, refused with ``bad network file: ...``:
-    read by the text parser, which parses each distinct layer line once and
-    shares its layer among the equal lines, or, wherever it declines, by
-    ``json.load`` and ``network_from_dict``, which name every refusal alike
-    for any layout and share no layers."""
+    read line by line (``_read_compact``), which parses each distinct layer
+    line once and shares its layer among the equal lines, or, wherever
+    that declines, whole by ``json.load`` and ``network_from_dict``, which
+    name every refusal alike for any layout and share no layers."""
     try:
         with open(path, encoding="utf-8") as fh:
             try:

@@ -735,6 +735,100 @@ def test_benchmark_networks_add_their_gadgets_repeats(name, rows, entries,
     assert width == tile
 
 
+#: the coefficients and bias values of generated networks
+_COEFFS = (1.0, -1.0, 0.5, 2.0, -0.25)
+
+
+def _generated_layer(rng, out_shape, in_shape, rho, pairs):
+    """A random layer of shape ``out_shape <- in_shape``: coefficients from
+    ``_COEFFS`` at a density of 0, 0.15, 0.5 or 1, a fifth of the rows
+    then emptied, bias entries on about a third of the positions and,
+    where ``rho``, rho on about two fifths.  With ``rho`` and ``pairs``,
+    about half of the position pairs (p, p + 1) become the relu gadget's
+    pair ``(T, rho(T + b))``: p's entries copied to p + 1, p without bias
+    or rho and p + 1 with rho."""
+    out_size, in_size = math.prod(out_shape), math.prod(in_shape)
+    density = rng.choice([0.0, 0.15, 0.5, 1.0])
+    coeffs = np.where(rng.random((out_size, in_size)) < density,
+                      rng.choice(_COEFFS, (out_size, in_size)), 0.0)
+    coeffs[rng.random(out_size) < 0.2] = 0.0
+    bias = np.where(rng.random(out_size) < 0.3,
+                    rng.choice(_COEFFS, out_size), 0.0)
+    on = rng.random(out_size) < 0.4 if rho else np.zeros(out_size, bool)
+    if rho and pairs:
+        for p in range(0, out_size - 1, 2):
+            if rng.random() < 0.5:
+                coeffs[p + 1] = coeffs[p]
+                bias[p], on[p], on[p + 1] = 0.0, False, True
+    j, l = np.nonzero(coeffs)
+    idx = np.concatenate([np.stack(np.unravel_index(j, out_shape), 1),
+                          np.stack(np.unravel_index(l, in_shape), 1)], 1)
+    return Layer(SparseLinearMap(out_shape, in_shape, idx + 1, coeffs[j, l]),
+                 bias.reshape(out_shape),
+                 ActivationMask(out_shape, on.reshape(out_shape)))
+
+
+def _generated_chain(rng, rows, cols, pairs):
+    """A relu chain of ``_generated_layer``s through the matrix shapes
+    ``(rows[t], cols[t])``, rho allowed on every layer but the last."""
+    last = len(rows) - 2
+    return MNN([_generated_layer(rng, (rows[t + 1], cols[t + 1]),
+                                 (rows[t], cols[t]), t < last, pairs)
+                for t in range(last + 1)], "relu")
+
+
+@st.composite
+def _generated_networks(draw):
+    """A relu network laid out as the builders lay theirs out: a glue
+    layer (with rho in half of the draws), then ``parallelize([child] *
+    r)`` with r in {1, 2, 3, 7}, then a dense tail without rho.  The child
+    is a chain of 1-3 layers through matrices of 1-3 rows and columns,
+    with the gadget's pairs in 70 % of draws; in a third of the draws each
+    it is itself ``parallelize`` of 2 or 3 copies of that chain, or of
+    that chain beside another one of other inner widths."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 3))
+    sizes = st.integers(1, 3)
+    rows = [draw(sizes) for _ in range(depth + 1)]
+    cols = [draw(sizes) for _ in range(depth + 1)]
+    pairs = draw(st.integers(0, 9)) < 7
+    child = _generated_chain(rng, rows, cols, pairs)
+    nest = draw(st.sampled_from(["none", "copies", "beside"]))
+    if nest == "copies":
+        child = parallelize([child] * draw(st.sampled_from([2, 3])))
+    elif nest == "beside":
+        inner = [cols[0], *(draw(sizes) for _ in range(depth - 1)), cols[-1]]
+        child = parallelize([child, _generated_chain(
+            rng, [draw(sizes) for _ in range(depth + 1)], inner, pairs)])
+    body = parallelize([child] * draw(st.sampled_from([1, 2, 3, 7])))
+    glue = _generated_layer(rng, tuple(body.input_shape),
+                            (draw(st.integers(1, 2)), draw(sizes)),
+                            draw(st.booleans()), False)
+    tail = _generated_layer(rng, (draw(st.integers(1, 2)), draw(sizes)),
+                            tuple(body.output_shape), False, False)
+    return MNN([glue, *body.layers, tail], "relu")
+
+
+@given(net=_generated_networks())
+@settings(max_examples=150, deadline=None)
+def test_generated_networks_compile_as_built(tmp_path_factory, net):
+    # bit-identity with the reference at several widths, a tenth of the
+    # inputs exact zeros; the copy counts of a block-by-block scan; and
+    # the reloaded network's program is the built one's
+    rng = np.random.default_rng(13)
+    for width in (1, 2, 5, 40):
+        cols = rng.uniform(-1, 1, (net.input_shape.size, width))
+        cols[rng.random(cols.shape) < 0.1] = 0.0
+        assert (realize_flat(net, None, cols).tobytes()
+                == _layer_by_layer(net, None, cols).tobytes())
+    for layer in net.layers:
+        assert core._copies(layer) == _copies_by_blocks(layer)
+    path = tmp_path_factory.mktemp("generated") / "net.json"
+    save_network(net, path)
+    _assert_same_program(core._compile(load_network(path)),
+                         core._compile(net))
+
+
 @pytest.mark.parametrize("make", [
     _MULTIPLIER["relu-k4"], _INVERTER["inv-relu-n8"],
     lambda: build_in(3, 0.5), _repeated], ids=["relu-k4", "inv-relu-n8",

@@ -927,7 +927,7 @@ COMPACT_FAULTS = {
 }
 
 
-#: what the edits of the text parser's mutation test write: the number
+#: what the edits of the line reader's mutation test write: the number
 #: alphabet, and a space, a form feed, a quote and a letter that no table
 #: holds
 EDIT_CHARS = "0123456789,[]-+.eE \f\"x"
@@ -964,7 +964,7 @@ def _table_edits(draw):
 
 
 def _no_json_load(*args, **kwargs):
-    raise AssertionError("the text parser declined a written file")
+    raise AssertionError("the line reader declined a written file")
 
 
 def _refusal(call, *args) -> str:
@@ -1073,7 +1073,7 @@ class TestCopiesLines:
     @pytest.mark.parametrize("mutate, reason", COPIES_FAULTS.values(),
                              ids=COPIES_FAULTS.keys())
     def test_faults_are_named(self, mutate, reason):
-        # each is also refused alike by the text parser and in every
+        # each is also refused alike by the line reader and in every
         # layout (COMPACT_FAULTS, LAYOUT_FAULTS)
         doc = _valid_doc()
         mutate(doc)
@@ -1169,6 +1169,20 @@ HUGE_LAYERS = {
                 "block": {"entries": [], "bias": [], "mask_rho": []}},
                "layer 0 of shape (1125899906842624, 1) <- "
                "(1125899906842624, 1) does not fit in memory"),
+    # 2^62 rows pass the largest array numpy allows, and 2^63 or 2^70
+    # rows or input columns pass int64: each used to be refused in numpy's
+    # words ("array is too big; ...", "Maximum allowed dimension exceeded")
+    **{f"plain-2^{p}": ({"out_rows": 2**p, "out_cols": 1, "in_rows": 1,
+                         "in_cols": 1, "entries": [], "bias": [],
+                         "mask_rho": []},
+                        f"layer 0 of shape ({2**p}, 1) <- (1, 1) does not "
+                        f"fit in memory")
+       for p in (62, 63, 70)},
+    "input-2^63": ({"out_rows": 1, "out_cols": 1, "in_rows": 1,
+                    "in_cols": 2**63, "entries": [], "bias": [],
+                    "mask_rho": []},
+                   f"layer 0 of shape (1, 1) <- (1, {2**63}) does not fit in "
+                   f"memory"),
 }
 
 
@@ -1191,7 +1205,7 @@ class TestRunLines:
     @pytest.mark.parametrize("mutate, reason", RUNS_FAULTS.values(),
                              ids=RUNS_FAULTS.keys())
     def test_faults_are_named(self, mutate, reason):
-        # each is also refused alike by the text parser and in every
+        # each is also refused alike by the line reader and in every
         # layout (COMPACT_FAULTS, LAYOUT_FAULTS)
         doc = _valid_doc()
         mutate(doc)
@@ -1216,7 +1230,7 @@ class TestRunLines:
     @settings(max_examples=80, deadline=None)
     def test_round_trip_of_unequal_children(self, tmp_path_factory, net):
         # the file holds what the writer's document says, loads through
-        # the text parser to the built arrays, shares every layer the
+        # the line reader to the built arrays, shares every layer the
         # built network shares, re-saves byte for byte, reads alike by
         # json.load and compiles to the built network's program
         path = tmp_path_factory.mktemp("runs") / "net.json"
@@ -1365,8 +1379,8 @@ class TestSharedLines:
         path = tmp_path / "net.json"
         save_network(net, path)
         monkeypatch.setattr(io_module, "hash", lambda text: 0, raising=False)
-        with mock.patch.object(io_module, "_parsed_layer",
-                               wraps=io_module._parsed_layer) as spy, \
+        with mock.patch.object(io_module, "_layer",
+                               wraps=io_module._layer) as spy, \
                 mock.patch.object(json, "load", _no_json_load):
             loaded = load_network(path)
         assert mnn_equal(loaded, net)
@@ -1376,7 +1390,7 @@ class TestSharedLines:
     @pytest.mark.parametrize("layers, reason", REPEATED_LINE_FAULTS.values(),
                              ids=REPEATED_LINE_FAULTS.keys())
     def test_chain_fault_on_a_repeated_line(self, tmp_path, layers, reason):
-        # layer 2 repeats layer 0's line, so the text parser takes it from
+        # layer 2 repeats layer 0's line, so the line reader takes it from
         # the first; the chain rules still refuse it at its own position
         doc = {"activation": "relu", "layers": layers}
         path = tmp_path / "net.json"
@@ -1384,8 +1398,8 @@ class TestSharedLines:
         lines = path.read_text().split("\n")
         assert "," + lines[1] == lines[3]
         with open(path, encoding="utf-8") as fh, \
-                mock.patch.object(io_module, "_parsed_layer",
-                                  wraps=io_module._parsed_layer) as spy, \
+                mock.patch.object(io_module, "_layer",
+                                  wraps=io_module._layer) as spy, \
                 pytest.raises(ValueError):
             io_module._read_compact(fh)
         assert spy.call_count == 2
@@ -1522,7 +1536,7 @@ SPELLING_CELLS = {"entry-value": ("entries", 0, 4),
 SENTINEL = 987654321
 
 
-class TestTextParser:
+class TestLineReader:
     @pytest.mark.parametrize("cell", SPELLING_CELLS.values(),
                              ids=SPELLING_CELLS.keys())
     @pytest.mark.parametrize("spelling", SPELLINGS)
@@ -1566,8 +1580,8 @@ class TestTextParser:
     def test_indices_past_2_to_the_53_beside_a_float_read_as_json(
             self, tmp_path):
         # json reads a table that holds a float value as float64, rounding
-        # 2^53 + 1 to 2^53; the text parser reads positions as exact int64,
-        # so a shape past 2^53 must decline to json
+        # 2^53 + 1 to 2^53; the line reader reads each table as json does,
+        # so it rounds alike
         path = tmp_path / "net.json"
         path.write_text(
             '{"activation":null,"layers":[\n{"out_rows":1,"out_cols":1,'
@@ -1576,6 +1590,30 @@ class TestTextParser:
         net = load_network(path)
         assert net.layers[0].map.indices.tolist() == [2 ** 53 - 1]
         _assert_same_outcome(net, _json_reference(path))
+
+    @pytest.mark.parametrize("cell", [
+        7, 2.5, 2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1,
+        2 ** 70, 1e300, -1e300, float("nan"), float("inf"), True, None,
+        "1"], ids=repr)
+    @pytest.mark.parametrize("column", [0, 4], ids=["index", "value"])
+    def test_tables_read_as_np_array_reads_them(self, cell, column):
+        # the C-level passes take a table only where the row-by-row check
+        # would, in the dtype and with the numbers np.array gives its rows
+        rows = [[1, 1, 1, 2, 0.5], [1, 2, 1, 1, 3]]
+        rows[1][column] = cell
+        for table in (rows, [row[:4] + [7] for row in rows]):
+            valid = all(map(io_module._is_number, table[1]))
+            want = np.array(table) if valid else None
+            try:
+                positions, values = io_module._read_table(
+                    {"entries": table}, "entries")
+            except ValueError as exc:
+                assert want is None
+                assert str(exc).startswith("entry 1 must be")
+                continue
+            got = np.column_stack([positions, values])
+            assert want is not None and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     @given(edit=_table_edits())
     @settings(max_examples=150, deadline=None)
@@ -1595,7 +1633,7 @@ class TestTextParser:
         lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory)],
         ids=["relu-pow2-k2", "relu-inverse-n3", "awkward", "relu-pow2-k4",
              "relu-inverse-n8"])
-    def test_every_written_line_takes_the_text_parser(self, tmp_path, build):
+    def test_every_written_line_takes_the_line_reader(self, tmp_path, build):
         net = build()
         path = tmp_path / "net.json"
         save_network(net, path)
@@ -1607,18 +1645,17 @@ class TestTextParser:
         (lambda: build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory),
          98)],
         ids=["relu-pow2-k4", "relu-inverse-n8"])
-    def test_every_table_reaches_the_storage_rule_as_int64(self, tmp_path,
-                                                           build, lines):
-        # a text parser that fell back to floats would load the same
-        # networks; only the positions' dtype shows it.  Each of the
-        # file's distinct lines is parsed once
+    def test_each_distinct_line_reaches_the_storage_rule_once(
+            self, tmp_path, build, lines):
+        # each of the file's distinct lines is parsed once: three tables a
+        # line, and no table of a repeated line
         net = build()
         path = tmp_path / "net.json"
         save_network(net, path)
-        seen = []
+        calls = []
 
         def spy(what, index, bounds, value=None):
-            seen.append(np.asarray(index).dtype)
+            calls.append(what)
             return stored_rows(what, index, bounds, value)
 
         stored_rows = core_module._stored_rows
@@ -1626,12 +1663,11 @@ class TestTextParser:
                 mock.patch.object(io_module, "_stored_rows", spy), \
                 mock.patch.object(json, "load", _no_json_load):
             assert mnn_equal(load_network(path), net)
-        assert len(seen) == len(io_module.TABLES) * lines
-        assert set(seen) == {np.dtype(np.int64)}
+        assert len(calls) == len(io_module.TABLES) * lines
 
     @given(net=_networks())
     @settings(max_examples=30, deadline=None)
-    def test_random_networks_take_the_text_parser(self, tmp_path_factory,
+    def test_random_networks_take_the_line_reader(self, tmp_path_factory,
                                                   net):
         path = tmp_path_factory.mktemp("parsed") / "net.json"
         save_network(net, path)
