@@ -5,13 +5,17 @@
 composition bit for bit.  ``parallelize`` runs equal-depth networks
 side-by-side on row-stacked inputs; when intermediate widths differ, the
 narrower blocks are padded with implicit zero columns, which costs no
-weights (no entries, zero bias, identity mask).  Each stacked map is
-assembled from its children's CSR arrays, which are valid and in row-major
-order already, so it is not checked against the storage rule a second time,
-and neither are the stacked layer and its mask.  Nor is the stacked
-network: the stacked layers of equal-depth valid networks chain by
-construction, so ``parallelize`` wraps them without walking the chain.
-``concat`` checks only where its two valid operands meet.
+weights (no entries, zero bias, identity mask).  Copies of one network,
+as a Strassen level's seven, are not written out: each stacked layer
+records its one child and the copy count (``Layer._repeat``), so building
+memory grows with the number of distinct layers, not with the copies.
+Each other stacked map is assembled from its children's CSR arrays, which
+are valid and in row-major order already, so it is not checked against
+the storage rule a second time, and neither are the stacked layer and its
+mask.  Nor is the stacked network: the stacked layers of equal-depth valid
+networks chain by construction, so ``parallelize`` wraps them without
+walking the chain.  ``concat`` checks only where its two valid operands
+meet.
 
 Both label the result with the one activation label set among the operands
 (``None`` if all are unlabelled glue) and refuse two different labels.
@@ -59,34 +63,24 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     rows and writes the output rows below those of the children before it,
     and narrower children are padded with zero columns.
 
-    The map is assembled from the children's CSR arrays, not from their
-    quadruples.  Each child is a valid map in row-major order, and the
-    children's rows follow one another, so the stacked entries are in
-    range and in row-major order by construction: they are wrapped as
-    they are (``SparseLinearMap._from_valid``), without a second pass of
-    the storage rule, and so are the stacked bias and mask, which are
-    neither checked nor copied again (``Layer._from_valid``).  The arrays
-    equal those the constructor would store for the stacked quadruples,
-    dtypes included.  When every child is one ``Layer`` object, as
-    Strassen's seven copies are, the arrays are that child's tiled, copy
-    ``c``'s input positions moved by ``c`` input blocks; otherwise they
-    are gathered child by child.
+    When every child is one ``Layer`` object, as Strassen's seven copies
+    are, the stack is ``kron(I_r, child)``: it is recorded as ``(child,
+    r)`` (``Layer._repeat``), with no array tiled until one is read, and a
+    stack of copies of a recorded layer records the innermost child; one
+    child is itself.  Otherwise the map is assembled from the children's
+    CSR arrays, not from their quadruples.  Each child is a valid map in
+    row-major order, and the children's rows follow one another, so the
+    stacked entries are in range and in row-major order by construction:
+    they are wrapped as they are (``SparseLinearMap._from_valid``),
+    without a second pass of the storage rule, and so are the stacked bias
+    and mask, which are neither checked nor copied again
+    (``Layer._from_valid``).  Either way, the arrays equal those the
+    constructor would store for the stacked quadruples, dtypes included.
     """
     first, r = children[0], len(children)
     # a Layer equals only itself, so this counts copies of that one object
-    if children.count(first) == r:  # tiled from one child
-        m = first.map
-        out_shape = MatrixShape(r * m.out_shape.rows, m.out_shape.cols)
-        in_shape = MatrixShape(r * m.in_shape.rows, m.in_shape.cols)
-        copy = np.arange(r, dtype=np.int64)[:, None]
-        indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
-        indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
-        linmap = SparseLinearMap._from_valid(
-            out_shape, in_shape, indptr,
-            (m.indices + copy * m.in_shape.size).ravel(), np.tile(m.val, r))
-        rho = np.tile(first.mask.rho, (r, 1))
-        return Layer._from_valid(linmap, np.tile(first.bias, (r, 1)),
-                                 ActivationMask._from_valid(out_shape, rho))
+    if children.count(first) == r:
+        return first if r == 1 else Layer._repeat(first, r)
     out_shape = MatrixShape(sum(layer.out_shape.rows for layer in children),
                             max(layer.out_shape.cols for layer in children))
     in_shape = MatrixShape(sum(layer.in_shape.rows for layer in children),
@@ -124,10 +118,12 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
     set, and agree on input and output column counts.  The result maps
     ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
     and exactly the summed weight count.  Copies of one network, as in
-    ``parallelize([net] * 7)``, are stacked by tiling its layers' arrays
-    (see ``_stack_layers``).  Only the operands are checked: stacked
-    levels of valid chains chain by construction, so the result is wrapped
-    as it is (``MNN._from_valid``), its chain not walked a second time.
+    ``parallelize([net] * 7)``, give layers that record their child and
+    count instead of tiling its arrays (see ``_stack_layers``), so nested
+    levels cost what their distinct layers do.  Only the operands are
+    checked: stacked levels of valid chains chain by construction, so the
+    result is wrapped as it is (``MNN._from_valid``), its chain not walked
+    a second time.
     """
     nets = tuple(nets)
     if not nets:

@@ -142,8 +142,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 #: sets an attribute of a read-only object: only its ``_store`` (for its
-#: constructor or ``_from_valid``), ``_compile`` (for ``MNN._program``) or
-#: a frozen spec's ``__post_init__``, to store a parameter as its float64
+#: constructor or ``_from_valid``), ``Layer._repeat`` (for a recorded
+#: layer), a recorded layer's ``map``, ``bias`` and ``mask`` (for the
+#: arrays tiled on their first read), ``_copies`` (for the count it keeps
+#: on a layer), ``_compile`` (for ``MNN._program``) or a frozen spec's
+#: ``__post_init__``, to store a parameter as its float64
 _set = object.__setattr__
 
 
@@ -164,8 +167,10 @@ class _ReadOnly:
     def _from_valid(cls, *parts):
         """The object on ``parts`` as its ``_store`` takes them, without
         the constructor's checks and copies: only for parts valid by
-        construction, as ``combinators._stack_layers`` (stacked maps, masks
-        and layers), ``combinators.parallelize`` (the stacked layers),
+        construction, as ``combinators._stack_layers`` (maps, masks and
+        layers gathered from unequal children), ``Layer`` (a recorded
+        layer's map and mask, tiled from its child's on their first
+        read), ``combinators.parallelize`` (the stacked layers),
         ``scale_output``, ``combinators.concat`` (two valid networks,
         joined where it checked them), ``ActivationMask.from_positions``,
         ``io._built`` (a mask and a bias set from positions and values
@@ -377,9 +382,18 @@ class ActivationMask(_ReadOnly):
 class Layer(_ReadOnly):
     """One network layer: sparse map, bias matrix, activation mask.  The
     map must be a ``SparseLinearMap``, the bias must hold integers or real
-    floats, all finite, and a given mask must be an ``ActivationMask``."""
+    floats, all finite, and a given mask must be an ``ActivationMask``.
 
-    __slots__ = ("map", "bias", "mask", "weight_count")
+    A layer that ``combinators._stack_layers`` or a copies line tiles from
+    r copies of one child, ``kron(I_r, child)``, is built by ``_repeat``:
+    it records ``(child, r)`` and holds no arrays.  Its shapes and weight
+    count come from the record, and its map, bias and mask are tiled from
+    the child's on their first read, each into the frozen arrays, dtypes
+    included, that tiling the child gives (copy ``c``'s input positions
+    moved by ``c`` input blocks), and kept."""
+
+    __slots__ = ("out_shape", "in_shape", "weight_count", "_record", "_map",
+                 "_bias", "_mask", "_copies_found")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
         if not isinstance(linmap, SparseLinearMap):
@@ -403,18 +417,68 @@ class Layer(_ReadOnly):
         self._store(linmap, bias, mask)
 
     def _store(self, linmap, bias, mask):
-        _set(self, "map", linmap)
-        _set(self, "bias", _freeze(bias))
-        _set(self, "mask", mask)
+        _set(self, "out_shape", linmap.out_shape)
+        _set(self, "in_shape", linmap.in_shape)
         _set(self, "weight_count", linmap.nnz + int(np.count_nonzero(bias)))
+        _set(self, "_record", None)
+        _set(self, "_map", linmap)
+        _set(self, "_bias", _freeze(bias))
+        _set(self, "_mask", mask)
+        _set(self, "_copies_found", None)  # see _copies
+
+    @classmethod
+    def _repeat(cls, child: "Layer", r: int) -> "Layer":
+        """The layer ``kron(I_r, child)``, recorded as ``(child, r)``.  A
+        child that is itself recorded as q copies of a layer gives r q
+        copies of that layer, so a record never holds a record."""
+        if child._record is not None:
+            child, q = child._record
+            r *= q
+        layer = cls.__new__(cls)
+        _set(layer, "out_shape", MatrixShape(r * child.out_shape.rows,
+                                             child.out_shape.cols))
+        _set(layer, "in_shape", MatrixShape(r * child.in_shape.rows,
+                                            child.in_shape.cols))
+        _set(layer, "weight_count", r * child.weight_count)
+        _set(layer, "_record", (child, r))
+        for name in ("_map", "_bias", "_mask", "_copies_found"):
+            _set(layer, name, None)  # set on the first read
+        return layer
 
     @property
-    def out_shape(self) -> MatrixShape:
-        return self.map.out_shape
+    def map(self) -> SparseLinearMap:
+        if self._map is None:  # tiled from the record, on the first read
+            child, r = self._record
+            m = child.map
+            copy = np.arange(r, dtype=np.int64)[:, None]
+            indptr = np.zeros(self.out_shape.size + 1, dtype=np.int64)
+            indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
+            _set(self, "_map", SparseLinearMap._from_valid(
+                self.out_shape, self.in_shape, indptr,
+                (m.indices + copy * m.in_shape.size).ravel(),
+                np.tile(m.val, r)))
+        return self._map
 
     @property
-    def in_shape(self) -> MatrixShape:
-        return self.map.in_shape
+    def bias(self) -> np.ndarray:
+        if self._bias is None:
+            child, r = self._record
+            _set(self, "_bias", _freeze(np.tile(child.bias, (r, 1))))
+        return self._bias
+
+    @property
+    def mask(self) -> ActivationMask:
+        if self._mask is None:
+            child, r = self._record
+            _set(self, "_mask", ActivationMask._from_valid(
+                self.out_shape, np.tile(child.mask.rho, (r, 1))))
+        return self._mask
+
+    @property
+    def any_rho(self) -> bool:
+        """Whether rho acts on any entry; a recorded layer's child says."""
+        return (self if self._record is None
+                else self._record[0]).mask.any_rho
 
 
 def _label(label) -> None:
@@ -437,7 +501,7 @@ def _chain(layers: list, layer, label) -> None:
         raise ValueError(
             f"layer {pos} input shape {tuple(layer.in_shape)} does not match "
             f"layer {pos - 1} output shape {tuple(layers[-1].out_shape)}")
-    if label is None and layer.mask.any_rho:
+    if label is None and layer.any_rho:
         raise ValueError(f"layer {pos} has rho entries but the activation "
                          "is null")
     layers.append(layer)
@@ -457,7 +521,7 @@ class MNN(_ReadOnly):
             _chain(chain, layer, activation_name)
         if not chain:
             raise ValueError("a network needs at least one layer")
-        if chain[-1].mask.any_rho:
+        if chain[-1].any_rho:
             raise ValueError(f"layer {len(chain) - 1} has rho entries, but "
                              "the final layer must be identity-activated")
         self._store(tuple(chain), activation_name)
@@ -515,10 +579,29 @@ def _copies(layer: Layer) -> int:
     """The largest r for which the layer is ``kron(I_r, B)``, else 1: its
     flattened operator is r copies of one block B along the diagonal, in
     row-major order, each with B's entries in B's stored order, B's bias
-    and B's mask.  Read off the arrays alone, so loaded networks fold as
-    built ones do.  A divisor is first checked in O(1), by the entry count
-    of the first block and the first entry of the second, and only one
-    that passes is checked on the whole arrays."""
+    and B's mask.  It is found once per ``Layer`` object and kept there.
+    A layer recorded as q copies of a child (``Layer._repeat``) has q
+    times the child's count, the count a scan of its arrays finds: arrays
+    that repeat with the child's period and with a shorter one repeat
+    with the gcd of the two (Fine and Wilf), a period of the child's.
+    Only a layer without a record is scanned, off its arrays alone, so
+    loaded networks fold as built ones do.  A divisor is first checked in
+    O(1), by the entry count of the first block and the first entry of
+    the second, and only one that passes is checked on the whole
+    arrays."""
+    found = layer._copies_found
+    if found is None:
+        if layer._record is not None:
+            child, q = layer._record
+            found = q * _copies(child)
+        else:
+            found = _scanned_copies(layer)
+        _set(layer, "_copies_found", found)
+    return found
+
+
+def _scanned_copies(layer: Layer) -> int:
+    """``_copies`` read off the layer's arrays."""
     m = layer.map
     rows = np.diff(m.indptr)
     bias, rho = layer.bias.reshape(-1), layer.mask.rho.reshape(-1)
@@ -542,6 +625,18 @@ def _copies(layer: Layer) -> int:
                                    m.indices[:m.nnz - bn] + bi)):
             return r
     return 1
+
+
+def _recorded(layer: Layer, r: int):
+    """``(holder, r / q)``: where the layer is recorded as q copies of a
+    child and q divides r, that child, whose first of r / q blocks is the
+    layer's first of r; otherwise ``(layer, r)``.  So a layer that is
+    ``kron(I_r, B)`` reads B off its child's arrays, which are never
+    tiled.  A record never holds a record (``Layer._repeat``)."""
+    if layer._record is not None and r % layer._record[1] == 0:
+        child, q = layer._record
+        return child, r // q
+    return layer, r
 
 
 def _roles(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
@@ -585,17 +680,16 @@ def _fold_plan(net: MNN) -> list:
     before the last layer, whose output is row-major, and its predecessor
     is a layer that does not fold and has no rho rows, since it writes
     the run's input copy-minor (see :func:`_compile`).  Every other layer
-    runs whole, as 1 copy.  A layer object that the network holds more
-    than once, as built networks do, is scanned by ``_copies`` once."""
+    runs whole, as 1 copy.  ``_copies`` is found once per layer object,
+    and a recorded layer's from its record, with no scan."""
     last = net.num_layers - 1
     plan = [1] * net.num_layers
-    copies = {layer: _copies(layer) for layer in set(net.layers[1:last])}
     start = 1
-    for r, run in itertools.groupby(copies[layer]
+    for r, run in itertools.groupby(_copies(layer)
                                     for layer in net.layers[1:last]):
         end = start + len(list(run))
         if (r > 1 and end - start >= 2 and plan[start - 1] == 1
-                and not net.layers[start - 1].mask.any_rho):
+                and not net.layers[start - 1].any_rho):
             plan[start:end] = [r] * (end - start)
         start = end
     return plan
@@ -668,15 +762,20 @@ def _compile(net: MNN):
     size = widest = net.input_shape.size
     moved = np.arange(size)  # the input in row-major order
     for layer, r, after in zip(net.layers, plan, plan[1:] + [1]):
-        m = layer.map
-        bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
-        bias = layer.bias.reshape(-1)[:bo]
+        # B, the first of the layer's r blocks, is the first of ``part``
+        # blocks of ``holder``: of a recorded layer's child where its count
+        # divides r, so a folded layer's copies are never tiled
+        holder, part = _recorded(layer, r)
+        m = holder.map
+        bo = m.out_shape.size // part
+        bi, bn = m.in_shape.size // part, m.nnz // part
+        bias = holder.bias.reshape(-1)[:bo]
         per_map = m.indptr[1:bo + 1] - m.indptr[:bo]
         where = moved[:bi] // r  # the state rows of copy 0 of B's inputs
         role = roles.get((layer, r))
         if role is None:
             role = roles[layer, r] = _roles(m, per_map, bias,
-                                            layer.mask.rho.reshape(-1)[:bo])
+                                            holder.mask.rho.reshape(-1)[:bo])
         # ``order`` lists B's rows in state order and ``row`` gives each its
         # state row; the sources, the rho rows and the repeats start at
         # ``src``, ``rho_from`` and ``rows``, the first ``rows`` the kernel's.
@@ -751,7 +850,7 @@ def realize_flat(net: MNN, rho, columns: np.ndarray) -> np.ndarray:
         )
     if rho is None:
         rho = ACTIVATIONS.get(net.activation_name)
-        if rho is None and any(layer.mask.any_rho for layer in net.layers):
+        if rho is None and any(layer.any_rho for layer in net.layers):
             raise ValueError(f"no callable registered for activation "
                              f"{net.activation_name!r}")
     size, batch = columns.shape

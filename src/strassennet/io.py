@@ -21,8 +21,10 @@ keeping the layer's column counts.  A copies line of count r is the run
 line ``[[r, out_rows / r, in_rows / r]]``, and both are read by one rule
 (``_block_shape``, ``_stacked``, ``_tiled``): the fields by the size rule,
 the block at its own shape by the storage rule, an entry outside its
-run's input band refused by name, and the layer tiled from the block by
-``combinators._stack_layers``, whose arrays are those of the built layer.
+run's input band refused by name, and the layer built from the block as
+``combinators._stack_layers`` builds it: a copies line's layer records
+the block and r, as a built one records its child, and its arrays, tiled
+on their first read, are those of the built layer.
 A copies line holds no ``entries`` key of its own, so a reader that
 predates it refuses it (``missing key 'entries'``), and a reader that
 predates run lines refuses a list of runs (``copies must be an integer,
@@ -79,7 +81,8 @@ import numpy as np
 
 from .combinators import _stack_layers
 from .core import (MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap,
-                   _chain, _copies, _count, _label, _real, _stored_rows)
+                   _chain, _copies, _count, _label, _real, _recorded,
+                   _stored_rows)
 
 FORMAT_KEYS = ("activation", "layers")
 SHAPE_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols")
@@ -101,24 +104,28 @@ def _blocked(layer: Layer):
     ``kron(I_r, B)``, copies is r, the largest copy count ``core._copies``
     finds, cut to divide both row counts (its gcd with them), and B its
     first block, of shape ``(out_rows / r, out_cols) <- (in_rows / r,
-    in_cols)``, built on views of the layer's arrays.  Otherwise, where it
-    is a row stack of runs that its block holds in fewer table rows
-    (``_runs``), copies is the list of runs' ``[r_p, o_p, i_p]`` and B the
-    row stack of their blocks; else copies is None and B the layer."""
-    m = layer.map
-    r = math.gcd(_copies(layer), m.out_shape.rows, m.in_shape.rows)
+    in_cols)``, built on views of the arrays of a recorded layer's child
+    where the record's count divides r (``core._recorded``), so a
+    recorded layer is written without tiling it, else of the layer's.
+    Otherwise, where it is a row stack of runs that its block holds in
+    fewer table rows (``_runs``), copies is the list of runs' ``[r_p, o_p,
+    i_p]`` and B the row stack of their blocks; else copies is None and B
+    the layer."""
+    r = math.gcd(_copies(layer), layer.out_shape.rows, layer.in_shape.rows)
     if r == 1:
         return _runs(layer) or (None, layer)
-    out_shape = MatrixShape(m.out_shape.rows // r, m.out_shape.cols)
-    in_shape = MatrixShape(m.in_shape.rows // r, m.in_shape.cols)
+    holder, part = _recorded(layer, r)
+    m = holder.map
+    out_shape = MatrixShape(m.out_shape.rows // part, m.out_shape.cols)
+    in_shape = MatrixShape(m.in_shape.rows // part, m.in_shape.cols)
     bo = out_shape.size
     bn = m.indptr[bo]
     linmap = SparseLinearMap._from_valid(out_shape, in_shape,
                                          m.indptr[:bo + 1], m.indices[:bn],
                                          m.val[:bn])
     mask = ActivationMask._from_valid(out_shape,
-                                      layer.mask.rho[:out_shape.rows])
-    return r, Layer._from_valid(linmap, layer.bias[:out_shape.rows], mask)
+                                      holder.mask.rho[:out_shape.rows])
+    return r, Layer._from_valid(linmap, holder.bias[:out_shape.rows], mask)
 
 
 def _runs(layer: Layer):
@@ -421,7 +428,7 @@ def _block_shape(dims, copies):
 def _layer(pos: int, spec) -> Layer:
     """Layer ``pos`` from its JSON object, refused like a built one after
     ``layer L ``; a fault in a copies line's block after ``layer L block
-    ``.  A copies line's layer is tiled from its block (``_tiled``)."""
+    ``.  A copies line's layer is built from its block (``_tiled``)."""
     try:
         if not isinstance(spec, dict):
             raise ValueError("must be an object")
@@ -511,9 +518,13 @@ def _stacked(dims, runs, entries, bias, mask) -> Layer:
 def _tiled(dims, block: Layer, runs) -> Layer:
     """The layer of shape fields ``dims`` whose copies line holds ``runs``
     and block ``block``: each run's B_p, cut from the block (its values,
-    bias and mask views of the block's), tiled r_p times by
-    ``combinators._stack_layers``, and the runs stacked by it, so the
-    arrays are those of the built layer."""
+    bias and mask views of the block's), recorded r_p times
+    (``Layer._repeat``), as ``combinators._stack_layers`` records copies
+    of one child, and the runs stacked by it, so the arrays are those of
+    the built layer.  A layer of one run stays a record, its arrays tiled
+    on their first read: the bytes they will take are asked of the
+    allocator once and given back, so a line whose tiled arrays no memory
+    holds is refused here, as one of several runs is by the stacking."""
     _fits(dims)
     parts = [block]
     if len(runs) > 1:
@@ -533,9 +544,17 @@ def _tiled(dims, block: Layer, runs) -> Layer:
                 ActivationMask._from_valid(out_shape, block.mask.rho[rows])))
             out_start, in_start = out_start + o, in_start + i
     try:
-        tiled = [part if r == 1 else _stack_layers([part] * r)
+        tiled = [part if r == 1 else Layer._repeat(part, r)
                  for part, (r, _, _) in zip(parts, runs)]
-        return tiled[0] if len(tiled) == 1 else _stack_layers(tiled)
+        if len(tiled) > 1:
+            return _stack_layers(tiled)
+        # indptr, bias and mask per position; indices and val per entry
+        need = (17 * dims[0] * dims[1] + 16 * runs[0][0] * block.map.nnz
+                + 8)
+        if need > np.iinfo(np.intp).max:
+            raise MemoryError
+        np.empty(need, dtype=np.uint8)
+        return tiled[0]
     except (MemoryError, OverflowError):
         raise _too_large(dims) from None
 

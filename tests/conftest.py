@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,3 +63,24 @@ def program_digest(net) -> str:
         else:
             h.update(repr(field).encode())
     return h.hexdigest()
+
+
+def copies_by_blocks(layer):
+    """The largest r, over every divisor of the gcd of the sizes and the
+    entry count, for which every block of the layer's rows, entries, bias
+    and mask equals the first block, its input positions moved by whole
+    input blocks, and the first block reads only its own input block."""
+    m = layer.map
+    arrays = (np.diff(m.indptr), m.val, layer.bias.reshape(-1),
+              layer.mask.rho.reshape(-1))
+    best = 1
+    for r in range(2, math.gcd(m.out_shape.size, m.in_shape.size, m.nnz) + 1):
+        bi = m.in_shape.size // r
+        if m.out_shape.size % r or m.in_shape.size % r or m.nnz % r:
+            continue
+        cols = m.indices.reshape(r, -1) - bi * np.arange(r)[:, None]
+        if (all((a.reshape(r, -1) == a.reshape(r, -1)[0]).all()
+                for a in (*arrays, cols))
+                and (cols[0] < bi).all()):
+            best = r
+    return best

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import copies_by_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -601,27 +602,6 @@ def test_only_runs_of_exact_copies_fold(name):
     assert [vecs for _, _, vecs, *_ in steps] == plan
 
 
-def _copies_by_blocks(layer):
-    """The largest r, over every divisor of the gcd of the sizes and the
-    entry count, for which every block of the layer's rows, entries, bias
-    and mask equals the first block, its input positions moved by whole
-    input blocks, and the first block reads only its own input block."""
-    m = layer.map
-    arrays = (np.diff(m.indptr), m.val, layer.bias.reshape(-1),
-              layer.mask.rho.reshape(-1))
-    best = 1
-    for r in range(2, math.gcd(m.out_shape.size, m.in_shape.size, m.nnz) + 1):
-        bi = m.in_shape.size // r
-        if m.out_shape.size % r or m.in_shape.size % r or m.nnz % r:
-            continue
-        cols = m.indices.reshape(r, -1) - bi * np.arange(r)[:, None]
-        if (all((a.reshape(r, -1) == a.reshape(r, -1)[0]).all()
-                for a in (*arrays, cols))
-                and (cols[0] < bi).all()):
-            best = r
-    return best
-
-
 @pytest.mark.parametrize("make", [
     *[make for make, _ in _NEAR_REPEATS.values()],
     lambda: build_str_pow2(2, 0.1, 1.0, relu_factory),
@@ -629,7 +609,7 @@ def _copies_by_blocks(layer):
     ids=[*_NEAR_REPEATS, "relu-k2", "inv-relu-n3"])
 def test_copies_match_a_block_by_block_reference(make):
     for layer in make().layers:
-        assert core._copies(layer) == _copies_by_blocks(layer)
+        assert core._copies(layer) == copies_by_blocks(layer)
 
 
 def _added(steps):
@@ -822,7 +802,7 @@ def test_generated_networks_compile_as_built(tmp_path_factory, net):
         assert (realize_flat(net, None, cols).tobytes()
                 == _layer_by_layer(net, None, cols).tobytes())
     for layer in net.layers:
-        assert core._copies(layer) == _copies_by_blocks(layer)
+        assert core._copies(layer) == copies_by_blocks(layer)
     path = tmp_path_factory.mktemp("generated") / "net.json"
     save_network(net, path)
     _assert_same_program(core._compile(load_network(path)),

@@ -16,8 +16,13 @@ should keep it.
 
 import hashlib
 
+import numpy as np
 import pytest
-from conftest import compact_text, expanded_document, program_digest
+from conftest import (compact_text, copies_by_blocks, expanded_document,
+                      program_digest)
+from scipy import sparse
+
+from strassennet import core
 
 from strassennet.core import identity_mnn, scale_output
 from strassennet.gadgets import relu2_factory, relu_factory
@@ -223,6 +228,47 @@ def test_same_network_same_file(name, tmp_path):
     path = tmp_path / "net.json"
     save_network(net, path)
     assert _sha256(path.read_bytes()) == FILES[name]
+
+
+def _kron_reference(child, r):
+    """``kron(I_r, child)``'s CSR arrays, bias and mask, by scipy's
+    ``kron`` and numpy's ``vstack``."""
+    op = sparse.kron(sparse.identity(r, format="csr"), child.map.matrix(),
+                     format="csr")
+    return {"indptr": op.indptr, "indices": op.indices, "val": op.data,
+            "bias": np.vstack([child.bias] * r),
+            "rho": np.vstack([child.mask.rho] * r)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_records_agree_with_their_arrays(name, tmp_path):
+    # built and reloaded, a layer recorded as r copies of a child has the
+    # copy count of a block-by-block scan, found before any array is
+    # tiled, and its arrays, tiled on their first read, are kron(I_r,
+    # child)'s, in the child's dtypes, frozen
+    built = CASES[name]()
+    save_network(built, tmp_path / "net.json")
+    for net in (built, load_network(tmp_path / "net.json")):
+        for layer in net.layers:
+            copies = core._copies(layer)
+            if layer._record is not None:
+                child, r = layer._record
+                assert child._record is None and r > 1
+                got = {"indptr": layer.map.indptr,
+                       "indices": layer.map.indices, "val": layer.map.val,
+                       "bias": layer.bias, "rho": layer.mask.rho}
+                dtypes = {"indptr": child.map.indptr.dtype,
+                          "indices": child.map.indices.dtype,
+                          "val": child.map.val.dtype,
+                          "bias": child.bias.dtype,
+                          "rho": child.mask.rho.dtype}
+                for key, want in _kron_reference(child, r).items():
+                    assert got[key].dtype == dtypes[key], key
+                    assert np.array_equal(got[key], want), key
+                    assert not got[key].flags.writeable, key
+                assert layer.weight_count == (
+                    layer.map.nnz + np.count_nonzero(layer.bias))
+            assert copies == copies_by_blocks(layer)
 
 
 #: case -> sha256 of its compiled program (see ``conftest.program_digest``)

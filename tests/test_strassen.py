@@ -2,6 +2,7 @@
 padding, and errors."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strassennet import oracles
-from strassennet.core import identity_mnn, realize, realize_many
+from strassennet.core import (identity_mnn, realize, realize_flat,
+                              realize_many)
 from strassennet.gadgets import (GadgetFactory, GadgetSpec, relu2_factory,
                                  relu_factory)
+from strassennet.io import load_network, save_network
 from strassennet.strassen import (_U, _V, _W, RectShape, _build_ext,
                                   _build_shr, bound_counts_rect,
                                   bound_gadget_spec_rect,
@@ -130,6 +133,37 @@ class TestPow2Networks:
                 fM, fL = formula_counts_pow2(k, leaf.num_weights,
                                              leaf.num_layers)
                 assert (net.num_weights, net.num_layers) == (fM, fL)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_exact_counts_past_what_could_be_built(self, k):
+        # k = 8 holds 1,780,537,077 weights: every level records its seven
+        # copies of one child, so the counts come from the records, and
+        # no copy is written out
+        eps, K = 1e-2, 1.0
+        leaf = relu_factory.build(GadgetSpec(eps / 4 ** k, 2 ** k * K))
+        net = build_str_pow2(k, eps, K, relu_factory)
+        assert (net.num_weights, net.num_layers) == formula_counts_pow2(
+            k, leaf.num_weights, leaf.num_layers)
+
+    def test_build_to_reload_memory_is_bounded(self, tmp_path):
+        # relu k = 5 (3,668,445 weights) is built, evaluated on one column,
+        # saved, reloaded and evaluated again within 40 MB traced: its
+        # layers tiled out take 148 MB
+        tracemalloc.start()
+        try:
+            net = build_str_pow2(5, 1e-2, 1.0, relu_factory)
+            A, B = np.random.default_rng(5).uniform(-1, 1, (2, 32, 32))
+            column = np.hstack([A, B]).reshape(-1, 1)
+            out = realize_flat(net, None, column)
+            save_network(net, tmp_path / "k5.json")
+            again = realize_flat(load_network(tmp_path / "k5.json"), None,
+                                 column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(out.reshape(32, 32) - A @ B).max() <= 1e-2
+        assert again.tobytes() == out.tobytes()
+        assert peak < 40 * 2 ** 20
 
     def test_k0_is_the_gadget(self, rng):
         net = build_str_pow2(0, 1.0, 1.0, relu2_factory)
