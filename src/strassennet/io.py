@@ -34,9 +34,10 @@ versions wrote every file, loads as before.
 Files are written compactly, one line per layer: a header line
 ``{"activation":<label>,"layers":[``, then each layer as one JSON object
 without whitespace, every one after the first led by a comma, then ``]}``.
-The writer formats each line straight from the layer's arrays
-(``_table``), so the bytes are those of ``network_to_dict`` dumped layer
-by layer, and spells each distinct layer object once.
+Each line is one layer's object (``_layer_doc``, from which
+``network_to_dict`` is made too) encoded by json, so the bytes are those of
+``network_to_dict`` dumped layer by layer; each distinct layer object is
+encoded once.
 Every file is parsed by ``json`` and each layer read from its object by
 one reader, ``_layer``.  A file laid out as ``save_network`` writes it is
 read a line at a time (``_read_compact``): each distinct layer line is
@@ -218,120 +219,64 @@ def _rows(layer: Layer):
             (np.argwhere(layer.mask.rho) + 1, None))
 
 
-def network_to_dict(net: MNN) -> dict:
-    """Plain-dict form of a network (the JSON document structure).
+def _layer_doc(layer: Layer) -> dict:
+    """Layer ``layer``'s JSON object: its four shape fields, then its own
+    tables or, where it is r > 1 copies of one block B or a row stack of
+    runs of copied blocks (``_blocked``), ``"copies"`` (r, or the runs'
+    ``[r_p, o_p, i_p]``) and, under ``"block"``, the tables of B or of the
+    runs' stacked blocks.  Every cell is a Python int or float, from
+    numpy's ``tolist``, so json writes an index by ``str`` and a value by
+    ``repr``."""
+    copies, block = _blocked(layer)
+    tables = {}
+    for key, (positions, values) in zip(TABLES, _rows(block)):
+        rows = tables[key] = positions.tolist()
+        if values is not None:  # each row ends in its value
+            list(map(list.append, rows, values.tolist()))
+    spec = dict(zip(SHAPE_KEYS, (*layer.out_shape, *layer.in_shape)))
+    if copies is None:
+        spec.update(tables)
+    else:
+        spec.update(copies=copies, block=tables)
+    return spec
 
-    A layer that is r > 1 copies of one block B, or a row stack of runs
-    of copied blocks (``_blocked``), is a copies line: its four shape
-    fields, ``"copies"`` (r, or the runs' ``[r_p, o_p, i_p]``) and, under
-    ``"block"``, the tables of B or of the runs' stacked blocks.  Every
-    other layer holds its own tables."""
-    layers = []
-    for layer in net.layers:
-        copies, block = _blocked(layer)
-        tables = {key: positions.tolist() if values is None
-                  else [[*p, v] for p, v in zip(positions.tolist(),
-                                                values.tolist())]
-                  for key, (positions, values) in zip(TABLES, _rows(block))}
-        spec = dict(zip(SHAPE_KEYS, (*layer.out_shape, *layer.in_shape)))
-        if copies is None:
-            spec.update(tables)
-        else:
-            spec.update(copies=copies, block=tables)
-        layers.append(spec)
-    return {"activation": net.activation_name, "layers": layers}
+
+def network_to_dict(net: MNN) -> dict:
+    """Plain-dict form of a network (the JSON document structure): its
+    activation label and each layer's object (``_layer_doc``), a copies
+    line where the layer is r > 1 copies of one block or a row stack of
+    runs of copied blocks.  ``save_network`` writes these same objects."""
+    return {"activation": net.activation_name,
+            "layers": [_layer_doc(layer) for layer in net.layers]}
 
 
 #: the compact layout's first line around the JSON label, and its last line
 HEAD, HEAD_END, FOOT = '{"activation":', ',"layers":[\n', "]}\n"
-#: a compact layer line: its shape fields, then its tables or a copies
-#: line's copies and block
-LAYER_LINE = '{"out_rows":%d,"out_cols":%d,"in_rows":%d,"in_cols":%d,%s}'
-TABLES_TEXT = '"entries":[%s],"bias":[%s],"mask_rho":[%s]'
-COPIES_TEXT = '"copies":%s,"block":{%s}'
-
-
-def _spelled(column: np.ndarray, spell, lead: str, tail: str,
-             spellings: dict) -> np.ndarray:
-    """``lead + spell(x) + tail`` for every number of a table column, as an
-    object array.  An integer column whose largest number ``top`` is at
-    most its cell count indexes ``spellings[lead, tail]``, the spellings of
-    ``0..top`` that every such column of one file shares, grown to ``top``
-    when a column needs it; any other column, or one whose ``top`` is
-    larger (a wide, nearly empty layer), is spelled over ``np.unique``, so
-    a table of spellings never outgrows a column that used it."""
-    top = column.max()
-    if column.dtype.kind in "iu" and top <= len(column):
-        names = spellings.get((lead, tail), np.empty(0, dtype=object))
-        if top >= len(names):
-            grown = [lead + spell(x) + tail
-                     for x in range(len(names), top + 1)]
-            names = spellings[lead, tail] = np.concatenate(
-                [names, np.array(grown, dtype=object)])
-        return names[column]
-    distinct, at = np.unique(column, return_inverse=True)
-    names = np.array([lead + spell(x) + tail for x in distinct.tolist()],
-                     dtype=object)
-    return names[at]
-
-
-def _table(spellings: dict, positions: np.ndarray, values=None) -> str:
-    """The text ``json.dumps`` gives a table's rows without spaces: ``str``
-    writes an int and ``repr`` a float as its encoder does.  Stored values
-    are nonzero and finite, so equal floats have one spelling.
-
-    Each cell carries its separators: ``,[`` before the first column, ``,``
-    before the others and ``]`` after the last.  So the rows are one join
-    over the cells in row-major order, less the leading comma.  An index
-    column's cells come from the file's ``spellings`` (``_spelled``)."""
-    if not len(positions):
-        return ""
-    columns = [(column, str) for column in positions.T]
-    if values is not None:
-        columns.append((values, repr))
-    last = len(columns) - 1
-    cells = np.empty((len(positions), len(columns)), dtype=object)
-    for pos, (column, spell) in enumerate(columns):
-        cells[:, pos] = _spelled(column, spell, ",[" if pos == 0 else ",",
-                                 "]" if pos == last else "", spellings)
-    return "".join(cells.ravel().tolist())[1:]
-
-
-def _line(spellings: dict, layer: Layer) -> str:
-    """Layer ``layer``'s compact line, without its lead or newline: a
-    copies line where it is r > 1 copies of one block or a row stack of
-    runs (``_blocked``)."""
-    copies, block = _blocked(layer)
-    tables = TABLES_TEXT % tuple(_table(spellings, *pair)
-                                 for pair in _rows(block))
-    if copies is not None:  # an int, or a list of lists of ints
-        tables = COPIES_TEXT % (str(copies).replace(" ", ""), tables)
-    return LAYER_LINE % (*layer.out_shape, *layer.in_shape, tables)
+#: the encoder of a layer line: ``json.dumps`` without spaces.  A layer's
+#: object is a fresh tree of dicts and lists, so no cycle is looked for
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def save_network(net: MNN, path) -> None:
     """Write ``network_to_dict(net)`` compactly, one line per layer.
 
-    Each line is formatted from the layer's arrays, byte for byte what a
-    separator-only ``json.dumps`` of its document gives, without building
-    the document: each table is one join over its pre-decorated cells
-    (``_table``).  The spellings of indices, with their separators, are
-    made once for the whole file and shared by every layer's tables; they
-    live only as long as this call.  Each distinct layer object is spelled
-    once: the line of one that the network holds more than once, as built
-    networks do, is kept until its last position is written.  A layer of
-    r > 1 copies of one block B is a copies line, which spells only B's
-    tables, and a row stack of runs of copied blocks a run line, which
-    spells one table set for the stacked distinct blocks, where that holds
-    fewer table rows (``_blocked``); there is no option to spell every
-    copy."""
-    spellings, lines = {}, {}
+    Each line is a layer's object (``_layer_doc``) encoded by json without
+    spaces, so the file is ``network_to_dict(net)`` dumped layer by layer.
+    Each distinct layer object is encoded once: the line of one that the
+    network holds more than once, as built networks do, is kept until its
+    last position is written.  A layer of r > 1 copies of one block B is
+    a copies line, which holds only B's tables, and a row stack of runs of
+    copied blocks a run line, which holds one table set for the stacked
+    distinct blocks, where that holds fewer table rows (``_blocked``);
+    there is no option to write every copy."""
+    lines = {}
     left = Counter(net.layers)  # positions still to write, by layer object
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEAD + json.dumps(net.activation_name) + HEAD_END)
         lead = ""
         for layer in net.layers:
-            line = lines.pop(layer, None) or _line(spellings, layer)
+            line = (lines.pop(layer, None)
+                    or _ENCODER.encode(_layer_doc(layer)))
             left[layer] -= 1
             if left[layer]:
                 lines[layer] = line
@@ -655,9 +600,17 @@ def save_matrix(A: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix in CSV file ``path``, refused after ``matrix file
+    <path>`` where a row's length differs from the first's, a cell is not
+    a number, or the file holds no numbers."""
     with warnings.catch_warnings():  # an empty file is refused below
         warnings.filterwarnings("ignore", ".*input contained no data")
-        A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        try:
+            A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        except ValueError as exc:  # numpy's cause, less its usecols advice
+            raise ValueError(
+                f"matrix file {path} is not rows of numbers of one length: "
+                f"{str(exc).partition('; use `usecols`')[0]}") from None
     if not A.size:
         raise ValueError(f"matrix file {path} holds no numbers")
     return A

@@ -345,6 +345,27 @@ class TestEval:
             1, f"snn: error: matrix file {empty} holds no numbers\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,abc\n"],
+                             ids=["ragged", "not-a-number"])
+    def test_matrix_file_that_is_not_a_table_exits_one(self, tmp_path,
+                                                       capsys, text):
+        # numpy's text used to reach the user naming no file
+        net = self._build(tmp_path, ["build", "strassen-square", "--n", "2",
+                                     "--activation", "relu2"])
+        capsys.readouterr()
+        bad = tmp_path / "A.csv"
+        bad.write_text(text)
+        save_matrix(np.eye(2), tmp_path / "B.csv")
+        out = tmp_path / "C.csv"
+        rc = main(["eval", "--net", str(net), "--a", str(bad),
+                   "--b", str(tmp_path / "B.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"snn: error: matrix file {bad} is not rows of "
+                              "numbers of one length: ")
+        assert "usecols" not in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_fractional_dimension_exits_one(self, tmp_path, capsys):
         net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])
         capsys.readouterr()

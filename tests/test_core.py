@@ -761,11 +761,13 @@ def _generated_chain(rng, rows, cols, pairs):
 def _generated_networks(draw):
     """A relu network laid out as the builders lay theirs out: a glue
     layer (with rho in half of the draws), then ``parallelize([child] *
-    r)`` with r in {1, 2, 3, 7}, then a dense tail without rho.  The child
-    is a chain of 1-3 layers through matrices of 1-3 rows and columns,
-    with the gadget's pairs in 70 % of draws; in a third of the draws each
-    it is itself ``parallelize`` of 2 or 3 copies of that chain, or of
-    that chain beside another one of other inner widths."""
+    r)`` with r in {1, 2, 3, 7}, then, in three quarters of the draws, a
+    dense tail without rho; without it, the body's run of copies reaches
+    the last layer, which has no rho, as every chain's last layer.  The
+    child is a chain of 1-3 layers through matrices of 1-3 rows and
+    columns, with the gadget's pairs in 70 % of draws; in a third of the
+    draws each it is itself ``parallelize`` of 2 or 3 copies of that
+    chain, or of that chain beside another one of other inner widths."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     depth = draw(st.integers(1, 3))
     sizes = st.integers(1, 3)
@@ -784,6 +786,8 @@ def _generated_networks(draw):
     glue = _generated_layer(rng, tuple(body.input_shape),
                             (draw(st.integers(1, 2)), draw(sizes)),
                             draw(st.booleans()), False)
+    if draw(st.integers(0, 3)) == 0:
+        return MNN([glue, *body.layers], "relu")
     tail = _generated_layer(rng, (draw(st.integers(1, 2)), draw(sizes)),
                             tuple(body.output_shape), False, False)
     return MNN([glue, *body.layers, tail], "relu")
@@ -793,8 +797,10 @@ def _generated_networks(draw):
 @settings(max_examples=150, deadline=None)
 def test_generated_networks_compile_as_built(tmp_path_factory, net):
     # bit-identity with the reference at several widths, a tenth of the
-    # inputs exact zeros; the copy counts of a block-by-block scan; and
+    # inputs exact zeros; the copy counts of a block-by-block scan; the
+    # last layer runs whole, also where a run of copies reaches it; and
     # the reloaded network's program is the built one's
+    assert core._fold_plan(net)[-1] == 1
     rng = np.random.default_rng(13)
     for width in (1, 2, 5, 40):
         cols = rng.uniform(-1, 1, (net.input_shape.size, width))

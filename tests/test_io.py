@@ -281,6 +281,21 @@ def _awkward_network():
     return MNN([first, last], "relu")
 
 
+#: ``_awkward_network``'s file: each value as ``repr`` spells it, an
+#: exponent, a subnormal, the largest double or a shortest round trip
+AWKWARD_FILE = (
+    '{"activation":"relu","layers":[\n'
+    '{"out_rows":11,"out_cols":2,"in_rows":12,"in_cols":12,"entries":['
+    '[1,1,1,1,0.30000000000000004],[2,1,1,2,2.0],[10,1,1,12,5e-324],'
+    '[10,2,3,4,1e+16],[11,1,12,1,1e-05],'
+    '[11,2,10,2,-1.7976931348623157e+308]],'
+    '"bias":[[1,1,0.30000000000000004],[10,2,1e+16],[11,1,-5e-324]],'
+    '"mask_rho":[[10,1],[11,2]]}\n'
+    ',{"out_rows":1,"out_cols":1,"in_rows":11,"in_cols":2,'
+    '"entries":[[1,1,10,1,1e-05]],"bias":[],"mask_rho":[]}\n'
+    ']}\n')
+
+
 class TestWriterReference:
     @pytest.mark.parametrize("net", [
         *_sample_networks(),
@@ -293,6 +308,14 @@ class TestWriterReference:
         save_network(net, path)
         assert path.read_text() == compact_text(network_to_dict(net))
         assert mnn_equal(load_network(path), net)
+
+    def test_golden_awkward_bytes(self, tmp_path):
+        # the file and network_to_dict come from one layer builder, so the
+        # spelling of awkward numbers is pinned by a literal as well
+        path = tmp_path / "net.json"
+        save_network(_awkward_network(), path)
+        assert path.read_text() == AWKWARD_FILE
+        assert mnn_equal(load_network(path), _awkward_network())
 
 
 #: ``_awkward_network``'s values and more whose repr is an exponent, a
@@ -377,47 +400,6 @@ class TestWriterOnRandomNetworks:
         assert peak < 16 * 2**20
         assert path.read_text() == compact_text(network_to_dict(net))
 
-    def test_spelling_tables_grow_only_as_far_as_their_columns(self,
-                                                               tmp_path):
-        # layer 0 is wide and nearly empty: its last index column's top,
-        # 4999, is above its two cells, so it is spelled over np.unique;
-        # layer 1 is dense, 1200 entries whose first index reaches 600
-        wide = Layer(SparseLinearMap((2, 1), (1, 5000),
-                                     [[1, 1, 1, 4999], [2, 1, 1, 100]],
-                                     [1e-05, 0.1 + 0.2]))
-        out, into = np.indices((600, 2)).reshape(2, -1) + 1
-        ones = np.ones_like(out)
-        dense = Layer(SparseLinearMap((600, 1), (2, 1),
-                                      np.stack([out, ones, into, ones], 1),
-                                      np.linspace(-1.0, 2.0, out.size)),
-                      np.full((600, 1), 0.5))
-        last = Layer(SparseLinearMap((1, 1), (600, 1),
-                                     [[1, 1, k, 1] for k in range(1, 601)],
-                                     np.full(600, 0.25)))
-        net = MNN([wide, dense, last])
-        path = tmp_path / "net.json"
-        with mock.patch.object(io_module, "_spelled",
-                               wraps=io_module._spelled) as spy:
-            save_network(net, path)
-        assert path.read_text() == compact_text(network_to_dict(net))
-        spellings = spy.call_args_list[0].args[4]
-        tops, cells = {}, {}
-        for call in spy.call_args_list:
-            column, spell, lead, tail, seen = call.args
-            assert seen is spellings  # one set of tables for the file
-            if column.dtype.kind in "iu" and column.max() <= len(column):
-                tops[lead, tail] = max(tops.get((lead, tail), 0),
-                                       int(column.max()))
-                cells[lead, tail] = max(cells.get((lead, tail), 0),
-                                        len(column))
-        assert tops and spellings.keys() == tops.keys()
-        for key, names in spellings.items():
-            # the spellings of 0..top, and top is at most the largest cell
-            # count among the columns that used the table
-            assert len(names) == tops[key] + 1 <= cells[key] + 1
-            assert names[-1] == key[0] + str(tops[key]) + key[1]
-        assert tops[",", ""] == 600  # not the wide layer's 4999
-
     @pytest.mark.parametrize("net, distinct", [
         (identity_mnn((2, 3), 4), 1),
         (build_inv(InversionSpec(3, 1.0, 1e-3, 0.5), relu_factory), 86)],
@@ -425,14 +407,14 @@ class TestWriterOnRandomNetworks:
     def test_each_distinct_layer_is_spelled_once(self, tmp_path, net,
                                                  distinct):
         # a layer object the network holds at several positions is written
-        # at each of them from the one line spelled for it
+        # at each of them from the one line encoded for it
         path = tmp_path / "net.json"
-        with mock.patch.object(io_module, "_table",
-                               wraps=io_module._table) as spy:
+        with mock.patch.object(io_module, "_layer_doc",
+                               wraps=io_module._layer_doc) as spy:
             save_network(net, path)
         assert path.read_text() == compact_text(network_to_dict(net))
         assert len(set(net.layers)) == distinct < net.num_layers
-        assert spy.call_count == len(io_module.TABLES) * distinct
+        assert spy.call_count == distinct
 
 
 def _valid_doc():
@@ -1751,3 +1733,20 @@ class TestMatrixFiles:
         message = f"^matrix file {re.escape(str(path))} holds no numbers$"
         with pytest.raises(ValueError, match=message):
             load_matrix(path)
+
+    @pytest.mark.parametrize("text, cause", [
+        ("1,2\n3\n", "the number of columns changed from 2 to 1"),
+        ("1,2\n3,abc\n", "could not convert string 'abc'")],
+        ids=["ragged", "not-a-number"])
+    def test_file_that_is_not_a_table_of_numbers_is_refused(self, tmp_path,
+                                                            text, cause):
+        # numpy's own text named no file, and advised usecols, an argument
+        # no caller has
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_matrix(path)
+        message = str(caught.value)
+        assert message.startswith(f"matrix file {path} is not rows of "
+                                  f"numbers of one length: {cause}")
+        assert "usecols" not in message
