@@ -5,27 +5,27 @@
 composition bit for bit.  ``parallelize`` runs equal-depth networks
 side-by-side on row-stacked inputs; when intermediate widths differ, the
 narrower blocks are padded with implicit zero columns, which costs no
-weights (no entries, zero bias, identity mask).  Copies of one network,
-as a Strassen level's seven, are not written out: each stacked layer
-records its one child and the copy count (``Layer._repeat``), so building
-memory grows with the number of distinct layers, not with the copies.
-Each other stacked map is assembled from its children's CSR arrays, which
-are valid and in row-major order already, so it is not checked against
-the storage rule a second time, and neither are the stacked layer and its
-mask.  Nor is the stacked network: the stacked layers of equal-depth valid
-networks chain by construction, so ``parallelize`` wraps them without
-walking the chain.  ``concat`` checks only where its two valid operands
-meet.
+weights (no entries, zero bias, identity mask).  No stacked layer is
+written out: copies of one network, as a Strassen level's seven, record
+their one child and the copy count (``Layer._repeat``), and unequal
+children, as the inverter's square beside its carry of A, record their
+runs of one child (``Layer._stack``), so building memory grows with the
+number of distinct layers, not with the copies.  A stacked layer's
+arrays are gathered from its children's CSR arrays on their first read;
+those are valid and in row-major order already, so they are not checked
+against the storage rule a second time.  Nor is the stacked network: the
+stacked layers of equal-depth valid networks chain by construction, so
+``parallelize`` wraps them without walking the chain.  ``concat`` checks
+only where its two valid operands meet.
 
 Both label the result with the one activation label set among the operands
 (``None`` if all are unlabelled glue) and refuse two different labels.
 """
 
+import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .core import MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap
+from .core import MNN, Layer
 
 
 def _shared_label(nets: Sequence[MNN],
@@ -63,52 +63,25 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     rows and writes the output rows below those of the children before it,
     and narrower children are padded with zero columns.
 
-    When every child is one ``Layer`` object, as Strassen's seven copies
-    are, the stack is ``kron(I_r, child)``: it is recorded as ``(child,
-    r)`` (``Layer._repeat``), with no array tiled until one is read, and a
-    stack of copies of a recorded layer records the innermost child; one
-    child is itself.  Otherwise the map is assembled from the children's
-    CSR arrays, not from their quadruples.  Each child is a valid map in
-    row-major order, and the children's rows follow one another, so the
-    stacked entries are in range and in row-major order by construction:
-    they are wrapped as they are (``SparseLinearMap._from_valid``),
-    without a second pass of the storage rule, and so are the stacked bias
-    and mask, which are neither checked nor copied again
-    (``Layer._from_valid``).  Either way, the arrays equal those the
-    constructor would store for the stacked quadruples, dtypes included.
+    No array is assembled.  When every child is one ``Layer`` object, as
+    Strassen's seven copies are, the stack is ``kron(I_r, child)``: it is
+    recorded as ``(child, r)`` (``Layer._repeat``), and a stack of copies
+    of a recorded layer records the innermost child; one child is itself.
+    Otherwise it records its runs of one child object, ``((child_p, r_p),
+    ...)`` (``Layer._stack``), and a child may itself be a record of
+    either kind, so a stack of copies of a stack keeps its period.  The
+    shapes, weight count, ``any_rho`` and copy count come from the record,
+    and the arrays, gathered on their first read (``core._gathered``),
+    equal those the constructor would store for the stacked quadruples,
+    dtypes included.
     """
-    first, r = children[0], len(children)
-    # a Layer equals only itself, so this counts copies of that one object
-    if children.count(first) == r:
-        return first if r == 1 else Layer._repeat(first, r)
-    out_shape = MatrixShape(sum(layer.out_shape.rows for layer in children),
-                            max(layer.out_shape.cols for layer in children))
-    in_shape = MatrixShape(sum(layer.in_shape.rows for layer in children),
-                           max(layer.in_shape.cols for layer in children))
-    # entries per output position; the padding columns hold none
-    counts = np.zeros(out_shape, dtype=np.int64)
-    bias = np.zeros(out_shape)
-    rho = np.zeros(out_shape, dtype=bool)
-    indices = []
-    out_off = in_off = 0
-    for layer in children:
-        m = layer.map
-        r, c = m.out_shape
-        at = np.s_[out_off:out_off + r, :c]
-        counts[at] = np.diff(m.indptr).reshape(r, c)
-        bias[at] = layer.bias
-        rho[at] = layer.mask.rho
-        k, l = np.divmod(m.indices, m.in_shape.cols)
-        indices.append((k + in_off) * in_shape.cols + l)
-        out_off += r
-        in_off += m.in_shape.rows
-    indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    linmap = SparseLinearMap._from_valid(
-        out_shape, in_shape, indptr, np.concatenate(indices),
-        np.concatenate([layer.map.val for layer in children]))
-    return Layer._from_valid(linmap, bias,
-                             ActivationMask._from_valid(out_shape, rho))
+    # a Layer equals only itself, so each run holds one object
+    parts = [(child, len(list(run)))
+             for child, run in itertools.groupby(children)]
+    if len(parts) > 1:
+        return Layer._stack(parts)
+    child, r = parts[0]
+    return child if r == 1 else Layer._repeat(child, r)
 
 
 def parallelize(nets: Iterable[MNN]) -> MNN:
@@ -119,8 +92,9 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
     ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
     and exactly the summed weight count.  Copies of one network, as in
     ``parallelize([net] * 7)``, give layers that record their child and
-    count instead of tiling its arrays (see ``_stack_layers``), so nested
-    levels cost what their distinct layers do.  Only the operands are
+    count instead of tiling its arrays, and unequal networks layers that
+    record their runs (see ``_stack_layers``), so nested levels cost what
+    their distinct layers do.  Only the operands are
     checked: stacked levels of valid chains chain by construction, so the
     result is wrapped as it is (``MNN._from_valid``), its chain not walked
     a second time.

@@ -32,6 +32,7 @@ the domain its builder states (multipliers: operand entries in
 does not check it.
 """
 
+import bisect
 import itertools
 import math
 import numbers
@@ -142,11 +143,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 #: sets an attribute of a read-only object: only its ``_store`` (for its
-#: constructor or ``_from_valid``), ``Layer._repeat`` (for a recorded
+#: constructor or ``_from_valid``), ``Layer._recorded_as`` (for a recorded
 #: layer), a recorded layer's ``map``, ``bias`` and ``mask`` (for the
-#: arrays tiled on their first read), ``_copies`` (for the count it keeps
-#: on a layer), ``_compile`` (for ``MNN._program``) or a frozen spec's
-#: ``__post_init__``, to store a parameter as its float64
+#: arrays tiled or gathered on their first read), ``_copies`` (for the
+#: count it keeps on a layer), ``io._units`` and ``io._tiled`` (for the
+#: units kept on a layer), ``_compile`` (for ``MNN._program``) or a frozen
+#: spec's ``__post_init__``, to store a parameter as its float64
 _set = object.__setattr__
 
 
@@ -167,16 +169,16 @@ class _ReadOnly:
     def _from_valid(cls, *parts):
         """The object on ``parts`` as its ``_store`` takes them, without
         the constructor's checks and copies: only for parts valid by
-        construction, as ``combinators._stack_layers`` (maps, masks and
-        layers gathered from unequal children), ``Layer`` (a recorded
+        construction, as ``_gathered`` (a stack's map and mask, gathered
+        from its children's on their first read), ``Layer`` (a recorded
         layer's map and mask, tiled from its child's on their first
         read), ``combinators.parallelize`` (the stacked layers),
         ``scale_output``, ``combinators.concat`` (two valid networks,
         joined where it checked them), ``ActivationMask.from_positions``,
         ``io._built`` (a mask and a bias set from positions and values
-        the storage rule took) and ``io._blocked``, ``io._runs`` and
-        ``io._tiled`` (blocks cut or gathered from a valid layer's arrays)
-        pass them.  Arrays are frozen, not copied."""
+        the storage rule took) and ``io._runs``, ``io._units``,
+        ``io._blocked`` and ``io._tiled`` (blocks cut or gathered from a
+        valid layer's arrays) pass them.  Arrays are frozen, not copied."""
         obj = cls.__new__(cls)
         obj._store(*parts)
         return obj
@@ -386,14 +388,18 @@ class Layer(_ReadOnly):
 
     A layer that ``combinators._stack_layers`` or a copies line tiles from
     r copies of one child, ``kron(I_r, child)``, is built by ``_repeat``:
-    it records ``(child, r)`` and holds no arrays.  Its shapes and weight
-    count come from the record, and its map, bias and mask are tiled from
-    the child's on their first read, each into the frozen arrays, dtypes
-    included, that tiling the child gives (copy ``c``'s input positions
-    moved by ``c`` input blocks), and kept."""
+    it records ``(child, r)`` and holds no arrays.  A row stack of unequal
+    children is built by ``_stack``: it records its runs of one child,
+    ``((child_p, r_p), ...)``, and holds no arrays either.  Either way the
+    shapes, the weight count and ``any_rho`` come from the record.  A
+    copies record's map, bias and mask are tiled from the child's on their
+    first read, each into the frozen arrays, dtypes included, that tiling
+    the child gives (copy ``c``'s input positions moved by ``c`` input
+    blocks), and kept; a stack's three are gathered together on the first
+    read of any (``_gathered``), and kept."""
 
-    __slots__ = ("out_shape", "in_shape", "weight_count", "_record", "_map",
-                 "_bias", "_mask", "_copies_found")
+    __slots__ = ("out_shape", "in_shape", "weight_count", "_record", "_parts",
+                 "_map", "_bias", "_mask", "_copies_found", "_units_found")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
         if not isinstance(linmap, SparseLinearMap):
@@ -421,64 +427,177 @@ class Layer(_ReadOnly):
         _set(self, "in_shape", linmap.in_shape)
         _set(self, "weight_count", linmap.nnz + int(np.count_nonzero(bias)))
         _set(self, "_record", None)
+        _set(self, "_parts", None)
         _set(self, "_map", linmap)
         _set(self, "_bias", _freeze(bias))
         _set(self, "_mask", mask)
         _set(self, "_copies_found", None)  # see _copies
+        _set(self, "_units_found", None)  # see io._units
+
+    @classmethod
+    def _recorded_as(cls, out_shape, in_shape, weight_count, record, parts):
+        """A layer of these shapes and weight count that holds no arrays,
+        only its ``record`` or its ``parts``."""
+        layer = cls.__new__(cls)
+        _set(layer, "out_shape", out_shape)
+        _set(layer, "in_shape", in_shape)
+        _set(layer, "weight_count", weight_count)
+        _set(layer, "_record", record)
+        _set(layer, "_parts", parts)
+        for name in ("_map", "_bias", "_mask", "_copies_found",
+                     "_units_found"):
+            _set(layer, name, None)  # set on the first read
+        return layer
 
     @classmethod
     def _repeat(cls, child: "Layer", r: int) -> "Layer":
         """The layer ``kron(I_r, child)``, recorded as ``(child, r)``.  A
         child that is itself recorded as q copies of a layer gives r q
-        copies of that layer, so a record never holds a record."""
+        copies of that layer, so a copies record never holds another."""
         if child._record is not None:
             child, q = child._record
             r *= q
-        layer = cls.__new__(cls)
-        _set(layer, "out_shape", MatrixShape(r * child.out_shape.rows,
-                                             child.out_shape.cols))
-        _set(layer, "in_shape", MatrixShape(r * child.in_shape.rows,
-                                            child.in_shape.cols))
-        _set(layer, "weight_count", r * child.weight_count)
-        _set(layer, "_record", (child, r))
-        for name in ("_map", "_bias", "_mask", "_copies_found"):
-            _set(layer, name, None)  # set on the first read
-        return layer
+        return cls._recorded_as(
+            MatrixShape(r * child.out_shape.rows, child.out_shape.cols),
+            MatrixShape(r * child.in_shape.rows, child.in_shape.cols),
+            r * child.weight_count, (child, r), None)
+
+    @classmethod
+    def _stack(cls, parts) -> "Layer":
+        """The row stack of ``parts``, runs ``((child_p, r_p), ...)`` of r_p
+        copies of child_p, at the widest child's column counts, recorded
+        as those runs.  A child may be a record of either kind."""
+        children = [child for child, _ in parts]
+        return cls._recorded_as(
+            MatrixShape(sum(r * c.out_shape.rows for c, r in parts),
+                        max(c.out_shape.cols for c in children)),
+            MatrixShape(sum(r * c.in_shape.rows for c, r in parts),
+                        max(c.in_shape.cols for c in children)),
+            sum(r * c.weight_count for c, r in parts), None, tuple(parts))
+
+    def _gather(self):
+        """Set a stack's map, bias and mask, gathered from its record."""
+        linmap, bias, mask = _gathered(_segments(self), self.out_shape,
+                                       self.in_shape)
+        _set(self, "_map", linmap)
+        _set(self, "_bias", bias)
+        _set(self, "_mask", mask)
 
     @property
     def map(self) -> SparseLinearMap:
-        if self._map is None:  # tiled from the record, on the first read
-            child, r = self._record
-            m = child.map
-            copy = np.arange(r, dtype=np.int64)[:, None]
-            indptr = np.zeros(self.out_shape.size + 1, dtype=np.int64)
-            indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
-            _set(self, "_map", SparseLinearMap._from_valid(
-                self.out_shape, self.in_shape, indptr,
-                (m.indices + copy * m.in_shape.size).ravel(),
-                np.tile(m.val, r)))
+        if self._map is None:  # tiled or gathered, on the first read
+            if self._parts is not None:
+                self._gather()
+            else:
+                child, r = self._record
+                m = child.map
+                copy = np.arange(r, dtype=np.int64)[:, None]
+                indptr = np.zeros(self.out_shape.size + 1, dtype=np.int64)
+                indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
+                _set(self, "_map", SparseLinearMap._from_valid(
+                    self.out_shape, self.in_shape, indptr,
+                    (m.indices + copy * m.in_shape.size).ravel(),
+                    np.tile(m.val, r)))
         return self._map
 
     @property
     def bias(self) -> np.ndarray:
         if self._bias is None:
-            child, r = self._record
-            _set(self, "_bias", _freeze(np.tile(child.bias, (r, 1))))
+            if self._parts is not None:
+                self._gather()
+            else:
+                child, r = self._record
+                _set(self, "_bias", _freeze(np.tile(child.bias, (r, 1))))
         return self._bias
 
     @property
     def mask(self) -> ActivationMask:
         if self._mask is None:
-            child, r = self._record
-            _set(self, "_mask", ActivationMask._from_valid(
-                self.out_shape, np.tile(child.mask.rho, (r, 1))))
+            if self._parts is not None:
+                self._gather()
+            else:
+                child, r = self._record
+                _set(self, "_mask", ActivationMask._from_valid(
+                    self.out_shape, np.tile(child.mask.rho, (r, 1))))
         return self._mask
 
     @property
     def any_rho(self) -> bool:
-        """Whether rho acts on any entry; a recorded layer's child says."""
+        """Whether rho acts on any entry; a record's children say."""
+        if self._parts is not None:
+            return any(child.any_rho for child, _ in self._parts)
         return (self if self._record is None
                 else self._record[0]).mask.any_rho
+
+
+def _record_of(layer: Layer):
+    """A recorded layer's runs ``((child, r), ...)``, a copies record
+    being one run; else None."""
+    return layer._parts or (layer._record and (layer._record,))
+
+
+def _segments(layer: Layer) -> list:
+    """The layer as ``[(plain, q), ...]``: q copies of each plain layer (one
+    without a record), stacked by rows in this order, each at its own
+    column counts.  A layer without a record is ``[(layer, 1)]``."""
+    record = _record_of(layer)
+    if record is None:
+        return [(layer, 1)]
+    segments = []
+    for child, r in record:
+        inner = _segments(child)
+        segments += ([(inner[0][0], inner[0][1] * r)] if len(inner) == 1
+                     else inner * r)
+    return segments
+
+
+def _unrecorded(layer: Layer) -> Layer:
+    """The layer where it holds its map, else a layer on its arrays
+    gathered afresh (``_gathered``) and not kept on it."""
+    if layer._map is not None:
+        return layer
+    return Layer._from_valid(*_gathered(_segments(layer), layer.out_shape,
+                                        layer.in_shape))
+
+
+def _gathered(segments, out_shape: MatrixShape, in_shape: MatrixShape):
+    """``(map, bias, mask)`` of ``segments`` (see ``_segments``) stacked by
+    rows in the given shapes, narrower segments padded with zero columns.
+    Each plain layer is a valid map in row-major order and the segments'
+    rows follow one another, so the stacked entries are in range and in
+    row-major order by construction: they are wrapped as they are
+    (``_from_valid``), and so are the bias and mask.  The arrays, dtypes
+    included, are those the constructor stores for the stacked
+    quadruples."""
+    counts = np.zeros(out_shape, dtype=np.int64)  # entries per position
+    bias = np.zeros(out_shape)
+    rho = np.zeros(out_shape, dtype=bool)
+    indices, vals = [], []
+    out_off = in_off = 0
+    for layer, q in segments:
+        m = layer.map
+        (r, c), (i, d) = m.out_shape, m.in_shape
+        at = np.s_[out_off:out_off + q * r, :c]
+        counts[at] = np.tile(np.diff(m.indptr).reshape(r, c), (q, 1))
+        bias[at] = np.tile(layer.bias, (q, 1))
+        rho[at] = np.tile(layer.mask.rho, (q, 1))
+        flat = m.indices + in_off * d
+        if d != in_shape.cols:  # padded: the row-major positions move
+            k, l = np.divmod(flat, d)
+            flat = k * in_shape.cols + l
+        if q > 1:  # copy c is moved by c input blocks
+            flat = (flat + np.arange(0, q * i * in_shape.cols,
+                                     i * in_shape.cols)[:, None]).ravel()
+        indices.append(flat)
+        vals.append(np.tile(m.val, q))
+        out_off += q * r
+        in_off += q * i
+    indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    linmap = SparseLinearMap._from_valid(out_shape, in_shape, indptr,
+                                         np.concatenate(indices),
+                                         np.concatenate(vals))
+    return linmap, _freeze(bias), ActivationMask._from_valid(out_shape, rho)
 
 
 def _label(label) -> None:
@@ -584,20 +703,48 @@ def _copies(layer: Layer) -> int:
     times the child's count, the count a scan of its arrays finds: arrays
     that repeat with the child's period and with a shorter one repeat
     with the gcd of the two (Fine and Wilf), a period of the child's.
-    Only a layer without a record is scanned, off its arrays alone, so
-    loaded networks fold as built ones do.  A divisor is first checked in
-    O(1), by the entry count of the first block and the first entry of
-    the second, and only one that passes is checked on the whole
-    arrays."""
+    Any other layer has the count a scan of its arrays finds, so loaded
+    networks fold as built ones do: each divisor is first checked in
+    O(1) (``_candidates``), a stack of unequal children's off its record
+    (``_stacked_copies``), and only one that passes is checked on the
+    whole arrays."""
     found = layer._copies_found
     if found is None:
         if layer._record is not None:
             child, q = layer._record
             found = q * _copies(child)
+        elif layer._parts is not None:
+            found = _stacked_copies(layer)
         else:
             found = _scanned_copies(layer)
         _set(layer, "_copies_found", found)
     return found
+
+
+def _candidates(out_size: int, in_size: int, nnz: int, entries_before,
+                entry, probes=((0, 0),)):
+    """The divisors r of a layer's sizes and entry count, largest first,
+    that pass cheap necessary conditions, which reject most divisors
+    before any whole array is read: from each probe ``(p, e)``, a flat
+    output position and an entry, and from the probe one block back, the
+    next block holds as many entries as a block does, and its first entry
+    is entry e moved by one input block.  ``entries_before(p)`` is the
+    number of entries before flat output position p, and ``entry(e)``
+    entry e's flat input position and value."""
+    for r in _divisors(math.gcd(out_size, in_size, nnz)):
+        bo, bi, bn = out_size // r, in_size // r, nnz // r
+
+        def agrees(p, e):
+            if 0 <= p and p + bo <= out_size and (
+                    entries_before(p + bo) - entries_before(p) != bn):
+                return False
+            if 0 <= e and e + bn < nnz and bn:
+                (first, v), (second, w) = entry(e), entry(e + bn)
+                return second == first + bi and w == v
+            return True
+
+        if all(agrees(p, e) and agrees(p - bo, e - bn) for p, e in probes):
+            yield r
 
 
 def _scanned_copies(layer: Layer) -> int:
@@ -605,14 +752,10 @@ def _scanned_copies(layer: Layer) -> int:
     m = layer.map
     rows = np.diff(m.indptr)
     bias, rho = layer.bias.reshape(-1), layer.mask.rho.reshape(-1)
-    for r in _divisors(math.gcd(m.out_shape.size, m.in_shape.size, m.nnz)):
+    for r in _candidates(m.out_shape.size, m.in_shape.size, m.nnz,
+                         m.indptr.__getitem__,
+                         lambda e: (m.indices[e], m.val[e])):
         bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
-        # the first block holds its share of the entries, and the second
-        # starts as the first does: cheap necessary conditions, which
-        # reject most divisors before any whole array is read
-        if m.indptr[bo] != bn or bn and (m.indices[bn] != m.indices[0] + bi
-                                         or m.val[bn] != m.val[0]):
-            continue
         # each array equals itself shifted by one block, so every block
         # equals the first, its columns moved by one input block; since
         # the last block's columns are in range, the first reads only its
@@ -627,12 +770,52 @@ def _scanned_copies(layer: Layer) -> int:
     return 1
 
 
+def _stacked_copies(layer: Layer) -> int:
+    """``_copies`` of a stack of unequal children: 1 where no divisor
+    passes ``_candidates``' checks, probed where each of the record's
+    segments (``_segments``) starts and answered off the segments without
+    gathering them, else the scan of its arrays (``_unrecorded``)."""
+    oc, ic = layer.out_shape.cols, layer.in_shape.cols
+    segments = _segments(layer)
+    # per segment: its first flat output position, entry and input row
+    firsts = np.cumsum([(0, 0, 0)] + [
+        (q * part.out_shape.rows * oc, q * part.map.nnz,
+         q * part.in_shape.rows) for part, q in segments], axis=0).tolist()
+    positions, entries, _ = zip(*firsts)
+
+    def entries_before(p):
+        s = bisect.bisect_right(positions, p) - 1
+        if s == len(segments):  # the end
+            return entries[-1]
+        part, (at, e0, _) = segments[s][0], firsts[s]
+        m = part.map
+        copy, rest = divmod(p - at, part.out_shape.rows * oc)
+        row, col = divmod(rest, oc)
+        c = m.out_shape.cols
+        return e0 + copy * m.nnz + int(m.indptr[row * c + min(col, c)])
+
+    def entry(e):
+        s = bisect.bisect_right(entries, e) - 1
+        part, (_, e0, in0) = segments[s][0], firsts[s]
+        m = part.map
+        copy, rest = divmod(e - e0, m.nnz)
+        k, l = divmod(int(m.indices[rest]), m.in_shape.cols)
+        return (in0 + copy * m.in_shape.rows + k) * ic + l, m.val[rest]
+
+    if next(_candidates(layer.out_shape.size, layer.in_shape.size,
+                        entries[-1], entries_before, entry,
+                        list(zip(positions, entries))[:-1]),
+            None) is None:
+        return 1
+    return _scanned_copies(_unrecorded(layer))
+
+
 def _recorded(layer: Layer, r: int):
     """``(holder, r / q)``: where the layer is recorded as q copies of a
     child and q divides r, that child, whose first of r / q blocks is the
     layer's first of r; otherwise ``(layer, r)``.  So a layer that is
     ``kron(I_r, B)`` reads B off its child's arrays, which are never
-    tiled.  A record never holds a record (``Layer._repeat``)."""
+    tiled.  A copies record never holds another (``Layer._repeat``)."""
     if layer._record is not None and r % layer._record[1] == 0:
         child, q = layer._record
         return child, r // q

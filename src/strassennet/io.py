@@ -15,16 +15,24 @@ out_cols) <- (in_rows / r, in_cols)``; the writer takes r as the gcd of
 of runs, run p being r_p copies of a block B_p of o_p matrix rows that
 reads only its own band of i_p input rows, as an inverter's square beside
 its carry of A is, is a run line where that holds fewer table rows
-(``_runs``): ``"copies"`` lists the runs' ``[r_p, o_p, i_p]`` and
+(``_run_line``): ``"copies"`` lists the runs' ``[r_p, o_p, i_p]`` and
 ``"block"`` holds the tables of the row stack of the distinct B_p, each
-keeping the layer's column counts.  A copies line of count r is the run
-line ``[[r, out_rows / r, in_rows / r]]``, and both are read by one rule
+keeping the layer's column counts.  The runs of a stack that records its
+children (``core.Layer._stack``) come from that record (``_units``):
+each distinct child is cut once and its cut kept on it, and equal
+neighbouring blocks join one run across children, so no array of the
+stack is read, and a stack of copies of a stack keeps its period.  Only
+a layer without a record, as the plain lines of older files load, is
+cut by a scan of its arrays (``_runs``, sharing ``_cut`` with the
+children's cuts).  A copies line of count r is the run line ``[[r,
+out_rows / r, in_rows / r]]``, and both are read by one rule
 (``_block_shape``, ``_stacked``, ``_tiled``): the fields by the size rule,
 the block at its own shape by the storage rule, an entry outside its
 run's input band refused by name, and the layer built from the block as
 ``combinators._stack_layers`` builds it: a copies line's layer records
-the block and r, as a built one records its child, and its arrays, tiled
-on their first read, are those of the built layer.
+the block and r, and a run line's its runs, each run's block one unit,
+as a built one records its children, and its arrays, made on their first
+read, are those of the built layer.
 A copies line holds no ``entries`` key of its own, so a reader that
 predates it refuses it (``missing key 'entries'``), and a reader that
 predates run lines refuses a list of runs (``copies must be an integer,
@@ -68,7 +76,10 @@ copies line), and the label, layer-chain and final-layer rules of a
 network, the chain checked as each layer arrives.
 
 Matrices travel as plain CSV, one row per line, full float precision.
-Only real matrices are written, and a file with no numbers is refused.
+Only real matrices are written.  A file with no numbers is refused, and
+so are a line whose cell count differs from the first row's and a cell
+that is not a number or not finite, by the file's 1-based line and
+column.
 """
 
 import json
@@ -82,8 +93,9 @@ import numpy as np
 
 from .combinators import _stack_layers
 from .core import (MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap,
-                   _chain, _copies, _count, _label, _real, _recorded,
-                   _stored_rows)
+                   _chain, _copies, _count, _gathered, _label, _real,
+                   _record_of, _recorded, _segments, _set, _stored_rows,
+                   _unrecorded)
 
 FORMAT_KEYS = ("activation", "layers")
 SHAPE_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols")
@@ -109,31 +121,43 @@ def _blocked(layer: Layer):
     where the record's count divides r (``core._recorded``), so a
     recorded layer is written without tiling it, else of the layer's.
     Otherwise, where it is a row stack of runs that its block holds in
-    fewer table rows (``_runs``), copies is the list of runs' ``[r_p, o_p,
-    i_p]`` and B the row stack of their blocks; else copies is None and B
-    the layer."""
+    fewer table rows (``_run_line``), copies is the list of runs' ``[r_p,
+    o_p, i_p]`` and B the row stack of their blocks; else copies is None
+    and B the layer."""
     r = math.gcd(_copies(layer), layer.out_shape.rows, layer.in_shape.rows)
     if r == 1:
-        return _runs(layer) or (None, layer)
+        return _run_line(layer) or (None, layer)
     holder, part = _recorded(layer, r)
-    m = holder.map
-    out_shape = MatrixShape(m.out_shape.rows // part, m.out_shape.cols)
-    in_shape = MatrixShape(m.in_shape.rows // part, m.in_shape.cols)
-    bo = out_shape.size
-    bn = m.indptr[bo]
-    linmap = SparseLinearMap._from_valid(out_shape, in_shape,
-                                         m.indptr[:bo + 1], m.indices[:bn],
-                                         m.val[:bn])
-    mask = ActivationMask._from_valid(out_shape,
-                                      holder.mask.rho[:out_shape.rows])
-    return r, Layer._from_valid(linmap, holder.bias[:out_shape.rows], mask)
+    return r, _band(holder, 0, holder.out_shape.rows // part, 0,
+                    holder.in_shape.rows // part)
 
 
-def _runs(layer: Layer):
-    """``(runs, B)`` where the layer is a row stack of runs, run p being
-    r_p copies of a block B_p of o_p matrix rows reading i_p input rows,
-    and B, the row stack of the distinct B_p, holds fewer table rows than
-    the layer; else None.  ``runs`` lists the ``[r_p, o_p, i_p]``.
+def _band(layer: Layer, top: int, bottom: int, start: int,
+          end: int) -> Layer:
+    """Matrix rows ``top:bottom`` of a layer, which read only its input
+    rows ``start:end``, as a layer of those rows: its arrays are views of
+    the layer's, its input positions moved to the band's first row."""
+    m = layer.map
+    oc, ic = m.out_shape.cols, m.in_shape.cols
+    at = np.s_[top * oc:bottom * oc + 1]
+    first, last = m.indptr[at][[0, -1]]
+    out_shape = MatrixShape(int(bottom - top), oc)
+    linmap = SparseLinearMap._from_valid(
+        out_shape, MatrixShape(int(end - start), ic), m.indptr[at] - first,
+        m.indices[first:last] - start * ic, m.val[first:last])
+    return Layer._from_valid(linmap, layer.bias[top:bottom],
+                             ActivationMask._from_valid(
+                                 out_shape, layer.mask.rho[top:bottom]))
+
+
+def _cut(layer: Layer):
+    """``(out_edges, in_edges, first, unit, rel)`` of a layer without a
+    record, cut into units, where it has a cut; else None.  Unit u is
+    its matrix rows ``out_edges[u]:out_edges[u + 1]``, which read only
+    its input rows ``in_edges[u]:in_edges[u + 1]``, and ``first[u]``
+    says whether it starts a run, a unit that differs from the one
+    before; ``unit`` gives each entry's unit and ``rel`` its input
+    position from its unit's first input row.
 
     The layer is cut after each matrix row t where every row up to t reads
     only input rows below ``cut``, the one after the last they read, and
@@ -142,11 +166,13 @@ def _runs(layer: Layer):
     cut, the last is taken, so each such row joins the unit before it.
     Consecutive equal units form a run: each unit is compared with the
     next by arrays shifted by its own size, as ``core._copies`` compares
-    blocks, so no Python loop runs per unit.  Every B_p keeps the layer's
-    column counts: a narrower child's padding columns are empty
+    blocks, so no Python loop runs per unit.  Every unit keeps the
+    layer's column counts: a narrower child's padding columns are empty
     positions."""
     m = layer.map
     (rows, oc), (in_rows, ic) = m.out_shape, m.in_shape
+    if rows == 1:  # no row to cut after
+        return None
     starts = m.indptr[::oc]  # each matrix row's first entry, then the end
     k = m.indices // ic  # the input row each entry reads
     lo, hi = np.full(rows, in_rows), np.full(rows, -1)
@@ -186,10 +212,27 @@ def _runs(layer: Layer):
         bad += seen[edges[1:]] - seen[edges[:-1]]
     first = np.ones(len(o), dtype=bool)
     first[1:] = (o[1:] != o[:-1]) | (i[1:] != i[:-1]) | (bad[:-1] > 0)
+    return out_edges, in_edges, first, unit, rel
+
+
+def _runs(layer: Layer):
+    """``(runs, B)`` where a layer without a record is a row stack of
+    runs, run p being r_p copies of a block B_p of o_p matrix rows reading
+    i_p input rows (``_cut``), and B, the row stack of the distinct B_p,
+    holds fewer table rows than the layer; else None.  ``runs`` lists the
+    ``[r_p, o_p, i_p]``.  Only layers that carry no record take this scan
+    of their arrays, as those of files written plain do."""
+    cut = _cut(layer)
+    if cut is None:
+        return None
+    out_edges, in_edges, first, unit, rel = cut
+    m = layer.map
+    oc, ic = m.out_shape.cols, m.in_shape.cols
+    o, i = np.diff(out_edges), np.diff(in_edges)
     # table rows of each unit: entries, bias entries, mask entries
     held = np.concatenate([[0], np.cumsum(
         (layer.bias != 0).sum(1) + layer.mask.rho.sum(1))])[out_edges]
-    held = n_unit + np.diff(held)
+    held = np.diff(m.indptr[out_edges * oc]) + np.diff(held)
     if held[first].sum() >= held.sum():
         return None
     r = np.diff(np.append(np.flatnonzero(first), len(o)))
@@ -199,7 +242,7 @@ def _runs(layer: Layer):
     out_shape = MatrixShape(int(o[first].sum()), oc)
     in_shape = MatrixShape(int(i[first].sum()), ic)
     indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(m.indptr)[np.repeat(first, size)], out=indptr[1:])
+    np.cumsum(np.diff(m.indptr)[np.repeat(first, o * oc)], out=indptr[1:])
     linmap = SparseLinearMap._from_valid(
         out_shape, in_shape, indptr, rel[keep] + (lead * ic)[unit[keep]],
         m.val[keep])
@@ -208,6 +251,124 @@ def _runs(layer: Layer):
                               ActivationMask._from_valid(
                                   out_shape, layer.mask.rho[kept]))
     return np.stack([r, o[first], i[first]], 1).tolist(), block
+
+
+def _units(layer: Layer) -> list:
+    """``[(block, count), ...]``: the layer as a row stack of runs, each
+    ``count`` copies of ``block``, no block equal to the one before it,
+    found once per ``Layer`` object and kept there (``()`` where the
+    layer is one unit).  A layer without a record is cut by ``_cut``, its
+    blocks views of its arrays (``_band``), or is one unit.
+
+    A record's units come from its children's, where each child meets the
+    next cleanly (``_ends``): the rows before read the last input row
+    before, and the rows after start by reading one, so ``_cut`` would cut
+    there and nowhere else than inside each child.  A child of one unit
+    gives that block, its count times the child's; a child of several
+    gives them in turn where it appears once, and is one block itself
+    where it is repeated, so a stack of copies of a stack keeps its
+    period.  A block that equals the last one before it by its table rows
+    (``_same``) joins its run, as ``_cut`` merges equal units, so no child
+    is cut twice.  Where two children do not meet cleanly, the unit that
+    ``_cut`` makes there spans both: the record's arrays are then
+    gathered afresh and cut."""
+    found = layer._units_found
+    if found is None:
+        record = _record_of(layer)
+        if record is not None and _clean(record):
+            found = []
+            for child, r in record:
+                units = _units(child)
+                if len(units) == 1:
+                    units = [(units[0][0], units[0][1] * r)]
+                elif r > 1:
+                    units = [(child, r)]
+                if found and _same(found[-1][0], units[0][0]):
+                    found[-1] = (found[-1][0], found[-1][1] + units[0][1])
+                    units = units[1:]
+                found += units
+        else:
+            plain = _unrecorded(layer)
+            cut = _cut(plain)
+            found = [(layer, 1)]
+            if cut is not None:
+                out_edges, in_edges, first = cut[:3]
+                starts = np.flatnonzero(first)
+                found = [(_band(plain, out_edges[u], out_edges[u + 1],
+                                in_edges[u], in_edges[u + 1]), int(n))
+                         for u, n in zip(starts, np.diff(
+                             np.append(starts, len(first))))]
+        # one unit is kept as (), not as a cycle through the layer
+        _set(layer, "_units_found", () if found == [(layer, 1)] else found)
+    return found or [(layer, 1)]
+
+
+def _ends(layer: Layer):
+    """``(head, tail)``: whether the layer's first matrix row reads any
+    input, and whether its last input row is read, off a record's first
+    and last child where it has one."""
+    record = _record_of(layer)
+    if record is not None:
+        return _ends(record[0][0])[0], _ends(record[-1][0])[1]
+    m = layer.map
+    return (bool(m.indptr[m.out_shape.cols]),
+            bool(m.nnz) and m.indices.max() // m.in_shape.cols
+            == m.in_shape.rows - 1)
+
+
+def _clean(record) -> bool:
+    """Whether each child of a record, copies included, meets the next
+    cleanly: the one before reads its last input row and the one after
+    starts with a row that reads input (``_ends``)."""
+    ends = [_ends(child) for child, _ in record]
+    return all(tail and head for (_, tail), (head, _) in zip(ends, ends[1:])) \
+        and all(tail and head for (head, tail), (_, r) in zip(ends, record)
+                if r > 1)
+
+
+def _same(a: Layer, b: Layer) -> bool:
+    """Whether two blocks hold the same table rows, so that padded to one
+    column count their arrays are equal, as ``_cut`` compares units."""
+    if a is b:
+        return True
+    if ((a.out_shape.rows, a.in_shape.rows, a.weight_count)
+            != (b.out_shape.rows, b.in_shape.rows, b.weight_count)):
+        return False
+    tables = zip(chain.from_iterable(_rows(_unrecorded(a))),
+                 chain.from_iterable(_rows(_unrecorded(b))))
+    return all(x is None or np.array_equal(x, y) for x, y in tables)
+
+
+def _held(layer: Layer) -> int:
+    """The table rows that hold a layer: entries, bias entries and mask
+    entries, counted off its record where it has one."""
+    record = _record_of(layer)
+    if record is None:
+        return layer.weight_count + int(np.count_nonzero(layer.mask.rho))
+    return sum(r * (_held(child) - child.weight_count)
+               for child, r in record) + layer.weight_count
+
+
+def _run_line(layer: Layer):
+    """``(runs, B)`` as ``_runs`` gives them, where the layer's runs
+    (``_units``) hold fewer table rows in B, the row stack of their
+    blocks at the layer's column counts; else None.  A recorded layer's
+    runs come from its record, and its line is written without reading
+    its arrays; a layer without one is scanned (``_runs``)."""
+    if _record_of(layer) is None:
+        return _runs(layer)
+    units = _units(layer)
+    held = [_held(block) for block, _ in units]
+    if sum(held) >= sum(h * n for h, (_, n) in zip(held, units)):
+        return None
+    runs = [[n, block.out_shape.rows, block.in_shape.rows]
+            for block, n in units]
+    segments = [s for block, _ in units for s in _segments(block)]
+    block = Layer._from_valid(*_gathered(
+        segments,
+        MatrixShape(sum(run[1] for run in runs), layer.out_shape.cols),
+        MatrixShape(sum(run[2] for run in runs), layer.in_shape.cols)))
+    return runs, block
 
 
 def _rows(layer: Layer):
@@ -462,44 +623,32 @@ def _stacked(dims, runs, entries, bias, mask) -> Layer:
 
 def _tiled(dims, block: Layer, runs) -> Layer:
     """The layer of shape fields ``dims`` whose copies line holds ``runs``
-    and block ``block``: each run's B_p, cut from the block (its values,
-    bias and mask views of the block's), recorded r_p times
-    (``Layer._repeat``), as ``combinators._stack_layers`` records copies
-    of one child, and the runs stacked by it, so the arrays are those of
-    the built layer.  A layer of one run stays a record, its arrays tiled
-    on their first read: the bytes they will take are asked of the
-    allocator once and given back, so a line whose tiled arrays no memory
-    holds is refused here, as one of several runs is by the stacking."""
+    and block ``block``: each run's B_p, cut from the block (``_band``),
+    is one unit of the line (``_units``), recorded r_p times
+    (``Layer._repeat``), and the runs are stacked and recorded by
+    ``combinators._stack_layers``, as built stacks are, so the arrays,
+    gathered or tiled on their first read, are those of the built layer.
+    No array is tiled here: the bytes the line's arrays will take are
+    asked of the allocator once and given back, so a line whose arrays no
+    memory holds is refused here."""
     _fits(dims)
     parts = [block]
     if len(runs) > 1:
-        m = block.map
-        oc, ic = m.out_shape.cols, m.in_shape.cols
-        parts, out_start, in_start = [], 0, 0
-        for _, o, i in runs:
-            at = np.s_[out_start * oc:(out_start + o) * oc + 1]
-            first, end = m.indptr[at][[0, -1]]
-            out_shape = MatrixShape(o, oc)
-            linmap = SparseLinearMap._from_valid(
-                out_shape, MatrixShape(i, ic), m.indptr[at] - first,
-                m.indices[first:end] - in_start * ic, m.val[first:end])
-            rows = np.s_[out_start:out_start + o]
-            parts.append(Layer._from_valid(
-                linmap, block.bias[rows],
-                ActivationMask._from_valid(out_shape, block.mask.rho[rows])))
-            out_start, in_start = out_start + o, in_start + i
+        edges = np.cumsum([[0, 0]] + [run[1:] for run in runs], axis=0)
+        parts = [_band(block, top, bottom, start, end)
+                 for (top, start), (bottom, end) in zip(edges, edges[1:])]
+    for part in parts:
+        _set(part, "_units_found", ())  # one unit: see _units
     try:
-        tiled = [part if r == 1 else Layer._repeat(part, r)
-                 for part, (r, _, _) in zip(parts, runs)]
-        if len(tiled) > 1:
-            return _stack_layers(tiled)
+        layer = _stack_layers([part if r == 1 else Layer._repeat(part, r)
+                               for part, (r, _, _) in zip(parts, runs)])
         # indptr, bias and mask per position; indices and val per entry
-        need = (17 * dims[0] * dims[1] + 16 * runs[0][0] * block.map.nnz
-                + 8)
+        need = (17 * dims[0] * dims[1] + 8 + 16 * sum(
+            r * part.map.nnz for part, (r, _, _) in zip(parts, runs)))
         if need > np.iinfo(np.intp).max:
             raise MemoryError
         np.empty(need, dtype=np.uint8)
-        return tiled[0]
+        return layer
     except (MemoryError, OverflowError):
         raise _too_large(dims) from None
 
@@ -599,18 +748,69 @@ def save_matrix(A: np.ndarray, path) -> None:
     np.savetxt(path, A, delimiter=",", fmt="%.17g")
 
 
+def _number(cell: str):
+    """The cell as numpy's CSV reader reads it, a float, or None where it
+    reads no one number."""
+    with warnings.catch_warnings():  # an empty cell reads as no data
+        warnings.filterwarnings("ignore", ".*input contained no data")
+        try:
+            got = np.loadtxt([cell], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    return float(got[0]) if got.size == 1 else None
+
+
+def _matrix_fault(path, A=None) -> str:
+    """What is wrong with matrix file ``path``, named by its 1-based line
+    and column: the first line whose cell count differs from the first
+    row's or that holds a cell that is not a number or, with ``A``, the
+    file read by numpy, the line of its first cell that is not finite.
+    Lines are read as numpy reads them: text from ``#`` on is a comment,
+    and lines left blank hold no row."""
+    width, row = None, 0
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line, text in enumerate(fh, 1):
+            cells = text.partition("#")[0]
+            if not cells.strip():
+                continue
+            cells = cells.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                return (f"is not rows of numbers of one length: the number "
+                        f"of columns changed from {width} to {len(cells)} "
+                        f"at line {line}")
+            for column, cell in enumerate(cells, 1):
+                if A is None and _number(cell) is None:
+                    return (f"is not rows of numbers of one length: could "
+                            f"not convert string {cell.strip()!r} to a "
+                            f"number at line {line}, column {column}")
+                if A is not None and not np.isfinite(A[row, column - 1]):
+                    return (f"holds {cell.strip()!r} at line {line}, column "
+                            f"{column}: matrix cells must be finite numbers")
+            row += 1
+    return None
+
+
 def load_matrix(path) -> np.ndarray:
-    """The matrix in CSV file ``path``, refused after ``matrix file
-    <path>`` where a row's length differs from the first's, a cell is not
-    a number, or the file holds no numbers."""
+    """The matrix in CSV file ``path``, read by numpy, refused after
+    ``matrix file <path>`` where a line's cell count differs from the
+    first row's, a cell is not a number or not finite (``nan``, ``inf``),
+    each named by its 1-based line and column (``_matrix_fault``), or the
+    file holds no numbers."""
     with warnings.catch_warnings():  # an empty file is refused below
         warnings.filterwarnings("ignore", ".*input contained no data")
         try:
             A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
         except ValueError as exc:  # numpy's cause, less its usecols advice
-            raise ValueError(
-                f"matrix file {path} is not rows of numbers of one length: "
-                f"{str(exc).partition('; use `usecols`')[0]}") from None
+            fault = _matrix_fault(path) or (
+                f"is not rows of numbers of one length: "
+                f"{str(exc).partition('; use `usecols`')[0]}")
+            raise ValueError(f"matrix file {path} {fault}") from None
     if not A.size:
         raise ValueError(f"matrix file {path} holds no numbers")
+    if not np.isfinite(A).all():
+        raise ValueError(f"matrix file {path} "
+                         + (_matrix_fault(path, A)
+                            or "holds a cell that is not a finite number"))
     return A

@@ -366,6 +366,33 @@ class TestEval:
         assert "usecols" not in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, fault", [
+        ("1,2\n\n3\n", "is not rows of numbers of one length: the number "
+         "of columns changed from 2 to 1 at line 3"),
+        ("1,2\n3,abc\n", "is not rows of numbers of one length: could not "
+         "convert string 'abc' to a number at line 2, column 2"),
+        ("nan,1\n0,1\n", "holds 'nan' at line 1, column 1: matrix cells "
+         "must be finite numbers"),
+        ("1,0\n0,inf\n", "holds 'inf' at line 2, column 2: matrix cells "
+         "must be finite numbers")],
+        ids=["ragged", "not-a-number", "nan", "inf"])
+    def test_matrix_file_faults_name_their_line(self, tmp_path, capsys,
+                                                 text, fault):
+        # a nan or inf operand used to be multiplied, writing nan with
+        # status 0
+        net = self._build(tmp_path, ["build", "strassen-square", "--n", "2",
+                                     "--activation", "relu2"])
+        capsys.readouterr()
+        bad = tmp_path / "A.csv"
+        bad.write_text(text)
+        save_matrix(np.eye(2), tmp_path / "B.csv")
+        out = tmp_path / "C.csv"
+        rc = main(["eval", "--net", str(net), "--a", str(bad),
+                   "--b", str(tmp_path / "B.csv"), "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"snn: error: matrix file {bad} {fault}\n")
+        assert not out.exists()
+
     def test_fractional_dimension_exits_one(self, tmp_path, capsys):
         net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])
         capsys.readouterr()

@@ -765,9 +765,12 @@ def _generated_networks(draw):
     dense tail without rho; without it, the body's run of copies reaches
     the last layer, which has no rho, as every chain's last layer.  The
     child is a chain of 1-3 layers through matrices of 1-3 rows and
-    columns, with the gadget's pairs in 70 % of draws; in a third of the
+    columns, with the gadget's pairs in 70 % of draws; in a fifth of the
     draws each it is itself ``parallelize`` of 2 or 3 copies of that
-    chain, or of that chain beside another one of other inner widths."""
+    chain, of that chain beside another one of other inner widths, of 2
+    or 3 copies of such a pair beside the chain alone, so that a stack
+    holds stacks, or of the chain beside its twin, equal arrays in new
+    layer objects."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     depth = draw(st.integers(1, 3))
     sizes = st.integers(1, 3)
@@ -775,13 +778,22 @@ def _generated_networks(draw):
     cols = [draw(sizes) for _ in range(depth + 1)]
     pairs = draw(st.integers(0, 9)) < 7
     child = _generated_chain(rng, rows, cols, pairs)
-    nest = draw(st.sampled_from(["none", "copies", "beside"]))
+    nest = draw(st.sampled_from(["none", "copies", "beside", "stacks",
+                                 "twins"]))
     if nest == "copies":
         child = parallelize([child] * draw(st.sampled_from([2, 3])))
-    elif nest == "beside":
+    elif nest in ("beside", "stacks"):
         inner = [cols[0], *(draw(sizes) for _ in range(depth - 1)), cols[-1]]
-        child = parallelize([child, _generated_chain(
+        pair = parallelize([child, _generated_chain(
             rng, [draw(sizes) for _ in range(depth + 1)], inner, pairs)])
+        child = (pair if nest == "beside" else
+                 parallelize([pair] * draw(st.sampled_from([2, 3]))
+                             + [child]))
+    elif nest == "twins":
+        child = parallelize([child, MNN([Layer(layer.map, layer.bias,
+                                               layer.mask)
+                                         for layer in child.layers],
+                                        "relu")])
     body = parallelize([child] * draw(st.sampled_from([1, 2, 3, 7])))
     glue = _generated_layer(rng, tuple(body.input_shape),
                             (draw(st.integers(1, 2)), draw(sizes)),

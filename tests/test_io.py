@@ -21,8 +21,9 @@ from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
                               identity_mnn, mnn_equal, realize)
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_inv
-from strassennet.io import (load_matrix, load_network, network_from_dict,
-                            network_to_dict, save_matrix, save_network)
+from strassennet.io import (TABLES, load_matrix, load_network,
+                            network_from_dict, network_to_dict, save_matrix,
+                            save_network)
 from strassennet.strassen import (RectShape, build_split, build_str_pow2,
                                   build_str_rect)
 
@@ -1109,26 +1110,44 @@ def _random_chain(rng, rows, cols, label) -> MNN:
     return MNN(layers, label)
 
 
+def _twin(net: MNN) -> MNN:
+    """A network of new ``Layer`` objects on arrays equal to ``net``'s."""
+    return MNN([Layer(layer.map, layer.bias, layer.mask)
+                for layer in net.layers], net.activation_name)
+
+
 @st.composite
 def _stacked_networks(draw):
     """``parallelize`` of 1-3 unequal children, each repeated 1-4 times:
     chains of 1-3 random layers (``_random_chain``) of 1-3 rows, that
     share the input and output column counts but not the ones between,
-    so narrower children are padded; a child is itself ``parallelize``
-    of 2 or 3 copies of such a chain in half of the draws."""
+    so narrower children are padded.  A child is in turn such a chain,
+    ``parallelize`` of 2 or 3 copies of one, ``parallelize`` of two
+    unequal ones, so that a stack holds a stack, or such a chain followed
+    by its twin, equal arrays in new layer objects (``_twin``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     depth = draw(st.integers(1, 3))
     label = draw(st.sampled_from(["relu", None]))
     ends = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    children = []
-    for _ in range(draw(st.integers(1, 3))):
+
+    def chain():
         cols = [ends[0], *(draw(st.integers(1, 4))
                            for _ in range(depth - 1)), ends[1]]
         rows = [draw(st.integers(1, 3)) for _ in range(depth + 1)]
-        child = _random_chain(rng, rows, cols, label)
-        copies = draw(st.sampled_from([1, 1, 2, 3]))
-        if copies > 1:
-            child = parallelize([child] * copies)
+        return _random_chain(rng, rows, cols, label)
+
+    children = []
+    for _ in range(draw(st.integers(1, 3))):
+        child = chain()
+        kind = draw(st.sampled_from(["chain", "chain", "copies", "copies",
+                                     "stack", "twin"]))
+        if kind == "copies":
+            child = parallelize([child] * draw(st.sampled_from([2, 3])))
+        elif kind == "stack":
+            child = parallelize([child, chain()])
+        elif kind == "twin":
+            children.append(child)
+            child = _twin(child)
         children += [child] * draw(st.integers(1, 4))
     return parallelize(children)
 
@@ -1230,6 +1249,82 @@ class TestRunLines:
         with open(path, encoding="utf-8") as fh:
             _assert_same_outcome(network_from_dict(json.load(fh)), back)
         assert program_digest(back) == program_digest(net)
+
+    def test_stack_of_copies_of_a_stack_keeps_its_period(self, tmp_path):
+        # a stack of 100 copies of the stack of a and b, then c, is the run
+        # line [[100, 2, 2], [1, 1, 1]]: its block holds a, b and c, 5
+        # table rows.  A scan of its arrays sees a, b, a, b, ... and writes
+        # all 401 table rows, as it still does for the plain twin
+        def one_row(entries, bias=None):
+            return MNN([Layer(SparseLinearMap((1, 2), (1, 2),
+                                              [e[:4] for e in entries],
+                                              [e[4] for e in entries]),
+                              bias)])
+
+        a = one_row([[1, 1, 1, 1, 1.0], [1, 2, 1, 2, 1.0]])
+        b = one_row([[1, 1, 1, 2, 2.0]], [[0.0, 0.5]])
+        c = one_row([[1, 2, 1, 1, -1.0]])
+        net = parallelize([parallelize([a, b])] * 100 + [c])
+        line = network_to_dict(net)["layers"][0]
+        assert line["copies"] == [[100, 2, 2], [1, 1, 1]]
+        assert sum(map(len, line["block"].values())) == 5
+        plain = network_to_dict(_twin(net))["layers"][0]
+        assert "copies" not in plain
+        assert sum(len(plain[key]) for key in TABLES) == 401
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        with mock.patch.object(json, "load", _no_json_load):
+            back = load_network(path)
+        _assert_same_outcome(back, net)
+        save_network(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @given(net=_stacked_networks())
+    @settings(max_examples=80, deadline=None)
+    def test_copies_of_a_stack_are_those_of_its_arrays(self, net):
+        # the count read off a stack's record, before any array of it is
+        # gathered, is the scan's on a plain layer of its arrays
+        for layer in net.layers:
+            copies = core_module._copies(layer)
+            plain = Layer(layer.map, layer.bias, layer.mask)
+            assert copies == core_module._scanned_copies(plain)
+
+
+def _stacked(net: MNN) -> list:
+    """The layers of ``net`` that record a stack of unequal children."""
+    return [layer for layer in net.layers if layer._parts is not None]
+
+
+class TestRecordedStacks:
+    def test_inverter_is_saved_and_loaded_without_its_stacks_arrays(
+            self, tmp_path, monkeypatch):
+        # the square beside its carry of A at each stage is recorded, not
+        # assembled; its line is written from the record, with no scan of
+        # its arrays (io._runs), and a loaded run line is recorded too
+        net = build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory)
+        built = _stacked(net)
+        assert len(built) == 31
+        assert all(layer._map is layer._bias is layer._mask is None
+                   for layer in built)
+        read, scanned = [], []
+        get_map, runs = Layer.map.fget, io_module._runs
+        monkeypatch.setattr(Layer, "map", property(
+            lambda layer: read.append(layer) or get_map(layer)))
+        monkeypatch.setattr(io_module, "_runs",
+                            lambda layer: scanned.append(layer)
+                            or runs(layer))
+        save_network(net, tmp_path / "net.json")
+        back = load_network(tmp_path / "net.json")
+        save_network(back, tmp_path / "again.json")
+        loaded = _stacked(back)
+        assert len(loaded) == 31
+        stacks = {id(layer) for layer in built + loaded}
+        assert not stacks & {id(layer) for layer in read}
+        assert not stacks & {id(layer) for layer in scanned}
+        assert scanned  # the plain layers still take the scan
+        assert ((tmp_path / "again.json").read_bytes()
+                == (tmp_path / "net.json").read_bytes())
+
 
 #: layer-chain faults of the relu gadget's document (out/in shapes (1, 4)
 #: from (1, 2), (1, 5) from (1, 4), (1, 1) from (1, 5); rho on layers 0 and
@@ -1750,3 +1845,28 @@ class TestMatrixFiles:
         assert message.startswith(f"matrix file {path} is not rows of "
                                   f"numbers of one length: {cause}")
         assert "usecols" not in message
+
+    @pytest.mark.parametrize("text, fault", [
+        ("1,2\n\n3\n", "is not rows of numbers of one length: the number "
+         "of columns changed from 2 to 1 at line 3"),
+        ("# a comment\n1,abc\n", "is not rows of numbers of one length: "
+         "could not convert string 'abc' to a number at line 2, column 2"),
+        ("1, 2,\n", "is not rows of numbers of one length: could not "
+         "convert string '' to a number at line 1, column 3"),
+        ("nan,1\n", "holds 'nan' at line 1, column 1: matrix cells must be "
+         "finite numbers"),
+        ("1,2\n\n# x\n3, -inf # y\n", "holds '-inf' at line 4, column 2: "
+         "matrix cells must be finite numbers"),
+        ("0,1e400\n", "holds '1e400' at line 1, column 2: matrix cells "
+         "must be finite numbers")],
+        ids=["ragged", "not-a-number", "empty-cell", "nan", "inf",
+             "overflow"])
+    def test_faults_are_named_by_line_and_column(self, tmp_path, text,
+                                                 fault):
+        # numpy's row numbers were 1-based for a ragged row and 0-based for
+        # a bad cell, and counted no skipped line; nan and inf were read
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_matrix(path)
+        assert str(caught.value) == f"matrix file {path} {fault}"
