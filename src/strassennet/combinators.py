@@ -6,14 +6,14 @@ composition bit for bit.  ``parallelize`` runs equal-depth networks
 side-by-side on row-stacked inputs; when intermediate widths differ, the
 narrower blocks are padded with implicit zero columns, which costs no
 weights (no entries, zero bias, identity mask).  No stacked layer is
-written out: copies of one network, as a Strassen level's seven, record
-their one child and the copy count (``Layer._repeat``), and unequal
-children, as the inverter's square beside its carry of A, record their
-runs of one child (``Layer._stack``), so building memory grows with the
-number of distinct layers, not with the copies.  A stacked layer's
-arrays are gathered from its children's CSR arrays on their first read;
-those are valid and in row-major order already, so they are not checked
-against the storage rule a second time.  Nor is the stacked network: the
+written out: it records its runs of one child (``Layer._stack``), one
+run for copies of one network, as a Strassen level's seven, and several
+for unequal children, as the inverter's square beside its carry of A, so
+building memory grows with the number of distinct layers, not with the
+copies.  A stacked layer's arrays are gathered from its children's CSR
+arrays on their first read; those are valid and in row-major order
+already, so they are not checked against the storage rule a second
+time.  Nor is the stacked network: the
 stacked layers of equal-depth valid networks chain by construction, so
 ``parallelize`` wraps them without walking the chain.  ``concat`` checks
 only where its two valid operands meet.
@@ -63,25 +63,20 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     rows and writes the output rows below those of the children before it,
     and narrower children are padded with zero columns.
 
-    No array is assembled.  When every child is one ``Layer`` object, as
-    Strassen's seven copies are, the stack is ``kron(I_r, child)``: it is
-    recorded as ``(child, r)`` (``Layer._repeat``), and a stack of copies
-    of a recorded layer records the innermost child; one child is itself.
-    Otherwise it records its runs of one child object, ``((child_p, r_p),
-    ...)`` (``Layer._stack``), and a child may itself be a record of
-    either kind, so a stack of copies of a stack keeps its period.  The
-    shapes, weight count, ``any_rho`` and copy count come from the record,
-    and the arrays, gathered on their first read (``core._gathered``),
-    equal those the constructor would store for the stacked quadruples,
-    dtypes included.
+    No array is assembled: the stack records its runs of one child
+    object, ``((child_p, r_p), ...)`` (``Layer._stack``), copies of one
+    child, as Strassen's seven are, being the one run ``((child, r),)``.
+    A copy of a one-run record records its innermost child, so a one-run
+    record never holds another, and one child is itself; a child may be
+    a stack of unequal children, so a stack of copies of a stack keeps
+    its period.  The shapes, weight count, ``any_rho`` and copy count come
+    from the record, and the arrays, gathered on their first read
+    (``core._gathered``), equal those the constructor would store for the
+    stacked quadruples, dtypes included.
     """
     # a Layer equals only itself, so each run holds one object
-    parts = [(child, len(list(run)))
-             for child, run in itertools.groupby(children)]
-    if len(parts) > 1:
-        return Layer._stack(parts)
-    child, r = parts[0]
-    return child if r == 1 else Layer._repeat(child, r)
+    return Layer._stack((child, len(list(run)))
+                        for child, run in itertools.groupby(children))
 
 
 def parallelize(nets: Iterable[MNN]) -> MNN:
@@ -92,9 +87,9 @@ def parallelize(nets: Iterable[MNN]) -> MNN:
     ``(A_1; ...; A_k)`` to ``(R(net_1)(A_1); ...)``, has the common depth,
     and exactly the summed weight count.  Copies of one network, as in
     ``parallelize([net] * 7)``, give layers that record their child and
-    count instead of tiling its arrays, and unequal networks layers that
-    record their runs (see ``_stack_layers``), so nested levels cost what
-    their distinct layers do.  Only the operands are
+    count, one run, instead of tiling its arrays, and unequal networks
+    layers that record their runs (see ``_stack_layers``), so nested
+    levels cost what their distinct layers do.  Only the operands are
     checked: stacked levels of valid chains chain by construction, so the
     result is wrapped as it is (``MNN._from_valid``), its chain not walked
     a second time.

@@ -143,12 +143,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 #: sets an attribute of a read-only object: only its ``_store`` (for its
-#: constructor or ``_from_valid``), ``Layer._recorded_as`` (for a recorded
-#: layer), a recorded layer's ``map``, ``bias`` and ``mask`` (for the
-#: arrays tiled or gathered on their first read), ``_copies`` (for the
-#: count it keeps on a layer), ``io._units`` and ``io._tiled`` (for the
-#: units kept on a layer), ``_compile`` (for ``MNN._program``) or a frozen
-#: spec's ``__post_init__``, to store a parameter as its float64
+#: constructor or ``_from_valid``), ``Layer._stack`` (for a recorded
+#: layer), ``Layer._gather`` (for a record's arrays, gathered on their
+#: first read), ``_copies`` (for the count it keeps on a layer),
+#: ``io._units`` and ``io._tiled`` (for the units kept on a layer),
+#: ``_compile`` (for ``MNN._program``) or a frozen spec's
+#: ``__post_init__``, to store a parameter as its float64
 _set = object.__setattr__
 
 
@@ -169,16 +169,15 @@ class _ReadOnly:
     def _from_valid(cls, *parts):
         """The object on ``parts`` as its ``_store`` takes them, without
         the constructor's checks and copies: only for parts valid by
-        construction, as ``_gathered`` (a stack's map and mask, gathered
-        from its children's on their first read), ``Layer`` (a recorded
-        layer's map and mask, tiled from its child's on their first
-        read), ``combinators.parallelize`` (the stacked layers),
+        construction, as ``_gathered`` (a record's map and mask, gathered
+        from its children's on their first read),
+        ``combinators.parallelize`` (the stacked layers),
         ``scale_output``, ``combinators.concat`` (two valid networks,
         joined where it checked them), ``ActivationMask.from_positions``,
         ``io._built`` (a mask and a bias set from positions and values
-        the storage rule took) and ``io._runs``, ``io._units``,
-        ``io._blocked`` and ``io._tiled`` (blocks cut or gathered from a
-        valid layer's arrays) pass them.  Arrays are frozen, not copied."""
+        the storage rule took) and ``io._band`` and ``io._run_line``
+        (blocks cut or gathered from a valid layer's arrays) pass them.
+        Arrays are frozen, not copied."""
         obj = cls.__new__(cls)
         obj._store(*parts)
         return obj
@@ -386,19 +385,17 @@ class Layer(_ReadOnly):
     map must be a ``SparseLinearMap``, the bias must hold integers or real
     floats, all finite, and a given mask must be an ``ActivationMask``.
 
-    A layer that ``combinators._stack_layers`` or a copies line tiles from
-    r copies of one child, ``kron(I_r, child)``, is built by ``_repeat``:
-    it records ``(child, r)`` and holds no arrays.  A row stack of unequal
-    children is built by ``_stack``: it records its runs of one child,
-    ``((child_p, r_p), ...)``, and holds no arrays either.  Either way the
-    shapes, the weight count and ``any_rho`` come from the record.  A
-    copies record's map, bias and mask are tiled from the child's on their
-    first read, each into the frozen arrays, dtypes included, that tiling
-    the child gives (copy ``c``'s input positions moved by ``c`` input
-    blocks), and kept; a stack's three are gathered together on the first
-    read of any (``_gathered``), and kept."""
+    A row stack that ``combinators._stack_layers`` or a copies or run line
+    builds is made by ``_stack``: it records its runs of one child,
+    ``((child_p, r_p), ...)``, and holds no arrays.  r copies of one
+    child, ``kron(I_r, child)``, are the one run ``((child, r),)``.  The
+    shapes, the weight count and ``any_rho`` come from the record, and
+    the map, bias and mask are gathered together on the first read of any
+    (``_gathered``), in the frozen arrays and dtypes the constructor would
+    store for the stacked quadruples (copy ``c``'s input positions moved
+    by ``c`` input blocks), and kept."""
 
-    __slots__ = ("out_shape", "in_shape", "weight_count", "_record", "_parts",
+    __slots__ = ("out_shape", "in_shape", "weight_count", "_parts",
                  "_map", "_bias", "_mask", "_copies_found", "_units_found")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
@@ -426,7 +423,6 @@ class Layer(_ReadOnly):
         _set(self, "out_shape", linmap.out_shape)
         _set(self, "in_shape", linmap.in_shape)
         _set(self, "weight_count", linmap.nnz + int(np.count_nonzero(bias)))
-        _set(self, "_record", None)
         _set(self, "_parts", None)
         _set(self, "_map", linmap)
         _set(self, "_bias", _freeze(bias))
@@ -435,48 +431,40 @@ class Layer(_ReadOnly):
         _set(self, "_units_found", None)  # see io._units
 
     @classmethod
-    def _recorded_as(cls, out_shape, in_shape, weight_count, record, parts):
-        """A layer of these shapes and weight count that holds no arrays,
-        only its ``record`` or its ``parts``."""
+    def _stack(cls, parts) -> "Layer":
+        """The row stack of ``parts``, runs ``((child_p, r_p), ...)`` of r_p
+        copies of child_p, at the widest child's column counts, recorded
+        as those runs; it holds no arrays.  One copy of a child is the
+        child, and r copies of a child recorded as one run of q copies of
+        a layer are r q copies of that layer, so a one-run record never
+        holds another."""
+        parts = tuple(parts)
+        if len(parts) == 1:
+            child, r = parts[0]
+            if r == 1:
+                return child
+            if child._parts is not None and len(child._parts) == 1:
+                (child, q), = child._parts
+                parts = ((child, r * q),)
+        out_rows = out_cols = in_rows = in_cols = weight_count = 0
+        for child, r in parts:
+            out_rows += r * child.out_shape.rows
+            out_cols = max(out_cols, child.out_shape.cols)
+            in_rows += r * child.in_shape.rows
+            in_cols = max(in_cols, child.in_shape.cols)
+            weight_count += r * child.weight_count
         layer = cls.__new__(cls)
-        _set(layer, "out_shape", out_shape)
-        _set(layer, "in_shape", in_shape)
+        _set(layer, "out_shape", MatrixShape(out_rows, out_cols))
+        _set(layer, "in_shape", MatrixShape(in_rows, in_cols))
         _set(layer, "weight_count", weight_count)
-        _set(layer, "_record", record)
         _set(layer, "_parts", parts)
         for name in ("_map", "_bias", "_mask", "_copies_found",
                      "_units_found"):
             _set(layer, name, None)  # set on the first read
         return layer
 
-    @classmethod
-    def _repeat(cls, child: "Layer", r: int) -> "Layer":
-        """The layer ``kron(I_r, child)``, recorded as ``(child, r)``.  A
-        child that is itself recorded as q copies of a layer gives r q
-        copies of that layer, so a copies record never holds another."""
-        if child._record is not None:
-            child, q = child._record
-            r *= q
-        return cls._recorded_as(
-            MatrixShape(r * child.out_shape.rows, child.out_shape.cols),
-            MatrixShape(r * child.in_shape.rows, child.in_shape.cols),
-            r * child.weight_count, (child, r), None)
-
-    @classmethod
-    def _stack(cls, parts) -> "Layer":
-        """The row stack of ``parts``, runs ``((child_p, r_p), ...)`` of r_p
-        copies of child_p, at the widest child's column counts, recorded
-        as those runs.  A child may be a record of either kind."""
-        children = [child for child, _ in parts]
-        return cls._recorded_as(
-            MatrixShape(sum(r * c.out_shape.rows for c, r in parts),
-                        max(c.out_shape.cols for c in children)),
-            MatrixShape(sum(r * c.in_shape.rows for c, r in parts),
-                        max(c.in_shape.cols for c in children)),
-            sum(r * c.weight_count for c, r in parts), None, tuple(parts))
-
     def _gather(self):
-        """Set a stack's map, bias and mask, gathered from its record."""
+        """Set a record's map, bias and mask, gathered from its runs."""
         linmap, bias, mask = _gathered(_segments(self), self.out_shape,
                                        self.in_shape)
         _set(self, "_map", linmap)
@@ -485,40 +473,20 @@ class Layer(_ReadOnly):
 
     @property
     def map(self) -> SparseLinearMap:
-        if self._map is None:  # tiled or gathered, on the first read
-            if self._parts is not None:
-                self._gather()
-            else:
-                child, r = self._record
-                m = child.map
-                copy = np.arange(r, dtype=np.int64)[:, None]
-                indptr = np.zeros(self.out_shape.size + 1, dtype=np.int64)
-                indptr[1:] = (m.indptr[1:] + copy * m.nnz).ravel()
-                _set(self, "_map", SparseLinearMap._from_valid(
-                    self.out_shape, self.in_shape, indptr,
-                    (m.indices + copy * m.in_shape.size).ravel(),
-                    np.tile(m.val, r)))
+        if self._map is None:  # gathered on the first read
+            self._gather()
         return self._map
 
     @property
     def bias(self) -> np.ndarray:
         if self._bias is None:
-            if self._parts is not None:
-                self._gather()
-            else:
-                child, r = self._record
-                _set(self, "_bias", _freeze(np.tile(child.bias, (r, 1))))
+            self._gather()
         return self._bias
 
     @property
     def mask(self) -> ActivationMask:
         if self._mask is None:
-            if self._parts is not None:
-                self._gather()
-            else:
-                child, r = self._record
-                _set(self, "_mask", ActivationMask._from_valid(
-                    self.out_shape, np.tile(child.mask.rho, (r, 1))))
+            self._gather()
         return self._mask
 
     @property
@@ -526,25 +494,17 @@ class Layer(_ReadOnly):
         """Whether rho acts on any entry; a record's children say."""
         if self._parts is not None:
             return any(child.any_rho for child, _ in self._parts)
-        return (self if self._record is None
-                else self._record[0]).mask.any_rho
-
-
-def _record_of(layer: Layer):
-    """A recorded layer's runs ``((child, r), ...)``, a copies record
-    being one run; else None."""
-    return layer._parts or (layer._record and (layer._record,))
+        return self.mask.any_rho
 
 
 def _segments(layer: Layer) -> list:
     """The layer as ``[(plain, q), ...]``: q copies of each plain layer (one
     without a record), stacked by rows in this order, each at its own
     column counts.  A layer without a record is ``[(layer, 1)]``."""
-    record = _record_of(layer)
-    if record is None:
+    if layer._parts is None:
         return [(layer, 1)]
     segments = []
-    for child, r in record:
+    for child, r in layer._parts:
         inner = _segments(child)
         segments += ([(inner[0][0], inner[0][1] * r)] if len(inner) == 1
                      else inner * r)
@@ -572,31 +532,35 @@ def _gathered(segments, out_shape: MatrixShape, in_shape: MatrixShape):
     counts = np.zeros(out_shape, dtype=np.int64)  # entries per position
     bias = np.zeros(out_shape)
     rho = np.zeros(out_shape, dtype=bool)
-    indices, vals = [], []
-    out_off = in_off = 0
+    nnz = sum(q * layer.map.nnz for layer, q in segments)
+    indices, vals = np.empty(nnz, dtype=np.int64), np.empty(nnz)
+    out_off = in_off = at = 0
     for layer, q in segments:
         m = layer.map
         (r, c), (i, d) = m.out_shape, m.in_shape
-        at = np.s_[out_off:out_off + q * r, :c]
-        counts[at] = np.tile(np.diff(m.indptr).reshape(r, c), (q, 1))
-        bias[at] = np.tile(layer.bias, (q, 1))
-        rho[at] = np.tile(layer.mask.rho, (q, 1))
+        # the q copies' rows, each copy's arrays broadcast into its block
+        rows = np.s_[out_off:out_off + q * r]
+        for whole, part in ((counts, m.indptr[1:] - m.indptr[:-1]),
+                            (bias, layer.bias), (rho, layer.mask.rho)):
+            whole[rows].reshape(q, r, out_shape.cols)[:, :, :c] = (
+                part.reshape(r, c))
         flat = m.indices + in_off * d
         if d != in_shape.cols:  # padded: the row-major positions move
             k, l = np.divmod(flat, d)
             flat = k * in_shape.cols + l
-        if q > 1:  # copy c is moved by c input blocks
-            flat = (flat + np.arange(0, q * i * in_shape.cols,
-                                     i * in_shape.cols)[:, None]).ravel()
-        indices.append(flat)
-        vals.append(np.tile(m.val, q))
+        # copy c is moved by c input blocks
+        end = at + q * m.nnz
+        np.add(flat, np.arange(0, q * i * in_shape.cols,
+                               i * in_shape.cols)[:, None],
+               out=indices[at:end].reshape(q, m.nnz))
+        vals[at:end].reshape(q, m.nnz)[:] = m.val
         out_off += q * r
         in_off += q * i
+        at = end
     indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     linmap = SparseLinearMap._from_valid(out_shape, in_shape, indptr,
-                                         np.concatenate(indices),
-                                         np.concatenate(vals))
+                                         indices, vals)
     return linmap, _freeze(bias), ActivationMask._from_valid(out_shape, rho)
 
 
@@ -699,44 +663,48 @@ def _copies(layer: Layer) -> int:
     flattened operator is r copies of one block B along the diagonal, in
     row-major order, each with B's entries in B's stored order, B's bias
     and B's mask.  It is found once per ``Layer`` object and kept there.
-    A layer recorded as q copies of a child (``Layer._repeat``) has q
-    times the child's count, the count a scan of its arrays finds: arrays
-    that repeat with the child's period and with a shorter one repeat
-    with the gcd of the two (Fine and Wilf), a period of the child's.
-    Any other layer has the count a scan of its arrays finds, so loaded
-    networks fold as built ones do: each divisor is first checked in
-    O(1) (``_candidates``), a stack of unequal children's off its record
+    A layer recorded as one run of q copies of a child has q times the
+    child's count, the count a scan of its arrays finds: arrays that
+    repeat with the child's period and with a shorter one repeat with the
+    gcd of the two (Fine and Wilf), a period of the child's.  Any other
+    layer has the count a scan of its arrays finds, so loaded networks
+    fold as built ones do: each divisor is first checked in O(1)
+    (``_candidates``), a record of several runs off its record
     (``_stacked_copies``), and only one that passes is checked on the
     whole arrays."""
     found = layer._copies_found
     if found is None:
-        if layer._record is not None:
-            child, q = layer._record
-            found = q * _copies(child)
-        elif layer._parts is not None:
-            found = _stacked_copies(layer)
-        else:
+        parts = layer._parts
+        if parts is None:
             found = _scanned_copies(layer)
+        elif len(parts) == 1:
+            child, q = parts[0]
+            found = q * _copies(child)
+        else:
+            found = _stacked_copies(layer)
         _set(layer, "_copies_found", found)
     return found
 
 
 def _candidates(out_size: int, in_size: int, nnz: int, entries_before,
-                entry, probes=((0, 0),)):
+                entry, position, probes=((0, 0),)):
     """The divisors r of a layer's sizes and entry count, largest first,
     that pass cheap necessary conditions, which reject most divisors
     before any whole array is read: from each probe ``(p, e)``, a flat
     output position and an entry, and from the probe one block back, the
-    next block holds as many entries as a block does, and its first entry
-    is entry e moved by one input block.  ``entries_before(p)`` is the
-    number of entries before flat output position p, and ``entry(e)``
-    entry e's flat input position and value."""
+    next block holds as many entries as a block does, position p's bias
+    and rho are those of the same position one block on, and the next
+    block's first entry is entry e moved by one input block.
+    ``entries_before(p)`` is the number of entries before flat output
+    position p, ``position(p)`` position p's bias and rho, and
+    ``entry(e)`` entry e's flat input position and value."""
     for r in _divisors(math.gcd(out_size, in_size, nnz)):
         bo, bi, bn = out_size // r, in_size // r, nnz // r
 
         def agrees(p, e):
             if 0 <= p and p + bo <= out_size and (
-                    entries_before(p + bo) - entries_before(p) != bn):
+                    entries_before(p + bo) - entries_before(p) != bn
+                    or p + bo < out_size and position(p) != position(p + bo)):
                 return False
             if 0 <= e and e + bn < nnz and bn:
                 (first, v), (second, w) = entry(e), entry(e + bn)
@@ -754,7 +722,8 @@ def _scanned_copies(layer: Layer) -> int:
     bias, rho = layer.bias.reshape(-1), layer.mask.rho.reshape(-1)
     for r in _candidates(m.out_shape.size, m.in_shape.size, m.nnz,
                          m.indptr.__getitem__,
-                         lambda e: (m.indices[e], m.val[e])):
+                         lambda e: (m.indices[e], m.val[e]),
+                         lambda p: (bias[p], rho[p])):
         bo, bi, bn = m.out_shape.size // r, m.in_shape.size // r, m.nnz // r
         # each array equals itself shifted by one block, so every block
         # equals the first, its columns moved by one input block; since
@@ -771,7 +740,7 @@ def _scanned_copies(layer: Layer) -> int:
 
 
 def _stacked_copies(layer: Layer) -> int:
-    """``_copies`` of a stack of unequal children: 1 where no divisor
+    """``_copies`` of a record of several runs: 1 where no divisor
     passes ``_candidates``' checks, probed where each of the record's
     segments (``_segments``) starts and answered off the segments without
     gathering them, else the scan of its arrays (``_unrecorded``)."""
@@ -783,16 +752,28 @@ def _stacked_copies(layer: Layer) -> int:
          q * part.in_shape.rows) for part, q in segments], axis=0).tolist()
     positions, entries, _ = zip(*firsts)
 
-    def entries_before(p):
+    def place(p):
+        # the segment holding flat output position p, and p's copy, matrix
+        # row and column there
         s = bisect.bisect_right(positions, p) - 1
-        if s == len(segments):  # the end
+        copy, rest = divmod(p - positions[s],
+                            segments[s][0].out_shape.rows * oc)
+        return (s, copy, *divmod(rest, oc))
+
+    def entries_before(p):
+        if p == positions[-1]:  # the end
             return entries[-1]
-        part, (at, e0, _) = segments[s][0], firsts[s]
-        m = part.map
-        copy, rest = divmod(p - at, part.out_shape.rows * oc)
-        row, col = divmod(rest, oc)
+        s, copy, row, col = place(p)
+        m = segments[s][0].map
         c = m.out_shape.cols
-        return e0 + copy * m.nnz + int(m.indptr[row * c + min(col, c)])
+        return entries[s] + copy * m.nnz + int(m.indptr[row * c + min(col, c)])
+
+    def position(p):
+        s, _, row, col = place(p)
+        part = segments[s][0]
+        if col >= part.out_shape.cols:  # a padding column
+            return 0.0, False
+        return part.bias[row, col], part.mask.rho[row, col]
 
     def entry(e):
         s = bisect.bisect_right(entries, e) - 1
@@ -803,7 +784,7 @@ def _stacked_copies(layer: Layer) -> int:
         return (in0 + copy * m.in_shape.rows + k) * ic + l, m.val[rest]
 
     if next(_candidates(layer.out_shape.size, layer.in_shape.size,
-                        entries[-1], entries_before, entry,
+                        entries[-1], entries_before, entry, position,
                         list(zip(positions, entries))[:-1]),
             None) is None:
         return 1
@@ -811,13 +792,15 @@ def _stacked_copies(layer: Layer) -> int:
 
 
 def _recorded(layer: Layer, r: int):
-    """``(holder, r / q)``: where the layer is recorded as q copies of a
-    child and q divides r, that child, whose first of r / q blocks is the
-    layer's first of r; otherwise ``(layer, r)``.  So a layer that is
-    ``kron(I_r, B)`` reads B off its child's arrays, which are never
-    tiled.  A copies record never holds another (``Layer._repeat``)."""
-    if layer._record is not None and r % layer._record[1] == 0:
-        child, q = layer._record
+    """``(holder, r / q)``: where the layer is recorded as one run of q
+    copies of a child and q divides r, that child, whose first of r / q
+    blocks is the layer's first of r; otherwise ``(layer, r)``.  So a
+    layer that is ``kron(I_r, B)`` reads B off its child's arrays, which
+    are never tiled.  A one-run record never holds another
+    (``Layer._stack``)."""
+    parts = layer._parts
+    if parts is not None and len(parts) == 1 and r % parts[0][1] == 0:
+        child, q = parts[0]
         return child, r // q
     return layer, r
 

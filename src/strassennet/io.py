@@ -17,22 +17,22 @@ reads only its own band of i_p input rows, as an inverter's square beside
 its carry of A is, is a run line where that holds fewer table rows
 (``_run_line``): ``"copies"`` lists the runs' ``[r_p, o_p, i_p]`` and
 ``"block"`` holds the tables of the row stack of the distinct B_p, each
-keeping the layer's column counts.  The runs of a stack that records its
-children (``core.Layer._stack``) come from that record (``_units``):
-each distinct child is cut once and its cut kept on it, and equal
-neighbouring blocks join one run across children, so no array of the
-stack is read, and a stack of copies of a stack keeps its period.  Only
-a layer without a record, as the plain lines of older files load, is
-cut by a scan of its arrays (``_runs``, sharing ``_cut`` with the
-children's cuts).  A copies line of count r is the run line ``[[r,
+keeping the layer's column counts.  Every layer's runs come from one
+run finder (``_units``).  A layer that records its runs of one child
+(``core.Layer._stack``) takes them from that record: each distinct child
+is cut once and its cut kept on it, and equal neighbouring blocks join
+one run across children, so no array of the stack is read, and a stack
+of copies of a stack keeps its period.  A layer without a record, as
+the plain lines of older files load, is cut by a scan of its arrays
+(``_cut``), as a record's plain children are, so it is written as the
+same run line.  A copies line of count r is the run line ``[[r,
 out_rows / r, in_rows / r]]``, and both are read by one rule
 (``_block_shape``, ``_stacked``, ``_tiled``): the fields by the size rule,
 the block at its own shape by the storage rule, an entry outside its
 run's input band refused by name, and the layer built from the block as
-``combinators._stack_layers`` builds it: a copies line's layer records
-the block and r, and a run line's its runs, each run's block one unit,
-as a built one records its children, and its arrays, made on their first
-read, are those of the built layer.
+``combinators._stack_layers`` builds it, recording its runs, each run's
+block one unit, as a built one records its children, and its arrays,
+made on their first read, are those of the built layer.
 A copies line holds no ``entries`` key of its own, so a reader that
 predates it refuses it (``missing key 'entries'``), and a reader that
 predates run lines refuses a list of runs (``copies must be an integer,
@@ -91,11 +91,9 @@ from itertools import chain
 
 import numpy as np
 
-from .combinators import _stack_layers
 from .core import (MNN, ActivationMask, Layer, MatrixShape, SparseLinearMap,
                    _chain, _copies, _count, _gathered, _label, _real,
-                   _record_of, _recorded, _segments, _set, _stored_rows,
-                   _unrecorded)
+                   _recorded, _segments, _set, _stored_rows, _unrecorded)
 
 FORMAT_KEYS = ("activation", "layers")
 SHAPE_KEYS = ("out_rows", "out_cols", "in_rows", "in_cols")
@@ -117,9 +115,9 @@ def _blocked(layer: Layer):
     ``kron(I_r, B)``, copies is r, the largest copy count ``core._copies``
     finds, cut to divide both row counts (its gcd with them), and B its
     first block, of shape ``(out_rows / r, out_cols) <- (in_rows / r,
-    in_cols)``, built on views of the arrays of a recorded layer's child
-    where the record's count divides r (``core._recorded``), so a
-    recorded layer is written without tiling it, else of the layer's.
+    in_cols)``, built on views of the arrays of a one-run record's child
+    where the run's count divides r (``core._recorded``), so a recorded
+    layer is written without tiling it, else of the layer's.
     Otherwise, where it is a row stack of runs that its block holds in
     fewer table rows (``_run_line``), copies is the list of runs' ``[r_p,
     o_p, i_p]`` and B the row stack of their blocks; else copies is None
@@ -151,13 +149,11 @@ def _band(layer: Layer, top: int, bottom: int, start: int,
 
 
 def _cut(layer: Layer):
-    """``(out_edges, in_edges, first, unit, rel)`` of a layer without a
-    record, cut into units, where it has a cut; else None.  Unit u is
-    its matrix rows ``out_edges[u]:out_edges[u + 1]``, which read only
-    its input rows ``in_edges[u]:in_edges[u + 1]``, and ``first[u]``
-    says whether it starts a run, a unit that differs from the one
-    before; ``unit`` gives each entry's unit and ``rel`` its input
-    position from its unit's first input row.
+    """``(out_edges, in_edges, first)`` of a layer without a record, cut
+    into units, where it has a cut; else None.  Unit u is its matrix rows
+    ``out_edges[u]:out_edges[u + 1]``, which read only its input rows
+    ``in_edges[u]:in_edges[u + 1]``, and ``first[u]`` says whether it
+    starts a run, a unit that differs from the one before.
 
     The layer is cut after each matrix row t where every row up to t reads
     only input rows below ``cut``, the one after the last they read, and
@@ -212,53 +208,17 @@ def _cut(layer: Layer):
         bad += seen[edges[1:]] - seen[edges[:-1]]
     first = np.ones(len(o), dtype=bool)
     first[1:] = (o[1:] != o[:-1]) | (i[1:] != i[:-1]) | (bad[:-1] > 0)
-    return out_edges, in_edges, first, unit, rel
-
-
-def _runs(layer: Layer):
-    """``(runs, B)`` where a layer without a record is a row stack of
-    runs, run p being r_p copies of a block B_p of o_p matrix rows reading
-    i_p input rows (``_cut``), and B, the row stack of the distinct B_p,
-    holds fewer table rows than the layer; else None.  ``runs`` lists the
-    ``[r_p, o_p, i_p]``.  Only layers that carry no record take this scan
-    of their arrays, as those of files written plain do."""
-    cut = _cut(layer)
-    if cut is None:
-        return None
-    out_edges, in_edges, first, unit, rel = cut
-    m = layer.map
-    oc, ic = m.out_shape.cols, m.in_shape.cols
-    o, i = np.diff(out_edges), np.diff(in_edges)
-    # table rows of each unit: entries, bias entries, mask entries
-    held = np.concatenate([[0], np.cumsum(
-        (layer.bias != 0).sum(1) + layer.mask.rho.sum(1))])[out_edges]
-    held = np.diff(m.indptr[out_edges * oc]) + np.diff(held)
-    if held[first].sum() >= held.sum():
-        return None
-    r = np.diff(np.append(np.flatnonzero(first), len(o)))
-    lead = np.zeros(len(o), dtype=np.int64)
-    lead[first] = np.cumsum(i[first]) - i[first]
-    keep = first[unit]
-    out_shape = MatrixShape(int(o[first].sum()), oc)
-    in_shape = MatrixShape(int(i[first].sum()), ic)
-    indptr = np.zeros(out_shape.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(m.indptr)[np.repeat(first, o * oc)], out=indptr[1:])
-    linmap = SparseLinearMap._from_valid(
-        out_shape, in_shape, indptr, rel[keep] + (lead * ic)[unit[keep]],
-        m.val[keep])
-    kept = np.repeat(first, o)
-    block = Layer._from_valid(linmap, layer.bias[kept],
-                              ActivationMask._from_valid(
-                                  out_shape, layer.mask.rho[kept]))
-    return np.stack([r, o[first], i[first]], 1).tolist(), block
+    return out_edges, in_edges, first
 
 
 def _units(layer: Layer) -> list:
     """``[(block, count), ...]``: the layer as a row stack of runs, each
     ``count`` copies of ``block``, no block equal to the one before it,
     found once per ``Layer`` object and kept there (``()`` where the
-    layer is one unit).  A layer without a record is cut by ``_cut``, its
-    blocks views of its arrays (``_band``), or is one unit.
+    layer is one unit).  This is the writer's one run finder, for plain
+    layers and records alike.  A layer without a record is cut by
+    ``_cut``, its blocks views of its arrays (``_band``), or is one
+    unit.
 
     A record's units come from its children's, where each child meets the
     next cleanly (``_ends``): the rows before read the last input row
@@ -274,7 +234,7 @@ def _units(layer: Layer) -> list:
     gathered afresh and cut."""
     found = layer._units_found
     if found is None:
-        record = _record_of(layer)
+        record = layer._parts
         if record is not None and _clean(record):
             found = []
             for child, r in record:
@@ -292,7 +252,7 @@ def _units(layer: Layer) -> list:
             cut = _cut(plain)
             found = [(layer, 1)]
             if cut is not None:
-                out_edges, in_edges, first = cut[:3]
+                out_edges, in_edges, first = cut
                 starts = np.flatnonzero(first)
                 found = [(_band(plain, out_edges[u], out_edges[u + 1],
                                 in_edges[u], in_edges[u + 1]), int(n))
@@ -307,7 +267,7 @@ def _ends(layer: Layer):
     """``(head, tail)``: whether the layer's first matrix row reads any
     input, and whether its last input row is read, off a record's first
     and last child where it has one."""
-    record = _record_of(layer)
+    record = layer._parts
     if record is not None:
         return _ends(record[0][0])[0], _ends(record[-1][0])[1]
     m = layer.map
@@ -342,7 +302,7 @@ def _same(a: Layer, b: Layer) -> bool:
 def _held(layer: Layer) -> int:
     """The table rows that hold a layer: entries, bias entries and mask
     entries, counted off its record where it has one."""
-    record = _record_of(layer)
+    record = layer._parts
     if record is None:
         return layer.weight_count + int(np.count_nonzero(layer.mask.rho))
     return sum(r * (_held(child) - child.weight_count)
@@ -350,13 +310,12 @@ def _held(layer: Layer) -> int:
 
 
 def _run_line(layer: Layer):
-    """``(runs, B)`` as ``_runs`` gives them, where the layer's runs
-    (``_units``) hold fewer table rows in B, the row stack of their
-    blocks at the layer's column counts; else None.  A recorded layer's
-    runs come from its record, and its line is written without reading
-    its arrays; a layer without one is scanned (``_runs``)."""
-    if _record_of(layer) is None:
-        return _runs(layer)
+    """``(runs, B)`` where the layer's runs (``_units``) hold fewer table
+    rows in B, the row stack of their blocks at the layer's column
+    counts, than in the layer; else None.  ``runs`` lists each run's
+    ``[r_p, o_p, i_p]``.  A recorded layer's runs come from its record,
+    and its line is written without reading its arrays; a layer without
+    one is cut (``_cut``), its blocks views of its arrays."""
     units = _units(layer)
     held = [_held(block) for block, _ in units]
     if sum(held) >= sum(h * n for h, (_, n) in zip(held, units)):
@@ -624,10 +583,9 @@ def _stacked(dims, runs, entries, bias, mask) -> Layer:
 def _tiled(dims, block: Layer, runs) -> Layer:
     """The layer of shape fields ``dims`` whose copies line holds ``runs``
     and block ``block``: each run's B_p, cut from the block (``_band``),
-    is one unit of the line (``_units``), recorded r_p times
-    (``Layer._repeat``), and the runs are stacked and recorded by
-    ``combinators._stack_layers``, as built stacks are, so the arrays,
-    gathered or tiled on their first read, are those of the built layer.
+    is one unit of the line (``_units``), and the runs ``((B_p, r_p),
+    ...)`` are recorded by ``Layer._stack``, as built stacks are, so the
+    arrays, gathered on their first read, are those of the built layer.
     No array is tiled here: the bytes the line's arrays will take are
     asked of the allocator once and given back, so a line whose arrays no
     memory holds is refused here."""
@@ -640,8 +598,7 @@ def _tiled(dims, block: Layer, runs) -> Layer:
     for part in parts:
         _set(part, "_units_found", ())  # one unit: see _units
     try:
-        layer = _stack_layers([part if r == 1 else Layer._repeat(part, r)
-                               for part, (r, _, _) in zip(parts, runs)])
+        layer = Layer._stack((part, r) for part, (r, _, _) in zip(parts, runs))
         # indptr, bias and mask per position; indices and val per entry
         need = (17 * dims[0] * dims[1] + 8 + 16 * sum(
             r * part.map.nnz for part, (r, _, _) in zip(parts, runs)))

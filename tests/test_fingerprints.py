@@ -27,7 +27,8 @@ from strassennet import core
 from strassennet.core import identity_mnn, scale_output
 from strassennet.gadgets import relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_fill, build_inv, build_neu
-from strassennet.io import load_network, save_network
+from strassennet.io import (load_network, network_from_dict,
+                            save_network)
 from strassennet.strassen import (RectShape, build_str_pow2, build_str_rect,
                                   build_str_square)
 
@@ -230,6 +231,18 @@ def test_same_network_same_file(name, tmp_path):
     assert _sha256(path.read_bytes()) == FILES[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_expanded_spelling_resaves_to_the_same_file(name, tmp_path):
+    # loaded from its expanded spelling, every layer plain, a network
+    # re-saves to its built twin's file: plain layers and records share
+    # one run finder (io._units), so they write the same lines
+    net = network_from_dict(expanded_document(CASES[name]()))
+    assert all(layer._parts is None for layer in net.layers)
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    assert _sha256(path.read_bytes()) == FILES[name]
+
+
 def _kron_reference(child, r):
     """``kron(I_r, child)``'s CSR arrays, bias and mask, by scipy's
     ``kron`` and numpy's ``vstack``."""
@@ -242,18 +255,20 @@ def _kron_reference(child, r):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_records_agree_with_their_arrays(name, tmp_path):
-    # built and reloaded, a layer recorded as r copies of a child has the
-    # copy count of a block-by-block scan, found before any array is
-    # tiled, and its arrays, tiled on their first read, are kron(I_r,
-    # child)'s, in the child's dtypes, frozen
+    # built and reloaded, a layer recorded as one run of r copies of a
+    # child has the copy count of a block-by-block scan, found before any
+    # array is tiled, and its arrays, tiled on their first read, are
+    # kron(I_r, child)'s, in the child's dtypes, frozen.  Its child is not
+    # itself a one-run record (a copy of a stack of several runs is)
     built = CASES[name]()
     save_network(built, tmp_path / "net.json")
     for net in (built, load_network(tmp_path / "net.json")):
         for layer in net.layers:
             copies = core._copies(layer)
-            if layer._record is not None:
-                child, r = layer._record
-                assert child._record is None and r > 1
+            if layer._parts is not None and len(layer._parts) == 1:
+                (child, r), = layer._parts
+                assert child._parts is None or len(child._parts) > 1
+                assert r > 1
                 got = {"indptr": layer.map.indptr,
                        "indices": layer.map.indices, "val": layer.map.val,
                        "bias": layer.bias, "rho": layer.mask.rho}

@@ -1291,28 +1291,32 @@ class TestRunLines:
 
 
 def _stacked(net: MNN) -> list:
-    """The layers of ``net`` that record a stack of unequal children."""
-    return [layer for layer in net.layers if layer._parts is not None]
+    """The layers of ``net`` that record a stack of unequal children,
+    more than one run."""
+    return [layer for layer in net.layers
+            if layer._parts is not None and len(layer._parts) > 1]
 
 
 class TestRecordedStacks:
     def test_inverter_is_saved_and_loaded_without_its_stacks_arrays(
             self, tmp_path, monkeypatch):
         # the square beside its carry of A at each stage is recorded, not
-        # assembled; its line is written from the record, with no scan of
-        # its arrays (io._runs), and a loaded run line is recorded too
+        # assembled; its line is written from the record, with no cut of
+        # its arrays (io._cut), and a loaded run line is recorded too.  The
+        # plain layers of the networks and of their records are cut, and
+        # nothing else: no record's arrays are gathered afresh to be cut
         net = build_inv(InversionSpec(8, 1.0, 1e-3, 0.5), relu_factory)
         built = _stacked(net)
         assert len(built) == 31
         assert all(layer._map is layer._bias is layer._mask is None
                    for layer in built)
         read, scanned = [], []
-        get_map, runs = Layer.map.fget, io_module._runs
+        get_map, cut = Layer.map.fget, io_module._cut
         monkeypatch.setattr(Layer, "map", property(
             lambda layer: read.append(layer) or get_map(layer)))
-        monkeypatch.setattr(io_module, "_runs",
+        monkeypatch.setattr(io_module, "_cut",
                             lambda layer: scanned.append(layer)
-                            or runs(layer))
+                            or cut(layer))
         save_network(net, tmp_path / "net.json")
         back = load_network(tmp_path / "net.json")
         save_network(back, tmp_path / "again.json")
@@ -1321,9 +1325,36 @@ class TestRecordedStacks:
         stacks = {id(layer) for layer in built + loaded}
         assert not stacks & {id(layer) for layer in read}
         assert not stacks & {id(layer) for layer in scanned}
-        assert scanned  # the plain layers still take the scan
+        assert scanned  # the plain layers still take the cut
+        held, plain = [*net.layers, *back.layers], set()
+        while held:
+            layer = held.pop()
+            if layer._parts is None:
+                plain.add(id(layer))
+            else:
+                held += [child for child, _ in layer._parts]
+        assert {id(layer) for layer in scanned} <= plain
         assert ((tmp_path / "again.json").read_bytes()
                 == (tmp_path / "net.json").read_bytes())
+
+
+    @pytest.mark.parametrize("factory", [relu_factory, relu2_factory])
+    def test_inverter_stacks_count_their_copies_without_a_scan(
+            self, factory, monkeypatch):
+        # each stack's count is read off its record: the probes' bias and
+        # rho refuse the last stage's output beside the carry too, which
+        # one scan of gathered arrays per power-of-two inverter refused
+        scans = []
+        scan = core_module._scanned_copies
+        monkeypatch.setattr(core_module, "_scanned_copies",
+                            lambda layer: scans.append(layer) or scan(layer))
+        for n in (*range(2, 9), 16, 32):
+            net = build_inv(InversionSpec(n, 1.0, 1e-2, 0.5), factory)
+            stacks = _stacked(net)
+            assert stacks
+            for layer in stacks:
+                core_module._copies(layer)
+            assert not scans, n
 
 
 #: layer-chain faults of the relu gadget's document (out/in shapes (1, 4)
