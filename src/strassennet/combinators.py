@@ -10,10 +10,10 @@ written out: it records its runs of one child (``Layer._stack``), one
 run for copies of one network, as a Strassen level's seven, and several
 for unequal children, as the inverter's square beside its carry of A, so
 building memory grows with the number of distinct layers, not with the
-copies.  A stacked layer's arrays are gathered from its children's CSR
-arrays on their first read; those are valid and in row-major order
-already, so they are not checked against the storage rule a second
-time.  Nor is the stacked network: the
+copies.  A stacked layer keeps no arrays: each read of them gathers
+them afresh from its children's CSR arrays, which are valid and in
+row-major order already, so they are not checked against the storage
+rule a second time.  Nor is the stacked network: the
 stacked layers of equal-depth valid networks chain by construction, so
 ``parallelize`` wraps them without walking the chain.  ``concat`` checks
 only where its two valid operands meet.
@@ -70,9 +70,9 @@ def _stack_layers(children: Sequence[Layer]) -> Layer:
     record never holds another, and one child is itself; a child may be
     a stack of unequal children, so a stack of copies of a stack keeps
     its period.  The shapes, weight count, ``any_rho`` and copy count come
-    from the record, and the arrays, gathered on their first read
-    (``core._gathered``), equal those the constructor would store for the
-    stacked quadruples, dtypes included.
+    from the record, and the arrays, gathered afresh on each read and
+    kept nowhere (``core._unrecorded``), equal those the constructor would
+    store for the stacked quadruples, dtypes included.
     """
     # a Layer equals only itself, so each run holds one object
     return Layer._stack((child, len(list(run)))

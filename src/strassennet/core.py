@@ -144,8 +144,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 #: sets an attribute of a read-only object: only its ``_store`` (for its
 #: constructor or ``_from_valid``), ``Layer._stack`` (for a recorded
-#: layer), ``Layer._gather`` (for a record's arrays, gathered on their
-#: first read), ``_copies`` (for the count it keeps on a layer),
+#: layer), ``_copies`` (for the count it keeps on a layer),
 #: ``io._units`` and ``io._tiled`` (for the units kept on a layer),
 #: ``_compile`` (for ``MNN._program``) or a frozen spec's
 #: ``__post_init__``, to store a parameter as its float64
@@ -170,7 +169,7 @@ class _ReadOnly:
         """The object on ``parts`` as its ``_store`` takes them, without
         the constructor's checks and copies: only for parts valid by
         construction, as ``_gathered`` (a record's map and mask, gathered
-        from its children's on their first read),
+        from its children's),
         ``combinators.parallelize`` (the stacked layers),
         ``scale_output``, ``combinators.concat`` (two valid networks,
         joined where it checked them), ``ActivationMask.from_positions``,
@@ -389,14 +388,17 @@ class Layer(_ReadOnly):
     builds is made by ``_stack``: it records its runs of one child,
     ``((child_p, r_p), ...)``, and holds no arrays.  r copies of one
     child, ``kron(I_r, child)``, are the one run ``((child, r),)``.  The
-    shapes, the weight count and ``any_rho`` come from the record, and
-    the map, bias and mask are gathered together on the first read of any
-    (``_gathered``), in the frozen arrays and dtypes the constructor would
-    store for the stacked quadruples (copy ``c``'s input positions moved
-    by ``c`` input blocks), and kept."""
+    shapes, the weight count and ``any_rho`` come from the record.  Each
+    read of a record's ``map``, ``bias`` or ``mask`` gathers all three
+    afresh (``_unrecorded``), in the frozen arrays and dtypes the
+    constructor would store for the stacked quadruples (copy ``c``'s input
+    positions moved by ``c`` input blocks), and keeps none of them: code
+    that reads several of a layer's arrays reads ``_unrecorded(layer)``
+    once."""
 
-    __slots__ = ("out_shape", "in_shape", "weight_count", "_parts",
-                 "_map", "_bias", "_mask", "_copies_found", "_units_found")
+    __slots__ = ("out_shape", "in_shape", "weight_count", "_rho_count",
+                 "_parts", "_map", "_bias", "_mask", "_copies_found",
+                 "_units_found")
 
     def __init__(self, linmap: SparseLinearMap, bias=None, mask=None):
         if not isinstance(linmap, SparseLinearMap):
@@ -423,6 +425,7 @@ class Layer(_ReadOnly):
         _set(self, "out_shape", linmap.out_shape)
         _set(self, "in_shape", linmap.in_shape)
         _set(self, "weight_count", linmap.nnz + int(np.count_nonzero(bias)))
+        _set(self, "_rho_count", int(np.count_nonzero(mask.rho)))
         _set(self, "_parts", None)
         _set(self, "_map", linmap)
         _set(self, "_bias", _freeze(bias))
@@ -446,55 +449,41 @@ class Layer(_ReadOnly):
             if child._parts is not None and len(child._parts) == 1:
                 (child, q), = child._parts
                 parts = ((child, r * q),)
-        out_rows = out_cols = in_rows = in_cols = weight_count = 0
+        out_rows = out_cols = in_rows = in_cols = weight_count = rho_count = 0
         for child, r in parts:
             out_rows += r * child.out_shape.rows
             out_cols = max(out_cols, child.out_shape.cols)
             in_rows += r * child.in_shape.rows
             in_cols = max(in_cols, child.in_shape.cols)
             weight_count += r * child.weight_count
+            rho_count += r * child._rho_count
         layer = cls.__new__(cls)
         _set(layer, "out_shape", MatrixShape(out_rows, out_cols))
         _set(layer, "in_shape", MatrixShape(in_rows, in_cols))
         _set(layer, "weight_count", weight_count)
+        _set(layer, "_rho_count", rho_count)
         _set(layer, "_parts", parts)
         for name in ("_map", "_bias", "_mask", "_copies_found",
                      "_units_found"):
-            _set(layer, name, None)  # set on the first read
+            _set(layer, name, None)  # no arrays; counts found when asked
         return layer
-
-    def _gather(self):
-        """Set a record's map, bias and mask, gathered from its runs."""
-        linmap, bias, mask = _gathered(_segments(self), self.out_shape,
-                                       self.in_shape)
-        _set(self, "_map", linmap)
-        _set(self, "_bias", bias)
-        _set(self, "_mask", mask)
 
     @property
     def map(self) -> SparseLinearMap:
-        if self._map is None:  # gathered on the first read
-            self._gather()
-        return self._map
+        return _unrecorded(self)._map
 
     @property
     def bias(self) -> np.ndarray:
-        if self._bias is None:
-            self._gather()
-        return self._bias
+        return _unrecorded(self)._bias
 
     @property
     def mask(self) -> ActivationMask:
-        if self._mask is None:
-            self._gather()
-        return self._mask
+        return _unrecorded(self)._mask
 
     @property
     def any_rho(self) -> bool:
-        """Whether rho acts on any entry; a record's children say."""
-        if self._parts is not None:
-            return any(child.any_rho for child, _ in self._parts)
-        return self.mask.any_rho
+        """Whether rho acts on any entry, counted when the layer was made."""
+        return self._rho_count > 0
 
 
 def _segments(layer: Layer) -> list:
@@ -512,9 +501,11 @@ def _segments(layer: Layer) -> list:
 
 
 def _unrecorded(layer: Layer) -> Layer:
-    """The layer where it holds its map, else a layer on its arrays
-    gathered afresh (``_gathered``) and not kept on it."""
-    if layer._map is not None:
+    """The layer where it has no record, else a plain layer on its record's
+    arrays, gathered afresh on each call (``_gathered``) and kept nowhere:
+    the one gather of a record's map, bias and mask, which a reader of
+    several of them calls once."""
+    if layer._parts is None:
         return layer
     return Layer._from_valid(*_gathered(_segments(layer), layer.out_shape,
                                         layer.in_shape))
@@ -794,15 +785,16 @@ def _stacked_copies(layer: Layer) -> int:
 def _recorded(layer: Layer, r: int):
     """``(holder, r / q)``: where the layer is recorded as one run of q
     copies of a child and q divides r, that child, whose first of r / q
-    blocks is the layer's first of r; otherwise ``(layer, r)``.  So a
-    layer that is ``kron(I_r, B)`` reads B off its child's arrays, which
-    are never tiled.  A one-run record never holds another
+    blocks is the layer's first of r; otherwise ``(layer, r)``.  The
+    holder is plain, gathered once where it is a record (``_unrecorded``),
+    so a layer that is ``kron(I_r, B)`` reads B off its child's arrays,
+    and its copies are never tiled.  A one-run record never holds another
     (``Layer._stack``)."""
     parts = layer._parts
     if parts is not None and len(parts) == 1 and r % parts[0][1] == 0:
         child, q = parts[0]
-        return child, r // q
-    return layer, r
+        return _unrecorded(child), r // q
+    return _unrecorded(layer), r
 
 
 def _roles(m: SparseLinearMap, per_row, bias, rho) -> np.ndarray:
@@ -1130,7 +1122,7 @@ def scale_output(net: MNN, c: float) -> MNN:
         raise ValueError(f"c must be finite, got {c}")
     if c == 0.0:
         raise ValueError("scaling the output by zero collapses the network")
-    last = net.layers[-1]
+    last = _unrecorded(net.layers[-1])
     with np.errstate(over="ignore", under="ignore"):
         val, bias = last.map.val * c, last.bias * c
     weights = np.concatenate([val, bias[last.bias != 0]])
@@ -1144,7 +1136,8 @@ def scale_output(net: MNN, c: float) -> MNN:
 
 
 def mnn_equal(a: MNN, b: MNN) -> bool:
-    """Structural equality: shapes, entries, biases, masks, label."""
+    """Structural equality: shapes, entries, biases, masks, label.  Each
+    pair of layers is read once (``_unrecorded``)."""
     if a.activation_name != b.activation_name or a.num_layers != b.num_layers:
         return False
     return all(
@@ -1154,4 +1147,5 @@ def mnn_equal(a: MNN, b: MNN) -> bool:
         and np.array_equal(la.map.val, lb.map.val)
         and np.array_equal(la.bias, lb.bias)
         and np.array_equal(la.mask.rho, lb.mask.rho)
-        for la, lb in zip(a.layers, b.layers))
+        for la, lb in zip(map(_unrecorded, a.layers),
+                          map(_unrecorded, b.layers)))

@@ -32,7 +32,7 @@ the block at its own shape by the storage rule, an entry outside its
 run's input band refused by name, and the layer built from the block as
 ``combinators._stack_layers`` builds it, recording its runs, each run's
 block one unit, as a built one records its children, and its arrays,
-made on their first read, are those of the built layer.
+gathered afresh on each read, are those of the built layer.
 A copies line holds no ``entries`` key of its own, so a reader that
 predates it refuses it (``missing key 'entries'``), and a reader that
 predates run lines refuses a list of runs (``copies must be an integer,
@@ -121,10 +121,11 @@ def _blocked(layer: Layer):
     Otherwise, where it is a row stack of runs that its block holds in
     fewer table rows (``_run_line``), copies is the list of runs' ``[r_p,
     o_p, i_p]`` and B the row stack of their blocks; else copies is None
-    and B the layer."""
+    and B the layer, gathered once where it is a record
+    (``core._unrecorded``)."""
     r = math.gcd(_copies(layer), layer.out_shape.rows, layer.in_shape.rows)
     if r == 1:
-        return _run_line(layer) or (None, layer)
+        return _run_line(layer) or (None, _unrecorded(layer))
     holder, part = _recorded(layer, r)
     return r, _band(holder, 0, holder.out_shape.rows // part, 0,
                     holder.in_shape.rows // part)
@@ -299,16 +300,6 @@ def _same(a: Layer, b: Layer) -> bool:
     return all(x is None or np.array_equal(x, y) for x, y in tables)
 
 
-def _held(layer: Layer) -> int:
-    """The table rows that hold a layer: entries, bias entries and mask
-    entries, counted off its record where it has one."""
-    record = layer._parts
-    if record is None:
-        return layer.weight_count + int(np.count_nonzero(layer.mask.rho))
-    return sum(r * (_held(child) - child.weight_count)
-               for child, r in record) + layer.weight_count
-
-
 def _run_line(layer: Layer):
     """``(runs, B)`` where the layer's runs (``_units``) hold fewer table
     rows in B, the row stack of their blocks at the layer's column
@@ -317,7 +308,8 @@ def _run_line(layer: Layer):
     and its line is written without reading its arrays; a layer without
     one is cut (``_cut``), its blocks views of its arrays."""
     units = _units(layer)
-    held = [_held(block) for block, _ in units]
+    # table rows: entries, bias entries and mask entries
+    held = [block.weight_count + block._rho_count for block, _ in units]
     if sum(held) >= sum(h * n for h, (_, n) in zip(held, units)):
         return None
     runs = [[n, block.out_shape.rows, block.in_shape.rows]
@@ -585,7 +577,7 @@ def _tiled(dims, block: Layer, runs) -> Layer:
     and block ``block``: each run's B_p, cut from the block (``_band``),
     is one unit of the line (``_units``), and the runs ``((B_p, r_p),
     ...)`` are recorded by ``Layer._stack``, as built stacks are, so the
-    arrays, gathered on their first read, are those of the built layer.
+    arrays, gathered afresh on each read, are those of the built layer.
     No array is tiled here: the bytes the line's arrays will take are
     asked of the allocator once and given back, so a line whose arrays no
     memory holds is refused here."""

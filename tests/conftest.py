@@ -35,7 +35,7 @@ def expanded_document(net) -> dict:
     copies line: the form every file took before copies lines, whose
     ``compact_text`` is the file those versions wrote."""
     layers = []
-    for layer in net.layers:
+    for layer in map(core._unrecorded, net.layers):
         lm = layer.map
         at = np.argwhere(layer.bias)
         bias = zip((at + 1).tolist(), layer.bias[tuple(at.T)].tolist())
@@ -70,6 +70,7 @@ def copies_by_blocks(layer):
     entry count, for which every block of the layer's rows, entries, bias
     and mask equals the first block, its input positions moved by whole
     input blocks, and the first block reads only its own input block."""
+    layer = core._unrecorded(layer)
     m = layer.map
     arrays = (np.diff(m.indptr), m.val, layer.bias.reshape(-1),
               layer.mask.rho.reshape(-1))

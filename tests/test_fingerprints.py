@@ -257,21 +257,22 @@ def _kron_reference(child, r):
 def test_records_agree_with_their_arrays(name, tmp_path):
     # built and reloaded, a layer recorded as one run of r copies of a
     # child has the copy count of a block-by-block scan, found before any
-    # array is tiled, and its arrays, tiled on their first read, are
-    # kron(I_r, child)'s, in the child's dtypes, frozen.  Its child is not
-    # itself a one-run record (a copy of a stack of several runs is)
+    # array is tiled, and its arrays are kron(I_r, child)'s, in the
+    # child's dtypes, frozen.  Its child is not itself a one-run record (a
+    # copy of a stack of several runs is)
     built = CASES[name]()
     save_network(built, tmp_path / "net.json")
     for net in (built, load_network(tmp_path / "net.json")):
         for layer in net.layers:
             copies = core._copies(layer)
+            plain = core._unrecorded(layer)
             if layer._parts is not None and len(layer._parts) == 1:
                 (child, r), = layer._parts
                 assert child._parts is None or len(child._parts) > 1
                 assert r > 1
-                got = {"indptr": layer.map.indptr,
-                       "indices": layer.map.indices, "val": layer.map.val,
-                       "bias": layer.bias, "rho": layer.mask.rho}
+                got = {"indptr": plain.map.indptr,
+                       "indices": plain.map.indices, "val": plain.map.val,
+                       "bias": plain.bias, "rho": plain.mask.rho}
                 dtypes = {"indptr": child.map.indptr.dtype,
                           "indices": child.map.indices.dtype,
                           "val": child.map.val.dtype,
@@ -282,8 +283,8 @@ def test_records_agree_with_their_arrays(name, tmp_path):
                     assert np.array_equal(got[key], want), key
                     assert not got[key].flags.writeable, key
                 assert layer.weight_count == (
-                    layer.map.nnz + np.count_nonzero(layer.bias))
-            assert copies == copies_by_blocks(layer)
+                    plain.map.nnz + np.count_nonzero(plain.bias))
+            assert copies == copies_by_blocks(plain)
 
 
 #: case -> sha256 of its compiled program (see ``conftest.program_digest``)

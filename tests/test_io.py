@@ -18,7 +18,8 @@ from strassennet import core as core_module
 from strassennet import io as io_module
 from strassennet.combinators import parallelize
 from strassennet.core import (MNN, ActivationMask, Layer, SparseLinearMap,
-                              identity_mnn, mnn_equal, realize)
+                              identity_mnn, mnn_equal, realize, realize_flat,
+                              scale_output)
 from strassennet.gadgets import GadgetSpec, relu2_factory, relu_factory
 from strassennet.inversion import InversionSpec, build_inv
 from strassennet.io import (TABLES, load_matrix, load_network,
@@ -1355,6 +1356,33 @@ class TestRecordedStacks:
             for layer in stacks:
                 core_module._copies(layer)
             assert not scans, n
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_str_pow2(3, 1e-2, 1.0, relu_factory),
+        lambda: build_inv(InversionSpec(8, 1.0, 1e-2, 0.5), relu_factory)],
+        ids=["pow2-relu-k3", "inv-relu-n8"])
+    def test_records_hold_no_arrays_after_every_reader(self, make, tmp_path):
+        # evaluating, saving, loading, comparing and scaling read the
+        # records' arrays, each gathered where it is needed: none is kept
+        # on a record, built or loaded, at any depth
+        built = make()
+        columns = np.random.default_rng(7).uniform(
+            -0.1, 0.1, (built.input_shape.size, 3))
+        out = realize_flat(built, None, columns)
+        save_network(built, tmp_path / "net.json")
+        loaded = load_network(tmp_path / "net.json")
+        assert realize_flat(loaded, None, columns).tobytes() == out.tobytes()
+        assert mnn_equal(built, loaded)
+        scale_output(built, 2.0)
+        records, held = [], [*built.layers, *loaded.layers]
+        while held:
+            layer = held.pop()
+            if layer._parts is not None:
+                records.append(layer)
+                held += [child for child, _ in layer._parts]
+        assert records
+        assert all(layer._map is layer._bias is layer._mask is None
+                   for layer in records)
 
 
 #: layer-chain faults of the relu gadget's document (out/in shapes (1, 4)
