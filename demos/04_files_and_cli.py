@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from strassennet import (build_str_square, load_network, mnn_equal, realize,
-                         relu2_factory, save_matrix, save_network)
+from strassennet import (build_str_square, load_matrix, load_network,
+                         mnn_equal, realize, relu2_factory, save_matrix,
+                         save_network)
 
 
 def snn(*args):
@@ -72,7 +73,7 @@ with tempfile.TemporaryDirectory(prefix="snn-demo-") as tmp:
     rc, _, _ = snn("eval", "--net", net_path, "--a", str(workdir / "A.csv"),
                    "--b", str(workdir / "B.csv"), "--layout", "ab",
                    "--out", C_path)
-    C = np.loadtxt(C_path, delimiter=",")
+    C = load_matrix(C_path)
     err = np.max(np.abs(C - A @ B))
     print(f"  eval -> exit {rc}, max |C - AB| = {err:.2e}")
 

@@ -76,15 +76,18 @@ copies line), and the label, layer-chain and final-layer rules of a
 network, the chain checked as each layer arrives.
 
 Matrices travel as plain CSV, one row per line, full float precision.
-Only real matrices are written.  A file with no numbers is refused, and
-so are a line whose cell count differs from the first row's and a cell
-that is not a number or not finite, by the file's 1-based line and
-column.
+Only real matrices with entries, all finite, are written, a non-finite
+cell refused by its 1-based row and column, so every file written loads.
+Matrix files are UTF-8 text, whatever the locale, read in one pass
+(``load_matrix``): text from ``#`` on is a comment, a blank line holds no
+row, and a cell is a number as numpy's CSV reader spells one.  Other
+bytes are refused, and so are a file with no numbers and the file's first
+line whose cell count differs from the first row's or that holds a cell
+that is not a number or not finite, by its 1-based line and column.
 """
 
 import json
 import math
-import warnings
 from collections import Counter
 from contextlib import suppress
 from itertools import chain
@@ -691,75 +694,70 @@ def load_network(path) -> MNN:
 
 
 def save_matrix(A: np.ndarray, path) -> None:
+    """Write the real 2-d matrix ``A`` to CSV file ``path``, refusing first
+    what ``load_matrix`` refuses: no entries, or a cell that is not finite,
+    named by its 1-based row and column."""
     A = np.asarray(_real("matrix", A), dtype=float)
     if A.ndim != 2:
         raise ValueError("matrix files hold 2-d arrays")
+    if not A.size:
+        raise ValueError("matrix holds no numbers")
+    if not np.isfinite(A).all():
+        i, j = np.argwhere(~np.isfinite(A))[0]
+        raise ValueError(f"matrix holds {A[i, j]} at row {i + 1}, column "
+                         f"{j + 1}: matrix cells must be finite numbers")
     np.savetxt(path, A, delimiter=",", fmt="%.17g")
 
 
-def _number(cell: str):
-    """The cell as numpy's CSV reader reads it, a float, or None where it
-    reads no one number."""
-    with warnings.catch_warnings():  # an empty cell reads as no data
-        warnings.filterwarnings("ignore", ".*input contained no data")
-        try:
-            got = np.loadtxt([cell], delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            return None
-    return float(got[0]) if got.size == 1 else None
-
-
-def _matrix_fault(path, A=None) -> str:
-    """What is wrong with matrix file ``path``, named by its 1-based line
-    and column: the first line whose cell count differs from the first
-    row's or that holds a cell that is not a number or, with ``A``, the
-    file read by numpy, the line of its first cell that is not finite.
-    Lines are read as numpy reads them: text from ``#`` on is a comment,
-    and lines left blank hold no row."""
-    width, row = None, 0
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line, text in enumerate(fh, 1):
-            cells = text.partition("#")[0]
-            if not cells.strip():
-                continue
-            cells = cells.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                return (f"is not rows of numbers of one length: the number "
-                        f"of columns changed from {width} to {len(cells)} "
-                        f"at line {line}")
-            for column, cell in enumerate(cells, 1):
-                if A is None and _number(cell) is None:
-                    return (f"is not rows of numbers of one length: could "
-                            f"not convert string {cell.strip()!r} to a "
-                            f"number at line {line}, column {column}")
-                if A is not None and not np.isfinite(A[row, column - 1]):
-                    return (f"holds {cell.strip()!r} at line {line}, column "
-                            f"{column}: matrix cells must be finite numbers")
-            row += 1
-    return None
+def _cell(cell: str, at: str) -> float:
+    r"""The cell as a float, refused, naming where it is ``at``, unless it is
+    a finite number as numpy spells one: ASCII without ``_`` once white
+    space (``\xa0``, ``\x1c`` too) is stripped; ``float`` alone would also
+    read ``1_0`` and digits such as ``\u0661``."""
+    text, value = cell.strip(), None
+    if text.isascii() and "_" not in text:
+        with suppress(ValueError):
+            value = float(text)
+    if value is None:
+        raise ValueError("is not rows of numbers of one length: could not "
+                         f"convert string {text!r} to a number {at}")
+    if not math.isfinite(value):
+        raise ValueError(f"holds {text!r} {at}: matrix cells must be finite "
+                         "numbers")
+    return value
 
 
 def load_matrix(path) -> np.ndarray:
-    """The matrix in CSV file ``path``, read by numpy, refused after
-    ``matrix file <path>`` where a line's cell count differs from the
-    first row's, a cell is not a number or not finite (``nan``, ``inf``),
-    each named by its 1-based line and column (``_matrix_fault``), or the
-    file holds no numbers."""
-    with warnings.catch_warnings():  # an empty file is refused below
-        warnings.filterwarnings("ignore", ".*input contained no data")
-        try:
-            A = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-        except ValueError as exc:  # numpy's cause, less its usecols advice
-            fault = _matrix_fault(path) or (
-                f"is not rows of numbers of one length: "
-                f"{str(exc).partition('; use `usecols`')[0]}")
-            raise ValueError(f"matrix file {path} {fault}") from None
-    if not A.size:
+    """The matrix in CSV file ``path``, read as UTF-8 text in one pass: a
+    line's cells, split at commas, are converted by ``float`` at once where
+    the line is ASCII without ``_``, and read cell by cell (``_cell``) to
+    name the fault where that gives no finite numbers.  Refused after
+    ``matrix file <path>`` as the module's docstring says."""
+    rows, width = [], None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line, text in enumerate(fh, 1):
+                text = text.partition("#")[0]
+                if not text.strip():
+                    continue
+                cells = text.split(",")
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise ValueError("is not rows of numbers of one length: "
+                                     "the number of columns changed from "
+                                     f"{width} to {len(cells)} at line {line}")
+                row = None
+                if text.isascii() and "_" not in text:
+                    with suppress(ValueError):
+                        row = list(map(float, cells))
+                if row is None or not math.isfinite(sum(row)):
+                    row = [_cell(cell, f"at line {line}, column {column}")
+                           for column, cell in enumerate(cells, 1)]
+                rows.append(row)
+    except ValueError as exc:  # a UnicodeDecodeError is one
+        fault = (f"is not UTF-8 text ({exc})"
+                 if isinstance(exc, UnicodeDecodeError) else exc)
+        raise ValueError(f"matrix file {path} {fault}") from None
+    if not rows:
         raise ValueError(f"matrix file {path} holds no numbers")
-    if not np.isfinite(A).all():
-        raise ValueError(f"matrix file {path} "
-                         + (_matrix_fault(path, A)
-                            or "holds a cell that is not a finite number"))
-    return A
+    return np.array(rows)

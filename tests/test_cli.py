@@ -393,6 +393,23 @@ class TestEval:
             1, f"snn: error: matrix file {bad} {fault}\n")
         assert not out.exists()
 
+    def test_output_that_overflows_exits_one(self, tmp_path, capsys):
+        # the relu2 gadget squares 1e200, which overflows: inf was written
+        # with status 0, a file that load_matrix then refused
+        net = self._build(tmp_path, ["build", "gadget", "--activation",
+                                     "relu2"])
+        capsys.readouterr()
+        big = tmp_path / "X.csv"
+        big.write_text("1e+200,1e+200\n")
+        out = tmp_path / "C.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["eval", "--net", str(net), "--input", str(big),
+                       "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (
+            1, "snn: error: matrix holds inf at row 1, column 1: matrix "
+            "cells must be finite numbers\n")
+        assert not out.exists()
+
     def test_fractional_dimension_exits_one(self, tmp_path, capsys):
         net = self._build(tmp_path, ["build", "gadget", "--eps", "0.01"])
         capsys.readouterr()

@@ -2,10 +2,14 @@
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache, partial
 from operator import setitem
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +31,8 @@ from strassennet.io import (TABLES, load_matrix, load_network,
                             save_network)
 from strassennet.strassen import (RectShape, build_split, build_str_pow2,
                                   build_str_rect)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _sample_networks():
@@ -1929,3 +1935,93 @@ class TestMatrixFiles:
         with pytest.raises(ValueError) as caught:
             load_matrix(path)
         assert str(caught.value) == f"matrix file {path} {fault}"
+
+    @pytest.mark.parametrize("cell, value", [
+        (" 1.5", 1.5), ("+.5", 0.5), ("1.", 1.0), (".5", 0.5),
+        ("1E-3", 1e-3), ("\t3", 3.0), ("-2", -2.0), ("\xa04\u2003", 4.0),
+        ("\x1c5", 5.0), ("1_0", None), ("\u0661", None), ("0x10", None),
+        ("1d3", None), ("1.5e", None), ("1 2", None)],
+        ids=repr)
+    def test_cells_are_read_as_numpy_spells_numbers(self, tmp_path, cell,
+                                                    value):
+        # float alone also reads 1_0 and digits such as \u0661, and refuses
+        # the \x1c that numpy's reader strips as white space
+        path = tmp_path / "x.csv"
+        path.write_text(f"0,0\n0,{cell}\n", encoding="utf-8")
+        if value is not None:
+            assert load_matrix(path).tolist() == [[0, 0], [0, value]]
+            return
+        with pytest.raises(ValueError) as caught:
+            load_matrix(path)
+        assert str(caught.value) == (
+            f"matrix file {path} is not rows of numbers of one length: could "
+            f"not convert string {cell.strip()!r} to a number at line 2, "
+            "column 2")
+
+    def test_the_first_fault_in_the_file_is_named(self, tmp_path):
+        # the file is read once, so a non-finite cell is named where it
+        # comes before a cell that is not a number
+        path = tmp_path / "x.csv"
+        path.write_text("nan,1\n1,abc\n")
+        with pytest.raises(ValueError, match="holds 'nan' at line 1, "):
+            load_matrix(path)
+
+    @staticmethod
+    def _load_in_c_locale(path) -> str:
+        """``load_matrix(path)`` in a process under the C locale, without
+        Python's UTF-8 mode, which the C locale turns on: the matrix as a
+        list, or the refusal."""
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from strassennet.io import load_matrix\n"
+                "try:\n"
+                "    print(load_matrix(sys.argv[1]).tolist())\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return proc.stdout.rstrip("\n")
+
+    def test_utf8_files_load_alike_in_every_locale(self, tmp_path):
+        # under the C locale numpy decoded the file as ASCII, refusing
+        # "# caf\xe9" as a cell it could not convert
+        path = tmp_path / "x.csv"
+        path.write_bytes("1,2 # caf\xe9\n3,4\n".encode("utf-8"))
+        A = load_matrix(path)
+        assert A.tolist() == [[1, 2], [3, 4]]
+        assert self._load_in_c_locale(path) == str(A.tolist())
+
+    def test_bytes_that_are_not_utf8_are_refused_in_every_locale(
+            self, tmp_path):
+        # numpy's own codec fault was relayed as a table fault
+        data = b"1,2 # caf\xe9\n3,4\n"
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        path = tmp_path / "x.csv"
+        path.write_bytes(data)
+        message = f"matrix file {path} is not UTF-8 text ({info.value})"
+        with pytest.raises(ValueError) as caught:
+            load_matrix(path)
+        assert str(caught.value) == message
+        assert self._load_in_c_locale(path) == message
+
+    @pytest.mark.parametrize("A, fault", [
+        (np.zeros((0, 3)), "holds no numbers"),
+        (np.zeros((2, 0)), "holds no numbers"),
+        (np.array([[np.inf]]), "holds inf at row 1, column 1: matrix "
+         "cells must be finite numbers"),
+        (np.array([[1.0, 2.0], [3.0, np.nan]]), "holds nan at row 2, "
+         "column 2: matrix cells must be finite numbers"),
+        (np.array([[0.0, -np.inf, np.nan]]), "holds -inf at row 1, "
+         "column 2: matrix cells must be finite numbers")],
+        ids=["no-rows", "no-columns", "inf", "nan", "first-of-two"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, A, fault):
+        # each was written, and the file then refused by load_matrix
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError) as caught:
+            save_matrix(A, path)
+        assert str(caught.value) == f"matrix {fault}"
+        assert not path.exists()
